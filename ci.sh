@@ -79,8 +79,9 @@ cargo run --release -q --offline -- profile "$ANALYZE_TMP/verify.trace.jsonl" \
 step "packed engine — digest equality with the scalar engine on the example nets"
 # Same seeded campaign under both engines: the packed path promises
 # bit-identical verdicts (DESIGN.md §18.3), so the digests must match
-# on all three example nets — nmnist (pool prefix), ibm (conv prefix,
-# exercising the scalar fallback), shd (recurrent prefix).
+# on all three example nets — nmnist (pool prefix), ibm (conv sites and
+# a pool crossing), shd (recurrent sites) — and the planner must take
+# every fault of all three: nothing is left to the scalar fallback.
 verdict_of() { sed -n 's/^verdict digest: \([0-9a-f]*\)$/\1/p' <<< "$1"; }
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
@@ -91,11 +92,29 @@ for m in nmnist ibm shd; do
         "$ANALYZE_TMP/$m.events" --engine packed)"
     grep -q '^engine: scalar$' <<< "$SCALAR_OUT" || { echo "$m: verify ignored --engine scalar"; exit 1; }
     grep -q '^engine: packed$' <<< "$PACKED_OUT" || { echo "$m: verify ignored --engine packed"; exit 1; }
+    grep -Eq '^packed: [0-9]+ faults in [0-9]+ packs, fallback: 0$' <<< "$PACKED_OUT" \
+        || { echo "$m: packed verify left faults to the scalar fallback"; grep '^packed:' <<< "$PACKED_OUT"; exit 1; }
     SCALAR_DIGEST="$(verdict_of "$SCALAR_OUT")"
     PACKED_DIGEST="$(verdict_of "$PACKED_OUT")"
     [[ -n "$SCALAR_DIGEST" ]] || { echo "$m: verify printed no verdict digest"; exit 1; }
     [[ "$SCALAR_DIGEST" == "$PACKED_DIGEST" ]] \
         || { echo "$m: engine digest mismatch: scalar $SCALAR_DIGEST vs packed $PACKED_DIGEST"; exit 1; }
+done
+
+step "packed engine — kernel phases attribute >=95% of conv- and recurrent-site campaigns"
+# Conv and recurrent fault-layer stages must land in the forward.l*
+# slots like the dense ones do.
+for m in ibm shd; do
+    cargo run --release -q --offline -- verify "$ANALYZE_TMP/$m.snn" "$ANALYZE_TMP/$m.events" \
+        --engine packed --trace-out "$ANALYZE_TMP/$m.packed.trace.jsonl" > /dev/null
+    PACKED_PROFILE="$(cargo run --release -q --offline -- profile \
+        "$ANALYZE_TMP/$m.packed.trace.jsonl" --phases)"
+    grep -q "phase.forward.l" <<< "$PACKED_PROFILE" \
+        || { echo "$m: packed profile has no forward phase rows"; exit 1; }
+    PACKED_ATTRIBUTED="$(sed -n 's/^attributed: \([0-9]*\)\..*/\1/p' <<< "$PACKED_PROFILE")"
+    [[ -n "$PACKED_ATTRIBUTED" ]] || { echo "$m: packed profile missing attribution line"; exit 1; }
+    (( PACKED_ATTRIBUTED >= 95 )) \
+        || { echo "$m: kernel phases attribute only ${PACKED_ATTRIBUTED}% of packed fault-sim time (need >=95%)"; exit 1; }
 done
 
 step "cluster bench — 0/1/2 workers, bit-identical verdicts + perf-regression gated"

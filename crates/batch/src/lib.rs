@@ -1,32 +1,34 @@
 //! Bit-packed fault-parallel simulation: fault plan → lane assignment →
-//! packed LIF run.
+//! packed differential run.
 //!
 //! A detection campaign asks one question per (fault, test) pair: does
 //! the faulty output spike train differ from the fault-free one? The
 //! scalar engine answers it by re-simulating the network once per fault.
-//! This crate answers it for up to 64 faults at once: each fault variant
-//! becomes a bit *lane* inside `u64` spike words, the fault-free
-//! ("golden") run is simulated once per test, and lanes are carried
-//! through the network as packed bit patterns — per-lane `f32` state is
-//! materialized lazily, only for lanes that actually diverge from the
-//! golden run, and only from their first divergent tick.
+//! This crate answers it for up to 64 faults at once, and for each of
+//! them *differentially*: the fault-free ("golden") run is simulated once
+//! per test by the model's own forward pass, which records its drives
+//! and pre-tick states; a fault variant reuses those wherever it still
+//! equals the golden run and redoes arithmetic only where it does not.
+//! Variants travel between layers as bit *lanes* inside `u64` spike
+//! words — per-lane `f32` state is materialized lazily, only for lanes
+//! that actually diverge, and only from their first divergent tick.
 //!
 //! The pipeline:
 //!
-//! 1. [`plan`] — partition the fault list into *packs* of ≤ 64 variants
-//!    confined to the same layer of the network's dense suffix, plus a
-//!    scalar-fallback remainder (faults at conv/pool/recurrent sites or
-//!    ahead of a non-dense layer);
+//! 1. [`plan`] — group the fault list by fault layer into *packs* of
+//!    ≤ 64 variants. Every fault of every spiking layer kind (dense,
+//!    conv, recurrent) is packable as long as the network's last layer
+//!    is spiking; otherwise the list is the scalar engine's;
 //! 2. lane assignment — each pack member gets a bit lane, with lane 0
 //!    reserved as a fault-free self-check in non-full packs;
-//! 3. packed run — per pack, per test: simulate each lane's single
-//!    perturbed neuron column scalar-wise, pack divergent columns into
-//!    spike words, and sweep the remaining layers lane-parallel.
+//! 3. packed run — per pack, per test: a per-site fault-layer stage
+//!    yields each lane's divergence from the golden spikes at the fault
+//!    layer, then the layers behind it are swept lane-parallel.
 //!
 //! [`engine_detect`] is the drop-in campaign entry point: it resolves
-//! the configured [`Engine`], runs packs (and the scalar fallback for
-//! unpackable faults) and returns a [`CampaignOutcome`] **bit-identical**
-//! to [`FaultSimulator::detect_with`] — same per-fault detection flags,
+//! the configured [`Engine`], runs the packs and returns a
+//! [`CampaignOutcome`] **bit-identical** to
+//! [`FaultSimulator::detect_with`] — same per-fault detection flags,
 //! distances, class diffs and therefore the same
 //! [`verdict_digest`](snn_faults::verdict_digest). Cluster chunking,
 //! collapsed-universe expansion and reliability campaigns ride on top
@@ -35,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod golden;
 mod pack;
 pub mod plan;
 
@@ -46,33 +47,24 @@ use snn_faults::{
     FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse, Injection, InjectionError,
     Progress, ProgressSink,
 };
-use snn_model::{DenseLayer, Layer, Network, RecordOptions, Trace};
+use snn_model::{Layer, Network};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::LocalPhases;
 use snn_tensor::Tensor;
 
-use golden::{golden_suffix, GoldenLayer};
+use pack::{as_u64, Golden};
 
 pub use plan::{dense_suffix_start, FaultPlan, Pack};
 
-/// The dense layer at `idx`.
-pub(crate) fn dense_layer(net: &Network, idx: usize) -> &DenseLayer {
-    match &net.layers()[idx] {
-        Layer::Dense(l) => l,
-        // The planner only packs faults in the dense suffix, so every
-        // layer the packed kernel addresses is dense by construction.
-        _ => unreachable!("packed engine addressed non-dense layer {idx}"),
-    }
-}
-
 /// Resolves a requested engine against the network: [`Engine::Auto`]
-/// (and `None`) picks [`Engine::Packed`] when the network ends in a
-/// dense layer — the planner can then pack at least the last layer's
-/// faults — and [`Engine::Scalar`] otherwise. Never returns `Auto`.
+/// (and `None`) picks [`Engine::Packed`] when the network's last layer is
+/// spiking — the packed sweep reads its verdict off binary output spikes
+/// and then takes every fault — and [`Engine::Scalar`] otherwise. Never
+/// returns `Auto`.
 pub fn resolve_engine(net: &Network, requested: Option<Engine>) -> Engine {
     match requested.unwrap_or(Engine::Auto) {
         Engine::Auto => {
-            if matches!(net.layers().last(), Some(Layer::Dense(_))) {
+            if net.layers().last().is_some_and(Layer::is_spiking) {
                 Engine::Packed
             } else {
                 Engine::Scalar
@@ -106,43 +98,28 @@ pub fn engine_detect(
     cancel: &CancelToken,
 ) -> Result<CampaignOutcome, CampaignError> {
     match resolve_engine(net, cfg.engine) {
-        Engine::Scalar => {
-            let cfg = FaultSimConfig { engine: Some(Engine::Scalar), ..cfg };
-            FaultSimulator::new(net, cfg).detect_with(universe, faults, tests, sink, cancel)
-        }
+        Engine::Scalar => scalar_detect(net, cfg, universe, faults, tests, sink, cancel),
         _ => packed_detect(net, cfg, universe, faults, tests, sink, cancel),
     }
 }
 
-/// Remaps the scalar fallback's progress stream onto the full campaign:
-/// the subset simulator reports `total = subset.len()`, but downstream
-/// consumers see one campaign over `total` faults.
-struct ProgressScale<'a> {
-    inner: &'a dyn ProgressSink,
-    total: usize,
+/// The reference engine.
+fn scalar_detect(
+    net: &Network,
+    cfg: FaultSimConfig,
+    universe: &FaultUniverse,
+    faults: &[Fault],
+    tests: &[Tensor],
+    sink: &dyn ProgressSink,
+    cancel: &CancelToken,
+) -> Result<CampaignOutcome, CampaignError> {
+    let cfg = FaultSimConfig { engine: Some(Engine::Scalar), ..cfg };
+    FaultSimulator::new(net, cfg).detect_with(universe, faults, tests, sink, cancel)
 }
 
-impl ProgressSink for ProgressScale<'_> {
-    fn emit(&self, event: Progress) {
-        let event = match event {
-            Progress::FaultsSimulated { done, detected, .. } => {
-                Progress::FaultsSimulated { done, total: self.total, detected }
-            }
-            other => other,
-        };
-        self.inner.emit(event);
-    }
-}
-
-fn as_u64(n: usize) -> u64 {
-    u64::try_from(n).unwrap_or(u64::MAX)
-}
-
-/// The packed campaign: plan → scalar fallback (if any) → golden
-/// precompute → lane-parallel pack fan-out. Observable behaviour
-/// (spans, counters, progress stream shape, error order) mirrors the
-/// scalar `detect_with`.
-#[allow(clippy::too_many_arguments)] // mirrors detect_with's signature plus the network
+/// The packed campaign: plan → one golden forward per test →
+/// lane-parallel pack fan-out. Observable behaviour (spans, counters,
+/// progress stream shape, error order) mirrors the scalar `detect_with`.
 fn packed_detect(
     net: &Network,
     cfg: FaultSimConfig,
@@ -157,18 +134,27 @@ fn packed_detect(
     campaign_span.attr("faults", faults.len());
     let start = monotonic();
 
-    // Campaign-level phase scratch: planning, lane assignment and the
-    // golden replays land here and merge into the process accumulator at
-    // the end (inside this campaign's snapshot delta, outside the
-    // fallback's — the fallback campaign emits its own phase spans).
+    // Campaign-level phase scratch: planning and lane assignment land
+    // here and merge into the process accumulator at the end.
     let mut campaign_local = LocalPhases::new();
     let plan = {
         let mut plan_span = snn_obs::span!("batch.plan");
-        let plan = plan::plan(net, faults, &mut campaign_local);
+        let threads = parallel::effective_threads(cfg.threads);
+        let plan = plan::plan(net, faults, threads, &mut campaign_local);
         plan_span.attr("packs", plan.packs.len());
         plan_span.attr("fallback", plan.fallback.len());
         plan
     };
+    if !plan.fallback.is_empty() {
+        // A network whose output is not spikes (or a fault addressed to a
+        // layer without neurons): the reference engine runs the campaign.
+        snn_obs::counter!(
+            "snn_batch_scalar_fallback_faults_total",
+            "Faults the packed engine handed to the scalar fallback."
+        )
+        .add(as_u64(plan.fallback.len()));
+        return scalar_detect(net, cfg, universe, faults, tests, sink, cancel);
+    }
 
     // Realize every fault up front so ill-formed ones are rejected
     // before any simulation work starts (typed, like the scalar path).
@@ -177,66 +163,38 @@ fn packed_detect(
         .map(|f| Injection::for_fault(net, universe, f))
         .collect::<Result<_, InjectionError>>()?;
 
-    let mut per_fault: Vec<Option<FaultOutcome>> = Vec::new();
-    per_fault.resize_with(faults.len(), || None);
-
-    // Scalar fallback first: it merges its own phase delta into the
-    // process accumulator, so running it before this campaign's
-    // phases_before snapshot keeps the packed delta clean.
-    let mut fallback_detected = 0usize;
-    if !plan.fallback.is_empty() {
-        snn_obs::counter!(
-            "snn_batch_scalar_fallback_faults_total",
-            "Faults the packed engine handed to the scalar fallback."
-        )
-        .add(as_u64(plan.fallback.len()));
-        let subset: Vec<Fault> = plan.fallback.iter().map(|&i| faults[i]).collect();
-        let scale = ProgressScale { inner: sink, total: faults.len() };
-        let sub_cfg = FaultSimConfig { engine: Some(Engine::Scalar), ..cfg };
-        let outcome = FaultSimulator::new(net, sub_cfg)
-            .detect_with(universe, &subset, tests, &scale, cancel)?;
-        fallback_detected = outcome.detected_count();
-        for (&fi, o) in plan.fallback.iter().zip(outcome.per_fault) {
-            per_fault[fi] = Some(o);
-        }
-    }
-
     let phases = snn_obs::phase::faultsim();
     let phases_before = phases.snapshot();
 
-    // Golden precompute: baselines, activity summaries and the per-test
-    // golden suffix trajectories every pack reads from.
-    let mut baselines: Vec<Trace> = Vec::new();
-    let mut activity: Vec<ActivitySummary> = Vec::new();
-    let mut golden: Vec<Vec<GoldenLayer>> = Vec::new();
-    if !plan.packs.is_empty() {
-        let baseline_span = snn_obs::span!("faultsim.baseline");
-        baselines = tests.iter().map(|t| net.forward(t, RecordOptions::spikes_only())).collect();
-        if cfg.activity_filter {
-            activity = tests
-                .iter()
-                .zip(baselines.iter())
-                .map(|(t, b)| ActivitySummary::new(net, t, b))
-                .collect();
-        }
-        for (test, baseline) in tests.iter().zip(baselines.iter()) {
-            golden.push(golden_suffix(net, test, baseline, plan.suffix_start, &mut campaign_local));
-        }
-        drop(baseline_span);
-    }
+    // The one golden forward per test: the baseline every verdict is
+    // against and, from the first fault layer on, the records every pack
+    // reuses.
+    let baseline_span = snn_obs::span!("faultsim.baseline");
+    let first_fault_layer = plan.packs.first().map_or(0, |pk| pk.layer);
+    let golden: Vec<Golden> = tests
+        .iter()
+        .map(|t| {
+            let (trace, lif) = net.forward_golden(t, first_fault_layer);
+            Golden { trace, lif }
+        })
+        .collect();
+    let activity: Vec<ActivitySummary> = if cfg.activity_filter {
+        tests.iter().zip(&golden).map(|(t, g)| ActivitySummary::new(net, t, &g.trace)).collect()
+    } else {
+        Vec::new()
+    };
+    drop(baseline_span);
 
-    let done = AtomicUsize::new(plan.fallback.len());
-    let detected_total = AtomicUsize::new(fallback_detected);
+    let done = AtomicUsize::new(0);
+    let detected_total = AtomicUsize::new(0);
     let ctx = pack::Ctx {
         net,
         cfg,
         faults,
         injections: &injections,
         tests,
-        baselines: &baselines,
-        activity: &activity,
         golden: &golden,
-        suffix_start: plan.suffix_start,
+        activity: &activity,
     };
     let pack_outcomes = parallel::try_map_indexed(
         plan.packs.len(),
@@ -253,6 +211,8 @@ fn packed_detect(
             outcomes
         },
     )?;
+    let mut per_fault: Vec<Option<FaultOutcome>> = Vec::new();
+    per_fault.resize_with(faults.len(), || None);
     for (pk, outcomes) in plan.packs.iter().zip(pack_outcomes) {
         for (&fi, o) in pk.members.iter().zip(outcomes) {
             per_fault[fi] = Some(o);
@@ -260,8 +220,8 @@ fn packed_detect(
     }
     let per_fault: Vec<FaultOutcome> = per_fault
         .into_iter()
-        // snn-lint: allow(L-PANIC): the plan assigns every fault index to a pack or the fallback exactly once
-        .map(|o| o.expect("every fault assigned to a pack or the fallback"))
+        // snn-lint: allow(L-PANIC): with an empty fallback the plan assigns every fault index to exactly one pack
+        .map(|o| o.expect("every fault assigned to a pack"))
         .collect();
 
     phases.merge(&campaign_local);
@@ -345,14 +305,27 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_scalar_on_a_conv_prefix_with_fallback() {
-        // Conv faults take the scalar fallback; dense-suffix faults pack.
+    fn packed_matches_scalar_on_conv_pool_and_recurrent_sites() {
         let mut rng = StdRng::seed_from_u64(13);
-        let net = NetworkBuilder::new_spatial(1, 6, 6, LifParams::default())
+        let conv = NetworkBuilder::new_spatial(1, 6, 6, LifParams::default())
             .conv(2, 3, 1, 1)
+            .avg_pool(2)
             .dense(5)
             .build(&mut rng);
-        assert_engines_agree(&net, |c| FaultSimConfig { record_class_diffs: true, ..c });
+        assert_engines_agree(&conv, |c| FaultSimConfig { record_class_diffs: true, ..c });
+        let recurrent =
+            NetworkBuilder::new(6, LifParams::default()).recurrent(7).dense(4).build(&mut rng);
+        assert_engines_agree(&recurrent, |c| FaultSimConfig { record_class_diffs: true, ..c });
+    }
+
+    #[test]
+    fn a_network_ending_in_a_pool_runs_on_the_scalar_engine_whole() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
+            .conv(2, 3, 1, 1)
+            .avg_pool(2)
+            .build(&mut rng);
+        assert_engines_agree(&net, |c| c);
     }
 
     #[test]
@@ -362,12 +335,15 @@ mod tests {
         assert_eq!(resolve_engine(&dense, Some(Engine::Auto)), Engine::Packed);
         assert_eq!(resolve_engine(&dense, Some(Engine::Scalar)), Engine::Scalar);
         let mut rng = StdRng::seed_from_u64(2);
-        let conv = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
-            .conv(2, 3, 1, 1)
-            .avg_pool(2)
-            .build(&mut rng);
-        assert_eq!(resolve_engine(&conv, None), Engine::Scalar);
-        assert_eq!(resolve_engine(&conv, Some(Engine::Packed)), Engine::Packed);
+        let spatial = || NetworkBuilder::new_spatial(1, 4, 4, LifParams::default());
+        // Any spiking last layer will do — conv and recurrent included.
+        let conv = spatial().avg_pool(2).conv(2, 3, 1, 1).build(&mut rng);
+        assert_eq!(resolve_engine(&conv, None), Engine::Packed);
+        let recurrent = NetworkBuilder::new(5, LifParams::default()).recurrent(3).build(&mut rng);
+        assert_eq!(resolve_engine(&recurrent, None), Engine::Packed);
+        let pooled = spatial().conv(2, 3, 1, 1).avg_pool(2).build(&mut rng);
+        assert_eq!(resolve_engine(&pooled, None), Engine::Scalar);
+        assert_eq!(resolve_engine(&pooled, Some(Engine::Packed)), Engine::Packed);
     }
 
     #[test]

@@ -1,19 +1,24 @@
 //! Fault planning and lane assignment: which faults the packed engine
 //! can take, grouped into packs of at most 64 compatible variants.
 //!
-//! A fault is *packable* when its site lies in the network's trailing run
-//! of dense layers (the **dense suffix**): from the fault layer onward
-//! every layer is dense, so each variant's divergence from the golden run
-//! can be carried as one bit lane in `u64` spike words. Faults outside
-//! the suffix (conv/pool/recurrent sites, or dense sites with a
-//! non-dense layer after them) fall back to the scalar engine.
+//! The packed sweep reads its verdict off binary output spikes, so it
+//! takes a campaign when the network's last layer is spiking, and then
+//! takes every fault that sits at a spiking layer — dense, conv or
+//! recurrent, whatever follows it. Anything else (every fault of a
+//! network that ends in a pooling layer; a hand-made fault addressed to a
+//! pooling layer) is listed as **fallback** for the scalar engine.
 //!
-//! Packs group packable faults by their fault layer — every member of a
-//! pack starts diverging at the same layer, so one packed sweep over the
-//! suffix serves all of them. Lane assignment is positional: member `i`
-//! sits at lane `i`, shifted up by one when the pack reserves lane 0 for
-//! the golden self-check (packs with fewer than 64 members do; a full
+//! Packs group faults by their fault layer — every member of a pack
+//! starts diverging at the same layer, so one sweep of the layers behind
+//! it serves all of them. Lane assignment is positional: member `i` sits
+//! at lane `i`, shifted up by one when the pack reserves lane 0 for the
+//! golden self-check (packs with fewer than 64 members do; a full
 //! 64-member pack uses every lane for variants).
+//!
+//! Packs are the unit threads claim, and their cost is far from uniform
+//! (a conv-weight variant costs hundreds of dense ones), so a layer group
+//! too small to give every thread a full pack is cut into one pack per
+//! thread instead of one pack in all.
 
 use snn_faults::Fault;
 use snn_model::{Layer, Network};
@@ -22,8 +27,11 @@ use snn_tensor::packed::LANES;
 
 /// Index of the first layer of the network's trailing all-dense run:
 /// the smallest `s` such that every layer in `s..len` is dense. Equals
-/// `len` when the last layer is not dense (empty suffix — nothing is
-/// packable).
+/// `len` when the last layer is not dense.
+///
+/// The planner stopped using this when conv, pool-crossing and recurrent
+/// sites became packable; it stays exported because the repo benchmark
+/// defines its `batch.packable_share` probe by it.
 pub fn dense_suffix_start(net: &Network) -> usize {
     let layers = net.layers();
     let mut s = layers.len();
@@ -73,11 +81,10 @@ impl Pack {
 /// slice the plan was built from; every index appears exactly once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// First layer of the dense suffix (see [`dense_suffix_start`]).
-    pub suffix_start: usize,
     /// Packs in ascending fault-layer order, members in supplied order.
     pub packs: Vec<Pack>,
-    /// Faults the packed kernel cannot take, in supplied order.
+    /// Faults the packed kernel cannot take, in supplied order. A
+    /// campaign with any runs on the scalar engine as a whole.
     pub fallback: Vec<usize>,
 }
 
@@ -88,24 +95,24 @@ impl FaultPlan {
     }
 }
 
-/// Plans `faults` over `net`: partitions into packable/fallback, groups
-/// packable faults by fault layer, chunks each group into packs of at
-/// most 64 and assigns lanes. Records its two stages into `local` as the
-/// `pack.plan` / `pack.assign` kernel phases.
-pub fn plan(net: &Network, faults: &[Fault], local: &mut LocalPhases) -> FaultPlan {
+/// Plans `faults` over `net` for a campaign on `threads` threads:
+/// partitions into packable/fallback, groups packable faults by fault
+/// layer, cuts each group into packs and assigns lanes. Records its two
+/// stages into `local` as the `pack.plan` / `pack.assign` kernel phases.
+pub fn plan(net: &Network, faults: &[Fault], threads: usize, local: &mut LocalPhases) -> FaultPlan {
     use snn_obs::clock::monotonic;
 
     // Stage 1 — partition by packability and group by fault layer.
     // Layer-indexed vectors (not a hash map) keep iteration order
     // deterministic.
     let plan_started = monotonic();
-    let suffix_start = dense_suffix_start(net);
-    let num_layers = net.layers().len();
-    let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); num_layers];
+    let layers = net.layers();
+    let spiking_output = layers.last().is_some_and(Layer::is_spiking);
+    let mut by_layer: Vec<Vec<usize>> = vec![Vec::new(); layers.len()];
     let mut fallback = Vec::new();
     for (i, fault) in faults.iter().enumerate() {
         let layer = fault.site.layer();
-        if layer >= suffix_start && layer < num_layers {
+        if spiking_output && layers.get(layer).is_some_and(Layer::is_spiking) {
             by_layer[layer].push(i);
         } else {
             fallback.push(i);
@@ -114,16 +121,19 @@ pub fn plan(net: &Network, faults: &[Fault], local: &mut LocalPhases) -> FaultPl
     let assign_started = monotonic();
     local.add(Phase::PackPlan, assign_started.saturating_sub(plan_started));
 
-    // Stage 2 — chunk each layer group into packs and assign lanes.
+    // Stage 2 — cut each layer group into packs and assign lanes: full
+    // 64-wide packs while the group has one for every thread, an even
+    // split across the threads below that.
     let mut packs = Vec::new();
     for (layer, group) in by_layer.iter().enumerate() {
-        for chunk in group.chunks(LANES) {
+        let width = group.len().div_ceil(threads.max(1)).clamp(1, LANES);
+        for chunk in group.chunks(width) {
             packs.push(Pack { layer, members: chunk.to_vec(), golden_lane: chunk.len() < LANES });
         }
     }
     local.add(Phase::PackAssign, monotonic().saturating_sub(assign_started));
 
-    FaultPlan { suffix_start, packs, fallback }
+    FaultPlan { packs, fallback }
 }
 
 #[cfg(test)]
@@ -140,11 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn all_dense_network_has_full_suffix_and_no_fallback() {
+    fn all_dense_network_packs_everything_exactly_once() {
         let net = dense_net();
         assert_eq!(dense_suffix_start(&net), 0);
         let u = FaultUniverse::standard(&net);
-        let p = plan(&net, u.faults(), &mut LocalPhases::new());
+        let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
         assert!(p.fallback.is_empty());
         assert_eq!(p.packed_faults(), u.len());
         // Every index appears exactly once, and packs are ≤ 64 wide.
@@ -171,49 +181,63 @@ mod tests {
     }
 
     #[test]
-    fn conv_prefix_faults_fall_back() {
+    fn conv_sites_pack_although_outside_the_dense_suffix() {
         let mut rng = StdRng::seed_from_u64(1);
         let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
             .conv(2, 3, 1, 1)
+            .avg_pool(2)
             .dense(5)
             .build(&mut rng);
-        assert_eq!(dense_suffix_start(&net), 1);
+        assert_eq!(dense_suffix_start(&net), 2);
         let u = FaultUniverse::standard(&net);
-        let p = plan(&net, u.faults(), &mut LocalPhases::new());
-        assert!(!p.fallback.is_empty());
-        assert!(!p.packs.is_empty());
-        for &i in &p.fallback {
-            assert_eq!(u.faults()[i].site.layer(), 0);
-        }
-        for pk in &p.packs {
-            assert_eq!(pk.layer, 1);
-        }
-        assert_eq!(p.packed_faults() + p.fallback.len(), u.len());
+        let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
+        assert!(p.fallback.is_empty());
+        assert_eq!(p.packed_faults(), u.len());
+        assert!(p.packs.iter().any(|pk| pk.layer == 0));
+        assert!(p.packs.iter().all(|pk| pk.layer != 1), "a pooling layer has no fault site");
     }
 
     #[test]
-    fn non_dense_last_layer_packs_nothing() {
+    fn non_spiking_last_layer_packs_nothing() {
         let mut rng = StdRng::seed_from_u64(2);
         let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
             .conv(2, 3, 1, 1)
             .avg_pool(2)
             .build(&mut rng);
         let u = FaultUniverse::standard(&net);
-        assert_eq!(dense_suffix_start(&net), net.layers().len());
-        let p = plan(&net, u.faults(), &mut LocalPhases::new());
+        let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
         assert!(p.packs.is_empty());
-        assert_eq!(p.fallback.len(), u.len());
+        assert_eq!(p.fallback, (0..u.len()).collect::<Vec<_>>());
     }
 
     #[test]
     fn packs_group_by_fault_layer() {
         let net = dense_net();
         let u = FaultUniverse::standard(&net);
-        let p = plan(&net, u.faults(), &mut LocalPhases::new());
+        let p = plan(&net, u.faults(), 2, &mut LocalPhases::new());
         for pk in &p.packs {
             for &i in &pk.members {
                 assert_eq!(u.faults()[i].site.layer(), pk.layer);
             }
         }
+    }
+
+    #[test]
+    fn a_group_too_small_for_every_thread_is_split_evenly() {
+        let net = dense_net();
+        let u = FaultUniverse::standard(&net);
+        let last: Vec<Fault> = u.faults().iter().filter(|f| f.site.layer() == 1).copied().collect();
+        let sizes = |count: usize, threads: usize| -> Vec<usize> {
+            plan(&net, &last[..count], threads, &mut LocalPhases::new())
+                .packs
+                .iter()
+                .map(|pk| pk.members.len())
+                .collect()
+        };
+        assert!(last.len() >= 55);
+        assert_eq!(sizes(55, 1), vec![55]);
+        assert_eq!(sizes(55, 2), vec![28, 27]);
+        assert_eq!(sizes(55, 4), vec![14, 14, 14, 13]);
+        assert_eq!(sizes(3, 8), vec![1, 1, 1]);
     }
 }

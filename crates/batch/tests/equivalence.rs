@@ -1,22 +1,24 @@
 //! Satellite property: the packed engine is bit-identical to the scalar
 //! engine — per-fault detection flags, distances, class diffs and the
-//! FNV-1a [`verdict_digest`] match across fault kinds (weight / neuron /
-//! timing / bit-range), pack sizes {1, 7, 64}, remainder packs (universe
-//! size not a multiple of 64), and collapsed universes; plus a dedicated
-//! lane-divergence test where exactly one lane's membrane crosses
-//! threshold.
+//! FNV-1a [`verdict_digest`] match across random *topologies*
+//! (dense/conv/pool/recurrent in every legal order), fault kinds (weight
+//! / neuron / timing / bit-range), pack sizes {1, 7, 64}, remainder packs
+//! (universe size not a multiple of 64), thread counts and collapsed
+//! universes; plus a dedicated lane-divergence test where exactly one
+//! lane's membrane crosses threshold, and the planner's shape on the
+//! example networks.
 
 #![allow(clippy::unwrap_used)] // test-only shorthand
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use snn_batch::{engine_detect, plan};
 use snn_faults::{
     verdict_digest, CampaignOutcome, CancelToken, Engine, Fault, FaultKind, FaultModelConfig,
     FaultSimConfig, FaultSite, FaultUniverse, NullSink,
 };
-use snn_model::{LifParams, Network, NetworkBuilder, WeightRef};
+use snn_model::{Layer, LifParams, Network, NetworkBuilder, WeightRef};
 use snn_obs::phase::LocalPhases;
 use snn_tensor::{Shape, Tensor};
 
@@ -97,6 +99,172 @@ proptest! {
     }
 }
 
+/// One stage of a random topology.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    Conv { channels: usize, kernel: usize, stride: usize, padding: usize },
+    Pool,
+    Dense(usize),
+    Recurrent(usize),
+}
+
+/// A 1–2 × 8 × 8 spatial input through `stages`, or a 7-wide flat input
+/// when the first stage is flat. Refractory period, leak and weights
+/// come from `rng`.
+fn build(stages: &[Stage], rng: &mut StdRng) -> Network {
+    let lif = LifParams {
+        threshold: 1.0,
+        leak: [0.8, 0.9, 1.0][rng.gen_range(0..3usize)],
+        refrac_steps: rng.gen_range(0..3),
+    };
+    let mut b = match stages[0] {
+        Stage::Dense(_) | Stage::Recurrent(_) => NetworkBuilder::new(7, lif),
+        _ => NetworkBuilder::new_spatial(rng.gen_range(1..3), 8, 8, lif),
+    };
+    for stage in stages {
+        b = match *stage {
+            Stage::Conv { channels, kernel, stride, padding } => {
+                b.conv(channels, kernel, stride, padding)
+            }
+            Stage::Pool => b.avg_pool(2),
+            Stage::Dense(n) => b.dense(n),
+            Stage::Recurrent(n) => b.recurrent(n),
+        };
+    }
+    b.build(rng)
+}
+
+/// A random legal topology whose last layer is spiking: up to three
+/// spatial stages (conv and pool in any order the extents allow,
+/// pool→pool and conv→conv included), then up to three flat ones (dense
+/// and recurrent in any order).
+fn random_stages(rng: &mut StdRng) -> Vec<Stage> {
+    let mut stages = Vec::new();
+    if rng.gen_bool(0.75) {
+        let mut extent = 8usize;
+        for _ in 0..rng.gen_range(1..4) {
+            if extent.is_multiple_of(2) && rng.gen_bool(0.4) {
+                stages.push(Stage::Pool);
+                extent /= 2;
+            } else if extent >= 2 {
+                let kernel = rng.gen_range(1..extent.min(3) + 1);
+                let (stride, padding) = (rng.gen_range(1..3), rng.gen_range(0..2));
+                stages.push(Stage::Conv { channels: rng.gen_range(1..3), kernel, stride, padding });
+                extent = (extent + 2 * padding - kernel) / stride + 1;
+            }
+        }
+    }
+    let flat = rng.gen_range(0..4);
+    for _ in 0..flat {
+        let n = rng.gen_range(3..8);
+        stages.push(if rng.gen_bool(0.4) { Stage::Recurrent(n) } else { Stage::Dense(n) });
+    }
+    if matches!(stages.last(), None | Some(Stage::Pool)) {
+        stages.push(Stage::Dense(4));
+    }
+    stages
+}
+
+/// Both engines over the extended universe of `net` (timing + bit-flip
+/// faults, thinned to a few hundred), under options drawn from `rng`.
+fn assert_engines_agree_on_topology(net: &Network, rng: &mut StdRng) {
+    let u = FaultUniverse::with_config(net, FaultModelConfig::default(), true, &[0, 7]);
+    let faults: Vec<Fault> = u.faults().iter().step_by(u.len().div_ceil(400)).copied().collect();
+    let density = [0.1, 0.3, 0.6][rng.gen_range(0..3usize)];
+    let tests: Vec<Tensor> = (0..rng.gen_range(1..4))
+        .map(|_| snn_tensor::init::bernoulli(rng, Shape::d2(14, net.input_features()), density))
+        .collect();
+    let cfg = FaultSimConfig {
+        threads: rng.gen_range(1..3),
+        record_class_diffs: rng.gen_bool(0.5),
+        activity_filter: rng.gen_bool(0.5),
+        ..FaultSimConfig::default()
+    };
+    // Nothing of a network with a spiking last layer is left to the
+    // scalar engine: the packed run below really is one.
+    let p = plan::plan(net, &faults, cfg.threads, &mut LocalPhases::new());
+    assert!(p.fallback.is_empty() && p.packed_faults() == faults.len());
+    let run = |engine| {
+        let cfg = FaultSimConfig { engine: Some(engine), ..cfg };
+        engine_detect(net, cfg, &u, &faults, &tests, &NullSink, &CancelToken::new()).unwrap()
+    };
+    assert_bit_identical(&run(Engine::Scalar), &run(Engine::Packed));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random topologies × timing + bit-flip faults × 1–3 tests × class
+    /// diffs and the activity filter on and off × 1–2 threads.
+    #[test]
+    fn packed_matches_scalar_over_random_topologies(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stages = random_stages(&mut rng);
+        let net = build(&stages, &mut rng);
+        assert_engines_agree_on_topology(&net, &mut rng);
+    }
+}
+
+/// The orders a random draw must not be trusted to hit: conv→conv,
+/// dense→recurrent, a pool directly before the last dense layer,
+/// pool→pool, recurrent→recurrent, and conv / recurrent output layers.
+#[test]
+fn named_layer_orders_are_bit_identical() {
+    let conv = Stage::Conv { channels: 2, kernel: 3, stride: 1, padding: 1 };
+    let strided = Stage::Conv { channels: 2, kernel: 2, stride: 2, padding: 1 };
+    let orders: [&[Stage]; 8] = [
+        &[conv, strided, Stage::Dense(4)],
+        &[Stage::Dense(6), Stage::Recurrent(5), Stage::Dense(3)],
+        &[conv, Stage::Pool, Stage::Dense(4)],
+        &[Stage::Pool, Stage::Pool, Stage::Dense(5), Stage::Dense(3)],
+        &[Stage::Recurrent(6), Stage::Recurrent(4)],
+        &[Stage::Pool, conv],
+        &[Stage::Pool, conv, Stage::Pool, Stage::Recurrent(5), Stage::Dense(3)],
+        &[conv, Stage::Pool, conv, Stage::Recurrent(4)],
+    ];
+    for (i, stages) in orders.iter().enumerate() {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(100 * seed + u64::try_from(i).unwrap());
+            let net = build(stages, &mut rng);
+            assert_engines_agree_on_topology(&net, &mut rng);
+        }
+    }
+}
+
+/// The planner takes the full standard universe of all three example
+/// networks (README, `ci.sh`) and nothing of a network whose output is
+/// not spikes.
+#[test]
+fn example_networks_plan_without_fallback() {
+    let mut rng = StdRng::seed_from_u64(51);
+    let lif = LifParams::default();
+    let nmnist = NetworkBuilder::new_spatial(2, 16, 16, lif).avg_pool(2).dense(48).dense(10);
+    let ibm = NetworkBuilder::new_spatial(2, 24, 24, lif)
+        .avg_pool(2)
+        .conv(6, 5, 1, 2)
+        .avg_pool(2)
+        .dense(32)
+        .dense(11);
+    let shd = NetworkBuilder::new(140, lif).recurrent(32).dense(20);
+    for builder in [nmnist, ibm, shd] {
+        let net = builder.build(&mut rng);
+        let u = FaultUniverse::standard(&net);
+        for threads in [1, 2] {
+            let p = plan::plan(&net, u.faults(), threads, &mut LocalPhases::new());
+            assert!(p.fallback.is_empty());
+            assert_eq!(p.packed_faults(), u.len());
+            assert!(p.packs.iter().all(|pk| net.layers()[pk.layer].is_spiking()));
+        }
+    }
+    let pooled = NetworkBuilder::new_spatial(1, 8, 8, lif).conv(2, 3, 1, 1).avg_pool(2);
+    let net = pooled.build(&mut rng);
+    assert!(matches!(net.layers().last(), Some(Layer::Pool(_))));
+    let u = FaultUniverse::standard(&net);
+    let p = plan::plan(&net, u.faults(), 2, &mut LocalPhases::new());
+    assert!(p.packs.is_empty());
+    assert_eq!(p.fallback, (0..u.len()).collect::<Vec<_>>());
+}
+
 /// Pack sizes 1, 7 and 64 plus a 65-fault remainder slice (one full
 /// pack + a 1-member remainder pack) — all sliced from a single layer so
 /// the plan produces exactly the intended pack shapes.
@@ -113,7 +281,7 @@ fn pack_sizes_and_remainder_packs_are_bit_identical() {
         let subset = &last_layer[..k];
         // The plan must shape as intended: ≤64-member packs, remainder
         // split off, golden lane reserved exactly when a pack is partial.
-        let p = plan::plan(&net, subset, &mut LocalPhases::new());
+        let p = plan::plan(&net, subset, 1, &mut LocalPhases::new());
         assert!(p.fallback.is_empty(), "k={k}");
         let sizes: Vec<usize> = p.packs.iter().map(|pk| pk.members.len()).collect();
         match k {
@@ -216,7 +384,7 @@ fn exactly_one_lane_diverges() {
     let tests = vec![Tensor::from_vec(Shape::d2(16, 2), stim).unwrap()];
 
     let faults = [diverging, quiet];
-    let p = plan::plan(&net, &faults, &mut LocalPhases::new());
+    let p = plan::plan(&net, &faults, 1, &mut LocalPhases::new());
     assert_eq!(p.packs.len(), 1, "both faults must share one pack");
     assert!(p.packs[0].golden_lane);
 

@@ -15,8 +15,10 @@
 //! Usage: `cargo run -p snn-bench --bin ablation --release`
 //! (`SNN_MTFC_FAST=1` shrinks the run).
 
-use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
-use snn_faults::{criticality, Fault, FaultSimConfig, FaultSimulator, FaultUniverse};
+use snn_bench::{
+    fmt_duration, print_table, verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale,
+};
+use snn_faults::{criticality, Fault, FaultSimConfig, FaultUniverse};
 use snn_model::RecordOptions;
 use snn_testgen::{TestGenConfig, TestGenerator};
 
@@ -51,7 +53,10 @@ fn main() {
         ("deterministic", TestGenConfig { stochastic: false, ..base.clone() }),
     ];
 
-    let sim = FaultSimulator::new(&b.net, FaultSimConfig::default());
+    let coverage_of = |faults: &[Fault], stimulus: &snn_tensor::Tensor| {
+        verification_campaign(&b.net, FaultSimConfig::default(), &universe, faults, stimulus)
+            .fault_coverage()
+    };
     let mut rows = Vec::new();
     for (name, cfg) in variants {
         eprintln!("[ablation] variant {name}…");
@@ -71,11 +76,8 @@ fn main() {
             .map(|(idx, _)| trace.layers[idx].output.sum())
             .sum();
 
-        let overall = sim
-            .detect(&universe, universe.faults(), std::slice::from_ref(&stimulus))
-            .fault_coverage();
-        let crit =
-            sim.detect(&universe, &critical, std::slice::from_ref(&stimulus)).fault_coverage();
+        let overall = coverage_of(universe.faults(), &stimulus);
+        let crit = coverage_of(&critical, &stimulus);
 
         rows.push(vec![
             name.to_string(),

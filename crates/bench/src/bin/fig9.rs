@@ -9,8 +9,8 @@
 //! Usage: `cargo run -p snn-bench --bin fig9 --release`
 //! (`SNN_MTFC_FAST=1` shrinks the run).
 
-use snn_bench::{Benchmark, BenchmarkKind, PrepConfig, Scale};
-use snn_faults::{FaultSimConfig, FaultSimulator, FaultUniverse};
+use snn_bench::{verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale};
+use snn_faults::{FaultSimConfig, FaultUniverse};
 use snn_testgen::{TestGenConfig, TestGenerator};
 
 fn main() {
@@ -27,11 +27,13 @@ fn main() {
 
     let universe = FaultUniverse::standard(&b.net);
     eprintln!("[fig9] campaign with class-difference recording…");
-    let sim = FaultSimulator::new(
+    let campaign = verification_campaign(
         &b.net,
         FaultSimConfig { record_class_diffs: true, ..FaultSimConfig::default() },
+        &universe,
+        universe.faults(),
+        &stimulus,
     );
-    let campaign = sim.detect(&universe, universe.faults(), std::slice::from_ref(&stimulus));
 
     // Collect signed per-class differences over detected faults.
     let classes = b.net.output_features();

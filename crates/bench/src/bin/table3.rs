@@ -9,12 +9,14 @@
 //!   `SNN_MTFC_FAST=1`    — smoke-run sizes
 //!   `SNN_MTFC_SAMPLES=n` — criticality sample cap (default 24)
 
-use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
+use snn_bench::{
+    fmt_duration, print_table, verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale,
+};
 use snn_faults::{
-    criticality, escape_max_accuracy_drop, CoverageReport, Fault, FaultSimConfig, FaultSimulator,
-    FaultUniverse,
+    criticality, escape_max_accuracy_drop, CoverageReport, Fault, FaultSimConfig, FaultUniverse,
 };
 use snn_testgen::{TestGenConfig, TestGenerator};
+use std::io::Write;
 
 fn main() {
     let fast = std::env::var("SNN_MTFC_FAST").is_ok();
@@ -61,7 +63,6 @@ fn main() {
         ],
     ];
 
-    let mut rows = Vec::new();
     for (i, kind) in BenchmarkKind::ALL.iter().enumerate() {
         eprintln!("[table3] preparing {}…", kind.name());
         let b = Benchmark::prepare(*kind, Scale::Repro, 42, prep);
@@ -86,8 +87,14 @@ fn main() {
             kind.name(),
             universe.len()
         );
-        let sim = FaultSimulator::new(&b.net, FaultSimConfig::default());
-        let campaign = sim.detect(&universe, universe.faults(), std::slice::from_ref(&stimulus));
+        let campaign = verification_campaign(
+            &b.net,
+            FaultSimConfig::default(),
+            &universe,
+            universe.faults(),
+            &stimulus,
+        );
+        eprintln!("[table3] {}: campaign took {}", kind.name(), fmt_duration(campaign.elapsed));
         let coverage =
             CoverageReport::compute(universe.faults(), &labels.critical, &campaign.per_fault);
 
@@ -115,48 +122,48 @@ fn main() {
         let drop_syn = drop_of(&escapes(false));
 
         let sample_steps = b.dataset.steps();
-        rows.push(vec![
-            format!("{} (repro)", kind.name()),
-            fmt_duration(test.runtime),
-            format!("~{:.2}", test.duration_samples(sample_steps)),
-            format!("{} ticks", test.test_steps()),
-            format!("{:.2}%", test.activated_fraction() * 100.0),
-            format!("{:.2}%", coverage.critical_neuron.percent()),
-            format!("{:.2}%", coverage.critical_synapse.percent()),
-            format!("{:.2}%", coverage.benign_neuron.percent()),
-            format!("{:.2}%", coverage.benign_synapse.percent()),
-            format!("{drop_neuron:.1}% ({drop_syn:.1}%)"),
-        ]);
-        rows.push(vec![
-            format!("{} (paper)", kind.name()),
-            paper[i][0].into(),
-            paper[i][1].into(),
-            paper[i][2].into(),
-            paper[i][3].into(),
-            paper[i][4].into(),
-            paper[i][5].into(),
-            paper[i][6].into(),
-            paper[i][7].into(),
-            paper[i][8].into(),
-        ]);
+        // One small table per benchmark, printed as soon as it is done: a
+        // run that is cut short keeps what it finished.
+        let rows = [
+            vec![
+                format!("{} (repro)", kind.name()),
+                fmt_duration(test.runtime),
+                format!("~{:.2}", test.duration_samples(sample_steps)),
+                format!("{} ticks", test.test_steps()),
+                format!("{:.2}%", test.activated_fraction() * 100.0),
+                format!("{:.2}%", coverage.critical_neuron.percent()),
+                format!("{:.2}%", coverage.critical_synapse.percent()),
+                format!("{:.2}%", coverage.benign_neuron.percent()),
+                format!("{:.2}%", coverage.benign_synapse.percent()),
+                format!("{drop_neuron:.1}% ({drop_syn:.1}%)"),
+                fmt_duration(campaign.elapsed),
+            ],
+            std::iter::once(format!("{} (paper)", kind.name()))
+                .chain(paper[i].iter().map(|cell| cell.to_string()))
+                .chain(std::iter::once("-".to_string()))
+                .collect(),
+        ];
+        print_table(
+            &format!("Table III: Test generation efficiency metrics — {}", kind.name()),
+            &[
+                "Benchmark",
+                "Gen. runtime",
+                "Dur. (samples)",
+                "Dur. (time)",
+                "Activated",
+                "FC crit.N",
+                "FC crit.S",
+                "FC ben.N",
+                "FC ben.S",
+                "Max drop N (S)",
+                "Campaign",
+            ],
+            &rows,
+        );
+        // A pipe or file is block-buffered; a kill must not lose the rows.
+        let _ = std::io::stdout().flush();
     }
 
-    print_table(
-        "Table III: Test generation efficiency metrics",
-        &[
-            "Benchmark",
-            "Gen. runtime",
-            "Dur. (samples)",
-            "Dur. (time)",
-            "Activated",
-            "FC crit.N",
-            "FC crit.S",
-            "FC ben.N",
-            "FC ben.S",
-            "Max drop N (S)",
-        ],
-        &rows,
-    );
     println!(
         "\nShape check: critical coverage should be near-perfect and far above\n\
          benign coverage; test duration should be ~10 sample lengths; generation\n\

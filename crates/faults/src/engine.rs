@@ -14,11 +14,11 @@ use serde::{Deserialize, Serialize};
 pub enum Engine {
     /// Per-fault scalar simulation (the reference path).
     Scalar,
-    /// Bit-packed lane-parallel simulation with scalar fallback for fault
-    /// sites the packed kernel does not cover.
+    /// Bit-packed lane-parallel simulation; a network whose last layer is
+    /// not spiking falls back to the scalar engine.
     Packed,
-    /// Pick automatically: packed when the network's layer suffix supports
-    /// it, scalar otherwise.
+    /// Pick automatically: packed when the network's last layer is
+    /// spiking, scalar otherwise.
     Auto,
 }
 

@@ -7,6 +7,7 @@
 
 use crate::progress::{CancelToken, Cancelled};
 use crossbeam::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads to use given a requested count (0 = all
 /// available cores).
@@ -45,8 +46,13 @@ where
 }
 
 /// Cancellable variant of [`map_indexed`]: workers poll `cancel` before
-/// every item and abandon their remaining range once it trips, after which
-/// the call returns `Err(Cancelled)` (partial results are discarded).
+/// every item and stop claiming once it trips, after which the call
+/// returns `Err(Cancelled)` (partial results are discarded).
+///
+/// Items are claimed one at a time from a shared counter, so workers stay
+/// busy however unevenly the items cost (packs of the batched engine
+/// differ by orders of magnitude); results still come back in index
+/// order.
 ///
 /// # Panics
 ///
@@ -75,48 +81,50 @@ where
         record_busy(busy_started);
         return Ok(out);
     }
-    // Contiguous chunking keeps faults of the same layer together, which
-    // maximizes prefix-cache hit locality.
-    let chunk = n.div_ceil(workers);
+    // The next unclaimed index. It publishes no data — an item's result
+    // reaches the caller through its worker's join — so `Relaxed` is
+    // enough for every index to be handed out exactly once.
+    let next = AtomicUsize::new(0);
     // Worker threads have no implicit span parent; hand them the caller's.
     let parent_span = snn_obs::trace::current_id();
-    let mut results: Vec<Vec<T>> = Vec::new();
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
     thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let f = &f;
-            let make_state = &make_state;
-            handles.push(scope.spawn(move |_| {
-                let mut worker_span =
-                    snn_obs::trace::enter_with_parent("faultsim.worker", parent_span);
-                worker_span.attr("items", hi - lo);
-                let mut state = make_state();
-                let mut out = Vec::with_capacity(hi - lo);
-                let busy_started = snn_obs::clock::monotonic();
-                for i in lo..hi {
-                    if cancel.is_cancelled() {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (f, make_state, next) = (&f, &make_state, &next);
+                scope.spawn(move |_| {
+                    let mut worker_span =
+                        snn_obs::trace::enter_with_parent("faultsim.worker", parent_span);
+                    let mut state = make_state();
+                    let mut out = Vec::new();
+                    let busy_started = snn_obs::clock::monotonic();
+                    while !cancel.is_cancelled() {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, f(&mut state, i)));
                     }
-                    out.push(f(&mut state, i));
-                }
-                record_busy(busy_started);
-                out
-            }));
-        }
+                    record_busy(busy_started);
+                    worker_span.attr("items", out.len());
+                    out
+                })
+            })
+            .collect();
         for h in handles {
             // snn-lint: allow(L-PANIC): documented behaviour — worker panics propagate to the caller
-            results.push(h.join().expect("worker thread panicked"));
+            for (i, value) in h.join().expect("worker thread panicked") {
+                slots[i] = Some(value);
+            }
         }
     })
     // snn-lint: allow(L-PANIC): the scope only fails if a worker panicked, which is documented to propagate
     .expect("crossbeam scope failed");
     cancel.check()?;
-    Ok(results.into_iter().flatten().collect())
+    // A worker stops claiming only past `n` or on a tripped token, and a
+    // tripped token has returned above: every slot is filled.
+    slots.into_iter().collect::<Option<Vec<T>>>().ok_or(Cancelled)
 }
 
 /// Adds the wall-clock spent since `busy_started` to the worker busy-time
@@ -133,12 +141,39 @@ fn record_busy(busy_started: std::time::Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn preserves_index_order() {
         let out = map_indexed(100, 4, || (), |_, i| i);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
+    }
+
+    /// Dynamic claiming under a skewed cost function: a few items cost
+    /// hundreds of times the rest (like conv-weight packs among dense
+    /// ones), yet every index is processed exactly once and the output
+    /// is in index order, at any worker count.
+    #[test]
+    fn skewed_costs_keep_exactly_once_and_index_order() {
+        for workers in [1, 2, 4] {
+            let n = 97;
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = map_indexed(
+                n,
+                workers,
+                || (),
+                |_, i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    let spins = if i % 13 == 0 { 200_000u64 } else { 500 };
+                    let mut acc = i as u64;
+                    for k in 0..spins {
+                        acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005) ^ k);
+                    }
+                    (i, acc)
+                },
+            );
+            assert_eq!(out.iter().map(|(i, _)| *i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
+            assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "workers={workers}");
+        }
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::LifParams;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -34,6 +35,30 @@ pub enum NeuronBehaviorFault {
         /// Signed change of the refractory period in ticks.
         refrac_delta: i32,
     },
+}
+
+impl NeuronBehaviorFault {
+    /// The constant output of a neuron this fault forces — `Some(false)`
+    /// dead, `Some(true)` saturated — or `None` when the neuron still
+    /// integrates.
+    pub fn forced(&self) -> Option<bool> {
+        match self {
+            Self::Dead => Some(false),
+            Self::Saturated => Some(true),
+            Self::ParamScale { .. } => None,
+        }
+    }
+
+    /// The LIF constants the faulty neuron integrates with, given the
+    /// layer's `nominal` ones.
+    pub fn lif(&self, nominal: &LifParams) -> LifParams {
+        match *self {
+            Self::ParamScale { threshold_scale, leak_scale, refrac_delta } => {
+                nominal.perturbed(threshold_scale, leak_scale, refrac_delta)
+            }
+            Self::Dead | Self::Saturated => *nominal,
+        }
+    }
 }
 
 /// Sparse map from `(spiking-layer index, neuron index)` to a behavioural

@@ -1,6 +1,7 @@
 use crate::LifParams;
 use serde::{Deserialize, Serialize};
-use snn_tensor::{ops::Conv2dSpec, Shape, Tensor};
+use snn_tensor::ops::{self, Conv2dSpec};
+use snn_tensor::{Shape, Tensor};
 
 /// Fully-connected spiking layer: `z = W · s_in`, LIF dynamics per output
 /// neuron. Weight layout is `[out_features × in_features]`.
@@ -186,6 +187,28 @@ impl Layer {
                 Shape::d3(l.channels, oh, ow)
             }
             Layer::Recurrent(l) => Shape::d1(l.units),
+        }
+    }
+
+    /// The layer's stateless input transform for one timestep: the
+    /// synaptic drive `W·x` of a dense layer, the convolution of a conv
+    /// layer, the input half `W_in·x` of a recurrent layer's drive (the
+    /// simulator adds the feedback half) and, for a pooling layer, the
+    /// averaging that is its whole output. `x` is one `[in_features]`
+    /// row, `out` one `[out_features]` row.
+    ///
+    /// The clocked simulator and differential fault simulation both get
+    /// their drives here, so equal inputs give equal bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row lengths disagree with the layer.
+    pub fn feedforward(&self, x: &[f32], out: &mut [f32]) {
+        match self {
+            Layer::Dense(l) => ops::matvec(&l.weight, x, out),
+            Layer::Conv(l) => ops::conv2d(&l.spec, x, l.in_hw.0, l.in_hw.1, &l.weight, out),
+            Layer::Pool(l) => ops::avg_pool2d(x, l.channels, l.in_hw.0, l.in_hw.1, l.k, out),
+            Layer::Recurrent(l) => ops::matvec(&l.w_in, x, out),
         }
     }
 

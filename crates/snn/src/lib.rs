@@ -70,6 +70,6 @@ pub use event_sim::{event_forward, EventStats};
 pub use fault_hooks::{NeuronBehaviorFault, NeuronFaultMap};
 pub use layer::{ConvLayer, DenseLayer, Layer, PoolLayer, RecurrentLayer};
 pub use network::{Network, WeightRef};
-pub use params::{LifParams, Surrogate};
+pub use params::{LifParams, LifTick, Surrogate};
 pub use quantize::{is_quantized, quantize_weights, QuantReport};
-pub use sim::{LayerState, LayerTrace, LifState, RecordOptions, Trace};
+pub use sim::{LayerState, LayerTrace, LifRecord, LifState, RecordOptions, Trace};

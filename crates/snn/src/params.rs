@@ -53,6 +53,55 @@ impl Default for LifParams {
     }
 }
 
+/// What one [`LifParams::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LifTick {
+    /// The neuron emitted a spike this tick.
+    pub fired: bool,
+    /// Pre-spike membrane potential `v[t]`, or `None` when the neuron was
+    /// refractory and did not integrate.
+    pub potential: Option<f32>,
+}
+
+impl LifParams {
+    /// One tick of one neuron — the only forward LIF update in the
+    /// workspace besides the event-driven oracle: a refractory neuron
+    /// counts down and stays at rest; otherwise the membrane leaks,
+    /// integrates the synaptic drive `z`, and on reaching the threshold
+    /// fires, resets and enters its refractory period. `carried` is the
+    /// potential kept across ticks, `refrac` the remaining refractory
+    /// ticks; both are advanced in place.
+    #[inline]
+    pub fn step(&self, carried: &mut f32, refrac: &mut u32, z: f32) -> LifTick {
+        if *refrac > 0 {
+            *refrac -= 1;
+            *carried = 0.0;
+            return LifTick { fired: false, potential: None };
+        }
+        let v = self.leak * *carried + z;
+        let fired = v >= self.threshold;
+        if fired {
+            *carried = 0.0;
+            *refrac = self.refrac_steps;
+        } else {
+            *carried = v;
+        }
+        LifTick { fired, potential: Some(v) }
+    }
+
+    /// These parameters under a timing-variation fault: threshold and
+    /// leak scaled (and clamped back into their valid ranges), refractory
+    /// period shifted by `refrac_delta` ticks and floored at zero.
+    pub fn perturbed(&self, threshold_scale: f32, leak_scale: f32, refrac_delta: i32) -> Self {
+        Self {
+            threshold: (self.threshold * threshold_scale).max(f32::EPSILON),
+            leak: (self.leak * leak_scale).clamp(f32::EPSILON, 1.0),
+            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
+            refrac_steps: (i64::from(self.refrac_steps) + i64::from(refrac_delta)).max(0) as u32,
+        }
+    }
+}
+
 /// Surrogate derivative used for the non-differentiable spike function
 /// during BPTT.
 ///

@@ -1,4 +1,4 @@
-use crate::{Layer, Network, NeuronBehaviorFault, NeuronFaultMap};
+use crate::{Layer, LifParams, Network, NeuronBehaviorFault, NeuronFaultMap};
 use serde::{Deserialize, Serialize};
 use snn_tensor::{ops, Shape, Tensor};
 use std::collections::HashMap;
@@ -161,145 +161,160 @@ pub struct LayerState {
     lif: Option<LifState>,
 }
 
-/// Per-neuron effective LIF constants after applying behavioural faults.
+/// Golden per-tick records of one spiking layer, kept by
+/// [`Network::forward_golden`] for differential fault simulation: a run
+/// that equals the fault-free one up to some tick can take its drive and
+/// its state from here instead of recomputing them. Every field is
+/// `[T × n]` row-major.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LifRecord {
+    /// Synaptic drive `z[t]` each neuron's update consumed.
+    pub drive: Vec<f32>,
+    /// Membrane potential carried *into* tick `t` (before the update).
+    /// Empty for a layer whose pre-tick state was not requested.
+    pub carried_pre: Vec<f32>,
+    /// Refractory counter carried *into* tick `t`; empty like
+    /// [`carried_pre`](Self::carried_pre).
+    pub refrac_pre: Vec<u32>,
+    /// Recurrent layers only (empty otherwise): the input half
+    /// `W_in · x[t]` of the drive.
+    pub feedforward: Vec<f32>,
+    /// Recurrent layers only (empty otherwise): the feedback half
+    /// `W_rec · s[t−1]` of the drive. The simulator rounds the two halves
+    /// as separate sums and then adds them, so a run whose input is
+    /// golden but whose own spikes are not redoes this half alone. Row 0
+    /// is zero and unused: there is no feedback on the first tick.
+    pub feedback: Vec<f32>,
+}
+
+impl LifRecord {
+    /// A zeroed record of `steps` ticks of `layer`, with room for the
+    /// pre-tick state when asked for and for the split drive when the
+    /// layer is recurrent.
+    fn zeroed(layer: &Layer, steps: usize, pre_state: bool) -> Self {
+        let len = |wanted: bool| if wanted { steps * layer.out_features() } else { 0 };
+        let recurrent = matches!(layer, Layer::Recurrent(_));
+        Self {
+            drive: vec![0.0; len(true)],
+            carried_pre: vec![0.0; len(pre_state)],
+            refrac_pre: vec![0; len(pre_state)],
+            feedforward: vec![0.0; len(recurrent)],
+            feedback: vec![0.0; len(recurrent)],
+        }
+    }
+}
+
+/// Per-neuron behaviour after applying behavioural faults.
 struct EffectiveParams {
-    threshold: Vec<f32>,
-    leak: Vec<f32>,
-    refrac: Vec<u32>,
-    /// 0 = normal, 1 = dead, 2 = saturated.
-    forced: Vec<u8>,
+    lif: Vec<LifParams>,
+    /// `Some(spike)` for a neuron whose output a fault forces.
+    forced: Vec<Option<bool>>,
 }
 
 impl EffectiveParams {
     fn new(
         n: usize,
-        lif: &crate::LifParams,
+        lif: &LifParams,
         faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
     ) -> Self {
-        let mut p = Self {
-            threshold: vec![lif.threshold; n],
-            leak: vec![lif.leak; n],
-            refrac: vec![lif.refrac_steps; n],
-            forced: vec![0u8; n],
-        };
-        if let Some(map) = faults {
-            for (&i, fault) in map {
-                if i >= n {
-                    continue;
-                }
-                match *fault {
-                    NeuronBehaviorFault::Dead => p.forced[i] = 1,
-                    NeuronBehaviorFault::Saturated => p.forced[i] = 2,
-                    NeuronBehaviorFault::ParamScale {
-                        threshold_scale,
-                        leak_scale,
-                        refrac_delta,
-                    } => {
-                        p.threshold[i] = (lif.threshold * threshold_scale).max(f32::EPSILON);
-                        p.leak[i] = (lif.leak * leak_scale).clamp(f32::EPSILON, 1.0);
-                        p.refrac[i] =
-                            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
-                            (i64::from(lif.refrac_steps) + i64::from(refrac_delta)).max(0) as u32;
-                    }
-                }
+        let mut p = Self { lif: vec![*lif; n], forced: vec![None; n] };
+        for (&i, fault) in faults.into_iter().flatten() {
+            if i < n {
+                p.lif[i] = fault.lif(lif);
+                p.forced[i] = fault.forced();
             }
         }
         p
     }
 }
 
-/// Simulates one spiking layer over `steps` ticks.
-///
-/// `synaptic` computes the instantaneous synaptic drive `z[t]` for all
-/// neurons given `(t, previous own spikes)` — the closure abstracts over
-/// dense/conv/recurrent connectivity.
-fn run_lif<F>(
-    steps: usize,
-    n: usize,
-    params: EffectiveParams,
+/// Simulates one spiking layer over the rows of `input`, filling in
+/// `golden` (sized by [`LifRecord::zeroed`]) when given.
+fn run_lif(
+    layer: &Layer,
+    input: &Tensor,
+    t_offset: usize,
     record: RecordOptions,
+    params: &EffectiveParams,
     state: &mut LifState,
-    mut synaptic: F,
-) -> LayerTrace
-where
-    F: FnMut(usize, &[f32], &mut [f32]),
-{
+    mut golden: Option<&mut LifRecord>,
+) -> LayerTrace {
+    let (in_features, n) = (layer.in_features(), layer.out_features());
+    let steps = input.shape().dim(0);
+    let in_data = input.as_slice();
+    let w_rec = match layer {
+        Layer::Recurrent(l) => Some(&l.w_rec),
+        _ => None,
+    };
     let mut output = Tensor::zeros(Shape::d2(steps, n));
     let mut potential = record.potentials.then(|| Tensor::zeros(Shape::d2(steps, n)));
     let mut gate = record.potentials.then(|| Tensor::zeros(Shape::d2(steps, n)));
 
-    let carried = &mut state.carried; // membrane carried across ticks
-    let refrac = &mut state.refrac;
-    let prev_spikes = &mut state.prev_spikes;
+    let LifState { carried, refrac, prev_spikes } = state;
     let mut z = vec![0.0f32; n];
+    let mut z_rec = vec![0.0f32; if w_rec.is_some() { n } else { 0 }];
 
     for t in 0..steps {
-        z.iter_mut().for_each(|v| *v = 0.0);
-        synaptic(t, prev_spikes, &mut z);
-        let out_row = {
-            let data = output.as_mut_slice();
-            &mut data[t * n..(t + 1) * n]
-        };
-        for i in 0..n {
-            match params.forced[i] {
-                1 => {
-                    // Dead: halts spike propagation entirely.
-                    out_row[i] = 0.0;
-                    continue;
+        let row = t * n..(t + 1) * n;
+        layer.feedforward(&in_data[t * in_features..(t + 1) * in_features], &mut z);
+        if let Some(w_rec) = w_rec {
+            // Feedback applies from the second *global* tick on; at a
+            // segment boundary `prev_spikes` already holds the last tick
+            // of the previous segment.
+            let feedback = t_offset + t > 0;
+            if feedback {
+                ops::matvec(w_rec, prev_spikes, &mut z_rec);
+            }
+            if let Some(rec) = golden.as_deref_mut() {
+                rec.feedforward[row.clone()].copy_from_slice(&z);
+                rec.feedback[row.clone()].copy_from_slice(&z_rec);
+            }
+            if feedback {
+                for (zi, ri) in z.iter_mut().zip(z_rec.iter()) {
+                    *zi += ri;
                 }
-                2 => {
-                    // Saturated: fires every tick regardless of input.
-                    out_row[i] = 1.0;
-                    continue;
-                }
-                _ => {}
-            }
-            if refrac[i] > 0 {
-                refrac[i] -= 1;
-                carried[i] = 0.0;
-                out_row[i] = 0.0;
-                // gate stays 0, potential stays 0
-                continue;
-            }
-            let v = params.leak[i] * carried[i] + z[i];
-            if let Some(p) = potential.as_mut() {
-                p.as_mut_slice()[t * n + i] = v;
-            }
-            if let Some(g) = gate.as_mut() {
-                g.as_mut_slice()[t * n + i] = 1.0;
-            }
-            if v >= params.threshold[i] {
-                out_row[i] = 1.0;
-                carried[i] = 0.0;
-                refrac[i] = params.refrac[i];
-            } else {
-                out_row[i] = 0.0;
-                carried[i] = v;
             }
         }
-        let data = output.as_slice();
-        prev_spikes.copy_from_slice(&data[t * n..(t + 1) * n]);
+        if let Some(rec) = golden.as_deref_mut() {
+            rec.drive[row.clone()].copy_from_slice(&z);
+            if !rec.carried_pre.is_empty() {
+                rec.carried_pre[row.clone()].copy_from_slice(carried);
+                rec.refrac_pre[row.clone()].copy_from_slice(refrac);
+            }
+        }
+        let out_row = &mut output.as_mut_slice()[row.clone()];
+        let mut recorded = potential
+            .as_mut()
+            .zip(gate.as_mut())
+            .map(|(p, g)| (&mut p.as_mut_slice()[row.clone()], &mut g.as_mut_slice()[row.clone()]));
+        for i in 0..n {
+            if let Some(spike) = params.forced[i] {
+                // Dead halts spike propagation entirely; saturated fires
+                // every tick regardless of input.
+                out_row[i] = f32::from(u8::from(spike));
+                continue;
+            }
+            let tick = params.lif[i].step(&mut carried[i], &mut refrac[i], z[i]);
+            out_row[i] = f32::from(u8::from(tick.fired));
+            // A refractory tick leaves gate and potential at 0.
+            if let (Some(v), Some((p, g))) = (tick.potential, recorded.as_mut()) {
+                p[i] = v;
+                g[i] = 1.0;
+            }
+        }
+        prev_spikes.copy_from_slice(out_row);
     }
 
     LayerTrace { output, potential, gate }
-}
-
-fn run_layer(
-    layer: &Layer,
-    input: &Tensor,
-    record: RecordOptions,
-    faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
-) -> LayerTrace {
-    run_layer_segment(layer, input, 0, record, faults, &mut LayerState::default())
 }
 
 /// Simulates one layer over a *segment* of a longer run.
 ///
 /// `t_offset` is the global tick the segment starts at; `state` carries
 /// the membrane/refractory/feedback state across segment boundaries.
-/// Calling this once with `t_offset == 0` and a default `state` is
-/// exactly [`run_layer`]; calling it for consecutive segments with the
-/// same `state` reproduces the unsegmented run bit for bit.
+/// Calling this once with `t_offset == 0` and a default `state` is a
+/// whole run; calling it for consecutive segments with the same `state`
+/// reproduces the unsegmented run bit for bit.
 fn run_layer_segment(
     layer: &Layer,
     input: &Tensor,
@@ -307,6 +322,7 @@ fn run_layer_segment(
     record: RecordOptions,
     faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
     state: &mut LayerState,
+    golden: Option<&mut LifRecord>,
 ) -> LayerTrace {
     let dims = input.shape().dims();
     assert_eq!(dims.len(), 2, "layer input must be [T × features]");
@@ -320,63 +336,20 @@ fn run_layer_segment(
     let n = layer.out_features();
     let in_data = input.as_slice();
 
-    match layer {
-        Layer::Dense(l) => {
-            let params = EffectiveParams::new(n, &l.lif, faults);
-            let lif = state.lif.get_or_insert_with(|| LifState::fresh(n));
-            run_lif(steps, n, params, record, lif, |t, _prev, z| {
-                ops::matvec(&l.weight, &in_data[t * in_features..(t + 1) * in_features], z);
-            })
+    let Some(lif) = layer.lif() else {
+        // Pooling: stateless, one transform per tick.
+        let mut output = Tensor::zeros(Shape::d2(steps, n));
+        for t in 0..steps {
+            layer.feedforward(
+                &in_data[t * in_features..(t + 1) * in_features],
+                &mut output.as_mut_slice()[t * n..(t + 1) * n],
+            );
         }
-        Layer::Conv(l) => {
-            let params = EffectiveParams::new(n, &l.lif, faults);
-            let (h, w) = l.in_hw;
-            let lif = state.lif.get_or_insert_with(|| LifState::fresh(n));
-            run_lif(steps, n, params, record, lif, |t, _prev, z| {
-                ops::conv2d(
-                    &l.spec,
-                    &in_data[t * in_features..(t + 1) * in_features],
-                    h,
-                    w,
-                    &l.weight,
-                    z,
-                );
-            })
-        }
-        Layer::Recurrent(l) => {
-            let params = EffectiveParams::new(n, &l.lif, faults);
-            let mut z_rec = vec![0.0f32; n];
-            let lif = state.lif.get_or_insert_with(|| LifState::fresh(n));
-            run_lif(steps, n, params, record, lif, move |t, prev, z| {
-                ops::matvec(&l.w_in, &in_data[t * in_features..(t + 1) * in_features], z);
-                // Feedback applies from the second *global* tick on; at a
-                // segment boundary `prev` already holds the last tick of
-                // the previous segment.
-                if t_offset + t > 0 {
-                    ops::matvec(&l.w_rec, prev, &mut z_rec);
-                    for (zi, ri) in z.iter_mut().zip(z_rec.iter()) {
-                        *zi += ri;
-                    }
-                }
-            })
-        }
-        Layer::Pool(l) => {
-            let mut output = Tensor::zeros(Shape::d2(steps, n));
-            let (h, w) = l.in_hw;
-            for t in 0..steps {
-                let out_data = output.as_mut_slice();
-                ops::avg_pool2d(
-                    &in_data[t * in_features..(t + 1) * in_features],
-                    l.channels,
-                    h,
-                    w,
-                    l.k,
-                    &mut out_data[t * n..(t + 1) * n],
-                );
-            }
-            LayerTrace { output, potential: None, gate: None }
-        }
-    }
+        return LayerTrace { output, potential: None, gate: None };
+    };
+    let params = EffectiveParams::new(n, lif, faults);
+    let state = state.lif.get_or_insert_with(|| LifState::fresh(n));
+    run_lif(layer, input, t_offset, record, &params, state, golden)
 }
 
 impl Network {
@@ -422,8 +395,7 @@ impl Network {
         record: RecordOptions,
         faults: &NeuronFaultMap,
     ) -> LayerTrace {
-        assert!(idx < self.layers.len(), "layer index {idx} out of range");
-        run_layer(&self.layers[idx], input, record, faults.layer_faults(idx))
+        self.forward_layer_segment(idx, input, 0, record, faults, &mut LayerState::default())
     }
 
     /// Simulates layer `idx` over a time *segment*, resuming from `state`.
@@ -457,6 +429,7 @@ impl Network {
             record,
             faults.layer_faults(idx),
             state,
+            None,
         )
     }
 
@@ -477,16 +450,67 @@ impl Network {
         record: RecordOptions,
         faults: &NeuronFaultMap,
     ) -> Vec<LayerTrace> {
+        self.run_layers(start, stage_input, record, faults, None).0
+    }
+
+    /// Fault-free forward pass that also keeps what differential fault
+    /// simulation reuses of it: a [`LifRecord`] per spiking layer from
+    /// `from` on (`None` for earlier and for pooling layers). A fault at
+    /// layer `from` or later leaves earlier layers untouched, and a
+    /// feed-forward layer at `from` itself is only ever re-simulated from
+    /// tick 0, so its record holds the drives alone; every later layer,
+    /// and a recurrent layer at `from`, can be entered mid-run and also
+    /// records its pre-tick state. The trace is bit-identical to
+    /// [`forward`](Self::forward) with [`RecordOptions::spikes_only`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is not rank-2 or its feature count mismatches.
+    pub fn forward_golden(&self, input: &Tensor, from: usize) -> (Trace, Vec<Option<LifRecord>>) {
+        let _span = snn_obs::span!("snn.forward");
+        let (layers, records) = self.run_layers(
+            0,
+            input,
+            RecordOptions::spikes_only(),
+            &NeuronFaultMap::new(),
+            Some(from),
+        );
+        (Trace { steps: input.shape().dim(0), layers }, records)
+    }
+
+    /// Layers `start..` chained on `stage_input`, with golden records from
+    /// layer `golden_from` on when asked for.
+    fn run_layers(
+        &self,
+        start: usize,
+        stage_input: &Tensor,
+        record: RecordOptions,
+        faults: &NeuronFaultMap,
+        golden_from: Option<usize>,
+    ) -> (Vec<LayerTrace>, Vec<Option<LifRecord>>) {
         assert!(start < self.layers.len(), "start layer {start} out of range");
-        let mut traces = Vec::with_capacity(self.layers.len() - start);
-        let mut current: Option<Tensor> = None;
+        let mut traces: Vec<LayerTrace> = Vec::with_capacity(self.layers.len() - start);
+        let mut records = Vec::new();
         for (idx, layer) in self.layers.iter().enumerate().skip(start) {
-            let input = current.as_ref().unwrap_or(stage_input);
-            let trace = run_layer(layer, input, record, faults.layer_faults(idx));
-            current = Some(trace.output.clone());
+            let input = traces.last().map_or(stage_input, |t| &t.output);
+            let mut golden =
+                golden_from.filter(|&from| idx >= from && layer.is_spiking()).map(|from| {
+                    let pre_state = idx > from || matches!(layer, Layer::Recurrent(_));
+                    LifRecord::zeroed(layer, input.shape().dim(0), pre_state)
+                });
+            let trace = run_layer_segment(
+                layer,
+                input,
+                0,
+                record,
+                faults.layer_faults(idx),
+                &mut LayerState::default(),
+                golden.as_mut(),
+            );
             traces.push(trace);
+            records.push(golden);
         }
-        traces
+        (traces, records)
     }
 }
 
@@ -494,7 +518,7 @@ impl Network {
 #[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
 mod tests {
     use super::*;
-    use crate::{DenseLayer, LifParams, NetworkBuilder, PoolLayer};
+    use crate::{DenseLayer, LifParams, LifTick, NetworkBuilder, PoolLayer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_tensor::Shape;
@@ -760,6 +784,170 @@ mod tests {
         let full =
             net.forward_layer(0, &input, RecordOptions::spikes_only(), &NeuronFaultMap::new());
         assert_eq!(segmented_layer_output(&net, &input, 2), full.output.as_slice());
+    }
+
+    /// One spiking layer of each kind (refractory period 2), with a
+    /// stimulus dense enough that every kind fires and rests.
+    fn one_layer_nets() -> Vec<(Network, Tensor)> {
+        let mut rng = StdRng::seed_from_u64(21);
+        let lif = LifParams { threshold: 1.0, leak: 0.9, refrac_steps: 2 };
+        let nets = vec![
+            NetworkBuilder::new(6, lif).dense(8).build(&mut rng),
+            NetworkBuilder::new_spatial(2, 5, 5, lif).conv(3, 3, 2, 1).build(&mut rng),
+            NetworkBuilder::new(6, lif).recurrent(8).build(&mut rng),
+        ];
+        nets.into_iter()
+            .map(|net| {
+                let input =
+                    snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, net.input_features()), 0.6);
+                (net, input)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn step_integrates_fires_resets_and_rests() {
+        let lif = LifParams { threshold: 1.0, leak: 0.5, refrac_steps: 2 };
+        let (mut carried, mut refrac) = (0.0f32, 0u32);
+        // Sub-threshold: integrates, carries the potential.
+        let tick = lif.step(&mut carried, &mut refrac, 0.6);
+        assert_eq!(tick, LifTick { fired: false, potential: Some(0.6) });
+        assert_eq!((carried, refrac), (0.6, 0));
+        // Crossing tick: 0.5·0.6 + 0.7 = 1.0 ≥ θ fires, and the reset and
+        // the refractory period start on this very tick.
+        let tick = lif.step(&mut carried, &mut refrac, 0.7);
+        assert_eq!(tick, LifTick { fired: true, potential: Some(1.0) });
+        assert_eq!((carried, refrac), (0.0, 2));
+        // Refractory window: however strong the drive, no integration and
+        // no spike for exactly `refrac_steps` ticks.
+        for left in [1u32, 0] {
+            let tick = lif.step(&mut carried, &mut refrac, 100.0);
+            assert_eq!(tick, LifTick { fired: false, potential: None });
+            assert_eq!((carried, refrac), (0.0, left));
+        }
+        assert!(lif.step(&mut carried, &mut refrac, 100.0).fired);
+        // Zero drive from rest stays silent forever.
+        let (mut carried, mut refrac) = (0.0f32, 0u32);
+        for _ in 0..50 {
+            assert!(!lif.step(&mut carried, &mut refrac, 0.0).fired);
+        }
+        assert_eq!(carried, 0.0);
+    }
+
+    #[test]
+    fn every_layer_kind_obeys_the_lif_invariants() {
+        for (net, input) in one_layer_nets() {
+            let kind = net.layers()[0].kind();
+            let lif = *net.layers()[0].lif().unwrap();
+            let trace = net.forward(&input, RecordOptions::full());
+            let lt = &trace.layers[0];
+            let (out, pot, gate) = (
+                lt.output.as_slice(),
+                lt.potential.as_ref().unwrap().as_slice(),
+                lt.gate.as_ref().unwrap().as_slice(),
+            );
+            let n = net.output_features();
+            assert!(out.iter().all(|&s| s == 0.0 || s == 1.0), "{kind}: non-binary spike");
+            assert!(out.iter().sum::<f32>() > 0.0, "{kind}: stimulus too weak to test anything");
+            for i in 0..n {
+                let mut rest = 0u32;
+                for t in 0..trace.steps {
+                    let at = t * n + i;
+                    if rest > 0 {
+                        // Inside the refractory window: no integration, no spike.
+                        assert_eq!(
+                            (out[at], gate[at], pot[at]),
+                            (0.0, 0.0, 0.0),
+                            "{kind} t={t} i={i}"
+                        );
+                        rest -= 1;
+                        continue;
+                    }
+                    assert_eq!(gate[at], 1.0, "{kind} t={t} i={i}");
+                    // The spike lands on the crossing tick, and only there.
+                    assert_eq!(out[at] == 1.0, pot[at] >= lif.threshold, "{kind} t={t} i={i}");
+                    if out[at] == 1.0 {
+                        rest = lif.refrac_steps;
+                    }
+                }
+            }
+            let silent = net.forward(&Tensor::zeros(input.shape().clone()), RecordOptions::full());
+            assert_eq!(silent.output().sum(), 0.0, "{kind}: zero input must stay silent");
+        }
+    }
+
+    #[test]
+    fn golden_recording_changes_no_spike_and_resumes_exactly() {
+        for (net, input) in one_layer_nets() {
+            let layer = &net.layers()[0];
+            let kind = layer.kind();
+            let plain = net.forward(&input, RecordOptions::spikes_only());
+            // Layer 0 is the `from` layer: only the recurrent kind keeps
+            // its pre-state there; from = 1 > 0 is past the end, no record.
+            let (trace, records) = net.forward_golden(&input, 0);
+            assert_eq!(trace, plain, "{kind}");
+            assert!(net.forward_golden(&input, 1).1[0].is_none(), "{kind}");
+            let rec = records[0].as_ref().unwrap();
+            let (steps, n, f) = (trace.steps, net.output_features(), net.input_features());
+            assert_eq!(rec.drive.len(), steps * n, "{kind}");
+            let recurrent = matches!(layer, Layer::Recurrent(_));
+            assert_eq!(rec.carried_pre.len(), if recurrent { steps * n } else { 0 }, "{kind}");
+            assert_eq!(rec.feedback.len(), if recurrent { steps * n } else { 0 }, "{kind}");
+
+            // A two-layer copy makes this layer a downstream one, which
+            // records its pre-state whatever its kind.
+            let mut layers = vec![Layer::Pool(PoolLayer::new(f, (1, 1), 1))];
+            layers.push(layer.clone());
+            let deep = Network::new(Shape::d3(f, 1, 1), layers);
+            let (deep_trace, deep_records) = deep.forward_golden(&input, 0);
+            assert_eq!(deep_trace.layers[1], plain.layers[0], "{kind}");
+            let rec = deep_records[1].as_ref().unwrap();
+            assert_eq!(rec.drive.len(), steps * n, "{kind}");
+            assert!(rec.carried_pre[..n].iter().all(|c| c.to_bits() == 0), "{kind}");
+            assert!(rec.refrac_pre.iter().any(|&r| r > 0), "{kind}: nothing ever rested");
+            let out = plain.output().as_slice();
+            for t0 in [0usize, 1, 7, 23, steps - 1] {
+                let mut state = LayerState {
+                    lif: Some(LifState {
+                        carried: rec.carried_pre[t0 * n..(t0 + 1) * n].to_vec(),
+                        refrac: rec.refrac_pre[t0 * n..(t0 + 1) * n].to_vec(),
+                        prev_spikes: if t0 == 0 {
+                            vec![0.0; n]
+                        } else {
+                            out[(t0 - 1) * n..t0 * n].to_vec()
+                        },
+                    }),
+                };
+                let tail =
+                    Tensor::from_vec(Shape::d2(steps - t0, f), input.as_slice()[t0 * f..].to_vec())
+                        .unwrap();
+                let resumed = net.forward_layer_segment(
+                    0,
+                    &tail,
+                    t0,
+                    RecordOptions::spikes_only(),
+                    &NeuronFaultMap::new(),
+                    &mut state,
+                );
+                assert_eq!(resumed.output.as_slice(), &out[t0 * n..], "{kind} t0={t0}");
+            }
+        }
+    }
+
+    #[test]
+    fn recurrent_record_splits_the_drive_into_its_two_sums() {
+        let (net, input) = one_layer_nets().pop().unwrap();
+        let (trace, records) = net.forward_golden(&input, 0);
+        let rec = records[0].as_ref().unwrap();
+        let n = net.output_features();
+        // Tick 0 has no feedback; afterwards drive = feedforward + feedback,
+        // the same `f32` addition the simulator performed.
+        assert_eq!(rec.drive[..n], rec.feedforward[..n]);
+        assert!(rec.feedback[..n].iter().all(|&v| v == 0.0));
+        for at in n..trace.steps * n {
+            assert_eq!(rec.drive[at].to_bits(), (rec.feedforward[at] + rec.feedback[at]).to_bits());
+        }
+        assert!(rec.feedback.iter().any(|&v| v != 0.0));
     }
 
     #[test]

@@ -72,6 +72,15 @@ impl Conv2dSpec {
     pub fn weight_count(&self) -> usize {
         self.out_channels * self.in_channels * self.kernel * self.kernel
     }
+
+    /// Input coordinate that kernel offset `k` of output coordinate `o`
+    /// taps along an axis of `extent` pixels, or `None` when the tap
+    /// falls into the zero padding.
+    #[inline]
+    pub fn tap(&self, o: usize, k: usize, extent: usize) -> Option<usize> {
+        let i = (o * self.stride + k).checked_sub(self.padding)?;
+        (i < extent).then_some(i)
+    }
 }
 
 /// Dense matrix–vector product `y = W · x` with `W: [rows × cols]`.
@@ -157,6 +166,42 @@ pub fn outer_acc(w_grad: &mut Tensor, y_grad: &[f32], x: &[f32]) {
     debug_assert_finite("outer_acc", "w_grad", wd);
 }
 
+/// One output pixel of [`conv2d`]: the products of output channel
+/// weights `w_oc` (`[C_in, k, k]`) with the input window of output pixel
+/// `(oy, ox)`, accumulated in `(ic, ky, kx)` order with taps in the zero
+/// padding skipped. [`conv2d`] is this function over every output pixel,
+/// so a caller that needs a few pixels only (differential fault
+/// simulation of one kernel weight) gets the same bits.
+///
+/// # Panics
+///
+/// Panics if `w_oc` or `input` is shorter than `spec` and `(h, w)` imply.
+#[inline]
+pub fn conv2d_window(
+    spec: &Conv2dSpec,
+    input: &[f32],
+    h: usize,
+    w: usize,
+    w_oc: &[f32],
+    oy: usize,
+    ox: usize,
+) -> f32 {
+    let k = spec.kernel;
+    let mut acc = 0.0f32;
+    for ic in 0..spec.in_channels {
+        let in_base = ic * h * w;
+        let w_base = ic * k * k;
+        for ky in 0..k {
+            let Some(iy) = spec.tap(oy, ky, h) else { continue };
+            for kx in 0..k {
+                let Some(ix) = spec.tap(ox, kx, w) else { continue };
+                acc += w_oc[w_base + ky * k + kx] * input[in_base + iy * w + ix];
+            }
+        }
+    }
+    acc
+}
+
 /// 2-D convolution forward pass.
 ///
 /// `input` is `[C_in, H, W]` flattened row-major, `weight` is
@@ -178,34 +223,15 @@ pub fn conv2d(
     assert_eq!(input.len(), spec.in_channels * h * w, "conv2d input length");
     assert_eq!(weight.len(), spec.weight_count(), "conv2d weight length");
     assert_eq!(out.len(), spec.out_channels * oh * ow, "conv2d output length");
-    let k = spec.kernel;
+    let per_channel = spec.in_channels * spec.kernel * spec.kernel;
     let wd = weight.as_slice();
     debug_assert_finite("conv2d", "input", input);
     debug_assert_finite("conv2d", "weight", wd);
     for oc in 0..spec.out_channels {
+        let w_oc = &wd[oc * per_channel..(oc + 1) * per_channel];
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ic in 0..spec.in_channels {
-                    let in_base = ic * h * w;
-                    let w_base = ((oc * spec.in_channels) + ic) * k * k;
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let ix = ix as usize;
-                            acc += wd[w_base + ky * k + kx] * input[in_base + iy * w + ix];
-                        }
-                    }
-                }
-                out[(oc * oh + oy) * ow + ox] = acc;
+                out[(oc * oh + oy) * ow + ox] = conv2d_window(spec, input, h, w, w_oc, oy, ox);
             }
         }
     }
@@ -577,6 +603,60 @@ mod tests {
     }
 
     proptest! {
+        /// `conv2d` and the per-pixel `conv2d_window` agree to the bit
+        /// with a reference that walks the window in signed coordinates
+        /// — padding, stride > 1 and non-square inputs included.
+        #[test]
+        fn conv2d_window_matches_a_signed_coordinate_reference(
+            in_c in 1usize..3, out_c in 1usize..3, k in 1usize..5,
+            stride in 1usize..4, pad in 0usize..3, extra in 0usize..4, seed in 0u64..1000,
+        ) {
+            let spec = Conv2dSpec::new(in_c, out_c, k, stride, pad);
+            let (h, w) = (k + extra, k + extra + 1);
+            let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state % 1000) as f32 / 500.0) - 1.0
+            };
+            let weight = Tensor::from_vec(
+                spec.weight_shape(),
+                (0..spec.weight_count()).map(|_| next()).collect(),
+            ).unwrap();
+            // Half the pixels exactly zero, like a spike frame.
+            let input: Vec<f32> =
+                (0..in_c * h * w).map(|_| { let v = next(); if v < 0.0 { 0.0 } else { v } }).collect();
+            let (oh, ow) = spec.out_hw(h, w);
+            let mut out = vec![0.0f32; out_c * oh * ow];
+            conv2d(&spec, &input, h, w, &weight, &mut out);
+            let wd = weight.as_slice();
+            for oc in 0..out_c {
+                let w_oc = &wd[oc * in_c * k * k..(oc + 1) * in_c * k * k];
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = 0.0f32;
+                        for ic in 0..in_c {
+                            for ky in 0..k {
+                                let iy = (oy * stride + ky) as isize - pad as isize;
+                                for kx in 0..k {
+                                    let ix = (ox * stride + kx) as isize - pad as isize;
+                                    if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    acc += w_oc[(ic * k + ky) * k + kx]
+                                        * input[(ic * h + iy as usize) * w + ix as usize];
+                                }
+                            }
+                        }
+                        let got = conv2d_window(&spec, &input, h, w, w_oc, oy, ox);
+                        prop_assert_eq!(got.to_bits(), acc.to_bits());
+                        prop_assert_eq!(out[(oc * oh + oy) * ow + ox].to_bits(), acc.to_bits());
+                    }
+                }
+            }
+        }
+
         /// Pooling then backward must conserve total gradient mass
         /// (avg-pool backward spreads each output gradient over k² inputs
         /// scaled by 1/k², so sums match when H, W divide k).

@@ -12,8 +12,9 @@
 //! * [`row_dot`] — the plain `f32` row product, literally `matvec`
 //!   restricted to a single output row (for golden inputs that may be
 //!   fractional, e.g. downstream of an average-pooling layer);
-//! * [`broadcast_row`] / [`set_lane_bit`] — word construction from a
-//!   golden binary row plus per-lane overrides;
+//! * [`broadcast_row`] / [`set_lane_bit`] / [`unpack_lane`] — word
+//!   construction from a golden binary row plus per-lane overrides, and
+//!   the way back to one lane's `f32` row;
 //! * [`row_diff_mask`] — which lanes' spike rows differ from the golden
 //!   row, the divergence test behind lazy per-lane materialization.
 //!
@@ -124,6 +125,22 @@ pub fn set_lane_bit(word: &mut u64, lane: u32, on: bool) {
     }
 }
 
+/// Expands one lane of `words` into an `f32` spike row: `out[j]` is `1.0`
+/// where bit `lane` of `words[j]` is set and `0.0` elsewhere — the row
+/// a scalar kernel (pooling, convolution) consumes for that lane.
+///
+/// # Panics
+///
+/// Panics in debug builds on length mismatch or `lane >= 64`.
+#[inline]
+pub fn unpack_lane(words: &[u64], lane: u32, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), words.len(), "unpack_lane length mismatch");
+    debug_assert!((lane as usize) < LANES, "lane out of range");
+    for (o, word) in out.iter_mut().zip(words.iter()) {
+        *o = f32::from(u8::from((word >> lane) & 1 == 1));
+    }
+}
+
 /// Which of the `active` lanes differ from the golden binary row
 /// anywhere in this feature row: bit `l` of the result is set iff lane
 /// `l`'s spikes in `words` are not feature-for-feature equal to
@@ -214,6 +231,17 @@ mod tests {
         assert_eq!(diff, (1 << 3) | (1 << 7));
         // An inactive lane's divergence is masked out.
         assert_eq!(row_diff_mask(&words, &golden, 1 << 3), 1 << 3);
+    }
+
+    #[test]
+    fn unpack_lane_inverts_packing() {
+        let rows = vec![vec![1.0, 0.0, 1.0, 1.0], vec![0.0, 0.0, 1.0, 0.0]];
+        let words = pack(&rows);
+        let mut out = vec![0.5f32; 4];
+        for (l, row) in rows.iter().enumerate() {
+            unpack_lane(&words, u32::try_from(l).unwrap(), &mut out);
+            assert_eq!(&out, row);
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   fault simulator, criticality labelling, statistical coverage
 //!   estimation and fault dictionaries for diagnosis,
 //! * [`batch`] — the bit-packed fault-parallel execution engine: fault
-//!   plan → lane assignment → packed LIF run over `u64` spike words,
-//!   bit-identical to the scalar path and selected per campaign via
+//!   plan → lane assignment → differential packed run over `u64` spike
+//!   words (every fault of every spiking layer kind, reusing the golden
+//!   run wherever a variant still equals it), bit-identical to the
+//!   scalar path and selected per campaign via
 //!   `--engine packed|scalar|auto`,
 //! * [`datasets`] — synthetic NMNIST / DVS-gesture / SHD-like event
 //!   datasets and rate/TTFS encoders,

@@ -710,6 +710,22 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     });
     let outcome = outcome?;
     println!("engine: {resolved}");
+    if resolved == Engine::Packed {
+        // What the campaign's planner did with the universe; the CI gate
+        // requires `fallback: 0` on the example networks.
+        let plan = snn_mtfc::batch::plan::plan(
+            &net,
+            universe.faults(),
+            snn_mtfc::faults::parallel::effective_threads(cfg.threads),
+            &mut obs::phase::LocalPhases::new(),
+        );
+        println!(
+            "packed: {} faults in {} packs, fallback: {}",
+            plan.packed_faults(),
+            plan.packs.len(),
+            plan.fallback.len()
+        );
+    }
     println!(
         "fault coverage: {:.2}% ({}/{} detected) in {:?}",
         outcome.fault_coverage() * 100.0,
