@@ -75,6 +75,31 @@ cargo run --release -q --offline -- verify "$ANALYZE_TMP/obs.snn" "$ANALYZE_TMP/
     --trace-out "$ANALYZE_TMP/verify.trace.jsonl" > /dev/null
 cargo run --release -q --offline -- profile "$ANALYZE_TMP/verify.trace.jsonl" \
     | grep -q "faultsim.campaign" || { echo "verify profile missing span 'faultsim.campaign'"; exit 1; }
+# Generator attribution: sampling, losses, BPTT and the STE/Adam update
+# each have a span, so on the conv example the stages' own (unattributed)
+# time must stay within 5% of the generation.
+cargo run --release -q --offline -- generate "$ANALYZE_TMP/ibm.snn" --preset fast \
+    --out "$ANALYZE_TMP/ibm.obs.events" --trace-out "$ANALYZE_TMP/ibm.generate.trace.jsonl" > /dev/null
+IBM_PROFILE="$(cargo run --release -q --offline -- profile "$ANALYZE_TMP/ibm.generate.trace.jsonl")"
+for node in stage.sample stage.losses stage.update snn.forward snn.backward; do
+    grep -q "$node" <<< "$IBM_PROFILE" || { echo "generate profile missing span '$node'"; exit 1; }
+done
+awk '
+    function us(d) {
+        if (d ~ /us$/) return d + 0
+        if (d ~ /ms$/) return d * 1e3
+        return d * 1e6
+    }
+    $4 == "generate" { total = us($1) }
+    $4 == "stage1" || $4 == "stage2" { self += us($2) }
+    END {
+        if (total <= 0) { print "generate profile has no generate span"; exit 1 }
+        share = 100 * self / total
+        if (share > 5) {
+            printf "stage1+stage2 self time is %.1f%% of generate (need <=5%%)\n", share
+            exit 1
+        }
+    }' <<< "$IBM_PROFILE"
 
 step "packed engine — digest equality with the scalar engine on the example nets"
 # Same seeded campaign under both engines: the packed path promises
@@ -200,6 +225,13 @@ cmp -s "$ANALYZE_TMP/det1.events" "$ANALYZE_TMP/det2.events" \
 REL_RERUN="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}")"
 diff <(printf '%s' "$REL_LOCAL") <(printf '%s' "$REL_RERUN") > /dev/null \
     || { echo "reliability JSON differs between two fresh processes"; exit 1; }
+
+step "benchmark harness — its own tests: a smoke pass of all five workloads, digests checked"
+# The harness links ops::*, Network::{forward, backward}, Stage and
+# TestGenerator by signature; a break there should fail CI, not the
+# benchmark driver. Builds into the ignored .bench_build/.
+cargo test --release -q --offline --manifest-path benchmark/Cargo.toml \
+    --target-dir .bench_build/harness-tests
 
 step "cargo test (debug, overflow-checks) — arms the numeric sanitizer and lock-order detector"
 RUSTFLAGS="-C overflow-checks=on" cargo test -q --offline --workspace

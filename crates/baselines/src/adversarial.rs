@@ -146,9 +146,9 @@ fn perturb(net: &Network, sample: &Tensor, adv: AdversarialConfig, rng: &mut imp
         }
         let mut inj = InjectedGrads::none(num_layers);
         inj.set(num_layers - 1, grad);
-        let grads = net.backward(&relaxed.binary, &trace, &inj, adv.surrogate, false);
-        let g = relaxed.grad_logits(&grads.input);
-        adam.step(&mut logits, &g, adv.lr);
+        let mut grads = net.backward(&relaxed.binary, &trace, &inj, adv.surrogate, false);
+        relaxed.grad_logits(&mut grads.input);
+        adam.step(&mut logits, &grads.input, adv.lr);
     }
     best
 }

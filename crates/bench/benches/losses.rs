@@ -31,31 +31,31 @@ fn bench_losses(c: &mut Criterion) {
     group.bench_function("L1_output_activation", |b| {
         b.iter(|| {
             let mut inj = InjectedGrads::none(n_layers);
-            black_box(losses::l1_output_activation(&net, &trace, &mut inj))
+            black_box(losses::l1_output_activation(&net, &trace, 1.0, &mut inj))
         })
     });
     group.bench_function("L2_neuron_activation", |b| {
         b.iter(|| {
             let mut inj = InjectedGrads::none(n_layers);
-            black_box(losses::l2_neuron_activation(&net, &trace, &mask, &mut inj))
+            black_box(losses::l2_neuron_activation(&net, &trace, &mask, 1.0, &mut inj))
         })
     });
     group.bench_function("L3_temporal_diversity", |b| {
         b.iter(|| {
             let mut inj = InjectedGrads::none(n_layers);
-            black_box(losses::l3_temporal_diversity(&net, &trace, &mask, 4.0, &mut inj))
+            black_box(losses::l3_temporal_diversity(&net, &trace, &mask, 4.0, 1.0, &mut inj))
         })
     });
     group.bench_function("L4_contribution_variance", |b| {
         b.iter(|| {
             let mut inj = InjectedGrads::none(n_layers);
-            black_box(losses::l4_contribution_variance(&net, &trace, &mut inj))
+            black_box(losses::l4_contribution_variance(&net, &trace, 1.0, &mut inj))
         })
     });
     group.bench_function("L5_hidden_activity", |b| {
         b.iter(|| {
             let mut inj = InjectedGrads::none(n_layers);
-            black_box(losses::l5_hidden_activity(&net, &trace, &mut inj))
+            black_box(losses::l5_hidden_activity(&net, &trace, 1.0, &mut inj))
         })
     });
     group.bench_function("output_preservation", |b| {

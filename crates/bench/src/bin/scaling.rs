@@ -56,9 +56,9 @@ fn main() {
             }
         }
         let t1 = Instant::now();
-        let grads = net.backward(&sample.binary, &trace, &inj, Surrogate::default(), false);
+        let mut grads = net.backward(&sample.binary, &trace, &inj, Surrogate::default(), false);
         let bwd = t1.elapsed();
-        let _ = sample.grad_logits(&grads.input);
+        sample.grad_logits(&mut grads.input);
         let step_cost = fwd + bwd;
 
         // Per-fault verification cost on a 500-fault random sample.

@@ -1,9 +1,9 @@
 use crate::losses::{self, TargetMask};
-use crate::stage::{init_logits, Stage, StageConfig, StageOutcome};
+use crate::stage::{init_logits, Descent, Stage, StageConfig, StageOutcome};
 use crate::testset::{GeneratedTest, IterationStats};
 use rand::Rng;
 use snn_faults::progress::{CancelToken, Cancelled, NullSink, Progress, ProgressSink};
-use snn_model::{optim::Schedule, InjectedGrads, Network, RecordOptions, Surrogate};
+use snn_model::{optim::Schedule, Network, Surrogate};
 use std::time::Duration;
 
 /// Configuration of the full test-generation algorithm (paper Fig. 2 and
@@ -125,32 +125,26 @@ pub fn calibrate_t_in_min(
     start: usize,
     max: usize,
 ) -> usize {
+    let stage_cfg = StageConfig {
+        lr: cfg.lr,
+        tau: cfg.tau,
+        surrogate: cfg.surrogate,
+        stochastic: cfg.stochastic,
+        ..StageConfig::default()
+    };
+    let steps = (cfg.stage1_steps / 4).max(10);
     let mut t = start.max(1);
-    let num_layers = net.layers().len();
     loop {
-        // Short L1-only optimization at duration t.
-        let mut logits = init_logits(rng, t, net.input_features());
-        let mut adam = snn_model::optim::Adam::new(logits.shape().clone());
-        let steps = (cfg.stage1_steps / 4).max(10);
-        let mut satisfied = false;
-        for k in 0..steps {
-            let sample = if cfg.stochastic {
-                snn_model::gumbel::GumbelSample::stochastic(rng, &logits, cfg.tau.at(k))
-            } else {
-                snn_model::gumbel::GumbelSample::deterministic(&logits, cfg.tau.at(k))
-            };
-            let trace = net.forward(&sample.binary, RecordOptions::full());
-            let mut inj = InjectedGrads::none(num_layers);
-            let l1 = losses::l1_output_activation(net, &trace, &mut inj);
-            // snn-lint: allow(L-FLOATEQ): L1 sums exact 0.0/1.0 spike values, so an exactly-zero loss is meaningful
-            if l1 == 0.0 {
-                satisfied = true;
-                break;
-            }
-            let grads = net.backward(&sample.binary, &trace, &inj, cfg.surrogate, false);
-            let g = sample.grad_logits(&grads.input);
-            adam.step(&mut logits, &g, cfg.lr.at(k));
-        }
+        // Short L1-only optimization at duration t. L1 has no gradient
+        // left exactly when every output neuron fired.
+        let logits = init_logits(rng, t, net.input_features());
+        let mut descent = Descent::new(net, &stage_cfg, logits, None);
+        let satisfied = (0..steps).any(|k| {
+            !descent.step(rng, k, |trace, inj| {
+                losses::l1_output_activation(net, trace, 1.0, inj);
+                None
+            })
+        });
         if satisfied || t >= max {
             return t.min(max);
         }
@@ -240,7 +234,6 @@ impl<'a> TestGenerator<'a> {
         });
 
         let layout = self.net.neuron_layout();
-        let num_layers = self.net.layers().len();
         // Per-layer activation bookkeeping (𝒩_A).
         let mut activated: Vec<Vec<bool>> = self
             .net
@@ -376,7 +369,6 @@ impl<'a> TestGenerator<'a> {
             global.extend_from_slice(&activated[layer][..count]);
         }
         debug_assert_eq!(global.len(), total_neurons);
-        let _ = num_layers;
 
         let mut test = GeneratedTest::from_chunks(chunks, self.net.input_features(), global);
         test.runtime = elapsed();
@@ -404,7 +396,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_model::{LifParams, NetworkBuilder};
+    use snn_model::{LifParams, NetworkBuilder, RecordOptions};
 
     fn net(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -1,9 +1,12 @@
 //! The paper's five loss functions over spike trains, with analytic
 //! (sub)gradients delivered as per-layer [`InjectedGrads`] for BPTT.
 //!
-//! All losses take the full forward [`Trace`] and *add* their gradient
-//! contribution into an `InjectedGrads` accumulator, so a stage can
-//! scalarize any subset with weights `α_i` (Eq. 6) in one backward pass.
+//! All losses take the full forward [`Trace`] and *add* `alpha` times
+//! their gradient into an `InjectedGrads` accumulator, so a stage
+//! scalarizes any subset with weights `α_i` (Eq. 6) into one set of
+//! buffers and runs one backward pass. Each term `α_i·∂L_i` is rounded
+//! before it is added, and terms arrive in the order the losses are
+//! called in.
 //!
 //! Conventions:
 //!
@@ -17,7 +20,7 @@
 //!   `L2`/`L3`).
 
 use snn_model::{InjectedGrads, Layer, Network, Trace};
-use snn_tensor::{Shape, Tensor};
+use snn_tensor::Tensor;
 
 /// Per-layer boolean masks selecting which neurons a loss targets
 /// (`None` = all neurons of that layer). Aligned with `Network::layers()`.
@@ -40,28 +43,53 @@ fn targeted(mask: &TargetMask, layer: usize, neuron: usize) -> bool {
     }
 }
 
-/// `L1` (Eq. 9): every **output** neuron must fire at least once during
-/// the inference window. Returns the loss value and adds `∂L1/∂O^L`.
-pub fn l1_output_activation(net: &Network, trace: &Trace, inj: &mut InjectedGrads) -> f32 {
-    let last = net.layers().len() - 1;
-    let c = counts(trace, last);
-    let steps = trace.steps;
-    let n = c.len();
-    let mut value = 0.0;
-    let mut grad = Tensor::zeros(Shape::d2(steps, n));
-    let gd = grad.as_mut_slice();
-    for (i, &cnt) in c.iter().enumerate() {
-        let deficit = 1.0 - cnt;
-        if deficit > 0.0 {
-            value += deficit;
-            for t in 0..steps {
-                gd[t * n + i] = -1.0;
-            }
+/// Adds `coef[i]` to `∂L/∂s[t, i]` of `layer` at every tick `t`: the
+/// gradient of a loss on spike *counts*, one contiguous row at a time.
+fn inject_per_tick(inj: &mut InjectedGrads, layer: usize, steps: usize, coef: &[f32]) {
+    for row in inj.accumulate(layer, steps, coef.len()).chunks_exact_mut(coef.len().max(1)) {
+        for (g, c) in row.iter_mut().zip(coef) {
+            *g += c;
         }
     }
-    if value > 0.0 {
-        inj.set(last, grad);
+}
+
+/// The hinge `L1` and `L2` share: every selected neuron of `layer` that
+/// never fired adds its deficit `1 − count` to `value` and is pushed up
+/// by `alpha` at every tick.
+fn inject_activation_deficit(
+    trace: &Trace,
+    layer: usize,
+    selected: impl Fn(usize) -> bool,
+    alpha: f32,
+    inj: &mut InjectedGrads,
+    value: &mut f32,
+) {
+    let c = counts(trace, layer);
+    let mut coef = vec![0.0f32; c.len()];
+    let mut any = false;
+    for (i, &cnt) in c.iter().enumerate() {
+        let deficit = 1.0 - cnt;
+        if selected(i) && deficit > 0.0 {
+            *value += deficit;
+            any = true;
+            coef[i] = -alpha;
+        }
     }
+    if any {
+        inject_per_tick(inj, layer, trace.steps, &coef);
+    }
+}
+
+/// `L1` (Eq. 9): every **output** neuron must fire at least once during
+/// the inference window. Returns the loss value and adds `alpha·∂L1/∂O^L`.
+pub fn l1_output_activation(
+    net: &Network,
+    trace: &Trace,
+    alpha: f32,
+    inj: &mut InjectedGrads,
+) -> f32 {
+    let mut value = 0.0;
+    inject_activation_deficit(trace, net.layers().len() - 1, |_| true, alpha, inj, &mut value);
     value
 }
 
@@ -71,36 +99,14 @@ pub fn l2_neuron_activation(
     net: &Network,
     trace: &Trace,
     mask: &TargetMask,
+    alpha: f32,
     inj: &mut InjectedGrads,
 ) -> f32 {
-    let steps = trace.steps;
     let mut value = 0.0;
     for (idx, layer) in net.layers().iter().enumerate() {
-        if !layer.is_spiking() {
-            continue;
-        }
-        let c = counts(trace, idx);
-        let n = c.len();
-        let mut grad = Tensor::zeros(Shape::d2(steps, n));
-        let mut any = false;
-        {
-            let gd = grad.as_mut_slice();
-            for (i, &cnt) in c.iter().enumerate() {
-                if !targeted(mask, idx, i) {
-                    continue;
-                }
-                let deficit = 1.0 - cnt;
-                if deficit > 0.0 {
-                    value += deficit;
-                    any = true;
-                    for t in 0..steps {
-                        gd[t * n + i] = -1.0;
-                    }
-                }
-            }
-        }
-        if any {
-            inj.set(idx, grad);
+        if layer.is_spiking() {
+            let selected = |i| targeted(mask, idx, i);
+            inject_activation_deficit(trace, idx, selected, alpha, inj, &mut value);
         }
     }
     value
@@ -122,6 +128,7 @@ pub fn l3_temporal_diversity(
     trace: &Trace,
     mask: &TargetMask,
     td_min: f32,
+    alpha: f32,
     inj: &mut InjectedGrads,
 ) -> f32 {
     let steps = trace.steps;
@@ -132,38 +139,37 @@ pub fn l3_temporal_diversity(
         }
         let n = layer.out_features();
         let out = trace.layers[idx].output.as_slice();
-        let mut grad = Tensor::zeros(Shape::d2(steps, n));
-        let mut any = false;
-        {
-            let gd = grad.as_mut_slice();
-            for i in 0..n {
-                if !targeted(mask, idx, i) {
-                    continue;
-                }
-                let mut td = 0.0f32;
-                for t in 1..steps {
-                    td += (out[t * n + i] - out[(t - 1) * n + i]).abs();
-                }
-                let deficit = td_min - td;
-                if deficit > 0.0 {
-                    value += deficit;
-                    any = true;
-                    // d(−TD)/dO(t): pushing TD up means flipping states.
-                    for t in 0..steps {
-                        let mut d = 0.0f32;
-                        if t > 0 {
-                            d += 1.0 - 2.0 * out[(t - 1) * n + i];
-                        }
-                        if t + 1 < steps {
-                            d += 1.0 - 2.0 * out[(t + 1) * n + i];
-                        }
-                        gd[t * n + i] += -d;
-                    }
-                }
+        // Every neuron's diversity at once, tick by tick along the rows.
+        let mut td = vec![0.0f32; n];
+        for (prev, next) in out.chunks_exact(n).zip(out.chunks_exact(n).skip(1)) {
+            for ((td, a), b) in td.iter_mut().zip(prev).zip(next) {
+                *td += (b - a).abs();
             }
         }
-        if any {
-            inj.set(idx, grad);
+        let mut short = Vec::new();
+        for (i, &td) in td.iter().enumerate() {
+            let deficit = td_min - td;
+            if targeted(mask, idx, i) && deficit > 0.0 {
+                value += deficit;
+                short.push(i);
+            }
+        }
+        if short.is_empty() {
+            continue;
+        }
+        // d(−TD)/dO(t): pushing TD up means flipping states.
+        let gd = inj.accumulate(idx, steps, n);
+        for t in 0..steps {
+            for &i in &short {
+                let mut d = 0.0f32;
+                if t > 0 {
+                    d += 1.0 - 2.0 * out[(t - 1) * n + i];
+                }
+                if t + 1 < steps {
+                    d += 1.0 - 2.0 * out[(t + 1) * n + i];
+                }
+                gd[t * n + i] += -d * alpha;
+            }
         }
     }
     value
@@ -173,8 +179,12 @@ pub fn l3_temporal_diversity(
 /// `c_j = w_{j,i} · ‖O^{ℓ−1,j}‖₁` to each post-synaptic neuron, summed
 /// over dense/recurrent layers. Uniform contributions stop strong synapses
 /// from masking weak ones.
-pub fn l4_contribution_variance(net: &Network, trace: &Trace, inj: &mut InjectedGrads) -> f32 {
-    let steps = trace.steps;
+pub fn l4_contribution_variance(
+    net: &Network,
+    trace: &Trace,
+    alpha: f32,
+    inj: &mut InjectedGrads,
+) -> f32 {
     let mut value = 0.0;
     for (idx, layer) in net.layers().iter().enumerate() {
         let weight = match layer {
@@ -217,13 +227,8 @@ pub fn l4_contribution_variance(net: &Network, trace: &Trace, inj: &mut Injected
         }
         // snn-lint: allow(L-FLOATEQ): exact-zero test — skips layers whose gradient is identically zero
         if dcount.iter().any(|&d| d != 0.0) {
-            let n_pre = cols;
-            let mut grad = Tensor::zeros(Shape::d2(steps, n_pre));
-            let gd = grad.as_mut_slice();
-            for t in 0..steps {
-                gd[t * n_pre..(t + 1) * n_pre].copy_from_slice(&dcount);
-            }
-            inj.set(idx - 1, grad);
+            dcount.iter_mut().for_each(|d| *d *= alpha);
+            inject_per_tick(inj, idx - 1, trace.steps, &dcount);
         }
     }
     value
@@ -231,17 +236,20 @@ pub fn l4_contribution_variance(net: &Network, trace: &Trace, inj: &mut Injected
 
 /// `L5` (Eq. 16): total hidden spike count — stage 2 minimizes it to keep
 /// fault effects from drowning in refractory periods.
-pub fn l5_hidden_activity(net: &Network, trace: &Trace, inj: &mut InjectedGrads) -> f32 {
-    let steps = trace.steps;
+pub fn l5_hidden_activity(
+    net: &Network,
+    trace: &Trace,
+    alpha: f32,
+    inj: &mut InjectedGrads,
+) -> f32 {
     let last = net.layers().len() - 1;
     let mut value = 0.0;
     for (idx, layer) in net.layers().iter().enumerate() {
         if idx == last || !layer.is_spiking() {
             continue;
         }
-        let n = layer.out_features();
         value += trace.layers[idx].output.sum();
-        inj.set(idx, Tensor::full(Shape::d2(steps, n), 1.0));
+        inject_per_tick(inj, idx, trace.steps, &vec![alpha; layer.out_features()]);
     }
     value
 }
@@ -265,8 +273,10 @@ pub fn output_preservation(
     let diff = out - reference;
     let value = mu * diff.l1_norm();
     if value > 0.0 {
-        let grad = diff.map(|d| mu * d.signum());
-        inj.set(last, grad);
+        let grad = inj.accumulate(last, trace.steps, net.output_features());
+        for (g, d) in grad.iter_mut().zip(diff.as_slice()) {
+            *g += mu * d.signum();
+        }
     }
     value
 }
@@ -287,6 +297,7 @@ pub fn l6_saturation_margin(
     net: &Network,
     trace: &Trace,
     margin: f32,
+    alpha: f32,
     inj: &mut InjectedGrads,
 ) -> f32 {
     assert!((0.0..=1.0).contains(&margin), "margin must be in [0, 1]");
@@ -298,24 +309,18 @@ pub fn l6_saturation_margin(
         let max_count = steps as f32 / (lif.refrac_steps as f32 + 1.0);
         let cap = margin * max_count;
         let c = counts(trace, idx);
-        let n = c.len();
-        let mut grad = Tensor::zeros(Shape::d2(steps, n));
+        let mut coef = vec![0.0f32; c.len()];
         let mut any = false;
-        {
-            let gd = grad.as_mut_slice();
-            for (i, &cnt) in c.iter().enumerate() {
-                let excess = cnt - cap;
-                if excess > 0.0 {
-                    value += excess;
-                    any = true;
-                    for t in 0..steps {
-                        gd[t * n + i] = 1.0; // push the count down
-                    }
-                }
+        for (i, &cnt) in c.iter().enumerate() {
+            let excess = cnt - cap;
+            if excess > 0.0 {
+                value += excess;
+                any = true;
+                coef[i] = alpha; // push the count down
             }
         }
         if any {
-            inj.set(idx, grad);
+            inject_per_tick(inj, idx, steps, &coef);
         }
     }
     value
@@ -334,6 +339,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_model::{LifParams, NetworkBuilder, RecordOptions};
+    use snn_tensor::Shape;
 
     fn small_net(seed: u64) -> Network {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -351,7 +357,7 @@ mod tests {
         let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, 5), 0.9);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l1_output_activation(&net, &trace, &mut inj);
+        let v = l1_output_activation(&net, &trace, 1.0, &mut inj);
         let out_counts = trace.class_counts();
         if out_counts.iter().all(|&c| c >= 1.0) {
             assert_eq!(v, 0.0);
@@ -367,7 +373,7 @@ mod tests {
         let input = Tensor::zeros(Shape::d2(10, 5));
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l1_output_activation(&net, &trace, &mut inj);
+        let v = l1_output_activation(&net, &trace, 1.0, &mut inj);
         assert_eq!(v, 3.0); // three silent outputs, deficit 1 each
                             // gradient pushes spikes up (negative, since loss falls as count rises)
         let g = inj.layer(1).unwrap();
@@ -387,7 +393,7 @@ mod tests {
         mask[0] = Some(layer0);
         mask[1] = Some(vec![false; 3]);
         let mut inj = InjectedGrads::none(2);
-        let v = l2_neuron_activation(&net, &trace, &mask, &mut inj);
+        let v = l2_neuron_activation(&net, &trace, &mask, 1.0, &mut inj);
         assert_eq!(v, 1.0);
         let g = inj.layer(0).unwrap();
         // only column 2 non-zero
@@ -415,9 +421,9 @@ mod tests {
         let trace = net.forward(&input, RecordOptions::full());
         let mask = full_mask(&net);
         let mut inj = InjectedGrads::none(2);
-        let v_low = l3_temporal_diversity(&net, &trace, &mask, 0.5, &mut inj);
+        let v_low = l3_temporal_diversity(&net, &trace, &mask, 0.5, 1.0, &mut inj);
         let mut inj2 = InjectedGrads::none(2);
-        let v_high = l3_temporal_diversity(&net, &trace, &mask, 100.0, &mut inj2);
+        let v_high = l3_temporal_diversity(&net, &trace, &mask, 100.0, 1.0, &mut inj2);
         assert!(v_high > v_low);
         assert!(v_high > 0.0);
     }
@@ -432,7 +438,7 @@ mod tests {
         let input = Tensor::zeros(Shape::d2(5, 1));
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(1);
-        let v = l3_temporal_diversity(&net, &trace, &full_mask(&net), 2.0, &mut inj);
+        let v = l3_temporal_diversity(&net, &trace, &full_mask(&net), 2.0, 1.0, &mut inj);
         assert_eq!(v, 2.0);
         let g = inj.layer(0).unwrap();
         assert_eq!(g[[2, 0]], -2.0);
@@ -455,7 +461,7 @@ mod tests {
         let input = Tensor::full(Shape::d2(12, 2), 1.0);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l4_contribution_variance(&net, &trace, &mut inj);
+        let v = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
         assert!(v.abs() < 1e-6, "v={v}");
     }
 
@@ -475,7 +481,7 @@ mod tests {
         let input = Tensor::full(Shape::d2(20, 2), 1.0);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l4_contribution_variance(&net, &trace, &mut inj);
+        let v = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
         assert!(v > 0.0);
         assert!(inj.layer(0).is_some(), "gradient lands on pre-synaptic spikes");
     }
@@ -487,7 +493,7 @@ mod tests {
         let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(25, 5), 0.9);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l5_hidden_activity(&net, &trace, &mut inj);
+        let v = l5_hidden_activity(&net, &trace, 1.0, &mut inj);
         assert_eq!(v, trace.layers[0].output.sum());
         let g = inj.layer(0).unwrap();
         assert!(g.as_slice().iter().all(|&x| x == 1.0));
@@ -533,7 +539,7 @@ mod tests {
         assert_eq!(trace.layers[0].spike_counts(), vec![10.0, 0.0]);
 
         let mut inj = InjectedGrads::none(1);
-        let v = l6_saturation_margin(&net, &trace, 0.8, &mut inj);
+        let v = l6_saturation_margin(&net, &trace, 0.8, 1.0, &mut inj);
         assert!(v > 0.0);
         let g = inj.layer(0).unwrap();
         assert_eq!(g[[0, 0]], 1.0, "saturated neuron pushed down");
@@ -541,7 +547,7 @@ mod tests {
 
         // With a permissive margin nothing is penalized.
         let mut inj2 = InjectedGrads::none(1);
-        assert_eq!(l6_saturation_margin(&net, &trace, 1.0, &mut inj2), 0.0);
+        assert_eq!(l6_saturation_margin(&net, &trace, 1.0, 1.0, &mut inj2), 0.0);
         assert!(inj2.is_empty());
     }
 
@@ -552,7 +558,7 @@ mod tests {
         let net = NetworkBuilder::new(1, LifParams::default()).dense(1).build(&mut rng);
         let trace = net.forward(&Tensor::zeros(Shape::d2(2, 1)), RecordOptions::full());
         let mut inj = InjectedGrads::none(1);
-        let _ = l6_saturation_margin(&net, &trace, 1.5, &mut inj);
+        let _ = l6_saturation_margin(&net, &trace, 1.5, 1.0, &mut inj);
     }
 
     #[test]

@@ -115,6 +115,90 @@ impl StageOutcome {
     }
 }
 
+/// The optimizer state and the buffers one stage owns for all of its
+/// steps, and the one place the input-optimization step is spelled out:
+/// sample → forward → losses → BPTT → STE → Adam (paper Fig. 3). Stage 1,
+/// stage 2 and the `T_in,min` calibration differ only in the losses they
+/// hand to [`step`](Self::step).
+pub(crate) struct Descent<'a> {
+    net: &'a Network,
+    cfg: &'a StageConfig,
+    logits: Tensor,
+    adam: Adam,
+    sample: GumbelSample,
+    inj: InjectedGrads,
+    /// The best stimulus so far, by the scores `step`'s callers report.
+    best: Option<StageOutcome>,
+}
+
+impl<'a> Descent<'a> {
+    /// A descent from `logits`, to beat `best` if given.
+    pub(crate) fn new(
+        net: &'a Network,
+        cfg: &'a StageConfig,
+        logits: Tensor,
+        best: Option<StageOutcome>,
+    ) -> Self {
+        Self {
+            net,
+            cfg,
+            adam: Adam::new(logits.shape().clone()),
+            sample: GumbelSample::unsampled(&logits),
+            inj: InjectedGrads::none(net.layers().len()),
+            logits,
+            best,
+        }
+    }
+
+    /// Optimization step `k`. `losses` evaluates the caller's loss terms
+    /// on the step's trace, adding their scaled gradients into the
+    /// (cleared) accumulator it is handed, and returns the step's score if
+    /// its stimulus may stand as the best so far — lower wins. Returns
+    /// `false`, leaving the logits as they were, once no loss has any
+    /// gradient left: there is nothing more to optimize.
+    pub(crate) fn step(
+        &mut self,
+        rng: &mut impl Rng,
+        k: usize,
+        losses: impl FnOnce(&Trace, &mut InjectedGrads) -> Option<f32>,
+    ) -> bool {
+        let tau = self.cfg.tau.at(k);
+        snn_obs::gauge!("snn_testgen_gumbel_tau", "Current Gumbel-Softmax temperature.")
+            .set(f64::from(tau));
+        {
+            let _span = snn_obs::span!("stage.sample");
+            self.sample.resample(self.cfg.stochastic.then_some(rng), &self.logits, tau);
+        }
+        let input = &self.sample.binary;
+        let trace = self.net.forward(input, RecordOptions::full());
+        self.inj.clear();
+        let score = {
+            let _span = snn_obs::span!("stage.losses");
+            losses(&trace, &mut self.inj)
+        };
+        let improved = score.filter(|&s| self.best.as_ref().is_none_or(|b| s < b.best_loss));
+        let grads = (!self.inj.is_empty())
+            .then(|| self.net.backward(input, &trace, &self.inj, self.cfg.surrogate, false));
+
+        let _span = snn_obs::span!("stage.update");
+        if let Some(best_loss) = improved {
+            // BPTT is done with the trace, so it moves instead of being
+            // cloned; the logits are still those the sample was drawn from.
+            self.best = Some(StageOutcome {
+                best_input: input.clone(),
+                best_logits: self.logits.clone(),
+                best_loss,
+                best_trace: trace,
+                loss_history: Vec::new(),
+            });
+        }
+        let Some(mut grads) = grads else { return false };
+        self.sample.grad_logits(&mut grads.input);
+        self.adam.step(&mut self.logits, &grads.input, self.cfg.lr.at(k));
+        true
+    }
+}
+
 /// One gradient-based input-optimization stage over a fixed network.
 ///
 /// See the crate-level example; stages are normally driven by
@@ -148,7 +232,7 @@ impl<'a> Stage<'a> {
     pub fn run_stage1(
         &self,
         rng: &mut impl Rng,
-        mut logits: Tensor,
+        logits: Tensor,
         mask: &TargetMask,
     ) -> StageOutcome {
         assert_eq!(
@@ -159,108 +243,68 @@ impl<'a> Stage<'a> {
         assert!(self.cfg.steps > 0, "stage needs at least one optimization step");
         let mut stage_span = snn_obs::span!("stage1");
         stage_span.attr("steps", self.cfg.steps);
-        let num_layers = self.net.layers().len();
-        let mut adam = Adam::new(logits.shape().clone());
+        let mut descent = Descent::new(self.net, &self.cfg, logits, None);
         let mut alphas: Option<Vec<f32>> = None;
-        let mut best: Option<StageOutcome> = None;
         let mut history = Vec::with_capacity(self.cfg.steps);
 
         for k in 0..self.cfg.steps {
-            let tau = self.cfg.tau.at(k);
-            snn_obs::gauge!("snn_testgen_gumbel_tau", "Current Gumbel-Softmax temperature.")
-                .set(f64::from(tau));
-            let sample = if self.cfg.stochastic {
-                GumbelSample::stochastic(rng, &logits, tau)
-            } else {
-                GumbelSample::deterministic(&logits, tau)
-            };
-            let trace = self.net.forward(&sample.binary, RecordOptions::full());
-
-            // Evaluate the stage-1 losses (plus the optional L6
-            // extension), each into its own gradient accumulator so they
-            // can be scalarized with α.
-            let losses_span = snn_obs::span!("stage1.losses");
-            let mut parts: [(f32, InjectedGrads); 5] = [
-                (0.0, InjectedGrads::none(num_layers)),
-                (0.0, InjectedGrads::none(num_layers)),
-                (0.0, InjectedGrads::none(num_layers)),
-                (0.0, InjectedGrads::none(num_layers)),
-                (0.0, InjectedGrads::none(num_layers)),
-            ];
-            parts[0].0 =
-                timed_loss!("l1", losses::l1_output_activation(self.net, &trace, &mut parts[0].1));
-            parts[1].0 = timed_loss!(
-                "l2",
-                losses::l2_neuron_activation(self.net, &trace, mask, &mut parts[1].1)
-            );
-            if self.cfg.use_l3 {
-                parts[2].0 = timed_loss!(
-                    "l3",
-                    losses::l3_temporal_diversity(
-                        self.net,
-                        &trace,
-                        mask,
-                        self.cfg.td_min,
-                        &mut parts[2].1,
-                    )
-                );
-            }
-            if self.cfg.use_l4 {
-                parts[3].0 = timed_loss!(
-                    "l4",
-                    losses::l4_contribution_variance(self.net, &trace, &mut parts[3].1)
-                );
-            }
-            if self.cfg.use_l6 {
-                parts[4].0 = timed_loss!(
-                    "l6",
-                    losses::l6_saturation_margin(
-                        self.net,
-                        &trace,
-                        self.cfg.l6_margin,
-                        &mut parts[4].1,
-                    )
-                );
-            }
-            drop(losses_span);
-
-            let a = alphas.get_or_insert_with(|| {
-                losses::balance_weights(&[
-                    parts[0].0, parts[1].0, parts[2].0, parts[3].0, parts[4].0,
-                ])
-            });
-            let total: f32 = parts.iter().zip(a.iter()).map(|((v, _), al)| v * al).sum();
-            history.push(total);
-
-            if best.as_ref().is_none_or(|b| total < b.best_loss) {
-                best = Some(StageOutcome {
-                    best_input: sample.binary.clone(),
-                    best_logits: logits.clone(),
-                    best_loss: total,
-                    best_trace: trace.clone(),
-                    loss_history: Vec::new(),
+            let more = descent.step(rng, k, |trace, inj| {
+                let a = alphas.get_or_insert_with(|| {
+                    // The weights come from the first step's loss values,
+                    // so that step evaluates the losses twice: unscaled
+                    // for the values, then again for the scaled gradients.
+                    let values = self.stage1_losses(trace, mask, &[1.0; 5], inj);
+                    inj.clear();
+                    losses::balance_weights(&values)
                 });
-            }
-
-            // Scalarize gradients and take one Adam step.
-            let mut inj = InjectedGrads::none(num_layers);
-            for ((_, grads), &alpha) in parts.iter().zip(a.iter()) {
-                merge_scaled(&mut inj, grads, alpha);
-            }
-            if inj.is_empty() {
+                let values = self.stage1_losses(trace, mask, a, inj);
+                let total: f32 = values.iter().zip(a.iter()).map(|(v, al)| v * al).sum();
+                history.push(total);
+                Some(total)
+            });
+            if !more {
                 break; // perfect loss — nothing left to optimize
             }
-            let backward_span = snn_obs::span!("stage1.backward");
-            let grads = self.net.backward(&sample.binary, &trace, &inj, self.cfg.surrogate, false);
-            let g_logits = sample.grad_logits(&grads.input);
-            adam.step(&mut logits, &g_logits, self.cfg.lr.at(k));
-            drop(backward_span);
         }
 
-        // snn-lint: allow(L-PANIC): the entry assert guarantees steps ≥ 1, so `best` is always Some
-        let mut out = best.expect("stage ran at least one step");
+        // snn-lint: allow(L-PANIC): the entry assert guarantees steps ≥ 1, and the first step's score always stands
+        let mut out = descent.best.expect("stage ran at least one step");
         out.loss_history = history;
         out
+    }
+
+    /// The stage-1 losses `L1..L4` (plus the optional `L6` extension) on
+    /// `trace`, each adding `alphas[i]` times its gradient into `inj`;
+    /// a loss the configuration turns off reads 0.
+    fn stage1_losses(
+        &self,
+        trace: &Trace,
+        mask: &TargetMask,
+        alphas: &[f32],
+        inj: &mut InjectedGrads,
+    ) -> [f32; 5] {
+        let (net, cfg) = (self.net, &self.cfg);
+        let mut values = [0.0f32; 5];
+        values[0] = timed_loss!("l1", losses::l1_output_activation(net, trace, alphas[0], inj));
+        values[1] =
+            timed_loss!("l2", losses::l2_neuron_activation(net, trace, mask, alphas[1], inj));
+        if cfg.use_l3 {
+            values[2] = timed_loss!(
+                "l3",
+                losses::l3_temporal_diversity(net, trace, mask, cfg.td_min, alphas[2], inj)
+            );
+        }
+        if cfg.use_l4 {
+            values[3] =
+                timed_loss!("l4", losses::l4_contribution_variance(net, trace, alphas[3], inj));
+        }
+        if cfg.use_l6 {
+            values[4] = timed_loss!(
+                "l6",
+                losses::l6_saturation_margin(net, trace, cfg.l6_margin, alphas[4], inj)
+            );
+        }
+        values
     }
 
     /// Stage 2 (Eq. 15): starting from the stage-1 optimum, minimize the
@@ -270,63 +314,39 @@ impl<'a> Stage<'a> {
     pub fn run_stage2(&self, rng: &mut impl Rng, stage1: &StageOutcome) -> StageOutcome {
         let mut stage_span = snn_obs::span!("stage2");
         stage_span.attr("steps", self.cfg.steps);
-        let num_layers = self.net.layers().len();
-        let reference = stage1.best_trace.output().clone();
-        let mut logits = stage1.best_logits.clone();
-        let mut adam = Adam::new(logits.shape().clone());
+        let reference = stage1.best_trace.output();
         let mut history = Vec::with_capacity(self.cfg.steps);
 
         // Baseline: the stage-1 stimulus itself.
-        let mut best = StageOutcome {
+        let baseline = StageOutcome {
             best_input: stage1.best_input.clone(),
             best_logits: stage1.best_logits.clone(),
             best_loss: hidden_spikes(self.net, &stage1.best_trace),
             best_trace: stage1.best_trace.clone(),
             loss_history: Vec::new(),
         };
-        let alpha5 = 1.0 / best.best_loss.max(1e-3);
+        let alpha5 = 1.0 / baseline.best_loss.max(1e-3);
+        let mut descent =
+            Descent::new(self.net, &self.cfg, stage1.best_logits.clone(), Some(baseline));
 
         for k in 0..self.cfg.steps {
-            let tau = self.cfg.tau.at(k);
-            let sample = if self.cfg.stochastic {
-                GumbelSample::stochastic(rng, &logits, tau)
-            } else {
-                GumbelSample::deterministic(&logits, tau)
-            };
-            let trace = self.net.forward(&sample.binary, RecordOptions::full());
-
-            let mut inj = InjectedGrads::none(num_layers);
-            let l5 = timed_loss!("l5", losses::l5_hidden_activity(self.net, &trace, &mut inj));
-            // Scale the L5 gradient; the preservation penalty adds its own.
-            let mut scaled = InjectedGrads::none(num_layers);
-            merge_scaled(&mut scaled, &inj, alpha5);
-            let mut inj = scaled;
-            let penalty =
-                losses::output_preservation(self.net, &trace, &reference, self.cfg.mu, &mut inj);
-            history.push(alpha5 * l5 + penalty);
-
-            // Hard guard: accept only exact output preservation.
-            // snn-lint: allow(L-FLOATEQ): the penalty counts mismatching exact 0.0/1.0 spikes, so zero is exact
-            if penalty == 0.0 && l5 < best.best_loss {
-                best = StageOutcome {
-                    best_input: sample.binary.clone(),
-                    best_logits: logits.clone(),
-                    best_loss: l5,
-                    best_trace: trace.clone(),
-                    loss_history: Vec::new(),
-                };
-            }
-
-            if inj.is_empty() {
+            let more = descent.step(rng, k, |trace, inj| {
+                let l5 =
+                    timed_loss!("l5", losses::l5_hidden_activity(self.net, trace, alpha5, inj));
+                let penalty =
+                    losses::output_preservation(self.net, trace, reference, self.cfg.mu, inj);
+                history.push(alpha5 * l5 + penalty);
+                // Hard guard: accept only exact output preservation.
+                // snn-lint: allow(L-FLOATEQ): the penalty counts mismatching exact 0.0/1.0 spikes, so zero is exact
+                (penalty == 0.0).then_some(l5)
+            });
+            if !more {
                 break;
             }
-            let backward_span = snn_obs::span!("stage2.backward");
-            let grads = self.net.backward(&sample.binary, &trace, &inj, self.cfg.surrogate, false);
-            let g_logits = sample.grad_logits(&grads.input);
-            adam.step(&mut logits, &g_logits, self.cfg.lr.at(k));
-            drop(backward_span);
         }
 
+        // snn-lint: allow(L-PANIC): the descent started from the stage-1 baseline, so a best always exists
+        let mut best = descent.best.expect("stage 2 starts from a baseline");
         best.loss_history = history;
         best
     }
@@ -341,15 +361,6 @@ fn hidden_spikes(net: &Network, trace: &Trace) -> f32 {
         .filter(|(idx, l)| *idx != last && l.is_spiking())
         .map(|(idx, _)| trace.layers[idx].output.sum())
         .sum()
-}
-
-/// Adds `alpha · src` into `dst`, layer by layer.
-fn merge_scaled(dst: &mut InjectedGrads, src: &InjectedGrads, alpha: f32) {
-    for layer in 0..src.len() {
-        if let Some(g) = src.layer(layer) {
-            dst.set(layer, g * alpha);
-        }
-    }
 }
 
 /// Fresh uniform logits in `[-1, 1)` for a cold-started stage.

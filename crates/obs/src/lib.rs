@@ -25,7 +25,7 @@
 //!   `snn profile --phases` table.
 //!
 //! Metric names follow `snn_<subsystem>_<name>_<unit>`; span names are
-//! lower-case dotted paths (`generate`, `stage1.backward`,
+//! lower-case dotted paths (`generate`, `stage.update`,
 //! `faultsim.worker`). DESIGN.md §11 documents both conventions.
 
 #![warn(missing_docs)]

@@ -43,11 +43,11 @@ pub const SPAN_NAMES: &[&str] = &[
     "generate",
     "generate.calibrate",
     "generate.iteration",
+    "stage.losses",
+    "stage.sample",
+    "stage.update",
     "stage1",
-    "stage1.backward",
-    "stage1.losses",
     "stage2",
-    "stage2.backward",
     // snn-reliability: reliability-impact campaigns.
     "reliability.chunk",
     "reliability.prepare",

@@ -4,7 +4,7 @@
 //! and holds the returned guard for the duration of the region:
 //!
 //! ```
-//! let _g = snn_obs::span!("stage1.backward");
+//! let _g = snn_obs::span!("stage.update");
 //! // … timed work …
 //! ```
 //!
@@ -40,7 +40,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span, if any.
     pub parent: Option<u64>,
-    /// Dotted span name, e.g. `"stage1.backward"`.
+    /// Dotted span name, e.g. `"stage.update"`.
     pub name: String,
     /// Start time in microseconds on the collector's clock.
     pub start_us: u64,
@@ -377,7 +377,7 @@ impl Drop for SpanGuard {
 }
 
 /// Opens a span named by the argument; bind the guard to keep it open:
-/// `let _g = snn_obs::span!("stage1.backward");`
+/// `let _g = snn_obs::span!("stage.update");`
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

@@ -23,12 +23,46 @@ use snn_tensor::{ops, Shape, Tensor};
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectedGrads {
     per_layer: Vec<Option<Tensor>>,
+    /// Buffers [`clear`](Self::clear) took out of `per_layer`, kept so an
+    /// optimizer loop refills them instead of allocating every step.
+    spare: Vec<Option<Tensor>>,
 }
 
 impl InjectedGrads {
     /// No injected gradients on any of the `num_layers` layers.
     pub fn none(num_layers: usize) -> Self {
-        Self { per_layer: vec![None; num_layers] }
+        Self { per_layer: vec![None; num_layers], spare: vec![None; num_layers] }
+    }
+
+    /// Back to no injected gradients on any layer, keeping the buffers
+    /// for the next [`accumulate`](Self::accumulate).
+    pub fn clear(&mut self) {
+        for (live, spare) in self.per_layer.iter_mut().zip(&mut self.spare) {
+            if live.is_some() {
+                *spare = live.take();
+            }
+        }
+    }
+
+    /// The gradient of `layer` (`[steps × n]`, row-major) for a loss to
+    /// add its terms into; all zeros if nothing was injected there yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer` is out of range or a gradient of another shape is
+    /// already registered there.
+    pub fn accumulate(&mut self, layer: usize, steps: usize, n: usize) -> &mut [f32] {
+        let shape = Shape::d2(steps, n);
+        let spare = &mut self.spare[layer];
+        let grad = self.per_layer[layer].get_or_insert_with(|| match spare.take() {
+            Some(mut reused) if *reused.shape() == shape => {
+                reused.fill_zero();
+                reused
+            }
+            _ => Tensor::zeros(shape.clone()),
+        });
+        assert_eq!(*grad.shape(), shape, "injected gradient shape mismatch at layer {layer}");
+        grad.as_mut_slice()
     }
 
     /// Injects `grad` (`[T × n_out]`) on layer `layer`, accumulating with
@@ -136,8 +170,9 @@ fn lif_temporal_backward(
 ) -> Tensor {
     let mut delta_z = Tensor::zeros(Shape::d2(steps, n));
     let mut delta_c = vec![0.0f32; n];
-    // Recurrent spike-gradient contributions flowing from tick t+1 to t.
-    let mut extra = vec![0.0f32; steps * n];
+    // Recurrent spike-gradient contributions flowing from tick t+1 to t;
+    // a feed-forward layer has none and reads one all-zero row instead.
+    let mut extra = vec![0.0f32; if w_rec.is_some() { steps * n } else { n }];
     let og = out_grad.as_slice();
     snn_tensor::sanitize::debug_assert_finite("lif_temporal_backward", "out_grad", og);
     let sp = spikes.as_slice();
@@ -145,10 +180,13 @@ fn lif_temporal_backward(
     let gt = gate.as_slice();
     let mut dz_row = vec![0.0f32; n];
     for t in (0..steps).rev() {
-        let row = t * n;
+        let row = t * n..(t + 1) * n;
+        let (og, pot, sp, gt) =
+            (&og[row.clone()], &pot[row.clone()], &sp[row.clone()], &gt[row.clone()]);
+        let extra_row = if w_rec.is_some() { &extra[row.clone()] } else { &extra[..] };
         for i in 0..n {
             // snn-lint: allow(L-FLOATEQ): integration gates are exact 0.0/1.0 values by construction
-            if gt[row + i] == 0.0 {
+            if gt[i] == 0.0 {
                 // Refractory (or forced) tick: spike is constant and the
                 // carried potential is held at zero, so both gradient
                 // paths are cut.
@@ -156,14 +194,12 @@ fn lif_temporal_backward(
                 dz_row[i] = 0.0;
                 continue;
             }
-            let g_spike = og[row + i] + extra[row + i];
-            let v = pot[row + i];
-            let s = sp[row + i];
-            let dv = g_spike * surrogate.grad(v - threshold) + delta_c[i] * (1.0 - s);
+            let g_spike = og[i] + extra_row[i];
+            let dv = g_spike * surrogate.grad(pot[i] - threshold) + delta_c[i] * (1.0 - sp[i]);
             dz_row[i] = dv;
             delta_c[i] = dv * leak;
         }
-        delta_z.as_mut_slice()[row..row + n].copy_from_slice(&dz_row);
+        delta_z.as_mut_slice()[row].copy_from_slice(&dz_row);
         if let Some(w) = w_rec {
             if t > 0 {
                 ops::matvec_t_acc(w, &dz_row, &mut extra[(t - 1) * n..t * n]);
@@ -290,7 +326,7 @@ impl Network {
                 Layer::Pool(l) => {
                     // Linear pass-through: avg-pool backward per tick.
                     let (h, w) = l.in_hw;
-                    let ogd = out_grad.as_slice().to_vec();
+                    let ogd = out_grad.as_slice();
                     let igd = in_grad.as_mut_slice();
                     for t in 0..steps {
                         ops::avg_pool2d_backward(

@@ -37,41 +37,50 @@ impl GumbelSample {
     /// Samples the pipeline stochastically: logistic noise is added to the
     /// logits before the temperature-scaled sigmoid.
     pub fn stochastic(rng: &mut impl Rng, logits: &Tensor, tau: f32) -> Self {
-        Self::build(
-            logits,
-            tau,
-            |rng_| {
-                let u: f32 = rng_.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
-                (u / (1.0 - u)).ln()
-            },
-            rng,
-        )
+        let mut sample = Self::unsampled(logits);
+        sample.resample(Some(rng), logits, tau);
+        sample
     }
 
     /// Deterministic pipeline (no noise): `I_soft = σ(I_real/τ)`.
     pub fn deterministic(logits: &Tensor, tau: f32) -> Self {
-        struct NoRng;
-        Self::build(logits, tau, |_: &mut NoRng| 0.0, &mut NoRng)
+        let mut sample = Self::unsampled(logits);
+        sample.resample(None::<&mut rand::rngs::StdRng>, logits, tau);
+        sample
     }
 
-    fn build<R>(
-        logits: &Tensor,
-        tau: f32,
-        mut noise: impl FnMut(&mut R) -> f32,
-        rng: &mut R,
-    ) -> Self {
+    /// All-zero buffers shaped like `logits`, for
+    /// [`resample`](Self::resample) to fill.
+    pub fn unsampled(logits: &Tensor) -> Self {
+        let zeros = Tensor::zeros(logits.shape().clone());
+        Self { soft: zeros.clone(), binary: zeros, tau: 1.0 }
+    }
+
+    /// Draws the sample anew in place — with logistic noise from `rng`,
+    /// or deterministically without one — so that an optimizer loop
+    /// samples every step into the same two buffers. Same values, and
+    /// the same draws from `rng` in the same order, as a fresh
+    /// [`stochastic`](Self::stochastic)/[`deterministic`](Self::deterministic)
+    /// sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` is not positive or `logits` has another shape than
+    /// the sample.
+    pub fn resample(&mut self, mut rng: Option<&mut impl Rng>, logits: &Tensor, tau: f32) {
         assert!(tau > 0.0, "temperature must be positive, got {tau}");
-        let soft = logits.map(|_| 0.0); // placeholder shape clone
-        let mut soft_data = Vec::with_capacity(logits.len());
-        for &l in logits.as_slice() {
-            let g = noise(rng);
-            soft_data.push(sigmoid((l + g) / tau));
+        assert_eq!(logits.shape(), self.soft.shape(), "logit shape must match the sample");
+        self.tau = tau;
+        let out = self.soft.as_mut_slice().iter_mut().zip(self.binary.as_mut_slice());
+        for (&l, (soft, binary)) in logits.as_slice().iter().zip(out) {
+            let g = rng.as_mut().map_or(0.0, |rng| {
+                let u: f32 = rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
+                (u / (1.0 - u)).ln()
+            });
+            *soft = sigmoid((l + g) / tau);
+            // The straight-through estimator's forward pass.
+            *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
         }
-        let soft = Tensor::from_vec(soft.shape().clone(), soft_data)
-            // snn-lint: allow(L-PANIC): soft_data has one element per logit, so the shape always matches
-            .expect("shape preserved by construction");
-        let binary = soft.binarize(0.5);
-        Self { soft, binary, tau }
     }
 
     /// The temperature this sample was drawn at.
@@ -79,8 +88,8 @@ impl GumbelSample {
         self.tau
     }
 
-    /// Backward pass: given `∂L/∂I_in` (the gradient that BPTT delivered at
-    /// the binary network input), returns `∂L/∂I_real`.
+    /// Backward pass: turns `∂L/∂I_in` (the gradient that BPTT delivered
+    /// at the binary network input) into `∂L/∂I_real`, in place.
     ///
     /// The straight-through estimator passes the gradient unchanged through
     /// the binarization; the concrete relaxation contributes
@@ -88,16 +97,13 @@ impl GumbelSample {
     ///
     /// # Panics
     ///
-    /// Panics if `grad_binary` has a different shape.
-    pub fn grad_logits(&self, grad_binary: &Tensor) -> Tensor {
-        assert_eq!(grad_binary.shape(), self.soft.shape(), "gradient shape must match the sample");
+    /// Panics if `grad` has a different shape.
+    pub fn grad_logits(&self, grad: &mut Tensor) {
+        assert_eq!(grad.shape(), self.soft.shape(), "gradient shape must match the sample");
         let inv_tau = 1.0 / self.tau;
-        let mut out = grad_binary.clone();
-        let s = self.soft.as_slice();
-        for (g, &sv) in out.as_mut_slice().iter_mut().zip(s.iter()) {
+        for (g, &sv) in grad.as_mut_slice().iter_mut().zip(self.soft.as_slice()) {
             *g *= sv * (1.0 - sv) * inv_tau;
         }
-        out
     }
 }
 
@@ -139,7 +145,8 @@ mod tests {
     fn grad_logits_scales_by_concrete_derivative() {
         let logits = Tensor::from_vec(Shape::d1(2), vec![0.0, 4.0]).unwrap();
         let s = GumbelSample::deterministic(&logits, 1.0);
-        let g = s.grad_logits(&Tensor::full(Shape::d1(2), 1.0));
+        let mut g = Tensor::full(Shape::d1(2), 1.0);
+        s.grad_logits(&mut g);
         // at logit 0: σ=0.5 ⇒ derivative 0.25; at logit 4: σ≈0.982 ⇒ ≈0.0177
         assert!((g[0] - 0.25).abs() < 1e-4);
         assert!(g[1] < 0.05);
@@ -150,7 +157,8 @@ mod tests {
     fn saturated_logits_receive_vanishing_gradient() {
         let logits = Tensor::from_vec(Shape::d1(1), vec![50.0]).unwrap();
         let s = GumbelSample::deterministic(&logits, 0.9);
-        let g = s.grad_logits(&Tensor::full(Shape::d1(1), 1.0));
+        let mut g = Tensor::full(Shape::d1(1), 1.0);
+        s.grad_logits(&mut g);
         assert!(g[0].abs() < 1e-6);
     }
 
@@ -160,6 +168,17 @@ mod tests {
         let a = GumbelSample::stochastic(&mut StdRng::seed_from_u64(5), &logits, 0.9);
         let b = GumbelSample::stochastic(&mut StdRng::seed_from_u64(5), &logits, 0.9);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn resampling_in_place_equals_a_fresh_sample() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let logits = snn_tensor::init::uniform(&mut rng, Shape::d2(4, 9), -2.0, 2.0);
+        let mut reused = GumbelSample::deterministic(&Tensor::zeros(Shape::d2(4, 9)), 0.4);
+        reused.resample(Some(&mut StdRng::seed_from_u64(8)), &logits, 0.7);
+        assert_eq!(reused, GumbelSample::stochastic(&mut StdRng::seed_from_u64(8), &logits, 0.7));
+        reused.resample(None::<&mut StdRng>, &logits, 0.6);
+        assert_eq!(reused, GumbelSample::deterministic(&logits, 0.6));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! ```
 //!
 //! The format is self-describing enough to rebuild the exact [`Network`];
-//! [`Network::load`] validates the magic, geometry chaining and weight
-//! lengths and fails with [`std::io::ErrorKind::InvalidData`] otherwise.
+//! [`Network::load`] validates the magic, geometry (chaining, kernels that
+//! fit their padded input, pooling windows that tile theirs), weight
+//! lengths and weight finiteness, and fails with
+//! [`std::io::ErrorKind::InvalidData`] otherwise.
 
 use crate::{ConvLayer, DenseLayer, Layer, LifParams, Network, PoolLayer, RecurrentLayer};
 use snn_tensor::{ops::Conv2dSpec, Shape, Tensor};
@@ -83,7 +85,13 @@ fn read_tensor(r: &mut impl Read, shape: Shape) -> io::Result<Tensor> {
     }
     let mut data = Vec::with_capacity(len);
     for _ in 0..len {
-        data.push(read_f32(r)?);
+        let v = read_f32(r)?;
+        // The zero-skipping kernels rest on `0 · w = ±0`, which an
+        // infinite or NaN weight breaks.
+        if !v.is_finite() {
+            return Err(bad(format!("non-finite weight {v} at offset {}", data.len())));
+        }
+        data.push(v);
     }
     Tensor::from_vec(shape, data).map_err(|e| bad(e.to_string()))
 }
@@ -193,6 +201,11 @@ impl Network {
                         return Err(bad("conv layer with zero kernel/stride"));
                     }
                     let spec = Conv2dSpec::new(in_c, out_c, kernel, stride, padding);
+                    if !spec.fits(h, w_) {
+                        return Err(bad(format!(
+                            "conv kernel {kernel} exceeds the {h}×{w_} input padded by {padding}"
+                        )));
+                    }
                     let lif = read_lif(r)?;
                     let weight = read_tensor(r, spec.weight_shape())?;
                     Layer::Conv(ConvLayer::new(spec, (h, w_), weight, lif))
@@ -309,5 +322,41 @@ mod tests {
         buf[16] = 0xFF;
         buf[17] = 0xFF;
         assert!(Network::load(&mut buf.as_slice()).is_err());
+    }
+
+    /// A model whose only layer is a 7×7 convolution over a 3×3 input with
+    /// no padding: no output pixel exists, and `out_hw` used to wrap.
+    #[test]
+    fn load_rejects_a_kernel_larger_than_its_padded_input() {
+        let mut buf = MAGIC.to_vec();
+        for v in [3u32, 1, 3, 3, 1] {
+            buf.extend(v.to_le_bytes()); // rank, 1×3×3, one layer
+        }
+        buf.push(1); // conv
+        for v in [1u32, 1, 7, 1, 0, 3, 3] {
+            buf.extend(v.to_le_bytes()); // in_c, out_c, k, stride, padding, h, w
+        }
+        write_lif(&mut buf, &LifParams::default()).unwrap();
+        buf.extend(49u32.to_le_bytes());
+        buf.extend(std::iter::repeat_n(0.5f32.to_le_bytes(), 49).flatten());
+        assert_eq!(buf.len(), 269);
+        let err = Network::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("conv kernel 7 exceeds the 3×3 input"), "{err}");
+    }
+
+    #[test]
+    fn load_rejects_non_finite_weights() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let net = NetworkBuilder::new(4, LifParams::default()).dense(3).build(&mut rng);
+        let mut buf = Vec::new();
+        net.save(&mut buf).unwrap();
+        let last = buf.len() - 4;
+        for poison in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            buf[last..].copy_from_slice(&poison.to_le_bytes());
+            let err = Network::load(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("non-finite weight"), "{err}");
+        }
     }
 }

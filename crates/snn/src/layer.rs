@@ -49,9 +49,11 @@ impl ConvLayer {
     ///
     /// # Panics
     ///
-    /// Panics if the weight tensor does not match `spec`.
+    /// Panics if the weight tensor does not match `spec` or the kernel
+    /// does not fit the padded input.
     pub fn new(spec: Conv2dSpec, in_hw: (usize, usize), weight: Tensor, lif: LifParams) -> Self {
         assert_eq!(weight.len(), spec.weight_count(), "conv weight length must match spec");
+        let _ = spec.out_hw(in_hw.0, in_hw.1); // asserts that the kernel fits, with the geometry
         Self { spec, weight, lif, in_hw }
     }
 
@@ -197,8 +199,9 @@ impl Layer {
     /// averaging that is its whole output. `x` is one `[in_features]`
     /// row, `out` one `[out_features]` row.
     ///
-    /// The clocked simulator and differential fault simulation both get
-    /// their drives here, so equal inputs give equal bits.
+    /// Differential fault simulation recomputes single drives here; the
+    /// clocked simulator computes a whole sequence's through
+    /// `feedforward_rows`, which returns the same bits.
     ///
     /// # Panics
     ///
@@ -209,6 +212,36 @@ impl Layer {
             Layer::Conv(l) => ops::conv2d(&l.spec, x, l.in_hw.0, l.in_hw.1, &l.weight, out),
             Layer::Pool(l) => ops::avg_pool2d(x, l.channels, l.in_hw.0, l.in_hw.1, l.k, out),
             Layer::Recurrent(l) => ops::matvec(&l.w_in, x, out),
+        }
+    }
+
+    /// [`feedforward`](Self::feedforward) over every row of a sequence:
+    /// `input` is `[T × in_features]`, `out` `[T × out_features]`, and each
+    /// output row has the bits `feedforward` gives for its input row.
+    ///
+    /// The drive of a whole stimulus does not depend on LIF state, so the
+    /// simulator computes it up front, and a matrix layer does so from a
+    /// column-major copy of its weights that skips exact-zero inputs —
+    /// most of a spike train ([`ops::matvec_skip_zeros`]). The copy is
+    /// made per call: weights are public fields that fault injection and
+    /// training write, so a copy cached on the layer could go stale.
+    pub(crate) fn feedforward_rows(&self, input: &[f32], out: &mut [f32]) {
+        let rows = input
+            .chunks_exact(self.in_features().max(1))
+            .zip(out.chunks_exact_mut(self.out_features().max(1)));
+        match self {
+            Layer::Dense(DenseLayer { weight, .. })
+            | Layer::Recurrent(RecurrentLayer { w_in: weight, .. }) => {
+                let wt = ops::transposed(weight);
+                for (x, z) in rows {
+                    ops::matvec_skip_zeros(&wt, x, z);
+                }
+            }
+            Layer::Conv(_) | Layer::Pool(_) => {
+                for (x, z) in rows {
+                    self.feedforward(x, z);
+                }
+            }
         }
     }
 

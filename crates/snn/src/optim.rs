@@ -139,15 +139,14 @@ impl Adam {
         let bc1 = 1.0 - b1.powi(self.t as i32);
         // snn-lint: allow(L-CAST): bias correction converges to 1.0 long before t overflows i32
         let bc2 = 1.0 - b2.powi(self.t as i32);
-        let (m, v) = (self.m.as_mut_slice(), self.v.as_mut_slice());
-        let p = param.as_mut_slice();
-        let g = grad.as_slice();
-        for i in 0..p.len() {
-            m[i] = b1 * m[i] + (1.0 - b1) * g[i];
-            v[i] = b2 * v[i] + (1.0 - b2) * g[i] * g[i];
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            p[i] -= lr * m_hat / (v_hat.sqrt() + self.eps);
+        let moments = self.m.as_mut_slice().iter_mut().zip(self.v.as_mut_slice());
+        let params = param.as_mut_slice().iter_mut().zip(grad.as_slice());
+        for ((p, &g), (m, v)) in params.zip(moments) {
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
 

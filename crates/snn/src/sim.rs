@@ -166,9 +166,10 @@ pub struct LayerState {
 /// that equals the fault-free one up to some tick can take its drive and
 /// its state from here instead of recomputing them. Every field is
 /// `[T × n]` row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifRecord {
-    /// Synaptic drive `z[t]` each neuron's update consumed.
+    /// Synaptic drive `z[t]` each neuron's update consumed. This is the
+    /// buffer the simulator itself computes the drives in, not a copy.
     pub drive: Vec<f32>,
     /// Membrane potential carried *into* tick `t` (before the update).
     /// Empty for a layer whose pre-tick state was not requested.
@@ -228,8 +229,10 @@ impl EffectiveParams {
     }
 }
 
-/// Simulates one spiking layer over the rows of `input`, filling in
-/// `golden` (sized by [`LifRecord::zeroed`]) when given.
+/// Simulates one spiking layer over the rows of `input`. `rec.drive`
+/// (`[T × n]`) is where the drives are computed; the other fields of `rec`
+/// are filled in when sized by [`LifRecord::zeroed`] and skipped when
+/// empty.
 fn run_lif(
     layer: &Layer,
     input: &Tensor,
@@ -237,50 +240,46 @@ fn run_lif(
     record: RecordOptions,
     params: &EffectiveParams,
     state: &mut LifState,
-    mut golden: Option<&mut LifRecord>,
+    rec: &mut LifRecord,
 ) -> LayerTrace {
-    let (in_features, n) = (layer.in_features(), layer.out_features());
+    let n = layer.out_features();
     let steps = input.shape().dim(0);
-    let in_data = input.as_slice();
-    let w_rec = match layer {
-        Layer::Recurrent(l) => Some(&l.w_rec),
-        _ => None,
-    };
     let mut output = Tensor::zeros(Shape::d2(steps, n));
     let mut potential = record.potentials.then(|| Tensor::zeros(Shape::d2(steps, n)));
     let mut gate = record.potentials.then(|| Tensor::zeros(Shape::d2(steps, n)));
 
-    let LifState { carried, refrac, prev_spikes } = state;
-    let mut z = vec![0.0f32; n];
-    let mut z_rec = vec![0.0f32; if w_rec.is_some() { n } else { 0 }];
+    // The feed-forward drive of the whole sequence does not depend on LIF
+    // state; only a recurrent layer's feedback has to wait for each tick.
+    let LifRecord { drive, carried_pre, refrac_pre, feedforward, feedback } = rec;
+    layer.feedforward_rows(input.as_slice(), drive);
+    if !feedforward.is_empty() {
+        feedforward.copy_from_slice(drive);
+    }
+    let w_rec_t = match layer {
+        Layer::Recurrent(l) => Some(ops::transposed(&l.w_rec)),
+        _ => None,
+    };
+    let mut z_rec = vec![0.0f32; if w_rec_t.is_some() { n } else { 0 }];
 
+    let LifState { carried, refrac, prev_spikes } = state;
     for t in 0..steps {
         let row = t * n..(t + 1) * n;
-        layer.feedforward(&in_data[t * in_features..(t + 1) * in_features], &mut z);
-        if let Some(w_rec) = w_rec {
-            // Feedback applies from the second *global* tick on; at a
-            // segment boundary `prev_spikes` already holds the last tick
-            // of the previous segment.
-            let feedback = t_offset + t > 0;
-            if feedback {
-                ops::matvec(w_rec, prev_spikes, &mut z_rec);
+        let z = &mut drive[row.clone()];
+        // Feedback applies from the second *global* tick on; at a segment
+        // boundary `prev_spikes` already holds the last tick of the
+        // previous segment.
+        if let Some(w_rec_t) = w_rec_t.as_deref().filter(|_| t_offset + t > 0) {
+            ops::matvec_skip_zeros(w_rec_t, prev_spikes, &mut z_rec);
+            for (zi, ri) in z.iter_mut().zip(z_rec.iter()) {
+                *zi += ri;
             }
-            if let Some(rec) = golden.as_deref_mut() {
-                rec.feedforward[row.clone()].copy_from_slice(&z);
-                rec.feedback[row.clone()].copy_from_slice(&z_rec);
-            }
-            if feedback {
-                for (zi, ri) in z.iter_mut().zip(z_rec.iter()) {
-                    *zi += ri;
-                }
+            if !feedback.is_empty() {
+                feedback[row.clone()].copy_from_slice(&z_rec);
             }
         }
-        if let Some(rec) = golden.as_deref_mut() {
-            rec.drive[row.clone()].copy_from_slice(&z);
-            if !rec.carried_pre.is_empty() {
-                rec.carried_pre[row.clone()].copy_from_slice(carried);
-                rec.refrac_pre[row.clone()].copy_from_slice(refrac);
-            }
+        if !carried_pre.is_empty() {
+            carried_pre[row.clone()].copy_from_slice(carried);
+            refrac_pre[row.clone()].copy_from_slice(refrac);
         }
         let out_row = &mut output.as_mut_slice()[row.clone()];
         let mut recorded = potential
@@ -334,22 +333,22 @@ fn run_layer_segment(
         layer.in_features()
     );
     let n = layer.out_features();
-    let in_data = input.as_slice();
 
     let Some(lif) = layer.lif() else {
         // Pooling: stateless, one transform per tick.
         let mut output = Tensor::zeros(Shape::d2(steps, n));
-        for t in 0..steps {
-            layer.feedforward(
-                &in_data[t * in_features..(t + 1) * in_features],
-                &mut output.as_mut_slice()[t * n..(t + 1) * n],
-            );
-        }
+        layer.feedforward_rows(input.as_slice(), output.as_mut_slice());
         return LayerTrace { output, potential: None, gate: None };
     };
     let params = EffectiveParams::new(n, lif, faults);
     let state = state.lif.get_or_insert_with(|| LifState::fresh(n));
-    run_lif(layer, input, t_offset, record, &params, state, golden)
+    // A run nobody resumes from keeps the drives alone, for its own use.
+    let mut drive_only = LifRecord::default();
+    let rec = golden.unwrap_or_else(|| {
+        drive_only.drive = vec![0.0; steps * n];
+        &mut drive_only
+    });
+    run_lif(layer, input, t_offset, record, &params, state, rec)
 }
 
 impl Network {
@@ -932,6 +931,94 @@ mod tests {
                 assert_eq!(resumed.output.as_slice(), &out[t0 * n..], "{kind} t0={t0}");
             }
         }
+    }
+
+    /// The simulation loop the sequence drives replaced, kept as the
+    /// reference: one [`Layer::feedforward`] per tick (`ops::matvec`, every
+    /// product taken), feedback through `ops::matvec`, [`LifParams::step`]
+    /// per neuron. Returns `(spikes, potential, gate, drive, feedforward,
+    /// feedback)`, each `[T × n]`.
+    fn per_tick_reference(layer: &Layer, input: &Tensor) -> [Vec<f32>; 6] {
+        let (f, n) = (layer.in_features(), layer.out_features());
+        let lif = *layer.lif().unwrap();
+        let steps = input.shape().dim(0);
+        let mut cols: [Vec<f32>; 6] = std::array::from_fn(|_| vec![0.0; steps * n]);
+        let (mut carried, mut refrac) = (vec![0.0f32; n], vec![0u32; n]);
+        let (mut z, mut z_rec, mut prev) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+        for t in 0..steps {
+            let row = t * n..(t + 1) * n;
+            layer.feedforward(&input.as_slice()[t * f..(t + 1) * f], &mut z);
+            cols[4][row.clone()].copy_from_slice(&z);
+            if let (Layer::Recurrent(l), true) = (layer, t > 0) {
+                ops::matvec(&l.w_rec, &prev, &mut z_rec);
+                cols[5][row.clone()].copy_from_slice(&z_rec);
+                z.iter_mut().zip(&z_rec).for_each(|(zi, ri)| *zi += ri);
+            }
+            cols[3][row.clone()].copy_from_slice(&z);
+            for i in 0..n {
+                let tick = lif.step(&mut carried[i], &mut refrac[i], z[i]);
+                prev[i] = f32::from(u8::from(tick.fired));
+                cols[0][row.start + i] = prev[i];
+                if let Some(v) = tick.potential {
+                    cols[1][row.start + i] = v;
+                    cols[2][row.start + i] = 1.0;
+                }
+            }
+        }
+        cols
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_and_its_golden_drives_match_a_per_tick_reference() {
+        for (net, spikes) in one_layer_nets() {
+            let layer = &net.layers()[0];
+            let kind = layer.kind();
+            // What a pooling stage hands on: quarters, and both zeros.
+            let mut input = spikes.clone();
+            for (at, v) in input.as_mut_slice().iter_mut().enumerate() {
+                *v = match (*v > 0.0, at % 5) {
+                    (true, k) => (1 + k % 4) as f32 / 4.0,
+                    (false, 0) => -0.0,
+                    (false, _) => 0.0,
+                };
+            }
+            for input in [&spikes, &input] {
+                let [out, pot, gate, drive, feedforward, feedback] =
+                    per_tick_reference(layer, input);
+                let trace = net.forward(input, RecordOptions::full());
+                let lt = &trace.layers[0];
+                assert_eq!(bits(lt.output.as_slice()), bits(&out), "{kind}");
+                assert_eq!(bits(lt.potential.as_ref().unwrap().as_slice()), bits(&pot), "{kind}");
+                assert_eq!(bits(lt.gate.as_ref().unwrap().as_slice()), bits(&gate), "{kind}");
+                assert!(out.iter().sum::<f32>() > 0.0, "{kind}: nothing fired");
+
+                // The golden record *is* the buffer the drives were
+                // computed in, so it must hold the reference's drives.
+                let (_, records) = net.forward_golden(input, 0);
+                let rec = records[0].as_ref().unwrap();
+                assert_eq!(bits(&rec.drive), bits(&drive), "{kind}");
+                if matches!(layer, Layer::Recurrent(_)) {
+                    assert_eq!(bits(&rec.feedforward), bits(&feedforward), "{kind}");
+                    assert_eq!(bits(&rec.feedback), bits(&feedback), "{kind}");
+                }
+            }
+        }
+
+        // Pooling has no LIF state: its whole output is the per-tick transform.
+        let mut rng = StdRng::seed_from_u64(22);
+        let pool = Layer::Pool(PoolLayer::new(2, (4, 6), 2));
+        let net = Network::new(Shape::d3(2, 4, 6), vec![pool.clone()]);
+        let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(9, 48), 0.5);
+        let trace = net.forward(&input, RecordOptions::spikes_only());
+        let mut want = vec![0.0f32; 9 * 12];
+        for t in 0..9 {
+            pool.feedforward(&input.as_slice()[t * 48..(t + 1) * 48], &mut want[t * 12..][..12]);
+        }
+        assert_eq!(bits(trace.output().as_slice()), bits(&want));
     }
 
     #[test]

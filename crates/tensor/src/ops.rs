@@ -3,8 +3,37 @@
 //! These are the only compute primitives the SNN simulator needs: dense
 //! matrix–vector products, 2-D convolution and average pooling, each paired
 //! with the gradient computations used by backpropagation-through-time.
-//! All kernels are straightforward nested loops — auditable, allocation-free
-//! on the hot path and fast enough for the repro-scale benchmarks.
+//!
+//! Every kernel keeps a fixed *ordering contract*: the sequence of `f32`
+//! multiplies and adds that reaches each output element, which is what
+//! makes stimuli, verdicts and digests reproducible to the bit across
+//! engines and across rewrites of the loops around it.
+//!
+//! * [`matvec`]: output `r` accumulates `w[r, c] · x[c]` from `+0.0` in
+//!   ascending `c`. [`matvec_skip_zeros`] is the same sum with the
+//!   products of exact-zero inputs left out.
+//! * [`matvec_t_acc`], [`outer_acc`]: rows in ascending order, rows whose
+//!   gradient is exactly zero skipped.
+//! * [`conv2d`], [`conv2d_window`]: an output pixel accumulates its taps
+//!   from `+0.0` in `(ic, ky, kx)` order, taps in the zero padding
+//!   skipped. `conv2d` is *row-stationary*: one output row is the
+//!   accumulator and each tap adds a shifted input row into it, so every
+//!   pixel of the row still sees its own taps in that order.
+//! * [`conv2d_backward_input`]: an input-gradient element accumulates in
+//!   ascending `(oc, oy, ox)` of the output pixels that tap it — the
+//!   row-stationary loop visits `kx` *descending*, which is `ox`
+//!   ascending for a fixed input pixel. [`conv2d_backward_weight`]: a
+//!   weight accumulates in ascending `(oy, ox)`.
+//! * [`avg_pool2d`]: a window is summed from `+0.0` in `(ky, kx)` order,
+//!   then scaled once.
+//!
+//! The zero-skipping kernels (`matvec_skip_zeros`, the per-row gradient
+//! skip of the convolution backward kernels) leave out products that are
+//! `±0.0`. Adding `±0.0` changes no accumulator that started at `+0.0`
+//! — a sum of `f32` is `−0.0` only when both terms are — so they return
+//! the bits of the unskipped sum provided the other factor is finite
+//! (`0 · ∞` is NaN) and gradient accumulators passed in hold no `−0.0`.
+//! Model files with non-finite weights are rejected at load.
 //!
 //! In debug builds every kernel additionally scans its operands and its
 //! result for NaN/Inf via [`crate::sanitize::debug_assert_finite`], so a
@@ -56,8 +85,24 @@ impl Conv2dSpec {
         Self { in_channels, out_channels, kernel, stride, padding }
     }
 
+    /// `true` when the kernel fits the zero-padded `h × w` input, i.e.
+    /// when the convolution has at least one output pixel per axis.
+    pub fn fits(&self, h: usize, w: usize) -> bool {
+        self.kernel <= h.min(w) + 2 * self.padding
+    }
+
     /// Output spatial extent for an input of `h × w`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not [fit](Self::fits) the padded input.
     pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        assert!(
+            self.fits(h, w),
+            "conv kernel {} exceeds the {h}×{w} input padded by {}",
+            self.kernel,
+            self.padding
+        );
         let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
         let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
         (oh, ow)
@@ -81,6 +126,64 @@ impl Conv2dSpec {
         let i = (o * self.stride + k).checked_sub(self.padding)?;
         (i < extent).then_some(i)
     }
+
+    /// [`tap`](Self::tap) for a whole row at once: per kernel offset `kx`,
+    /// the run `lo..hi` of output columns (of `ow`) whose tap lands inside
+    /// a row of `w` pixels, and the input column `lo` taps; consecutive
+    /// outputs tap `stride` pixels apart. `lo == hi` when no column does.
+    fn tap_runs(&self, w: usize, ow: usize) -> Vec<(usize, usize, usize)> {
+        (0..self.kernel)
+            .map(|kx| {
+                let lo = self.padding.saturating_sub(kx).div_ceil(self.stride);
+                // Last column whose tap is still left of the row's end.
+                let hi = (w + self.padding)
+                    .checked_sub(kx + 1)
+                    .map_or(0, |room| (room / self.stride + 1).min(ow));
+                (lo, hi.max(lo), (lo * self.stride + kx).saturating_sub(self.padding))
+            })
+            .collect()
+    }
+}
+
+/// `dst[i·ds] += a · src[i·ss]` over the shorter operand. Unit strides
+/// take a plain slice zip — the only form of this loop the compiler
+/// vectorises, so routing stride 1 through `step_by(1)` costs most of the
+/// row-stationary gain.
+#[inline]
+fn axpy_strided(dst: &mut [f32], ds: usize, a: f32, src: &[f32], ss: usize) {
+    if ds == 1 && ss == 1 {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d += a * s;
+        }
+    } else {
+        for (d, s) in dst.iter_mut().step_by(ds).zip(src.iter().step_by(ss)) {
+            *d += a * s;
+        }
+    }
+}
+
+/// `acc + Σ a[i] · b[i·stride]`, added left to right. The chain is serial
+/// by contract; the unit-stride branch only spares it `step_by`'s
+/// bookkeeping, which costs 40 % of the weight-gradient kernel.
+#[inline]
+fn dot_strided(mut acc: f32, a: &[f32], b: &[f32], stride: usize) -> f32 {
+    if stride == 1 {
+        for (x, y) in a.iter().zip(b) {
+            acc += x * y;
+        }
+    } else {
+        for (x, y) in a.iter().zip(b.iter().step_by(stride)) {
+            acc += x * y;
+        }
+    }
+    acc
+}
+
+/// `true` when every entry is exactly `±0.0`.
+#[inline]
+fn all_zero(row: &[f32]) -> bool {
+    // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
+    row.iter().all(|&v| v == 0.0)
 }
 
 /// Dense matrix–vector product `y = W · x` with `W: [rows × cols]`.
@@ -106,6 +209,51 @@ pub fn matvec(w: &Tensor, x: &[f32], y: &mut [f32]) {
         y[r] = acc;
     }
     debug_assert_finite("matvec", "y", y);
+}
+
+/// Column-major copy `Wᵀ` (`[cols × rows]`, row-major) of a rank-2
+/// weight, the layout [`matvec_skip_zeros`] reads.
+///
+/// # Panics
+///
+/// Panics if `w` is not rank-2.
+pub fn transposed(w: &Tensor) -> Vec<f32> {
+    let dims = w.shape().dims();
+    assert_eq!(dims.len(), 2, "transposed weight must be rank-2");
+    let (rows, cols) = (dims[0], dims[1]);
+    let wd = w.as_slice();
+    let mut wt = vec![0.0f32; wd.len()];
+    for (r, row) in wd.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            wt[c * rows + r] = v;
+        }
+    }
+    wt
+}
+
+/// [`matvec`] from the [`transposed`] weight `wt` (`[x.len() × y.len()]`),
+/// leaving out the products of exact-zero inputs: one contiguous
+/// `y += x[c] · Wᵀ[c, :]` per non-zero input, columns in ascending order.
+/// Each output still accumulates its products in `matvec`'s order, and a
+/// left-out product is `±0.0`, so for finite weights `y` has `matvec`'s
+/// bits — at a cost that follows the input's density, which for spike
+/// trains is a fraction of the dense product.
+///
+/// # Panics
+///
+/// Panics if `wt.len() != x.len() * y.len()`.
+pub fn matvec_skip_zeros(wt: &[f32], x: &[f32], y: &mut [f32]) {
+    assert_eq!(wt.len(), x.len() * y.len(), "matvec_skip_zeros weight length mismatch");
+    debug_assert_finite("matvec_skip_zeros", "wt", wt);
+    debug_assert_finite("matvec_skip_zeros", "x", x);
+    y.fill(0.0);
+    for (&xv, col) in x.iter().zip(wt.chunks_exact(y.len().max(1))) {
+        // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
+        if xv != 0.0 {
+            axpy_strided(y, 1, xv, col, 1);
+        }
+    }
+    debug_assert_finite("matvec_skip_zeros", "y", y);
 }
 
 /// Transposed matrix–vector product `x_grad = Wᵀ · y_grad`, accumulating
@@ -169,9 +317,10 @@ pub fn outer_acc(w_grad: &mut Tensor, y_grad: &[f32], x: &[f32]) {
 /// One output pixel of [`conv2d`]: the products of output channel
 /// weights `w_oc` (`[C_in, k, k]`) with the input window of output pixel
 /// `(oy, ox)`, accumulated in `(ic, ky, kx)` order with taps in the zero
-/// padding skipped. [`conv2d`] is this function over every output pixel,
-/// so a caller that needs a few pixels only (differential fault
-/// simulation of one kernel weight) gets the same bits.
+/// padding skipped. [`conv2d`] performs the same multiplies and adds per
+/// pixel in the same order (a property test holds the two to the bit), so
+/// a caller that needs a few pixels only (differential fault simulation
+/// of one kernel weight) gets the same bits.
 ///
 /// # Panics
 ///
@@ -223,15 +372,26 @@ pub fn conv2d(
     assert_eq!(input.len(), spec.in_channels * h * w, "conv2d input length");
     assert_eq!(weight.len(), spec.weight_count(), "conv2d weight length");
     assert_eq!(out.len(), spec.out_channels * oh * ow, "conv2d output length");
-    let per_channel = spec.in_channels * spec.kernel * spec.kernel;
+    let (k, stride) = (spec.kernel, spec.stride);
+    let per_channel = spec.in_channels * k * k;
     let wd = weight.as_slice();
     debug_assert_finite("conv2d", "input", input);
     debug_assert_finite("conv2d", "weight", wd);
-    for oc in 0..spec.out_channels {
+    let runs = spec.tap_runs(w, ow);
+    out.fill(0.0);
+    for (oc_oy, acc) in out.chunks_exact_mut(ow).enumerate() {
+        let (oc, oy) = (oc_oy / oh, oc_oy % oh);
         let w_oc = &wd[oc * per_channel..(oc + 1) * per_channel];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                out[(oc * oh + oy) * ow + ox] = conv2d_window(spec, input, h, w, w_oc, oy, ox);
+        for ic in 0..spec.in_channels {
+            for ky in 0..k {
+                let Some(iy) = spec.tap(oy, ky, h) else { continue };
+                let in_row = &input[(ic * h + iy) * w..][..w];
+                let w_row = &w_oc[(ic * k + ky) * k..][..k];
+                for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs) {
+                    if lo < hi {
+                        axpy_strided(&mut acc[lo..hi], 1, wv, &in_row[start..], stride);
+                    }
+                }
             }
         }
     }
@@ -255,35 +415,25 @@ pub fn conv2d_backward_input(
     let (oh, ow) = spec.out_hw(h, w);
     assert_eq!(out_grad.len(), spec.out_channels * oh * ow, "conv2d out-grad length");
     assert_eq!(in_grad.len(), spec.in_channels * h * w, "conv2d in-grad length");
-    let k = spec.kernel;
+    let (k, stride) = (spec.kernel, spec.stride);
     let wd = weight.as_slice();
     debug_assert_finite("conv2d_backward_input", "out_grad", out_grad);
     debug_assert_finite("conv2d_backward_input", "weight", wd);
-    for oc in 0..spec.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = out_grad[(oc * oh + oy) * ow + ox];
-                // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
-                if g == 0.0 {
-                    continue;
-                }
-                for ic in 0..spec.in_channels {
-                    let in_base = ic * h * w;
-                    let w_base = ((oc * spec.in_channels) + ic) * k * k;
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let ix = ix as usize;
-                            in_grad[in_base + iy * w + ix] += g * wd[w_base + ky * k + kx];
-                        }
+    let runs = spec.tap_runs(w, ow);
+    for (oc_oy, g_row) in out_grad.chunks_exact(ow).enumerate() {
+        if all_zero(g_row) {
+            continue;
+        }
+        let (oc, oy) = (oc_oy / oh, oc_oy % oh);
+        for ic in 0..spec.in_channels {
+            for ky in 0..k {
+                let Some(iy) = spec.tap(oy, ky, h) else { continue };
+                let in_row = &mut in_grad[(ic * h + iy) * w..][..w];
+                let w_row = &wd[((oc * spec.in_channels + ic) * k + ky) * k..][..k];
+                // `kx` descending is `ox` ascending for a fixed input pixel.
+                for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs).rev() {
+                    if lo < hi {
+                        axpy_strided(&mut in_row[start..], stride, wv, &g_row[lo..hi], 1);
                     }
                 }
             }
@@ -310,35 +460,24 @@ pub fn conv2d_backward_weight(
     assert_eq!(out_grad.len(), spec.out_channels * oh * ow, "conv2d out-grad length");
     assert_eq!(input.len(), spec.in_channels * h * w, "conv2d input length");
     assert_eq!(w_grad.len(), spec.weight_count(), "conv2d weight-grad length");
-    let k = spec.kernel;
+    let (k, stride) = (spec.kernel, spec.stride);
     debug_assert_finite("conv2d_backward_weight", "out_grad", out_grad);
     debug_assert_finite("conv2d_backward_weight", "input", input);
     let wd = w_grad.as_mut_slice();
-    for oc in 0..spec.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = out_grad[(oc * oh + oy) * ow + ox];
-                // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
-                if g == 0.0 {
-                    continue;
-                }
-                for ic in 0..spec.in_channels {
-                    let in_base = ic * h * w;
-                    let w_base = ((oc * spec.in_channels) + ic) * k * k;
-                    for ky in 0..k {
-                        let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let iy = iy as usize;
-                        for kx in 0..k {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            let ix = ix as usize;
-                            wd[w_base + ky * k + kx] += g * input[in_base + iy * w + ix];
-                        }
+    let runs = spec.tap_runs(w, ow);
+    for (oc_oy, g_row) in out_grad.chunks_exact(ow).enumerate() {
+        if all_zero(g_row) {
+            continue;
+        }
+        let (oc, oy) = (oc_oy / oh, oc_oy % oh);
+        for ic in 0..spec.in_channels {
+            for ky in 0..k {
+                let Some(iy) = spec.tap(oy, ky, h) else { continue };
+                let in_row = &input[(ic * h + iy) * w..][..w];
+                let w_row = &mut wd[((oc * spec.in_channels + ic) * k + ky) * k..][..k];
+                for (wg, &(lo, hi, start)) in w_row.iter_mut().zip(&runs) {
+                    if lo < hi {
+                        *wg = dot_strided(*wg, &g_row[lo..hi], &in_row[start..], stride);
                     }
                 }
             }
@@ -347,17 +486,26 @@ pub fn conv2d_backward_weight(
     debug_assert_finite("conv2d_backward_weight", "w_grad", wd);
 }
 
+fn assert_pool_tiles(h: usize, w: usize, k: usize) {
+    assert!(k > 0, "pool window must be positive");
+    assert!(
+        h.is_multiple_of(k) && w.is_multiple_of(k),
+        "pool window {k} must divide the {h}×{w} input"
+    );
+}
+
 /// Average pooling forward pass with a square window `k` and stride `k`.
 ///
-/// `input` is `[C, H, W]`; `out` is `[C, H/k, W/k]`. Partial windows at the
-/// border are averaged over the window elements that exist.
+/// `input` is `[C, H, W]`; `out` is `[C, H/k, W/k]`. The window must tile
+/// the input: there are no partial windows at the border.
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths disagree.
+/// Panics if `k` is zero or does not divide `h` and `w`, or if buffer
+/// lengths disagree.
 pub fn avg_pool2d(input: &[f32], c: usize, h: usize, w: usize, k: usize, out: &mut [f32]) {
+    assert_pool_tiles(h, w, k);
     let (oh, ow) = (h / k, w / k);
-    assert!(k > 0, "pool window must be positive");
     assert_eq!(input.len(), c * h * w, "avg_pool2d input length");
     assert_eq!(out.len(), c * oh * ow, "avg_pool2d output length");
     debug_assert_finite("avg_pool2d", "input", input);
@@ -385,7 +533,8 @@ pub fn avg_pool2d(input: &[f32], c: usize, h: usize, w: usize, k: usize, out: &m
 ///
 /// # Panics
 ///
-/// Panics if buffer lengths disagree.
+/// Panics if `k` is zero or does not divide `h` and `w`, or if buffer
+/// lengths disagree.
 pub fn avg_pool2d_backward(
     out_grad: &[f32],
     c: usize,
@@ -394,6 +543,7 @@ pub fn avg_pool2d_backward(
     k: usize,
     in_grad: &mut [f32],
 ) {
+    assert_pool_tiles(h, w, k);
     let (oh, ow) = (h / k, w / k);
     assert_eq!(out_grad.len(), c * oh * ow, "avg_pool2d out-grad length");
     assert_eq!(in_grad.len(), c * h * w, "avg_pool2d in-grad length");
@@ -430,6 +580,17 @@ mod tests {
 
     fn approx(a: f32, b: f32) -> bool {
         (a - b).abs() < 1e-4
+    }
+
+    /// Deterministic pseudo-random values in `[-1, 1)`.
+    fn xorshift(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            ((state % 1000) as f32 / 500.0) - 1.0
+        }
     }
 
     #[test]
@@ -613,13 +774,7 @@ mod tests {
         ) {
             let spec = Conv2dSpec::new(in_c, out_c, k, stride, pad);
             let (h, w) = (k + extra, k + extra + 1);
-            let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                ((state % 1000) as f32 / 500.0) - 1.0
-            };
+            let mut next = xorshift(seed);
             let weight = Tensor::from_vec(
                 spec.weight_shape(),
                 (0..spec.weight_count()).map(|_| next()).collect(),
@@ -654,6 +809,110 @@ mod tests {
                         prop_assert_eq!(out[(oc * oh + oy) * ow + ox].to_bits(), acc.to_bits());
                     }
                 }
+            }
+        }
+
+        /// The row-stationary backward kernels agree to the bit with the
+        /// per-pixel loops they replaced: signed tap coordinates, output
+        /// pixels in `(oc, oy, ox)` order, exact-zero gradients skipped
+        /// one by one. Gradients carry whole zero rows, scattered zeros
+        /// and `-0.0`; padding reaches past the kernel, stride to 3.
+        #[test]
+        fn conv2d_backward_matches_a_signed_coordinate_reference(
+            in_c in 1usize..3, out_c in 1usize..3, k in 1usize..5,
+            stride in 1usize..4, pad_sel in 0usize..5, extra in 0usize..5, seed in 0u64..1000,
+        ) {
+            let pad = pad_sel % (k + 1);
+            let spec = Conv2dSpec::new(in_c, out_c, k, stride, pad);
+            let (h, w) = (k + extra, k + extra + 1);
+            let mut next = xorshift(seed);
+            let weight = Tensor::from_vec(
+                spec.weight_shape(),
+                (0..spec.weight_count()).map(|_| next()).collect(),
+            ).unwrap();
+            let input: Vec<f32> = (0..in_c * h * w).map(|_| next().max(0.0)).collect();
+            let (oh, ow) = spec.out_hw(h, w);
+            let mut out_grad: Vec<f32> = (0..out_c * oh * ow)
+                .map(|_| { let v = next(); if v.abs() < 0.3 { 0.0 } else { v } })
+                .collect();
+            for (row, g_row) in out_grad.chunks_mut(ow).enumerate() {
+                match (row as u64 + seed) % 4 {
+                    0 => g_row.fill(0.0),
+                    1 => g_row[0] = -0.0,
+                    _ => {}
+                }
+            }
+
+            let mut in_grad = vec![0.0f32; input.len()];
+            let mut w_grad = Tensor::zeros(spec.weight_shape());
+            let (mut in_ref, mut w_ref) = (in_grad.clone(), vec![0.0f32; weight.len()]);
+            // Two passes: the kernels accumulate into what is there.
+            for _ in 0..2 {
+                conv2d_backward_input(&spec, &out_grad, h, w, &weight, &mut in_grad);
+                conv2d_backward_weight(&spec, &out_grad, &input, h, w, &mut w_grad);
+                let wd = weight.as_slice();
+                for oc in 0..out_c {
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let g = out_grad[(oc * oh + oy) * ow + ox];
+                            if g == 0.0 {
+                                continue;
+                            }
+                            for ic in 0..in_c {
+                                for ky in 0..k {
+                                    let iy = (oy * stride + ky) as isize - pad as isize;
+                                    for kx in 0..k {
+                                        let ix = (ox * stride + kx) as isize - pad as isize;
+                                        if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
+                                            continue;
+                                        }
+                                        let at = (ic * h + iy as usize) * w + ix as usize;
+                                        let wi = ((oc * in_c + ic) * k + ky) * k + kx;
+                                        in_ref[at] += g * wd[wi];
+                                        w_ref[wi] += g * input[at];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            for (got, want) in in_grad.iter().zip(&in_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            for (got, want) in w_grad.as_slice().iter().zip(&w_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        /// The zero-skipping drive has `matvec`'s bits at every input
+        /// density from all-zero to dense, on pooled spike values `k/4`
+        /// and with `-0.0` among the inputs.
+        #[test]
+        fn matvec_skip_zeros_matches_matvec_to_the_bit(
+            rows in 1usize..24, cols in 1usize..40, density in 0u64..11, seed in 0u64..1000,
+        ) {
+            let mut next = xorshift(seed);
+            let w = Tensor::from_vec(
+                Shape::d2(rows, cols),
+                (0..rows * cols).map(|_| next()).collect(),
+            ).unwrap();
+            let x: Vec<f32> = (0..cols)
+                .map(|c| {
+                    let pick = (next() + 1.0) * 5.0; // uniform in [0, 10)
+                    if pick >= density as f32 {
+                        if c % 3 == 0 { -0.0 } else { 0.0 }
+                    } else {
+                        (1 + c % 4) as f32 / 4.0
+                    }
+                })
+                .collect();
+            let mut want = vec![0.0f32; rows];
+            matvec(&w, &x, &mut want);
+            let mut got = vec![f32::NAN; rows];
+            matvec_skip_zeros(&transposed(&w), &x, &mut got);
+            for (g, v) in got.iter().zip(&want) {
+                prop_assert_eq!(g.to_bits(), v.to_bits());
             }
         }
 

@@ -76,6 +76,53 @@ fn missing_and_malformed_files_fail_cleanly() {
     let _ = std::fs::remove_file(&bogus);
 }
 
+/// Model files a loader must not trust: `info` and `generate` reject both
+/// with one `error:` line instead of panicking deep inside a kernel.
+#[test]
+fn model_files_that_would_break_the_kernels_fail_cleanly() {
+    // Input 1×3×3, one conv layer with a 7×7 kernel, stride 1, no padding:
+    // no output pixel exists (the extent used to wrap around).
+    let mut bytes = b"SNNMTFC1".to_vec();
+    for v in [3u32, 1, 3, 3, 1] {
+        bytes.extend(v.to_le_bytes()); // rank, dims, layer count
+    }
+    bytes.push(1); // conv
+    for v in [1u32, 1, 7, 1, 0, 3, 3] {
+        bytes.extend(v.to_le_bytes()); // in_c, out_c, k, stride, padding, h, w
+    }
+    bytes.extend(1.0f32.to_le_bytes()); // threshold
+    bytes.extend(0.9f32.to_le_bytes()); // leak
+    bytes.extend(0u32.to_le_bytes()); // refractory steps
+    bytes.extend(49u32.to_le_bytes());
+    bytes.extend(std::iter::repeat_n(0.5f32.to_le_bytes(), 49).flatten());
+    let oversized = scratch("oversized-kernel.snn");
+    std::fs::write(&oversized, &bytes).unwrap();
+
+    // A well-formed model whose last weight is NaN.
+    let poisoned = scratch("nan-weight.snn");
+    let out =
+        run(&["new", "--input", "4", "--arch", "dense:3", "--out", poisoned.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut bytes = std::fs::read(&poisoned).unwrap();
+    let last = bytes.len() - 4;
+    bytes[last..].copy_from_slice(&f32::NAN.to_le_bytes());
+    std::fs::write(&poisoned, &bytes).unwrap();
+
+    let events = scratch("never-written.events");
+    for (model, needle) in [(&oversized, "conv kernel 7 exceeds"), (&poisoned, "non-finite weight")]
+    {
+        let model = model.to_str().unwrap();
+        assert_clean_failure(&["info", model], needle);
+        assert_clean_failure(
+            &["generate", model, "--preset", "fast", "--out", events.to_str().unwrap()],
+            needle,
+        );
+    }
+    for p in [&oversized, &poisoned, &events] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn garbage_events_fail_cleanly() {
     // A real (tiny) model plus an unparseable events file.
