@@ -153,6 +153,22 @@ grep -q '"speedup_2_over_1"' BENCH_cluster.json || { echo "bench output missing 
 grep -q '"meta"' BENCH_cluster.json || { echo "bench output missing run metadata"; exit 1; }
 grep -q '"phase_breakdown"' BENCH_cluster.json \
     || { echo "bench history missing phase breakdown"; exit 1; }
+# Two one-thread workers against the same campaign on one in-process
+# thread: below 0.7 the lease path and the wire eat more than the second
+# worker brings (the file read 0.66 before leases were long-polled and
+# pipelined).
+awk '
+    /"workers": [02],/ {
+        workers = $0; sub(/.*"workers": /, "", workers); sub(/,.*/, "", workers)
+        rate = $0; sub(/.*"faults_per_sec": /, "", rate); sub(/,.*/, "", rate)
+        fps[workers] = rate
+    }
+    END {
+        if (fps[0] <= 0 || fps[2] <= 0) { print "bench output missing the 0- or 2-worker run"; exit 1 }
+        ratio = fps[2] / fps[0]
+        printf "2-worker / 0-worker faults/sec: %.0f / %.0f = %.2f\n", fps[2], fps[0], ratio
+        if (ratio < 0.7) { print "distributed campaign runs below 0.7 of the in-process rate"; exit 1 }
+    }' BENCH_cluster.json
 
 step "distributed tracing — 2-worker traced campaign merges into one coherent tree"
 SERVE_LOG="$ANALYZE_TMP/serve.log"

@@ -15,7 +15,7 @@
 //! released.
 
 use crate::wire::{
-    CampaignSpec, ClusterStatus, HeldLease, LeaseGrant, TraceContext, WorkerStatus,
+    CampaignSpec, ChunkOutcomes, ClusterStatus, HeldLease, LeaseGrant, TraceContext, WorkerStatus,
     PROTOCOL_VERSION,
 };
 use parking_lot::{Condvar, Mutex};
@@ -37,7 +37,10 @@ pub struct CoordinatorConfig {
     /// Heartbeat cadence advertised to workers (workers beat at this
     /// rate; the lease outlives several missed beats).
     pub heartbeat_ms: u64,
-    /// Retry delay advertised to idle workers.
+    /// Longest a lease request parks inside [`Coordinator::grant`] while
+    /// no chunk is pending before it is answered `Idle` (and asked again
+    /// at once). Bounds how long a vanished worker's connection goes
+    /// unnoticed, not how soon new work is handed out.
     pub idle_retry_ms: u64,
 }
 
@@ -64,6 +67,9 @@ struct CampaignState {
     chunks: Vec<ChunkRange>,
     states: Vec<ChunkState>,
     done: usize,
+    /// Faults, and detected faults, in accepted chunks.
+    done_faults: usize,
+    detected: usize,
     /// Trace context stamped into every lease grant of this campaign.
     trace: Option<TraceContext>,
     /// Per-worker trace bookkeeping for a traced campaign, keyed by
@@ -84,7 +90,7 @@ struct WorkerTrace {
 struct WorkerEntry {
     last_seen: Duration,
     chunks_completed: u64,
-    busy_ms: u64,
+    busy_us: u64,
     /// `(lease, campaign, chunk, granted_at)` while one is held.
     lease: Option<(u64, u64, usize, Duration)>,
 }
@@ -103,6 +109,9 @@ struct State {
     chunks_completed: u64,
     chunks_reissued: u64,
     results_stale: u64,
+    /// Busy microseconds not yet added to the whole-millisecond
+    /// `snn_cluster_worker_busy_ms_total` counter.
+    busy_carry_us: u64,
 }
 
 /// What a lease request gets.
@@ -110,9 +119,9 @@ struct State {
 pub enum Grant {
     /// A chunk under a fresh lease.
     Lease(LeaseGrant),
-    /// Nothing to do; retry after this many milliseconds.
+    /// Nothing became pending within the long-poll bound; ask again.
     Idle {
-        /// Suggested retry delay.
+        /// The bound that passed (`idle_retry_ms`).
         retry_ms: u64,
     },
     /// The coordinator is shutting down.
@@ -295,67 +304,81 @@ impl Coordinator {
             let entry = state.workers.entry(name.to_string()).or_default();
             entry.last_seen = now;
         }
+        self.cv.notify_all();
         snn_obs::counter!("snn_cluster_workers_hello_total", "Worker registrations.").inc();
         (PROTOCOL_VERSION, self.cfg.lease_ms, self.cfg.heartbeat_ms)
     }
 
     /// Hands `worker` the next pending chunk (lowest campaign id,
-    /// lowest chunk index) under a fresh lease, or tells it to idle or
-    /// shut down.
+    /// lowest chunk index) under a fresh lease. While nothing is pending
+    /// the call parks on the coordinator's condvar — `submit`, an
+    /// accepted result, `hello` and `shutdown` wake it — for at most
+    /// `idle_retry_ms`, after which it answers `Idle`.
     pub fn grant(&self, worker: &str) -> Grant {
-        let now = Self::now();
+        let bound = Duration::from_millis(self.cfg.idle_retry_ms);
+        let asked = Self::now();
+        let mut expired = 0u64;
         let mut state = self.state.lock();
-        let expired = Self::sweep(&mut state, now);
-        if state.shutdown {
-            drop(state);
-            Self::record_expiries(expired);
-            return Grant::Shutdown;
-        }
         if let Some(entry) = state.workers.get_mut(worker) {
-            entry.last_seen = now;
+            entry.last_seen = asked;
         }
-        // BTreeMap keys iterate in ascending campaign id already.
-        let ids: Vec<u64> = state.campaigns.keys().copied().collect();
-        let mut granted = None;
-        'outer: for id in ids {
-            let lease = state.next_lease;
-            let Some(campaign) = state.campaigns.get_mut(&id) else { continue };
-            for (k, chunk_state) in campaign.states.iter_mut().enumerate() {
-                if let ChunkState::Pending { epoch } = *chunk_state {
-                    let deadline = now + Duration::from_millis(self.cfg.lease_ms);
-                    *chunk_state =
-                        ChunkState::Leased { epoch, lease, worker: worker.to_string(), deadline };
-                    let chunk = campaign.chunks[k];
-                    let fault_ids = campaign.fault_ids[chunk.range()].to_vec();
-                    granted = Some(LeaseGrant {
-                        lease,
-                        campaign: id,
-                        chunk,
-                        epoch,
-                        fault_ids,
-                        deadline_in_ms: self.cfg.lease_ms,
-                        trace: campaign.trace,
-                    });
-                    break 'outer;
-                }
+        let grant = loop {
+            let now = Self::now();
+            expired += Self::sweep(&mut state, now);
+            if state.shutdown {
+                break Grant::Shutdown;
             }
-        }
-        if let Some(grant) = &granted {
-            state.next_lease += 1;
-            if let Some(entry) = state.workers.get_mut(worker) {
-                entry.lease = Some((grant.lease, grant.campaign, grant.chunk.index, now));
+            if let Some(grant) = self.lease_next_pending(&mut state, worker, now) {
+                break Grant::Lease(grant);
             }
-        }
+            let parked = now.saturating_sub(asked);
+            if parked >= bound {
+                break Grant::Idle { retry_ms: self.cfg.idle_retry_ms };
+            }
+            self.cv.wait_for(&mut state, bound - parked);
+        };
         Self::refresh_gauges(&state);
         drop(state);
         Self::record_expiries(expired);
-        match granted {
-            Some(grant) => {
-                snn_obs::counter!("snn_cluster_chunks_issued_total", "Chunk leases granted.").inc();
-                Grant::Lease(grant)
-            }
-            None => Grant::Idle { retry_ms: self.cfg.idle_retry_ms },
+        if matches!(grant, Grant::Lease(_)) {
+            snn_obs::counter!("snn_cluster_chunks_issued_total", "Chunk leases granted.").inc();
         }
+        grant
+    }
+
+    /// Leases the first pending chunk to `worker`, if there is one.
+    fn lease_next_pending(
+        &self,
+        state: &mut State,
+        worker: &str,
+        now: Duration,
+    ) -> Option<LeaseGrant> {
+        let lease = state.next_lease;
+        // BTreeMap iterates in ascending campaign id already.
+        let grant = state.campaigns.iter_mut().find_map(|(&id, campaign)| {
+            let (k, epoch) = campaign.states.iter().enumerate().find_map(|(k, s)| match s {
+                ChunkState::Pending { epoch } => Some((k, *epoch)),
+                _ => None,
+            })?;
+            let deadline = now + Duration::from_millis(self.cfg.lease_ms);
+            campaign.states[k] =
+                ChunkState::Leased { epoch, lease, worker: worker.to_string(), deadline };
+            let chunk = campaign.chunks[k];
+            Some(LeaseGrant {
+                lease,
+                campaign: id,
+                chunk,
+                epoch,
+                fault_ids: campaign.fault_ids[chunk.range()].to_vec(),
+                deadline_in_ms: self.cfg.lease_ms,
+                trace: campaign.trace,
+            })
+        })?;
+        state.next_lease += 1;
+        if let Some(entry) = state.workers.get_mut(worker) {
+            entry.lease = Some((grant.lease, grant.campaign, grant.chunk.index, now));
+        }
+        Some(grant)
     }
 
     /// The payload of a campaign, for a worker's `Fetch`.
@@ -404,8 +427,11 @@ impl Coordinator {
 
     /// Accepts a chunk result iff `(lease, epoch)` matches the chunk's
     /// live lease — the exactly-once accounting gate. Stale results
-    /// (expired lease, bumped epoch, already-done chunk, or a malformed
-    /// outcome count) are discarded and reported with `false`.
+    /// (expired lease, bumped epoch, already-done chunk, or columns that
+    /// do not each hold one entry per leased fault) are discarded and
+    /// reported with `false`. Accepted outcomes are stamped with the
+    /// coordinator's own fault ids for the chunk, so a result cannot
+    /// speak for a fault it was not leased.
     ///
     /// For a traced campaign, `spans` (the worker's drained collector)
     /// are adopted into the coordinator's collector under the worker's
@@ -420,7 +446,7 @@ impl Coordinator {
         campaign: u64,
         chunk: usize,
         epoch: u64,
-        outcomes: Vec<FaultOutcome>,
+        outcomes: ChunkOutcomes,
         spans: Option<Vec<SpanRecord>>,
     ) -> bool {
         let now = Self::now();
@@ -438,31 +464,40 @@ impl Coordinator {
         }
         let mut accepted = false;
         if let Some(campaign_state) = state.campaigns.get_mut(&campaign) {
-            let expected_len = campaign_state.chunks.get(chunk).map(|c| c.len);
-            if let Some(chunk_state) = campaign_state.states.get_mut(chunk) {
-                if let ChunkState::Leased { epoch: e, lease: l, .. } = chunk_state {
-                    if *l == lease && *e == epoch && Some(outcomes.len()) == expected_len {
-                        *chunk_state = ChunkState::Done { outcomes };
-                        campaign_state.done += 1;
-                        accepted = true;
-                    }
+            let live = matches!(
+                campaign_state.states.get(chunk),
+                Some(ChunkState::Leased { epoch: e, lease: l, .. }) if *l == lease && *e == epoch
+            );
+            if live {
+                let ids = &campaign_state.fault_ids[campaign_state.chunks[chunk].range()];
+                if let Some(outcomes) = outcomes.into_rows(ids) {
+                    campaign_state.done_faults += outcomes.len();
+                    campaign_state.detected += outcomes.iter().filter(|o| o.detected).count();
+                    campaign_state.states[chunk] = ChunkState::Done { outcomes };
+                    campaign_state.done += 1;
+                    accepted = true;
                 }
             }
         }
         if accepted {
             state.chunks_completed += 1;
-            let mut busy = 0u64;
             if let Some(entry) = state.workers.get_mut(worker) {
                 entry.chunks_completed += 1;
                 if let Some((held_lease, _, _, granted_at)) = entry.lease {
                     if held_lease == lease {
-                        busy = u64::try_from(now.saturating_sub(granted_at).as_millis())
+                        // Microseconds: a chunk lasts a millisecond or
+                        // two, so whole milliseconds per chunk would
+                        // drop up to half of the busy time.
+                        let busy_us = u64::try_from(now.saturating_sub(granted_at).as_micros())
                             .unwrap_or(u64::MAX);
-                        entry.busy_ms += busy;
+                        entry.busy_us += busy_us;
                         entry.lease = None;
+                        state.busy_carry_us += busy_us;
                     }
                 }
             }
+            let busy_ms = state.busy_carry_us / 1000;
+            state.busy_carry_us %= 1000;
             if let (Some(collector), Some(_)) = (&collector, &batch) {
                 if let Some(campaign_state) = state.campaigns.get_mut(&campaign) {
                     if campaign_state.trace.is_some() {
@@ -493,7 +528,7 @@ impl Coordinator {
                 "snn_cluster_worker_busy_ms_total",
                 "Cumulative lease-to-result wall-clock across workers."
             )
-            .add(busy);
+            .add(busy_ms);
         } else {
             state.results_stale += 1;
             drop(state);
@@ -525,7 +560,6 @@ impl Coordinator {
         state.next_campaign += 1;
         spec.id = id;
         spec.faults = fault_ids.len();
-        let done = chunks.is_empty();
         state.campaigns.insert(
             id,
             CampaignState {
@@ -534,15 +568,17 @@ impl Coordinator {
                 chunks,
                 states,
                 done: 0,
+                done_faults: 0,
+                detected: 0,
                 trace,
                 worker_spans: BTreeMap::new(),
             },
         );
         Self::refresh_gauges(&state);
         drop(state);
-        if done {
-            self.cv.notify_all();
-        }
+        // Wakes lease requests parked in `grant` (and, for an empty
+        // campaign, its waiter).
+        self.cv.notify_all();
         id
     }
 
@@ -562,12 +598,11 @@ impl Coordinator {
         cancel: &CancelToken,
         mut on_progress: impl FnMut(CampaignProgress),
     ) -> Result<Vec<FaultOutcome>, ClusterError> {
-        let mut last = CampaignProgress { done: 0, total: 0, detected: 0 };
-        let mut reported = false;
+        let mut last = None;
+        let mut expired = 0u64;
+        let mut state = self.state.lock();
         loop {
-            let now = Self::now();
-            let mut state = self.state.lock();
-            let expired = Self::sweep(&mut state, now);
+            expired += Self::sweep(&mut state, Self::now());
             if state.shutdown {
                 state.campaigns.remove(&campaign);
                 return Err(ClusterError::Shutdown);
@@ -608,37 +643,35 @@ impl Coordinator {
                     .collect();
                 return merge_chunks(&campaign_state.chunks, parts).map_err(ClusterError::Merge);
             }
-            let progress = Self::progress_of(campaign_state);
-            drop(state);
-            Self::record_expiries(expired);
             if cancel.is_cancelled() {
-                self.state.lock().campaigns.remove(&campaign);
+                state.campaigns.remove(&campaign);
                 return Err(ClusterError::Cancelled);
             }
-            if progress != last || !reported {
-                on_progress(progress);
-                last = progress;
-                reported = true;
+            let progress = Self::progress_of(campaign_state);
+            if last == Some(progress) {
+                // Checked and parked under one hold of the lock, so a
+                // result landing in between cannot be slept through.
+                self.cv.wait_for(&mut state, Duration::from_millis(100));
+                continue;
             }
-            let mut state = self.state.lock();
-            self.cv.wait_for(&mut state, Duration::from_millis(100));
+            drop(state);
+            Self::record_expiries(std::mem::take(&mut expired));
+            on_progress(progress);
+            last = Some(progress);
+            state = self.state.lock();
         }
     }
 
     fn progress_of(campaign: &CampaignState) -> CampaignProgress {
-        let mut done = 0usize;
-        let mut detected = 0usize;
-        for s in &campaign.states {
-            if let ChunkState::Done { outcomes } = s {
-                done += outcomes.len();
-                detected += outcomes.iter().filter(|o| o.detected).count();
-            }
+        CampaignProgress {
+            done: campaign.done_faults,
+            total: campaign.fault_ids.len(),
+            detected: campaign.detected,
         }
-        CampaignProgress { done, total: campaign.fault_ids.len(), detected }
     }
 
     /// Blocks until at least `expected` workers have registered (ever),
-    /// polling under `cancel` with a wall-clock budget.
+    /// under `cancel` and a wall-clock budget.
     ///
     /// # Errors
     ///
@@ -651,24 +684,25 @@ impl Coordinator {
         budget: Duration,
     ) -> Result<(), ClusterError> {
         let started = Self::now();
+        let mut state = self.state.lock();
         loop {
-            let seen = {
-                let state = self.state.lock();
-                if state.shutdown {
-                    return Err(ClusterError::Shutdown);
-                }
-                state.workers.len()
-            };
+            if state.shutdown {
+                return Err(ClusterError::Shutdown);
+            }
+            let seen = state.workers.len();
             if seen >= expected {
                 return Ok(());
             }
             if cancel.is_cancelled() {
                 return Err(ClusterError::Cancelled);
             }
-            if Self::now().saturating_sub(started) > budget {
+            let waited = Self::now().saturating_sub(started);
+            if waited >= budget {
                 return Err(ClusterError::WorkersUnavailable { expected, seen });
             }
-            std::thread::sleep(Duration::from_millis(20));
+            // `hello` and `shutdown` notify; the cap is the cancel
+            // token's poll interval.
+            self.cv.wait_for(&mut state, (budget - waited).min(Duration::from_millis(100)));
         }
     }
 
@@ -702,7 +736,7 @@ impl Coordinator {
                     last_seen_ms: u64::try_from(now.saturating_sub(entry.last_seen).as_millis())
                         .unwrap_or(u64::MAX),
                     chunks_completed: entry.chunks_completed,
-                    busy_ms: entry.busy_ms,
+                    busy_ms: entry.busy_us / 1000,
                     lease,
                 }
             })

@@ -8,12 +8,13 @@
 //! worker *processes* — potentially on other machines — without changing
 //! a single verdict bit:
 //!
-//! * [`wire`] — protocol v4: the newline-JSON messages workers and the
+//! * [`wire`] — protocol v7: the newline-JSON messages workers and the
 //!   coordinator exchange ([`wire::WorkerMsg`], [`wire::CoordMsg`]), the
 //!   self-contained [`wire::CampaignSpec`] payload — detection stimuli
 //!   or, since v4, an optional reliability payload whose "fault ids" are
-//!   fault-map configuration indices — and the [`wire::ClusterStatus`]
-//!   snapshot served to CLI clients.
+//!   fault-map configuration indices — the columnar
+//!   [`wire::ChunkOutcomes`] a result carries, and the
+//!   [`wire::ClusterStatus`] snapshot served to CLI clients.
 //! * [`coordinator`] — the lease state machine. Chunks move
 //!   `Pending → Leased → Done`; a lease that misses its heartbeat
 //!   deadline returns the chunk to `Pending` under a bumped *epoch*, and
@@ -27,8 +28,9 @@
 //!   simulator configuration, so chunk outcomes are bit-identical to the
 //!   same fault ids inside a single-process run.
 //! * [`worker`] — the worker runtime: lease → fetch → simulate → result,
-//!   with a heartbeat side-channel that cancels a chunk the moment its
-//!   lease dies elsewhere.
+//!   each result sent together with the next lease request, with a
+//!   heartbeat side-channel that cancels a chunk the moment its lease
+//!   dies elsewhere.
 //!
 //! Merged campaign results are bit-identical to the single-process path
 //! (`snn_faults::chunk` provides the digest that CI gates on), so
@@ -45,5 +47,5 @@ pub mod worker;
 
 pub use campaign::{build_model, PreparedCampaign};
 pub use coordinator::{CampaignProgress, ClusterError, Coordinator, CoordinatorConfig, Grant};
-pub use wire::{CampaignSpec, ClusterStatus, ModelSpec, PROTOCOL_VERSION};
+pub use wire::{CampaignSpec, ChunkOutcomes, ClusterStatus, ModelSpec, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerConfig, WorkerError, WorkerReport};

@@ -1,17 +1,18 @@
-//! Protocol v5: the coordinator/worker messages of distributed
+//! Protocol v7: the coordinator/worker messages of distributed
 //! campaigns, plus the newline-JSON line codec both the job server and
 //! the cluster share.
 //!
-//! Workers talk to the *same* TCP port as job clients: the server tries
-//! to parse each incoming line as a service `Request` first and as a
-//! [`WorkerMsg`] second (the two enums have disjoint variant names, so
-//! routing is unambiguous). Every [`WorkerMsg`] is answered with exactly
-//! one [`CoordMsg`]. See `DESIGN.md` §12 for the chunk/lease state
-//! machine and an example `nc` session.
+//! Workers talk to the *same* TCP port as job clients: the server parses
+//! each incoming line once and tries the value as a service `Request`
+//! first and as a [`WorkerMsg`] second (the two enums have disjoint
+//! variant names, so routing is unambiguous). Every [`WorkerMsg`] is
+//! answered with exactly one [`CoordMsg`], in the order the lines
+//! arrived. See `DESIGN.md` §12 for the chunk/lease state machine and an
+//! example `nc` session.
 
 use serde::{Deserialize, Serialize};
 use snn_faults::{ChunkRange, FaultOutcome, FaultSimConfig};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Protocol revision; incremented on breaking wire changes.
 ///
@@ -35,7 +36,15 @@ use std::io::{BufRead, Write};
 ///   additions are `Option` fields, so v5 messages still decode
 ///   (`None` means [`Engine::Auto`](snn_faults::Engine::Auto)); the
 ///   selector never changes verdicts, only execution strategy.
-pub const PROTOCOL_VERSION: u64 = 6;
+/// * `7` — columnar results: [`WorkerMsg::Result`] carries its outcomes
+///   as [`ChunkOutcomes`] (three columns, no fault ids — the coordinator
+///   stamps the ids it leased). Breaking for workers; `Hello` refuses
+///   any other version, so there is no compatibility decode.
+pub const PROTOCOL_VERSION: u64 = 7;
+
+/// Longest line [`read_raw_line`] accepts. The largest legitimate line
+/// is a [`CampaignSpec`] carrying an events text.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// The trace context a coordinator stamps into every [`LeaseGrant`] of a
 /// traced campaign. Workers root their chunk spans at this context and
@@ -127,6 +136,64 @@ pub struct LeaseGrant {
     pub trace: Option<TraceContext>,
 }
 
+/// One chunk's outcomes as columns, in lease `fault_ids` order. The ids
+/// themselves stay behind: the coordinator holds the list it leased and
+/// stamps it back on with [`into_rows`](Self::into_rows), so a result
+/// can neither relabel a fault nor pay to repeat what both sides know.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ChunkOutcomes {
+    /// Detection bit per fault.
+    pub detected: Vec<bool>,
+    /// Output distance per fault (bit-exact over the wire).
+    pub distance: Vec<f32>,
+    /// Per-class output difference per fault; `None` when no row of the
+    /// chunk recorded one, else one entry per row.
+    pub class_diff: Option<Vec<Option<Vec<f32>>>>,
+}
+
+impl ChunkOutcomes {
+    /// Splits `rows` into columns, dropping the fault ids.
+    pub fn from_rows(rows: Vec<FaultOutcome>) -> Self {
+        let mut detected = Vec::with_capacity(rows.len());
+        let mut distance = Vec::with_capacity(rows.len());
+        let any_diff = rows.iter().any(|o| o.class_diff.is_some());
+        let mut class_diff = any_diff.then(|| Vec::with_capacity(rows.len()));
+        for row in rows {
+            detected.push(row.detected);
+            distance.push(row.distance);
+            if let Some(column) = &mut class_diff {
+                column.push(row.class_diff);
+            }
+        }
+        Self { detected, distance, class_diff }
+    }
+
+    /// Reassembles rows against the `ids` the chunk was leased under.
+    /// `None` unless every column has exactly `ids.len()` entries.
+    pub fn into_rows(self, ids: &[usize]) -> Option<Vec<FaultOutcome>> {
+        let n = ids.len();
+        if self.detected.len() != n
+            || self.distance.len() != n
+            || self.class_diff.as_ref().is_some_and(|column| column.len() != n)
+        {
+            return None;
+        }
+        let mut diffs = self.class_diff.map(Vec::into_iter);
+        Some(
+            ids.iter()
+                .zip(self.detected)
+                .zip(self.distance)
+                .map(|((&fault_id, detected), distance)| FaultOutcome {
+                    fault_id,
+                    detected,
+                    distance,
+                    class_diff: diffs.as_mut().and_then(Iterator::next).flatten(),
+                })
+                .collect(),
+        )
+    }
+}
+
 /// Worker → coordinator messages.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerMsg {
@@ -138,8 +205,10 @@ pub enum WorkerMsg {
         /// The worker's [`PROTOCOL_VERSION`].
         protocol: u64,
     },
-    /// Ask for work. Answered with [`CoordMsg::Granted`],
-    /// [`CoordMsg::Idle`] or [`CoordMsg::Shutdown`].
+    /// Ask for work. Answered with [`CoordMsg::Granted`] as soon as a
+    /// chunk is pending, with [`CoordMsg::Idle`] when none became pending
+    /// within the coordinator's long-poll bound, or with
+    /// [`CoordMsg::Shutdown`].
     Lease {
         /// Worker name.
         worker: String,
@@ -177,7 +246,7 @@ pub enum WorkerMsg {
         /// The fencing epoch from the lease.
         epoch: u64,
         /// Per-fault outcomes, in lease `fault_ids` order.
-        outcomes: Vec<FaultOutcome>,
+        outcomes: ChunkOutcomes,
         /// Finished trace spans of this chunk (protocol v5), present only
         /// when the lease carried a [`TraceContext`]. Span ids are local
         /// to the worker's collector; the coordinator remaps them on
@@ -205,9 +274,11 @@ pub enum CoordMsg {
     },
     /// Work: one chunk under a lease.
     Granted(LeaseGrant),
-    /// No chunk available right now; ask again in `retry_ms`.
+    /// No chunk became pending while the lease request was parked; ask
+    /// again at once.
     Idle {
-        /// Suggested retry delay, in milliseconds.
+        /// How long the request was parked for, in milliseconds (the
+        /// coordinator's long-poll bound).
         retry_ms: u64,
     },
     /// A campaign payload (answer to [`WorkerMsg::Fetch`]).
@@ -314,13 +385,28 @@ pub fn read_line<T: serde::Deserialize>(
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from `r`.
+/// Propagates I/O errors from `r`; a line longer than
+/// [`MAX_LINE_BYTES`] is an [`InvalidData`](std::io::ErrorKind) error
+/// (as is one that is not UTF-8), after which the stream is mid-line
+/// and must be closed.
 pub fn read_raw_line(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    read_capped_line(r, MAX_LINE_BYTES)
+}
+
+fn read_capped_line(r: &mut impl BufRead, cap: usize) -> std::io::Result<Option<String>> {
     let mut line = String::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        // One byte past the cap tells an over-long line from one that
+        // ends exactly at it.
+        if r.by_ref().take(cap as u64 + 1).read_line(&mut line)? == 0 {
             return Ok(None);
+        }
+        if line.len() > cap {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("line longer than {cap} bytes"),
+            ));
         }
         if !line.trim().is_empty() {
             return Ok(Some(line));
@@ -363,12 +449,11 @@ mod tests {
             campaign: 2,
             chunk: 1,
             epoch: 3,
-            outcomes: vec![FaultOutcome {
-                fault_id: 64,
-                detected: true,
-                distance: 2.5,
-                class_diff: None,
-            }],
+            outcomes: ChunkOutcomes {
+                detected: vec![true, false],
+                distance: vec![2.5, 0.0],
+                class_diff: Some(vec![Some(vec![1.0, -1.0]), None]),
+            },
             spans: Some(vec![snn_obs::SpanRecord {
                 id: 4,
                 parent: None,
@@ -433,8 +518,9 @@ mod tests {
         });
     }
 
-    /// A v4 lease grant (no `trace` field on the wire) and a v4 result
-    /// (no `spans` field) still decode — both additions are `Option`s.
+    /// A v4 lease grant (no `trace` field on the wire) still decodes —
+    /// the addition is an `Option`. (A v4 `Result` does not: its worker
+    /// never gets past `Hello`.)
     #[test]
     fn v4_messages_still_decode() {
         let v4_grant = r#"{"Granted":{"lease":7,"campaign":2,"chunk":{"index":1,"start":64,"len":64},"epoch":3,"fault_ids":[64],"deadline_in_ms":5000}}"#;
@@ -442,11 +528,6 @@ mod tests {
         let CoordMsg::Granted(g) = msg else { panic!("not a grant") };
         assert_eq!(g.lease, 7);
         assert_eq!(g.trace, None);
-
-        let v4_result = r#"{"Result":{"worker":"w1","lease":7,"campaign":2,"chunk":1,"epoch":3,"outcomes":[]}}"#;
-        let msg: WorkerMsg = serde::json::from_str(v4_result).unwrap();
-        let WorkerMsg::Result { spans, .. } = msg else { panic!("not a result") };
-        assert_eq!(spans, None);
     }
 
     /// A v3 campaign payload (no `reliability` field on the wire) still
@@ -478,22 +559,134 @@ mod tests {
         });
     }
 
+    /// A row as bit patterns, so that NaN payloads and signed zeros
+    /// compare exactly.
+    type RowBits = (usize, bool, u32, Option<Vec<u32>>);
+
+    fn bits_of(rows: &[FaultOutcome]) -> Vec<RowBits> {
+        let bits = |v: &Vec<f32>| v.iter().map(|x| x.to_bits()).collect();
+        rows.iter()
+            .map(|o| {
+                (o.fault_id, o.detected, o.distance.to_bits(), o.class_diff.as_ref().map(bits))
+            })
+            .collect()
+    }
+
+    /// The float JSON can carry exactly: finite, and not `-0.0` (integral
+    /// values print as integers).
+    fn wire_exact(bits: u32) -> f32 {
+        let x = f32::from_bits(bits);
+        if x.is_finite() && bits != 0x8000_0000 {
+            x
+        } else {
+            f32::from_bits(bits & 0x3fff_ffff)
+        }
+    }
+
+    fn over_the_wire(columns: &ChunkOutcomes) -> ChunkOutcomes {
+        serde::json::from_str(&serde::json::to_string(columns)).unwrap()
+    }
+
     /// The bit-identity guarantee rides on this: a fault outcome's f32
     /// distance survives the JSON wire with its exact bit pattern.
     #[test]
     fn outcome_distance_bits_survive_the_wire() {
         for bits in [0x3dcc_cccd_u32, 0x3f80_0001, 0x0000_0001, 0x7f7f_ffff] {
-            let o = FaultOutcome {
+            let rows = vec![FaultOutcome {
                 fault_id: 1,
                 detected: true,
                 distance: f32::from_bits(bits),
                 class_diff: Some(vec![f32::from_bits(bits ^ 1)]),
-            };
-            let s = serde::json::to_string(&o);
-            let back: FaultOutcome = serde::json::from_str(&s).unwrap();
-            assert_eq!(back.distance.to_bits(), bits, "wire mangled {bits:#x} ({s})");
-            assert_eq!(back.class_diff.unwrap()[0].to_bits(), bits ^ 1);
+            }];
+            let sent = ChunkOutcomes::from_rows(rows.clone());
+            let s = serde::json::to_string(&sent);
+            let back = over_the_wire(&sent).into_rows(&[1]).unwrap();
+            assert_eq!(bits_of(&back), bits_of(&rows), "wire mangled {bits:#x} ({s})");
         }
+    }
+
+    proptest::proptest! {
+        /// Columns are an exact transport for rows — no class diffs, one
+        /// on every row, or a mix — in memory for any bit pattern and
+        /// through JSON for every float JSON can carry.
+        #[test]
+        fn columns_round_trip_rows_bit_for_bit(
+            // (fault id, detected, distance bits, has diff, diff bits)
+            drawn in proptest::collection::vec(
+                (
+                    0usize..1_000_000,
+                    proptest::bool::ANY,
+                    0u32..u32::MAX,
+                    proptest::bool::ANY,
+                    proptest::collection::vec(0u32..u32::MAX, 0..4),
+                ),
+                0..24,
+            ),
+            diffs in 0usize..3,
+        ) {
+            let row = |float: fn(u32) -> f32| -> Vec<FaultOutcome> {
+                drawn
+                    .iter()
+                    .map(|(fault_id, detected, distance, has_diff, diff)| FaultOutcome {
+                        fault_id: *fault_id,
+                        detected: *detected,
+                        distance: float(*distance),
+                        // 0: none, 1: all, 2: mixed.
+                        class_diff: (diffs == 1 || (diffs == 2 && *has_diff))
+                            .then(|| diff.iter().map(|&b| float(b)).collect()),
+                    })
+                    .collect()
+            };
+            let ids: Vec<usize> = drawn.iter().map(|d| d.0).collect();
+
+            let raw = row(f32::from_bits);
+            let columns = ChunkOutcomes::from_rows(raw.clone());
+            proptest::prop_assert_eq!(
+                columns.class_diff.is_some(),
+                raw.iter().any(|o| o.class_diff.is_some())
+            );
+            proptest::prop_assert_eq!(bits_of(&columns.into_rows(&ids).unwrap()), bits_of(&raw));
+
+            let exact = row(wire_exact);
+            let sent = ChunkOutcomes::from_rows(exact.clone());
+            let back = over_the_wire(&sent).into_rows(&ids).unwrap();
+            proptest::prop_assert_eq!(bits_of(&back), bits_of(&exact));
+        }
+    }
+
+    #[test]
+    fn every_short_or_long_column_is_rejected() {
+        let rows: Vec<FaultOutcome> = (0..3)
+            .map(|i| FaultOutcome {
+                fault_id: 10 + i,
+                detected: i == 1,
+                distance: i as f32,
+                class_diff: Some(vec![0.5]),
+            })
+            .collect();
+        let ids = [10, 11, 12];
+        let good = ChunkOutcomes::from_rows(rows.clone());
+        assert_eq!(good.clone().into_rows(&ids), Some(rows));
+        assert_eq!(good.clone().into_rows(&ids[..2]), None, "more rows than leased ids");
+        assert_eq!(good.clone().into_rows(&[10, 11, 12, 13]), None, "fewer rows than leased ids");
+
+        let breakers: [fn(&mut ChunkOutcomes); 6] = [
+            |c| c.detected.truncate(2),
+            |c| c.detected.push(true),
+            |c| c.distance.truncate(2),
+            |c| c.distance.push(0.0),
+            |c| c.class_diff.as_mut().unwrap().truncate(2),
+            |c| c.class_diff.as_mut().unwrap().push(None),
+        ];
+        for (i, break_it) in breakers.iter().enumerate() {
+            let mut bad = good.clone();
+            break_it(&mut bad);
+            assert_eq!(bad.into_rows(&ids), None, "breaker {i}");
+        }
+
+        let empty = ChunkOutcomes::from_rows(Vec::new());
+        assert_eq!(empty.class_diff, None);
+        assert_eq!(empty.into_rows(&[]), Some(Vec::new()));
     }
 
     #[test]
@@ -501,5 +694,23 @@ mod tests {
         let mut r = std::io::BufReader::new(&b"\n  \n{\"x\":1}\n"[..]);
         assert_eq!(read_raw_line(&mut r).unwrap().unwrap().trim(), "{\"x\":1}");
         assert!(read_raw_line(&mut r).unwrap().is_none());
+    }
+
+    /// A peer that never sends a newline gets an error after `cap`
+    /// bytes, not an unbounded buffer.
+    #[test]
+    fn a_line_that_never_ends_is_refused_at_the_cap() {
+        let mut endless = std::io::BufReader::new(std::io::repeat(b'x'));
+        let err = read_capped_line(&mut endless, 1000).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "line longer than 1000 bytes");
+
+        // The cap counts the terminator: 1000 bytes pass, 1001 do not.
+        let fits = format!("{}\n", "x".repeat(999));
+        let mut r = std::io::BufReader::new(fits.as_bytes());
+        assert_eq!(read_capped_line(&mut r, 1000).unwrap().unwrap(), fits);
+        let over = format!("{}\n", "x".repeat(1000));
+        let mut r = std::io::BufReader::new(over.as_bytes());
+        assert!(read_capped_line(&mut r, 1000).is_err());
     }
 }

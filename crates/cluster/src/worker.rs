@@ -3,18 +3,26 @@
 //! a second connection so a hung chunk is distinguishable from a hung
 //! process.
 //!
+//! A chunk costs one blocking wait: its `Result` and the next `Lease`
+//! leave in one write, and the coordinator — which answers a
+//! connection's lines in order and parks a lease request until a chunk
+//! is pending — replies with the ack and then the grant. The worker
+//! never sleeps; it still holds at most one lease.
+//!
 //! A heartbeat answered with `live: false` means the lease expired and
 //! the chunk has been (or will be) re-issued elsewhere: the worker
 //! cancels the in-flight simulation and asks for fresh work instead of
 //! finishing a result the coordinator would discard anyway.
 
 use crate::campaign::PreparedCampaign;
-use crate::wire::{read_line, write_line, CoordMsg, WorkerMsg, PROTOCOL_VERSION};
+use crate::wire::{
+    read_line, write_line, CampaignSpec, ChunkOutcomes, CoordMsg, WorkerMsg, PROTOCOL_VERSION,
+};
 use parking_lot::Mutex;
 use snn_faults::progress::CancelToken;
 use snn_faults::ChunkCampaignError;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,6 +59,15 @@ pub struct WorkerReport {
     pub faults: u64,
     /// Chunks abandoned because the lease died mid-simulation.
     pub abandoned: u64,
+    /// Microseconds materializing campaigns and simulating chunks.
+    pub run_us: u64,
+    /// Microseconds encoding and sending messages and blocked on replies
+    /// that were due at once: result acks, grants, campaign payloads.
+    pub wire_us: u64,
+    /// Microseconds blocked on a lease request while the coordinator had
+    /// nothing to hand out. With `run_us` and `wire_us` it adds up to
+    /// the lease loop's wall-clock time.
+    pub idle_us: u64,
 }
 
 /// Why a worker stopped.
@@ -103,18 +120,30 @@ struct Session {
 
 struct Link {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
 }
 
 impl Link {
     fn connect(addr: &str) -> Result<Self, WorkerError> {
         let stream = TcpStream::connect(addr)?;
+        // Every message is written whole and answered before more is
+        // sent; Nagle's algorithm could only delay it.
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(Self { reader, writer: BufWriter::new(stream) })
+        Ok(Self { reader, writer: stream })
     }
 
     fn send(&mut self, msg: &WorkerMsg) -> Result<(), WorkerError> {
         write_line(&mut self.writer, msg).map_err(WorkerError::Io)
+    }
+
+    /// Sends two messages in one write; their replies come back in the
+    /// same order.
+    fn send_pair(&mut self, first: &WorkerMsg, second: &WorkerMsg) -> Result<(), WorkerError> {
+        let mut lines = Vec::new();
+        write_line(&mut lines, first)?;
+        write_line(&mut lines, second)?;
+        self.writer.write_all(&lines).map_err(WorkerError::Io)
     }
 
     fn recv(&mut self) -> Result<Option<CoordMsg>, WorkerError> {
@@ -217,6 +246,15 @@ fn spawn_heartbeat(
         .ok()
 }
 
+/// Microseconds since `mark`, which moves to now: consecutive laps
+/// partition the lease loop's wall-clock time.
+fn lap(mark: &mut Duration) -> u64 {
+    let now = snn_obs::clock::monotonic();
+    let us = u64::try_from(now.saturating_sub(*mark).as_micros()).unwrap_or(u64::MAX);
+    *mark = now;
+    us
+}
+
 fn lease_loop(
     cfg: &WorkerConfig,
     link: &mut Link,
@@ -225,78 +263,106 @@ fn lease_loop(
 ) -> Result<WorkerReport, WorkerError> {
     let mut report = WorkerReport::default();
     let mut campaigns: HashMap<u64, PreparedCampaign> = HashMap::new();
+    let lease = WorkerMsg::Lease { worker: cfg.name.clone() };
+    let mut mark = snn_obs::clock::monotonic();
+    // Exactly one lease request is outstanding at the top of the loop.
+    // `reasked` marks one sent because the coordinator had nothing: the
+    // wait for its answer is idle time whatever the answer is.
+    link.send(&lease)?;
+    let mut reasked = false;
     loop {
-        link.send(&WorkerMsg::Lease { worker: cfg.name.clone() })?;
-        match link.recv()? {
-            Some(CoordMsg::Granted(grant)) => {
-                if !campaigns.contains_key(&grant.campaign) {
-                    if campaigns.len() >= CAMPAIGN_CACHE {
-                        campaigns.clear();
-                    }
-                    let prepared = fetch_campaign(cfg, link, grant.campaign)?;
-                    campaigns.insert(grant.campaign, prepared);
-                }
-                // snn-lint: allow(L-PANIC): inserted above when absent
-                let prepared = campaigns.get(&grant.campaign).expect("cached above");
-
-                let cancel = CancelToken::new();
-                session.lock().current = Some((grant.lease, cancel.clone()));
-                let mut span = snn_obs::span!("cluster.chunk");
-                span.attr("lease", grant.lease);
-                span.attr("chunk", grant.chunk.index);
-                let outcome = prepared.run_chunk(&grant.fault_ids, &cancel);
-                drop(span);
-                session.lock().current = None;
-                // Drain even when the grant is untraced or the chunk was
-                // abandoned: the collector must not grow without bound.
-                let drained = collector.map(|c| c.drain());
-                let spans = if grant.trace.is_some() { drained } else { None };
-
-                match outcome {
-                    Ok(outcomes) => {
-                        report.chunks += 1;
-                        report.faults += outcomes.len() as u64;
-                        link.send(&WorkerMsg::Result {
-                            worker: cfg.name.clone(),
-                            lease: grant.lease,
-                            campaign: grant.campaign,
-                            chunk: grant.chunk.index,
-                            epoch: grant.epoch,
-                            outcomes,
-                            spans,
-                        })?;
-                        match link.recv()? {
-                            Some(CoordMsg::ResultAck { .. }) => {}
-                            Some(CoordMsg::Error { message }) => {
-                                return Err(WorkerError::Coordinator(message))
-                            }
-                            Some(other) => {
-                                return Err(WorkerError::Coordinator(format!(
-                                    "expected result ack, got {other:?}"
-                                )))
-                            }
-                            None => return Ok(report),
-                        }
-                    }
-                    Err(ChunkCampaignError::Campaign(snn_faults::CampaignError::Cancelled)) => {
-                        // Lease died mid-chunk; the coordinator re-issued
-                        // it. Drop the partial work and ask for more.
-                        report.abandoned += 1;
-                    }
-                    Err(e) => return Err(WorkerError::Campaign(e.to_string())),
-                }
-            }
-            Some(CoordMsg::Idle { retry_ms }) => {
-                std::thread::sleep(Duration::from_millis(retry_ms.clamp(1, 1000)));
-            }
-            Some(CoordMsg::Campaign(_))
-            | Some(CoordMsg::Welcome { .. })
-            | Some(CoordMsg::HeartbeatAck { .. })
-            | Some(CoordMsg::ResultAck { .. }) => {
-                return Err(WorkerError::Coordinator("unexpected message in lease loop".into()))
+        let reply = link.recv()?;
+        let waited = lap(&mut mark);
+        if reasked || matches!(reply, Some(CoordMsg::Idle { .. })) {
+            report.idle_us += waited;
+        } else {
+            report.wire_us += waited;
+        }
+        let grant = match reply {
+            Some(CoordMsg::Granted(grant)) => grant,
+            Some(CoordMsg::Idle { .. }) => {
+                // The request already waited out the coordinator's
+                // long-poll bound; ask again at once.
+                link.send(&lease)?;
+                reasked = true;
+                continue;
             }
             Some(CoordMsg::Shutdown) | None => return Ok(report),
             Some(CoordMsg::Error { message }) => return Err(WorkerError::Coordinator(message)),
+            Some(other) => {
+                return Err(WorkerError::Coordinator(format!(
+                    "expected a lease reply, got {other:?}"
+                )))
+            }
+        };
+        reasked = false;
+
+        // The grant answered the last outstanding request, so the link
+        // is free for a fetch.
+        if !campaigns.contains_key(&grant.campaign) {
+            if campaigns.len() >= CAMPAIGN_CACHE {
+                campaigns.clear();
+            }
+            let spec = fetch_campaign(cfg, link, grant.campaign)?;
+            report.wire_us += lap(&mut mark);
+            let prepared =
+                PreparedCampaign::new(&spec, Some(cfg.threads)).map_err(WorkerError::Campaign)?;
+            campaigns.insert(grant.campaign, prepared);
+        }
+        // snn-lint: allow(L-PANIC): inserted above when absent
+        let prepared = campaigns.get(&grant.campaign).expect("cached above");
+
+        let cancel = CancelToken::new();
+        session.lock().current = Some((grant.lease, cancel.clone()));
+        let mut span = snn_obs::span!("cluster.chunk");
+        span.attr("lease", grant.lease);
+        span.attr("chunk", grant.chunk.index);
+        let outcome = prepared.run_chunk(&grant.fault_ids, &cancel);
+        drop(span);
+        session.lock().current = None;
+        // Drain even when the grant is untraced or the chunk was
+        // abandoned: the collector must not grow without bound.
+        let drained = collector.map(|c| c.drain());
+        let spans = if grant.trace.is_some() { drained } else { None };
+        report.run_us += lap(&mut mark);
+
+        match outcome {
+            Ok(outcomes) => {
+                report.chunks += 1;
+                report.faults += outcomes.len() as u64;
+                let result = WorkerMsg::Result {
+                    worker: cfg.name.clone(),
+                    lease: grant.lease,
+                    campaign: grant.campaign,
+                    chunk: grant.chunk.index,
+                    epoch: grant.epoch,
+                    outcomes: ChunkOutcomes::from_rows(outcomes),
+                    spans,
+                };
+                link.send_pair(&result, &lease)?;
+                match link.recv()? {
+                    // Accepted or stale, the next lease is already asked
+                    // for.
+                    Some(CoordMsg::ResultAck { .. }) => {}
+                    Some(CoordMsg::Error { message }) => {
+                        return Err(WorkerError::Coordinator(message))
+                    }
+                    Some(other) => {
+                        return Err(WorkerError::Coordinator(format!(
+                            "expected result ack, got {other:?}"
+                        )))
+                    }
+                    None => return Ok(report),
+                }
+                report.wire_us += lap(&mut mark);
+            }
+            Err(ChunkCampaignError::Campaign(snn_faults::CampaignError::Cancelled)) => {
+                // Lease died mid-chunk; the coordinator re-issued it.
+                // Drop the partial work and ask for more.
+                report.abandoned += 1;
+                link.send(&lease)?;
+            }
+            Err(e) => return Err(WorkerError::Campaign(e.to_string())),
         }
     }
 }
@@ -305,12 +371,10 @@ fn fetch_campaign(
     cfg: &WorkerConfig,
     link: &mut Link,
     campaign: u64,
-) -> Result<PreparedCampaign, WorkerError> {
+) -> Result<CampaignSpec, WorkerError> {
     link.send(&WorkerMsg::Fetch { worker: cfg.name.clone(), campaign })?;
     match link.recv()? {
-        Some(CoordMsg::Campaign(spec)) => {
-            PreparedCampaign::new(&spec, Some(cfg.threads)).map_err(WorkerError::Campaign)
-        }
+        Some(CoordMsg::Campaign(spec)) => Ok(spec),
         Some(CoordMsg::Error { message }) => Err(WorkerError::Coordinator(message)),
         Some(other) => {
             Err(WorkerError::Coordinator(format!("expected campaign payload, got {other:?}")))

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_cluster::coordinator::{Coordinator, CoordinatorConfig, Grant};
-use snn_cluster::wire::{CampaignSpec, ModelSpec};
+use snn_cluster::wire::{CampaignSpec, ChunkOutcomes, ModelSpec};
 use snn_cluster::{build_model, PreparedCampaign};
 use snn_faults::progress::CancelToken;
 use snn_faults::{verdict_digest, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse};
@@ -99,7 +99,7 @@ fn distributed_campaign(
                                 grant.campaign,
                                 grant.chunk.index,
                                 grant.epoch,
-                                outcomes,
+                                ChunkOutcomes::from_rows(outcomes),
                                 None
                             ));
                         }

@@ -1,6 +1,6 @@
 //! In-process exercises of the coordinator's lease state machine:
 //! expiry → re-issue under a bumped epoch, the exactly-once result gate,
-//! heartbeat extension, shutdown and cancellation.
+//! heartbeat extension, parked lease requests, shutdown and cancellation.
 //!
 //! No TCP, no worker processes — these tests play the worker role by
 //! calling the coordinator directly, using short real-time leases with
@@ -11,10 +11,17 @@
 use snn_cluster::coordinator::{
     CampaignProgress, ClusterError, Coordinator, CoordinatorConfig, Grant,
 };
-use snn_cluster::wire::{CampaignSpec, ModelSpec};
+use snn_cluster::wire::{CampaignSpec, ChunkOutcomes, ModelSpec};
 use snn_faults::progress::CancelToken;
 use snn_faults::{FaultOutcome, FaultSimConfig};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Far longer than any of these tests waits: a parked `grant` that comes
+/// back sooner was woken, not timed out.
+const NEVER_MS: u64 = 60_000;
+/// How long a woken call may take to come back on a loaded machine.
+const PROMPT: Duration = Duration::from_secs(10);
 
 fn spec() -> CampaignSpec {
     // The coordinator never materializes the payload — only workers do —
@@ -33,7 +40,129 @@ fn coordinator(chunk_size: usize, lease_ms: u64) -> Coordinator {
     Coordinator::new(CoordinatorConfig { chunk_size, lease_ms, heartbeat_ms: 20, idle_retry_ms: 5 })
 }
 
-fn fake_outcomes(fault_ids: &[usize]) -> Vec<FaultOutcome> {
+/// A coordinator whose lease requests park for `idle_retry_ms`, and a
+/// thread already asking it for work as `worker` (again after every
+/// `Idle`, as a worker does). The thread reports on the channel just
+/// before it calls `grant`; the pause after that gives it time to park
+/// (a test that loses this race still passes — it just exercises the
+/// unparked path).
+fn parked_grant(
+    lease_ms: u64,
+    idle_retry_ms: u64,
+    worker: &'static str,
+) -> (Arc<Coordinator>, std::thread::JoinHandle<Grant>) {
+    let coord = Arc::new(Coordinator::new(CoordinatorConfig {
+        chunk_size: 2,
+        lease_ms,
+        heartbeat_ms: 20,
+        idle_retry_ms,
+    }));
+    coord.hello(worker);
+    let (asking, asked) = std::sync::mpsc::channel();
+    let handle = {
+        let coord = Arc::clone(&coord);
+        std::thread::spawn(move || {
+            asking.send(()).unwrap();
+            loop {
+                match coord.grant(worker) {
+                    Grant::Idle { .. } => {}
+                    answer => return answer,
+                }
+            }
+        })
+    };
+    asked.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    (coord, handle)
+}
+
+#[test]
+fn a_parked_grant_gets_its_lease_when_a_campaign_is_submitted() {
+    let (coord, parked) = parked_grant(5000, NEVER_MS, "w1");
+    let submitted = Instant::now();
+    coord.submit(spec(), (0..3).collect(), None);
+    let Grant::Lease(grant) = parked.join().unwrap() else { panic!("expected a lease") };
+    assert!(submitted.elapsed() < PROMPT, "woken by submit, not by the {NEVER_MS} ms bound");
+    assert_eq!(grant.fault_ids, vec![0, 1]);
+    let held = coord.status().workers[0].lease.expect("the parked worker now holds the lease");
+    assert_eq!(held.lease, grant.lease);
+}
+
+#[test]
+fn a_parked_grant_answers_idle_once_the_bound_passes() {
+    let coord = Coordinator::new(CoordinatorConfig {
+        chunk_size: 2,
+        lease_ms: 5000,
+        heartbeat_ms: 20,
+        idle_retry_ms: 60,
+    });
+    coord.hello("w1");
+    let asked = Instant::now();
+    assert_eq!(coord.grant("w1"), Grant::Idle { retry_ms: 60 });
+    assert!(asked.elapsed() >= Duration::from_millis(60), "parked for the whole bound");
+}
+
+#[test]
+fn shutdown_wakes_a_parked_grant() {
+    let (coord, parked) = parked_grant(5000, NEVER_MS, "w1");
+    let stopped = Instant::now();
+    coord.shutdown();
+    assert_eq!(parked.join().unwrap(), Grant::Shutdown);
+    assert!(stopped.elapsed() < PROMPT, "woken by shutdown, not by the {NEVER_MS} ms bound");
+}
+
+/// A worker whose connection drops while its lease request is parked
+/// swallows the grant that request eventually gets. Nothing releases
+/// that chunk early: it comes back by lease expiry, like the chunk of a
+/// worker that dies mid-simulation.
+#[test]
+fn a_grant_swallowed_by_a_vanished_worker_costs_one_lease_period() {
+    let lease = Duration::from_millis(200);
+    // The server's own short bound: every `Idle` turns into a fresh
+    // request, and a fresh request sweeps for expired leases.
+    let (coord, ghost) = parked_grant(200, 20, "ghost");
+    coord.hello("w2");
+    let fault_ids: Vec<usize> = (0..6).collect();
+    let submitted = Instant::now();
+    let campaign = coord.submit(spec(), fault_ids.clone(), None);
+    let Grant::Lease(swallowed) = ghost.join().unwrap() else { panic!("expected a lease") };
+
+    let live = {
+        let coord = Arc::clone(&coord);
+        std::thread::spawn(move || loop {
+            match coord.grant("w2") {
+                Grant::Lease(g) => {
+                    let rows = fake_outcomes(&g.fault_ids);
+                    assert!(coord.result(
+                        "w2",
+                        g.lease,
+                        campaign,
+                        g.chunk.index,
+                        g.epoch,
+                        rows,
+                        None
+                    ));
+                }
+                Grant::Idle { .. } => {}
+                Grant::Shutdown => return,
+            }
+        })
+    };
+    let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
+    let took = submitted.elapsed();
+    coord.shutdown();
+    live.join().unwrap();
+
+    assert_eq!(merged, fake_rows(&fault_ids), "verdicts are exact despite the lost grant");
+    assert!(took >= lease, "the swallowed chunk waited for its lease to expire ({took:?})");
+    assert!(took < lease + PROMPT, "and for nothing else ({took:?})");
+    let status = coord.status();
+    assert_eq!(status.chunks_reissued, 1, "only chunk {} ran twice", swallowed.chunk.index);
+    assert_eq!(status.results_stale, 0);
+    assert_eq!(status.chunks_completed, 3);
+}
+
+fn fake_rows(fault_ids: &[usize]) -> Vec<FaultOutcome> {
     fault_ids
         .iter()
         .map(|&id| FaultOutcome {
@@ -43,6 +172,10 @@ fn fake_outcomes(fault_ids: &[usize]) -> Vec<FaultOutcome> {
             class_diff: None,
         })
         .collect()
+}
+
+fn fake_outcomes(fault_ids: &[usize]) -> ChunkOutcomes {
+    ChunkOutcomes::from_rows(fake_rows(fault_ids))
 }
 
 #[test]
@@ -129,23 +262,67 @@ fn heartbeats_keep_a_slow_lease_alive() {
     assert_eq!(coord.status().chunks_reissued, 0, "no expiry happened");
 }
 
+/// Columns that do not each hold one entry per leased fault bounce as
+/// stale; the lease stays live, so the campaign can still complete.
 #[test]
 fn wrong_length_results_are_rejected() {
     let coord = coordinator(4, 5000);
     coord.hello("w1");
     let campaign = coord.submit(spec(), (0..4).collect(), None);
     let Grant::Lease(grant) = coord.grant("w1") else { panic!("expected a lease") };
-    let short = fake_outcomes(&grant.fault_ids[..2]);
-    assert!(!coord.result(
-        "w1",
-        grant.lease,
-        campaign,
-        grant.chunk.index,
-        grant.epoch,
-        short,
-        None
-    ));
-    assert_eq!(coord.status().results_stale, 1);
+    let good = fake_outcomes(&grant.fault_ids);
+
+    let fewer_rows = fake_outcomes(&grant.fault_ids[..2]);
+    let more_rows = fake_outcomes(&[0, 1, 2, 3, 4]);
+    let mut short_distance = good.clone();
+    short_distance.distance.pop();
+    let mut long_detected = good.clone();
+    long_detected.detected.push(true);
+    let mut short_diffs = good.clone();
+    short_diffs.class_diff = Some(vec![None; 3]);
+    let malformed = [fewer_rows, more_rows, short_distance, long_detected, short_diffs];
+    let bounced = malformed.len() as u64;
+    for bad in malformed {
+        let (lease, chunk, epoch) = (grant.lease, grant.chunk.index, grant.epoch);
+        assert!(!coord.result("w1", lease, campaign, chunk, epoch, bad, None));
+    }
+    assert_eq!(coord.status().results_stale, bounced);
+    assert_eq!(coord.status().chunks_leased, 1, "a bounced result does not end the lease");
+
+    assert!(coord.result("w1", grant.lease, campaign, grant.chunk.index, grant.epoch, good, None));
+    let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
+    assert_eq!(merged, fake_rows(&grant.fault_ids));
+}
+
+/// The coordinator stamps accepted outcomes with the ids it leased, so a
+/// result cannot speak for a fault outside its chunk.
+#[test]
+fn accepted_outcomes_carry_the_leased_ids_not_the_senders() {
+    let coord = coordinator(4, 5000);
+    coord.hello("w1");
+    let leased_ids = vec![40, 7, 19];
+    let campaign = coord.submit(spec(), leased_ids.clone(), None);
+    let Grant::Lease(g) = coord.grant("w1") else { panic!("expected a lease") };
+    let relabelled = fake_outcomes(&[0, 1, 2]);
+    assert!(coord.result("w1", g.lease, campaign, g.chunk.index, g.epoch, relabelled, None));
+    let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
+    assert_eq!(merged.iter().map(|o| o.fault_id).collect::<Vec<_>>(), leased_ids);
+}
+
+/// Chunks last a millisecond or two, so busy time must not be rounded
+/// down to whole milliseconds chunk by chunk.
+#[test]
+fn busy_time_accumulates_below_a_millisecond() {
+    let coord = coordinator(1, 5000);
+    coord.hello("w1");
+    let campaign = coord.submit(spec(), (0..20).collect(), None);
+    while let Grant::Lease(g) = coord.grant("w1") {
+        std::thread::sleep(Duration::from_micros(300));
+        let rows = fake_outcomes(&g.fault_ids);
+        assert!(coord.result("w1", g.lease, campaign, g.chunk.index, g.epoch, rows, None));
+    }
+    let busy_ms = coord.status().workers[0].busy_ms;
+    assert!(busy_ms >= 6, "20 chunks of at least 0.3 ms each, got {busy_ms} ms");
 }
 
 #[test]
@@ -182,7 +359,7 @@ fn completed_campaign_merges_in_fault_list_order() {
         coord.wait(campaign, &CancelToken::new(), |p: CampaignProgress| seen.push(p)).unwrap();
     let got: Vec<usize> = merged.iter().map(|o| o.fault_id).collect();
     assert_eq!(got, fault_ids, "merged outcomes follow fault-list order");
-    assert_eq!(merged, fake_outcomes(&fault_ids), "verdicts survive the round trip");
+    assert_eq!(merged, fake_rows(&fault_ids), "verdicts survive the round trip");
 
     let status = coord.status();
     assert_eq!(status.campaigns_active, 0, "waited campaigns are retired");

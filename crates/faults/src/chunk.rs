@@ -101,13 +101,12 @@ pub fn select_faults(
     universe: &FaultUniverse,
     fault_ids: &[usize],
 ) -> Result<Vec<Fault>, ChunkCampaignError> {
-    let faults = universe.faults();
     fault_ids
         .iter()
         .map(|&id| {
-            faults.iter().find(|f| f.id == id).copied().ok_or(ChunkCampaignError::UnknownFault {
+            universe.get(id).copied().ok_or(ChunkCampaignError::UnknownFault {
                 fault_id: id,
-                universe_len: faults.len(),
+                universe_len: universe.len(),
             })
         })
         .collect()
@@ -326,6 +325,24 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, ChunkCampaignError::UnknownFault { .. }), "{err}");
+    }
+
+    #[test]
+    fn select_faults_keeps_order_and_duplicates_and_rejects_ids_past_the_end() {
+        let (_, u, _) = setup();
+        let ids = [7, 0, 7, u.len() - 1, 3, 3];
+        let picked = select_faults(&u, &ids).unwrap();
+        assert_eq!(picked.iter().map(|f| f.id).collect::<Vec<_>>(), ids);
+        for f in &picked {
+            assert_eq!(*f, u.faults()[f.id], "the universe's own entry, not a lookalike");
+        }
+        assert_eq!(select_faults(&u, &[]).unwrap(), Vec::new());
+        for bad in [u.len(), usize::MAX] {
+            assert_eq!(
+                select_faults(&u, &[0, bad]).unwrap_err(),
+                ChunkCampaignError::UnknownFault { fault_id: bad, universe_len: u.len() }
+            );
+        }
     }
 
     #[test]

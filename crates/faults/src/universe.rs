@@ -207,6 +207,14 @@ impl FaultUniverse {
         &self.faults
     }
 
+    /// The fault with id `id`, by index: enumeration assigns
+    /// `id = position`, so the lookup is O(1). `None` for an id outside
+    /// the universe, or — in a deserialized universe whose ids are not
+    /// dense — one that does not sit in its own slot.
+    pub fn get(&self, id: usize) -> Option<&Fault> {
+        self.faults.get(id).filter(|f| f.id == id)
+    }
+
     /// Total fault count.
     pub fn len(&self) -> usize {
         self.faults.len()
@@ -272,7 +280,23 @@ mod tests {
         let u = FaultUniverse::standard(&net());
         for (i, f) in u.faults().iter().enumerate() {
             assert_eq!(f.id, i);
+            assert_eq!(u.get(i), Some(f));
         }
+        assert_eq!(u.get(u.len()), None);
+        assert_eq!(u.get(usize::MAX), None);
+    }
+
+    #[test]
+    fn get_refuses_an_id_that_sits_in_the_wrong_slot() {
+        // Only a deserialized universe can be non-dense; such an id is
+        // unknown, never resolved to whatever occupies its index.
+        let text = serde::json::to_string(&FaultUniverse::standard(&net()));
+        let moved = text.replacen("\"id\":0,", "\"id\":5,", 1);
+        assert_ne!(moved, text, "fixture edit must apply");
+        let u: FaultUniverse = serde::json::from_str(&moved).expect("still a universe");
+        assert_eq!(u.get(0), None, "slot 0 now holds id 5");
+        assert_eq!(u.get(5).map(|f| f.id), Some(5), "slot 5 still holds its own fault");
+        assert_eq!(u.get(5), u.faults().get(5));
     }
 
     #[test]

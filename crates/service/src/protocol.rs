@@ -121,7 +121,7 @@ pub struct JobTimings {
     /// Test-generation time.
     pub generation_ms: u64,
     /// Fault-simulation (coverage campaign) time; `0` when no campaign
-    /// ran.
+    /// ran, at least `1` when one did.
     pub fault_sim_ms: u64,
 }
 
@@ -174,7 +174,8 @@ pub struct JobResult {
 
 /// Schema revision stamped into every [`JobRecord`] the server persists.
 ///
-/// Matches [`PROTOCOL_VERSION`] since v4, when the field was introduced.
+/// Followed [`PROTOCOL_VERSION`] from v4, when the field was introduced,
+/// to v6; protocol v7 changed only the worker wire, not the record.
 /// Every schema change so far is an additive `Option` field (v6 added
 /// the spec's requested `engine` and the result's resolved `engine`),
 /// so records from any earlier schema (including v1–v3 records, which

@@ -4,8 +4,9 @@
 //! One listener serves two populations: job clients speaking
 //! [`Request`]/[`Response`] and cluster workers speaking
 //! `snn_cluster::wire::WorkerMsg`/`CoordMsg`. Each incoming line is
-//! decoded as a client request first and a worker message second (the
-//! variant names are disjoint). With `expect_workers > 0`, coverage
+//! parsed once and the value tried as a client request first and a
+//! worker message second (the variant names are disjoint). With
+//! `expect_workers > 0`, coverage
 //! campaigns are sharded onto the worker pool through the
 //! [`Coordinator`]; with the default `0`, the in-process path runs
 //! unchanged — and both produce bit-identical verdicts and digests.
@@ -19,6 +20,7 @@ use crate::store::{now_ms, JobStore};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Deserialize as _;
 use snn_cluster::build_model;
 use snn_cluster::coordinator::{ClusterError, Coordinator, CoordinatorConfig, Grant};
 use snn_cluster::wire::{CampaignSpec, CoordMsg, TraceContext, WorkerMsg};
@@ -656,7 +658,9 @@ fn execute(
         result.verdict_digest = Some(verdict_digest_hex(&per_fault));
         result.runtime_ms = started.elapsed().as_millis() as u64;
         if let Some(timings) = result.timings.as_mut() {
-            timings.fault_sim_ms = ms_since(fault_sim_started);
+            // A distributed campaign on a small universe can finish inside
+            // a millisecond; `0` is reserved for "no campaign ran".
+            timings.fault_sim_ms = ms_since(fault_sim_started).max(1);
         }
     }
 
@@ -725,7 +729,8 @@ fn execute_reliability(
     let impactful = outcomes.iter().filter(|o| o.detected).count();
     let fault_sim_ms =
         u64::try_from(snn_obs::clock::monotonic().saturating_sub(sim_started).as_millis())
-            .unwrap_or(u64::MAX);
+            .unwrap_or(u64::MAX)
+            .max(1);
 
     JobOutcome::Done(Box::new(JobResult {
         chunks: 0,
@@ -836,31 +841,52 @@ fn run_distributed(
 }
 
 /// Serves one connection — client or cluster worker. Each line is
-/// decoded as a client [`Request`] first and a [`WorkerMsg`] second (the
-/// variant names are disjoint); requests are answered by one
-/// [`Response`] (`Watch` by a response stream), worker messages by one
-/// [`CoordMsg`] (`Bye` by none).
+/// parsed once; the value is tried as a client [`Request`] first and a
+/// [`WorkerMsg`] second (the variant names are disjoint). Requests are
+/// answered by one [`Response`] (`Watch` by a response stream), worker
+/// messages by one [`CoordMsg`] (`Bye` by none), strictly in the order
+/// the lines arrived — a worker may send its next request before it has
+/// read the previous reply.
 fn handle_connection(inner: Arc<Inner>, stream: TcpStream) -> io::Result<()> {
+    // Replies are written whole, one per request; Nagle's algorithm
+    // could only hold the second of two back-to-back replies for the
+    // peer's delayed ACK.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
 
-    while let Some(line) = snn_cluster::wire::read_raw_line(&mut reader)? {
-        let text = line.trim();
-        let request = match serde::json::from_str::<Request>(text) {
+    let bad = |e: &dyn std::fmt::Display| Response::Error { message: format!("bad message: {e}") };
+    loop {
+        let line = match snn_cluster::wire::read_raw_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()),
+            // An over-long or non-UTF-8 line leaves the stream mid-line:
+            // say why, then close.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                return write_line(&mut writer, &bad(&e));
+            }
+            Err(e) => return Err(e),
+        };
+        let value = match serde::json::parse(line.trim()) {
+            Ok(value) => value,
+            Err(e) => {
+                write_line(&mut writer, &bad(&e))?;
+                continue;
+            }
+        };
+        let request = match Request::deserialize(&value) {
             Ok(request) => request,
-            Err(client_err) => match serde::json::from_str::<WorkerMsg>(text) {
-                Ok(msg) => {
-                    if let Some(reply) = worker_reply(&inner, msg) {
-                        write_line(&mut writer, &reply)?;
+            Err(client_err) => {
+                match WorkerMsg::deserialize(&value) {
+                    Ok(msg) => {
+                        if let Some(reply) = worker_reply(&inner, msg) {
+                            write_line(&mut writer, &reply)?;
+                        }
                     }
-                    continue;
+                    Err(_) => write_line(&mut writer, &bad(&client_err))?,
                 }
-                Err(_) => {
-                    let message = format!("bad message: {client_err}");
-                    write_line(&mut writer, &Response::Error { message })?;
-                    continue;
-                }
-            },
+                continue;
+            }
         };
         match request {
             Request::Ping => {
@@ -893,14 +919,16 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) -> io::Result<()> {
             }
         }
     }
-    Ok(())
 }
 
 /// Answers one cluster-worker message, delegating to the coordinator.
 /// `None` for `Bye`, which gets no reply.
 fn worker_reply(inner: &Inner, msg: WorkerMsg) -> Option<CoordMsg> {
-    let span = snn_obs::span!("cluster.worker_msg");
-    let reply = match msg {
+    // A lease request parks in `grant` until a chunk is pending: that is
+    // the worker's idle time, not message handling, so it gets no span.
+    let _span =
+        (!matches!(msg, WorkerMsg::Lease { .. })).then(|| snn_obs::span!("cluster.worker_msg"));
+    Some(match msg {
         WorkerMsg::Hello { name, protocol } => {
             if protocol == PROTOCOL_VERSION {
                 let (protocol, lease_ms, heartbeat_ms) = inner.coordinator.hello(&name);
@@ -933,9 +961,7 @@ fn worker_reply(inner: &Inner, msg: WorkerMsg) -> Option<CoordMsg> {
             }
         }
         WorkerMsg::Bye { .. } => return None,
-    };
-    drop(span);
-    Some(reply)
+    })
 }
 
 /// Streams `job`'s snapshot and then its events until it is terminal.

@@ -788,9 +788,16 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
         trace,
     })
     .map_err(|e| format!("worker failed: {e}"))?;
+    let ms = |us: u64| us as f64 / 1e3;
     println!(
-        "worker {name} done: {} chunk(s), {} fault(s), {} abandoned",
-        report.chunks, report.faults, report.abandoned
+        "worker {name} done: {} chunk(s), {} fault(s), {} abandoned; \
+         run {:.1} ms, wire {:.1} ms, idle {:.1} ms",
+        report.chunks,
+        report.faults,
+        report.abandoned,
+        ms(report.run_us),
+        ms(report.wire_us),
+        ms(report.idle_us)
     );
     Ok(())
 }
@@ -920,7 +927,7 @@ fn bench_run(workers: usize, spec: &JobSpec, chunk_size: usize) -> Result<BenchR
         workers,
         fault_sim_ms,
         faults_total,
-        faults_per_sec: faults_total as f64 / (fault_sim_ms.max(1) as f64 / 1000.0),
+        faults_per_sec: faults_total as f64 / (fault_sim_ms as f64 / 1000.0),
         digest,
         engine: result.engine,
     })
@@ -1106,7 +1113,7 @@ fn cmd_cluster_bench(args: &[String]) -> Result<(), String> {
             ));
         }
     }
-    let speedup = runs[1].fault_sim_ms.max(1) as f64 / runs[2].fault_sim_ms.max(1) as f64;
+    let speedup = runs[1].fault_sim_ms as f64 / runs[2].fault_sim_ms as f64;
     println!("digests identical across all paths; 2-worker speedup over 1: {speedup:.2}x");
 
     // The regression gate: 2-worker throughput must stay within
