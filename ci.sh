@@ -11,6 +11,18 @@ cd "$(dirname "$0")"
 
 step() { echo; echo "==> $*"; }
 
+# The address a backgrounded `serve` logged to $1 once it listens (it was
+# given port 0); empty if it has not come up within 10 s.
+listen_addr_of() {
+    local addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$1")"
+        [[ -n "$addr" ]] && break
+        sleep 0.1
+    done
+    echo "$addr"
+}
+
 step "cargo build --release"
 cargo build --release --offline
 
@@ -107,7 +119,17 @@ step "packed engine — digest equality with the scalar engine on the example ne
 # on all three example nets — nmnist (pool prefix), ibm (conv sites and
 # a pool crossing), shd (recurrent sites) — and the planner must take
 # every fault of all three: nothing is left to the scalar fallback.
+# Both runs print their campaign time, and their ratio — taken within
+# one run of this script, so host speed cancels — has a floor at half of
+# what it read before the sweep behind the fault followed the lane's
+# spikes (12x / 5.4x / 3.3x): a sweep that falls back to per-lane full
+# products drops below it, noise does not.
 verdict_of() { sed -n 's/^verdict digest: \([0-9a-f]*\)$/\1/p' <<< "$1"; }
+campaign_seconds_of() {
+    sed -n 's/^fault coverage: .* in \([0-9.]*\)\(ns\|µs\|ms\|s\)$/\1 \2/p' <<< "$1" | awk '
+        { scale["ns"] = 1e-9; scale["µs"] = 1e-6; scale["ms"] = 1e-3; scale["s"] = 1; print $1 * scale[$2] }'
+}
+declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=6 [ibm]=3 [shd]=2)
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
         --out "$ANALYZE_TMP/$m.events" > /dev/null
@@ -124,6 +146,14 @@ for m in nmnist ibm shd; do
     [[ -n "$SCALAR_DIGEST" ]] || { echo "$m: verify printed no verdict digest"; exit 1; }
     [[ "$SCALAR_DIGEST" == "$PACKED_DIGEST" ]] \
         || { echo "$m: engine digest mismatch: scalar $SCALAR_DIGEST vs packed $PACKED_DIGEST"; exit 1; }
+    SCALAR_S="$(campaign_seconds_of "$SCALAR_OUT")"
+    PACKED_S="$(campaign_seconds_of "$PACKED_OUT")"
+    [[ -n "$SCALAR_S" && -n "$PACKED_S" ]] || { echo "$m: verify printed no campaign time"; exit 1; }
+    awk -v m="$m" -v scalar="$SCALAR_S" -v packed="$PACKED_S" -v floor="${PACKED_SPEEDUP_FLOOR[$m]}" 'BEGIN {
+        ratio = scalar / packed
+        printf "%s: scalar %.3f s / packed %.3f s = %.1fx (floor %dx)\n", m, scalar, packed, ratio, floor
+        if (ratio < floor) { print m ": the packed engine lost its lead over the scalar one"; exit 1 }
+    }'
 done
 
 step "packed engine — kernel phases attribute >=95% of conv- and recurrent-site campaigns"
@@ -176,12 +206,7 @@ SERVE_LOG="$ANALYZE_TMP/serve.log"
     --expect-workers 2 --chunk-size 64 \
     --trace-out "$ANALYZE_TMP/cluster.trace.jsonl" > "$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-    SERVE_ADDR="$(sed -n 's/^listening on \([0-9.:]*\) .*/\1/p' "$SERVE_LOG")"
-    [[ -n "$SERVE_ADDR" ]] && break
-    sleep 0.1
-done
+SERVE_ADDR="$(listen_addr_of "$SERVE_LOG")"
 [[ -n "$SERVE_ADDR" ]] || { echo "traced serve did not come up"; cat "$SERVE_LOG"; exit 1; }
 ./target/release/snn-mtfc worker --addr "$SERVE_ADDR" --name trace-w1 --threads 1 --trace \
     > /dev/null 2>&1 &
@@ -204,6 +229,35 @@ ATTRIBUTED="$(sed -n 's/^attributed: \([0-9]*\)\..*/\1/p' <<< "$TRACED_PROFILE")
 [[ -n "$ATTRIBUTED" ]] || { echo "phase table missing attribution line"; exit 1; }
 (( ATTRIBUTED >= 95 )) \
     || { echo "kernel phases attribute only ${ATTRIBUTED}% of fault-sim time (need >=95%)"; exit 1; }
+
+step "server memory is flat — 40 watched jobs over 40 models"
+# Every job brings a model the server has not seen (the CLI seeds the
+# synthetic weights with --seed) and a watcher that leaves when the job
+# is done. What the server keeps per job must not grow with the number
+# of jobs: its resident set after job 40 may exceed the one after job 10
+# by 8 MB at most (before the analysis cache was bounded and a finished
+# watch released its subscription, the same run added 85 MB). One worker
+# thread: the jobs come one at a time anyway, and a second one only
+# gives the allocator a second arena to warm up past job 10 (the heap
+# reaches its high-water mark around job 10 with one, 15 with two).
+MEM_LOG="$ANALYZE_TMP/mem-serve.log"
+./target/release/snn-mtfc serve --state-dir "$ANALYZE_TMP/mem-state" --addr 127.0.0.1:0 \
+    --workers 1 > "$MEM_LOG" 2>&1 &
+MEM_PID=$!
+MEM_ADDR="$(listen_addr_of "$MEM_LOG")"
+[[ -n "$MEM_ADDR" ]] || { echo "memory-check serve did not come up"; cat "$MEM_LOG"; exit 1; }
+rss_kb() { awk '/^VmRSS:/ { print $2 }' "/proc/$MEM_PID/status"; }
+for i in $(seq 1 40); do
+    ./target/release/snn-mtfc submit --synthetic 64x64x32x10 --preset fast --max-iterations 2 \
+        --seed "$i" --watch --addr "$MEM_ADDR" > /dev/null
+    if (( i == 10 )); then RSS_AFTER_10="$(rss_kb)"; fi
+done
+RSS_AFTER_40="$(rss_kb)"
+./target/release/snn-mtfc shutdown --addr "$MEM_ADDR" > /dev/null
+wait "$MEM_PID" 2>/dev/null || true
+echo "server VmRSS: ${RSS_AFTER_10} kB after 10 jobs, ${RSS_AFTER_40} kB after 40"
+(( RSS_AFTER_40 - RSS_AFTER_10 <= 8192 )) \
+    || { echo "server grew $(( (RSS_AFTER_40 - RSS_AFTER_10) / 1024 )) MB between job 10 and job 40 (limit 8 MB)"; exit 1; }
 
 step "reliability — seeded fault-map campaign, single-process vs 2-worker digests gated"
 RELIABILITY_ARGS=(--synthetic 6x12x4 --configs 8 --weight-ber 0.05 --mitigation range

@@ -13,6 +13,16 @@
 //! words — per-lane `f32` state is materialized lazily, only for lanes
 //! that actually diverge, and only from their first divergent tick.
 //!
+//! Behind its fault a diverged lane costs what diverged: a drive is read
+//! from the golden record on the ticks where nothing it depends on
+//! differs, and is otherwise the sum of the transposed weight's columns
+//! at the lane's spikes (the transposed copies are made once per
+//! campaign); a tick of a layer is one vectorisable
+//! [`LifParams::step_row`](snn_model::LifParams::step_row) and one
+//! folded comparison with the golden row; the buffers belong to the
+//! worker thread, not to the lane; and the phase clock is read per pack
+//! and layer.
+//!
 //! The pipeline:
 //!
 //! 1. [`plan`] — group the fault list by fault layer into *packs* of
@@ -50,7 +60,7 @@ use snn_faults::{
 use snn_model::{Layer, Network};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::LocalPhases;
-use snn_tensor::Tensor;
+use snn_tensor::{ops, Tensor};
 
 use pack::{as_u64, Golden};
 
@@ -183,12 +193,28 @@ fn packed_detect(
     } else {
         Vec::new()
     };
+    // Column-major weight copies for the layers a diverged lane is
+    // carried through: every matrix behind the first fault layer, and a
+    // recurrent fault layer's own feedback matrix.
+    let transposed: Vec<pack::Transposed> = (net.layers().iter().enumerate())
+        .map(|(idx, layer)| match layer {
+            Layer::Dense(l) if idx > first_fault_layer => {
+                pack::Transposed { input: ops::transposed(&l.weight), feedback: Vec::new() }
+            }
+            Layer::Recurrent(l) if idx >= first_fault_layer => pack::Transposed {
+                input: if idx > first_fault_layer { ops::transposed(&l.w_in) } else { Vec::new() },
+                feedback: ops::transposed(&l.w_rec),
+            },
+            _ => pack::Transposed::default(),
+        })
+        .collect();
     drop(baseline_span);
 
     let done = AtomicUsize::new(0);
     let detected_total = AtomicUsize::new(0);
     let ctx = pack::Ctx {
         net,
+        transposed: &transposed,
         cfg,
         faults,
         injections: &injections,
@@ -200,10 +226,10 @@ fn packed_detect(
         plan.packs.len(),
         cfg.threads,
         cancel,
-        || (),
-        |_, pi| {
+        || pack::Scratch::new(net),
+        |scratch, pi| {
             let pk = &plan.packs[pi];
-            let outcomes = pack::run_pack(&ctx, pk);
+            let outcomes = pack::run_pack(&ctx, pk, scratch);
             let det = outcomes.iter().filter(|o| o.detected).count();
             let detected = detected_total.fetch_add(det, Ordering::Relaxed) + det;
             let done_now = done.fetch_add(pk.members.len(), Ordering::Relaxed) + pk.members.len();

@@ -30,21 +30,33 @@
 //!   then and there. Lanes whose output reconverges drop out; at the last
 //!   layer the flips *are* the verdict.
 //!
+//! What a diverged lane costs follows what diverged. A recomputed drive
+//! is the sum of the transposed weight's columns at the lane's spikes
+//! ([`lane_matvec`], [`ops::matvec_skip_zeros`]; the transposed copies
+//! are made once per campaign), never a full product; a tick of a layer
+//! is one [`LifParams::step_row`] and one folded comparison with the
+//! golden row; and every buffer a lane touches belongs to its worker
+//! thread's [`Scratch`] — a lane allocates nothing. The clock is read
+//! once per stage of a pack ([`Laps`]), not per lane.
+//!
 //! # Bit-exactness
 //!
 //! Verdicts must be bit-identical to the scalar engine's (the chunk
 //! `verdict_digest` is gated on it):
 //!
-//! * **same step function** — every membrane update is
-//!   [`LifParams::step`], the update the model's own forward pass runs,
-//!   and the golden drives and pre-tick states are records *of* that
-//!   forward pass ([`Network::forward_golden`](snn_model::Network::forward_golden));
-//! * **exact-zero reuse** — a drive is recomputed by the function the
-//!   model computes it with ([`Layer::feedforward`], `matvec`,
-//!   [`conv2d_window`]) or by [`lane_row_dot`] / [`row_dot`], bitwise
-//!   equal to `matvec` rows; it is reused where every input the fault
-//!   touches is an exact zero, whose products never move an accumulator
-//!   (see `snn_tensor::packed`);
+//! * **same step function** — a membrane update is [`LifParams::step`],
+//!   the update the model's own forward pass runs, or — a whole row under
+//!   one set of parameters — [`LifParams::step_row`], a second spelling
+//!   held to `step` by a property test on spikes and state bits; the
+//!   golden drives and pre-tick states are records *of* that forward
+//!   pass ([`Network::forward_golden`](snn_model::Network::forward_golden));
+//! * **same additions in the same order** — a drive is recomputed by the
+//!   function the model computes it with ([`Layer::feedforward`] for conv
+//!   and pooling rows, [`ops::matvec_skip_zeros`] for matrices,
+//!   [`conv2d_window`]) or by [`lane_matvec`] / [`row_dot`], which make
+//!   `matvec`'s non-zero additions per output in `matvec`'s order; it is
+//!   reused where every input the fault touches is an exact zero, whose
+//!   products never move an accumulator (see `snn_tensor::packed`);
 //! * **exact resume** — a lane equal to the golden run before `t0` has
 //!   the golden state entering `t0`, so resuming from the record is the
 //!   computation the scalar engine performs from tick 0;
@@ -65,9 +77,10 @@ use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::ops::{self, conv2d_window};
 use snn_tensor::packed::{
-    broadcast_row, lane_row_dot, row_diff_mask, row_dot, set_lane_bit, unpack_lane,
+    broadcast_row, lane_matvec, row_diff_mask, row_dot, set_lane_bit, unpack_lane,
 };
 use snn_tensor::Tensor;
+use std::time::Duration;
 
 use crate::plan::Pack;
 
@@ -78,9 +91,23 @@ pub(crate) struct Golden {
     pub lif: Vec<Option<LifRecord>>,
 }
 
+/// Column-major copies ([`ops::transposed`]) of one layer's weight
+/// matrices, the layout the sweep multiplies a lane's spikes in. Empty
+/// where the sweep never multiplies: conv and pooling layers, and layers
+/// no fault sits at or before.
+#[derive(Default)]
+pub(crate) struct Transposed {
+    /// A dense layer's `weight`, a recurrent layer's `w_in`.
+    pub input: Vec<f32>,
+    /// A recurrent layer's `w_rec`.
+    pub feedback: Vec<f32>,
+}
+
 /// Read-only campaign state shared by every pack run.
 pub(crate) struct Ctx<'a> {
     pub net: &'a Network,
+    /// Per layer, made once per campaign.
+    pub transposed: &'a [Transposed],
     pub cfg: FaultSimConfig,
     pub faults: &'a [Fault],
     pub injections: &'a [Injection],
@@ -148,65 +175,140 @@ impl Gold<'_> {
         &data[t * self.n..(t + 1) * self.n]
     }
 
-    fn row_mut<'b, V>(&self, data: &'b mut [V], t: usize) -> &'b mut [V] {
-        &mut data[t * self.n..(t + 1) * self.n]
+    /// Fills `words` with the layer's output, the golden row in every
+    /// lane.
+    fn broadcast(&self, words: &mut Vec<u64>) {
+        words.resize(self.out.len(), 0);
+        broadcast_row(self.out, words);
+    }
+}
+
+/// One worker thread's buffers, made once per campaign and thread and
+/// reused by every pack, test and lane the thread runs: the sweep
+/// allocates per pack (verdicts and outcomes), never per lane.
+pub(crate) struct Scratch {
+    lane: LaneScratch,
+    /// Output words of the spiking layer a sweep step reads …
+    words: Vec<u64>,
+    /// … and of the one it writes; swapped as the sweep moves on.
+    words_out: Vec<u64>,
+    /// Per tick, the lanes whose row in `words` differs from golden's.
+    diffmask: Vec<u64>,
+    /// Per-class spike-count deltas of the lane at the output layer.
+    delta: Vec<i32>,
+    /// The pack's patched weight rows, one slot of equal length per
+    /// member.
+    patched: Vec<f32>,
+}
+
+/// What simulating one lane at one layer needs: rows as wide as the
+/// widest layer, used up to the layer at hand.
+struct LaneScratch {
+    carried: Vec<f32>,
+    refrac: Vec<u32>,
+    z: Vec<f32>,
+    spikes: Vec<f32>,
+    /// Recurrent layers: the lane's own previous spikes while they differ
+    /// from golden's, and the feedback they drive.
+    prev: Vec<f32>,
+    fb: Vec<f32>,
+    /// The lane's row on its way through pooling layers.
+    row: Vec<f32>,
+    pooled: Vec<f32>,
+    /// Conv weight faults: the input each output pixel reads through the
+    /// faulty tap, if any.
+    tapped: Vec<Option<usize>>,
+}
+
+impl Scratch {
+    pub(crate) fn new(net: &Network) -> Self {
+        let widest = net.layers().iter().map(Layer::out_features).max().unwrap_or(0);
+        let row = || vec![0.0f32; widest];
+        Self {
+            lane: LaneScratch {
+                carried: row(),
+                refrac: vec![0; widest],
+                z: row(),
+                spikes: row(),
+                prev: row(),
+                fb: row(),
+                row: row(),
+                pooled: row(),
+                tapped: Vec::new(),
+            },
+            words: Vec::new(),
+            words_out: Vec::new(),
+            diffmask: Vec::new(),
+            delta: vec![0; widest],
+            patched: Vec::new(),
+        }
+    }
+}
+
+/// The pack's phase clock. A lap is read once, where a stage of the pack
+/// ends — a fault-layer loop, a layer of the sweep — and is credited
+/// whole to the phase that stage mostly is: the clock is never read per
+/// lane or per fault.
+struct Laps {
+    local: LocalPhases,
+    started: Duration,
+    mark: Duration,
+}
+
+impl Laps {
+    fn start() -> Self {
+        let started = monotonic();
+        Self { local: LocalPhases::new(), started, mark: started }
     }
 
-    /// The layer's output words with the golden row in every lane.
-    fn broadcast(&self, local: &mut LocalPhases) -> Vec<u64> {
-        let run_started = monotonic();
-        let mut words = vec![0u64; self.steps * self.n];
-        for t in 0..self.steps {
-            broadcast_row(self.row(self.out, t), self.row_mut(&mut words, t));
-        }
-        local.add(Phase::PackRun, monotonic().saturating_sub(run_started));
-        words
+    fn lap(&mut self) -> Duration {
+        let now = monotonic();
+        let lap = now.saturating_sub(self.mark);
+        self.mark = now;
+        lap
     }
 
-    /// The part of the golden drive that depends on the layer's input
-    /// alone: all of it, except in a recurrent layer.
-    fn feedforward(&self) -> &[f32] {
-        if self.rec.feedforward.is_empty() {
-            &self.rec.drive
-        } else {
-            &self.rec.feedforward
-        }
+    fn end(&mut self, phase: Phase) {
+        let lap = self.lap();
+        self.local.add(phase, lap);
+    }
+
+    fn end_forward(&mut self, layer: usize) {
+        let lap = self.lap();
+        self.local.add_forward(layer, lap);
     }
 }
 
 /// Where a lane's flips at one layer go.
 enum Sink<'a> {
     /// The output layer: the flips are the verdict.
-    Verdict { count: u32, delta: Vec<i32> },
+    Verdict { count: u32, delta: &'a mut [i32] },
     /// An inner layer: the flips set the lane's bit in the layer's output
     /// words, which hold the golden row in every lane.
     Words { words: &'a mut [u64], n: usize, lane: u32, any: bool },
 }
 
 impl<'a> Sink<'a> {
-    /// A lane's sink at a layer of `n` neurons: into the layer's output
-    /// `words`, or — the output layer has none — a verdict.
-    fn new(words: Option<&'a mut [u64]>, n: usize, lane: u32) -> Self {
+    /// A lane's sink at a layer of `delta.len()` neurons: into the
+    /// layer's output `words`, or — the output layer has none — a
+    /// verdict tallied in `delta`, which the previous lane left dirty.
+    fn new(words: Option<&'a mut [u64]>, delta: &'a mut [i32], lane: u32) -> Self {
         match words {
-            Some(words) => Sink::Words { words, n, lane, any: false },
-            None => Sink::Verdict { count: 0, delta: vec![0; n] },
+            Some(words) => Sink::Words { words, n: delta.len(), lane, any: false },
+            None => {
+                delta.fill(0);
+                Sink::Verdict { count: 0, delta }
+            }
         }
     }
 
     /// Closes the lane's sink: `true` when the lane leaves an inner layer
     /// diverged; an output-layer sink folds into the lane's `verdict`.
-    fn finish(
-        self,
-        cfg: &FaultSimConfig,
-        verdict: &mut LaneVerdict,
-        local: &mut LocalPhases,
-    ) -> bool {
+    fn finish(self, cfg: &FaultSimConfig, verdict: &mut LaneVerdict) -> bool {
         match self {
             Sink::Words { any, .. } => any,
             Sink::Verdict { count, delta } => {
-                let compare_started = monotonic();
-                verdict.update(cfg, count, &delta);
-                local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
+                verdict.update(cfg, count, delta);
                 false
             }
         }
@@ -226,6 +328,25 @@ impl<'a> Sink<'a> {
                 *any = true;
             }
         }
+    }
+
+    /// Reports the flips of one tick of neurons `base..base + spikes.len()`:
+    /// wherever the lane's `spikes` differ from the `golden` ones. Both
+    /// rows hold exact `0.0`/`1.0`, so one or-folded xor of their bits
+    /// settles the usual case — no flip — without a look at any neuron.
+    /// `true` when there was one.
+    #[inline]
+    fn flips(&mut self, t: usize, base: usize, spikes: &[f32], golden: &[f32]) -> bool {
+        let differ = |s: &f32, g: &f32| s.to_bits() ^ g.to_bits();
+        if spikes.iter().zip(golden).fold(0, |acc, (s, g)| acc | differ(s, g)) == 0 {
+            return false;
+        }
+        for (p, (s, g)) in spikes.iter().zip(golden).enumerate() {
+            if differ(s, g) != 0 {
+                self.flip(t, base + p, s.to_bits() != 0);
+            }
+        }
+        true
     }
 }
 
@@ -266,25 +387,55 @@ pub(crate) fn as_u64(n: usize) -> u64 {
     u64::try_from(n).unwrap_or(u64::MAX)
 }
 
+/// The weight matrix a synapse fault in `tensor` of `layer` patches, and
+/// the length of its rows — the weights of one neuron or output channel.
+fn weight_rows(layer: &Layer, tensor: usize) -> (&Tensor, usize) {
+    let w = match layer {
+        Layer::Dense(l) => &l.weight,
+        Layer::Conv(l) => &l.weight,
+        Layer::Recurrent(l) if tensor == 0 => &l.w_in,
+        Layer::Recurrent(l) => &l.w_rec,
+        Layer::Pool(_) => unreachable!("pooling layers have no weights to fault"),
+    };
+    (w, w.len() / w.shape().dim(0))
+}
+
 /// Runs one pack over every test input, returning per-member outcomes in
 /// member order. Phase accounting is recorded into a pack-local scratch
 /// and folded into the process-wide accumulator via `merge_pack`, which
 /// scales *counts* (not nanoseconds) by the lane width so per-fault
 /// normalization stays meaningful.
-pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack) -> Vec<FaultOutcome> {
+pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec<FaultOutcome> {
     let mut pack_span = snn_obs::span!("batch.pack");
     pack_span.attr("layer", pack.layer);
     pack_span.attr("lanes", pack.lanes());
-    let pack_started = monotonic();
-    let mut local = LocalPhases::new();
+    let mut laps = Laps::start();
     let mut verdicts: Vec<LaneVerdict> = Vec::new();
     verdicts.resize_with(pack.members.len(), LaneVerdict::default);
 
+    // Injection: every weight fault's row with the faulty value in place,
+    // built once for all test inputs.
+    let layer = &ctx.net.layers()[pack.layer];
+    // (Only a recurrent layer has a second matrix, with rows of its own
+    // length.)
+    let slot = weight_rows(layer, 0).1.max(weight_rows(layer, 1).1);
+    scratch.patched.resize(pack.members.len() * slot, 0.0);
+    for (&fi, row) in pack.members.iter().zip(scratch.patched.chunks_exact_mut(slot.max(1))) {
+        if let Injection::Weight { at, value } = &ctx.injections[fi] {
+            let (w, cols) = weight_rows(layer, at.tensor);
+            let q = at.offset / cols;
+            row[..cols].copy_from_slice(&w.as_slice()[q * cols..(q + 1) * cols]);
+            row[at.offset % cols] = *value;
+        }
+    }
+    laps.end(Phase::Inject);
+
     for k in 0..ctx.tests.len() {
-        run_test(ctx, pack, k, &mut verdicts, &mut local);
+        run_test(ctx, pack, k, slot, &mut verdicts, scratch, &mut laps);
     }
 
-    let pack_elapsed = monotonic().saturating_sub(pack_started);
+    let Laps { mut local, started, mark } = laps;
+    let pack_elapsed = mark.saturating_sub(started);
     local.add(Phase::Fault, pack_elapsed);
     let members = pack.members.len();
     let detected = verdicts.iter().filter(|v| v.detected).count();
@@ -316,17 +467,19 @@ pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack) -> Vec<FaultOutcome> {
         .collect()
 }
 
-/// Sweeps the pack under test input `k`.
+/// Sweeps the pack under test input `k`; member `i`'s patched weight row
+/// is the `i`-th `slot` of `scratch.patched`.
 fn run_test(
     ctx: &Ctx<'_>,
     pack: &Pack,
     k: usize,
+    slot: usize,
     verdicts: &mut [LaneVerdict],
-    local: &mut LocalPhases,
+    scratch: &mut Scratch,
+    laps: &mut Laps,
 ) {
     let ell = pack.layer;
     let gold = ctx.gold(k, ell);
-    let n = gold.n;
     let last = ell == ctx.net.layers().len() - 1;
     let testable = |fi: usize| {
         !(ctx.cfg.activity_filter
@@ -337,45 +490,40 @@ fn run_test(
     // each lane's flips applied by its fault-layer stage. A lane without
     // flips equals the golden run everywhere and is resolved; at the
     // output layer there are no words and the flips are the verdict.
-    let mut words = (!last).then(|| gold.broadcast(local));
+    if !last {
+        gold.broadcast(&mut scratch.words);
+        laps.end(Phase::PackRun);
+    }
     let mut live = 0u64;
     for (i, &fi) in pack.members.iter().enumerate() {
         if testable(fi) {
             let lane = pack.lane(i);
-            let mut sink = Sink::new(words.as_deref_mut(), n, lane);
-            fault_stage(ctx, k, fi, &gold, &mut sink, local);
-            live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i], local)) << lane;
+            let words = (!last).then_some(&mut scratch.words[..]);
+            let mut sink = Sink::new(words, &mut scratch.delta[..gold.n], lane);
+            let patched = &scratch.patched[i * slot..(i + 1) * slot];
+            fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
+            live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i])) << lane;
         }
     }
-    if let (Some(words), true) = (words, live != 0) {
-        downstream(ctx, pack, k, words, live, verdicts, local);
+    laps.end_forward(ell);
+    if live != 0 {
+        downstream(ctx, pack, k, live, verdicts, scratch, laps);
     }
 }
 
 /// The fault-layer stage: simulates what member fault `fi` changes at its
-/// own layer under test `k` and reports the flips.
+/// own layer under test `k` and reports the flips. `patched` is the
+/// member's slot of patched weight rows.
 fn fault_stage(
     ctx: &Ctx<'_>,
     k: usize,
     fi: usize,
     gold: &Gold<'_>,
+    patched: &[f32],
+    s: &mut LaneScratch,
     sink: &mut Sink<'_>,
-    local: &mut LocalPhases,
 ) {
     let ell = ctx.faults[fi].site.layer();
-    let started = monotonic();
-    // Building a patched weight row counts as injection, the rest as
-    // forward simulation of the fault layer.
-    let mut forward_started = started;
-    let mut patched_row = |w: &Tensor, offset: usize, value: f32| {
-        let cols = w.shape().dim(1);
-        let (q, c) = (offset / cols, offset % cols);
-        let mut row = w.as_slice()[q * cols..(q + 1) * cols].to_vec();
-        row[c] = value;
-        forward_started = monotonic();
-        local.add(Phase::Inject, forward_started.saturating_sub(started));
-        (q, c, row)
-    };
     // What the fault is, in the terms the simulator applies it in. The
     // injections were realized via `for_fault`, which rejects site/kind
     // mismatches before any pack runs.
@@ -388,7 +536,8 @@ fn fault_stage(
             match gold.layer {
                 Layer::Recurrent(l) => {
                     let site = RecurrentSite { q: index, forced, lif, patch: None };
-                    recurrent_site(ctx.layer_input(k, ell), l, gold, &site, sink);
+                    let w_rec_t = &ctx.transposed[ell].feedback;
+                    recurrent_site(ctx.layer_input(k, ell), l, w_rec_t, gold, &site, s, sink);
                 }
                 // A feed-forward neuron's drive does not depend on its own
                 // behaviour: the golden drive column under other constants,
@@ -398,12 +547,13 @@ fn fault_stage(
                 }
             }
         }
-        (Injection::Weight { at, value }, _) => {
+        (Injection::Weight { at, .. }, _) => {
             let x = ctx.layer_input(k, ell);
+            let cols = weight_rows(gold.layer, at.tensor).1;
+            // The faulty weight is input `c` of neuron (or channel) `q`.
+            let (q, c, row) = (at.offset / cols, at.offset % cols, &patched[..cols]);
             match gold.layer {
-                Layer::Dense(l) => {
-                    let (q, c, patched) = patched_row(&l.weight, at.offset, *value);
-                    let cols = patched.len();
+                Layer::Dense(_) => {
                     let drive = |t: usize| {
                         let x_t = &x[t * cols..(t + 1) * cols];
                         // z reuse: when input feature c carries no traffic
@@ -415,20 +565,19 @@ fn fault_stage(
                         // of zero spikes is exactly +0.0.
                         // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
                         if x_t[c] != 0.0 {
-                            row_dot(&patched, x_t)
+                            row_dot(row, x_t)
                         } else {
                             gold.rec.drive[t * gold.n + q]
                         }
                     };
                     column(gold, q, None, gold.lif, drive, sink);
                 }
-                Layer::Conv(l) => conv_weight(x, l, gold, at.offset, *value, sink),
+                Layer::Conv(l) => conv_weight(x, l, gold, (q, c, row), s, sink),
                 Layer::Recurrent(l) => {
-                    let w = if at.tensor == 0 { &l.w_in } else { &l.w_rec };
-                    let (q, c, row) = patched_row(w, at.offset, *value);
                     let patch = Some(RowPatch { feedback: at.tensor != 0, row, c });
                     let site = RecurrentSite { q, forced: None, lif: *gold.lif, patch };
-                    recurrent_site(x, l, gold, &site, sink);
+                    let w_rec_t = &ctx.transposed[ell].feedback;
+                    recurrent_site(x, l, w_rec_t, gold, &site, s, sink);
                 }
                 Layer::Pool(_) => unreachable!("pooling layers have no weights to fault"),
             }
@@ -437,7 +586,6 @@ fn fault_stage(
             unreachable!("neuron injection at a synapse site")
         }
     }
-    local.add_forward(ell, monotonic().saturating_sub(forward_started));
 }
 
 /// Neuron `q` alone, from rest, over the whole run: forced to a constant
@@ -459,67 +607,65 @@ fn column(
     }
 }
 
-/// A conv kernel weight `(oc, ic, ky, kx)` holding `value`: only channel
-/// `oc` can change, and at a given tick only the output pixels whose
-/// tapped input pixel is non-zero — every other window's golden drive is
-/// reused (exact-zero products; taps in the padding are skipped by the
-/// kernel altogether).
+/// A conv kernel weight: tap `tap` (`(ic, ky, kx)` flattened) of output
+/// channel `oc`, whose patched kernel is `w_oc`. Only channel `oc` can
+/// change, and at a given tick only the output pixels whose tapped input
+/// pixel is non-zero — every other window's golden drive is reused
+/// (exact-zero products; taps in the padding are skipped by the kernel
+/// altogether). The channel's drive row is put together first, then the
+/// channel — one set of LIF parameters — is stepped as a row.
 fn conv_weight(
     x: &[f32],
     l: &snn_model::ConvLayer,
     gold: &Gold<'_>,
-    offset: usize,
-    value: f32,
+    (oc, tap, w_oc): (usize, usize, &[f32]),
+    s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
     let (spec, (h, w), (oh, ow)) = (&l.spec, l.in_hw, l.out_hw());
     let k = spec.kernel;
-    let per_channel = spec.in_channels * k * k;
-    let (oc, tap) = (offset / per_channel, offset % per_channel);
     let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-    let mut w_oc = l.weight.as_slice()[oc * per_channel..(oc + 1) * per_channel].to_vec();
-    w_oc[tap] = value;
-
     let (pixels, base, in_features) = (oh * ow, oc * oh * ow, spec.in_channels * h * w);
     // Input index each output pixel reads through the faulty weight.
-    let tapped: Vec<Option<usize>> = (0..pixels)
-        .map(|p| Some((ic * h + spec.tap(p / ow, ky, h)?) * w + spec.tap(p % ow, kx, w)?))
-        .collect();
-    let mut carried = vec![0.0f32; pixels];
-    let mut refrac = vec![0u32; pixels];
+    s.tapped.clear();
+    s.tapped.extend(
+        (0..pixels)
+            .map(|p| Some((ic * h + spec.tap(p / ow, ky, h)?) * w + spec.tap(p % ow, kx, w)?)),
+    );
+    let (carried, refrac) = (&mut s.carried[..pixels], &mut s.refrac[..pixels]);
+    let (z, spikes) = (&mut s.z[..pixels], &mut s.spikes[..pixels]);
+    carried.fill(0.0);
+    refrac.fill(0);
     for t in 0..gold.steps {
         let x_t = &x[t * in_features..(t + 1) * in_features];
-        for p in 0..pixels {
-            let q = base + p;
+        let channel = t * gold.n + base..t * gold.n + base + pixels;
+        z.copy_from_slice(&gold.rec.drive[channel.clone()]);
+        for (p, tapped) in s.tapped.iter().enumerate() {
             // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
-            let z = if tapped[p].is_some_and(|j| x_t[j] != 0.0) {
-                conv2d_window(spec, x_t, h, w, &w_oc, p / ow, p % ow)
-            } else {
-                gold.rec.drive[t * gold.n + q]
-            };
-            let fired = gold.lif.step(&mut carried[p], &mut refrac[p], z).fired;
-            if fired != gold.spike(t, q) {
-                sink.flip(t, q, fired);
+            if tapped.is_some_and(|j| x_t[j] != 0.0) {
+                z[p] = conv2d_window(spec, x_t, h, w, w_oc, p / ow, p % ow);
             }
         }
+        gold.lif.step_row(carried, refrac, z, spikes);
+        sink.flips(t, base, spikes, &gold.out[channel]);
     }
 }
 
 /// One patched row of a recurrent layer's `W_in` or (`feedback`) `W_rec`.
-struct RowPatch {
+struct RowPatch<'a> {
     feedback: bool,
     /// The faulty neuron's weight row with the faulty value at `c`.
-    row: Vec<f32>,
+    row: &'a [f32],
     c: usize,
 }
 
 /// A fault at neuron `q` of a recurrent layer: other constants or a
 /// forced output, or one patched weight in `q`'s row.
-struct RecurrentSite {
+struct RecurrentSite<'a> {
     q: usize,
     forced: Option<bool>,
     lif: LifParams,
-    patch: Option<RowPatch>,
+    patch: Option<RowPatch<'a>>,
 }
 
 /// A recurrent-site fault. While the lane's spikes equal the golden ones
@@ -528,32 +674,35 @@ struct RecurrentSite {
 /// patched row redone where the patched input carries traffic). Once a
 /// spike differs, the others leave the trajectory through the feedback:
 /// they resume from the recorded state of the next tick and the whole
-/// layer is stepped, `W_rec · s[t−1]` recomputed on the ticks whose
-/// previous spikes differ from golden's — until spikes and state are
-/// back on the record, and `q` runs alone again.
+/// layer is stepped as a row, `W_rec · s[t−1]` recomputed on the ticks
+/// whose previous spikes differ from golden's — until spikes and state
+/// are back on the record, and `q` runs alone again.
 fn recurrent_site(
     x: &[f32],
     l: &RecurrentLayer,
+    w_rec_t: &[f32],
     gold: &Gold<'_>,
-    site: &RecurrentSite,
+    site: &RecurrentSite<'_>,
+    s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
     let (n, steps, rec, q) = (gold.n, gold.steps, gold.rec, site.q);
     let in_features = l.w_in.shape().dim(1);
     // Lane-private state: `q`'s always, the others' while `desynced`.
-    let mut carried = vec![0.0f32; n];
-    let mut refrac = vec![0u32; n];
+    let (carried, refrac) = (&mut s.carried[..n], &mut s.refrac[..n]);
+    carried.fill(0.0);
+    refrac.fill(0);
     let mut desynced = false;
     // The lane's spikes of the previous tick, kept while they differ from
     // the golden ones (`prev_differs`, which implies `desynced`).
-    let mut prev = vec![0.0f32; n];
+    let (mut prev, mut spikes) = (&mut s.prev[..n], &mut s.spikes[..n]);
     let mut prev_differs = false;
-    let mut fb = vec![0.0f32; n];
+    let (z, fb) = (&mut s.z[..n], &mut s.fb[..n]);
 
     for t in 0..steps {
         if desynced {
             if prev_differs {
-                ops::matvec(&l.w_rec, &prev, &mut fb);
+                ops::matvec_skip_zeros(w_rec_t, prev, fb);
             } else {
                 fb.copy_from_slice(gold.row(&rec.feedback, t));
             }
@@ -569,12 +718,12 @@ fn recurrent_site(
             if !patch.feedback {
                 let x_t = &x[t * in_features..(t + 1) * in_features];
                 if live(x_t) {
-                    ff_q = row_dot(&patch.row, x_t);
+                    ff_q = row_dot(patch.row, x_t);
                 }
             } else if t > 0 {
                 let prev_t = if prev_differs { &prev[..] } else { gold.row(gold.out, t - 1) };
                 if live(prev_t) {
-                    fb[q] = row_dot(&patch.row, prev_t);
+                    fb[q] = row_dot(patch.row, prev_t);
                 }
             }
         }
@@ -582,31 +731,33 @@ fn recurrent_site(
         // model's recurrent drive; there is no feedback on the first tick.
         let drive = |ff: f32, fb: f32| if t > 0 { ff + fb } else { ff };
 
+        if desynced {
+            // Everyone under the layer's constants, `q` included: its
+            // state is put back and stepped under its own below.
+            for ((zi, ff), fb) in z.iter_mut().zip(gold.row(&rec.feedforward, t)).zip(fb.iter()) {
+                *zi = drive(*ff, *fb);
+            }
+            let own = (carried[q], refrac[q]);
+            gold.lif.step_row(carried, refrac, z, spikes);
+            (carried[q], refrac[q]) = own;
+        }
         let fired_q = site.forced.unwrap_or_else(|| {
             site.lif.step(&mut carried[q], &mut refrac[q], drive(ff_q, fb[q])).fired
         });
-        let mut row_differs = fired_q != gold.spike(t, q);
-        if row_differs {
-            sink.flip(t, q, fired_q);
-        }
-        if desynced {
-            for i in 0..n {
-                let fired = if i == q {
-                    fired_q
-                } else {
-                    let z = drive(rec.feedforward[t * n + i], fb[i]);
-                    gold.lif.step(&mut carried[i], &mut refrac[i], z).fired
-                };
-                prev[i] = f32::from(u8::from(fired));
-                if i != q && fired != gold.spike(t, i) {
-                    sink.flip(t, i, fired);
-                    row_differs = true;
-                }
+        let row_differs = if desynced {
+            spikes[q] = f32::from(u8::from(fired_q));
+            let differs = sink.flips(t, 0, spikes, gold.row(gold.out, t));
+            std::mem::swap(&mut prev, &mut spikes);
+            differs
+        } else {
+            let differs = fired_q != gold.spike(t, q);
+            if differs {
+                sink.flip(t, q, fired_q);
+                prev.copy_from_slice(gold.row(gold.out, t));
+                prev[q] = f32::from(u8::from(fired_q));
             }
-        } else if row_differs {
-            prev.copy_from_slice(gold.row(gold.out, t));
-            prev[q] = f32::from(u8::from(fired_q));
-        }
+            differs
+        };
         prev_differs = row_differs;
 
         if t + 1 < steps {
@@ -633,21 +784,20 @@ fn recurrent_site(
 
 /// Carries diverged lanes through the spiking layers behind `pack.layer`,
 /// materializing lanes lazily and resolving verdicts at the last layer.
-/// `words` are the fault layer's output words, `live` its diverged lanes.
+/// `scratch.words` are the fault layer's output words, `live` its
+/// diverged lanes.
 fn downstream(
     ctx: &Ctx<'_>,
     pack: &Pack,
     k: usize,
-    mut words: Vec<u64>,
     mut live: u64,
     verdicts: &mut [LaneVerdict],
-    local: &mut LocalPhases,
+    scratch: &mut Scratch,
+    laps: &mut Laps,
 ) {
     let layers = ctx.net.layers();
     let member_shift = usize::from(pack.golden_lane);
-    // Per-lane rows on the way from `src` to the next spiking layer.
-    let widest = layers.iter().map(Layer::out_features).max().unwrap_or(0);
-    let mut rows = (vec![0.0f32; widest], vec![0.0f32; widest]);
+    let Scratch { lane: lane_scratch, words, words_out, diffmask, delta, .. } = scratch;
 
     // `src` is the spiking layer whose output the words hold; pooling
     // layers between it and the next spiking layer `d` carry no words.
@@ -658,45 +808,49 @@ fn downstream(
         }
         let gin = ctx.gold(k, src);
         let gd = ctx.gold(k, d);
-        let (steps, n_in, n_d) = (gd.steps, gin.n, gd.n);
+        let (n_in, n_d) = (gin.n, gd.n);
 
         // Which lanes' rows at `src` differ from the golden rows, and at
         // which ticks. Lanes with no divergent tick reconverged at the
         // previous layer — their remaining suffix is provably golden.
-        let compare_started = monotonic();
-        let mut diffmask = vec![0u64; steps];
-        let mut union = 0u64;
         let watched = live | u64::from(pack.golden_lane);
-        for (t, mask) in diffmask.iter_mut().enumerate() {
-            *mask = row_diff_mask(&words[t * n_in..(t + 1) * n_in], gin.row(gin.out, t), watched);
-            union |= *mask;
-        }
-        local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
+        diffmask.clear();
+        diffmask.extend((0..gd.steps).map(|t| {
+            row_diff_mask(&words[t * n_in..(t + 1) * n_in], gin.row(gin.out, t), watched)
+        }));
         // Exactly the lanes that reported flips differ — in particular
         // not the fault-free lane 0 of a pack that reserves it.
-        debug_assert_eq!(union, live, "golden self-check lane diverged, or a lane lost its flips");
+        debug_assert_eq!(
+            diffmask.iter().fold(0, |union, mask| union | mask),
+            live,
+            "golden self-check lane diverged, or a lane lost its flips"
+        );
+        laps.end(Phase::Compare);
 
         let last = d == layers.len() - 1;
-        let mut words_out = (!last).then(|| gd.broadcast(local));
+        if !last {
+            gd.broadcast(words_out);
+            laps.end(Phase::PackRun);
+        }
         let mut next_live = 0u64;
         let mut rest = live;
         while rest != 0 {
             let lane = rest.trailing_zeros();
             rest &= rest - 1;
             let member = lane as usize - member_shift;
-            let mut sink = Sink::new(words_out.as_deref_mut(), n_d, lane);
-            let forward_started = monotonic();
-            let input = LaneInput { src, words: &words, n_in, lane, diffmask: &diffmask };
-            lane_layer(ctx.net, d, &gd, &input, &mut rows, &mut sink);
-            local.add_forward(d, monotonic().saturating_sub(forward_started));
-            next_live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[member], local)) << lane;
+            let mut sink =
+                Sink::new((!last).then_some(&mut words_out[..]), &mut delta[..n_d], lane);
+            let input = LaneInput { src, words, n_in, lane, diffmask };
+            lane_layer(ctx, d, &gd, &input, lane_scratch, &mut sink);
+            next_live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[member])) << lane;
         }
+        laps.end_forward(d);
 
         live = next_live;
-        match words_out {
-            Some(words_out) if live != 0 => words = words_out,
-            _ => return,
+        if live == 0 {
+            return;
         }
+        std::mem::swap(words, words_out);
         src = d;
     }
 }
@@ -719,27 +873,22 @@ impl LaneInput<'_> {
 
     /// The lane's feed-forward drive of layer `d` at a divergent tick:
     /// its spike row at `src`, through the pooling layers in between and
-    /// the layer's own input transform — the functions the model's
-    /// forward pass chains. A dense layer right behind `src` dots its
-    /// weight rows with the lane's bits in place.
-    fn drive(
-        &self,
-        net: &Network,
-        d: usize,
-        t: usize,
-        rows: &mut (Vec<f32>, Vec<f32>),
-        z: &mut [f32],
-    ) {
-        let layers = net.layers();
+    /// the layer's own input transform, with the bits the model's forward
+    /// pass gives the same row. A weight matrix is multiplied from its
+    /// transposed copy, by the lane's spikes alone: straight off the
+    /// words when the layer sits right behind `src`, and through
+    /// [`ops::matvec_skip_zeros`] — the forward pass's own product —
+    /// once pooling has made the row fractional.
+    fn drive(&self, ctx: &Ctx<'_>, d: usize, t: usize, s: &mut LaneScratch) {
+        let layers = ctx.net.layers();
+        let wt = &ctx.transposed[d].input;
+        let z = &mut s.z[..layers[d].out_features()];
         let row_words = &self.words[t * self.n_in..(t + 1) * self.n_in];
-        if let (Layer::Dense(l), true) = (&layers[d], self.src + 1 == d) {
-            let wd = l.weight.as_slice();
-            for (q, zq) in z.iter_mut().enumerate() {
-                *zq = lane_row_dot(&wd[q * self.n_in..(q + 1) * self.n_in], row_words, self.lane);
-            }
+        if self.src + 1 == d && !wt.is_empty() {
+            lane_matvec(wt, row_words, self.lane, z);
             return;
         }
-        let (row, pooled) = rows;
+        let (row, pooled) = (&mut s.row, &mut s.pooled);
         let mut width = self.n_in;
         unpack_lane(row_words, self.lane, &mut row[..width]);
         for pool in &layers[self.src + 1..d] {
@@ -748,23 +897,29 @@ impl LaneInput<'_> {
             std::mem::swap(row, pooled);
             width = out;
         }
-        layers[d].feedforward(&row[..width], z);
+        if wt.is_empty() {
+            layers[d].feedforward(&row[..width], z);
+        } else {
+            ops::matvec_skip_zeros(wt, &row[..width], z);
+        }
     }
 }
 
 /// Materializes one lane through spiking layer `d` from its first
 /// divergent input tick `t0`: before `t0` the lane's input rows are
 /// golden, so its state *entering* `t0` is exactly the recorded golden
-/// pre-tick state. The feed-forward drive comes from the golden record
-/// on non-divergent ticks and from [`LaneInput::drive`] otherwise; a
-/// recurrent layer adds its feedback, golden while the lane's own
-/// previous spikes are.
+/// pre-tick state. A tick's drive is read from the golden record where
+/// nothing it depends on has diverged; otherwise the feed-forward half
+/// comes from [`LaneInput::drive`] (or the record) and a recurrent layer
+/// adds its feedback, golden while the lane's own previous spikes are.
+/// The layer's neurons share one set of LIF parameters and are stepped as
+/// a row.
 fn lane_layer(
-    net: &Network,
+    ctx: &Ctx<'_>,
     d: usize,
     gd: &Gold<'_>,
     input: &LaneInput<'_>,
-    rows: &mut (Vec<f32>, Vec<f32>),
+    s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
     let (n, steps, rec) = (gd.n, gd.steps, gd.rec);
@@ -772,48 +927,40 @@ fn lane_layer(
         // A lane is live because its words differ from golden somewhere.
         unreachable!("live lane without a divergent tick")
     };
-    let w_rec = match gd.layer {
-        Layer::Recurrent(l) => Some(&l.w_rec),
-        _ => None,
-    };
-    let mut carried = gd.row(&rec.carried_pre, t0).to_vec();
-    let mut refrac = gd.row(&rec.refrac_pre, t0).to_vec();
-    let mut z = vec![0.0f32; n];
-    // Recurrent layers: the lane's own previous spikes, while they differ
+    let w_rec_t = Some(&ctx.transposed[d].feedback).filter(|wt| !wt.is_empty());
+    s.carried[..n].copy_from_slice(gd.row(&rec.carried_pre, t0));
+    s.refrac[..n].copy_from_slice(gd.row(&rec.refrac_pre, t0));
+    // Recurrent layers: the lane's own previous spikes (in `s.prev`) differ
     // from the golden ones.
-    let feedback_width = if w_rec.is_some() { n } else { 0 };
-    let mut prev = vec![0.0f32; feedback_width];
-    let mut fb = vec![0.0f32; feedback_width];
     let mut prev_differs = false;
 
     for t in t0..steps {
-        if input.diverges(t) {
-            input.drive(net, d, t, rows, &mut z);
-        } else {
-            // The lane's input row is golden this tick, so this half of
-            // its drive is the golden one — bitwise (same function over
-            // the same spikes).
-            z.copy_from_slice(gd.row(gd.feedforward(), t));
+        let feedback = w_rec_t.filter(|_| t > 0);
+        let off_record = input.diverges(t) || (prev_differs && feedback.is_some());
+        if off_record {
+            if input.diverges(t) {
+                input.drive(ctx, d, t, s);
+            } else {
+                s.z[..n].copy_from_slice(gd.row(&rec.feedforward, t));
+            }
+            if let Some(w_rec_t) = feedback {
+                if prev_differs {
+                    ops::matvec_skip_zeros(w_rec_t, &s.prev[..n], &mut s.fb[..n]);
+                }
+                let fb = if prev_differs { &s.fb[..n] } else { gd.row(&rec.feedback, t) };
+                for (zi, ri) in s.z[..n].iter_mut().zip(fb) {
+                    *zi += ri;
+                }
+            }
         }
-        if let (Some(w_rec), true) = (w_rec, t > 0) {
-            if prev_differs {
-                ops::matvec(w_rec, &prev, &mut fb);
-            }
-            let fb = if prev_differs { &fb[..] } else { gd.row(&rec.feedback, t) };
-            for (zi, ri) in z.iter_mut().zip(fb) {
-                *zi += ri;
-            }
-        }
-        prev_differs = false;
-        for q in 0..n {
-            let fired = gd.lif.step(&mut carried[q], &mut refrac[q], z[q]).fired;
-            if fired != gd.spike(t, q) {
-                sink.flip(t, q, fired);
-                prev_differs = true;
-            }
-            if let Some(p) = prev.get_mut(q) {
-                *p = f32::from(u8::from(fired));
-            }
+        // Input row and own previous spikes golden: the drive is the
+        // recorded one — bitwise (same functions over the same spikes) —
+        // and is read where it lies.
+        let z = if off_record { &s.z[..n] } else { gd.row(&rec.drive, t) };
+        gd.lif.step_row(&mut s.carried[..n], &mut s.refrac[..n], z, &mut s.spikes[..n]);
+        prev_differs = sink.flips(t, 0, &s.spikes[..n], gd.row(gd.out, t));
+        if prev_differs {
+            std::mem::swap(&mut s.prev, &mut s.spikes);
         }
     }
 }

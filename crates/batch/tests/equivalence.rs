@@ -4,9 +4,11 @@
 //! (dense/conv/pool/recurrent in every legal order), fault kinds (weight
 //! / neuron / timing / bit-range), pack sizes {1, 7, 64}, remainder packs
 //! (universe size not a multiple of 64), thread counts and collapsed
-//! universes; plus a dedicated lane-divergence test where exactly one
-//! lane's membrane crosses threshold, and the planner's shape on the
-//! example networks.
+//! universes, on random stimuli and on stimuli shaped like a compacted
+//! test (spike chunks between equally long silences, two per campaign);
+//! plus dedicated lane-divergence tests — exactly one lane's membrane
+//! crosses threshold; every lane of a full pack diverges on every tick —
+//! and the planner's shape on the example networks.
 
 #![allow(clippy::unwrap_used)] // test-only shorthand
 
@@ -165,15 +167,33 @@ fn random_stages(rng: &mut StdRng) -> Vec<Stage> {
     stages
 }
 
+/// A stimulus shaped like a compacted test: two spike chunks, each
+/// followed by a silence of its own length — 192 ticks in all. Lanes
+/// reconverge in the silences and re-diverge in the second chunk, long
+/// after the tick they were first materialized at.
+fn compacted_like(net: &Network, density: f32, rng: &mut StdRng) -> Tensor {
+    let (chunk, features) = (48, net.input_features());
+    let mut data = Vec::with_capacity(4 * chunk * features);
+    for _ in 0..2 {
+        let spikes = snn_tensor::init::bernoulli(rng, Shape::d2(chunk, features), density);
+        data.extend_from_slice(spikes.as_slice());
+        data.resize(data.len() + chunk * features, 0.0);
+    }
+    Tensor::from_vec(Shape::d2(4 * chunk, features), data).unwrap()
+}
+
 /// Both engines over the extended universe of `net` (timing + bit-flip
-/// faults, thinned to a few hundred), under options drawn from `rng`.
+/// faults, thinned to a few hundred), under options drawn from `rng`:
+/// once on a few short random stimuli at a drawn thread count, once on
+/// two compacted-test-shaped ones at one and at two threads.
 fn assert_engines_agree_on_topology(net: &Network, rng: &mut StdRng) {
     let u = FaultUniverse::with_config(net, FaultModelConfig::default(), true, &[0, 7]);
     let faults: Vec<Fault> = u.faults().iter().step_by(u.len().div_ceil(400)).copied().collect();
     let density = [0.1, 0.3, 0.6][rng.gen_range(0..3usize)];
-    let tests: Vec<Tensor> = (0..rng.gen_range(1..4))
+    let short: Vec<Tensor> = (0..rng.gen_range(1..4))
         .map(|_| snn_tensor::init::bernoulli(rng, Shape::d2(14, net.input_features()), density))
         .collect();
+    let compacted: Vec<Tensor> = (0..2).map(|_| compacted_like(net, density, rng)).collect();
     let cfg = FaultSimConfig {
         threads: rng.gen_range(1..3),
         record_class_diffs: rng.gen_bool(0.5),
@@ -181,14 +201,23 @@ fn assert_engines_agree_on_topology(net: &Network, rng: &mut StdRng) {
         ..FaultSimConfig::default()
     };
     // Nothing of a network with a spiking last layer is left to the
-    // scalar engine: the packed run below really is one.
+    // scalar engine: the packed runs below really are packed.
     let p = plan::plan(net, &faults, cfg.threads, &mut LocalPhases::new());
     assert!(p.fallback.is_empty() && p.packed_faults() == faults.len());
-    let run = |engine| {
-        let cfg = FaultSimConfig { engine: Some(engine), ..cfg };
-        engine_detect(net, cfg, &u, &faults, &tests, &NullSink, &CancelToken::new()).unwrap()
+    let run = |engine, threads, faults: &[Fault], tests: &[Tensor]| {
+        let cfg = FaultSimConfig { engine: Some(engine), threads, ..cfg };
+        engine_detect(net, cfg, &u, faults, tests, &NullSink, &CancelToken::new()).unwrap()
     };
-    assert_bit_identical(&run(Engine::Scalar), &run(Engine::Packed));
+    assert_bit_identical(
+        &run(Engine::Scalar, cfg.threads, &faults, &short),
+        &run(Engine::Packed, cfg.threads, &faults, &short),
+    );
+    // 384 ticks a fault: every fourth one keeps the suite's run time.
+    let thinned: Vec<Fault> = faults.iter().step_by(4).copied().collect();
+    let scalar = run(Engine::Scalar, 2, &thinned, &compacted);
+    for threads in [1, 2] {
+        assert_bit_identical(&scalar, &run(Engine::Packed, threads, &thinned, &compacted));
+    }
 }
 
 proptest! {
@@ -393,4 +422,41 @@ fn exactly_one_lane_diverges() {
     assert_bit_identical(&scalar, &packed);
     assert!(packed.per_fault[0].detected, "saturated driven synapse must diverge");
     assert!(!packed.per_fault[1].detected, "saturated silent synapse must stay golden");
+}
+
+/// The other extreme: a full pack (64 lanes, no golden self-check lane)
+/// in which every lane diverges on every tick. Layer 0 never fires in the
+/// golden run (its weights are zero), and each lane saturates one of its
+/// 64 neurons, so every tick of every lane has a divergent input row at
+/// layer 1 and no lane ever reads a recorded drive there.
+#[test]
+fn every_lane_of_a_full_pack_diverges_on_every_tick() {
+    let mut rng = StdRng::seed_from_u64(43);
+    let mut net = NetworkBuilder::new(3, LifParams { refrac_steps: 1, ..LifParams::default() })
+        .dense(64)
+        .dense(9)
+        .dense(5)
+        .build(&mut rng);
+    for offset in 0..64 * 3 {
+        net.set_weight(WeightRef { layer: 0, tensor: 0, offset }, 0.0);
+    }
+    let u = FaultUniverse::standard(&net);
+    let faults: Vec<Fault> = (u.faults().iter())
+        .filter(|f| f.kind == FaultKind::NeuronSaturated && f.site.layer() == 0)
+        .copied()
+        .collect();
+    let p = plan::plan(&net, &faults, 1, &mut LocalPhases::new());
+    assert_eq!(p.packs.len(), 1);
+    assert_eq!((p.packs[0].members.len(), p.packs[0].golden_lane), (64, false));
+
+    let tests = vec![
+        snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, 3), 0.5),
+        compacted_like(&net, 0.5, &mut rng),
+    ];
+    let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
+    let packed = run(&net, Engine::Packed, &u, &faults, &tests);
+    assert_bit_identical(&scalar, &packed);
+    // A neuron firing on all 192 ticks where golden's never does reaches
+    // the output through random weights for at least some lanes.
+    assert!(packed.per_fault.iter().any(|o| o.detected));
 }

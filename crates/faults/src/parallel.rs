@@ -21,6 +21,7 @@ pub fn effective_threads(requested: usize) -> usize {
 
 /// Applies `f(state, index)` to every index in `0..n`, in parallel over
 /// `threads` workers (0 = all cores), returning results in index order.
+/// The calling thread is one of the workers: `threads - 1` are spawned.
 ///
 /// `make_state` is called once per worker to create its scratch state.
 ///
@@ -85,33 +86,38 @@ where
     // reaches the caller through its worker's join — so `Relaxed` is
     // enough for every index to be handed out exactly once.
     let next = AtomicUsize::new(0);
-    // Worker threads have no implicit span parent; hand them the caller's.
+    // Spawned workers have no implicit span parent; hand them the caller's.
     let parent_span = snn_obs::trace::current_id();
     let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n, || None);
+    let work = || {
+        let mut worker_span = snn_obs::trace::enter_with_parent("faultsim.worker", parent_span);
+        let mut state = make_state();
+        let mut out = Vec::new();
+        let busy_started = snn_obs::clock::monotonic();
+        while !cancel.is_cancelled() {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            out.push((i, f(&mut state, i)));
+        }
+        record_busy(busy_started);
+        worker_span.attr("items", out.len());
+        out
+    };
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (f, make_state, next) = (&f, &make_state, &next);
-                scope.spawn(move |_| {
-                    let mut worker_span =
-                        snn_obs::trace::enter_with_parent("faultsim.worker", parent_span);
-                    let mut state = make_state();
-                    let mut out = Vec::new();
-                    let busy_started = snn_obs::clock::monotonic();
-                    while !cancel.is_cancelled() {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(&mut state, i)));
-                    }
-                    record_busy(busy_started);
-                    worker_span.attr("items", out.len());
-                    out
-                })
-            })
-            .collect();
+        // The caller is one of the workers. A thread that spawned every
+        // worker and slept in `join` left their placement to the kernel,
+        // which put both of two fresh threads on the one idle core in
+        // four campaigns of ten and took a scheduler tick (4 ms) to move
+        // one away — nothing to a 100 ms campaign, half of a 10 ms one.
+        // A caller that keeps its own core busy leaves the idle ones to
+        // the `workers - 1` threads it spawns.
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(|_| work())).collect();
+        for (i, value) in work() {
+            slots[i] = Some(value);
+        }
         for h in handles {
             // snn-lint: allow(L-PANIC): documented behaviour — worker panics propagate to the caller
             for (i, value) in h.join().expect("worker thread panicked") {
@@ -174,6 +180,24 @@ mod tests {
             assert_eq!(out.iter().map(|(i, _)| *i).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
             assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "workers={workers}");
         }
+    }
+
+    /// Two items that each wait for the other to be claimed need two
+    /// workers; with `threads = 2` one of them is the calling thread.
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let both_claimed = std::sync::Barrier::new(2);
+        let ran_on = map_indexed(
+            2,
+            2,
+            || (),
+            |_, _| {
+                both_claimed.wait();
+                std::thread::current().id()
+            },
+        );
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -16,17 +16,44 @@ use std::sync::mpsc;
 pub const DEFAULT_SUBSCRIBER_CAPACITY: usize = 1024;
 
 struct Subscriber {
+    /// Names the subscription to its handle's `Drop`.
+    id: u64,
     /// `Some(id)` restricts delivery to that job's events.
     job: Option<u64>,
     tx: mpsc::SyncSender<JobEvent>,
 }
 
-/// Broadcasts job events to any number of subscribers. Disconnected
-/// subscribers (dropped receivers) are pruned on the next publish; slow
-/// subscribers (full channels) lose the event but stay subscribed.
+/// Broadcasts job events to any number of subscribers. A subscription
+/// lasts as long as its [`Subscription`] handle; slow subscribers (full
+/// channels) lose the event but stay subscribed.
 pub struct EventBus {
     subscribers: Mutex<Vec<Subscriber>>,
+    next_subscriber: AtomicU64,
     next_seq: AtomicU64,
+}
+
+/// The receiving end of one subscription; dereferences to its channel.
+/// Dropping it unsubscribes — whatever the job it watched is doing, or
+/// whether that job exists at all — so a subscription costs its channel
+/// only while someone reads it.
+pub struct Subscription<'a> {
+    bus: &'a EventBus,
+    id: u64,
+    rx: mpsc::Receiver<JobEvent>,
+}
+
+impl std::ops::Deref for Subscription<'_> {
+    type Target = mpsc::Receiver<JobEvent>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.rx
+    }
+}
+
+impl Drop for Subscription<'_> {
+    fn drop(&mut self) {
+        self.bus.subscribers.lock().retain(|s| s.id != self.id);
+    }
 }
 
 impl Default for EventBus {
@@ -41,6 +68,7 @@ impl EventBus {
         crate::lock_order::register();
         Self {
             subscribers: Mutex::named("service.bus.subscribers", Vec::new()),
+            next_subscriber: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
         }
     }
@@ -48,7 +76,7 @@ impl EventBus {
     /// Registers a subscriber with the default channel capacity.
     /// `job = Some(id)` delivers only that job's events; `None` delivers
     /// everything.
-    pub fn subscribe(&self, job: Option<u64>) -> mpsc::Receiver<JobEvent> {
+    pub fn subscribe(&self, job: Option<u64>) -> Subscription<'_> {
         self.subscribe_with_capacity(job, DEFAULT_SUBSCRIBER_CAPACITY)
     }
 
@@ -56,14 +84,12 @@ impl EventBus {
     /// undelivered events (minimum 1). Events published while the
     /// channel is full are dropped for this subscriber; the next event
     /// it does receive has a non-consecutive `seq`.
-    pub fn subscribe_with_capacity(
-        &self,
-        job: Option<u64>,
-        capacity: usize,
-    ) -> mpsc::Receiver<JobEvent> {
+    pub fn subscribe_with_capacity(&self, job: Option<u64>, capacity: usize) -> Subscription<'_> {
         let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        self.subscribers.lock().push(Subscriber { job, tx });
-        rx
+        // The id publishes nothing: it only has to be unique.
+        let id = self.next_subscriber.fetch_add(1, Ordering::Relaxed);
+        self.subscribers.lock().push(Subscriber { id, job, tx });
+        Subscription { bus: self, id, rx }
     }
 
     /// Wraps `payload` in an envelope carrying the next sequence number
@@ -77,35 +103,28 @@ impl EventBus {
     }
 
     /// Stamps `payload` with the next sequence number and the emission
-    /// time, then delivers it to every interested live subscriber.
-    /// Never blocks: a full subscriber channel drops this event for
-    /// that subscriber.
+    /// time, then delivers it to every interested subscriber. Never
+    /// blocks: a full subscriber channel drops this event for that
+    /// subscriber.
     pub fn publish(&self, payload: JobEventPayload) {
         let event = self.stamp(payload);
-        let mut subs = self.subscribers.lock();
-        subs.retain(|s| {
-            if s.job.is_some_and(|id| id != event.job()) {
-                return true; // not interested, but still live
+        let subs = self.subscribers.lock();
+        for s in subs.iter().filter(|s| s.job.is_none_or(|id| id == event.job())) {
+            // A subscriber is listed only while its handle, and with it
+            // the receiver, is alive: a send fails on a full channel
+            // alone. The event is dropped for this slow subscriber, who
+            // sees the loss as a gap in `seq`.
+            if s.tx.try_send(event.clone()).is_err() {
+                snn_obs::counter!(
+                    "snn_service_events_dropped_total",
+                    "Events dropped because a subscriber channel was full."
+                )
+                .inc();
             }
-            match s.tx.try_send(event.clone()) {
-                Ok(()) => true,
-                // Slow subscriber: drop the event, keep the subscription.
-                // The seq gap makes the loss observable on their side.
-                Err(mpsc::TrySendError::Full(_)) => {
-                    snn_obs::counter!(
-                        "snn_service_events_dropped_total",
-                        "Events dropped because a subscriber channel was full."
-                    )
-                    .inc();
-                    true
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => false,
-            }
-        });
+        }
     }
 
-    /// Live subscriber count (dead ones linger until a publish prunes
-    /// them).
+    /// Live subscriber count.
     pub fn subscriber_count(&self) -> usize {
         self.subscribers.lock().len()
     }
@@ -135,13 +154,20 @@ mod tests {
         assert_eq!(got[0].job(), 2);
     }
 
+    /// A subscription ends with its handle — no event has to come by to
+    /// prune it, which for a job-filtered subscriber of a finished or
+    /// unknown job would be never.
     #[test]
-    fn dropped_subscribers_are_pruned_on_publish() {
+    fn dropping_the_handle_unsubscribes() {
         let bus = EventBus::new();
-        let rx = bus.subscribe(None);
-        drop(rx);
+        let all = bus.subscribe(None);
+        let finished = bus.subscribe(Some(7));
+        assert_eq!(bus.subscriber_count(), 2);
+        drop(finished);
         assert_eq!(bus.subscriber_count(), 1);
         bus.publish(state_payload(1));
+        assert_eq!(all.try_iter().count(), 1, "the other subscription is untouched");
+        drop(all);
         assert_eq!(bus.subscriber_count(), 0);
     }
 

@@ -41,6 +41,11 @@ use std::time::{Duration, Instant};
 /// event still updates memory and the event bus).
 const PROGRESS_PERSIST_EVERY: Duration = Duration::from_millis(500);
 
+/// Models whose static analysis the server keeps between jobs: a fault
+/// universe and its collapsed partition are megabytes each, and a server
+/// sees an unbounded series of models.
+const ANALYSIS_CACHE: usize = 4;
+
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -88,9 +93,10 @@ struct Inner {
     /// Cancellation tokens of currently running jobs.
     running: Mutex<HashMap<u64, CancelToken>>,
     /// Static-analysis results keyed by model-spec JSON, shared across
-    /// jobs over the same model. Assumes `ModelSpec::Path` files do not
-    /// change while the server runs (restart to pick up a new model).
-    analysis_cache: Mutex<HashMap<String, Arc<CachedAnalysis>>>,
+    /// jobs over the same model: the [`ANALYSIS_CACHE`] most recently
+    /// used, oldest first. Assumes `ModelSpec::Path` files do not change
+    /// while the server runs (restart to pick up a new model).
+    analysis_cache: Mutex<VecDeque<(String, Arc<CachedAnalysis>)>>,
     /// The chunk scheduler for distributed coverage campaigns. Always
     /// present; it simply idles when no workers connect.
     coordinator: Coordinator,
@@ -321,7 +327,7 @@ impl Server {
             queue_cv: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
             running: Mutex::named("service.running", HashMap::new()),
-            analysis_cache: Mutex::named("service.analysis.cache", HashMap::new()),
+            analysis_cache: Mutex::named("service.analysis.cache", VecDeque::new()),
             coordinator,
             expect_workers: config.expect_workers,
             shutdown: AtomicBool::new(false),
@@ -350,13 +356,22 @@ impl Server {
             );
         }
 
-        let mut conn_handles = Vec::new();
+        let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             match stream {
                 Ok(stream) => {
+                    // A thread that has ended keeps its stack until it is
+                    // joined: join the connections that are over, so the
+                    // server holds the live ones' only.
+                    let (over, live): (Vec<_>, Vec<_>) =
+                        conn_handles.into_iter().partition(|h| h.is_finished());
+                    conn_handles = live;
+                    for h in over {
+                        let _ = h.join();
+                    }
                     let inner = Arc::clone(&self.inner);
                     conn_handles.push(std::thread::spawn(move || {
                         let _ = handle_connection(inner, stream);
@@ -430,16 +445,38 @@ struct CachedAnalysis {
 
 /// Looks up (or computes and caches) the static analysis of `net`. The
 /// potentially slow analysis runs outside the cache lock; a racing
-/// duplicate computation is tolerated and the first insert wins.
+/// duplicate computation is tolerated and the first insert wins. The
+/// analysis is a function of the model alone, so an evicted entry costs a
+/// recomputation, never a different answer.
 fn analysis_for(inner: &Inner, model: &ModelSpec, net: &Network) -> Arc<CachedAnalysis> {
+    /// The entry under `key`, now the most recently used one.
+    fn touch(
+        cache: &mut VecDeque<(String, Arc<CachedAnalysis>)>,
+        key: &str,
+    ) -> Option<Arc<CachedAnalysis>> {
+        let at = cache.iter().position(|(k, _)| k == key)?;
+        let hit = cache.remove(at)?;
+        let entry = Arc::clone(&hit.1);
+        cache.push_back(hit);
+        Some(entry)
+    }
+
     let key = serde::json::to_string(model);
-    if let Some(cached) = inner.analysis_cache.lock().get(&key) {
-        return Arc::clone(cached);
+    if let Some(cached) = touch(&mut inner.analysis_cache.lock(), &key) {
+        return cached;
     }
     let universe = FaultUniverse::standard(net);
     let analysis = snn_analyze::analyze(net, &universe);
     let entry = Arc::new(CachedAnalysis { universe, analysis });
-    Arc::clone(inner.analysis_cache.lock().entry(key).or_insert(entry))
+    let mut cache = inner.analysis_cache.lock();
+    if let Some(raced) = touch(&mut cache, &key) {
+        return raced;
+    }
+    cache.push_back((key, Arc::clone(&entry)));
+    if cache.len() > ANALYSIS_CACHE {
+        cache.pop_front();
+    }
+    entry
 }
 
 /// How one job execution ended.
@@ -965,6 +1002,8 @@ fn worker_reply(inner: &Inner, msg: WorkerMsg) -> Option<CoordMsg> {
 }
 
 /// Streams `job`'s snapshot and then its events until it is terminal.
+/// The subscription ends with this call, however it returns: finished or
+/// unknown job, terminal event, or a client that stopped reading.
 fn watch(inner: &Arc<Inner>, writer: &mut TcpStream, job: u64) -> io::Result<()> {
     // Subscribe before snapshotting so no event between the two is lost.
     let rx = inner.bus.subscribe(Some(job));
@@ -1007,5 +1046,152 @@ fn watch(inner: &Arc<Inner>, writer: &mut TcpStream, job: u64) -> io::Result<()>
             }
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)] // test-only shorthand
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use std::io::BufRead;
+    use std::thread::JoinHandle;
+
+    /// A two-worker server on a fresh state directory, with a handle on
+    /// its shared state.
+    fn boot(tag: &str) -> (Arc<Inner>, SocketAddr, JoinHandle<io::Result<()>>, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("snn-server-unit-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server =
+            Server::bind(ServiceConfig { workers: 2, ..ServiceConfig::loopback(&dir) }).unwrap();
+        let (inner, addr) = (Arc::clone(&server.inner), server.local_addr());
+        (inner, addr, std::thread::spawn(move || server.run()), dir)
+    }
+
+    fn halt(client: &mut Client, server: JoinHandle<io::Result<()>>, dir: &PathBuf) {
+        client.shutdown().unwrap();
+        server.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Finishes in milliseconds.
+    fn fast_spec(seed: u64) -> JobSpec {
+        JobSpec { preset: "fast".into(), ..JobSpec::synthetic_repro(4, vec![6], 2, seed) }
+    }
+
+    /// Runs for longer than any test here, streaming progress all the
+    /// while; the tests cancel it.
+    fn long_spec() -> JobSpec {
+        JobSpec::synthetic_repro(34, vec![64], 10, 8)
+    }
+
+    /// A connection that asks to watch `job` and has read the snapshot
+    /// line the stream opens with.
+    fn raw_watch(addr: SocketAddr, job: u64) -> BufReader<TcpStream> {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_line(&mut stream, &Request::Watch { job }).unwrap();
+        let mut reader = BufReader::new(stream);
+        reader.read_line(&mut String::new()).unwrap();
+        reader
+    }
+
+    /// The server answers a connection's requests in order: once it has
+    /// answered this ping, the watch before it has returned.
+    fn watch_then_ping(client: &mut Client, job: u64) -> JobRecord {
+        let record = client.watch(job, |_| {}).unwrap();
+        client.ping().unwrap();
+        record
+    }
+
+    #[test]
+    fn a_watch_holds_its_subscription_only_while_it_runs() {
+        let (inner, addr, server, dir) = boot("watch");
+        let mut client = Client::connect(addr).unwrap();
+
+        // To its terminal event, and again once it is finished.
+        let job = client.submit(fast_spec(1)).unwrap();
+        for _ in 0..2 {
+            assert_eq!(watch_then_ping(&mut client, job).state, JobState::Done);
+            assert_eq!(inner.bus.subscriber_count(), 0);
+        }
+        // A job that does not exist.
+        assert!(client.watch(9_999, |_| {}).is_err());
+        client.ping().unwrap();
+        assert_eq!(inner.bus.subscriber_count(), 0);
+
+        // A client that hangs up mid-run: the server finds out when it
+        // next writes an event, long before the job ends.
+        let long_job = client.submit(long_spec()).unwrap();
+        drop(raw_watch(addr, long_job));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while inner.bus.subscriber_count() > 0 {
+            assert!(Instant::now() < deadline, "hung-up watcher still subscribed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(!client.status(long_job).unwrap().state.is_terminal());
+        client.cancel(long_job).unwrap();
+        assert_eq!(watch_then_ping(&mut client, long_job).state, JobState::Cancelled);
+        assert_eq!(inner.bus.subscriber_count(), 0);
+
+        halt(&mut client, server, &dir);
+    }
+
+    #[test]
+    fn fifty_watched_jobs_leave_only_the_live_watcher_subscribed() {
+        let (inner, addr, server, dir) = boot("fifty");
+        let mut client = Client::connect(addr).unwrap();
+
+        // One watcher stays live throughout, on a job of its own.
+        let long_job = client.submit(long_spec()).unwrap();
+        let mut live = raw_watch(addr, long_job);
+        for seed in 0..50 {
+            let job = client.submit(fast_spec(seed % 3)).unwrap();
+            assert_eq!(watch_then_ping(&mut client, job).state, JobState::Done);
+        }
+        assert_eq!(inner.bus.subscriber_count(), 1);
+        assert!(!client.status(long_job).unwrap().state.is_terminal());
+
+        client.cancel(long_job).unwrap();
+        // The live stream ends with the terminal event; the ping behind
+        // it is answered once the server has left the watch.
+        write_line(live.get_mut(), &Request::Ping).unwrap();
+        let pong = live.lines().map(Result::unwrap).find(|line| line.contains("Pong"));
+        assert!(pong.is_some());
+        assert_eq!(inner.bus.subscriber_count(), 0);
+
+        halt(&mut client, server, &dir);
+    }
+
+    #[test]
+    fn the_analysis_cache_keeps_the_most_recent_models() {
+        let (inner, addr, server, dir) = boot("cache");
+        let mut client = Client::connect(addr).unwrap();
+        let mut analysis_of = |seed: u64| {
+            let job = client.submit(fast_spec(seed)).unwrap();
+            let record = client.watch(job, |_| {}).unwrap();
+            assert_eq!(record.state, JobState::Done, "error: {:?}", record.error);
+            record.result.unwrap().analysis.unwrap()
+        };
+        let cached_models = || {
+            let cache = inner.analysis_cache.lock();
+            cache.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>()
+        };
+
+        let first = analysis_of(0);
+        let oldest_key = cached_models()[0].clone();
+        for seed in 1..=ANALYSIS_CACHE as u64 {
+            analysis_of(seed);
+        }
+        // One model more than the cache holds: the first one made room.
+        assert_eq!(cached_models().len(), ANALYSIS_CACHE);
+        assert!(!cached_models().contains(&oldest_key));
+
+        // Recomputed on return, to the same answer, as the newest entry.
+        assert_eq!(analysis_of(0), first);
+        assert_eq!(cached_models().len(), ANALYSIS_CACHE);
+        assert_eq!(cached_models().last(), Some(&oldest_key));
+
+        halt(&mut client, server, &dir);
     }
 }

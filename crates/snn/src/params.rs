@@ -64,13 +64,15 @@ pub struct LifTick {
 }
 
 impl LifParams {
-    /// One tick of one neuron — the only forward LIF update in the
-    /// workspace besides the event-driven oracle: a refractory neuron
-    /// counts down and stays at rest; otherwise the membrane leaks,
-    /// integrates the synaptic drive `z`, and on reaching the threshold
-    /// fires, resets and enters its refractory period. `carried` is the
-    /// potential kept across ticks, `refrac` the remaining refractory
-    /// ticks; both are advanced in place.
+    /// One tick of one neuron — the forward LIF update of the clocked
+    /// simulator (the event-driven oracle has its own, and
+    /// [`step_row`](Self::step_row) spells this one a second time for a
+    /// whole row): a refractory neuron counts down and stays at rest;
+    /// otherwise the membrane leaks, integrates the synaptic drive `z`,
+    /// and on reaching the threshold fires, resets and enters its
+    /// refractory period. `carried` is the potential kept across ticks,
+    /// `refrac` the remaining refractory ticks; both are advanced in
+    /// place.
     #[inline]
     pub fn step(&self, carried: &mut f32, refrac: &mut u32, z: f32) -> LifTick {
         if *refrac > 0 {
@@ -87,6 +89,38 @@ impl LifParams {
             *carried = v;
         }
         LifTick { fired, potential: Some(v) }
+    }
+
+    /// One tick of a row of neurons that share these parameters:
+    /// [`step`](Self::step) for every `i`, on `carried[i]`, `refrac[i]`
+    /// and `z[i]`, with the spike written to `spikes[i]` as `0.0`/`1.0`.
+    ///
+    /// This is a second spelling of the update, not a loop over `step`:
+    /// its branches are written as selects so that the loop vectorises
+    /// (a select-form `step` is slower on the one-neuron paths, where
+    /// the branch predicts well). The two are held together by a
+    /// property test on spikes and state bits, not by construction. A
+    /// resting neuron computes a potential that the select then drops;
+    /// no floating-point state is touched by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the four rows differ in length.
+    pub fn step_row(&self, carried: &mut [f32], refrac: &mut [u32], z: &[f32], spikes: &mut [f32]) {
+        let n = carried.len();
+        assert!(
+            refrac.len() == n && z.len() == n && spikes.len() == n,
+            "step_row rows must have one length"
+        );
+        for i in 0..n {
+            let resting = refrac[i] > 0;
+            let v = self.leak * carried[i] + z[i];
+            let fired = !resting & (v >= self.threshold);
+            carried[i] = if resting | fired { 0.0 } else { v };
+            // Not resting means the counter is already 0.
+            refrac[i] = if fired { self.refrac_steps } else { refrac[i].saturating_sub(1) };
+            spikes[i] = f32::from(u8::from(fired));
+        }
     }
 
     /// These parameters under a timing-variation fault: threshold and
@@ -209,6 +243,47 @@ mod tests {
     }
 
     proptest! {
+        /// `step_row` is `step` per neuron — spike, carried potential to
+        /// the bit and refractory counter — over 200 consecutive ticks
+        /// from arbitrary pre-states (refractory ones included), on rows
+        /// that leave a vector remainder, with drives that land a
+        /// potential exactly on the threshold and zeroes of both signs.
+        #[test]
+        fn step_row_is_step_for_every_neuron(
+            n in 1usize..71,
+            refrac_steps in 0u32..4,
+            leak_index in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let lif = LifParams { threshold: 1.0, leak: [0.5, 0.9, 1.0][leak_index], refrac_steps };
+            let mut carried: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let mut refrac: Vec<u32> =
+                (0..n).map(|_| if rng.gen_bool(0.3) { rng.gen_range(1..4) } else { 0 }).collect();
+            let (mut carried_row, mut refrac_row) = (carried.clone(), refrac.clone());
+            let mut spikes = vec![f32::NAN; n];
+            for tick in 0..200 {
+                let z: Vec<f32> = (0..n)
+                    .map(|i| match rng.gen_range(0..6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        // `v == θ` exactly wherever the product is exact
+                        // (always under leak 0.5 and 1.0).
+                        2 => lif.threshold - lif.leak * carried[i],
+                        _ => rng.gen_range(-0.5f32..1.5),
+                    })
+                    .collect();
+                lif.step_row(&mut carried_row, &mut refrac_row, &z, &mut spikes);
+                for i in 0..n {
+                    let fired = lif.step(&mut carried[i], &mut refrac[i], z[i]).fired;
+                    prop_assert_eq!(spikes[i].to_bits(), f32::from(u8::from(fired)).to_bits(), "tick {} neuron {}", tick, i);
+                    prop_assert_eq!(carried_row[i].to_bits(), carried[i].to_bits(), "tick {} neuron {}", tick, i);
+                    prop_assert_eq!(refrac_row[i], refrac[i], "tick {} neuron {}", tick, i);
+                }
+            }
+        }
+
         #[test]
         fn surrogates_are_nonnegative_even_and_decay(
             x in 0.01f32..10.0

@@ -6,9 +6,10 @@
 //! of feature `j` at one tick. This module provides the word-level
 //! kernels that engine builds on:
 //!
-//! * [`lane_row_dot`] — one dense weight row dotted against one lane's
-//!   spike bits, **bit-identical** to the corresponding
-//!   [`ops::matvec`](crate::ops::matvec) row over the same spikes;
+//! * [`lane_matvec`] — a dense weight times one lane's spike bits, as the
+//!   sum of the transposed weight's columns at the set bits:
+//!   **bit-identical** to [`ops::matvec`](crate::ops::matvec) over the
+//!   same spikes, at a cost that follows how many there are;
 //! * [`row_dot`] — the plain `f32` row product, literally `matvec`
 //!   restricted to a single output row (for golden inputs that may be
 //!   fractional, e.g. downstream of an average-pooling layer);
@@ -18,7 +19,7 @@
 //! * [`row_diff_mask`] — which lanes' spike rows differ from the golden
 //!   row, the divergence test behind lazy per-lane materialization.
 //!
-//! # Why `lane_row_dot` is exact
+//! # Why `lane_matvec` is exact
 //!
 //! `ops::matvec` accumulates `acc += w[j] * x[j]` in ascending `j` with
 //! `acc` starting at `+0.0` and no FMA. With binary spikes
@@ -27,8 +28,10 @@
 //! become `-0.0`: it starts at `+0.0`, `+0.0 + (±0.0) = +0.0`, and any
 //! exactly-cancelling sum `x + (-x)` rounds to `+0.0`. Adding any zero
 //! to a value that is not `-0.0` leaves its bits unchanged, so skipping
-//! zero-spike terms is bitwise identical to adding them — which is what
-//! [`lane_row_dot`] does.
+//! zero-spike terms is bitwise identical to adding them. [`lane_matvec`]
+//! skips them a column at a time: output `r` receives `w[r][j]` for the
+//! set bits `j` in ascending order — the non-zero terms of `matvec`'s row
+//! `r`, in `matvec`'s order — and `w · 1.0` is `w` exactly.
 
 use crate::sanitize::debug_assert_finite;
 
@@ -50,27 +53,30 @@ pub fn low_lanes(n: usize) -> u64 {
     }
 }
 
-/// Dot product of one dense weight row with one lane's spike bits:
-/// `Σ_j row[j]` over the set bits `j` of `lane` in `words`, accumulated
-/// in ascending `j` — bit-identical to the `matvec` row over the same
-/// spikes (see the module docs for the `±0.0` argument).
+/// Matrix–vector product of one lane's spike bits with a dense weight,
+/// from the weight's [`transposed`](crate::ops::transposed) copy `wt`
+/// (`[words.len() × y.len()]`): `y = Σ_j Wᵀ[j, :]` over the set bits `j`
+/// of `lane` in `words`, columns in ascending `j` — for every output the
+/// additions `matvec` makes over the same spikes, in `matvec`'s order,
+/// hence its bits (see the module docs for the `±0.0` argument).
 ///
 /// # Panics
 ///
-/// Panics in debug builds on length mismatch, a non-finite weight, or
-/// `lane >= 64`.
+/// Panics if `wt.len() != words.len() * y.len()`, and in debug builds on
+/// a non-finite weight or `lane >= 64`.
 #[inline]
-pub fn lane_row_dot(row: &[f32], words: &[u64], lane: u32) -> f32 {
-    debug_assert_eq!(row.len(), words.len(), "lane_row_dot operand length mismatch");
+pub fn lane_matvec(wt: &[f32], words: &[u64], lane: u32, y: &mut [f32]) {
+    assert_eq!(wt.len(), words.len() * y.len(), "lane_matvec weight length mismatch");
     debug_assert!((lane as usize) < LANES, "lane out of range");
-    debug_assert_finite("lane_row_dot", "row", row);
-    let mut acc = 0.0f32;
-    for (wv, word) in row.iter().zip(words.iter()) {
+    debug_assert_finite("lane_matvec", "wt", wt);
+    y.fill(0.0);
+    for (word, col) in words.iter().zip(wt.chunks_exact(y.len().max(1))) {
         if (word >> lane) & 1 == 1 {
-            acc += wv;
+            for (acc, wv) in y.iter_mut().zip(col) {
+                *acc += wv;
+            }
         }
     }
-    acc
 }
 
 /// Dot product of one dense weight row with an `f32` input row — exactly
@@ -183,23 +189,50 @@ mod tests {
         words
     }
 
+    /// Column sums over a lane's set bits against `matvec` over the same
+    /// spikes: every density from silent to saturated, weights that are
+    /// `-0.0` or cancel exactly (the accumulator passes through zero),
+    /// output widths on both sides of the vector width, and the lanes at
+    /// either end of the word among the five packed.
     #[test]
-    fn lane_row_dot_is_bitwise_identical_to_matvec() {
+    fn lane_matvec_is_bitwise_identical_to_matvec() {
         let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
+        let lanes_used = [0u32, 1, 31, 62, 63];
+        for case in 0..60 {
             let cols = rng.gen_range(1..40);
-            let w = crate::init::uniform(&mut rng, Shape::d2(3, cols), -1.0, 1.0);
-            let lanes: Vec<Vec<f32>> = (0..5)
-                .map(|_| (0..cols).map(|_| f32::from(u8::from(rng.gen_bool(0.5)))).collect())
+            let rows = [1, 2, 3, 5, 7, 8, 10, 13, 33][case % 9];
+            let mut w = crate::init::uniform(&mut rng, Shape::d2(rows, cols), -1.0, 1.0);
+            for r in 0..rows {
+                let row = &mut w.as_mut_slice()[r * cols..(r + 1) * cols];
+                for c in 0..cols {
+                    match rng.gen_range(0..8) {
+                        0 => row[c] = -0.0,
+                        1 if c > 0 => row[c] = -row[c - 1],
+                        _ => {}
+                    }
+                }
+            }
+            let density = [0.0, 0.05, 0.5, 0.95, 1.0][case % 5];
+            let mut words = vec![0u64; cols];
+            let lanes: Vec<Vec<f32>> = lanes_used
+                .iter()
+                .map(|&lane| {
+                    let x: Vec<f32> =
+                        (0..cols).map(|_| f32::from(u8::from(rng.gen_bool(density)))).collect();
+                    for (word, v) in words.iter_mut().zip(&x) {
+                        set_lane_bit(word, lane, *v != 0.0);
+                    }
+                    x
+                })
                 .collect();
-            let words = pack(&lanes);
-            for (l, x) in lanes.iter().enumerate() {
-                let mut y = vec![0.0f32; 3];
-                ops::matvec(&w, x, &mut y);
-                for (r, yr) in y.iter().enumerate() {
-                    let row = &w.as_slice()[r * cols..(r + 1) * cols];
-                    let got = lane_row_dot(row, &words, u32::try_from(l).unwrap());
-                    assert_eq!(got.to_bits(), yr.to_bits(), "row {r} lane {l}");
+            let wt = ops::transposed(&w);
+            for (&lane, x) in lanes_used.iter().zip(&lanes) {
+                let mut want = vec![0.0f32; rows];
+                ops::matvec(&w, x, &mut want);
+                let mut got = vec![f32::NAN; rows];
+                lane_matvec(&wt, &words, lane, &mut got);
+                for (r, (g, y)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), y.to_bits(), "case {case} row {r} lane {lane}");
                 }
             }
         }
