@@ -459,32 +459,11 @@ impl CollapsedUniverse {
         sink: &dyn ProgressSink,
         cancel: &CancelToken,
     ) -> Result<CampaignOutcome, CollapsedCampaignError> {
-        let sim = FaultSimulator::new(net, cfg);
-        self.detect_collapsed_via(tests, |reps| {
-            sim.detect_with(universe, reps, tests, sink, cancel)
-        })
-    }
-
-    /// [`detect_collapsed`](Self::detect_collapsed) with the
-    /// representative campaign supplied as a closure, so alternative
-    /// execution engines (e.g. `snn-batch`'s packed engine) can run
-    /// underneath the expansion without this crate depending on them.
-    /// `tests` is only consulted for the minimum test length the
-    /// expansion of saturated-threshold justifications needs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the representative campaign's error or the expansion
-    /// error.
-    pub fn detect_collapsed_via<F>(
-        &self,
-        tests: &[Tensor],
-        campaign: F,
-    ) -> Result<CampaignOutcome, CollapsedCampaignError>
-    where
-        F: FnOnce(&[Fault]) -> Result<CampaignOutcome, CampaignError>,
-    {
-        let outcome = campaign(&self.representatives).map_err(CollapsedCampaignError::Campaign)?;
+        let outcome = FaultSimulator::new(net, cfg)
+            .detect_with(universe, &self.representatives, tests, sink, cancel)
+            .map_err(CollapsedCampaignError::Campaign)?;
+        // The expansion of saturated-threshold justifications needs the
+        // shortest test's length.
         let min_steps =
             tests.iter().map(|t| t.shape().dims().first().copied().unwrap_or(0)).min().unwrap_or(0);
         let per_fault =

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_analyze::{analyze, CollapseReason};
 use snn_faults::{
-    CancelToken, FaultModelConfig, FaultSimConfig, FaultSimulator, FaultUniverse, NullSink,
+    CancelToken, Engine, FaultModelConfig, FaultSimConfig, FaultSimulator, FaultUniverse, NullSink,
 };
 use snn_model::{DenseLayer, Layer, LifParams, Network, NetworkBuilder};
 use snn_tensor::{Shape, Tensor};
@@ -34,13 +34,20 @@ fn assert_campaigns_agree(net: &Network, universe: &FaultUniverse, tests: &[Tens
     let errors = analysis.collapsed.self_check(net, universe);
     assert!(errors.is_empty(), "self-check: {errors:?}");
 
-    let cfg = FaultSimConfig::default();
-    let sim = FaultSimulator::new(net, cfg);
-    let full = sim.detect(universe, universe.faults(), tests);
-    let expanded = analysis
-        .collapsed
-        .detect_collapsed(net, universe, tests, cfg, &NullSink, &CancelToken::new())
-        .expect("collapsed campaign");
+    // The reference side is the scalar engine over the full universe; the
+    // collapsed campaign must expand to the same outcomes under either
+    // engine.
+    let on = |engine| FaultSimConfig { engine: Some(engine), ..FaultSimConfig::default() };
+    let full =
+        FaultSimulator::new(net, on(Engine::Scalar)).detect(universe, universe.faults(), tests);
+    let collapsed = |engine| {
+        analysis
+            .collapsed
+            .detect_collapsed(net, universe, tests, on(engine), &NullSink, &CancelToken::new())
+            .expect("collapsed campaign")
+    };
+    let expanded = collapsed(Engine::Packed);
+    assert_eq!(expanded.per_fault, collapsed(Engine::Scalar).per_fault);
 
     assert_eq!(full.per_fault.len(), expanded.per_fault.len());
     let saturated: std::collections::HashSet<usize> = analysis

@@ -15,10 +15,8 @@
 //! Usage: `cargo run -p snn-bench --bin ablation --release`
 //! (`SNN_MTFC_FAST=1` shrinks the run).
 
-use snn_bench::{
-    fmt_duration, print_table, verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale,
-};
-use snn_faults::{criticality, Fault, FaultSimConfig, FaultUniverse};
+use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
+use snn_faults::{criticality, Fault, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_model::RecordOptions;
 use snn_testgen::{TestGenConfig, TestGenerator};
 
@@ -54,7 +52,8 @@ fn main() {
     ];
 
     let coverage_of = |faults: &[Fault], stimulus: &snn_tensor::Tensor| {
-        verification_campaign(&b.net, FaultSimConfig::default(), &universe, faults, stimulus)
+        FaultSimulator::new(&b.net, FaultSimConfig::default())
+            .detect(&universe, faults, std::slice::from_ref(stimulus))
             .fault_coverage()
     };
     let mut rows = Vec::new();

@@ -9,8 +9,8 @@
 //! Usage: `cargo run -p snn-bench --bin fig9 --release`
 //! (`SNN_MTFC_FAST=1` shrinks the run).
 
-use snn_bench::{verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale};
-use snn_faults::{FaultSimConfig, FaultUniverse};
+use snn_bench::{Benchmark, BenchmarkKind, PrepConfig, Scale};
+use snn_faults::{FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_testgen::{TestGenConfig, TestGenerator};
 
 fn main() {
@@ -27,12 +27,11 @@ fn main() {
 
     let universe = FaultUniverse::standard(&b.net);
     eprintln!("[fig9] campaign with class-difference recording…");
-    let campaign = verification_campaign(
-        &b.net,
-        FaultSimConfig { record_class_diffs: true, ..FaultSimConfig::default() },
+    let sim_cfg = FaultSimConfig { record_class_diffs: true, ..FaultSimConfig::default() };
+    let campaign = FaultSimulator::new(&b.net, sim_cfg).detect(
         &universe,
         universe.faults(),
-        &stimulus,
+        std::slice::from_ref(&stimulus),
     );
 
     // Collect signed per-class differences over detected faults.

@@ -9,11 +9,10 @@
 //!   `SNN_MTFC_FAST=1`    — smoke-run sizes
 //!   `SNN_MTFC_SAMPLES=n` — criticality sample cap (default 24)
 
-use snn_bench::{
-    fmt_duration, print_table, verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale,
-};
+use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
 use snn_faults::{
-    criticality, escape_max_accuracy_drop, CoverageReport, Fault, FaultSimConfig, FaultUniverse,
+    criticality, escape_max_accuracy_drop, CoverageReport, Fault, FaultSimConfig, FaultSimulator,
+    FaultUniverse,
 };
 use snn_testgen::{TestGenConfig, TestGenerator};
 use std::io::Write;
@@ -87,12 +86,10 @@ fn main() {
             kind.name(),
             universe.len()
         );
-        let campaign = verification_campaign(
-            &b.net,
-            FaultSimConfig::default(),
+        let campaign = FaultSimulator::new(&b.net, FaultSimConfig::default()).detect(
             &universe,
             universe.faults(),
-            &stimulus,
+            std::slice::from_ref(&stimulus),
         );
         eprintln!("[table3] {}: campaign took {}", kind.name(), fmt_duration(campaign.elapsed));
         let coverage =

@@ -16,10 +16,8 @@
 use snn_baselines::{
     adversarial_greedy, dataset_greedy, random_inputs, AdversarialConfig, BaselineConfig,
 };
-use snn_bench::{
-    fmt_duration, print_table, verification_campaign, Benchmark, BenchmarkKind, PrepConfig, Scale,
-};
-use snn_faults::{criticality, Fault, FaultSimConfig, FaultUniverse};
+use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
+use snn_faults::{criticality, Fault, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_testgen::{TestGenConfig, TestGenerator};
 
 fn main() {
@@ -60,9 +58,9 @@ fn main() {
     let gen_cfg = if fast { TestGenConfig::fast() } else { TestGenConfig::repro() };
     let ours = TestGenerator::new(&b.net, gen_cfg).generate(&mut rng);
     let stimulus = ours.assembled();
-    let ours_cov =
-        verification_campaign(&b.net, FaultSimConfig::default(), &universe, &critical, &stimulus)
-            .fault_coverage();
+    let ours_cov = FaultSimulator::new(&b.net, FaultSimConfig::default())
+        .detect(&universe, &critical, std::slice::from_ref(&stimulus))
+        .fault_coverage();
 
     // --- Baselines --------------------------------------------------------
     eprintln!("[table4] dataset-greedy [18]…");

@@ -23,9 +23,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snn_datasets::{GestureLike, NmnistLike, ShdLike, SpikeDataset};
-use snn_faults::{
-    CampaignOutcome, CancelToken, Engine, Fault, FaultSimConfig, FaultUniverse, NullSink,
-};
 use snn_model::train::{evaluate, TrainConfig, Trainer};
 use snn_model::{LifParams, Network, NetworkBuilder};
 use std::ops::Range;
@@ -219,32 +216,6 @@ impl Benchmark {
     pub fn test_inputs(&self) -> Vec<snn_tensor::Tensor> {
         snn_datasets::materialize_inputs(self.dataset.as_ref(), self.test_range.clone())
     }
-}
-
-/// The verification campaign of a table or figure binary: `faults`
-/// against the generated `stimulus`, on the engine `Engine::Auto`
-/// resolves to for `net` (packed whenever its last layer is spiking).
-///
-/// # Panics
-///
-/// Panics on an ill-formed fault; universes enumerate none.
-pub fn verification_campaign(
-    net: &Network,
-    cfg: FaultSimConfig,
-    universe: &FaultUniverse,
-    faults: &[Fault],
-    stimulus: &snn_tensor::Tensor,
-) -> CampaignOutcome {
-    snn_batch::engine_detect(
-        net,
-        FaultSimConfig { engine: Some(Engine::Auto), ..cfg },
-        universe,
-        faults,
-        std::slice::from_ref(stimulus),
-        &NullSink,
-        &CancelToken::new(),
-    )
-    .unwrap_or_else(|e| panic!("verification campaign failed: {e}"))
 }
 
 /// Renders an ASCII table with a title, headers and rows.

@@ -5,9 +5,8 @@
 use crate::wire::{CampaignSpec, ModelSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_faults::chunk::select_faults;
 use snn_faults::progress::{CancelToken, NullSink};
-use snn_faults::{CampaignError, ChunkCampaignError, FaultOutcome, FaultUniverse};
+use snn_faults::{CampaignError, ChunkCampaignError, FaultOutcome, FaultSimulator, FaultUniverse};
 use snn_model::{LifParams, Network, NetworkBuilder};
 use snn_reliability::ReliabilityEvaluator;
 use snn_tensor::Tensor;
@@ -122,24 +121,13 @@ impl PreparedCampaign {
                 .evaluate_chunk(fault_ids, self.sim.threads, cancel)
                 .map_err(|_| ChunkCampaignError::Campaign(CampaignError::Cancelled));
         }
-        let faults = select_faults(&self.universe, fault_ids)?;
-        let outcome = snn_batch::engine_detect(
-            &self.net,
-            self.sim,
+        FaultSimulator::new(&self.net, self.sim).detect_chunk_with(
             &self.universe,
-            &faults,
+            fault_ids,
             &self.tests,
             &NullSink,
             cancel,
-        )?;
-        Ok(outcome.per_fault)
-    }
-
-    /// The engine chunks of this campaign actually execute under, after
-    /// [`Engine::Auto`](snn_faults::Engine::Auto) resolution against the
-    /// rebuilt network.
-    pub fn resolved_engine(&self) -> snn_faults::Engine {
-        snn_batch::resolve_engine(&self.net, self.sim.engine)
+        )
     }
 }
 
@@ -147,7 +135,7 @@ impl PreparedCampaign {
 #[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
-    use snn_faults::{FaultSimConfig, FaultSimulator};
+    use snn_faults::{Engine, FaultSimConfig};
 
     fn spec() -> CampaignSpec {
         let model = ModelSpec::Synthetic { inputs: 5, hidden: vec![8], outputs: 3, seed: 21 };
@@ -206,7 +194,9 @@ mod tests {
         let spec = spec();
         let prepared = PreparedCampaign::new(&spec, Some(1)).unwrap();
         assert_eq!(prepared.sim.threads, 1, "thread override applies");
-        let whole = FaultSimulator::new(&prepared.net, prepared.sim).detect(
+        // The reference side: the scalar engine, whole list at once.
+        let reference = FaultSimConfig { engine: Some(Engine::Scalar), ..prepared.sim };
+        let whole = FaultSimulator::new(&prepared.net, reference).detect(
             &prepared.universe,
             prepared.universe.faults(),
             &prepared.tests,

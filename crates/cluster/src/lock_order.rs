@@ -1,20 +1,44 @@
-//! The workspace-wide lock acquisition order, as seen from the cluster
-//! crate.
+//! The workspace's one lock acquisition order.
 //!
 //! The runtime detector in the vendored `parking_lot` accepts exactly
-//! one order list per process (first registration wins), and `snn-mtfc`
-//! processes routinely hold service and cluster locks in the same
-//! process — the server's accept loop takes `cluster.coordinator` while
-//! job workers take the service locks. So the cluster crate registers
-//! the *combined* order, identical to
-//! `snn-service`'s `lock_order::LOCK_ORDER`; a test in the service crate
-//! asserts the two lists never drift apart.
+//! one order list per process (first registration wins), and a server
+//! process holds service and cluster locks side by side, so the order of
+//! both crates is published here, in the lower of the two, and
+//! `snn-service` re-exports it. Every lock of the two crates is built
+//! with `Mutex::named(..)` on a name from [`LOCK_ORDER`] (`snn-lint` pass
+//! `L-LOCK`); in debug builds, acquiring one while holding a lock that
+//! ranks after it panics with both acquisition sites — an ABBA deadlock
+//! becomes a deterministic single-run test failure.
 
 /// Lock names in their required acquisition order (earlier first).
 ///
-/// Service names come first, unchanged; the cluster names rank after
-/// them:
+/// Since the guard narrowing driven by `snn-lint`'s `L-HELDLOCK` pass
+/// (DESIGN.md §15), no service lock nests inside another in practice —
+/// the static acquisition graph built by `L-LOCKGRAPH` has no edges
+/// among these locks. The ranks are kept anyway: they document the only
+/// nestings that would ever be legal, and the runtime detector still
+/// catches regressions reaching a lock through a path the static pass
+/// cannot see (trait objects, function pointers).
 ///
+/// * `service.queue` guards only the queue itself: the capacity check,
+///   the push and the pop each take it briefly. `JobStore::submit`
+///   persists to disk and therefore runs *between* two short queue
+///   critical sections, not under one.
+/// * `service.sink.last_persist` guards only the throttle decision on
+///   the progress path; the persisting `JobStore::update` runs after the
+///   guard is released.
+/// * `service.running` is held only to insert/remove/clone cancellation
+///   tokens — tokens are cloned out before `cancel()` is called. It sits
+///   between the queue and the store so a future "queue → running"
+///   handoff under both locks would stay legal.
+/// * `service.bus.subscribers` ranks second-to-last among the service
+///   locks: event fan-out must never acquire another service lock while
+///   delivering (the analysis cache is never touched from the event
+///   path).
+/// * `service.analysis.cache` ranks last among the service locks: it is
+///   a leaf — the cache is locked only for a point lookup or insert,
+///   never while computing an analysis and never while holding it
+///   acquiring anything else.
 /// * `cluster.coordinator` ranks after every service lock because job
 ///   workers call into the coordinator (submit, wait, status) from code
 ///   that also takes service locks. Today every such call site releases
@@ -40,8 +64,9 @@ pub const LOCK_ORDER: &[&str] = &[
 ];
 
 /// Registers [`LOCK_ORDER`] with the runtime detector. Idempotent —
-/// the coordinator constructor and the worker entry point both call it
-/// defensively.
+/// every entry point (coordinator constructor, worker entry, server
+/// bind, store open, bus construction) calls it defensively so partial
+/// uses of the crates are still checked.
 pub fn register() {
     parking_lot::lock_order::register(LOCK_ORDER);
 }

@@ -1,4 +1,4 @@
-//! Protocol v7: the coordinator/worker messages of distributed
+//! Protocol v8: the coordinator/worker messages of distributed
 //! campaigns, plus the newline-JSON line codec both the job server and
 //! the cluster share.
 //!
@@ -14,33 +14,15 @@ use serde::{Deserialize, Serialize};
 use snn_faults::{ChunkRange, FaultOutcome, FaultSimConfig};
 use std::io::{BufRead, Read, Write};
 
-/// Protocol revision; incremented on breaking wire changes.
-///
-/// * `2` — `JobEvent` became a sequenced envelope and
-///   `Request::Metrics` was added.
-/// * `3` — cluster messages ([`WorkerMsg`]/[`CoordMsg`]) joined the
-///   port, `Request::ClusterStatus` was added, and job results gained a
-///   `verdict_digest`.
-/// * `4` — reliability campaigns: job specs/results and
-///   [`CampaignSpec`] gained optional `reliability` payloads, and
-///   persisted job records a `schema` version. All additions are
-///   `Option` fields, so v3 records and messages still decode.
-/// * `5` — distributed tracing: [`LeaseGrant`] gained an optional
-///   [`TraceContext`] stamped by the coordinator, and
-///   [`WorkerMsg::Result`] an optional `spans` batch of the worker's
-///   finished trace spans. Both additions are `Option` fields, so v4
-///   messages still decode (an untraced campaign is simply `None`).
-/// * `6` — execution engines: `FaultSimConfig` (carried inside
-///   [`CampaignSpec`] and job specs) gained an optional `engine`
-///   selector, and job specs/results transport it end to end. All
-///   additions are `Option` fields, so v5 messages still decode
-///   (`None` means [`Engine::Auto`](snn_faults::Engine::Auto)); the
-///   selector never changes verdicts, only execution strategy.
-/// * `7` — columnar results: [`WorkerMsg::Result`] carries its outcomes
-///   as [`ChunkOutcomes`] (three columns, no fault ids — the coordinator
-///   stamps the ids it leased). Breaking for workers; `Hello` refuses
-///   any other version, so there is no compatibility decode.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// Protocol revision; incremented on breaking wire changes. `Hello`
+/// refuses any other version, so there is no compatibility decode and a
+/// mixed cluster fails with a one-line error before its first lease.
+/// Additions since v3 that are `Option` fields (reliability payloads,
+/// [`TraceContext`], the `engine` selector) still decode when absent;
+/// v7 made [`WorkerMsg::Result`] columnar ([`ChunkOutcomes`]) and v8
+/// reduced the `FaultSimConfig` inside [`CampaignSpec`] to `threads`,
+/// `record_class_diffs` and `engine`.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Longest line [`read_raw_line`] accepts. The largest legitimate line
 /// is a [`CampaignSpec`] carrying an events text.

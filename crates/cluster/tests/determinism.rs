@@ -15,7 +15,9 @@ use snn_cluster::coordinator::{Coordinator, CoordinatorConfig, Grant};
 use snn_cluster::wire::{CampaignSpec, ChunkOutcomes, ModelSpec};
 use snn_cluster::{build_model, PreparedCampaign};
 use snn_faults::progress::CancelToken;
-use snn_faults::{verdict_digest, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse};
+use snn_faults::{
+    verdict_digest, Engine, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse,
+};
 use std::sync::Arc;
 
 /// Builds a self-contained campaign spec with `stimuli` random
@@ -43,12 +45,14 @@ fn campaign_spec(
     }
 }
 
-/// The zero-worker reference: one process, whole fault list at once.
+/// The zero-worker reference: one process, whole fault list at once, on
+/// the scalar engine.
 fn local_campaign(spec: &CampaignSpec) -> Vec<FaultOutcome> {
     let net = build_model(&spec.model).unwrap();
     let universe = FaultUniverse::standard(&net);
     let prepared = PreparedCampaign::new(spec, None).unwrap();
-    let sim = FaultSimulator::new(&net, spec.sim);
+    let sim =
+        FaultSimulator::new(&net, FaultSimConfig { engine: Some(Engine::Scalar), ..spec.sim });
     sim.detect(&universe, universe.faults(), &prepared.tests).per_fault
 }
 

@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_faults::FaultSimConfig;
+    use snn_faults::{Engine, FaultSimConfig};
     use snn_model::{LifParams, NetworkBuilder};
     use snn_tensor::{Shape, Tensor};
 
@@ -232,10 +232,14 @@ mod tests {
         let chunks: Vec<Tensor> =
             (0..3).map(|_| snn_tensor::init::bernoulli(&mut rng, Shape::d2(12, 6), 0.4)).collect();
         let test = GeneratedTest::from_chunks(chunks, 6, vec![]);
-        let sim =
-            FaultSimulator::new(&n, FaultSimConfig { threads: 1, ..FaultSimConfig::default() });
+        let on = |engine| FaultSimConfig { threads: 1, engine: Some(engine), ..Default::default() };
+        let sim = FaultSimulator::new(&n, on(Engine::Scalar));
         let (compact, kept) = compact_by_coverage(&universe, universe.faults(), &test, &sim);
         assert!(!kept.is_empty());
+        // The engine is an execution strategy: the same chunks survive.
+        let packed = FaultSimulator::new(&n, on(Engine::Packed));
+        let (_, kept_packed) = compact_by_coverage(&universe, universe.faults(), &test, &packed);
+        assert_eq!(kept, kept_packed);
 
         let detect = |t: &GeneratedTest| {
             sim.detect(&universe, universe.faults(), &t.chunks)

@@ -7,9 +7,10 @@
 //! taking days on an A100 at paper scale, and the very cost the proposed
 //! test-generation algorithm avoids during optimization.
 
-use crate::{parallel, sim::faulty_output, Fault, FaultSimConfig, FaultUniverse, Injection};
+use crate::sim::with_fault;
+use crate::{parallel, Fault, FaultKind, FaultSite, FaultUniverse, Injection};
 use serde::{Deserialize, Serialize};
-use snn_model::{Network, RecordOptions, Trace};
+use snn_model::{Layer, LayerState, LayerTrace, Network, RecordOptions, Trace};
 use snn_tensor::Tensor;
 use std::time::Duration;
 
@@ -50,13 +51,15 @@ impl CriticalityReport {
 /// labels are irrelevant because criticality compares against the
 /// fault-free top-1 prediction, not the ground truth).
 ///
-/// Prefix caching and early exit accelerate each (fault, sample) run, and
-/// a fault is labelled critical at the first sample whose prediction
-/// flips.
+/// A (fault, sample) pair is skipped when the fault meets no spike,
+/// otherwise runs from the fault's layer to the first one that spikes as
+/// in the fault-free run; a fault is critical at the first sample whose
+/// prediction flips.
 ///
 /// # Panics
 ///
-/// Panics if `dataset` is empty.
+/// Panics if there is no sample to label against: `dataset` is empty or
+/// `cfg.max_samples` is `Some(0)`.
 ///
 /// # Example
 ///
@@ -80,21 +83,17 @@ pub fn classify(
     dataset: &[Tensor],
     cfg: CriticalityConfig,
 ) -> CriticalityReport {
-    assert!(!dataset.is_empty(), "criticality labelling needs at least one sample");
     let start = snn_obs::clock::monotonic();
     let take = cfg.max_samples.unwrap_or(dataset.len()).min(dataset.len());
+    assert!(take > 0, "criticality labelling needs at least one sample");
     let samples = &dataset[..take];
 
     let baselines: Vec<Trace> =
         samples.iter().map(|s| net.forward(s, RecordOptions::spikes_only())).collect();
     let predictions: Vec<usize> = baselines.iter().map(|b| b.predict()).collect();
-    let activity: Vec<crate::sim::ActivitySummary> = samples
-        .iter()
-        .zip(baselines.iter())
-        .map(|(s, b)| crate::sim::ActivitySummary::new(net, s, b))
-        .collect();
+    let traffic: Vec<Vec<Vec<f32>>> =
+        samples.iter().zip(&baselines).map(|(s, b)| spike_counts(s, b)).collect();
 
-    let sim_cfg = FaultSimConfig { threads: cfg.threads, ..FaultSimConfig::default() };
     let critical = parallel::map_indexed(
         faults.len(),
         cfg.threads,
@@ -103,25 +102,11 @@ pub fn classify(
             let injection = Injection::for_fault(net, universe, &faults[i])
                 // snn-lint: allow(L-PANIC): faults come from the same universe that enumerated them, so they are well-formed
                 .expect("universe faults are well-formed");
-            // Criticality labelling is outside the detection campaign's
-            // phase accounting; the scratch recorder is discarded.
-            let mut scratch = snn_obs::phase::LocalPhases::new();
-            for (k, ((sample, baseline), &pred)) in
-                samples.iter().zip(baselines.iter()).zip(predictions.iter()).enumerate()
-            {
-                if crate::sim::provably_undetectable(net, &activity[k], &faults[i]) {
-                    continue; // no activity change ⇒ same prediction
-                }
-                let Some(output) =
-                    faulty_output(worker, baseline, sample, &injection, sim_cfg, &mut scratch)
-                else {
-                    continue; // identical output ⇒ same prediction
-                };
-                if predict_from_output(&output) != pred {
-                    return true;
-                }
-            }
-            false
+            (0..take).any(|k| {
+                !sees_no_spike(net, &traffic[k], &faults[i])
+                    && faulty_prediction(worker, &baselines[k], &samples[k], &injection)
+                        .is_some_and(|faulty| faulty != predictions[k])
+            })
         },
     );
 
@@ -151,17 +136,11 @@ pub fn accuracy_delta(
         // snn-lint: allow(L-PANIC): faults come from the same universe that enumerated them, so they are well-formed
         .expect("universe faults are well-formed");
     let mut worker = net.clone();
-    let cfg = FaultSimConfig { threads: 1, ..FaultSimConfig::default() };
-    let mut scratch = snn_obs::phase::LocalPhases::new();
     let mut flipped = 0usize;
     for (sample, &pred) in samples.iter().zip(predictions.iter()) {
         let baseline = net.forward(sample, RecordOptions::spikes_only());
-        let Some(output) =
-            faulty_output(&mut worker, &baseline, sample, &injection, cfg, &mut scratch)
-        else {
-            continue; // identical output ⇒ same prediction
-        };
-        if predict_from_output(&output) != pred {
+        let faulty = faulty_prediction(&mut worker, &baseline, sample, &injection);
+        if faulty.is_some_and(|faulty| faulty != pred) {
             flipped += 1;
         }
     }
@@ -169,24 +148,62 @@ pub fn accuracy_delta(
     flipped as f32 / samples.len() as f32
 }
 
-/// Top-1 class from final-layer spike trains `[T × classes]`.
-fn predict_from_output(output: &Tensor) -> usize {
-    let dims = output.shape().dims();
-    let (steps, classes) = (dims[0], dims[1]);
-    let data = output.as_slice();
-    let mut counts = vec![0.0f32; classes];
-    for t in 0..steps {
-        for (c, v) in counts.iter_mut().zip(data[t * classes..(t + 1) * classes].iter()) {
-            *c += v;
-        }
+/// Spike counts at every layer boundary of one fault-free run: entry 0
+/// counts the sample's input columns, entry `ℓ + 1` layer `ℓ`'s neurons.
+fn spike_counts(sample: &Tensor, baseline: &Trace) -> Vec<Vec<f32>> {
+    let input = LayerTrace { output: sample.clone(), potential: None, gate: None };
+    std::iter::once(&input).chain(&baseline.layers).map(LayerTrace::spike_counts).collect()
+}
+
+/// `true` when `fault` provably changes nothing of a run with these
+/// [`spike_counts`] — a dead neuron that never fires, a synapse whose
+/// source never spikes — so the pair is not simulated at all. Dataset
+/// samples are sparse: this is the larger half of what labelling saves.
+fn sees_no_spike(net: &Network, counts: &[Vec<f32>], fault: &Fault) -> bool {
+    // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
+    let quiet = |boundary: usize, i: usize| counts[boundary][i] == 0.0;
+    match (fault.site, fault.kind) {
+        (FaultSite::Neuron { layer, index }, FaultKind::NeuronDead) => quiet(layer + 1, index),
+        (FaultSite::Synapse(r), _) => match &net.layers()[r.layer] {
+            Layer::Conv(_) | Layer::Pool(_) => false,
+            l @ Layer::Recurrent(_) if r.tensor == 1 => {
+                quiet(r.layer + 1, r.offset % l.out_features())
+            }
+            l => quiet(r.layer, r.offset % l.in_features()),
+        },
+        _ => false,
     }
-    let mut best = 0;
-    for (i, &c) in counts.iter().enumerate() {
-        if c > counts[best] {
-            best = i;
+}
+
+/// Top-1 prediction on `sample` under `injection`, or `None` once a layer
+/// from the fault's on spikes exactly as in `baseline`: nothing after it
+/// can differ, so the prediction stands and the rest is not run. These
+/// two shortcuts are labelling's own — nine faults in ten are benign and
+/// meet every sample — and the detection reference shares neither.
+fn faulty_prediction(
+    worker: &mut Network,
+    baseline: &Trace,
+    sample: &Tensor,
+    injection: &Injection,
+) -> Option<usize> {
+    let start = injection.start_layer();
+    let first = if start == 0 { sample } else { &baseline.layers[start - 1].output };
+    // Labelling is outside the campaign's phase accounting.
+    let mut scratch = snn_obs::phase::LocalPhases::new();
+    with_fault(worker, injection, &mut scratch, |net, map| {
+        let mut last: Option<LayerTrace> = None;
+        for idx in start..net.layers().len() {
+            let input = last.as_ref().map_or(first, |t| &t.output);
+            let spikes = RecordOptions::spikes_only();
+            let layer =
+                net.forward_layer_segment(idx, input, 0, spikes, map, &mut LayerState::default());
+            if layer.output == baseline.layers[idx].output {
+                return None;
+            }
+            last = Some(layer);
         }
-    }
-    best
+        Some(Trace { steps: baseline.steps, layers: last.into_iter().collect() }.predict())
+    })
 }
 
 #[cfg(test)]
@@ -326,12 +343,74 @@ mod tests {
         assert_eq!(accuracy_delta(&net, &u, fault, &data, &predictions), 1.0);
     }
 
+    /// Labelling's two shortcuts move no label: on sparse samples and a
+    /// silent one, where both fire, `classify` agrees with predictions
+    /// taken from the detection reference's run to the end of the network.
     #[test]
-    #[should_panic(expected = "at least one sample")]
+    fn shortcuts_label_as_the_detection_reference_predicts() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let lif = LifParams::default();
+        let nets = [
+            NetworkBuilder::new(12, lif).recurrent(8).dense(6).dense(3).build(&mut rng),
+            NetworkBuilder::new_spatial(1, 6, 6, lif)
+                .conv(2, 3, 1, 1)
+                .avg_pool(2)
+                .dense(4)
+                .build(&mut rng),
+        ];
+        for net in nets {
+            let features = net.input_features();
+            let mut data: Vec<Tensor> = (0..3)
+                .map(|_| snn_tensor::init::bernoulli(&mut rng, Shape::d2(24, features), 0.08))
+                .collect();
+            data.push(Tensor::zeros(Shape::d2(24, features)));
+            let u = FaultUniverse::standard(&net);
+            let baselines: Vec<Trace> =
+                data.iter().map(|s| net.forward(s, RecordOptions::spikes_only())).collect();
+            let (mut skipped, mut cut_short) = (0usize, 0usize);
+            let mut worker = net.clone();
+            let mut scratch = snn_obs::phase::LocalPhases::new();
+            let expected: Vec<bool> = (u.faults().iter())
+                .map(|fault| {
+                    let injection = Injection::for_fault(&net, &u, fault).unwrap();
+                    let mut critical = false;
+                    for (sample, baseline) in data.iter().zip(&baselines) {
+                        let counts = spike_counts(sample, baseline);
+                        skipped += usize::from(sees_no_spike(&net, &counts, fault));
+                        let short = faulty_prediction(&mut worker, baseline, sample, &injection);
+                        cut_short += usize::from(short.is_none());
+                        let faulty = crate::sim::faulty_output(
+                            &mut worker,
+                            baseline,
+                            sample,
+                            &injection,
+                            &mut scratch,
+                        );
+                        critical |= faulty.predict() != baseline.predict();
+                    }
+                    critical
+                })
+                .collect();
+            assert!(skipped > 0 && cut_short > skipped, "{skipped} skipped, {cut_short} cut");
+            assert!(expected.contains(&true) && expected.contains(&false));
+            let report = classify(&net, &u, u.faults(), &data, CriticalityConfig::default());
+            assert_eq!(report.critical, expected);
+        }
+    }
+
+    /// No sample to label against — an empty dataset or a sample cap of
+    /// zero — is refused, not answered with an all-benign report.
+    #[test]
     fn classify_requires_samples() {
         let mut rng = StdRng::seed_from_u64(3);
         let net = NetworkBuilder::new(2, LifParams::default()).dense(2).build(&mut rng);
         let u = FaultUniverse::standard(&net);
-        let _ = classify(&net, &u, u.faults(), &[], CriticalityConfig::default());
+        let data = [snn_tensor::init::bernoulli(&mut rng, Shape::d2(8, 2), 0.5)];
+        let capped = CriticalityConfig { threads: 1, max_samples: Some(0) };
+        for (dataset, cfg) in [(&data[..0], CriticalityConfig::default()), (&data[..], capped)] {
+            let refused = std::panic::catch_unwind(|| classify(&net, &u, u.faults(), dataset, cfg));
+            let message = *refused.unwrap_err().downcast::<&str>().unwrap();
+            assert!(message.contains("at least one sample"), "{message}");
+        }
     }
 }

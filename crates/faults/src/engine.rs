@@ -1,15 +1,18 @@
 use serde::{Deserialize, Serialize};
+use snn_model::{Layer, Network};
 
-/// Which execution engine runs a detection campaign.
+/// Which execution engine runs a detection campaign under
+/// [`FaultSimulator::detect_with`](crate::FaultSimulator::detect_with).
 ///
-/// The scalar engine ([`FaultSimulator`](crate::FaultSimulator)) simulates
-/// one fault at a time; the packed engine (`snn-batch`) bit-packs up to 64
-/// fault variants into `u64` spike-word lanes and runs them in one pass.
-/// Both produce bit-identical verdicts — the packed path is a pure
-/// execution strategy, gated by the campaign `verdict_digest`. Selection
-/// is resolved *above* the simulators (CLI `--engine`, job specs, cluster
-/// campaign specs); [`FaultSimConfig`](crate::FaultSimConfig) carries the
-/// request so it rides the existing wire types unchanged.
+/// The scalar engine simulates one fault at a time and is the reference;
+/// the packed engine bit-packs up to 64 fault variants into `u64`
+/// spike-word lanes and runs them in one differential pass. Both produce
+/// bit-identical verdicts — the packed path is a pure execution strategy,
+/// gated by the campaign `verdict_digest`. The request comes from above
+/// (CLI `--engine`, job specs, cluster campaign specs) in
+/// [`FaultSimConfig`](crate::FaultSimConfig), which rides the existing
+/// wire types unchanged; [`resolve_engine`] turns it into the engine that
+/// runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Engine {
     /// Per-fault scalar simulation (the reference path).
@@ -31,6 +34,24 @@ impl Engine {
             Engine::Packed => "packed",
             Engine::Auto => "auto",
         }
+    }
+}
+
+/// Resolves a requested engine against the network: [`Engine::Auto`]
+/// (and `None`) picks [`Engine::Packed`] when the network's last layer is
+/// spiking — the packed sweep reads its verdict off binary output spikes
+/// and then takes every fault — and [`Engine::Scalar`] otherwise. Never
+/// returns `Auto`.
+pub fn resolve_engine(net: &Network, requested: Option<Engine>) -> Engine {
+    match requested.unwrap_or(Engine::Auto) {
+        Engine::Auto => {
+            if net.layers().last().is_some_and(Layer::is_spiking) {
+                Engine::Packed
+            } else {
+                Engine::Scalar
+            }
+        }
+        explicit => explicit,
     }
 }
 
@@ -77,6 +98,26 @@ mod tests {
             assert_eq!(e.name().parse::<Engine>().unwrap(), e);
             assert_eq!(e.to_string(), e.name());
         }
+    }
+
+    #[test]
+    fn auto_resolution_follows_the_last_layer() {
+        use rand::SeedableRng;
+        use snn_model::{LifParams, NetworkBuilder};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let dense = NetworkBuilder::new(6, LifParams::default()).dense(10).dense(4).build(&mut rng);
+        assert_eq!(resolve_engine(&dense, None), Engine::Packed);
+        assert_eq!(resolve_engine(&dense, Some(Engine::Auto)), Engine::Packed);
+        assert_eq!(resolve_engine(&dense, Some(Engine::Scalar)), Engine::Scalar);
+        let spatial = || NetworkBuilder::new_spatial(1, 4, 4, LifParams::default());
+        // Any spiking last layer will do — conv and recurrent included.
+        let conv = spatial().avg_pool(2).conv(2, 3, 1, 1).build(&mut rng);
+        assert_eq!(resolve_engine(&conv, None), Engine::Packed);
+        let recurrent = NetworkBuilder::new(5, LifParams::default()).recurrent(3).build(&mut rng);
+        assert_eq!(resolve_engine(&recurrent, None), Engine::Packed);
+        let pooled = spatial().conv(2, 3, 1, 1).avg_pool(2).build(&mut rng);
+        assert_eq!(resolve_engine(&pooled, None), Engine::Scalar);
+        assert_eq!(resolve_engine(&pooled, Some(Engine::Packed)), Engine::Packed);
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn estimate_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultSimConfig;
+    use crate::{Engine, FaultSimConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_model::{LifParams, NetworkBuilder};
@@ -148,13 +148,18 @@ mod tests {
             .dense(3)
             .build(&mut rng);
         let universe = FaultUniverse::standard(&net);
-        let sim =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 1, ..FaultSimConfig::default() });
+        let on = |engine| {
+            let cfg = FaultSimConfig { threads: 1, engine: Some(engine), ..Default::default() };
+            FaultSimulator::new(&net, cfg)
+        };
         let test = snn_tensor::init::bernoulli(&mut rng, Shape::d2(25, 5), 0.5);
         let tests = std::slice::from_ref(&test);
 
-        let exact = sim.detect(&universe, universe.faults(), tests).fault_coverage();
-        let est = estimate_coverage(&sim, &universe, tests, 150, &mut rng);
+        let exact = on(Engine::Scalar).detect(&universe, universe.faults(), tests).fault_coverage();
+        let packed =
+            estimate_coverage(&on(Engine::Packed), &universe, tests, 150, &mut rng.clone());
+        let est = estimate_coverage(&on(Engine::Scalar), &universe, tests, 150, &mut rng);
+        assert_eq!(est, packed, "same sample, same verdicts under either engine");
         assert!(
             est.lo <= exact && exact <= est.hi,
             "CI [{}, {}] misses exact {exact}",

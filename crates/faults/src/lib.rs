@@ -15,11 +15,15 @@
 //!   faults patch the weight tensor; neuron faults use the simulator's
 //!   behavioural hooks.
 //! * [`FaultSimulator`] — the detection campaign of Eq. (3)/(4): a fault is
-//!   detected by a test input if it changes the output spike trains. The
-//!   simulator exploits the feedforward structure (*prefix caching*: a
-//!   fault in layer ℓ cannot alter activity before ℓ) and *early exit*
-//!   (identical layer activity ⇒ identical suffix), and fans the fault list
-//!   out over a crossbeam thread pool.
+//!   detected by a test input if it changes the output spike trains. One
+//!   entry point, [`FaultSimulator::detect_with`], over two engines with
+//!   bit-identical verdicts, chosen by [`FaultSimConfig::engine`]
+//!   ([`resolve_engine`]): the **scalar** engine is the reference — per
+//!   fault it re-simulates the network from the fault's layer on (a fault
+//!   in layer ℓ cannot alter activity before ℓ) and compares outputs; the
+//!   **packed** engine simulates up to 64 faults at once, each
+//!   *differentially* against one recorded fault-free run, as bit lanes of
+//!   `u64` spike words. Both fan out over a crossbeam thread pool.
 //! * [`chunk`] — chunk-addressable campaigns: deterministic sharding of
 //!   a fault list, subset simulation by explicit fault ids, exact chunk
 //!   merging and the campaign verdict digest backing `snn-cluster`'s
@@ -60,6 +64,7 @@ mod dictionary;
 mod engine;
 mod estimate;
 mod inject;
+mod packed;
 mod sim;
 mod universe;
 
@@ -72,13 +77,13 @@ pub mod transient;
 pub use chunk::{verdict_digest, verdict_digest_hex, ChunkCampaignError, ChunkRange, MergeError};
 pub use coverage::{escape_max_accuracy_drop, ClassCoverage, CoverageReport};
 pub use dictionary::{Diagnosis, FaultDictionary};
-pub use engine::{Engine, ParseEngineError};
+pub use engine::{resolve_engine, Engine, ParseEngineError};
 pub use estimate::{estimate_coverage, CoverageEstimate};
 pub use inject::{bit_flip_int8, Injection, InjectionError};
+pub use packed::plan::{dense_suffix_start, FaultPlan};
 pub use progress::{CancelToken, Cancelled, NullSink, Progress, ProgressSink};
 pub use sim::{
-    provably_undetectable, record_faults_detected, record_faults_simulated, ActivitySummary,
-    CampaignError, CampaignOutcome, FaultOutcome, FaultSimConfig, FaultSimulator,
+    engine_detect, CampaignError, CampaignOutcome, FaultOutcome, FaultSimConfig, FaultSimulator,
 };
 pub use transient::{windowed_forward, TransientWindow};
 pub use universe::{Fault, FaultKind, FaultModelConfig, FaultSite, FaultUniverse};

@@ -1,10 +1,10 @@
-//! Bit-packed fault-parallel simulation: fault plan → lane assignment →
-//! packed differential run.
+//! The packed engine — bit-packed fault-parallel simulation: fault plan →
+//! lane assignment → packed differential run.
 //!
 //! A detection campaign asks one question per (fault, test) pair: does
 //! the faulty output spike train differ from the fault-free one? The
 //! scalar engine answers it by re-simulating the network once per fault.
-//! This crate answers it for up to 64 faults at once, and for each of
+//! This module answers it for up to 64 faults at once, and for each of
 //! them *differentially*: the fault-free ("golden") run is simulated once
 //! per test by the model's own forward pass, which records its drives
 //! and pre-tick states; a fault variant reuses those wherever it still
@@ -35,115 +35,36 @@
 //!    yields each lane's divergence from the golden spikes at the fault
 //!    layer, then the layers behind it are swept lane-parallel.
 //!
-//! [`engine_detect`] is the drop-in campaign entry point: it resolves
-//! the configured [`Engine`], runs the packs and returns a
-//! [`CampaignOutcome`] **bit-identical** to
-//! [`FaultSimulator::detect_with`] — same per-fault detection flags,
-//! distances, class diffs and therefore the same
-//! [`verdict_digest`](snn_faults::verdict_digest). Cluster chunking,
+//! [`detect`] is what [`FaultSimulator::detect_with`] runs under
+//! [`Engine::Packed`](crate::Engine::Packed): it plans the packs, runs
+//! them and returns outcomes **bit-identical** to the scalar engine's —
+//! same per-fault detection flags, distances, class diffs and therefore
+//! the same [`verdict_digest`](crate::verdict_digest). Cluster chunking,
 //! collapsed-universe expansion and reliability campaigns ride on top
 //! unchanged.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//!
+//! [`FaultSimulator::detect_with`]: crate::FaultSimulator::detect_with
 
 mod pack;
-pub mod plan;
+pub(crate) mod plan;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use snn_faults::{
-    parallel, ActivitySummary, CampaignError, CampaignOutcome, CancelToken, Engine, Fault,
-    FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse, Injection, InjectionError,
-    Progress, ProgressSink,
-};
-use snn_model::{Layer, Network};
-use snn_obs::clock::monotonic;
+use crate::sim::{self, Campaign};
+use crate::{parallel, Cancelled, FaultOutcome, Progress};
+use snn_model::Layer;
 use snn_obs::phase::LocalPhases;
-use snn_tensor::{ops, Tensor};
+use snn_tensor::ops;
 
 use pack::{as_u64, Golden};
 
-pub use plan::{dense_suffix_start, FaultPlan, Pack};
-
-/// Resolves a requested engine against the network: [`Engine::Auto`]
-/// (and `None`) picks [`Engine::Packed`] when the network's last layer is
-/// spiking — the packed sweep reads its verdict off binary output spikes
-/// and then takes every fault — and [`Engine::Scalar`] otherwise. Never
-/// returns `Auto`.
-pub fn resolve_engine(net: &Network, requested: Option<Engine>) -> Engine {
-    match requested.unwrap_or(Engine::Auto) {
-        Engine::Auto => {
-            if net.layers().last().is_some_and(Layer::is_spiking) {
-                Engine::Packed
-            } else {
-                Engine::Scalar
-            }
-        }
-        explicit => explicit,
-    }
-}
-
-/// Runs a detection campaign under the engine configured in
-/// `cfg.engine` (resolved via [`resolve_engine`]). The outcome is
-/// bit-identical to [`FaultSimulator::detect_with`] whichever engine
-/// runs — the packed path is an execution strategy, not a semantics
-/// change.
-///
-/// # Panics
-///
-/// Panics if `tests` is empty (matching the scalar engine).
-///
-/// # Errors
-///
-/// [`CampaignError::Injection`] for an ill-formed fault (before any
-/// simulation), [`CampaignError::Cancelled`] once `cancel` trips.
-pub fn engine_detect(
-    net: &Network,
-    cfg: FaultSimConfig,
-    universe: &FaultUniverse,
-    faults: &[Fault],
-    tests: &[Tensor],
-    sink: &dyn ProgressSink,
-    cancel: &CancelToken,
-) -> Result<CampaignOutcome, CampaignError> {
-    match resolve_engine(net, cfg.engine) {
-        Engine::Scalar => scalar_detect(net, cfg, universe, faults, tests, sink, cancel),
-        _ => packed_detect(net, cfg, universe, faults, tests, sink, cancel),
-    }
-}
-
-/// The reference engine.
-fn scalar_detect(
-    net: &Network,
-    cfg: FaultSimConfig,
-    universe: &FaultUniverse,
-    faults: &[Fault],
-    tests: &[Tensor],
-    sink: &dyn ProgressSink,
-    cancel: &CancelToken,
-) -> Result<CampaignOutcome, CampaignError> {
-    let cfg = FaultSimConfig { engine: Some(Engine::Scalar), ..cfg };
-    FaultSimulator::new(net, cfg).detect_with(universe, faults, tests, sink, cancel)
-}
-
 /// The packed campaign: plan → one golden forward per test →
-/// lane-parallel pack fan-out. Observable behaviour (spans, counters,
-/// progress stream shape, error order) mirrors the scalar `detect_with`.
-fn packed_detect(
-    net: &Network,
-    cfg: FaultSimConfig,
-    universe: &FaultUniverse,
-    faults: &[Fault],
-    tests: &[Tensor],
-    sink: &dyn ProgressSink,
-    cancel: &CancelToken,
-) -> Result<CampaignOutcome, CampaignError> {
-    assert!(!tests.is_empty(), "detection campaign needs at least one test input");
-    let mut campaign_span = snn_obs::span!("faultsim.campaign");
-    campaign_span.attr("faults", faults.len());
-    let start = monotonic();
-
+/// lane-parallel pack fan-out, one progress event per pack. A plan that
+/// leaves anything to the fallback — a network whose output is not
+/// spikes, or a fault addressed to a layer without neurons — hands the
+/// whole campaign to the scalar engine.
+pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
+    let Campaign { net, cfg, faults, tests, .. } = *c;
     // Campaign-level phase scratch: planning and lane assignment land
     // here and merge into the process accumulator at the end.
     let mut campaign_local = LocalPhases::new();
@@ -156,25 +77,13 @@ fn packed_detect(
         plan
     };
     if !plan.fallback.is_empty() {
-        // A network whose output is not spikes (or a fault addressed to a
-        // layer without neurons): the reference engine runs the campaign.
         snn_obs::counter!(
             "snn_batch_scalar_fallback_faults_total",
             "Faults the packed engine handed to the scalar fallback."
         )
         .add(as_u64(plan.fallback.len()));
-        return scalar_detect(net, cfg, universe, faults, tests, sink, cancel);
+        return sim::detect_reference(c);
     }
-
-    // Realize every fault up front so ill-formed ones are rejected
-    // before any simulation work starts (typed, like the scalar path).
-    let injections: Vec<Injection> = faults
-        .iter()
-        .map(|f| Injection::for_fault(net, universe, f))
-        .collect::<Result<_, InjectionError>>()?;
-
-    let phases = snn_obs::phase::faultsim();
-    let phases_before = phases.snapshot();
 
     // The one golden forward per test: the baseline every verdict is
     // against and, from the first fault layer on, the records every pack
@@ -188,11 +97,6 @@ fn packed_detect(
             Golden { trace, lif }
         })
         .collect();
-    let activity: Vec<ActivitySummary> = if cfg.activity_filter {
-        tests.iter().zip(&golden).map(|(t, g)| ActivitySummary::new(net, t, &g.trace)).collect()
-    } else {
-        Vec::new()
-    };
     // Column-major weight copies for the layers a diverged lane is
     // carried through: every matrix behind the first fault layer, and a
     // recurrent fault layer's own feedback matrix.
@@ -217,15 +121,14 @@ fn packed_detect(
         transposed: &transposed,
         cfg,
         faults,
-        injections: &injections,
+        injections: c.injections,
         tests,
         golden: &golden,
-        activity: &activity,
     };
     let pack_outcomes = parallel::try_map_indexed(
         plan.packs.len(),
         cfg.threads,
-        cancel,
+        c.cancel,
         || pack::Scratch::new(net),
         |scratch, pi| {
             let pk = &plan.packs[pi];
@@ -233,10 +136,15 @@ fn packed_detect(
             let det = outcomes.iter().filter(|o| o.detected).count();
             let detected = detected_total.fetch_add(det, Ordering::Relaxed) + det;
             let done_now = done.fetch_add(pk.members.len(), Ordering::Relaxed) + pk.members.len();
-            sink.emit(Progress::FaultsSimulated { done: done_now, total: faults.len(), detected });
+            c.sink.emit(Progress::FaultsSimulated {
+                done: done_now,
+                total: faults.len(),
+                detected,
+            });
             outcomes
         },
     )?;
+    snn_obs::phase::faultsim().merge(&campaign_local);
     let mut per_fault: Vec<Option<FaultOutcome>> = Vec::new();
     per_fault.resize_with(faults.len(), || None);
     for (pk, outcomes) in plan.packs.iter().zip(pack_outcomes) {
@@ -244,31 +152,24 @@ fn packed_detect(
             per_fault[fi] = Some(o);
         }
     }
-    let per_fault: Vec<FaultOutcome> = per_fault
+    Ok(per_fault
         .into_iter()
         // snn-lint: allow(L-PANIC): with an empty fallback the plan assigns every fault index to exactly one pack
         .map(|o| o.expect("every fault assigned to a pack"))
-        .collect();
-
-    phases.merge(&campaign_local);
-    let elapsed = monotonic().saturating_sub(start);
-    if let Some(parent) = campaign_span.id() {
-        let delta = phases.snapshot().delta_since(&phases_before);
-        snn_obs::phase::emit_spans(&delta, Some(parent));
-    }
-    campaign_span.attr("detected", detected_total.load(Ordering::Relaxed));
-    Ok(CampaignOutcome { per_fault, elapsed })
+        .collect())
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
-    use super::*;
+    use crate::{
+        verdict_digest, CampaignError, CampaignOutcome, CancelToken, Engine, Fault, FaultKind,
+        FaultSimConfig, FaultSimulator, FaultUniverse, NullSink, Progress, ProgressSink,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_faults::{verdict_digest, FaultKind, NullSink};
-    use snn_model::{LifParams, NetworkBuilder};
-    use snn_tensor::Shape;
+    use snn_model::{LifParams, Network, NetworkBuilder};
+    use snn_tensor::{Shape, Tensor};
     use std::sync::Mutex;
 
     fn dense_net(seed: u64) -> Network {
@@ -296,15 +197,27 @@ mod tests {
         FaultSimConfig { threads: 1, engine: Some(Engine::Packed), ..FaultSimConfig::default() }
     }
 
+    fn detect(
+        net: &Network,
+        cfg: FaultSimConfig,
+        u: &FaultUniverse,
+        faults: &[Fault],
+        tests: &[Tensor],
+        sink: &dyn ProgressSink,
+        cancel: &CancelToken,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        FaultSimulator::new(net, cfg).detect_with(u, faults, tests, sink, cancel)
+    }
+
     fn assert_engines_agree(net: &Network, cfg_extra: impl Fn(FaultSimConfig) -> FaultSimConfig) {
         let u = FaultUniverse::standard(net);
         let tests = tests_for(net, 7, 3);
         let cancel = CancelToken::new();
         let scalar =
-            engine_detect(net, cfg_extra(scalar_cfg()), &u, u.faults(), &tests, &NullSink, &cancel)
+            detect(net, cfg_extra(scalar_cfg()), &u, u.faults(), &tests, &NullSink, &cancel)
                 .unwrap();
         let packed =
-            engine_detect(net, cfg_extra(packed_cfg()), &u, u.faults(), &tests, &NullSink, &cancel)
+            detect(net, cfg_extra(packed_cfg()), &u, u.faults(), &tests, &NullSink, &cancel)
                 .unwrap();
         assert_eq!(scalar.per_fault.len(), packed.per_fault.len());
         for (s, p) in scalar.per_fault.iter().zip(packed.per_fault.iter()) {
@@ -322,12 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn packed_matches_scalar_with_class_diffs_and_activity_filter() {
-        assert_engines_agree(&dense_net(12), |c| FaultSimConfig {
-            record_class_diffs: true,
-            activity_filter: true,
-            ..c
-        });
+    fn packed_matches_scalar_with_class_diffs() {
+        assert_engines_agree(&dense_net(12), |c| FaultSimConfig { record_class_diffs: true, ..c });
     }
 
     #[test]
@@ -355,24 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolution_follows_the_last_layer() {
-        let dense = dense_net(1);
-        assert_eq!(resolve_engine(&dense, None), Engine::Packed);
-        assert_eq!(resolve_engine(&dense, Some(Engine::Auto)), Engine::Packed);
-        assert_eq!(resolve_engine(&dense, Some(Engine::Scalar)), Engine::Scalar);
-        let mut rng = StdRng::seed_from_u64(2);
-        let spatial = || NetworkBuilder::new_spatial(1, 4, 4, LifParams::default());
-        // Any spiking last layer will do — conv and recurrent included.
-        let conv = spatial().avg_pool(2).conv(2, 3, 1, 1).build(&mut rng);
-        assert_eq!(resolve_engine(&conv, None), Engine::Packed);
-        let recurrent = NetworkBuilder::new(5, LifParams::default()).recurrent(3).build(&mut rng);
-        assert_eq!(resolve_engine(&recurrent, None), Engine::Packed);
-        let pooled = spatial().conv(2, 3, 1, 1).avg_pool(2).build(&mut rng);
-        assert_eq!(resolve_engine(&pooled, None), Engine::Scalar);
-        assert_eq!(resolve_engine(&pooled, Some(Engine::Packed)), Engine::Packed);
-    }
-
-    #[test]
     fn ill_formed_fault_is_a_typed_error() {
         let net = dense_net(3);
         let u = FaultUniverse::standard(&net);
@@ -380,9 +271,8 @@ mod tests {
             u.faults().iter().find(|f| f.kind == FaultKind::NeuronDead).copied().unwrap();
         let bad = Fault { kind: FaultKind::SynapseDead, ..neuron_site };
         let tests = tests_for(&net, 4, 1);
-        let err =
-            engine_detect(&net, packed_cfg(), &u, &[bad], &tests, &NullSink, &CancelToken::new())
-                .unwrap_err();
+        let err = detect(&net, packed_cfg(), &u, &[bad], &tests, &NullSink, &CancelToken::new())
+            .unwrap_err();
         assert!(matches!(err, CampaignError::Injection(_)));
     }
 
@@ -393,8 +283,8 @@ mod tests {
         let tests = tests_for(&net, 6, 1);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let err = engine_detect(&net, packed_cfg(), &u, u.faults(), &tests, &NullSink, &cancel)
-            .unwrap_err();
+        let err =
+            detect(&net, packed_cfg(), &u, u.faults(), &tests, &NullSink, &cancel).unwrap_err();
         assert!(matches!(err, CampaignError::Cancelled));
     }
 
@@ -406,8 +296,7 @@ mod tests {
         let events = Mutex::new(Vec::new());
         let sink = |p: Progress| events.lock().unwrap().push(p);
         let outcome =
-            engine_detect(&net, packed_cfg(), &u, u.faults(), &tests, &sink, &CancelToken::new())
-                .unwrap();
+            detect(&net, packed_cfg(), &u, u.faults(), &tests, &sink, &CancelToken::new()).unwrap();
         let events = events.into_inner().unwrap();
         let final_detected = events
             .iter()

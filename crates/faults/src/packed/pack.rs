@@ -68,10 +68,8 @@
 //!   sums, so signed integer deltas converted to `f32` match — including
 //!   `+0.0` for untouched classes.
 
-use snn_faults::{
-    provably_undetectable, ActivitySummary, Fault, FaultOutcome, FaultSimConfig, FaultSite,
-    Injection,
-};
+use crate::sim::{record_faults_detected, record_faults_simulated};
+use crate::{Fault, FaultOutcome, FaultSimConfig, FaultSite, Injection};
 use snn_model::{Layer, LifParams, LifRecord, Network, RecurrentLayer, Trace};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
@@ -82,7 +80,7 @@ use snn_tensor::packed::{
 use snn_tensor::Tensor;
 use std::time::Duration;
 
-use crate::plan::Pack;
+use super::plan::Pack;
 
 /// The fault-free run of one test input: the baseline trace plus the
 /// per-layer records the model's forward pass kept for reuse.
@@ -114,8 +112,6 @@ pub(crate) struct Ctx<'a> {
     pub tests: &'a [Tensor],
     /// Golden run per test input.
     pub golden: &'a [Golden],
-    /// Per-test activity summaries; empty unless `cfg.activity_filter`.
-    pub activity: &'a [ActivitySummary],
 }
 
 impl Ctx<'_> {
@@ -442,9 +438,9 @@ pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec
     snn_obs::counter!("snn_batch_packs_total", "Packs executed by the packed engine.").inc();
     snn_obs::counter!("snn_batch_lanes_total", "Fault variants simulated in packed lanes.")
         .add(as_u64(members));
-    snn_faults::record_faults_simulated(as_u64(members));
+    record_faults_simulated(as_u64(members));
     if detected > 0 {
-        snn_faults::record_faults_detected(as_u64(detected));
+        record_faults_detected(as_u64(detected));
     }
     snn_obs::histogram!(
         "snn_batch_pack_seconds",
@@ -481,10 +477,6 @@ fn run_test(
     let ell = pack.layer;
     let gold = ctx.gold(k, ell);
     let last = ell == ctx.net.layers().len() - 1;
-    let testable = |fi: usize| {
-        !(ctx.cfg.activity_filter
-            && provably_undetectable(ctx.net, &ctx.activity[k], &ctx.faults[fi]))
-    };
 
     // Layer ℓ's output words: golden rows broadcast to every lane, then
     // each lane's flips applied by its fault-layer stage. A lane without
@@ -496,14 +488,12 @@ fn run_test(
     }
     let mut live = 0u64;
     for (i, &fi) in pack.members.iter().enumerate() {
-        if testable(fi) {
-            let lane = pack.lane(i);
-            let words = (!last).then_some(&mut scratch.words[..]);
-            let mut sink = Sink::new(words, &mut scratch.delta[..gold.n], lane);
-            let patched = &scratch.patched[i * slot..(i + 1) * slot];
-            fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
-            live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i])) << lane;
-        }
+        let lane = pack.lane(i);
+        let words = (!last).then_some(&mut scratch.words[..]);
+        let mut sink = Sink::new(words, &mut scratch.delta[..gold.n], lane);
+        let patched = &scratch.patched[i * slot..(i + 1) * slot];
+        fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
+        live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i])) << lane;
     }
     laps.end_forward(ell);
     if live != 0 {

@@ -20,7 +20,7 @@
 //! too small to give every thread a full pack is cut into one pack per
 //! thread instead of one pack in all.
 
-use snn_faults::Fault;
+use crate::Fault;
 use snn_model::{Layer, Network};
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::packed::LANES;
@@ -44,7 +44,7 @@ pub fn dense_suffix_start(net: &Network) -> usize {
 /// One pack: up to 64 fault variants confined to the same layer, each
 /// assigned a bit lane of the packed spike words.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Pack {
+pub(crate) struct Pack {
     /// Layer every member fault is confined to.
     pub layer: usize,
     /// Member faults as indices into the campaign's fault slice, in lane
@@ -79,19 +79,30 @@ impl Pack {
 /// The engine's split of a campaign fault list: packs for the packed
 /// kernel plus the scalar-fallback remainder. Indices refer to the fault
 /// slice the plan was built from; every index appears exactly once.
+/// Outside the crate a plan is its three counts (what `verify` prints).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Packs in ascending fault-layer order, members in supplied order.
-    pub packs: Vec<Pack>,
+    pub(crate) packs: Vec<Pack>,
     /// Faults the packed kernel cannot take, in supplied order. A
     /// campaign with any runs on the scalar engine as a whole.
-    pub fallback: Vec<usize>,
+    pub(crate) fallback: Vec<usize>,
 }
 
 impl FaultPlan {
     /// Total faults assigned to packs.
     pub fn packed_faults(&self) -> usize {
         self.packs.iter().map(|p| p.members.len()).sum()
+    }
+
+    /// Number of packs.
+    pub fn pack_count(&self) -> usize {
+        self.packs.len()
+    }
+
+    /// Number of faults left to the scalar engine.
+    pub fn fallback_count(&self) -> usize {
+        self.fallback.len()
     }
 }
 
@@ -139,9 +150,9 @@ pub fn plan(net: &Network, faults: &[Fault], threads: usize, local: &mut LocalPh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultUniverse;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_faults::FaultUniverse;
     use snn_model::{LifParams, NetworkBuilder};
 
     fn dense_net() -> Network {
@@ -226,7 +237,7 @@ mod tests {
     fn a_group_too_small_for_every_thread_is_split_evenly() {
         let net = dense_net();
         let u = FaultUniverse::standard(&net);
-        let last: Vec<Fault> = u.faults().iter().filter(|f| f.site.layer() == 1).copied().collect();
+        let last: Vec<Fault> = u.faults().iter().filter(|f| f.site.layer() == 0).copied().collect();
         let sizes = |count: usize, threads: usize| -> Vec<usize> {
             plan(&net, &last[..count], threads, &mut LocalPhases::new())
                 .packs
@@ -234,8 +245,9 @@ mod tests {
                 .map(|pk| pk.members.len())
                 .collect()
         };
-        assert!(last.len() >= 55);
+        assert!(last.len() >= 65);
         assert_eq!(sizes(55, 1), vec![55]);
+        assert_eq!(sizes(65, 1), vec![64, 1]);
         assert_eq!(sizes(55, 2), vec![28, 27]);
         assert_eq!(sizes(55, 4), vec![14, 14, 14, 13]);
         assert_eq!(sizes(3, 8), vec![1, 1, 1]);

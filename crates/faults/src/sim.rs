@@ -1,52 +1,26 @@
+use crate::engine::{resolve_engine, Engine};
 use crate::inject::InjectionError;
+use crate::packed::{self, plan::FaultPlan};
 use crate::progress::{CancelToken, Cancelled, NullSink, Progress, ProgressSink};
-use crate::{parallel, Fault, FaultKind, FaultSite, FaultUniverse, Injection};
+use crate::{parallel, Fault, FaultUniverse, Injection};
 use serde::{Deserialize, Serialize};
-use snn_model::{Layer, Network, NeuronFaultMap, RecordOptions, Trace};
+use snn_model::{Network, NeuronFaultMap, RecordOptions, Trace};
 use snn_tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Configuration of a fault-simulation campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultSimConfig {
     /// Worker threads (0 = all available cores).
     pub threads: usize,
-    /// Re-simulate only from the faulty layer onward, reusing the cached
-    /// fault-free activity of earlier layers. Sound for the feedforward
-    /// (and layer-local recurrent) networks this workspace builds.
-    pub prefix_cache: bool,
-    /// Stop re-simulation as soon as a layer's faulty activity matches the
-    /// fault-free baseline (the remaining suffix is then provably
-    /// identical).
-    pub early_exit: bool,
-    /// Skip simulation entirely for faults that provably cannot change
-    /// any activity under a given test input: weight faults whose source
-    /// neuron/input never spikes (the synapse carries no traffic, so its
-    /// value is unobservable), and dead faults on neurons that never fire
-    /// anyway. Sound for all fault kinds in the standard universe.
-    pub activity_filter: bool,
     /// Record the per-class output spike-count difference of each detected
     /// fault (needed to regenerate the paper's Fig. 9; costs memory).
     pub record_class_diffs: bool,
-    /// Requested execution engine (`None` = [`Engine::Auto`]). Carried in
-    /// the config so job and campaign wire types transport it unchanged;
-    /// [`FaultSimulator`] itself is always the scalar engine — dispatch to
-    /// the packed engine happens in `snn-batch`, which reads this field.
-    pub engine: Option<crate::Engine>,
-}
-
-impl Default for FaultSimConfig {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            prefix_cache: true,
-            early_exit: true,
-            activity_filter: true,
-            record_class_diffs: false,
-            engine: None,
-        }
-    }
+    /// Requested execution engine (`None` = [`Engine::Auto`]), resolved by
+    /// [`FaultSimulator::detect_with`]. Carried in the config so job and
+    /// campaign wire types transport it unchanged.
+    pub engine: Option<Engine>,
 }
 
 /// Detection outcome for one fault, aggregated over all test inputs.
@@ -127,22 +101,36 @@ impl std::error::Error for CampaignError {
 }
 
 /// Bumps the campaign-wide simulated-faults counter. The one registration
-/// site for this metric: the scalar loop and the packed engine
-/// (`snn-batch`) both route through here so the kind/help text can never
-/// diverge between engines.
-pub fn record_faults_simulated(n: u64) {
+/// site for this metric: both engines route through here so the kind/help
+/// text can never diverge between them.
+pub(crate) fn record_faults_simulated(n: u64) {
     snn_obs::counter!("snn_faultsim_faults_simulated_total", "Faults simulated across campaigns.")
         .add(n);
 }
 
 /// Bumps the campaign-wide detected-faults counter (single registration
 /// site, shared by both engines — see [`record_faults_simulated`]).
-pub fn record_faults_detected(n: u64) {
+pub(crate) fn record_faults_detected(n: u64) {
     snn_obs::counter!("snn_faultsim_faults_detected_total", "Faults detected across campaigns.")
         .add(n);
 }
 
-/// Parallel, prefix-cached fault simulator over a fixed fault-free network.
+/// One campaign as an engine sees it: the network, the realized faults
+/// and the test inputs, plus where progress goes and what stops it.
+#[derive(Clone, Copy)]
+pub(crate) struct Campaign<'a> {
+    pub net: &'a Network,
+    pub cfg: FaultSimConfig,
+    pub faults: &'a [Fault],
+    /// `injections[i]` realizes `faults[i]`.
+    pub injections: &'a [Injection],
+    pub tests: &'a [Tensor],
+    pub sink: &'a dyn ProgressSink,
+    pub cancel: &'a CancelToken,
+}
+
+/// Fault simulator over a fixed fault-free network: the one entry point of
+/// a detection campaign, whichever [`Engine`] runs it.
 ///
 /// See the crate-level example for usage.
 #[derive(Debug)]
@@ -157,13 +145,15 @@ impl<'a> FaultSimulator<'a> {
         Self { net, cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FaultSimConfig {
-        &self.cfg
+    /// How the packed engine would split `faults` at this simulator's
+    /// thread count — what `verify` prints and tests assert pack shapes on.
+    pub fn plan(&self, faults: &[Fault]) -> FaultPlan {
+        let threads = parallel::effective_threads(self.cfg.threads);
+        packed::plan::plan(self.net, faults, threads, &mut snn_obs::phase::LocalPhases::new())
     }
 
     /// Runs the detection campaign of Eq. (3): each fault is applied in
-    /// turn and simulated against every test input until one detects it.
+    /// turn and simulated against every test input.
     ///
     /// `universe` supplies the fault magnitudes; `faults` may be the whole
     /// universe or any subset (e.g. a statistical sample); `tests` are
@@ -186,10 +176,13 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// [`detect`](Self::detect) with progress streaming and cooperative
-    /// cancellation: emits a [`Progress::FaultsSimulated`] tally after each
-    /// simulated fault and polls `cancel` between faults, returning
-    /// [`CampaignError::Cancelled`] once it trips. Ill-formed faults are
-    /// reported as [`CampaignError::Injection`] before any simulation runs.
+    /// cancellation, and the campaign's one dispatch site: the engine is
+    /// `cfg.engine` resolved by [`resolve_engine`], and the outcome is
+    /// bit-identical whichever runs. Emits a [`Progress::FaultsSimulated`]
+    /// tally after each simulated fault (scalar) or pack (packed) and
+    /// polls `cancel` in between, returning [`CampaignError::Cancelled`]
+    /// once it trips. Ill-formed faults are reported as
+    /// [`CampaignError::Injection`] before any simulation runs.
     ///
     /// # Panics
     ///
@@ -208,7 +201,7 @@ impl<'a> FaultSimulator<'a> {
         let mut campaign_span = snn_obs::span!("faultsim.campaign");
         campaign_span.attr("faults", faults.len());
         let start = snn_obs::clock::monotonic();
-        // Kernel-phase accounting: the per-fault loop records into the
+        // Kernel-phase accounting: the engines record into the
         // process-wide accumulator; the campaign publishes its delta as
         // synthetic `phase.*` spans when tracing is on. (The accumulator
         // is shared, so campaigns running concurrently in one process
@@ -217,251 +210,181 @@ impl<'a> FaultSimulator<'a> {
         // campaign at a time.)
         let phases = snn_obs::phase::faultsim();
         let phases_before = phases.snapshot();
-        let baseline_span = snn_obs::span!("faultsim.baseline");
-        let baselines: Vec<Trace> =
-            tests.iter().map(|t| self.net.forward(t, RecordOptions::spikes_only())).collect();
-        let baseline_counts: Vec<Vec<f32>> = baselines.iter().map(|b| b.class_counts()).collect();
-        let activity: Vec<ActivitySummary> = if self.cfg.activity_filter {
-            tests
-                .iter()
-                .zip(baselines.iter())
-                .map(|(t, b)| ActivitySummary::new(self.net, t, b))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        drop(baseline_span);
-
-        let cfg = self.cfg;
-        let net = self.net;
         // Realize every fault up front so ill-formed ones are rejected
         // before any simulation work starts.
         let injections: Vec<Injection> = faults
             .iter()
-            .map(|f| Injection::for_fault(net, universe, f))
+            .map(|f| Injection::for_fault(self.net, universe, f))
             .collect::<Result<_, InjectionError>>()?;
-        let done = AtomicUsize::new(0);
-        let detected_total = AtomicUsize::new(0);
-        let per_fault = parallel::try_map_indexed(
-            faults.len(),
-            cfg.threads,
+        let campaign = Campaign {
+            net: self.net,
+            cfg: self.cfg,
+            faults,
+            injections: &injections,
+            tests,
+            sink,
             cancel,
-            || net.clone(),
-            |worker, i| {
-                let fault_started = snn_obs::clock::monotonic();
-                let mut local = snn_obs::phase::LocalPhases::new();
-                let fault = &faults[i];
-                let injection = &injections[i];
-                let mut detected = false;
-                let mut best_distance = 0.0f32;
-                let mut best_diff: Option<Vec<f32>> = None;
-                for (k, (input, baseline)) in tests.iter().zip(baselines.iter()).enumerate() {
-                    if cfg.activity_filter && provably_undetectable(net, &activity[k], fault) {
-                        continue;
-                    }
-                    let out = faulty_output(worker, baseline, input, injection, cfg, &mut local);
-                    let Some(output) = out else { continue };
-                    let compare_started = snn_obs::clock::monotonic();
-                    let distance = (&output - baseline.output()).l1_norm();
-                    if distance > 0.0 {
-                        detected = true;
-                        if distance > best_distance {
-                            best_distance = distance;
-                            if cfg.record_class_diffs {
-                                let classes = net.output_features();
-                                let steps = output.shape().dim(0);
-                                let mut counts = vec![0.0f32; classes];
-                                let od = output.as_slice();
-                                for t in 0..steps {
-                                    for (c, v) in counts
-                                        .iter_mut()
-                                        .zip(od[t * classes..(t + 1) * classes].iter())
-                                    {
-                                        *c += v;
-                                    }
-                                }
-                                let bc = &baseline_counts[k];
-                                best_diff = Some(
-                                    counts.iter().zip(bc.iter()).map(|(f, b)| f - b).collect(),
-                                );
-                            }
-                        }
-                    }
-                    local.add(
-                        snn_obs::phase::Phase::Compare,
-                        snn_obs::clock::monotonic().saturating_sub(compare_started),
-                    );
-                }
-                if detected {
-                    detected_total.fetch_add(1, Ordering::Relaxed);
-                    record_faults_detected(1);
-                }
-                record_faults_simulated(1);
-                let fault_elapsed = snn_obs::clock::monotonic().saturating_sub(fault_started);
-                local.add(snn_obs::phase::Phase::Fault, fault_elapsed);
-                snn_obs::histogram!(
-                    "snn_faultsim_fault_seconds",
-                    "Per-fault simulation time.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(fault_elapsed);
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_inject_seconds",
-                    "Per-fault time applying and restoring the fault patch.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.total(snn_obs::phase::Phase::Inject));
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_forward_seconds",
-                    "Per-fault forward-simulation time summed over layers.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.forward_total());
-                snn_obs::histogram!(
-                    "snn_faultsim_phase_compare_seconds",
-                    "Per-fault baseline-comparison and verdict time.",
-                    snn_obs::metrics::FINE_DURATION_BUCKETS
-                )
-                .observe_duration(local.total(snn_obs::phase::Phase::Compare));
-                phases.merge(&local);
-                sink.emit(Progress::FaultsSimulated {
-                    done: done.fetch_add(1, Ordering::Relaxed) + 1,
-                    total: faults.len(),
-                    detected: detected_total.load(Ordering::Relaxed),
-                });
-                FaultOutcome {
-                    fault_id: fault.id,
-                    detected,
-                    distance: best_distance,
-                    class_diff: best_diff,
-                }
-            },
-        )?;
+        };
+        let per_fault = match resolve_engine(self.net, self.cfg.engine) {
+            Engine::Scalar => detect_reference(&campaign)?,
+            _ => packed::detect(&campaign)?,
+        };
 
         let elapsed = snn_obs::clock::monotonic().saturating_sub(start);
         if let Some(parent) = campaign_span.id() {
             let delta = phases.snapshot().delta_since(&phases_before);
             snn_obs::phase::emit_spans(&delta, Some(parent));
         }
-        campaign_span.attr("detected", detected_total.load(Ordering::Relaxed));
-        Ok(CampaignOutcome { per_fault, elapsed })
+        let outcome = CampaignOutcome { per_fault, elapsed };
+        campaign_span.attr("detected", outcome.detected_count());
+        Ok(outcome)
     }
 }
 
-/// Per-test-input activity summary backing the activity filter: spike
-/// totals of every layer's input features and of every layer's own
-/// output neurons under the fault-free baseline.
-///
-/// Public so alternative execution engines (`snn-batch`) can apply the
-/// exact same filter the scalar path uses.
-pub struct ActivitySummary {
-    input_counts: Vec<Vec<f32>>,
-    output_counts: Vec<Vec<f32>>,
+/// [`FaultSimulator::detect_with`] as a free function. Kept because the
+/// repository benchmark (`benchmark/`) links it by this name and signature.
+pub fn engine_detect(
+    net: &Network,
+    cfg: FaultSimConfig,
+    universe: &FaultUniverse,
+    faults: &[Fault],
+    tests: &[Tensor],
+    sink: &dyn ProgressSink,
+    cancel: &CancelToken,
+) -> Result<CampaignOutcome, CampaignError> {
+    FaultSimulator::new(net, cfg).detect_with(universe, faults, tests, sink, cancel)
 }
 
-impl ActivitySummary {
-    /// Summarizes `input` and its fault-free `baseline` trace on `net`.
-    pub fn new(net: &Network, input: &Tensor, baseline: &Trace) -> Self {
-        let mut input_counts = Vec::with_capacity(net.layers().len());
-        let mut output_counts = Vec::with_capacity(net.layers().len());
-        for (idx, _) in net.layers().iter().enumerate() {
-            let src: &Tensor = if idx == 0 { input } else { &baseline.layers[idx - 1].output };
-            let dims = src.shape().dims();
-            let (steps, n) = (dims[0], dims[1]);
-            let mut counts = vec![0.0f32; n];
-            let data = src.as_slice();
-            for t in 0..steps {
-                for (c, v) in counts.iter_mut().zip(data[t * n..(t + 1) * n].iter()) {
-                    *c += v;
-                }
-            }
-            input_counts.push(counts);
-            output_counts.push(baseline.layers[idx].spike_counts());
-        }
-        Self { input_counts, output_counts }
-    }
-}
+/// The scalar engine — the reference: one fault at a time, each test
+/// input re-simulated from the fault's layer on and compared with the
+/// fault-free output, one progress event per fault.
+pub(crate) fn detect_reference(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
+    use snn_obs::clock::monotonic;
+    use snn_obs::phase::Phase;
 
-/// `true` when the fault provably cannot alter any activity under the
-/// summarized test input:
-///
-/// * any synapse-value fault whose source feature never spikes — the
-///   synapse carries zero traffic, so its weight is unobservable;
-/// * a dead fault on a neuron that never fires anyway.
-///
-/// Saturated and timing neuron faults are never filtered (they can create
-/// activity out of silence).
-///
-/// Public so alternative execution engines (`snn-batch`) share the exact
-/// filter decision — the filter is part of the verdict-equivalence
-/// contract, not an engine detail.
-pub fn provably_undetectable(net: &Network, acts: &ActivitySummary, fault: &Fault) -> bool {
-    match (fault.site, fault.kind) {
-        (FaultSite::Neuron { layer, index }, FaultKind::NeuronDead) => {
-            // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
-            acts.output_counts[layer][index] == 0.0
-        }
-        (
-            FaultSite::Synapse(r),
-            FaultKind::SynapseDead
-            | FaultKind::SynapseSatPos
-            | FaultKind::SynapseSatNeg
-            | FaultKind::SynapseBitFlip { .. },
-        ) => match &net.layers()[r.layer] {
-            Layer::Dense(l) => {
-                let cols = l.weight.shape().dim(1);
-                // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
-                acts.input_counts[r.layer][r.offset % cols] == 0.0
-            }
-            Layer::Conv(l) => {
-                let k = l.spec.kernel;
-                let ic = (r.offset / (k * k)) % l.spec.in_channels;
-                let (h, w) = l.in_hw;
-                let channel = &acts.input_counts[r.layer][ic * h * w..(ic + 1) * h * w];
-                // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
-                channel.iter().all(|&c| c == 0.0)
-            }
-            Layer::Recurrent(l) => {
-                if r.tensor == 0 {
-                    let cols = l.w_in.shape().dim(1);
-                    // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
-                    acts.input_counts[r.layer][r.offset % cols] == 0.0
-                } else {
-                    let units = l.w_rec.shape().dim(1);
-                    // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
-                    acts.output_counts[r.layer][r.offset % units] == 0.0
+    let Campaign { net, cfg, faults, tests, .. } = *c;
+    let phases = snn_obs::phase::faultsim();
+    let baseline_span = snn_obs::span!("faultsim.baseline");
+    let baselines: Vec<Trace> =
+        tests.iter().map(|t| net.forward(t, RecordOptions::spikes_only())).collect();
+    let baseline_counts: Vec<Vec<f32>> = baselines.iter().map(Trace::class_counts).collect();
+    drop(baseline_span);
+
+    let done = AtomicUsize::new(0);
+    let detected_total = AtomicUsize::new(0);
+    parallel::try_map_indexed(
+        faults.len(),
+        cfg.threads,
+        c.cancel,
+        || net.clone(),
+        |worker, i| {
+            let fault_started = monotonic();
+            let mut local = snn_obs::phase::LocalPhases::new();
+            let mut detected = false;
+            let mut best_distance = 0.0f32;
+            let mut best_diff: Option<Vec<f32>> = None;
+            for (k, (input, baseline)) in tests.iter().zip(baselines.iter()).enumerate() {
+                let faulty = faulty_output(worker, baseline, input, &c.injections[i], &mut local);
+                let compare_started = monotonic();
+                let distance = faulty.output_distance(baseline);
+                if distance > 0.0 {
+                    detected = true;
+                    if distance > best_distance {
+                        best_distance = distance;
+                        if cfg.record_class_diffs {
+                            let counts = faulty.class_counts();
+                            let bc = &baseline_counts[k];
+                            best_diff =
+                                Some(counts.iter().zip(bc.iter()).map(|(f, b)| f - b).collect());
+                        }
+                    }
                 }
+                local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
             }
-            Layer::Pool(_) => false,
+            if detected {
+                detected_total.fetch_add(1, Ordering::Relaxed);
+                record_faults_detected(1);
+            }
+            record_faults_simulated(1);
+            let fault_elapsed = monotonic().saturating_sub(fault_started);
+            local.add(Phase::Fault, fault_elapsed);
+            snn_obs::histogram!(
+                "snn_faultsim_fault_seconds",
+                "Per-fault simulation time.",
+                snn_obs::metrics::FINE_DURATION_BUCKETS
+            )
+            .observe_duration(fault_elapsed);
+            snn_obs::histogram!(
+                "snn_faultsim_phase_inject_seconds",
+                "Per-fault time applying and restoring the fault patch.",
+                snn_obs::metrics::FINE_DURATION_BUCKETS
+            )
+            .observe_duration(local.total(Phase::Inject));
+            snn_obs::histogram!(
+                "snn_faultsim_phase_forward_seconds",
+                "Per-fault forward-simulation time summed over layers.",
+                snn_obs::metrics::FINE_DURATION_BUCKETS
+            )
+            .observe_duration(local.forward_total());
+            snn_obs::histogram!(
+                "snn_faultsim_phase_compare_seconds",
+                "Per-fault baseline-comparison and verdict time.",
+                snn_obs::metrics::FINE_DURATION_BUCKETS
+            )
+            .observe_duration(local.total(Phase::Compare));
+            phases.merge(&local);
+            c.sink.emit(Progress::FaultsSimulated {
+                done: done.fetch_add(1, Ordering::Relaxed) + 1,
+                total: faults.len(),
+                detected: detected_total.load(Ordering::Relaxed),
+            });
+            FaultOutcome {
+                fault_id: faults[i].id,
+                detected,
+                distance: best_distance,
+                class_diff: best_diff,
+            }
         },
-        _ => false,
-    }
+    )
 }
 
-/// Simulates `injection` against one test input, returning the faulty
-/// final-layer spike trains, or `None` when early exit proved the output
-/// identical to the baseline.
+/// Simulates `injection` against one test input and returns the faulty
+/// run's trace **from the fault's layer on** (its
+/// [`output`](Trace::output) is the faulty final-layer spike trains).
 ///
-/// `worker` is a scratch clone of the fault-free network that weight
-/// injections may patch (always restored before returning). `local`
-/// accrues the kernel-phase time of this simulation: patch apply/restore
-/// under `inject`, each `forward_layer` under its layer's `forward`
-/// slot, early-exit baseline checks under `compare`.
+/// A fault confined to layer `ℓ` cannot change the activity of layers
+/// before `ℓ`, so the run starts at `ℓ` on the fault-free activity of the
+/// layer before it and goes to the end of the network.
 pub(crate) fn faulty_output(
     worker: &mut Network,
     baseline: &Trace,
     input: &Tensor,
     injection: &Injection,
-    cfg: FaultSimConfig,
     local: &mut snn_obs::phase::LocalPhases,
-) -> Option<Tensor> {
+) -> Trace {
+    let start = injection.start_layer();
+    let stage = if start == 0 { input } else { &baseline.layers[start - 1].output };
+    let layers = with_fault(worker, injection, local, |net, map| {
+        net.forward_from(start, stage, RecordOptions::spikes_only(), map)
+    });
+    Trace { steps: baseline.steps, layers }
+}
+
+/// Runs `simulate` on `worker` under `injection`: weight faults patch the
+/// weight tensor of this scratch clone of the fault-free network for the
+/// duration of the call (always restored before returning), neuron faults
+/// ride on the override map handed to `simulate`. `local` accrues the
+/// kernel-phase time: patch apply/restore under `inject`, the whole of
+/// `simulate` under the `forward` slot of the fault's layer.
+pub(crate) fn with_fault<R>(
+    worker: &mut Network,
+    injection: &Injection,
+    local: &mut snn_obs::phase::LocalPhases,
+    simulate: impl FnOnce(&Network, &NeuronFaultMap) -> R,
+) -> R {
     use snn_obs::clock::monotonic;
     use snn_obs::phase::Phase;
 
-    let num_layers = worker.layers().len();
-    let start = if cfg.prefix_cache { injection.start_layer() } else { 0 };
-
-    // Apply the weight patch (neuron faults ride on the override map).
     let inject_started = monotonic();
     let (fault_map, restore) = match injection {
         Injection::Weight { at, value } => {
@@ -470,45 +393,18 @@ pub(crate) fn faulty_output(
         }
         Injection::Neuron(map) => (map.clone(), None),
     };
-    local.add(Phase::Inject, monotonic().saturating_sub(inject_started));
+    let forward_started = monotonic();
+    local.add(Phase::Inject, forward_started.saturating_sub(inject_started));
 
-    let mut current: Option<Tensor> = None;
-    let mut identical = false;
-    for idx in start..num_layers {
-        let stage_input: &Tensor = match &current {
-            Some(t) => t,
-            None => {
-                if idx == 0 {
-                    input
-                } else {
-                    &baseline.layers[idx - 1].output
-                }
-            }
-        };
-        let forward_started = monotonic();
-        let lt = worker.forward_layer(idx, stage_input, RecordOptions::spikes_only(), &fault_map);
-        let compare_started = monotonic();
-        local.add_forward(idx, compare_started.saturating_sub(forward_started));
-        let exit = cfg.early_exit && lt.output == baseline.layers[idx].output;
-        local.add(Phase::Compare, monotonic().saturating_sub(compare_started));
-        if exit {
-            identical = true;
-            break;
-        }
-        current = Some(lt.output);
-    }
+    let simulated = simulate(worker, &fault_map);
+    let restore_started = monotonic();
+    local.add_forward(injection.start_layer(), restore_started.saturating_sub(forward_started));
 
     if let Some((at, old)) = restore {
-        let restore_started = monotonic();
         worker.set_weight(at, old);
         local.add(Phase::Inject, monotonic().saturating_sub(restore_started));
     }
-
-    if identical {
-        None
-    } else {
-        Some(current.unwrap_or_else(|| baseline.output().clone()))
-    }
+    simulated
 }
 
 #[cfg(test)]
@@ -550,51 +446,62 @@ mod tests {
         assert!(out.per_fault[0].distance > 0.0);
     }
 
+    /// Starting a faulty run at the fault's layer, on the fault-free
+    /// activity of the layer before it, is the whole-network faulty
+    /// forward pass — for every fault of the toy universe.
     #[test]
-    fn prefix_cache_and_full_simulation_agree() {
+    fn suffix_run_from_the_fault_layer_is_the_whole_faulty_forward() {
         let (net, u, test) = setup();
-        let faults = u.faults();
-        let fast =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 2, ..FaultSimConfig::default() })
-                .detect(&u, faults, std::slice::from_ref(&test));
-        let slow = FaultSimulator::new(
-            &net,
-            FaultSimConfig {
-                threads: 1,
-                prefix_cache: false,
-                early_exit: false,
-                activity_filter: false,
-                record_class_diffs: false,
-                engine: None,
-            },
-        )
-        .detect(&u, faults, std::slice::from_ref(&test));
-        for (a, b) in fast.per_fault.iter().zip(slow.per_fault.iter()) {
-            assert_eq!(a.detected, b.detected, "fault {}", a.fault_id);
-            assert!((a.distance - b.distance).abs() < 1e-4, "fault {}", a.fault_id);
+        let baseline = net.forward(&test, RecordOptions::spikes_only());
+        let mut worker = net.clone();
+        let mut local = snn_obs::phase::LocalPhases::new();
+        for fault in u.faults() {
+            let injection = Injection::for_fault(&net, &u, fault).unwrap();
+            let suffix = faulty_output(&mut worker, &baseline, &test, &injection, &mut local);
+            assert_eq!(worker, net, "fault {}: the worker is restored", fault.id);
+            let mut faulty_net = net.clone();
+            let map = match &injection {
+                Injection::Weight { at, value } => {
+                    faulty_net.set_weight(*at, *value);
+                    NeuronFaultMap::new()
+                }
+                Injection::Neuron(map) => map.clone(),
+            };
+            let whole = faulty_net.forward_faulty(&test, RecordOptions::spikes_only(), &map);
+            assert_eq!(suffix.output(), whole.output(), "fault {}", fault.id);
         }
     }
 
-    /// The activity filter is an optimization, not an approximation: a
-    /// sparse stimulus (many silent inputs) yields identical verdicts
-    /// with the filter on and off.
+    /// `cfg.engine` is what runs: one progress event per pack under the
+    /// packed engine, one per fault under the scalar one, the same
+    /// outcomes, and `None` is the packed engine on a dense network.
     #[test]
-    fn activity_filter_is_exact() {
-        let (net, u, _) = setup();
-        let mut rng = StdRng::seed_from_u64(77);
-        // Very sparse input: most columns silent ⇒ the filter fires often.
-        let sparse = snn_tensor::init::bernoulli(&mut rng, Shape::d2(25, 6), 0.08);
-        let with =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 1, ..FaultSimConfig::default() })
-                .detect(&u, u.faults(), std::slice::from_ref(&sparse));
-        let without = FaultSimulator::new(
-            &net,
-            FaultSimConfig { threads: 1, activity_filter: false, ..FaultSimConfig::default() },
-        )
-        .detect(&u, u.faults(), std::slice::from_ref(&sparse));
-        for (a, b) in with.per_fault.iter().zip(without.per_fault.iter()) {
-            assert_eq!(a.detected, b.detected, "fault {}", a.fault_id);
-        }
+    fn detect_with_dispatches_on_the_configured_engine() {
+        let (net, u, test) = setup();
+        assert!(u.len() >= 200);
+        let run = |engine| {
+            let cfg = FaultSimConfig { threads: 1, engine, ..FaultSimConfig::default() };
+            let sim = FaultSimulator::new(&net, cfg);
+            let events = parking_lot::Mutex::new(0usize);
+            let sink = |_: Progress| *events.lock() += 1;
+            let out = sim
+                .detect_with(
+                    &u,
+                    u.faults(),
+                    std::slice::from_ref(&test),
+                    &sink,
+                    &CancelToken::new(),
+                )
+                .unwrap();
+            (out.per_fault, events.into_inner(), sim.plan(u.faults()).pack_count())
+        };
+        let (scalar, scalar_events, packs) = run(Some(Engine::Scalar));
+        let (packed, packed_events, _) = run(Some(Engine::Packed));
+        let (auto, auto_events, _) = run(None);
+        assert!(packs < u.len());
+        assert_eq!((scalar_events, packed_events, auto_events), (u.len(), packs, packs));
+        assert_eq!(scalar, packed);
+        assert_eq!(packed, auto);
     }
 
     #[test]
@@ -682,8 +589,8 @@ mod tests {
     #[test]
     fn detect_with_streams_progress_and_matches_detect() {
         let (net, u, test) = setup();
-        let sim =
-            FaultSimulator::new(&net, FaultSimConfig { threads: 2, ..FaultSimConfig::default() });
+        let cfg = FaultSimConfig { threads: 2, engine: Some(Engine::Scalar), ..Default::default() };
+        let sim = FaultSimulator::new(&net, cfg);
         let events = parking_lot::Mutex::new(Vec::new());
         let sink = |e: Progress| events.lock().push(e);
         let streamed = sim

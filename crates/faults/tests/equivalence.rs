@@ -5,8 +5,10 @@
 //! / neuron / timing / bit-range), pack sizes {1, 7, 64}, remainder packs
 //! (universe size not a multiple of 64), thread counts and collapsed
 //! universes, on random stimuli and on stimuli shaped like a compacted
-//! test (spike chunks between equally long silences, two per campaign);
-//! plus dedicated lane-divergence tests — exactly one lane's membrane
+//! test (spike chunks between equally long silences, two per campaign),
+//! on a sparse stimulus most of whose input columns stay silent and on an
+//! all-zero one — the reference shares no shortcut with the engine it
+//! referees; plus dedicated lane-divergence tests — exactly one lane's membrane
 //! crosses threshold; every lane of a full pack diverges on every tick —
 //! and the planner's shape on the example networks.
 
@@ -15,13 +17,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snn_batch::{engine_detect, plan};
 use snn_faults::{
     verdict_digest, CampaignOutcome, CancelToken, Engine, Fault, FaultKind, FaultModelConfig,
-    FaultSimConfig, FaultSite, FaultUniverse, NullSink,
+    FaultPlan, FaultSimConfig, FaultSimulator, FaultSite, FaultUniverse, NullSink,
 };
 use snn_model::{Layer, LifParams, Network, NetworkBuilder, WeightRef};
-use snn_obs::phase::LocalPhases;
 use snn_tensor::{Shape, Tensor};
 
 fn dense_net(seed: u64, inputs: usize, hidden: usize, outputs: usize) -> Network {
@@ -40,12 +40,7 @@ fn tests_for(net: &Network, seed: u64, count: usize) -> Vec<Tensor> {
 }
 
 fn cfg_for(engine: Engine) -> FaultSimConfig {
-    FaultSimConfig {
-        threads: 1,
-        engine: Some(engine),
-        record_class_diffs: true,
-        ..FaultSimConfig::default()
-    }
+    FaultSimConfig { threads: 1, engine: Some(engine), record_class_diffs: true }
 }
 
 fn run(
@@ -55,7 +50,12 @@ fn run(
     faults: &[Fault],
     tests: &[Tensor],
 ) -> CampaignOutcome {
-    engine_detect(net, cfg_for(engine), u, faults, tests, &NullSink, &CancelToken::new()).unwrap()
+    FaultSimulator::new(net, cfg_for(engine)).detect(u, faults, tests)
+}
+
+/// The packed engine's plan of `faults` on `threads` threads.
+fn plan(net: &Network, faults: &[Fault], threads: usize) -> FaultPlan {
+    FaultSimulator::new(net, FaultSimConfig { threads, ..FaultSimConfig::default() }).plan(faults)
 }
 
 /// The bitwise contract: same fault ids, same detection flags, same
@@ -184,8 +184,9 @@ fn compacted_like(net: &Network, density: f32, rng: &mut StdRng) -> Tensor {
 
 /// Both engines over the extended universe of `net` (timing + bit-flip
 /// faults, thinned to a few hundred), under options drawn from `rng`:
-/// once on a few short random stimuli at a drawn thread count, once on
-/// two compacted-test-shaped ones at one and at two threads.
+/// once on a few short random stimuli at a drawn thread count, once each
+/// on a sparse and on an all-zero one, once on two compacted-test-shaped
+/// ones at one and at two threads.
 fn assert_engines_agree_on_topology(net: &Network, rng: &mut StdRng) {
     let u = FaultUniverse::with_config(net, FaultModelConfig::default(), true, &[0, 7]);
     let faults: Vec<Fault> = u.faults().iter().step_by(u.len().div_ceil(400)).copied().collect();
@@ -197,21 +198,29 @@ fn assert_engines_agree_on_topology(net: &Network, rng: &mut StdRng) {
     let cfg = FaultSimConfig {
         threads: rng.gen_range(1..3),
         record_class_diffs: rng.gen_bool(0.5),
-        activity_filter: rng.gen_bool(0.5),
         ..FaultSimConfig::default()
     };
     // Nothing of a network with a spiking last layer is left to the
     // scalar engine: the packed runs below really are packed.
-    let p = plan::plan(net, &faults, cfg.threads, &mut LocalPhases::new());
-    assert!(p.fallback.is_empty() && p.packed_faults() == faults.len());
+    let p = plan(net, &faults, cfg.threads);
+    assert!(p.fallback_count() == 0 && p.packed_faults() == faults.len());
     let run = |engine, threads, faults: &[Fault], tests: &[Tensor]| {
         let cfg = FaultSimConfig { engine: Some(engine), threads, ..cfg };
-        engine_detect(net, cfg, &u, faults, tests, &NullSink, &CancelToken::new()).unwrap()
+        FaultSimulator::new(net, cfg).detect(&u, faults, tests)
     };
-    assert_bit_identical(
-        &run(Engine::Scalar, cfg.threads, &faults, &short),
-        &run(Engine::Packed, cfg.threads, &faults, &short),
-    );
+    // Most input columns of the sparse stimulus never spike, and nothing
+    // does under the silent one: faults on synapses without traffic and
+    // dead faults on neurons that never fire, each campaign on its own so
+    // that no other test input's distance covers a disagreement.
+    let features = net.input_features();
+    let sparse = snn_tensor::init::bernoulli(rng, Shape::d2(25, features), 0.08);
+    let silent = Tensor::zeros(Shape::d2(14, features));
+    for tests in [&short[..], &[sparse], &[silent]] {
+        assert_bit_identical(
+            &run(Engine::Scalar, cfg.threads, &faults, tests),
+            &run(Engine::Packed, cfg.threads, &faults, tests),
+        );
+    }
     // 384 ticks a fault: every fourth one keeps the suite's run time.
     let thinned: Vec<Fault> = faults.iter().step_by(4).copied().collect();
     let scalar = run(Engine::Scalar, 2, &thinned, &compacted);
@@ -224,7 +233,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random topologies × timing + bit-flip faults × 1–3 tests × class
-    /// diffs and the activity filter on and off × 1–2 threads.
+    /// diffs on and off × 1–2 threads.
     #[test]
     fn packed_matches_scalar_over_random_topologies(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -279,19 +288,16 @@ fn example_networks_plan_without_fallback() {
         let net = builder.build(&mut rng);
         let u = FaultUniverse::standard(&net);
         for threads in [1, 2] {
-            let p = plan::plan(&net, u.faults(), threads, &mut LocalPhases::new());
-            assert!(p.fallback.is_empty());
-            assert_eq!(p.packed_faults(), u.len());
-            assert!(p.packs.iter().all(|pk| net.layers()[pk.layer].is_spiking()));
+            let p = plan(&net, u.faults(), threads);
+            assert_eq!((p.packed_faults(), p.fallback_count()), (u.len(), 0));
         }
     }
     let pooled = NetworkBuilder::new_spatial(1, 8, 8, lif).conv(2, 3, 1, 1).avg_pool(2);
     let net = pooled.build(&mut rng);
     assert!(matches!(net.layers().last(), Some(Layer::Pool(_))));
     let u = FaultUniverse::standard(&net);
-    let p = plan::plan(&net, u.faults(), 2, &mut LocalPhases::new());
-    assert!(p.packs.is_empty());
-    assert_eq!(p.fallback, (0..u.len()).collect::<Vec<_>>());
+    let p = plan(&net, u.faults(), 2);
+    assert_eq!((p.pack_count(), p.fallback_count()), (0, u.len()));
 }
 
 /// Pack sizes 1, 7 and 64 plus a 65-fault remainder slice (one full
@@ -308,18 +314,12 @@ fn pack_sizes_and_remainder_packs_are_bit_identical() {
     let tests = tests_for(&net, 22, 2);
     for k in [1usize, 7, 64, 65] {
         let subset = &last_layer[..k];
-        // The plan must shape as intended: ≤64-member packs, remainder
-        // split off, golden lane reserved exactly when a pack is partial.
-        let p = plan::plan(&net, subset, 1, &mut LocalPhases::new());
-        assert!(p.fallback.is_empty(), "k={k}");
-        let sizes: Vec<usize> = p.packs.iter().map(|pk| pk.members.len()).collect();
-        match k {
-            65 => assert_eq!(sizes, vec![64, 1], "k={k}"),
-            _ => assert_eq!(sizes, vec![k], "k={k}"),
-        }
-        for pk in &p.packs {
-            assert_eq!(pk.golden_lane, pk.members.len() < 64, "k={k}");
-        }
+        // The plan must shape as intended: one pack, or a full one and a
+        // remainder (the planner's unit tests pin the sizes and that a
+        // partial pack — and only a partial one — has the golden lane).
+        let p = plan(&net, subset, 1);
+        assert_eq!(p.fallback_count(), 0, "k={k}");
+        assert_eq!((p.packed_faults(), p.pack_count()), (k, k.div_ceil(64)), "k={k}");
         assert_engines_agree_on(&net, &u, subset, &tests);
     }
 }
@@ -343,17 +343,7 @@ fn collapsed_universe_expansion_is_engine_invariant() {
     let via = |engine: Engine| {
         analysis
             .collapsed
-            .detect_collapsed_via(&tests, |reps| {
-                engine_detect(
-                    &net,
-                    cfg_for(engine),
-                    &u,
-                    reps,
-                    &tests,
-                    &NullSink,
-                    &CancelToken::new(),
-                )
-            })
+            .detect_collapsed(&net, &u, &tests, cfg_for(engine), &NullSink, &CancelToken::new())
             .unwrap()
     };
     let scalar = via(Engine::Scalar);
@@ -413,9 +403,8 @@ fn exactly_one_lane_diverges() {
     let tests = vec![Tensor::from_vec(Shape::d2(16, 2), stim).unwrap()];
 
     let faults = [diverging, quiet];
-    let p = plan::plan(&net, &faults, 1, &mut LocalPhases::new());
-    assert_eq!(p.packs.len(), 1, "both faults must share one pack");
-    assert!(p.packs[0].golden_lane);
+    let p = plan(&net, &faults, 1);
+    assert_eq!(p.pack_count(), 1, "both faults must share one (partial, golden-lane) pack");
 
     let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
     let packed = run(&net, Engine::Packed, &u, &faults, &tests);
@@ -445,9 +434,8 @@ fn every_lane_of_a_full_pack_diverges_on_every_tick() {
         .filter(|f| f.kind == FaultKind::NeuronSaturated && f.site.layer() == 0)
         .copied()
         .collect();
-    let p = plan::plan(&net, &faults, 1, &mut LocalPhases::new());
-    assert_eq!(p.packs.len(), 1);
-    assert_eq!((p.packs[0].members.len(), p.packs[0].golden_lane), (64, false));
+    let p = plan(&net, &faults, 1);
+    assert_eq!((p.pack_count(), p.packed_faults()), (1, 64), "one full pack: no golden lane");
 
     let tests = vec![
         snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, 3), 0.5),

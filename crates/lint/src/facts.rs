@@ -533,7 +533,7 @@ pub fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagno
                     message: format!(
                         "lock-order violation: `{acquired}` (rank {ra}) acquired while \
                          holding `{held}` (rank {rh}) — LOCK_ORDER requires strictly \
-                         increasing ranks (crates/service/src/lock_order.rs)"
+                         increasing ranks (crates/cluster/src/lock_order.rs)"
                     ),
                 });
             }
@@ -571,7 +571,7 @@ pub fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagno
                         let anchor = seen
                             .get(&(cycle[0].clone(), cycle[1].clone()))
                             .cloned()
-                            .unwrap_or_else(|| ("crates/service/src/lock_order.rs".into(), 1));
+                            .unwrap_or_else(|| ("crates/cluster/src/lock_order.rs".into(), 1));
                         out.push(Diagnostic {
                             file: anchor.0,
                             line: anchor.1,
@@ -600,29 +600,6 @@ pub fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagno
         }
     }
     out
-}
-
-/// Compares the two committed `LOCK_ORDER` registries (service is the
-/// canonical copy; cluster must match byte for byte).
-pub fn check_lock_order_registries(
-    service: &[String],
-    cluster: Option<&[String]>,
-) -> Vec<Diagnostic> {
-    let Some(cluster) = cluster else { return Vec::new() };
-    if service == cluster {
-        return Vec::new();
-    }
-    vec![Diagnostic {
-        file: "crates/cluster/src/lock_order.rs".to_string(),
-        line: 1,
-        id: "L-LOCKGRAPH",
-        message: format!(
-            "LOCK_ORDER registries diverge: service has [{}], cluster has [{}] — the two \
-             crates share one process-wide order and the lists must be identical",
-            service.join(", "),
-            cluster.join(", ")
-        ),
-    }]
 }
 
 // ---------------------------------------------------------------------------

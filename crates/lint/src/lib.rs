@@ -136,7 +136,6 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
         return Err(format!("{} is not a cargo workspace (no Cargo.toml)", root.display()));
     }
     let lock_order = load_lock_order(root);
-    let cluster_order = load_lock_order_at(&root.join("crates/cluster/src/lock_order.rs"));
     let span_registry = load_span_registry(root);
     let rels = workspace_files(root)?;
     let checked_files = rels.len();
@@ -182,7 +181,6 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
         edges.extend(facts::lock_edges(&f.path, &f.parsed, &facts));
     }
     let mut extra = facts::check_lock_graph(&edges, &lock_order);
-    extra.extend(facts::check_lock_order_registries(&lock_order, cluster_order.as_deref()));
     extra.extend(wire_findings(root, &inputs));
     extra.extend(facts::check_obs_consistency(&inputs, span_registry.as_deref()));
 
@@ -333,18 +331,14 @@ where
     }
 }
 
-/// The service crate's documented lock-order list, parsed from
-/// `crates/service/src/lock_order.rs` (the string literals of the
+/// The workspace's documented lock-order list, parsed from
+/// `crates/cluster/src/lock_order.rs` (the string literals of the
 /// `LOCK_ORDER` const, in order). Empty when absent.
 pub fn load_lock_order(root: &Path) -> Vec<String> {
-    load_lock_order_at(&root.join("crates/service/src/lock_order.rs")).unwrap_or_default()
-}
-
-/// Parses the `LOCK_ORDER` const of one registry file; `None` when the
-/// file is absent.
-pub fn load_lock_order_at(path: &Path) -> Option<Vec<String>> {
-    let source = fs::read_to_string(path).ok()?;
-    Some(const_str_list(&source, "LOCK_ORDER").into_iter().map(|(name, _)| name).collect())
+    let Ok(source) = fs::read_to_string(root.join("crates/cluster/src/lock_order.rs")) else {
+        return Vec::new();
+    };
+    const_str_list(&source, "LOCK_ORDER").into_iter().map(|(name, _)| name).collect()
 }
 
 /// The observability span-name registry (`SPAN_NAMES` in
@@ -491,9 +485,9 @@ mod tests {
     fn lock_order_parsing_from_source() {
         let dir = std::env::temp_dir().join(format!("snn-lint-order-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("crates/service/src")).unwrap();
+        fs::create_dir_all(dir.join("crates/cluster/src")).unwrap();
         fs::write(
-            dir.join("crates/service/src/lock_order.rs"),
+            dir.join("crates/cluster/src/lock_order.rs"),
             "pub const LOCK_ORDER: &[&str] = &[\n    \"service.queue\",\n    \"service.store.jobs\",\n];\n",
         )
         .unwrap();

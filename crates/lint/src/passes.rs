@@ -89,7 +89,7 @@ pub fn registry() -> Vec<Pass> {
         Pass {
             id: "L-CAST",
             summary: "narrowing numeric `as` casts in kernel crates need a justification",
-            scope: "crates/tensor, crates/core, crates/snn, crates/faults, crates/batch",
+            scope: "crates/tensor, crates/core, crates/snn, crates/faults",
             explain: "The seed's one real bug was a silent f64→f32 truncation in a numeric \
                       kernel. Narrowing `as` casts there must be replaced with explicit \
                       conversions or justified with an allow stating the value range.",
@@ -109,7 +109,7 @@ pub fn registry() -> Vec<Pass> {
         Pass {
             id: "L-DET-CLOCK",
             summary: "wall-clock, entropy, thread-id or env source in reproducible code",
-            scope: "crates/core, crates/faults, crates/batch, crates/obs, crates/reliability",
+            scope: "crates/core, crates/faults, crates/obs, crates/reliability",
             explain: "Campaign outcomes must be bitwise-reproducible from the seed \
                       (digest equality across workers). This token pass bans the raw \
                       nondeterminism sources — Instant::now/SystemTime, thread_rng/\
@@ -122,8 +122,7 @@ pub fn registry() -> Vec<Pass> {
         Pass {
             id: "L-DET-FLOW",
             summary: "taint flow from a nondeterminism source into a serialized result",
-            scope: "crates/faults, crates/batch, crates/cluster, crates/reliability, \
-                    crates/analyze",
+            scope: "crates/faults, crates/cluster, crates/reliability, crates/analyze",
             explain: "Interprocedural may-taint analysis: wall-clock/RNG/thread-id/env \
                       reads and HashMap/HashSet iteration taint values, taint propagates \
                       through assignments, call arguments and return-value summaries, and \
@@ -136,8 +135,7 @@ pub fn registry() -> Vec<Pass> {
         Pass {
             id: "L-DET-ITER",
             summary: "HashMap/HashSet iteration in digest-equality code",
-            scope: "crates/faults, crates/batch, crates/cluster, crates/reliability, \
-                    crates/analyze",
+            scope: "crates/faults, crates/cluster, crates/reliability, crates/analyze",
             explain: "Iteration order over HashMap/HashSet differs per process, and \
                       pattern bindings (`for (k, v) in …`) defeat flow tracking — so in \
                       merge/report/serialization crates any unordered-collection \
@@ -282,18 +280,12 @@ fn is_library_code(path: &str) -> bool {
 }
 
 fn is_kernel_crate(path: &str) -> bool {
-    // crates/batch is a numeric kernel too: its packed LIF sweep promises
-    // bitwise equality with the scalar path, so a silent narrowing cast
-    // there is exactly the bug class this pass exists for.
-    [
-        "crates/tensor/src/",
-        "crates/core/src/",
-        "crates/snn/src/",
-        "crates/faults/src/",
-        "crates/batch/src/",
-    ]
-    .iter()
-    .any(|p| path.starts_with(p))
+    // crates/faults holds a numeric kernel too: the packed engine's LIF
+    // sweep promises bitwise equality with the scalar path, so a silent
+    // narrowing cast there is exactly the bug class this pass exists for.
+    ["crates/tensor/src/", "crates/core/src/", "crates/snn/src/", "crates/faults/src/"]
+        .iter()
+        .any(|p| path.starts_with(p))
 }
 
 fn is_reproducible_crate(path: &str) -> bool {
@@ -303,11 +295,8 @@ fn is_reproducible_crate(path: &str) -> bool {
     // crates/reliability is in scope because campaign scoring must be a
     // pure function of the spec — any wall-clock or entropy read there
     // would break digest equality across workers.
-    // crates/batch is in scope because packed verdicts feed the same
-    // digest-equality gate as the scalar engine's.
     path.starts_with("crates/core/src/")
         || path.starts_with("crates/faults/src/")
-        || path.starts_with("crates/batch/src/")
         || path.starts_with("crates/obs/src/")
         || path.starts_with("crates/reliability/src/")
 }
@@ -573,7 +562,7 @@ fn check_lock(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
                 format!(
                     "unnamed `{}::{}` in a lock-disciplined crate — construct with \
                      `{}::named(\"<name>\", …)` using a name from LOCK_ORDER \
-                     (crates/service/src/lock_order.rs)",
+                     (crates/cluster/src/lock_order.rs)",
                     t.text, method.text, t.text
                 ),
             )),
@@ -590,7 +579,7 @@ fn check_lock(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
                                 "L-LOCK",
                                 format!(
                                     "lock name {:?} is not registered in LOCK_ORDER \
-                                     (crates/service/src/lock_order.rs) — add it at its \
+                                     (crates/cluster/src/lock_order.rs) — add it at its \
                                      acquisition rank",
                                     n.text
                                 ),

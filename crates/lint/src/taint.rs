@@ -59,7 +59,7 @@ const SANITIZER_METHODS: &[&str] = &[
 
 /// Crates whose serialized results must be bitwise-reproducible; the
 /// L-DET-FLOW and L-DET-ITER passes run here.
-pub const DIGEST_CRATES: &[&str] = &["faults", "batch", "cluster", "reliability", "analyze"];
+pub const DIGEST_CRATES: &[&str] = &["faults", "cluster", "reliability", "analyze"];
 
 /// `true` when `path` is in a digest-equality crate.
 pub fn in_digest_crates(path: &str) -> bool {

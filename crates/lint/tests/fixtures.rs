@@ -162,7 +162,7 @@ fn vendor_files_are_skipped() {
     assert_eq!(findings("vendor/rand/src/lib.rs", src), vec![]);
 }
 
-// --------------------------------------------------------- crates/batch
+// ------------------------------------------------- crates/faults/src/packed
 // The packed engine is in scope for the kernel, determinism and panic
 // passes: its verdicts feed the same digest-equality gate as the scalar
 // engine's, so the same discipline applies.
@@ -170,30 +170,30 @@ fn vendor_files_are_skipped() {
 #[test]
 fn unwrap_in_batch_library_code_is_flagged() {
     let src = "pub fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    assert_eq!(findings("crates/batch/src/plan.rs", src), vec![(2, "L-PANIC")]);
+    assert_eq!(findings("crates/faults/src/packed/plan.rs", src), vec![(2, "L-PANIC")]);
 }
 
 #[test]
 fn lossy_cast_in_batch_kernel_is_flagged() {
     let src = "pub fn f(x: f64) -> f32 {\n    x as f32\n}\n";
-    assert_eq!(findings("crates/batch/src/pack.rs", src), vec![(2, "L-CAST")]);
+    assert_eq!(findings("crates/faults/src/packed/pack.rs", src), vec![(2, "L-CAST")]);
 }
 
 #[test]
 fn justified_cast_in_batch_kernel_is_clean() {
     let src = "pub fn f(c: u32) -> f32 {\n    // snn-lint: allow(L-CAST): diff-bit counts are exact below 2^24\n    c as f32\n}\n";
-    assert_eq!(findings("crates/batch/src/pack.rs", src), vec![]);
+    assert_eq!(findings("crates/faults/src/packed/pack.rs", src), vec![]);
 }
 
 #[test]
 fn instant_now_in_batch_is_flagged() {
     let src = "use std::time::Instant;\npub fn f() {\n    let _t = Instant::now();\n}\n";
-    assert_eq!(findings("crates/batch/src/golden.rs", src), vec![(3, "L-DET-CLOCK")]);
+    assert_eq!(findings("crates/faults/src/packed/golden.rs", src), vec![(3, "L-DET-CLOCK")]);
 }
 
 #[test]
 fn hashmap_iteration_in_batch_is_flagged() {
     let src = "struct P {\n    packs: HashMap<usize, u64>,\n}\nfn f(p: &P) -> u64 {\n    let mut acc = 0;\n    for (_, v) in p.packs.iter() {\n        acc += v;\n    }\n    acc\n}\n";
-    let got = findings("crates/batch/src/plan.rs", src);
+    let got = findings("crates/faults/src/packed/plan.rs", src);
     assert!(got.contains(&(6, "L-DET-ITER")), "unordered iteration must be flagged, got {got:?}");
 }

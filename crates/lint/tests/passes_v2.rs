@@ -390,17 +390,3 @@ fn sarif_output_carries_the_v2_rule_ids() {
     }
     assert!(out.contains("\"ruleId\":\"L-HELDLOCK\"") && out.contains("\"ruleId\":\"L-WIRE\""));
 }
-
-// ------------------------------------------------------- registries in sync
-
-#[test]
-fn lock_order_registries_must_match() {
-    let service = lock_order();
-    let drifted = vec!["service.queue".to_string()];
-    assert!(facts::check_lock_order_registries(&service, Some(&service)).is_empty());
-    let got = facts::check_lock_order_registries(&service, Some(&drifted));
-    assert!(
-        got.iter().any(|d| d.id == "L-LOCKGRAPH"),
-        "registry drift must be an L-LOCKGRAPH finding: {got:?}"
-    );
-}

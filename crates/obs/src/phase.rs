@@ -3,17 +3,17 @@
 //!
 //! The per-fault loop in `snn-faults` spends its time in a handful of
 //! kernel phases — applying/restoring the fault patch (**inject**),
-//! simulating each layer forward (**forward.l\<k\>**), comparing
-//! activity against the golden baseline (**compare**) — and the
-//! collapsed-campaign pipeline adds a per-representative **expand**
-//! phase after the loop. A [`PhaseAccumulator`] splits wall time across
-//! these phases using nothing but relaxed atomics, so the hot path can
-//! stay instrumented in release builds: one clock read per phase
+//! simulating forward (**forward.l\<k\>**; the scalar engine books the
+//! suffix from `k`), comparing against the golden baseline (**compare**)
+//! — and the collapsed-campaign pipeline adds a per-representative
+//! **expand** phase after the loop. A [`PhaseAccumulator`] splits wall
+//! time across these phases using nothing but relaxed atomics, so the hot
+//! path can stay instrumented in release builds: one clock read per phase
 //! boundary plus one atomic RMW per touched slot per fault.
 //!
 //! The hot loop records into a plain-integer [`LocalPhases`] scratch and
 //! folds it into the shared accumulator once per fault
-//! ([`PhaseAccumulator::merge`]). The packed engine (`snn-batch`)
+//! ([`PhaseAccumulator::merge`]). The packed engine (`snn_faults::packed`)
 //! simulates up to 64 fault variants per pass and records each phase
 //! once per *pack*; it flushes through
 //! [`PhaseAccumulator::merge_pack`], which attributes the wall time once
@@ -54,8 +54,8 @@ const SLOTS: usize = SLOT_FORWARD + MAX_FORWARD_LAYERS;
 pub enum Phase {
     /// Applying and restoring the fault's weight patch on the worker net.
     Inject,
-    /// Comparing simulated activity against the golden baseline
-    /// (early-exit layer checks plus the output-distance verdict).
+    /// Comparing simulated activity against the golden baseline (the
+    /// output-distance verdict; the packed engine's divergence masks).
     Compare,
     /// Expanding representative verdicts onto a collapsed fault universe.
     Expand,

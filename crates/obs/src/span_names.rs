@@ -28,7 +28,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "analyze",
     "analyze.collapse",
     "analyze.intervals",
-    // snn-batch: the bit-packed fault-parallel engine.
+    // snn-faults, packed engine: the bit-packed fault-parallel campaign.
     "batch.pack",
     "batch.plan",
     // snn-cluster + the service's worker-message handler.

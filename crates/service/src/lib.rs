@@ -58,7 +58,6 @@
 
 pub mod bus;
 pub mod client;
-pub mod lock_order;
 pub mod protocol;
 pub mod server;
 pub mod store;
@@ -70,4 +69,5 @@ pub use protocol::{
     ModelSpec, Request, Response, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServiceConfig};
+pub use snn_cluster::lock_order;
 pub use store::JobStore;

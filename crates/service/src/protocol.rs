@@ -175,7 +175,7 @@ pub struct JobResult {
 /// Schema revision stamped into every [`JobRecord`] the server persists.
 ///
 /// Followed [`PROTOCOL_VERSION`] from v4, when the field was introduced,
-/// to v6; protocol v7 changed only the worker wire, not the record.
+/// to v6; protocols v7 and v8 changed only the worker wire, not the record.
 /// Every schema change so far is an additive `Option` field (v6 added
 /// the spec's requested `engine` and the result's resolved `engine`),
 /// so records from any earlier schema (including v1–v3 records, which

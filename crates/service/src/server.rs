@@ -25,7 +25,7 @@ use snn_cluster::build_model;
 use snn_cluster::coordinator::{ClusterError, Coordinator, CoordinatorConfig, Grant};
 use snn_cluster::wire::{CampaignSpec, CoordMsg, TraceContext, WorkerMsg};
 use snn_faults::progress::{CancelToken, Progress, ProgressSink};
-use snn_faults::{verdict_digest_hex, FaultOutcome, FaultSimConfig, FaultUniverse};
+use snn_faults::{verdict_digest_hex, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_model::Network;
 use snn_testgen::{TestGenConfig, TestGenerator};
 use std::collections::{HashMap, VecDeque};
@@ -657,23 +657,16 @@ fn execute(
             let campaign = cached
                 .analysis
                 .collapsed
-                .detect_collapsed_via(tests, |reps| {
-                    snn_batch::engine_detect(&net, sim_cfg, universe, reps, tests, sink, token)
-                })
+                .detect_collapsed(&net, universe, tests, sim_cfg, sink, token)
                 .or_else(|e| match e {
                     snn_analyze::CollapsedCampaignError::Campaign(e) => Err(e),
                     // Expansion refused (e.g. the test is too short for a
                     // provably-detected claim): fall back to the full
                     // campaign.
-                    snn_analyze::CollapsedCampaignError::Expand(_) => snn_batch::engine_detect(
-                        &net,
-                        sim_cfg,
-                        universe,
-                        universe.faults(),
-                        tests,
-                        sink,
-                        token,
-                    ),
+                    snn_analyze::CollapsedCampaignError::Expand(_) => FaultSimulator::new(
+                        &net, sim_cfg,
+                    )
+                    .detect_with(universe, universe.faults(), tests, sink, token),
                 });
             match campaign {
                 Ok(outcome) => outcome.per_fault,
@@ -686,7 +679,7 @@ fn execute(
         // Workers resolve `Auto` against a bit-identical rebuild of the
         // model, so the local resolution also names the distributed
         // engine.
-        result.engine = Some(snn_batch::resolve_engine(&net, spec.engine).name().to_string());
+        result.engine = Some(snn_faults::resolve_engine(&net, spec.engine).name().to_string());
         let total = universe.len();
         let detected = per_fault.iter().filter(|o| o.detected).count();
         result.faults_total = Some(total);

@@ -17,8 +17,7 @@
 //! 2. **Sparse performance model.** Its cost scales with *spike traffic*
 //!    rather than network size, which is exactly how the paper's stage-2
 //!    loss (minimizing hidden activity) translates into test energy/time
-//!    on a real event-driven accelerator. The criterion benches compare
-//!    both engines as activity varies.
+//!    on a real event-driven accelerator.
 //!
 //! Only inference (spike recording) is supported — BPTT stays with the
 //! dense engine where full traces are recorded anyway.

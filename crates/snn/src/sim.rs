@@ -83,7 +83,9 @@ impl LayerTrace {
 pub struct Trace {
     /// Number of simulated ticks.
     pub steps: usize,
-    /// Per-layer records, aligned with `Network::layers()`.
+    /// Per-layer records, aligned with `Network::layers()` — or with its
+    /// tail `start..` when built from [`Network::forward_from`] (the fault
+    /// simulator's suffix runs); the last entry is always the output layer.
     pub layers: Vec<LayerTrace>,
 }
 
@@ -378,33 +380,14 @@ impl Network {
         Trace { steps, layers }
     }
 
-    /// Simulates a single layer `idx` on the given input sequence.
-    ///
-    /// Building block for layer-by-layer fault simulation with early exit:
-    /// the campaign re-simulates one layer at a time and stops as soon as
-    /// the faulty activity matches the fault-free baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or shapes mismatch.
-    pub fn forward_layer(
-        &self,
-        idx: usize,
-        input: &Tensor,
-        record: RecordOptions,
-        faults: &NeuronFaultMap,
-    ) -> LayerTrace {
-        self.forward_layer_segment(idx, input, 0, record, faults, &mut LayerState::default())
-    }
-
     /// Simulates layer `idx` over a time *segment*, resuming from `state`.
     ///
     /// `input` holds the segment's rows (`[T_seg × features]`),
     /// `t_offset` the global tick the segment starts at, and `state` the
     /// layer's integration state from earlier segments (a default
     /// [`LayerState`] means resting conditions). Running consecutive
-    /// segments with the same `state` is bit-identical to one
-    /// [`Network::forward_layer`] call over the concatenated input — the
+    /// segments with the same `state` is bit-identical to one whole run
+    /// ([`Network::forward_from`]) over the concatenated input — the
     /// primitive behind transient-fault injection windows, where the
     /// fault set differs per segment.
     ///
@@ -435,9 +418,10 @@ impl Network {
     /// Simulates layers `start..` using `stage_input` as the input sequence
     /// of layer `start`, returning their traces.
     ///
-    /// This is the primitive behind prefix-cached fault simulation: a fault
-    /// confined to layer `ℓ` cannot change the activity of layers `< ℓ` in
-    /// a feedforward network, so the campaign re-simulates only the suffix.
+    /// This is the primitive behind the scalar fault-simulation engine: a
+    /// fault confined to layer `ℓ` cannot change the activity of layers
+    /// `< ℓ` in a feedforward network, so the campaign re-simulates only
+    /// the suffix.
     ///
     /// # Panics
     ///
@@ -732,10 +716,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let net = NetworkBuilder::new(5, LifParams::default()).dense(7).build(&mut rng);
         let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(13, 5), 0.5);
-        let full =
-            net.forward_layer(0, &input, RecordOptions::spikes_only(), &NeuronFaultMap::new());
+        let full = net.forward(&input, RecordOptions::spikes_only());
         for k in [1, 4, 12] {
-            assert_eq!(segmented_layer_output(&net, &input, k), full.output.as_slice());
+            assert_eq!(segmented_layer_output(&net, &input, k), full.output().as_slice());
         }
     }
 
@@ -746,9 +729,8 @@ mod tests {
             .conv(2, 3, 1, 1)
             .build(&mut rng);
         let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(10, 16), 0.4);
-        let full =
-            net.forward_layer(0, &input, RecordOptions::spikes_only(), &NeuronFaultMap::new());
-        assert_eq!(segmented_layer_output(&net, &input, 5), full.output.as_slice());
+        let full = net.forward(&input, RecordOptions::spikes_only());
+        assert_eq!(segmented_layer_output(&net, &input, 5), full.output().as_slice());
     }
 
     #[test]
@@ -764,11 +746,10 @@ mod tests {
         let net = Network::new(Shape::d1(1), vec![Layer::Recurrent(l)]);
         let mut input = Tensor::zeros(Shape::d2(6, 1));
         input[[0, 0]] = 1.0;
-        let full =
-            net.forward_layer(0, &input, RecordOptions::spikes_only(), &NeuronFaultMap::new());
-        assert_eq!(full.output.sum(), 6.0);
+        let full = net.forward(&input, RecordOptions::spikes_only());
+        assert_eq!(full.output().sum(), 6.0);
         for k in [1, 3, 5] {
-            assert_eq!(segmented_layer_output(&net, &input, k), full.output.as_slice());
+            assert_eq!(segmented_layer_output(&net, &input, k), full.output().as_slice());
         }
     }
 
@@ -780,9 +761,8 @@ mod tests {
             vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
         )
         .unwrap();
-        let full =
-            net.forward_layer(0, &input, RecordOptions::spikes_only(), &NeuronFaultMap::new());
-        assert_eq!(segmented_layer_output(&net, &input, 2), full.output.as_slice());
+        let full = net.forward(&input, RecordOptions::spikes_only());
+        assert_eq!(segmented_layer_output(&net, &input, 2), full.output().as_slice());
     }
 
     /// One spiking layer of each kind (refractory period 2), with a

@@ -1,6 +1,6 @@
 //! Bit-packed SWAR primitives for lane-parallel spike processing.
 //!
-//! The batched fault-simulation engine (`snn-batch`) evaluates up to 64
+//! The packed fault-simulation engine (`snn-faults`) evaluates up to 64
 //! fault variants per pass by assigning each variant a bit *lane* inside
 //! a `u64` word: word `w[j]` holds, at bit `l`, lane `l`'s binary spike
 //! of feature `j` at one tick. This module provides the word-level

@@ -10,15 +10,14 @@
 //! * [`model`] — the clocked LIF SNN simulator with surrogate-gradient
 //!   BPTT, plus an event-driven cross-check engine, training, int8
 //!   quantization and a binary model format,
-//! * [`faults`] — behavioural fault models, the parallel prefix-cached
-//!   fault simulator, criticality labelling, statistical coverage
-//!   estimation and fault dictionaries for diagnosis,
-//! * [`batch`] — the bit-packed fault-parallel execution engine: fault
-//!   plan → lane assignment → differential packed run over `u64` spike
-//!   words (every fault of every spiking layer kind, reusing the golden
-//!   run wherever a variant still equals it), bit-identical to the
-//!   scalar path and selected per campaign via
-//!   `--engine packed|scalar|auto`,
+//! * [`faults`] — behavioural fault models and the fault simulator, one
+//!   campaign entry point over two engines with bit-identical verdicts
+//!   (`--engine packed|scalar|auto`): the scalar reference and the
+//!   bit-packed fault-parallel engine (fault plan → lane assignment →
+//!   differential packed run over `u64` spike words, reusing the golden
+//!   run wherever a variant still equals it); plus criticality
+//!   labelling, statistical coverage estimation and fault dictionaries
+//!   for diagnosis,
 //! * [`datasets`] — synthetic NMNIST / DVS-gesture / SHD-like event
 //!   datasets and rate/TTFS encoders,
 //! * [`testgen`] — the paper's contribution: the two-stage loss-driven
@@ -68,7 +67,11 @@
 
 pub use snn_analyze as analyze;
 pub use snn_baselines as baselines;
-pub use snn_batch as batch;
+/// The two names the repository benchmark (`benchmark/`) links by this
+/// path; campaigns go through [`faults::FaultSimulator`].
+pub mod batch {
+    pub use snn_faults::{dense_suffix_start, engine_detect};
+}
 pub use snn_cluster as cluster;
 pub use snn_datasets as datasets;
 pub use snn_faults as faults;

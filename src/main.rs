@@ -694,12 +694,11 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     }
     let universe = FaultUniverse::standard(&net);
     let cfg = FaultSimConfig { engine: engine_flag(args)?, ..FaultSimConfig::default() };
-    let resolved = snn_mtfc::batch::resolve_engine(&net, cfg.engine);
+    let sim = snn_mtfc::faults::FaultSimulator::new(&net, cfg);
+    let resolved = snn_mtfc::faults::resolve_engine(&net, cfg.engine);
     let cancel = snn_mtfc::faults::CancelToken::new();
     let (outcome, collector) = with_trace(|| {
-        snn_mtfc::batch::engine_detect(
-            &net,
-            cfg,
+        sim.detect_with(
             &universe,
             universe.faults(),
             std::slice::from_ref(&stimulus),
@@ -713,17 +712,12 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     if resolved == Engine::Packed {
         // What the campaign's planner did with the universe; the CI gate
         // requires `fallback: 0` on the example networks.
-        let plan = snn_mtfc::batch::plan::plan(
-            &net,
-            universe.faults(),
-            snn_mtfc::faults::parallel::effective_threads(cfg.threads),
-            &mut obs::phase::LocalPhases::new(),
-        );
+        let plan = sim.plan(universe.faults());
         println!(
             "packed: {} faults in {} packs, fallback: {}",
             plan.packed_faults(),
-            plan.packs.len(),
-            plan.fallback.len()
+            plan.pack_count(),
+            plan.fallback_count()
         );
     }
     println!(
