@@ -197,32 +197,32 @@ pub fn l4_contribution_variance(
             // optimization already controls; Eq. 13 starts at ℓ = 2.
             continue;
         }
-        let dims = weight.shape().dims();
-        let (rows, cols) = (dims[0], dims[1]);
-        let wd = weight.as_slice();
+        let cols = weight.shape().dim(1);
         let pre_counts = counts(trace, idx - 1);
         debug_assert_eq!(pre_counts.len(), cols);
 
+        // snn-lint: allow(L-FLOATEQ): exact-zero test selects structurally connected weights, not a tolerance
+        let connected = |w: f32| w != 0.0;
         // dL/d(count_j) accumulated over all post-neurons of this layer.
         let mut dcount = vec![0.0f32; cols];
-        for r in 0..rows {
-            let row = &wd[r * cols..(r + 1) * cols];
-            // snn-lint: allow(L-FLOATEQ): exact-zero test selects structurally connected weights, not a tolerance
-            let active: Vec<usize> = (0..cols).filter(|&j| row[j] != 0.0).collect();
-            let m = active.len();
-            if m < 2 {
+        // One row's contributions, connected synapses only, columns ascending.
+        let mut contrib = Vec::with_capacity(cols);
+        for row in weight.as_slice().chunks_exact(cols.max(1)) {
+            contrib.clear();
+            let synapses = row.iter().zip(&pre_counts).filter(|(&w, _)| connected(w));
+            contrib.extend(synapses.map(|(w, count)| w * count));
+            if contrib.len() < 2 {
                 continue;
             }
-            let contrib: Vec<f32> = active.iter().map(|&j| row[j] * pre_counts[j]).collect();
             // snn-lint: allow(L-CAST): fan-in counts stay far below f32's 2^24 exact-integer limit
-            let mean = contrib.iter().sum::<f32>() / m as f32;
-            // snn-lint: allow(L-CAST): fan-in counts stay far below f32's 2^24 exact-integer limit
-            let var = contrib.iter().map(|c| (c - mean) * (c - mean)).sum::<f32>() / m as f32;
-            value += var;
-            for (k, &j) in active.iter().enumerate() {
-                // ∂Var/∂c_k = 2(c_k − mean)/m ; ∂c_k/∂count_j = w_{j,r}
-                // snn-lint: allow(L-CAST): fan-in counts stay far below f32's 2^24 exact-integer limit
-                dcount[j] += 2.0 * (contrib[k] - mean) / m as f32 * row[j];
+            let m = contrib.len() as f32;
+            let mean = contrib.iter().sum::<f32>() / m;
+            value += contrib.iter().map(|c| (c - mean) * (c - mean)).sum::<f32>() / m;
+            // ∂Var/∂c_k = 2(c_k − mean)/m ; ∂c_k/∂count_j = w_{j,r}
+            let scale = 2.0 / m;
+            let grads = dcount.iter_mut().zip(row).filter(|(_, &w)| connected(w));
+            for ((d, &w), c) in grads.zip(&contrib) {
+                *d += (c - mean) * scale * w;
             }
         }
         // snn-lint: allow(L-FLOATEQ): exact-zero test — skips layers whose gradient is identically zero
@@ -337,7 +337,7 @@ pub fn balance_weights(initial_losses: &[f32]) -> Vec<f32> {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use snn_model::{LifParams, NetworkBuilder, RecordOptions};
     use snn_tensor::Shape;
 
@@ -484,6 +484,96 @@ mod tests {
         let v = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
         assert!(v > 0.0);
         assert!(inj.layer(0).is_some(), "gradient lands on pre-synaptic spikes");
+    }
+
+    /// `L4` in its straightforward spelling: per row, collect the
+    /// connected synapses and their contributions, divide per synapse.
+    /// Returns the value and, for each layer `ℓ − 1` the loss reaches (the
+    /// others stay empty), every `∂L4/∂count_j` beside the sum of the
+    /// absolute per-row terms in it.
+    fn l4_reference(net: &Network, trace: &Trace) -> (f32, Vec<Vec<(f32, f32)>>) {
+        let mut value = 0.0;
+        let mut grads = vec![Vec::new(); net.layers().len()];
+        for (idx, layer) in net.layers().iter().enumerate().skip(1) {
+            let weight = match layer {
+                Layer::Dense(l) => &l.weight,
+                Layer::Recurrent(l) => &l.w_in,
+                _ => continue,
+            };
+            let cols = weight.shape().dim(1);
+            let pre_counts = counts(trace, idx - 1);
+            let mut dcount = vec![(0.0f32, 0.0f32); cols];
+            for row in weight.as_slice().chunks_exact(cols) {
+                let active: Vec<usize> = (0..cols).filter(|&j| row[j] != 0.0).collect();
+                let m = active.len();
+                if m < 2 {
+                    continue;
+                }
+                let contrib: Vec<f32> = active.iter().map(|&j| row[j] * pre_counts[j]).collect();
+                let mean = contrib.iter().sum::<f32>() / m as f32;
+                value += contrib.iter().map(|c| (c - mean) * (c - mean)).sum::<f32>() / m as f32;
+                for (k, &j) in active.iter().enumerate() {
+                    let term = 2.0 * (contrib[k] - mean) / m as f32 * row[j];
+                    dcount[j].0 += term;
+                    dcount[j].1 += term.abs();
+                }
+            }
+            grads[idx - 1] = dcount;
+        }
+        (value, grads)
+    }
+
+    proptest::proptest! {
+        /// The loss against its reference on random dense/recurrent
+        /// shapes with an all-zero column, an all-zero row (a silent
+        /// pre-synaptic neuron one layer on) and scattered exact zeros that
+        /// leave narrow rows fewer than two synapses: the value to the
+        /// bit, every gradient element to rounding.
+        #[test]
+        fn l4_matches_its_straightforward_spelling(
+            (inputs, hidden, outputs) in (1usize..6, 2usize..9, 1usize..6),
+            recurrent in 0usize..4,
+            seed in 0u64..1 << 32,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let builder = NetworkBuilder::new(inputs, LifParams { refrac_steps: 1, ..LifParams::default() });
+            let builder = if recurrent & 1 == 0 { builder.dense(hidden) } else { builder.recurrent(hidden) };
+            let builder = if recurrent & 2 == 0 { builder.dense(outputs) } else { builder.recurrent(outputs) };
+            let mut net = builder.build(&mut rng);
+            let sparsify = |w: &mut Tensor, rng: &mut StdRng| {
+                let cols = w.shape().dim(1);
+                for (i, w) in w.as_mut_slice().iter_mut().enumerate() {
+                    // Neuron 0 has no synapse (and, in a dense layer, never
+                    // fires); the last input is connected to nothing.
+                    if i < cols || i % cols == cols - 1 || rng.gen_bool(0.2) {
+                        *w = 0.0;
+                    }
+                }
+            };
+            for layer in net.layers_mut() {
+                match layer {
+                    Layer::Dense(l) => sparsify(&mut l.weight, &mut rng),
+                    Layer::Recurrent(l) => sparsify(&mut l.w_in, &mut rng),
+                    _ => {}
+                }
+            }
+            let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(16, inputs), 0.7);
+            let trace = net.forward(&input, RecordOptions::full());
+
+            let (want, want_grads) = l4_reference(&net, &trace);
+            let mut inj = InjectedGrads::none(2);
+            let got = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            for (idx, want) in want_grads.iter().enumerate() {
+                let Some(got) = inj.layer(idx) else {
+                    proptest::prop_assert!(want.iter().all(|&(d, _)| d == 0.0));
+                    continue;
+                };
+                for (got, (d, terms)) in got.as_slice().iter().zip(want.iter().cycle()) {
+                    proptest::prop_assert!((got - d).abs() <= 1e-6 * terms, "{got} vs {d} ({terms})");
+                }
+            }
+        }
     }
 
     #[test]

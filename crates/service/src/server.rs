@@ -1051,13 +1051,15 @@ mod tests {
     use std::thread::JoinHandle;
 
     /// A two-worker server on a fresh state directory, with a handle on
-    /// its shared state.
+    /// its shared state. It expects a cluster worker that nobody starts,
+    /// which is where [`long_spec`] jobs park.
     fn boot(tag: &str) -> (Arc<Inner>, SocketAddr, JoinHandle<io::Result<()>>, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("snn-server-unit-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let server =
-            Server::bind(ServiceConfig { workers: 2, ..ServiceConfig::loopback(&dir) }).unwrap();
+        let config =
+            ServiceConfig { workers: 2, expect_workers: 1, ..ServiceConfig::loopback(&dir) };
+        let server = Server::bind(config).unwrap();
         let (inner, addr) = (Arc::clone(&server.inner), server.local_addr());
         (inner, addr, std::thread::spawn(move || server.run()), dir)
     }
@@ -1073,10 +1075,12 @@ mod tests {
         JobSpec { preset: "fast".into(), ..JobSpec::synthetic_repro(4, vec![6], 2, seed) }
     }
 
-    /// Runs for longer than any test here, streaming progress all the
-    /// while; the tests cancel it.
+    /// Long by construction, whatever the generator's speed: streams
+    /// progress through a dozen iterations, then waits a minute for the
+    /// cluster worker its campaign needs — 200 times what the tests here
+    /// take in a release build. They cancel it.
     fn long_spec() -> JobSpec {
-        JobSpec::synthetic_repro(34, vec![64], 10, 8)
+        JobSpec { evaluate_coverage: true, ..JobSpec::synthetic_repro(34, vec![64], 10, 8) }
     }
 
     /// A connection that asks to watch `job` and has read the snapshot

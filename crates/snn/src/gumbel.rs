@@ -16,8 +16,66 @@
 use rand::Rng;
 use snn_tensor::Tensor;
 
+/// `ln 2`, split so that a binary exponent times the high part is exact.
+const LN2_HI: f32 = 355.0 / 512.0;
+const LN2_LO: f32 = -2.121_944_4e-4;
+
+/// `ln(u / (1 − u))`, the logistic quantile, on the sampler's grid
+/// `[ε, 1 − ε]`: within 2 ulp, odd about `u = ½`, `+0` there. IEEE
+/// `+ − × ÷`, selects and bit arithmetic only, like [`sigmoid`]: no libm
+/// call, so a sample is the same on every host; no branch or table, so
+/// `resample`'s loops vectorise. Derivation and error: DESIGN.md §19.4.
+fn logit(u: f32) -> f32 {
+    // ±ln((1 − w)/w) with w = min(u, 1 − u), which is exact.
+    let sign = if u >= 0.5 { 1.0 } else { -1.0 };
+    let w = if u >= 0.5 { 1.0 - u } else { u };
+    // (1 − w)/w = 2ᵏ·m, m ∈ [√½, √2): ⌊log₂(x/y)⌋ of two positive floats is
+    // the difference of their bit patterns above the mantissa.
+    let k = (((1.0 - w) * std::f32::consts::SQRT_2).to_bits() - w.to_bits()) >> 23;
+    // f = m − 1 from differences that are exact near u = ½, where ln m is
+    // the whole result and a rounded quotient's error as large as it.
+    let q = w * f32::from_bits((k + 127) << 23);
+    let f = ((0.5 - w) + (0.5 - q)) / q;
+    // `k` as a float: OR it into 2²³'s mantissa, subtract 2²³.
+    let k = f32::from_bits(0x4b00_0000 | k) - 8_388_608.0;
+    // Cephes `logf`: ln(1 + f) ≈ f − f²/2 + f³·P(f), Horner from f⁸ down.
+    let p = ((7.037_683_6e-2 * f - 1.151_461e-1) * f + 1.167_699_87e-1) * f - 1.242_014_1e-1;
+    let p = ((p * f + 1.424_932_3e-1) * f - 1.666_805_7e-1) * f + 2.000_071_4e-1;
+    let p = (p * f - 2.499_999_4e-1) * f + 3.333_333e-1;
+    let z = f * f;
+    sign * ((f + ((f * z * p + LN2_LO * k) - 0.5 * z)) + LN2_HI * k)
+}
+
+/// `1 / (1 + e⁻ˣ)` for every non-NaN `x`: within 2 ulp where that is a
+/// normal `f32` and exactly `0` below — never a subnormal, which
+/// `grad_logits` would multiply by at a fraction of the speed; exactly
+/// `1` from `e⁻ˣ ≤ 2⁻²⁴` on, as `1/(1 + exp(−x))` is; `½` at `0`, `≥ ½`
+/// for `x ≥ 0`, `< ½` below: the straight-through threshold holds.
 fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    // σ is flat to the last bit well inside these bounds, and within them
+    // 2ⁿ stays finite and its product with `y` normal.
+    let a = if x < -88.0 { 88.0 } else { -x };
+    let a = if x > 32.0 { -32.0 } else { a };
+    // e⁻ˣ = 2ⁿ(1 + y), n = round(a/ln 2): `f32::round` is a libm call, adding
+    // 1.5·2²³ rounds as well and leaves `n` in the sum's low mantissa bits.
+    let magic = 12_582_912.0;
+    let sum = a * std::f32::consts::LOG2_E + magic;
+    let n = sum - magic;
+    let pow = f32::from_bits(sum.to_bits().wrapping_add(127) << 23);
+    let r = (a - n * LN2_HI) - n * LN2_LO;
+    // Cephes `expf`: eʳ ≈ 1 + r + r²·P(r), Horner from r⁵ down.
+    let p = ((1.987_569_1e-4 * r + 1.398_199_9e-3) * r + 8.333_452e-3) * r + 4.166_579_6e-2;
+    let y = ((p * r + 1.666_666_6e-1) * r + 0.5) * (r * r) + r;
+    // 1 + e⁻ˣ as (1 + 2ⁿ) + 2ⁿy: one rounding where 1 + 2ⁿ(1 + y) has two.
+    // `lo` is what of the 1 did not make it into `hi` (all of it from
+    // n = 24 on); `cap` is 2¹²⁶, whose reciprocal is the smallest normal.
+    let hi = 1.0 + pow;
+    let lo = (pow - hi) + 1.0;
+    let denom = hi + (pow * y + lo);
+    let cap = 1.0 / f32::MIN_POSITIVE;
+    let denom = if denom > cap { cap } else { denom };
+    // σ(x) < 2⁻¹²⁶ below this: no normal number, so zero.
+    (if x < -87.336_54 { 0.0 } else { 1.0 }) / denom
 }
 
 /// One relaxed-binarized sample of the input pipeline.
@@ -71,15 +129,23 @@ impl GumbelSample {
         assert!(tau > 0.0, "temperature must be positive, got {tau}");
         assert_eq!(logits.shape(), self.soft.shape(), "logit shape must match the sample");
         self.tau = tau;
-        let out = self.soft.as_mut_slice().iter_mut().zip(self.binary.as_mut_slice());
-        for (&l, (soft, binary)) in logits.as_slice().iter().zip(out) {
-            let g = rng.as_mut().map_or(0.0, |rng| {
-                let u: f32 = rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
-                (u / (1.0 - u)).ln()
-            });
-            *soft = sigmoid((l + g) / tau);
-            // The straight-through estimator's forward pass.
-            *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
+        // The serial generator fills a stack block, vectorisable loops make
+        // the rest of it; left at zero, the block is the noise-free mode.
+        const BLOCK: usize = 256;
+        let mut noise = [0.0f32; BLOCK];
+        let soft = self.soft.as_mut_slice().chunks_mut(BLOCK);
+        let binary = self.binary.as_mut_slice().chunks_mut(BLOCK);
+        for ((logits, soft), binary) in logits.as_slice().chunks(BLOCK).zip(soft).zip(binary) {
+            if let Some(rng) = rng.as_mut() {
+                let noise = &mut noise[..logits.len()];
+                noise.fill_with(|| rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON)));
+                noise.iter_mut().for_each(|g| *g = logit(*g));
+            }
+            for (((&l, &g), soft), binary) in logits.iter().zip(&noise).zip(soft).zip(binary) {
+                *soft = sigmoid((l + g) / tau);
+                // The straight-through estimator's forward pass.
+                *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
+            }
         }
     }
 
@@ -186,5 +252,183 @@ mod tests {
     fn rejects_nonpositive_temperature() {
         let logits = Tensor::zeros(Shape::d1(1));
         let _ = GumbelSample::deterministic(&logits, 0.0);
+    }
+
+    /// The `k`-th of the 2²⁴ values `gen_range(ε..1 − ε)` can return.
+    fn grid(k: u32) -> f32 {
+        struct Fixed(u64);
+        impl rand::RngCore for Fixed {
+            fn next_u64(&mut self) -> u64 {
+                self.0
+            }
+        }
+        Fixed(u64::from(k) << 40).gen_range(f32::EPSILON..(1.0 - f32::EPSILON))
+    }
+
+    /// Distance between neighbouring `f32` at `|x|`'s magnitude.
+    fn ulp(x: f64) -> f64 {
+        let binade = f32::from_bits((x.abs() as f32).to_bits() & 0xff80_0000);
+        f64::from(binade) * 2f64.powi(-23)
+    }
+
+    fn logit64(u: f32) -> f64 {
+        let u = f64::from(u);
+        (u / (1.0 - u)).ln()
+    }
+
+    /// Cancellation-free on both sides, so good to the last `f64` bits.
+    fn sigmoid64(x: f32) -> f64 {
+        let e = (-f64::from(x).abs()).exp();
+        if x >= 0.0 {
+            1.0 / (1.0 + e)
+        } else {
+            e / (1.0 + e)
+        }
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)] // the mirror image is exact, up to the sign of zero
+    fn logit_is_within_two_ulp_on_the_whole_sampling_grid() {
+        assert_eq!(grid(0).to_bits(), f32::EPSILON.to_bits());
+        assert_eq!(grid(1 << 23).to_bits(), 0.5f32.to_bits());
+        assert_eq!(logit(0.5).to_bits(), 0.0f32.to_bits());
+        for k in 0..1u32 << 24 {
+            let u = grid(k);
+            let (got, want) = (f64::from(logit(u)), logit64(u));
+            let tolerance = (2.0 * ulp(want)).max(2.5e-7 * want.abs());
+            assert!((got - want).abs() <= tolerance, "logit({u:e}) = {got:e}, want {want:e}");
+            if u >= 0.5 {
+                // 1 − u is exact here, and the function odd by construction.
+                assert_eq!(logit(1.0 - u), -logit(u), "u = {u:e}");
+            }
+        }
+    }
+
+    /// Every `f32` in `[lo, hi]` taken `stride` bit patterns apart, with
+    /// its mirror image.
+    fn floats(lo: f32, hi: f32, stride: usize) -> impl Iterator<Item = f32> {
+        (lo.to_bits()..=hi.to_bits()).step_by(stride).map(f32::from_bits).flat_map(|x| [x, -x])
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)] // exact saturation values are the contract
+    fn sigmoid_holds_its_contract_on_every_input() {
+        // What the libm-based `1/(1 + exp(−x))` returned, with a correctly
+        // rounded `exp` so that the expectation does not depend on the host.
+        let libm_form = |x: f32| 1.0 / (1.0 + (-f64::from(x)).exp() as f32);
+        let sweep = (-110_000..=110_000).map(|i| i as f32 * 1e-3);
+        let edges = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN, 1e-6, -1e-6];
+        // Ulp by ulp around every threshold: the flush to zero, both
+        // saturation points of the libm form, and the origin.
+        let dense = floats(87.3, 87.4, 1)
+            .chain(floats(16.63, 16.64, 1))
+            .chain(floats(88.72, 88.73, 1))
+            .chain(floats(1e-45, 1e-37, 9973))
+            .chain(floats(1e-37, 120.0, 99_991));
+        for x in sweep.chain(edges).chain(dense) {
+            let (got, want) = (sigmoid(x), sigmoid64(x));
+            assert!((0.0..=1.0).contains(&got), "sigmoid({x:e}) = {got:e}");
+            if want >= f64::from(f32::MIN_POSITIVE) {
+                let err = (f64::from(got) - want).abs();
+                assert!(err <= 2.0 * ulp(want), "sigmoid({x:e}) = {got:e}, want {want:e}");
+            } else {
+                assert_eq!(got, 0.0, "sigmoid({x:e}) must flush to zero, not to a subnormal");
+            }
+            let old = libm_form(x);
+            if old == 0.0 || old == 1.0 {
+                assert_eq!(got, old, "sigmoid({x:e}) must saturate where 1/(1 + exp(-x)) did");
+            }
+            // The straight-through threshold keeps its meaning.
+            assert!(got >= 0.5 || x < 0.0, "sigmoid({x:e}) = {got:e} is below 1/2");
+            assert!(got < 0.5 || x > -1e-6, "sigmoid({x:e}) = {got:e} is not below 1/2");
+        }
+        assert_eq!(sigmoid(0.0), 0.5);
+    }
+
+    /// Both functions are IEEE arithmetic only, so these bit patterns hold
+    /// on every host and toolchain.
+    #[test]
+    fn logit_and_sigmoid_bits_are_pinned() {
+        let logits: [(f32, u32); 16] = [
+            (f32::EPSILON, 0xc17f_1402),
+            (1e-5, 0xc138_34e7),
+            (1e-3, 0xc0dd_0423),
+            (0.1, 0xc00c_9f54),
+            (0.25, 0xbf8c_9f54),
+            (0.3, 0xbf58_e882),
+            (0.499_999_97, 0xb400_0000),
+            (0.5, 0x0000_0000),
+            (0.500_000_06, 0x3480_0000),
+            (0.6, 0x3ecf_9923),
+            (0.731_058_6, 0x3f80_0001),
+            (0.75, 0x3f8c_9f54),
+            (0.9, 0x400c_9f53),
+            (0.99, 0x4093_0b3b),
+            (0.999_999, 0x415c_d64b),
+            (1.0 - f32::EPSILON, 0x417f_1402),
+        ];
+        for (u, bits) in logits {
+            assert_eq!(logit(u).to_bits(), bits, "logit({u:e}) = {:e}", logit(u));
+        }
+        let sigmoids: [(f32, u32); 16] = [
+            (-87.336_54, 0x0080_0026),
+            (-87.0, 0x00b3_3687),
+            (-50.0, 0x1b69_2beb),
+            (-20.0, 0x310d_a433),
+            (-10.0, 0x383e_6998),
+            (-3.3, 0x3d11_b319),
+            (-1.0, 0x3e89_b2b1),
+            (-1e-3, 0x3eff_df3c),
+            (0.0, 0x3f00_0000),
+            (0.5, 0x3f1f_597f),
+            (1.0, 0x3f3b_26a8),
+            (3.3, 0x3f76_e4cf),
+            (5.0, 0x3f7e_4961),
+            (10.0, 0x3f7f_fd06),
+            (16.6, 0x3f7f_fffe),
+            (17.0, 0x3f80_0000),
+        ];
+        for (x, bits) in sigmoids {
+            assert_eq!(sigmoid(x).to_bits(), bits, "sigmoid({x:e}) = {:e}", sigmoid(x));
+        }
+    }
+
+    #[test]
+    fn noise_is_logistic() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let n = 1_000_000;
+        let quantiles = [-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0];
+        let mut below = [0u32; 9];
+        let (mut sum, mut squares) = (0.0f64, 0.0f64);
+        for _ in 0..n {
+            let g = logit(rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON)));
+            sum += f64::from(g);
+            squares += f64::from(g) * f64::from(g);
+            for (count, &q) in below.iter_mut().zip(&quantiles) {
+                *count += u32::from(g <= q);
+            }
+        }
+        let mean = sum / f64::from(n);
+        let variance = squares / f64::from(n) - mean * mean;
+        let logistic_variance = std::f64::consts::PI.powi(2) / 3.0;
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((variance / logistic_variance - 1.0).abs() < 0.01, "variance {variance}");
+        for (&count, &q) in below.iter().zip(&quantiles) {
+            let cdf = f64::from(count) / f64::from(n);
+            assert!((cdf - sigmoid64(q)).abs() < 0.003, "P(g <= {q}) = {cdf}");
+        }
+    }
+
+    #[test]
+    fn resample_draws_one_uniform_per_element_in_order() {
+        // 3 × 173 = 519 elements: two full blocks of 256 and a partial one.
+        let logits = Tensor::zeros(Shape::d2(3, 173));
+        let mut sampled = StdRng::seed_from_u64(9);
+        let mut drawn = sampled.clone();
+        GumbelSample::unsampled(&logits).resample(Some(&mut sampled), &logits, 0.9);
+        for _ in 0..logits.len() {
+            let _: f32 = drawn.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
+        }
+        assert_eq!(sampled.gen::<u64>(), drawn.gen::<u64>());
     }
 }

@@ -57,6 +57,20 @@ use std::sync::Arc;
 /// Default server address for the service subcommands.
 const DEFAULT_ADDR: &str = "127.0.0.1:7077";
 
+/// Shadows `std::println!` in this file ([`out`] stands in for `print!`): a
+/// reader that leaves early (`… | head -1`) ends the output — not a panic.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn out(text: impl std::fmt::Display) {
+    let written = write!(std::io::stdout(), "{text}");
+    let closed = written.as_ref().is_err_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe);
+    assert!(written.is_ok() || closed, "failed printing to stdout: {written:?}");
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -296,7 +310,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     };
     use snn_mtfc::analyze::report;
     match flag(args, "--format").unwrap_or("text") {
-        "text" => print!("{}", report::render_text(path, &analysis, &self_check_errors)),
+        "text" => out(report::render_text(path, &analysis, &self_check_errors)),
         "json" => println!("{}", report::render_json(path, &analysis, &self_check_errors)),
         "sarif" => println!("{}", report::render_sarif(path, &analysis, &self_check_errors)),
         other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
@@ -321,7 +335,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 fn cmd_info(args: &[String]) -> Result<(), String> {
     let path = positional(args, 0).ok_or("missing model path")?;
     let net = load_model(path)?;
-    print!("{}", net.summary());
+    out(net.summary());
     let universe = FaultUniverse::standard(&net);
     println!(
         "fault universe: {} faults ({} neuron, {} synapse)",
@@ -749,10 +763,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     if records.is_empty() {
         return Err(format!("{path} contains no spans"));
     }
-    print!("{}", obs::profile::render(&obs::profile::build(&records)));
+    out(obs::profile::render(&obs::profile::build(&records)));
     if args.iter().any(|a| a == "--phases") {
-        println!();
-        print!("{}", obs::profile::render_phases(&records));
+        println!("");
+        out(obs::profile::render_phases(&records));
     }
     Ok(())
 }
@@ -761,7 +775,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// text format 0.0.4.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let snapshot = connect(args)?.metrics()?;
-    print!("{}", obs::metrics::render_prometheus(&snapshot));
+    out(obs::metrics::render_prometheus(&snapshot));
     Ok(())
 }
 

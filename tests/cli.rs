@@ -33,6 +33,22 @@ fn help_and_no_args_succeed() {
     assert!(run(&[]).status.success());
 }
 
+/// `snn-mtfc … | head -1`: the reader is gone before the usage text is
+/// written. That ends the output, quietly — it is not a panic.
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_snn-mtfc"))
+        .arg("--help")
+        .stdout(writer)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.is_empty(), "a closed stdout should pass in silence, got: {stderr}");
+    assert!(out.status.success(), "exit status {:?}", out.status);
+}
+
 #[test]
 fn unknown_command_fails_cleanly() {
     assert_clean_failure(&["frobnicate"], "unknown command");

@@ -17,19 +17,41 @@ fn temp_state_dir(tag: &str) -> PathBuf {
 }
 
 fn boot(state_dir: &PathBuf) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(ServiceConfig::loopback(state_dir)).expect("bind loopback");
+    boot_with(ServiceConfig::loopback(state_dir))
+}
+
+fn boot_with(config: ServiceConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(config).expect("bind loopback");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run()))
 }
 
-/// A repro-preset job on a small synthetic network, capped to one outer
-/// iteration so the lifecycle test finishes promptly.
-fn quick_repro_spec(seed: u64) -> JobSpec {
+/// A server that expects a cluster worker nobody starts: its coverage
+/// jobs ([`long_spec`]) generate, then park waiting for that worker.
+fn coordinator_without_workers(state_dir: &PathBuf) -> ServiceConfig {
+    ServiceConfig { expect_workers: 1, ..ServiceConfig::loopback(state_dir) }
+}
+
+/// One outer iteration of the paper preset on a small synthetic network,
+/// so the lifecycle test finishes promptly — yet 3,000 optimizer steps
+/// whatever the seed: 20 ms in a release build, two hundred loopback
+/// round trips (one lies between `submit` and the `watch` behind it) and
+/// twenty times the millisecond its timings are stamped in.
+fn quick_spec(seed: u64) -> JobSpec {
     JobSpec {
+        preset: "paper".into(),
         max_iterations: Some(1),
         t_limit_secs: Some(120),
         ..JobSpec::synthetic_repro(6, vec![12], 4, seed)
     }
+}
+
+/// Long by construction on a [`coordinator_without_workers`]: once
+/// generated, its coverage campaign waits a minute for the first worker
+/// — hundreds of times what a test here takes in a release build,
+/// whatever the generator's speed. The tests cancel it.
+fn long_spec(seed: u64) -> JobSpec {
+    JobSpec { evaluate_coverage: true, ..JobSpec::synthetic_repro(6, vec![12], 4, seed) }
 }
 
 /// Polls `status` until the job leaves `Queued` (i.e. a worker picked it
@@ -48,7 +70,7 @@ fn wait_until_running(client: &mut Client, job: u64, deadline: Duration) -> JobS
 #[test]
 fn submit_watch_cancel_and_restart_over_tcp() {
     let state_dir = temp_state_dir("lifecycle");
-    let (addr, server) = boot(&state_dir);
+    let (addr, server) = boot_with(coordinator_without_workers(&state_dir));
 
     let done_job;
     let cancelled_job;
@@ -56,8 +78,8 @@ fn submit_watch_cancel_and_restart_over_tcp() {
         let mut client = Client::connect(addr).expect("connect");
         assert_eq!(client.ping().expect("ping"), snn_mtfc::service::PROTOCOL_VERSION);
 
-        // --- 1. A repro-scale job runs to completion with live progress.
-        done_job = client.submit(quick_repro_spec(7)).expect("submit");
+        // --- 1. A job runs to completion with live progress.
+        done_job = client.submit(quick_spec(7)).expect("submit");
         let mut progress_events = 0usize;
         let mut state_events = Vec::new();
         let record = client
@@ -82,14 +104,10 @@ fn submit_watch_cancel_and_restart_over_tcp() {
         let stimulus = snn_mtfc::testgen::parse_events(&text).expect("events parse");
         assert_eq!(stimulus.shape().dim(0), result.test_steps);
 
-        // --- 2. A long job (uncapped repro preset) cancels mid-run.
-        cancelled_job =
-            client.submit(JobSpec::synthetic_repro(6, vec![12], 4, 8)).expect("submit long job");
+        // --- 2. A long job cancels mid-run.
+        cancelled_job = client.submit(long_spec(8)).expect("submit long job");
         let state = wait_until_running(&mut client, cancelled_job, Duration::from_secs(30));
-        assert!(
-            state == JobState::Running || state == JobState::Queued,
-            "unexpected state before cancel: {state}"
-        );
+        assert_eq!(state, JobState::Running, "unexpected state before cancel");
         client.cancel(cancelled_job).expect("cancel");
         let record = client.watch(cancelled_job, |_| {}).expect("watch cancelled job");
         assert_eq!(record.state, JobState::Cancelled, "error: {:?}", record.error);
@@ -168,7 +186,7 @@ fn metrics_snapshot_reports_job_and_generator_series() {
     let (addr, server) = boot(&state_dir);
     {
         let mut client = Client::connect(addr).expect("connect");
-        let mut spec = quick_repro_spec(11);
+        let mut spec = quick_spec(11);
         spec.evaluate_coverage = true;
         let job = client.submit(spec).expect("submit");
         let record = client.watch(job, |_| {}).expect("watch");
@@ -224,20 +242,18 @@ fn metrics_snapshot_reports_job_and_generator_series() {
 fn queued_jobs_cancel_without_running() {
     let state_dir = temp_state_dir("queued-cancel");
     // A single-worker server so a second submission must queue.
-    let server = Server::bind(ServiceConfig { workers: 1, ..ServiceConfig::loopback(&state_dir) })
-        .expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
+    let (addr, handle) =
+        boot_with(ServiceConfig { workers: 1, ..coordinator_without_workers(&state_dir) });
     {
         let mut client = Client::connect(addr).expect("connect");
         // Occupy the only worker with a long job.
-        let blocker =
-            client.submit(JobSpec::synthetic_repro(6, vec![12], 4, 3)).expect("submit blocker");
-        let queued = client.submit(quick_repro_spec(4)).expect("submit queued");
+        let blocker = client.submit(long_spec(3)).expect("submit blocker");
+        let queued = client.submit(quick_spec(4)).expect("submit queued");
         client.cancel(queued).expect("cancel queued job");
         let record = client.status(queued).expect("status");
         assert_eq!(record.state, JobState::Cancelled);
         assert!(record.error.unwrap().contains("queued"));
+        assert!(!client.status(blocker).expect("blocker status").state.is_terminal());
         client.cancel(blocker).expect("cancel blocker");
         client.watch(blocker, |_| {}).expect("blocker terminal");
         client.shutdown().expect("shutdown");
