@@ -7,15 +7,15 @@
 //! drive `z` of a neuron is bounded by
 //!
 //! ```text
-//! z_min = Σ min(wᵢ, 0)   ≤   z = Σ wᵢ·sᵢ   ≤   Σ max(wᵢ, 0) = z_max
+//! z = Σ wᵢ·sᵢ   ≤   Σ max(wᵢ, 0) = z_max
 //! ```
 //!
 //! and the membrane recursion `v ← λ·v + z` (carried potential resets
 //! on spike, so the no-spike trajectory is the supremum) is bounded by
 //! `v ≤ z_max / (1 − λ)` for `λ < 1`. A neuron whose bound provably
 //! stays below its threshold can never fire — its `NeuronDead` fault is
-//! untestable and every collapse rule in [`crate::collapse`] that
-//! relies on silence becomes applicable.
+//! untestable, it is silent towards every later layer, and the generator
+//! drops it from its activation targets ([`IntervalAnalysis::dead_mask`]).
 //!
 //! Two guards keep the f64 bounds sound against the simulator's f32
 //! arithmetic (see DESIGN.md §10 for the full argument):
@@ -33,7 +33,7 @@ use snn_model::{Layer, LifParams, Network};
 /// the f64 bound arithmetic against the simulator's f32 rounding. Costs
 /// only analysis yield (borderline neurons stay `Undecided`), never
 /// soundness.
-pub const MARGIN: f64 = 1e-3;
+const MARGIN: f64 = 1e-3;
 
 /// Ticks the excitability iteration is given to reach threshold.
 const EXCITE_HORIZON: usize = 4096;
@@ -52,18 +52,14 @@ pub enum NeuronClass {
 /// Per-layer analysis facts.
 #[derive(Debug, Clone)]
 pub struct LayerAnalysis {
-    /// Silence of each *input* feature of this layer (`true` = the
-    /// feature is provably 0 on every tick).
-    pub silent_in: Vec<bool>,
     /// Class per output neuron. Empty for pool layers (no neurons).
     pub class: Vec<NeuronClass>,
     /// Upper drive bound per output neuron (conv: the per-out-channel
     /// bound, replicated across the channel's positions). Empty for
     /// pool layers.
     pub z_max: Vec<f64>,
-    /// Lower drive bound per output neuron. Empty for pool layers.
-    pub z_min: Vec<f64>,
-    /// Silence of each *output* feature of this layer.
+    /// Silence of each *output* feature of this layer (`true` = the
+    /// feature is provably 0 on every tick).
     pub silent_out: Vec<bool>,
 }
 
@@ -117,17 +113,6 @@ impl IntervalAnalysis {
             .unwrap_or(NeuronClass::Undecided)
     }
 
-    /// `true` when the neuron is provably dead.
-    pub fn is_dead(&self, layer: usize, index: usize) -> bool {
-        self.class(layer, index) == NeuronClass::Dead
-    }
-
-    /// Upper drive bound of a spiking neuron (`+∞` when unknown, which
-    /// keeps every consumer conservative).
-    pub fn z_max(&self, layer: usize, index: usize) -> f64 {
-        self.layers.get(layer).and_then(|l| l.z_max.get(index)).copied().unwrap_or(f64::INFINITY)
-    }
-
     /// Per-layer dead-neuron masks shaped like the generator's
     /// activation bookkeeping: one `Vec<bool>` per layer, empty for
     /// non-spiking layers.
@@ -168,7 +153,7 @@ impl IntervalAnalysis {
 /// case is exact, the margin case keeps a `MARGIN` gap and refuses
 /// leaks within `1e-4` of 1 (where rounding amplification of the
 /// geometric sum could eat a smaller margin).
-pub fn provably_dead(z_max: f64, lif: &LifParams) -> bool {
+fn provably_dead(z_max: f64, lif: &LifParams) -> bool {
     if z_max <= 0.0 {
         return true;
     }
@@ -211,29 +196,20 @@ fn weights_rows(weight: &snn_tensor::Tensor, rows: usize) -> Vec<&[f32]> {
     (0..rows).map(|r| &data[r * cols..(r + 1) * cols]).collect()
 }
 
-fn bounds_over(row: &[f32], silent: &[bool]) -> (f64, f64) {
-    let mut z_max = 0.0f64;
-    let mut z_min = 0.0f64;
-    for (i, &w) in row.iter().enumerate() {
-        if silent.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let w = f64::from(w);
-        if w > 0.0 {
-            z_max += w;
-        } else {
-            z_min += w;
-        }
-    }
-    (z_max, z_min)
+/// Upper drive bound of one weight row over its non-silent inputs.
+fn bound_over(row: &[f32], silent: &[bool]) -> f64 {
+    row.iter()
+        .enumerate()
+        .filter(|&(i, _)| !silent.get(i).copied().unwrap_or(false))
+        .map(|(_, &w)| f64::from(w).max(0.0))
+        .sum()
 }
 
 fn dense_like(rows: &[&[f32]], lif: &LifParams, silent_in: &[bool], free: bool) -> LayerAnalysis {
     let mut class = Vec::with_capacity(rows.len());
     let mut z_max = Vec::with_capacity(rows.len());
-    let mut z_min = Vec::with_capacity(rows.len());
     for row in rows {
-        let (hi, lo) = bounds_over(row, silent_in);
+        let hi = bound_over(row, silent_in);
         let c = if provably_dead(hi, lif) {
             NeuronClass::Dead
         } else if free && provably_excitable(hi, row.len(), lif) {
@@ -243,10 +219,9 @@ fn dense_like(rows: &[&[f32]], lif: &LifParams, silent_in: &[bool], free: bool) 
         };
         class.push(c);
         z_max.push(hi);
-        z_min.push(lo);
     }
     let silent_out = class.iter().map(|&c| c == NeuronClass::Dead).collect();
-    LayerAnalysis { silent_in: silent_in.to_vec(), class, z_max, z_min, silent_out }
+    LayerAnalysis { class, z_max, silent_out }
 }
 
 fn pool_analysis(p: &snn_model::PoolLayer, silent_in: &[bool]) -> LayerAnalysis {
@@ -271,17 +246,11 @@ fn pool_analysis(p: &snn_model::PoolLayer, silent_in: &[bool]) -> LayerAnalysis 
             }
         }
     }
-    LayerAnalysis {
-        silent_in: silent_in.to_vec(),
-        class: Vec::new(),
-        z_max: Vec::new(),
-        z_min: Vec::new(),
-        silent_out,
-    }
+    LayerAnalysis { class: Vec::new(), z_max: Vec::new(), silent_out }
 }
 
 /// `true` when every position of input channel `ic` is silent.
-pub fn conv_channel_silent(c: &snn_model::ConvLayer, silent_in: &[bool], ic: usize) -> bool {
+fn conv_channel_silent(c: &snn_model::ConvLayer, silent_in: &[bool], ic: usize) -> bool {
     let (h, w) = c.in_hw;
     (0..h * w).all(|p| silent_in.get(ic * h * w + p).copied().unwrap_or(false))
 }
@@ -296,24 +265,15 @@ fn conv_analysis(c: &snn_model::ConvLayer, silent_in: &[bool]) -> LayerAnalysis 
         (0..in_c).map(|ic| conv_channel_silent(c, silent_in, ic)).collect();
     let mut class = Vec::with_capacity(out_c * oh * ow);
     let mut z_max = Vec::with_capacity(out_c * oh * ow);
-    let mut z_min = Vec::with_capacity(out_c * oh * ow);
     let mut silent_out = Vec::with_capacity(out_c * oh * ow);
     for oc in 0..out_c {
         let mut hi = 0.0f64;
-        let mut lo = 0.0f64;
         for (ic, &ch_silent) in channel_silent.iter().enumerate() {
             if ch_silent {
                 continue;
             }
             let base = (oc * in_c + ic) * k * k;
-            for &w in &data[base..base + k * k] {
-                let w = f64::from(w);
-                if w > 0.0 {
-                    hi += w;
-                } else {
-                    lo += w;
-                }
-            }
+            hi += data[base..base + k * k].iter().map(|&w| f64::from(w).max(0.0)).sum::<f64>();
         }
         // Padding and window clipping only remove summands, so the
         // full-kernel bound holds at every spatial position. Conv
@@ -325,11 +285,10 @@ fn conv_analysis(c: &snn_model::ConvLayer, silent_in: &[bool]) -> LayerAnalysis 
         for _ in 0..oh * ow {
             class.push(cls);
             z_max.push(hi);
-            z_min.push(lo);
             silent_out.push(cls == NeuronClass::Dead);
         }
     }
-    LayerAnalysis { silent_in: silent_in.to_vec(), class, z_max, z_min, silent_out }
+    LayerAnalysis { class, z_max, silent_out }
 }
 
 fn recurrent_analysis(
@@ -341,7 +300,7 @@ fn recurrent_analysis(
     let in_rows = weights_rows(&r.w_in, units);
     let rec = r.w_rec.as_slice();
     // Feedforward part of the bound, fixed across the fixpoint.
-    let base: Vec<(f64, f64)> = in_rows.iter().map(|row| bounds_over(row, silent_in)).collect();
+    let base: Vec<f64> = in_rows.iter().map(|row| bound_over(row, silent_in)).collect();
     // Monotone fixpoint: a neuron proven dead stops contributing its
     // recurrent weight to every other bound, which can only shrink
     // bounds and hence only grow the dead set — each pass either adds a
@@ -353,7 +312,7 @@ fn recurrent_analysis(
             if dead[j] {
                 continue;
             }
-            let mut hi = base[j].0;
+            let mut hi = base[j];
             for k in 0..units {
                 if !dead[k] {
                     hi += f64::from(rec[j * units + k]).max(0.0);
@@ -370,14 +329,11 @@ fn recurrent_analysis(
     }
     let mut class = Vec::with_capacity(units);
     let mut z_max = Vec::with_capacity(units);
-    let mut z_min = Vec::with_capacity(units);
     for j in 0..units {
-        let mut hi = base[j].0;
-        let mut lo = base[j].1;
+        let mut hi = base[j];
         for k in 0..units {
             if !dead[k] {
                 hi += f64::from(rec[j * units + k]).max(0.0);
-                lo += f64::from(rec[j * units + k]).min(0.0);
             }
         }
         let c = if dead[j] {
@@ -390,7 +346,7 @@ fn recurrent_analysis(
             for k in 0..units {
                 rec_neg += f64::from(rec[j * units + k]).min(0.0);
             }
-            let drive = base[j].0 + rec_neg;
+            let drive = base[j] + rec_neg;
             if provably_excitable(drive, r.w_in.len() / units.max(1) + units, &r.lif) {
                 NeuronClass::Excitable
             } else {
@@ -401,10 +357,8 @@ fn recurrent_analysis(
         };
         class.push(c);
         z_max.push(hi);
-        z_min.push(lo);
     }
-    let silent_out = dead.clone();
-    LayerAnalysis { silent_in: silent_in.to_vec(), class, z_max, z_min, silent_out }
+    LayerAnalysis { class, z_max, silent_out: dead }
 }
 
 #[cfg(test)]
@@ -428,7 +382,7 @@ mod tests {
         let net = dense_net(1, 3, vec![-0.5, -0.1, -2.0]);
         let a = IntervalAnalysis::new(&net);
         assert_eq!(a.class(0, 0), NeuronClass::Dead);
-        assert_eq!(a.z_max(0, 0), 0.0);
+        assert_eq!(a.layers()[0].z_max[0], 0.0);
     }
 
     #[test]
@@ -469,7 +423,7 @@ mod tests {
         );
         let a = IntervalAnalysis::new(&net);
         assert_eq!(a.class(0, 0), NeuronClass::Dead);
-        assert!(a.layers()[1].silent_in[0]);
+        assert!(a.layers()[0].silent_out[0]);
         assert_eq!(a.class(1, 0), NeuronClass::Dead);
         let (dead, _, _) = a.counts();
         assert_eq!(dead, 2);

@@ -1,37 +1,28 @@
 //! `snn-analyze`: static testability analysis of an SNN model.
 //!
 //! The paper's test-generation and fault-simulation loops spend their
-//! entire budget on dynamic simulation, yet a slice of the
-//! [`FaultUniverse`] is decidable before any simulation runs:
+//! entire budget on dynamic simulation, yet some facts about a network
+//! are decidable before any simulation runs:
 //!
 //! * [`interval`] bounds every LIF neuron's membrane potential under
 //!   worst-/best-case `[0,1]` input and classifies neurons as
-//!   provably-excitable, provably-dead, or undecided.
-//! * [`collapse`] partitions the fault universe into representatives
-//!   and statically decided faults, each collapse carrying a
-//!   machine-checkable justification that
-//!   [`collapse::CollapsedUniverse::self_check`] re-derives.
+//!   provably-excitable, provably-dead, or undecided. The dead mask
+//!   leaves the generator's activation targets
+//!   (`TestGenerator::with_excluded`): a neuron that can never fire is
+//!   not worth optimising a stimulus for.
 //! * [`report`] renders the results as human text, JSON, or SARIF
 //!   (sharing `snn-lint`'s diagnostic record and serialization).
 //!
-//! The collapse rules are *sound*, not heuristic: every collapsed fault
-//! is either program-equivalent to the fault-free network, an alias of
-//! a simulated representative, or provably detected. A full-universe
-//! campaign and a collapsed-then-expanded campaign therefore report
-//! identical per-fault detection, which the crate's property tests
-//! assert by simulating both members of sampled equivalence classes.
+//! The dead classification is *sound*, not heuristic: the crate's
+//! property tests assert that no dead-masked neuron ever spikes under
+//! random binary stimuli.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod collapse;
 pub mod interval;
 pub mod report;
 
-pub use collapse::{
-    Collapse, CollapseReason, CollapsedCampaignError, CollapsedUniverse, ExpandError, SourceRef,
-    TargetRef,
-};
 pub use interval::{IntervalAnalysis, LayerAnalysis, NeuronClass};
 
 use serde::{Deserialize, Serialize};
@@ -52,22 +43,15 @@ pub struct AnalysisSummary {
     pub undecided_neurons: usize,
     /// Faults in the analyzed universe.
     pub faults: usize,
-    /// Faults whose outcome is statically decided.
-    pub collapsed: usize,
-    /// Faults that still require simulation.
-    pub representatives: usize,
-    /// `collapsed / faults` (0.0 for an empty universe).
+    /// Always `0.0`; kept because `benchmark/src/probes.rs` reads it.
     pub collapse_fraction: f64,
 }
 
-/// Full analysis result: interval facts, the collapsed universe, and
-/// the serializable summary.
+/// Full analysis result: interval facts and the serializable summary.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// Per-neuron membrane-potential bounds and classes.
     pub intervals: IntervalAnalysis,
-    /// The partitioned fault universe.
-    pub collapsed: CollapsedUniverse,
     /// Serializable totals.
     pub summary: AnalysisSummary,
 }
@@ -80,15 +64,6 @@ pub fn analyze(net: &Network, universe: &FaultUniverse) -> Analysis {
         let _span = snn_obs::span!("analyze.intervals");
         IntervalAnalysis::new(net)
     };
-    let collapsed = {
-        let _span = snn_obs::span!("analyze.collapse");
-        CollapsedUniverse::build(net, universe, &intervals)
-    };
-    snn_obs::gauge!(
-        "snn_analyze_collapse_fraction",
-        "Fraction of the fault universe removed by static collapsing."
-    )
-    .set(collapsed.collapse_fraction());
     let (dead, excitable, undecided) = intervals.counts();
     let summary = AnalysisSummary {
         neurons: net.neuron_count(),
@@ -96,40 +71,12 @@ pub fn analyze(net: &Network, universe: &FaultUniverse) -> Analysis {
         excitable_neurons: excitable,
         undecided_neurons: undecided,
         faults: universe.len(),
-        collapsed: collapsed.collapses().len(),
-        representatives: collapsed.representatives().len(),
-        collapse_fraction: collapsed.collapse_fraction(),
+        collapse_fraction: 0.0,
     };
-    Analysis { intervals, collapsed, summary }
-}
-
-/// Zeroes the `fraction` smallest-magnitude weights of `net` (global
-/// magnitude pruning, ties broken by enumeration order). Returns the
-/// number of weights newly set to zero. Used by `snn-mtfc new
-/// --sparsity` to produce realistic sparse example networks, whose
-/// zero-weight synapses make `SynapseDead` faults collapsible.
-pub fn magnitude_prune(net: &mut Network, fraction: f64) -> usize {
-    let total = net.synapse_count();
-    let clamped = fraction.clamp(0.0, 1.0);
-    // snn-lint note: usize→f64→usize round-trip is exact for any real
-    // synapse count; the clamp keeps the index in range regardless.
-    let keep_cutoff = ((total as f64) * clamped).floor() as usize;
-    let mut refs: Vec<(f32, usize)> =
-        (0..total).map(|g| (net.weight(net.locate_weight(g)).abs(), g)).collect();
-    refs.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut zeroed = 0;
-    for &(_, g) in refs.iter().take(keep_cutoff) {
-        let r = net.locate_weight(g);
-        // snn-lint: allow(L-FLOATEQ): counting weights that change; already-zero weights compare bit-exactly to 0.0
-        if net.set_weight(r, 0.0) != 0.0 {
-            zeroed += 1;
-        }
-    }
-    zeroed
+    Analysis { intervals, summary }
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact zeroed-weight values
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -148,12 +95,10 @@ mod tests {
         let a = analyze(&net, &universe);
         assert_eq!(a.summary.neurons, net.neuron_count());
         assert_eq!(a.summary.faults, universe.len());
-        assert_eq!(a.summary.collapsed + a.summary.representatives, a.summary.faults);
         assert_eq!(
             a.summary.dead_neurons + a.summary.excitable_neurons + a.summary.undecided_neurons,
             a.summary.neurons
         );
-        assert!(a.collapsed.self_check(&net, &universe).is_empty());
     }
 
     #[test]
@@ -164,28 +109,5 @@ mod tests {
         let json = serde::json::to_string(&summary);
         let back: AnalysisSummary = serde::json::from_str(&json).unwrap();
         assert_eq!(back, summary);
-    }
-
-    #[test]
-    fn magnitude_prune_zeroes_the_requested_fraction() {
-        let mut net = net();
-        let total = net.synapse_count();
-        let zeroed = magnitude_prune(&mut net, 0.5);
-        assert_eq!(zeroed, total / 2); // Kaiming init: no pre-existing zeros
-        let zeros = (0..total).filter(|&g| net.weight(net.locate_weight(g)) == 0.0).count();
-        assert_eq!(zeros, total / 2);
-        // Pruned-net SynapseDead faults on zeroed weights now collapse.
-        let universe = FaultUniverse::standard(&net);
-        let a = analyze(&net, &universe);
-        assert!(a.summary.collapse_fraction >= 0.10, "{}", a.summary.collapse_fraction);
-        assert!(a.collapsed.self_check(&net, &universe).is_empty());
-    }
-
-    #[test]
-    fn prune_is_idempotent_on_zeroes() {
-        let mut net = net();
-        magnitude_prune(&mut net, 0.5);
-        let second = magnitude_prune(&mut net, 0.5);
-        assert_eq!(second, 0);
     }
 }

@@ -8,64 +8,24 @@
 use crate::{Analysis, NeuronClass};
 use snn_lint::sarif::{self, json_string, Level, SarifRule};
 use snn_lint::Diagnostic;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Provably-dead neuron: its `NeuronDead` fault is untestable.
 pub const DEAD_ID: &str = "A-DEAD";
-/// Per-rule collapse summary.
-pub const COLLAPSE_ID: &str = "A-COLLAPSE";
-/// Soundness self-check violation.
-pub const UNSOUND_ID: &str = "A-UNSOUND";
 
 /// Rule table for SARIF output.
 pub fn sarif_rules() -> Vec<SarifRule> {
-    vec![
-        SarifRule {
-            id: DEAD_ID,
-            short_description: "neuron provably never reaches threshold; its NeuronDead fault \
-                                is untestable"
-                .into(),
-        },
-        SarifRule {
-            id: COLLAPSE_ID,
-            short_description: "faults statically decided by a collapse rule".into(),
-        },
-        SarifRule {
-            id: UNSOUND_ID,
-            short_description: "collapse justification failed the soundness self-check".into(),
-        },
-    ]
-}
-
-/// Severity mapping for SARIF: self-check violations are errors,
-/// dead neurons warnings, collapse summaries notes.
-pub fn level_of(d: &Diagnostic) -> Level {
-    match d.id {
-        UNSOUND_ID => Level::Error,
-        DEAD_ID => Level::Warning,
-        _ => Level::Note,
-    }
-}
-
-/// Per-collapse-rule counts, in stable rule order.
-pub fn rule_counts(analysis: &Analysis) -> BTreeMap<&'static str, usize> {
-    let mut counts = BTreeMap::new();
-    for c in analysis.collapsed.collapses() {
-        *counts.entry(c.reason.rule()).or_insert(0) += 1;
-    }
-    counts
+    vec![SarifRule {
+        id: DEAD_ID,
+        short_description: "neuron provably never reaches threshold; its NeuronDead fault \
+                            is untestable"
+            .into(),
+    }]
 }
 
 /// Builds the diagnostic list for `analysis`: one `A-DEAD` per
-/// provably-dead neuron, one `A-COLLAPSE` per rule with a count, and
-/// one `A-UNSOUND` per self-check error. `model` is the file the
-/// diagnostics anchor to.
-pub fn diagnostics(
-    model: &str,
-    analysis: &Analysis,
-    self_check_errors: &[String],
-) -> Vec<Diagnostic> {
+/// provably-dead neuron. `model` is the file the diagnostics anchor to.
+pub fn diagnostics(model: &str, analysis: &Analysis) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (layer_idx, la) in analysis.intervals.layers().iter().enumerate() {
         for (index, class) in la.class.iter().enumerate() {
@@ -83,27 +43,11 @@ pub fn diagnostics(
             }
         }
     }
-    for (rule, count) in rule_counts(analysis) {
-        out.push(Diagnostic {
-            file: model.to_string(),
-            line: 0,
-            id: COLLAPSE_ID,
-            message: format!("{count} faults collapsed by rule `{rule}`"),
-        });
-    }
-    for e in self_check_errors {
-        out.push(Diagnostic {
-            file: model.to_string(),
-            line: 0,
-            id: UNSOUND_ID,
-            message: e.clone(),
-        });
-    }
     out
 }
 
 /// Human-readable report.
-pub fn render_text(model: &str, analysis: &Analysis, self_check_errors: &[String]) -> String {
+pub fn render_text(model: &str, analysis: &Analysis) -> String {
     let s = &analysis.summary;
     let mut out = String::new();
     let _ = writeln!(out, "snn-analyze: {model}");
@@ -112,62 +56,26 @@ pub fn render_text(model: &str, analysis: &Analysis, self_check_errors: &[String
         "  neurons: {} ({} excitable, {} dead, {} undecided)",
         s.neurons, s.excitable_neurons, s.dead_neurons, s.undecided_neurons
     );
-    let _ = writeln!(
-        out,
-        "  faults:  {} ({} collapsed = {:.1}%, {} to simulate)",
-        s.faults,
-        s.collapsed,
-        s.collapse_fraction * 100.0,
-        s.representatives
-    );
-    let counts = rule_counts(analysis);
-    if !counts.is_empty() {
-        let per_rule: Vec<String> = counts.iter().map(|(rule, n)| format!("{n}× {rule}")).collect();
-        let _ = writeln!(out, "  rules:   {}", per_rule.join(", "));
-    }
-    for d in diagnostics(model, analysis, &[]) {
-        if d.id == DEAD_ID {
-            let _ = writeln!(out, "  [{}] {}", d.id, d.message);
-        }
-    }
-    if self_check_errors.is_empty() {
-        let _ = writeln!(out, "  self-check: ok");
-    } else {
-        for e in self_check_errors {
-            let _ = writeln!(out, "  [{UNSOUND_ID}] {e}");
-        }
+    let _ = writeln!(out, "  faults:  {}", s.faults);
+    for d in diagnostics(model, analysis) {
+        let _ = writeln!(out, "  [{}] {}", d.id, d.message);
     }
     out
 }
 
-/// JSON report: summary, per-rule counts, and lint-style diagnostics.
-pub fn render_json(model: &str, analysis: &Analysis, self_check_errors: &[String]) -> String {
+/// JSON report: summary and lint-style diagnostics.
+pub fn render_json(model: &str, analysis: &Analysis) -> String {
     let s = &analysis.summary;
     let mut out = String::new();
     let _ = write!(out, "{{\"model\":{},", json_string(model));
     let _ = write!(
         out,
         "\"summary\":{{\"neurons\":{},\"dead_neurons\":{},\"excitable_neurons\":{},\
-         \"undecided_neurons\":{},\"faults\":{},\"collapsed\":{},\"representatives\":{},\
-         \"collapse_fraction\":{}}},",
-        s.neurons,
-        s.dead_neurons,
-        s.excitable_neurons,
-        s.undecided_neurons,
-        s.faults,
-        s.collapsed,
-        s.representatives,
-        s.collapse_fraction
+         \"undecided_neurons\":{},\"faults\":{}}},",
+        s.neurons, s.dead_neurons, s.excitable_neurons, s.undecided_neurons, s.faults
     );
-    out.push_str("\"rules\":{");
-    for (i, (rule, count)) in rule_counts(analysis).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", json_string(rule), count);
-    }
-    out.push_str("},\"diagnostics\":[");
-    for (i, d) in diagnostics(model, analysis, self_check_errors).iter().enumerate() {
+    out.push_str("\"diagnostics\":[");
+    for (i, d) in diagnostics(model, analysis).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -185,62 +93,51 @@ pub fn render_json(model: &str, analysis: &Analysis, self_check_errors: &[String
 }
 
 /// SARIF report via the shared `snn_lint::sarif` module.
-pub fn render_sarif(model: &str, analysis: &Analysis, self_check_errors: &[String]) -> String {
-    let ds = diagnostics(model, analysis, self_check_errors);
-    sarif::render("snn-analyze", "DESIGN.md", &sarif_rules(), &ds, level_of)
+pub fn render_sarif(model: &str, analysis: &Analysis) -> String {
+    let ds = diagnostics(model, analysis);
+    sarif::render("snn-analyze", "DESIGN.md", &sarif_rules(), &ds, |_| Level::Warning)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use snn_faults::FaultUniverse;
-    use snn_model::{LifParams, NetworkBuilder};
+    use snn_model::{DenseLayer, Layer, LifParams, Network};
+    use snn_tensor::{Shape, Tensor};
 
-    fn analysis() -> (snn_model::Network, Analysis) {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net =
-            NetworkBuilder::new(5, LifParams::default()).dense(6).dense(2).build(&mut rng);
-        crate::magnitude_prune(&mut net, 0.5);
-        let universe = FaultUniverse::standard(&net);
-        let a = crate::analyze(&net, &universe);
-        (net, a)
+    /// One dead neuron (all-negative fan-in) beside one excitable one.
+    fn analysis() -> Analysis {
+        let lif = LifParams { threshold: 1.0, leak: 0.5, refrac_steps: 1 };
+        let w = Tensor::from_vec(Shape::d2(2, 2), vec![-1.0, -1.0, 2.0, 2.0]).unwrap();
+        let net = Network::new(Shape::d1(2), vec![Layer::Dense(DenseLayer::new(w, lif))]);
+        crate::analyze(&net, &FaultUniverse::standard(&net))
     }
 
     #[test]
-    fn text_report_names_model_and_rules() {
-        let (_, a) = analysis();
-        let out = render_text("m.snn", &a, &[]);
+    fn text_report_names_model_counts_and_dead_neurons() {
+        let a = analysis();
+        let out = render_text("m.snn", &a);
         assert!(out.contains("snn-analyze: m.snn"));
-        assert!(out.contains("identical-weight"));
-        assert!(out.contains("self-check: ok"));
+        assert!(out.contains("neurons: 2 (1 excitable, 1 dead, 0 undecided)"), "{out}");
+        assert!(out.contains(&format!("faults:  {}", a.summary.faults)));
+        assert!(out.contains("[A-DEAD] neuron 0 of layer 0"), "{out}");
     }
 
     #[test]
-    fn json_report_carries_summary_and_rules() {
-        let (_, a) = analysis();
-        let out = render_json("m.snn", &a, &[]);
+    fn json_report_carries_summary_and_diagnostics() {
+        let a = analysis();
+        let out = render_json("m.snn", &a);
         assert!(out.contains("\"model\":\"m.snn\""));
         assert!(out.contains(&format!("\"faults\":{}", a.summary.faults)));
-        assert!(out.contains("\"identical-weight\":"));
-        assert!(out.contains("\"diagnostics\":["));
+        assert!(out.contains("\"dead_neurons\":1"));
+        assert!(out.contains("\"diagnostics\":[{"), "{out}");
     }
 
     #[test]
-    fn sarif_report_is_wellformed_and_flags_unsound_as_error() {
-        let (_, a) = analysis();
-        let out = render_sarif("m.snn", &a, &["bogus collapse".into()]);
+    fn sarif_report_is_wellformed_and_flags_dead_neurons_as_warnings() {
+        let out = render_sarif("m.snn", &analysis());
         assert!(out.contains("\"name\":\"snn-analyze\""));
-        assert!(out.contains("\"level\":\"error\""));
-        assert!(out.contains("bogus collapse"));
-    }
-
-    #[test]
-    fn self_check_errors_appear_in_text() {
-        let (_, a) = analysis();
-        let out = render_text("m.snn", &a, &["fault 3: bad".into()]);
-        assert!(out.contains("[A-UNSOUND] fault 3: bad"));
-        assert!(!out.contains("self-check: ok"));
+        assert!(out.contains("\"level\":\"warning\""));
+        assert!(out.contains("A-DEAD"));
     }
 }

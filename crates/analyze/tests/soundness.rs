@@ -1,207 +1,126 @@
-//! Soundness validation of fault collapsing: a full-universe campaign
-//! and a collapsed-then-expanded campaign must report identical
-//! per-fault detection. The property test samples random pruned
-//! networks (both members of every equivalence class are actually
-//! simulated by the full campaign); the exact test pins down a crafted
-//! network where every collapse rule fires.
-
-#![allow(clippy::float_cmp)] // campaigns are compared for exact equality
+//! Soundness of the dead mask — the one analysis result production
+//! acts on (`TestGenerator::with_excluded` drops dead neurons from the
+//! activation targets): a neuron the interval analysis calls dead must
+//! never spike in `Network::forward`, whatever binary stimulus drives
+//! the network. Random pruned dense, conv+pool and recurrent networks
+//! whose weights are scaled so that drive bounds land on both sides of
+//! the threshold, each with one neuron (conv: one channel) given an all-negative fan-in
+//! so that every case has a dead neuron to check and silence to
+//! propagate, under random binary stimuli of random density — and, for
+//! every first-layer neuron fed directly by the input, the stimulus that
+//! drives exactly its positive weights, where the bound is tight.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snn_analyze::{analyze, CollapseReason};
-use snn_faults::{
-    CancelToken, Engine, FaultModelConfig, FaultSimConfig, FaultSimulator, FaultUniverse, NullSink,
-};
-use snn_model::{DenseLayer, Layer, LifParams, Network, NetworkBuilder};
+use snn_analyze::IntervalAnalysis;
+use snn_model::{magnitude_prune, LifParams, Network, NetworkBuilder, RecordOptions};
 use snn_tensor::{Shape, Tensor};
 
-fn binary_tests(rng: &mut StdRng, count: usize, steps: usize, features: usize) -> Vec<Tensor> {
-    (0..count)
-        .map(|_| {
-            let data: Vec<f32> =
-                (0..steps * features).map(|_| if rng.gen_bool(0.5) { 1.0 } else { 0.0 }).collect();
-            Tensor::from_vec(Shape::d2(steps, features), data).unwrap()
+fn binary_stimulus(rng: &mut StdRng, steps: usize, features: usize, density: f64) -> Tensor {
+    let data: Vec<f32> =
+        (0..steps * features).map(|_| if rng.gen_bool(density) { 1.0 } else { 0.0 }).collect();
+    Tensor::from_vec(Shape::d2(steps, features), data).unwrap()
+}
+
+/// Prunes `net` and scales every weight, then makes the first `fan_in`
+/// weights of every tensor of layer `layer` negative: row 0 of a dense or
+/// recurrent matrix, output channel 0 of a conv kernel.
+fn shape_weights(net: &mut Network, sparsity: f64, scale: f32, layer: usize, fan_in: &[usize]) {
+    magnitude_prune(net, sparsity);
+    for tensor in net.layers_mut().iter_mut().flat_map(|l| l.weight_tensors_mut()) {
+        tensor.as_mut_slice().iter_mut().for_each(|w| *w *= scale);
+    }
+    for (tensor, &n) in net.layers_mut()[layer].weight_tensors_mut().into_iter().zip(fan_in) {
+        for w in &mut tensor.as_mut_slice()[..n] {
+            *w = -w.abs() - 0.1;
+        }
+    }
+}
+
+/// One stimulus per neuron of a first layer that is dense or recurrent:
+/// every input with a positive weight into it fires on every tick.
+fn worst_case_stimuli(net: &Network, steps: usize) -> Vec<Tensor> {
+    let features = net.input_features();
+    let Some(w_in) = net.layers()[0].weight_tensors().into_iter().next() else { return Vec::new() };
+    w_in.as_slice()
+        .chunks(features)
+        .map(|row| {
+            let tick: Vec<f32> = row.iter().map(|&w| if w > 0.0 { 1.0 } else { 0.0 }).collect();
+            Tensor::from_vec(Shape::d2(steps, features), tick.repeat(steps)).unwrap()
         })
         .collect()
 }
 
-/// Runs both campaigns and asserts outcome equivalence. Returns the
-/// collapse count so callers can assert yield.
-fn assert_campaigns_agree(net: &Network, universe: &FaultUniverse, tests: &[Tensor]) -> usize {
-    let analysis = analyze(net, universe);
-    let errors = analysis.collapsed.self_check(net, universe);
-    assert!(errors.is_empty(), "self-check: {errors:?}");
-
-    // The reference side is the scalar engine over the full universe; the
-    // collapsed campaign must expand to the same outcomes under either
-    // engine.
-    let on = |engine| FaultSimConfig { engine: Some(engine), ..FaultSimConfig::default() };
-    let full =
-        FaultSimulator::new(net, on(Engine::Scalar)).detect(universe, universe.faults(), tests);
-    let collapsed = |engine| {
-        analysis
-            .collapsed
-            .detect_collapsed(net, universe, tests, on(engine), &NullSink, &CancelToken::new())
-            .expect("collapsed campaign")
-    };
-    let expanded = collapsed(Engine::Packed);
-    assert_eq!(expanded.per_fault, collapsed(Engine::Scalar).per_fault);
-
-    assert_eq!(full.per_fault.len(), expanded.per_fault.len());
-    let saturated: std::collections::HashSet<usize> = analysis
-        .collapsed
-        .collapses()
-        .iter()
-        .filter(|c| matches!(c.reason, CollapseReason::SaturatedOutput { .. }))
-        .map(|c| c.fault_id)
-        .collect();
-    for (f, e) in full.per_fault.iter().zip(&expanded.per_fault) {
-        assert_eq!(f.fault_id, e.fault_id);
-        assert_eq!(
-            f.detected, e.detected,
-            "fault {} detection differs (full {} vs expanded {})",
-            f.fault_id, f.detected, e.detected
-        );
-        // Expanded distance is exact except for the saturated-output
-        // rule, whose 1.0 is a provable lower bound, not the simulated
-        // distance.
-        if !saturated.contains(&f.fault_id) {
-            assert_eq!(f.distance, e.distance, "fault {} distance differs", f.fault_id);
-        } else {
-            assert!(f.distance >= 1.0, "saturated-output fault {} distance", f.fault_id);
+/// Asserts that no dead-masked neuron spikes under `stimuli`; returns the
+/// number of dead neurons checked.
+fn assert_dead_neurons_stay_silent(net: &Network, stimuli: &[Tensor]) -> usize {
+    let mask = IntervalAnalysis::new(net).dead_mask(net);
+    assert_eq!(mask.len(), net.layers().len());
+    for stimulus in stimuli {
+        let trace = net.forward(stimulus, RecordOptions::spikes_only());
+        for (l, (dead, layer)) in mask.iter().zip(&trace.layers).enumerate() {
+            let width = dead.len();
+            for (at, &spike) in layer.output.as_slice().iter().enumerate() {
+                let dead_here = width > 0 && dead[at % width];
+                assert!(
+                    !dead_here || spike == 0.0,
+                    "dead neuron {} of layer {l} spiked at tick {}",
+                    at % width,
+                    at / width
+                );
+            }
         }
     }
-    assert_eq!(full.fault_coverage(), expanded.fault_coverage());
-    analysis.collapsed.collapses().len()
+    mask.iter().flatten().filter(|&&d| d).count()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random pruned dense networks, optionally with the extended fault
-    /// universe: full and collapsed campaigns agree fault-for-fault.
     #[test]
-    fn collapsed_campaign_equals_full_campaign(
-        seed in 0u64..200,
-        inputs in 3usize..6,
-        hidden in 4usize..8,
-        outputs in 2usize..4,
-        sparsity in 0.3f64..0.9,
-        timing in proptest::bool::ANY,
-        bitflips in proptest::bool::ANY,
+    fn dead_masked_neurons_never_spike(
+        seed in 0u64..1_000,
+        kind in 0usize..3,
+        sparsity in 0.3f64..0.95,
+        scale in 0.02f32..1.0,
+        density in 0.1f64..0.9,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut net = NetworkBuilder::new(inputs, LifParams::default())
-            .dense(hidden)
-            .dense(outputs)
-            .build(&mut rng);
-        snn_analyze::magnitude_prune(&mut net, sparsity);
-        // Force neuron 0 of layer 0 dead (negative fan-in) on half the
-        // cases so the dead-neuron rules get exercised, not just
-        // identical-weight.
-        if seed % 2 == 0 {
-            for g in 0..inputs {
-                let r = net.locate_weight(g);
-                let w = net.weight(r);
-                net.set_weight(r, -w.abs() - 0.1);
+        let lif = LifParams::default();
+        let net = match kind {
+            0 => {
+                let mut net =
+                    NetworkBuilder::new(6, lif).dense(9).dense(7).dense(3).build(&mut rng);
+                shape_weights(&mut net, sparsity, scale, 0, &[6]);
+                net
             }
+            1 => {
+                let mut net = NetworkBuilder::new_spatial(2, 8, 8, lif)
+                    .avg_pool(2)
+                    .conv(3, 3, 1, 1)
+                    .avg_pool(2)
+                    .dense(6)
+                    .dense(3)
+                    .build(&mut rng);
+                shape_weights(&mut net, sparsity, scale, 1, &[2 * 3 * 3]);
+                net
+            }
+            _ => {
+                let mut net = NetworkBuilder::new(8, lif).recurrent(7).dense(4).build(&mut rng);
+                shape_weights(&mut net, sparsity, scale, 0, &[8, 7]);
+                net
+            }
+        };
+        let features = net.input_features();
+        let mut stimuli = vec![
+            binary_stimulus(&mut rng, 24, features, density),
+            Tensor::full(Shape::d2(12, features), 1.0),
+        ];
+        if kind != 1 {
+            stimuli.extend(worst_case_stimuli(&net, 48));
         }
-        let bits: &[u8] = if bitflips { &[0, 7] } else { &[] };
-        let universe =
-            FaultUniverse::with_config(&net, FaultModelConfig::default(), timing, bits);
-        let tests = binary_tests(&mut rng, 2, 6, inputs);
-        assert_campaigns_agree(&net, &universe, &tests);
+        let dead = assert_dead_neurons_stay_silent(&net, &stimuli);
+        prop_assert!(dead >= 1, "the all-negative fan-in must be proven dead");
     }
-}
-
-#[test]
-fn exact_equality_on_crafted_network_with_every_rule() {
-    let lif = LifParams::default(); // threshold 1.0, leak 0.9, refrac 2
-    let l0 = Tensor::from_vec(
-        Shape::d2(3, 3),
-        vec![
-            0.8, -0.4, 0.0, // neuron 0: one pruned weight
-            -0.5, -0.2, -0.1, // neuron 1: provably dead (all-negative fan-in)
-            2.0, 1.5, 0.3, // neuron 2: excitable
-        ],
-    )
-    .unwrap();
-    let l1 = Tensor::from_vec(
-        Shape::d2(2, 3),
-        vec![
-            0.9, 5.0, 0.7, // weight 5.0 reads the dead neuron: silent source
-            0.4, -3.0, 1.2,
-        ],
-    )
-    .unwrap();
-    let net = Network::new(
-        Shape::d1(3),
-        vec![Layer::Dense(DenseLayer::new(l0, lif)), Layer::Dense(DenseLayer::new(l1, lif))],
-    );
-    let universe = FaultUniverse::standard(&net);
-    let analysis = analyze(&net, &universe);
-
-    let rules: std::collections::HashSet<&'static str> =
-        analysis.collapsed.collapses().iter().map(|c| c.reason.rule()).collect();
-    assert!(rules.contains("identical-weight"), "{rules:?}");
-    assert!(rules.contains("silent-source"), "{rules:?}");
-    assert!(rules.contains("dead-target"), "{rules:?}");
-    assert!(rules.contains("dead-neuron"), "{rules:?}");
-    assert!(rules.contains("saturated-output"), "{rules:?}");
-
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut tests = binary_tests(&mut rng, 1, 8, 3);
-    tests.push(Tensor::from_vec(Shape::d2(8, 3), vec![1.0; 24]).unwrap());
-    let collapsed = assert_campaigns_agree(&net, &universe, &tests);
-    assert!(collapsed >= 10, "expected a rich collapse set, got {collapsed}");
-}
-
-#[test]
-fn alias_rule_copies_outcomes_in_extended_universe() {
-    // With bit-flip faults, a flip can reproduce another fault's exact
-    // injected value at the same site (e.g. quantized 2^bit → 0 == the
-    // SynapseDead value on some weights after pruning).
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut net = NetworkBuilder::new(4, LifParams::default()).dense(5).dense(2).build(&mut rng);
-    snn_analyze::magnitude_prune(&mut net, 0.6);
-    let universe = FaultUniverse::with_config(
-        &net,
-        FaultModelConfig::default(),
-        false,
-        &[0, 1, 2, 3, 4, 5, 6, 7],
-    );
-    let tests = binary_tests(&mut rng, 2, 6, 4);
-    assert_campaigns_agree(&net, &universe, &tests);
-}
-
-#[test]
-fn expand_rejects_short_tests_when_saturated_output_collapses_exist() {
-    let mut rng = StdRng::seed_from_u64(9);
-    let net = NetworkBuilder::new(3, LifParams::default()).dense(2).build(&mut rng);
-    let universe = FaultUniverse::standard(&net);
-    let analysis = analyze(&net, &universe);
-    assert!(analysis
-        .collapsed
-        .collapses()
-        .iter()
-        .any(|c| matches!(c.reason, CollapseReason::SaturatedOutput { .. })));
-    let cfg = FaultSimConfig::default();
-    let sim = FaultSimulator::new(&net, cfg);
-    let tests = binary_tests(&mut rng, 1, 4, 3);
-    let reps = sim.detect(&universe, analysis.collapsed.representatives(), &tests);
-    let err = analysis.collapsed.expand(&reps.per_fault, 1).unwrap_err();
-    assert_eq!(err, snn_analyze::ExpandError::TestTooShort { steps: 1 });
-    assert!(analysis.collapsed.expand(&reps.per_fault, 4).is_ok());
-}
-
-#[test]
-fn expand_requires_every_representative_outcome() {
-    let mut rng = StdRng::seed_from_u64(2);
-    let net = NetworkBuilder::new(3, LifParams::default()).dense(2).build(&mut rng);
-    let universe = FaultUniverse::standard(&net);
-    let analysis = analyze(&net, &universe);
-    let err = analysis.collapsed.expand(&[], 8).unwrap_err();
-    assert!(matches!(err, snn_analyze::ExpandError::MissingRepresentative { .. }));
 }

@@ -49,13 +49,13 @@ pub struct PreparedCampaign {
     /// The rebuilt network under test.
     pub net: Network,
     /// The standard fault universe over `net` (the id space of every
-    /// lease's `fault_ids`).
+    /// leased range).
     pub universe: FaultUniverse,
     /// The decoded test stimuli, `[T × input_features]` each.
     pub tests: Vec<Tensor>,
     /// Simulator configuration (threads already overridden, if asked).
     pub sim: snn_faults::FaultSimConfig,
-    /// Present for reliability campaigns: lease `fault_ids` are fault-map
+    /// Present for reliability campaigns: leased ranges are fault-map
     /// configuration indices scored by this evaluator instead of
     /// universe fault ids run through detection.
     pub reliability: Option<ReliabilityEvaluator>,
@@ -101,29 +101,29 @@ impl PreparedCampaign {
         Ok(Self { id: spec.id, net, universe, tests, sim, reliability })
     }
 
-    /// Simulates one chunk: the explicit `fault_ids` of a lease, in
-    /// order. Outcomes are bit-identical to the same ids inside a
+    /// Simulates one chunk: the id range of a lease, in order. Outcomes
+    /// are bit-identical to the same ids inside a
     /// single-process whole-campaign run, whichever execution engine the
     /// spec's `sim.engine` selects — chunk verdicts are engine-invariant
     /// by the packed engine's bit-exactness contract.
     ///
     /// # Errors
     ///
-    /// Propagates [`ChunkCampaignError`] (unknown ids, cancellation,
-    /// ill-formed faults).
+    /// Propagates [`ChunkCampaignError`] (a range outside the universe,
+    /// cancellation, ill-formed faults).
     pub fn run_chunk(
         &self,
-        fault_ids: &[usize],
+        ids: std::ops::Range<usize>,
         cancel: &CancelToken,
     ) -> Result<Vec<FaultOutcome>, ChunkCampaignError> {
         if let Some(eval) = &self.reliability {
             return eval
-                .evaluate_chunk(fault_ids, self.sim.threads, cancel)
+                .evaluate_chunk(ids, self.sim.threads, cancel)
                 .map_err(|_| ChunkCampaignError::Campaign(CampaignError::Cancelled));
         }
         FaultSimulator::new(&self.net, self.sim).detect_chunk_with(
             &self.universe,
-            fault_ids,
+            ids,
             &self.tests,
             &NullSink,
             cancel,
@@ -201,8 +201,7 @@ mod tests {
             prepared.universe.faults(),
             &prepared.tests,
         );
-        let ids: Vec<usize> = (3..9).collect();
-        let chunk = prepared.run_chunk(&ids, &CancelToken::new()).unwrap();
+        let chunk = prepared.run_chunk(3..9, &CancelToken::new()).unwrap();
         assert_eq!(chunk.as_slice(), &whole.per_fault[3..9]);
     }
 
@@ -211,11 +210,10 @@ mod tests {
         let spec = reliability_spec();
         let prepared = PreparedCampaign::new(&spec, Some(1)).unwrap();
         let eval = prepared.reliability.as_ref().unwrap();
-        let all: Vec<usize> = (0..spec.faults).collect();
-        let whole = eval.evaluate_chunk(&all, 1, &CancelToken::new()).unwrap();
+        let whole = eval.evaluate_chunk(0..spec.faults, 1, &CancelToken::new()).unwrap();
         let mut stitched = Vec::new();
-        for ids in all.chunks(2) {
-            stitched.extend(prepared.run_chunk(ids, &CancelToken::new()).unwrap());
+        for chunk in snn_faults::chunk::plan(spec.faults, 2) {
+            stitched.extend(prepared.run_chunk(chunk.range(), &CancelToken::new()).unwrap());
         }
         assert_eq!(stitched, whole, "leased chunks must merge bit-identically");
     }

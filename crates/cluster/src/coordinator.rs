@@ -63,7 +63,6 @@ enum ChunkState {
 
 struct CampaignState {
     spec: CampaignSpec,
-    fault_ids: Vec<usize>,
     chunks: Vec<ChunkRange>,
     states: Vec<ChunkState>,
     done: usize,
@@ -369,7 +368,6 @@ impl Coordinator {
                 campaign: id,
                 chunk,
                 epoch,
-                fault_ids: campaign.fault_ids[chunk.range()].to_vec(),
                 deadline_in_ms: self.cfg.lease_ms,
                 trace: campaign.trace,
             })
@@ -429,9 +427,9 @@ impl Coordinator {
     /// live lease — the exactly-once accounting gate. Stale results
     /// (expired lease, bumped epoch, already-done chunk, or columns that
     /// do not each hold one entry per leased fault) are discarded and
-    /// reported with `false`. Accepted outcomes are stamped with the
-    /// coordinator's own fault ids for the chunk, so a result cannot
-    /// speak for a fault it was not leased.
+    /// reported with `false`. Accepted outcomes are stamped with the ids
+    /// of the chunk's own range, so a result cannot speak for a fault it
+    /// was not leased.
     ///
     /// For a traced campaign, `spans` (the worker's drained collector)
     /// are adopted into the coordinator's collector under the worker's
@@ -469,8 +467,7 @@ impl Coordinator {
                 Some(ChunkState::Leased { epoch: e, lease: l, .. }) if *l == lease && *e == epoch
             );
             if live {
-                let ids = &campaign_state.fault_ids[campaign_state.chunks[chunk].range()];
-                if let Some(outcomes) = outcomes.into_rows(ids) {
+                if let Some(outcomes) = outcomes.into_rows(campaign_state.chunks[chunk].range()) {
                     campaign_state.done_faults += outcomes.len();
                     campaign_state.detected += outcomes.iter().filter(|o| o.detected).count();
                     campaign_state.states[chunk] = ChunkState::Done { outcomes };
@@ -542,29 +539,22 @@ impl Coordinator {
         accepted
     }
 
-    /// Registers a campaign over `fault_ids` (sharded per the configured
-    /// chunk size) and returns its id. `spec.id` and `spec.faults` are
-    /// overwritten with the assigned id and the fault count. A `trace`
-    /// context is stamped into every lease grant of the campaign and
-    /// turns on worker-span collection for it.
-    pub fn submit(
-        &self,
-        mut spec: CampaignSpec,
-        fault_ids: Vec<usize>,
-        trace: Option<TraceContext>,
-    ) -> u64 {
-        let chunks = plan(fault_ids.len(), self.cfg.chunk_size);
+    /// Registers a campaign over the fault ids `0..spec.faults` (sharded
+    /// per the configured chunk size) and returns its id, which
+    /// overwrites `spec.id`. A `trace` context is stamped into every
+    /// lease grant of the campaign and turns on worker-span collection
+    /// for it.
+    pub fn submit(&self, mut spec: CampaignSpec, trace: Option<TraceContext>) -> u64 {
+        let chunks = plan(spec.faults, self.cfg.chunk_size);
         let states = chunks.iter().map(|_| ChunkState::Pending { epoch: 0 }).collect();
         let mut state = self.state.lock();
         let id = state.next_campaign;
         state.next_campaign += 1;
         spec.id = id;
-        spec.faults = fault_ids.len();
         state.campaigns.insert(
             id,
             CampaignState {
                 spec,
-                fault_ids,
                 chunks,
                 states,
                 done: 0,
@@ -583,7 +573,7 @@ impl Coordinator {
     }
 
     /// Blocks until `campaign` completes, streaming progress through
-    /// `on_progress`, and returns its merged outcomes in fault-list
+    /// `on_progress`, and returns its merged outcomes in fault-id
     /// order — bit-identical to a single-process campaign over the same
     /// ids. The campaign is removed from the coordinator on return.
     ///
@@ -665,7 +655,7 @@ impl Coordinator {
     fn progress_of(campaign: &CampaignState) -> CampaignProgress {
         CampaignProgress {
             done: campaign.done_faults,
-            total: campaign.fault_ids.len(),
+            total: campaign.spec.faults,
             detected: campaign.detected,
         }
     }

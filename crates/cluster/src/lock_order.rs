@@ -13,20 +13,21 @@
 /// Lock names in their required acquisition order (earlier first).
 ///
 /// Since the guard narrowing driven by `snn-lint`'s `L-HELDLOCK` pass
-/// (DESIGN.md §15), no service lock nests inside another in practice —
-/// the static acquisition graph built by `L-LOCKGRAPH` has no edges
-/// among these locks. The ranks are kept anyway: they document the only
-/// nestings that would ever be legal, and the runtime detector still
-/// catches regressions reaching a lock through a path the static pass
-/// cannot see (trait objects, function pointers).
+/// (DESIGN.md §15), the progress sink is the one place where a service
+/// lock nests inside another. The ranks document the only nestings that
+/// would ever be legal, and the runtime detector still catches
+/// regressions reaching a lock through a path the static pass cannot
+/// see (trait objects, function pointers).
 ///
 /// * `service.queue` guards only the queue itself: the capacity check,
 ///   the push and the pop each take it briefly. `JobStore::submit`
 ///   persists to disk and therefore runs *between* two short queue
 ///   critical sections, not under one.
-/// * `service.sink.last_persist` guards only the throttle decision on
-///   the progress path; the persisting `JobStore::update` runs after the
-///   guard is released.
+/// * `service.sink.last_persist` orders one job's progress events: the
+///   stale-tally check, the in-memory store update and the bus publish
+///   (hence its rank before both) are one critical section, so crossed
+///   emissions of campaign threads cannot be forwarded out of order. The
+///   persisting `JobStore::update` runs after the guard is released.
 /// * `service.running` is held only to insert/remove/clone cancellation
 ///   tokens — tokens are cloned out before `cancel()` is called. It sits
 ///   between the queue and the store so a future "queue → running"

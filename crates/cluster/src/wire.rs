@@ -1,4 +1,4 @@
-//! Protocol v8: the coordinator/worker messages of distributed
+//! Protocol v9: the coordinator/worker messages of distributed
 //! campaigns, plus the newline-JSON line codec both the job server and
 //! the cluster share.
 //!
@@ -19,10 +19,12 @@ use std::io::{BufRead, Read, Write};
 /// mixed cluster fails with a one-line error before its first lease.
 /// Additions since v3 that are `Option` fields (reliability payloads,
 /// [`TraceContext`], the `engine` selector) still decode when absent;
-/// v7 made [`WorkerMsg::Result`] columnar ([`ChunkOutcomes`]) and v8
+/// v7 made [`WorkerMsg::Result`] columnar ([`ChunkOutcomes`]), v8
 /// reduced the `FaultSimConfig` inside [`CampaignSpec`] to `threads`,
-/// `record_class_diffs` and `engine`.
-pub const PROTOCOL_VERSION: u64 = 8;
+/// `record_class_diffs` and `engine`, and v9 dropped the explicit id
+/// list from [`LeaseGrant`]: a campaign's fault list is `0..faults`, so
+/// the grant's [`ChunkRange`] is the list.
+pub const PROTOCOL_VERSION: u64 = 9;
 
 /// Longest line [`read_raw_line`] accepts. The largest legitimate line
 /// is a [`CampaignSpec`] carrying an events text.
@@ -81,22 +83,21 @@ pub struct CampaignSpec {
     /// Simulator configuration. Workers override `threads` with their
     /// own `--threads` setting — thread count never changes verdicts.
     pub sim: FaultSimConfig,
-    /// Total faults in the campaign's fault list (diagnostics only; the
-    /// authoritative list is carried per-lease as explicit ids).
+    /// Faults in the campaign: its fault list is the ids `0..faults` of
+    /// the standard universe (configuration indices for a reliability
+    /// campaign), sharded into the [`ChunkRange`]s leases carry.
     pub faults: usize,
     /// Reliability-campaign payload (protocol v4). When present the
-    /// campaign scores accuracy impact instead of detection: lease
-    /// `fault_ids` are fault-*configuration* indices re-sampled
+    /// campaign scores accuracy impact instead of detection: leased
+    /// ranges are fault-*configuration* indices re-sampled
     /// worker-side from this spec, and `events` may be empty (the
     /// evaluation set is procedural). `None` — the v3 wire shape — means
     /// a plain detection campaign.
     pub reliability: Option<snn_reliability::ReliabilitySpec>,
 }
 
-/// One granted lease: the chunk, its fencing epoch, and the explicit
-/// fault ids to simulate (which makes collapsed campaigns — whose fault
-/// list is the representative subset — need no worker-side knowledge of
-/// collapsing).
+/// One granted lease: the chunk — the range of fault ids to simulate —
+/// and its fencing epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeaseGrant {
     /// Unique lease id (never reused within a coordinator's lifetime).
@@ -108,8 +109,6 @@ pub struct LeaseGrant {
     /// Fencing epoch of the chunk: bumped every time the chunk is
     /// re-issued, so results from expired leases are recognizably stale.
     pub epoch: u64,
-    /// Universe fault ids to simulate, in outcome order.
-    pub fault_ids: Vec<usize>,
     /// Milliseconds until the lease expires unless heartbeats extend it.
     pub deadline_in_ms: u64,
     /// Trace context of a traced campaign (protocol v5). `None` — the
@@ -118,8 +117,8 @@ pub struct LeaseGrant {
     pub trace: Option<TraceContext>,
 }
 
-/// One chunk's outcomes as columns, in lease `fault_ids` order. The ids
-/// themselves stay behind: the coordinator holds the list it leased and
+/// One chunk's outcomes as columns, in fault-id order. The ids
+/// themselves stay behind: the coordinator holds the range it leased and
 /// stamps it back on with [`into_rows`](Self::into_rows), so a result
 /// can neither relabel a fault nor pay to repeat what both sides know.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -150,9 +149,9 @@ impl ChunkOutcomes {
         Self { detected, distance, class_diff }
     }
 
-    /// Reassembles rows against the `ids` the chunk was leased under.
+    /// Reassembles rows against the id range the chunk was leased under.
     /// `None` unless every column has exactly `ids.len()` entries.
-    pub fn into_rows(self, ids: &[usize]) -> Option<Vec<FaultOutcome>> {
+    pub fn into_rows(self, ids: std::ops::Range<usize>) -> Option<Vec<FaultOutcome>> {
         let n = ids.len();
         if self.detected.len() != n
             || self.distance.len() != n
@@ -162,10 +161,9 @@ impl ChunkOutcomes {
         }
         let mut diffs = self.class_diff.map(Vec::into_iter);
         Some(
-            ids.iter()
-                .zip(self.detected)
+            ids.zip(self.detected)
                 .zip(self.distance)
-                .map(|((&fault_id, detected), distance)| FaultOutcome {
+                .map(|((fault_id, detected), distance)| FaultOutcome {
                     fault_id,
                     detected,
                     distance,
@@ -227,7 +225,7 @@ pub enum WorkerMsg {
         chunk: usize,
         /// The fencing epoch from the lease.
         epoch: u64,
-        /// Per-fault outcomes, in lease `fault_ids` order.
+        /// Per-fault outcomes, in the leased chunk's id order.
         outcomes: ChunkOutcomes,
         /// Finished trace spans of this chunk (protocol v5), present only
         /// when the lease carried a [`TraceContext`]. Span ids are local
@@ -413,7 +411,6 @@ mod tests {
             campaign: 2,
             chunk: ChunkRange { index: 1, start: 64, len: 64 },
             epoch: 3,
-            fault_ids: vec![64, 65, 66],
             deadline_in_ms: 5000,
             trace: Some(TraceContext { trace_id: 11, parent_span_id: 11 }),
         }
@@ -505,7 +502,7 @@ mod tests {
     /// never gets past `Hello`.)
     #[test]
     fn v4_messages_still_decode() {
-        let v4_grant = r#"{"Granted":{"lease":7,"campaign":2,"chunk":{"index":1,"start":64,"len":64},"epoch":3,"fault_ids":[64],"deadline_in_ms":5000}}"#;
+        let v4_grant = r#"{"Granted":{"lease":7,"campaign":2,"chunk":{"index":1,"start":64,"len":64},"epoch":3,"deadline_in_ms":5000}}"#;
         let msg: CoordMsg = serde::json::from_str(v4_grant).unwrap();
         let CoordMsg::Granted(g) = msg else { panic!("not a grant") };
         assert_eq!(g.lease, 7);
@@ -582,7 +579,7 @@ mod tests {
             }];
             let sent = ChunkOutcomes::from_rows(rows.clone());
             let s = serde::json::to_string(&sent);
-            let back = over_the_wire(&sent).into_rows(&[1]).unwrap();
+            let back = over_the_wire(&sent).into_rows(1..2).unwrap();
             assert_eq!(bits_of(&back), bits_of(&rows), "wire mangled {bits:#x} ({s})");
         }
     }
@@ -593,10 +590,10 @@ mod tests {
         /// through JSON for every float JSON can carry.
         #[test]
         fn columns_round_trip_rows_bit_for_bit(
-            // (fault id, detected, distance bits, has diff, diff bits)
+            start in 0usize..1_000_000,
+            // (detected, distance bits, has diff, diff bits)
             drawn in proptest::collection::vec(
                 (
-                    0usize..1_000_000,
                     proptest::bool::ANY,
                     0u32..u32::MAX,
                     proptest::bool::ANY,
@@ -609,8 +606,9 @@ mod tests {
             let row = |float: fn(u32) -> f32| -> Vec<FaultOutcome> {
                 drawn
                     .iter()
-                    .map(|(fault_id, detected, distance, has_diff, diff)| FaultOutcome {
-                        fault_id: *fault_id,
+                    .enumerate()
+                    .map(|(i, (detected, distance, has_diff, diff))| FaultOutcome {
+                        fault_id: start + i,
                         detected: *detected,
                         distance: float(*distance),
                         // 0: none, 1: all, 2: mixed.
@@ -619,7 +617,7 @@ mod tests {
                     })
                     .collect()
             };
-            let ids: Vec<usize> = drawn.iter().map(|d| d.0).collect();
+            let ids = start..start + drawn.len();
 
             let raw = row(f32::from_bits);
             let columns = ChunkOutcomes::from_rows(raw.clone());
@@ -627,11 +625,11 @@ mod tests {
                 columns.class_diff.is_some(),
                 raw.iter().any(|o| o.class_diff.is_some())
             );
-            proptest::prop_assert_eq!(bits_of(&columns.into_rows(&ids).unwrap()), bits_of(&raw));
+            proptest::prop_assert_eq!(bits_of(&columns.into_rows(ids.clone()).unwrap()), bits_of(&raw));
 
             let exact = row(wire_exact);
             let sent = ChunkOutcomes::from_rows(exact.clone());
-            let back = over_the_wire(&sent).into_rows(&ids).unwrap();
+            let back = over_the_wire(&sent).into_rows(ids).unwrap();
             proptest::prop_assert_eq!(bits_of(&back), bits_of(&exact));
         }
     }
@@ -646,11 +644,11 @@ mod tests {
                 class_diff: Some(vec![0.5]),
             })
             .collect();
-        let ids = [10, 11, 12];
+        let ids = 10..13;
         let good = ChunkOutcomes::from_rows(rows.clone());
-        assert_eq!(good.clone().into_rows(&ids), Some(rows));
-        assert_eq!(good.clone().into_rows(&ids[..2]), None, "more rows than leased ids");
-        assert_eq!(good.clone().into_rows(&[10, 11, 12, 13]), None, "fewer rows than leased ids");
+        assert_eq!(good.clone().into_rows(ids.clone()), Some(rows));
+        assert_eq!(good.clone().into_rows(10..12), None, "more rows than leased ids");
+        assert_eq!(good.clone().into_rows(10..14), None, "fewer rows than leased ids");
 
         let breakers: [fn(&mut ChunkOutcomes); 6] = [
             |c| c.detected.truncate(2),
@@ -663,12 +661,12 @@ mod tests {
         for (i, break_it) in breakers.iter().enumerate() {
             let mut bad = good.clone();
             break_it(&mut bad);
-            assert_eq!(bad.into_rows(&ids), None, "breaker {i}");
+            assert_eq!(bad.into_rows(ids.clone()), None, "breaker {i}");
         }
 
         let empty = ChunkOutcomes::from_rows(Vec::new());
         assert_eq!(empty.class_diff, None);
-        assert_eq!(empty.into_rows(&[]), Some(Vec::new()));
+        assert_eq!(empty.into_rows(0..0), Some(Vec::new()));
     }
 
     #[test]

@@ -317,7 +317,7 @@ fn lease_loop(
         let mut span = snn_obs::span!("cluster.chunk");
         span.attr("lease", grant.lease);
         span.attr("chunk", grant.chunk.index);
-        let outcome = prepared.run_chunk(&grant.fault_ids, &cancel);
+        let outcome = prepared.run_chunk(grant.chunk.range(), &cancel);
         drop(span);
         session.lock().current = None;
         // Drain even when the grant is untraced or the chunk was

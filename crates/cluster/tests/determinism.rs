@@ -64,8 +64,7 @@ fn distributed_campaign(
     chunk_size: usize,
 ) -> Vec<FaultOutcome> {
     let net = build_model(&spec.model).unwrap();
-    let universe = FaultUniverse::standard(&net);
-    let fault_ids: Vec<usize> = (0..universe.len()).collect();
+    let spec = CampaignSpec { faults: FaultUniverse::standard(&net).len(), ..spec.clone() };
 
     let coord = Arc::new(Coordinator::new(CoordinatorConfig {
         chunk_size,
@@ -73,7 +72,7 @@ fn distributed_campaign(
         heartbeat_ms: 1000,
         idle_retry_ms: 1,
     }));
-    let campaign = coord.submit(spec.clone(), fault_ids, None);
+    let campaign = coord.submit(spec, None);
 
     let handles: Vec<_> = (0..workers)
         .map(|w| {
@@ -95,8 +94,9 @@ fn distributed_campaign(
                                     prepared.as_ref().unwrap()
                                 }
                             };
-                            let outcomes =
-                                p.run_chunk(&grant.fault_ids, &CancelToken::new()).expect("chunk");
+                            let outcomes = p
+                                .run_chunk(grant.chunk.range(), &CancelToken::new())
+                                .expect("chunk");
                             assert!(coord.result(
                                 &name,
                                 grant.lease,

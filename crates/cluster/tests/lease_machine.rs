@@ -23,15 +23,16 @@ const NEVER_MS: u64 = 60_000;
 /// How long a woken call may take to come back on a loaded machine.
 const PROMPT: Duration = Duration::from_secs(10);
 
-fn spec() -> CampaignSpec {
-    // The coordinator never materializes the payload — only workers do —
-    // so a nominal spec is enough here.
+/// A campaign over the fault ids `0..faults`. The coordinator never
+/// materializes the payload — only workers do — so a nominal spec is
+/// enough here.
+fn spec(faults: usize) -> CampaignSpec {
     CampaignSpec {
         id: 0,
         model: ModelSpec::Synthetic { inputs: 3, hidden: vec![4], outputs: 2, seed: 7 },
         events: vec!["# snn-mtfc test: 1 ticks x 3 features, 1 chunks\n0 0\n".into()],
         sim: FaultSimConfig::default(),
-        faults: 0,
+        faults,
         reliability: None,
     }
 }
@@ -80,10 +81,10 @@ fn parked_grant(
 fn a_parked_grant_gets_its_lease_when_a_campaign_is_submitted() {
     let (coord, parked) = parked_grant(5000, NEVER_MS, "w1");
     let submitted = Instant::now();
-    coord.submit(spec(), (0..3).collect(), None);
+    coord.submit(spec(3), None);
     let Grant::Lease(grant) = parked.join().unwrap() else { panic!("expected a lease") };
     assert!(submitted.elapsed() < PROMPT, "woken by submit, not by the {NEVER_MS} ms bound");
-    assert_eq!(grant.fault_ids, vec![0, 1]);
+    assert_eq!(grant.chunk.range(), 0..2);
     let held = coord.status().workers[0].lease.expect("the parked worker now holds the lease");
     assert_eq!(held.lease, grant.lease);
 }
@@ -122,9 +123,8 @@ fn a_grant_swallowed_by_a_vanished_worker_costs_one_lease_period() {
     // request, and a fresh request sweeps for expired leases.
     let (coord, ghost) = parked_grant(200, 20, "ghost");
     coord.hello("w2");
-    let fault_ids: Vec<usize> = (0..6).collect();
     let submitted = Instant::now();
-    let campaign = coord.submit(spec(), fault_ids.clone(), None);
+    let campaign = coord.submit(spec(6), None);
     let Grant::Lease(swallowed) = ghost.join().unwrap() else { panic!("expected a lease") };
 
     let live = {
@@ -132,7 +132,7 @@ fn a_grant_swallowed_by_a_vanished_worker_costs_one_lease_period() {
         std::thread::spawn(move || loop {
             match coord.grant("w2") {
                 Grant::Lease(g) => {
-                    let rows = fake_outcomes(&g.fault_ids);
+                    let rows = fake_outcomes(g.chunk.range());
                     assert!(coord.result(
                         "w2",
                         g.lease,
@@ -153,7 +153,7 @@ fn a_grant_swallowed_by_a_vanished_worker_costs_one_lease_period() {
     coord.shutdown();
     live.join().unwrap();
 
-    assert_eq!(merged, fake_rows(&fault_ids), "verdicts are exact despite the lost grant");
+    assert_eq!(merged, fake_rows(0..6), "verdicts are exact despite the lost grant");
     assert!(took >= lease, "the swallowed chunk waited for its lease to expire ({took:?})");
     assert!(took < lease + PROMPT, "and for nothing else ({took:?})");
     let status = coord.status();
@@ -162,20 +162,18 @@ fn a_grant_swallowed_by_a_vanished_worker_costs_one_lease_period() {
     assert_eq!(status.chunks_completed, 3);
 }
 
-fn fake_rows(fault_ids: &[usize]) -> Vec<FaultOutcome> {
-    fault_ids
-        .iter()
-        .map(|&id| FaultOutcome {
-            fault_id: id,
-            detected: id % 2 == 0,
-            distance: id as f32 * 0.5,
-            class_diff: None,
-        })
-        .collect()
+fn fake_rows(ids: std::ops::Range<usize>) -> Vec<FaultOutcome> {
+    ids.map(|id| FaultOutcome {
+        fault_id: id,
+        detected: id % 2 == 0,
+        distance: id as f32 * 0.5,
+        class_diff: None,
+    })
+    .collect()
 }
 
-fn fake_outcomes(fault_ids: &[usize]) -> ChunkOutcomes {
-    ChunkOutcomes::from_rows(fake_rows(fault_ids))
+fn fake_outcomes(ids: std::ops::Range<usize>) -> ChunkOutcomes {
+    ChunkOutcomes::from_rows(fake_rows(ids))
 }
 
 #[test]
@@ -183,7 +181,7 @@ fn idle_until_a_campaign_arrives() {
     let coord = coordinator(4, 5000);
     coord.hello("w1");
     assert!(matches!(coord.grant("w1"), Grant::Idle { .. }));
-    coord.submit(spec(), (0..3).collect(), None);
+    coord.submit(spec(3), None);
     assert!(matches!(coord.grant("w1"), Grant::Lease(_)));
 }
 
@@ -192,11 +190,11 @@ fn expired_lease_is_reissued_under_a_bumped_epoch_and_stale_results_bounce() {
     let coord = coordinator(4, 80);
     coord.hello("w1");
     coord.hello("w2");
-    let campaign = coord.submit(spec(), (0..10).collect(), None);
+    let campaign = coord.submit(spec(10), None);
 
     let Grant::Lease(first) = coord.grant("w1") else { panic!("expected a lease") };
     assert_eq!(first.epoch, 0);
-    assert_eq!(first.fault_ids, vec![0, 1, 2, 3]);
+    assert_eq!(first.chunk.range(), 0..4);
 
     // Let the lease rot well past its deadline, then hand out work again:
     // the same chunk comes back first, under a new lease and epoch 1.
@@ -213,7 +211,7 @@ fn expired_lease_is_reissued_under_a_bumped_epoch_and_stale_results_bounce() {
         campaign,
         first.chunk.index,
         first.epoch,
-        fake_outcomes(&first.fault_ids),
+        fake_outcomes(first.chunk.range()),
         None,
     );
     assert!(!stale, "stale (lease, epoch) results are rejected");
@@ -225,7 +223,7 @@ fn expired_lease_is_reissued_under_a_bumped_epoch_and_stale_results_bounce() {
         campaign,
         second.chunk.index,
         second.epoch,
-        fake_outcomes(&second.fault_ids),
+        fake_outcomes(second.chunk.range()),
         None,
     );
     assert!(fresh, "live results are accepted");
@@ -240,7 +238,7 @@ fn expired_lease_is_reissued_under_a_bumped_epoch_and_stale_results_bounce() {
 fn heartbeats_keep_a_slow_lease_alive() {
     let coord = coordinator(8, 150);
     coord.hello("w1");
-    let campaign = coord.submit(spec(), (0..8).collect(), None);
+    let campaign = coord.submit(spec(8), None);
     let Grant::Lease(grant) = coord.grant("w1") else { panic!("expected a lease") };
 
     // Simulate a slow chunk: 6 × 60 ms ≫ the 150 ms lease, kept alive by
@@ -255,7 +253,7 @@ fn heartbeats_keep_a_slow_lease_alive() {
         campaign,
         grant.chunk.index,
         grant.epoch,
-        fake_outcomes(&grant.fault_ids),
+        fake_outcomes(grant.chunk.range()),
         None,
     ));
     assert!(!coord.heartbeat("w1", grant.lease), "a completed lease no longer beats");
@@ -268,12 +266,12 @@ fn heartbeats_keep_a_slow_lease_alive() {
 fn wrong_length_results_are_rejected() {
     let coord = coordinator(4, 5000);
     coord.hello("w1");
-    let campaign = coord.submit(spec(), (0..4).collect(), None);
+    let campaign = coord.submit(spec(4), None);
     let Grant::Lease(grant) = coord.grant("w1") else { panic!("expected a lease") };
-    let good = fake_outcomes(&grant.fault_ids);
+    let good = fake_outcomes(grant.chunk.range());
 
-    let fewer_rows = fake_outcomes(&grant.fault_ids[..2]);
-    let more_rows = fake_outcomes(&[0, 1, 2, 3, 4]);
+    let fewer_rows = fake_outcomes(0..2);
+    let more_rows = fake_outcomes(0..5);
     let mut short_distance = good.clone();
     short_distance.distance.pop();
     let mut long_detected = good.clone();
@@ -291,22 +289,29 @@ fn wrong_length_results_are_rejected() {
 
     assert!(coord.result("w1", grant.lease, campaign, grant.chunk.index, grant.epoch, good, None));
     let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
-    assert_eq!(merged, fake_rows(&grant.fault_ids));
+    assert_eq!(merged, fake_rows(grant.chunk.range()));
 }
 
 /// The coordinator stamps accepted outcomes with the ids it leased, so a
-/// result cannot speak for a fault outside its chunk.
+/// result cannot speak for a fault outside its chunk: rows a worker built
+/// for the ids 0..3 and sent under the lease of chunk 4..7 are the
+/// outcomes of 4, 5 and 6.
 #[test]
 fn accepted_outcomes_carry_the_leased_ids_not_the_senders() {
     let coord = coordinator(4, 5000);
     coord.hello("w1");
-    let leased_ids = vec![40, 7, 19];
-    let campaign = coord.submit(spec(), leased_ids.clone(), None);
+    let campaign = coord.submit(spec(7), None);
+    let Grant::Lease(first) = coord.grant("w1") else { panic!("expected a lease") };
+    let rows = fake_outcomes(first.chunk.range());
+    assert!(coord.result("w1", first.lease, campaign, 0, first.epoch, rows, None));
     let Grant::Lease(g) = coord.grant("w1") else { panic!("expected a lease") };
-    let relabelled = fake_outcomes(&[0, 1, 2]);
+    assert_eq!(g.chunk.range(), 4..7);
+    let relabelled = fake_outcomes(0..3);
     assert!(coord.result("w1", g.lease, campaign, g.chunk.index, g.epoch, relabelled, None));
     let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
-    assert_eq!(merged.iter().map(|o| o.fault_id).collect::<Vec<_>>(), leased_ids);
+    assert_eq!(merged.iter().map(|o| o.fault_id).collect::<Vec<_>>(), (0..7).collect::<Vec<_>>());
+    let sent: Vec<bool> = fake_rows(0..3).iter().map(|o| o.detected).collect();
+    assert_eq!(merged[4..].iter().map(|o| o.detected).collect::<Vec<_>>(), sent);
 }
 
 /// Chunks last a millisecond or two, so busy time must not be rounded
@@ -315,10 +320,10 @@ fn accepted_outcomes_carry_the_leased_ids_not_the_senders() {
 fn busy_time_accumulates_below_a_millisecond() {
     let coord = coordinator(1, 5000);
     coord.hello("w1");
-    let campaign = coord.submit(spec(), (0..20).collect(), None);
+    let campaign = coord.submit(spec(20), None);
     while let Grant::Lease(g) = coord.grant("w1") {
         std::thread::sleep(Duration::from_micros(300));
-        let rows = fake_outcomes(&g.fault_ids);
+        let rows = fake_outcomes(g.chunk.range());
         assert!(coord.result("w1", g.lease, campaign, g.chunk.index, g.epoch, rows, None));
     }
     let busy_ms = coord.status().workers[0].busy_ms;
@@ -329,14 +334,12 @@ fn busy_time_accumulates_below_a_millisecond() {
 fn completed_campaign_merges_in_fault_list_order() {
     let coord = coordinator(3, 5000);
     coord.hello("w1");
-    // Deliberately scrambled fault ids: merge order is fault-list order,
-    // not id order.
-    let fault_ids: Vec<usize> = vec![9, 2, 7, 0, 5, 1, 8, 3, 6, 4];
-    let campaign = coord.submit(spec(), fault_ids.clone(), None);
+    let campaign = coord.submit(spec(10), None);
 
-    // Play a single worker draining the queue out of chunk order is not
-    // possible through grant() (it hands chunks in order), but results
-    // can arrive in any order; complete them reversed.
+    // Merge order is fault-list order, not arrival order. A single
+    // worker cannot drain the queue out of chunk order through grant()
+    // (it hands chunks in order), but results can arrive in any order;
+    // complete them reversed.
     let mut grants = Vec::new();
     while let Grant::Lease(g) = coord.grant("w1") {
         grants.push(g);
@@ -349,7 +352,7 @@ fn completed_campaign_merges_in_fault_list_order() {
             campaign,
             g.chunk.index,
             g.epoch,
-            fake_outcomes(&g.fault_ids),
+            fake_outcomes(g.chunk.range()),
             None
         ));
     }
@@ -358,8 +361,8 @@ fn completed_campaign_merges_in_fault_list_order() {
     let merged =
         coord.wait(campaign, &CancelToken::new(), |p: CampaignProgress| seen.push(p)).unwrap();
     let got: Vec<usize> = merged.iter().map(|o| o.fault_id).collect();
-    assert_eq!(got, fault_ids, "merged outcomes follow fault-list order");
-    assert_eq!(merged, fake_rows(&fault_ids), "verdicts survive the round trip");
+    assert_eq!(got, (0..10).collect::<Vec<_>>(), "merged outcomes follow fault-list order");
+    assert_eq!(merged, fake_rows(0..10), "verdicts survive the round trip");
 
     let status = coord.status();
     assert_eq!(status.campaigns_active, 0, "waited campaigns are retired");
@@ -370,7 +373,7 @@ fn completed_campaign_merges_in_fault_list_order() {
 #[test]
 fn empty_campaign_completes_immediately() {
     let coord = coordinator(4, 5000);
-    let campaign = coord.submit(spec(), Vec::new(), None);
+    let campaign = coord.submit(spec(0), None);
     let merged = coord.wait(campaign, &CancelToken::new(), |_| {}).unwrap();
     assert!(merged.is_empty());
 }
@@ -385,7 +388,7 @@ fn waiting_on_an_unknown_campaign_is_a_typed_error() {
 #[test]
 fn cancellation_aborts_a_wait() {
     let coord = coordinator(4, 5000);
-    let campaign = coord.submit(spec(), (0..4).collect(), None);
+    let campaign = coord.submit(spec(4), None);
     let cancel = CancelToken::new();
     cancel.cancel();
     let err = coord.wait(campaign, &cancel, |_| {}).unwrap_err();
@@ -395,7 +398,7 @@ fn cancellation_aborts_a_wait() {
 #[test]
 fn shutdown_reaches_waiters_and_workers() {
     let coord = std::sync::Arc::new(coordinator(4, 5000));
-    let campaign = coord.submit(spec(), (0..4).collect(), None);
+    let campaign = coord.submit(spec(4), None);
     let waiter = {
         let coord = std::sync::Arc::clone(&coord);
         std::thread::spawn(move || coord.wait(campaign, &CancelToken::new(), |_| {}))
@@ -423,8 +426,7 @@ fn wait_for_workers_reports_the_shortfall() {
 fn progress_reports_are_monotonic_while_chunks_land() {
     let coord = std::sync::Arc::new(coordinator(2, 5000));
     coord.hello("w1");
-    let fault_ids: Vec<usize> = (0..6).collect();
-    let campaign = coord.submit(spec(), fault_ids.clone(), None);
+    let campaign = coord.submit(spec(6), None);
     let worker = {
         let coord = std::sync::Arc::clone(&coord);
         std::thread::spawn(move || {
@@ -436,7 +438,7 @@ fn progress_reports_are_monotonic_while_chunks_land() {
                     campaign,
                     g.chunk.index,
                     g.epoch,
-                    fake_outcomes(&g.fault_ids),
+                    fake_outcomes(g.chunk.range()),
                     None
                 ));
             }

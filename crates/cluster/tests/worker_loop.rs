@@ -44,7 +44,6 @@ fn grant(index: usize) -> CoordMsg {
         campaign: CAMPAIGN,
         chunk,
         epoch: 0,
-        fault_ids: chunk.range().collect(),
         deadline_in_ms: 5000,
         trace: None,
     })
@@ -154,8 +153,8 @@ fn the_worker_pairs_each_result_with_its_next_lease_request() {
     // What travelled as columns is what a local run of the same ids says.
     let prepared = PreparedCampaign::new(&campaign_spec(), Some(1)).unwrap();
     for (index, columns) in got.into_iter().enumerate() {
-        let ids: Vec<usize> = (index * CHUNK..(index + 1) * CHUNK).collect();
-        let local = prepared.run_chunk(&ids, &CancelToken::new()).unwrap();
-        assert_eq!(columns.into_rows(&ids), Some(local), "chunk {index}");
+        let ids = index * CHUNK..(index + 1) * CHUNK;
+        let local = prepared.run_chunk(ids.clone(), &CancelToken::new()).unwrap();
+        assert_eq!(columns.into_rows(ids), Some(local), "chunk {index}");
     }
 }

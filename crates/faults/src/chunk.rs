@@ -1,5 +1,5 @@
 //! Chunk-addressable campaigns: deterministic sharding of a fault list
-//! into contiguous id ranges, subset simulation by explicit fault ids,
+//! into contiguous id ranges, simulation of one range of the universe,
 //! exact merging of per-chunk outcomes, and a campaign verdict digest.
 //!
 //! This is the substrate of `snn-cluster`'s distributed campaigns: the
@@ -13,7 +13,7 @@
 
 use crate::progress::{CancelToken, ProgressSink};
 use crate::sim::{CampaignError, FaultOutcome, FaultSimulator};
-use crate::{Fault, FaultUniverse};
+use crate::FaultUniverse;
 use serde::{Deserialize, Serialize};
 
 /// One contiguous chunk of a campaign's fault list.
@@ -28,9 +28,11 @@ pub struct ChunkRange {
 }
 
 impl ChunkRange {
-    /// The half-open fault-list range this chunk covers.
+    /// The half-open fault-list range this chunk covers (a chunk read
+    /// off the wire may end past `usize::MAX`; it is cut there, and is
+    /// then past any universe).
     pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.len
+        self.start..self.start.saturating_add(self.len)
     }
 }
 
@@ -51,7 +53,7 @@ pub fn plan(total: usize, chunk_size: usize) -> Vec<ChunkRange> {
     chunks
 }
 
-/// Error from a chunk campaign over explicit fault ids.
+/// Error from a chunk campaign over a range of fault ids.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChunkCampaignError {
     /// A requested fault id is not present in the universe.
@@ -91,39 +93,19 @@ impl std::error::Error for ChunkCampaignError {
     }
 }
 
-/// Resolves explicit fault ids against a universe, in the given order.
-///
-/// # Errors
-///
-/// [`ChunkCampaignError::UnknownFault`] on the first id outside the
-/// universe.
-pub fn select_faults(
-    universe: &FaultUniverse,
-    fault_ids: &[usize],
-) -> Result<Vec<Fault>, ChunkCampaignError> {
-    fault_ids
-        .iter()
-        .map(|&id| {
-            universe.get(id).copied().ok_or(ChunkCampaignError::UnknownFault {
-                fault_id: id,
-                universe_len: universe.len(),
-            })
-        })
-        .collect()
-}
-
 impl FaultSimulator<'_> {
-    /// Runs a detection campaign over an explicit list of fault ids — the
-    /// chunk-execution primitive of distributed campaigns. Outcomes come
-    /// back in the order of `fault_ids` and are bit-identical to the
-    /// corresponding entries of a whole-list [`detect_with`] run.
+    /// Runs a detection campaign over the faults whose ids lie in `ids` —
+    /// the chunk-execution primitive of distributed campaigns. Outcomes
+    /// come back in id order and are bit-identical to the corresponding
+    /// entries of a whole-universe [`detect_with`] run.
     ///
     /// [`detect_with`]: FaultSimulator::detect_with
     ///
     /// # Errors
     ///
-    /// [`ChunkCampaignError::UnknownFault`] for ids outside `universe`;
-    /// otherwise any [`CampaignError`] of the underlying campaign.
+    /// [`ChunkCampaignError::UnknownFault`], naming the first id outside
+    /// `universe`, when the range does not lie inside it; otherwise any
+    /// [`CampaignError`] of the underlying campaign.
     ///
     /// # Panics
     ///
@@ -131,13 +113,17 @@ impl FaultSimulator<'_> {
     pub fn detect_chunk_with(
         &self,
         universe: &FaultUniverse,
-        fault_ids: &[usize],
+        ids: std::ops::Range<usize>,
         tests: &[snn_tensor::Tensor],
         sink: &dyn ProgressSink,
         cancel: &CancelToken,
     ) -> Result<Vec<FaultOutcome>, ChunkCampaignError> {
-        let faults = select_faults(universe, fault_ids)?;
-        let outcome = self.detect_with(universe, &faults, tests, sink, cancel)?;
+        let faults =
+            universe.faults().get(ids.clone()).ok_or(ChunkCampaignError::UnknownFault {
+                fault_id: ids.start.max(universe.len()),
+                universe_len: universe.len(),
+            })?;
+        let outcome = self.detect_with(universe, faults, tests, sink, cancel)?;
         Ok(outcome.per_fault)
     }
 }
@@ -290,10 +276,9 @@ mod tests {
             let parts: Vec<Vec<FaultOutcome>> = chunks
                 .iter()
                 .map(|c| {
-                    let ids: Vec<usize> = c.range().collect();
                     sim.detect_chunk_with(
                         &u,
-                        &ids,
+                        c.range(),
                         std::slice::from_ref(&test),
                         &NullSink,
                         &CancelToken::new(),
@@ -312,35 +297,30 @@ mod tests {
     }
 
     #[test]
-    fn unknown_fault_id_is_a_typed_error() {
+    fn a_range_outside_the_universe_is_a_typed_error_naming_the_first_unknown_id() {
         let (net, u, test) = setup();
         let sim = FaultSimulator::new(&net, FaultSimConfig::default());
-        let err = sim
-            .detect_chunk_with(
+        let run = |ids| {
+            sim.detect_chunk_with(
                 &u,
-                &[u.len() + 5],
+                ids,
                 std::slice::from_ref(&test),
                 &NullSink,
                 &CancelToken::new(),
             )
-            .unwrap_err();
-        assert!(matches!(err, ChunkCampaignError::UnknownFault { .. }), "{err}");
-    }
-
-    #[test]
-    fn select_faults_keeps_order_and_duplicates_and_rejects_ids_past_the_end() {
-        let (_, u, _) = setup();
-        let ids = [7, 0, 7, u.len() - 1, 3, 3];
-        let picked = select_faults(&u, &ids).unwrap();
-        assert_eq!(picked.iter().map(|f| f.id).collect::<Vec<_>>(), ids);
-        for f in &picked {
-            assert_eq!(*f, u.faults()[f.id], "the universe's own entry, not a lookalike");
-        }
-        assert_eq!(select_faults(&u, &[]).unwrap(), Vec::new());
-        for bad in [u.len(), usize::MAX] {
+        };
+        let n = u.len();
+        assert_eq!(run(0..0).unwrap(), Vec::new());
+        assert_eq!(run(n..n).unwrap(), Vec::new());
+        assert_eq!(
+            run(n - 2..n).unwrap().iter().map(|o| o.fault_id).collect::<Vec<_>>(),
+            [n - 2, n - 1]
+        );
+        let hostile = ChunkRange { index: 0, start: 3, len: usize::MAX }.range();
+        for (ids, first_unknown) in [(0..n + 1, n), (n + 5..n + 6, n + 5), (hostile, n)] {
             assert_eq!(
-                select_faults(&u, &[0, bad]).unwrap_err(),
-                ChunkCampaignError::UnknownFault { fault_id: bad, universe_len: u.len() }
+                run(ids).unwrap_err(),
+                ChunkCampaignError::UnknownFault { fault_id: first_unknown, universe_len: n }
             );
         }
     }

@@ -39,9 +39,8 @@
 //! [`Engine::Packed`](crate::Engine::Packed): it plans the packs, runs
 //! them and returns outcomes **bit-identical** to the scalar engine's —
 //! same per-fault detection flags, distances, class diffs and therefore
-//! the same [`verdict_digest`](crate::verdict_digest). Cluster chunking,
-//! collapsed-universe expansion and reliability campaigns ride on top
-//! unchanged.
+//! the same [`verdict_digest`](crate::verdict_digest). Cluster chunking
+//! and reliability campaigns ride on top unchanged.
 //!
 //! [`FaultSimulator::detect_with`]: crate::FaultSimulator::detect_with
 

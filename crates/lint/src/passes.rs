@@ -304,7 +304,7 @@ fn is_reproducible_crate(path: &str) -> bool {
 fn is_digest_crate(path: &str) -> bool {
     // The crates whose outputs are gated on digest equality: fault
     // verdicts (faults), sharded merge (cluster), campaign distribution
-    // (reliability) and collapse/expansion (analyze). crates/service is
+    // (reliability) and the dead mask that shapes stimuli (analyze). crates/service is
     // deliberately out: job metadata legitimately carries wall-clock
     // timestamps and never feeds a verdict digest.
     crate::taint::in_digest_crates(path)

@@ -1,8 +1,8 @@
 //! Interprocedural determinism-taint analysis (L-DET-FLOW, L-DET-ITER).
 //!
-//! The repo's load-bearing guarantee — collapsed-campaign expansion,
-//! cluster merge, reliability distribution — is *bitwise-identical*
-//! verdicts and FNV digests. This module proves, statically and
+//! The repo's load-bearing guarantee — the dead mask that shapes a
+//! stimulus, cluster merge, reliability distribution — is
+//! *bitwise-identical* verdicts and FNV digests. This module proves, statically and
 //! conservatively, that no nondeterministic value can flow into a
 //! serialized result:
 //!

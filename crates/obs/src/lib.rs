@@ -20,7 +20,7 @@
 //! * [`profile`] — folds a trace into an aggregated span tree with
 //!   total/self time per node (the `snn profile` subcommand).
 //! * [`phase`] — atomics-only kernel-phase accumulator splitting
-//!   per-fault time into inject / forward-per-layer / compare / expand,
+//!   per-fault time into inject / forward-per-layer / compare,
 //!   published as synthetic `phase.*` spans and the
 //!   `snn profile --phases` table.
 //!

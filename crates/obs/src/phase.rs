@@ -4,9 +4,8 @@
 //! The per-fault loop in `snn-faults` spends its time in a handful of
 //! kernel phases — applying/restoring the fault patch (**inject**),
 //! simulating forward (**forward.l\<k\>**; the scalar engine books the
-//! suffix from `k`), comparing against the golden baseline (**compare**)
-//! — and the collapsed-campaign pipeline adds a per-representative
-//! **expand** phase after the loop. A [`PhaseAccumulator`] splits wall
+//! suffix from `k`), comparing against the golden baseline
+//! (**compare**). A [`PhaseAccumulator`] splits wall
 //! time across these phases using nothing but relaxed atomics, so the hot
 //! path can stay instrumented in release builds: one clock read per phase
 //! boundary plus one atomic RMW per touched slot per fault.
@@ -39,12 +38,11 @@ pub const MAX_FORWARD_LAYERS: usize = 16;
 
 const SLOT_INJECT: usize = 0;
 const SLOT_COMPARE: usize = 1;
-const SLOT_EXPAND: usize = 2;
-const SLOT_FAULT: usize = 3;
-const SLOT_PACK_PLAN: usize = 4;
-const SLOT_PACK_ASSIGN: usize = 5;
-const SLOT_PACK_RUN: usize = 6;
-const SLOT_FORWARD: usize = 7;
+const SLOT_FAULT: usize = 2;
+const SLOT_PACK_PLAN: usize = 3;
+const SLOT_PACK_ASSIGN: usize = 4;
+const SLOT_PACK_RUN: usize = 5;
+const SLOT_FORWARD: usize = 6;
 const SLOTS: usize = SLOT_FORWARD + MAX_FORWARD_LAYERS;
 
 /// A fixed, non-layer kernel phase of the fault-simulation pipeline.
@@ -57,17 +55,15 @@ pub enum Phase {
     /// Comparing simulated activity against the golden baseline (the
     /// output-distance verdict; the packed engine's divergence masks).
     Compare,
-    /// Expanding representative verdicts onto a collapsed fault universe.
-    Expand,
     /// One whole per-fault simulation — the attribution denominator for
     /// the in-loop phases. Under the packed engine, one whole per-pack
     /// run flushed with [`PhaseAccumulator::merge_pack`].
     Fault,
-    /// Grouping a fault list into ≤64-lane packs (packed engine,
-    /// campaign-level like [`Phase::Expand`]).
+    /// Grouping a fault list into ≤64-lane packs (packed engine, once
+    /// per campaign, outside [`Phase::Fault`]).
     PackPlan,
     /// Assigning bit lanes to the variants of each pack (packed engine,
-    /// campaign-level like [`Phase::Expand`]).
+    /// once per campaign, outside [`Phase::Fault`]).
     PackAssign,
     /// Per-pack word construction and lane bookkeeping that is neither
     /// forward simulation nor verdict comparison.
@@ -79,7 +75,6 @@ impl Phase {
         match self {
             Phase::Inject => SLOT_INJECT,
             Phase::Compare => SLOT_COMPARE,
-            Phase::Expand => SLOT_EXPAND,
             Phase::Fault => SLOT_FAULT,
             Phase::PackPlan => SLOT_PACK_PLAN,
             Phase::PackAssign => SLOT_PACK_ASSIGN,
@@ -96,7 +91,6 @@ fn slot_name(slot: usize) -> String {
     match slot {
         SLOT_INJECT => "phase.inject".to_string(),
         SLOT_COMPARE => "phase.compare".to_string(),
-        SLOT_EXPAND => "phase.expand".to_string(),
         SLOT_FAULT => "phase.fault".to_string(),
         SLOT_PACK_PLAN => "phase.pack.plan".to_string(),
         SLOT_PACK_ASSIGN => "phase.pack.assign".to_string(),
@@ -261,7 +255,7 @@ impl PhaseSnapshot {
     }
 
     /// Named rows for every slot with at least one sample, in fixed slot
-    /// order (inject, compare, expand, fault, pack.plan, pack.assign,
+    /// order (inject, compare, fault, pack.plan, pack.assign,
     /// pack.run, forward.l0…).
     pub fn entries(&self) -> Vec<PhaseEntry> {
         (0..SLOTS)
@@ -334,7 +328,7 @@ mod tests {
         assert_eq!(snap.total(Phase::Inject), Duration::from_millis(5));
         assert_eq!(snap.count(Phase::Inject), 2);
         assert_eq!(snap.total(Phase::Compare), Duration::from_millis(7));
-        assert_eq!(snap.total(Phase::Expand), Duration::ZERO);
+        assert_eq!(snap.total(Phase::PackPlan), Duration::ZERO);
     }
 
     #[test]
@@ -408,11 +402,11 @@ mod tests {
         let before = acc.snapshot();
         assert!(before.delta_since(&before).is_empty());
         acc.add(Phase::Inject, Duration::from_millis(2));
-        acc.add(Phase::Expand, Duration::from_millis(3));
+        acc.add(Phase::PackPlan, Duration::from_millis(3));
         let delta = acc.snapshot().delta_since(&before);
         assert_eq!(delta.total(Phase::Inject), Duration::from_millis(2));
         assert_eq!(delta.count(Phase::Inject), 1);
-        assert_eq!(delta.total(Phase::Expand), Duration::from_millis(3));
+        assert_eq!(delta.total(Phase::PackPlan), Duration::from_millis(3));
     }
 
     #[test]

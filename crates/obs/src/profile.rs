@@ -166,9 +166,9 @@ pub fn phase_rows(records: &[SpanRecord]) -> Vec<PhaseRow> {
 /// ```
 ///
 /// The denominator is the per-fault envelope (`phase.fault`) plus the
-/// campaign-level phases that run outside it — the post-loop expansion
-/// (`phase.expand`) and the packed engine's plan/assign stages
-/// (`phase.pack.plan`, `phase.pack.assign`); the numerator is every
+/// campaign-level phases that run outside it — the packed engine's
+/// plan/assign stages (`phase.pack.plan`, `phase.pack.assign`); the
+/// numerator is every
 /// other phase plus those campaign-level phases. With no phase samples
 /// in the trace the table says so instead.
 pub fn render_phases(records: &[SpanRecord]) -> String {
@@ -178,20 +178,20 @@ pub fn render_phases(records: &[SpanRecord]) -> String {
     }
     let mut out = String::from("KERNEL PHASES\n     TOTAL   COUNT  PHASE\n");
     let mut fault = Duration::ZERO;
-    let mut expand = Duration::ZERO;
+    let mut campaign_level = Duration::ZERO;
     let mut attributed = Duration::ZERO;
     for row in &rows {
         let _ = writeln!(out, "{:>10} {:>7}  {}", fmt_duration(row.total), row.count, row.name);
         match row.name.as_str() {
             "phase.fault" => fault += row.total,
-            "phase.expand" | "phase.pack.plan" | "phase.pack.assign" => {
-                expand += row.total;
+            "phase.pack.plan" | "phase.pack.assign" => {
+                campaign_level += row.total;
                 attributed += row.total;
             }
             _ => attributed += row.total,
         }
     }
-    let denominator = fault + expand;
+    let denominator = fault + campaign_level;
     if denominator > Duration::ZERO {
         let pct = 100.0 * attributed.as_secs_f64() / denominator.as_secs_f64();
         let _ = writeln!(
@@ -310,13 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn render_phases_reports_attribution_against_fault_plus_expand() {
+    fn render_phases_reports_attribution_against_fault_plus_campaign_level_phases() {
         let records = vec![
             span(1, None, "phase.inject", 0, 2_000),
             span(2, None, "phase.forward.l0", 0, 5_000),
             span(3, None, "phase.compare", 0, 1_000),
             span(4, None, "phase.fault", 0, 8_000),
-            span(5, None, "phase.expand", 0, 2_000),
+            span(5, None, "phase.pack.plan", 0, 2_000),
         ];
         let text = render_phases(&records);
         assert!(text.contains("phase.forward.l0"), "{text}");

@@ -26,7 +26,6 @@
 pub const SPAN_NAMES: &[&str] = &[
     // snn-analyze: static pre-analysis of the network.
     "analyze",
-    "analyze.collapse",
     "analyze.intervals",
     // snn-faults, packed engine: the bit-packed fault-parallel campaign.
     "batch.pack",

@@ -286,11 +286,11 @@ impl ReliabilityEvaluator {
         }
     }
 
-    /// Evaluates the given configuration ids (a cluster chunk, or the
+    /// Evaluates a range of configuration ids (a cluster chunk, or the
     /// whole campaign), encoded as mergeable [`FaultOutcome`]s.
     pub fn evaluate_chunk(
         &self,
-        ids: &[usize],
+        ids: std::ops::Range<usize>,
         threads: usize,
         cancel: &CancelToken,
     ) -> Result<Vec<FaultOutcome>, Cancelled> {
@@ -301,7 +301,7 @@ impl ReliabilityEvaluator {
             threads,
             cancel,
             || self.net.clone(),
-            |scratch, i| self.evaluate_config(scratch, ids[i]).encode(),
+            |scratch, i| self.evaluate_config(scratch, ids.start + i).encode(),
         )
     }
 }
@@ -389,10 +389,11 @@ mod tests {
         let net = test_net();
         let spec = test_spec(&net, 0.1);
         let eval = ReliabilityEvaluator::new(net, spec).unwrap();
-        let all: Vec<usize> = (0..eval.total_configs()).collect();
-        let whole = eval.evaluate_chunk(&all, 1, &CancelToken::new()).unwrap();
+        let total = eval.total_configs();
+        let whole = eval.evaluate_chunk(0..total, 1, &CancelToken::new()).unwrap();
         let mut pieces = Vec::new();
-        for chunk in all.chunks(2) {
+        for start in (0..total).step_by(2) {
+            let chunk = start..(start + 2).min(total);
             pieces.extend(eval.evaluate_chunk(chunk, 2, &CancelToken::new()).unwrap());
         }
         assert_eq!(

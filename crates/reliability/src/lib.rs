@@ -46,9 +46,8 @@
 //!     mitigation: MitigationKind::RangeRestriction,
 //! };
 //! let eval = ReliabilityEvaluator::new(net.clone(), spec.clone()).unwrap();
-//! let ids: Vec<usize> = (0..spec.map.configs).collect();
 //! let outcomes = eval
-//!     .evaluate_chunk(&ids, 1, &snn_faults::CancelToken::new())
+//!     .evaluate_chunk(0..spec.map.configs, 1, &snn_faults::CancelToken::new())
 //!     .unwrap();
 //! let report = ReliabilityReport::build(&net, &spec, &outcomes).unwrap();
 //! assert_eq!(report.configs, 4);

@@ -199,8 +199,7 @@ mod tests {
             mitigation: MitigationKind::RangeRestriction,
         };
         let eval = ReliabilityEvaluator::new(net.clone(), spec.clone()).unwrap();
-        let ids: Vec<usize> = (0..spec.map.configs).collect();
-        let outcomes = eval.evaluate_chunk(&ids, 0, &CancelToken::new()).unwrap();
+        let outcomes = eval.evaluate_chunk(0..spec.map.configs, 0, &CancelToken::new()).unwrap();
         let report = ReliabilityReport::build(&net, &spec, &outcomes).unwrap();
 
         assert_eq!(report.configs, 6);

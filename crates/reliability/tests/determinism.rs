@@ -51,8 +51,7 @@ fn spec(
 /// The single-process reference: one evaluator, the whole id list.
 fn whole_campaign(net: &Network, rspec: &ReliabilitySpec) -> Vec<FaultOutcome> {
     let eval = ReliabilityEvaluator::new(net.clone(), rspec.clone()).unwrap();
-    let ids: Vec<usize> = (0..rspec.map.configs).collect();
-    eval.evaluate_chunk(&ids, 1, &CancelToken::new()).unwrap()
+    eval.evaluate_chunk(0..rspec.map.configs, 1, &CancelToken::new()).unwrap()
 }
 
 /// Splits the campaign into `chunk_size` chunks dealt round-robin to
@@ -72,8 +71,7 @@ fn split_campaign(
         .iter()
         .enumerate()
         .map(|(i, chunk)| {
-            let ids: Vec<usize> = chunk.range().collect();
-            evaluators[i % workers].evaluate_chunk(&ids, 1, &CancelToken::new()).unwrap()
+            evaluators[i % workers].evaluate_chunk(chunk.range(), 1, &CancelToken::new()).unwrap()
         })
         .collect();
     merge_chunks(&chunks, parts).unwrap()

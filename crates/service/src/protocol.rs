@@ -115,7 +115,7 @@ impl std::fmt::Display for JobState {
 pub struct JobTimings {
     /// Time spent in the queue before a worker picked the job up.
     pub queue_wait_ms: u64,
-    /// Static-analysis time (interval analysis + fault collapsing, or a
+    /// Static-analysis time (fault universe + interval analysis, or a
     /// cache hit).
     pub analyze_ms: u64,
     /// Test-generation time.
@@ -148,8 +148,8 @@ pub struct JobResult {
     pub fault_coverage: Option<f64>,
     /// Server-side path of the persisted `.events` stimulus file.
     pub events_path: Option<String>,
-    /// Static-analysis summary of the model (interval classes and fault
-    /// collapsing). `None` on records written by older servers.
+    /// Static-analysis summary of the model (interval classes). `None`
+    /// on records written by older servers.
     pub analysis: Option<snn_analyze::AnalysisSummary>,
     /// Per-phase wall-clock breakdown. `None` on records written by
     /// older servers.
@@ -409,9 +409,7 @@ mod tests {
                     excitable_neurons: 10,
                     undecided_neurons: 4,
                     faults: 9,
-                    collapsed: 3,
-                    representatives: 6,
-                    collapse_fraction: 3.0 / 9.0,
+                    collapse_fraction: 0.0,
                 }),
                 timings: Some(JobTimings {
                     queue_wait_ms: 100,

@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 const PROGRESS_PERSIST_EVERY: Duration = Duration::from_millis(500);
 
 /// Models whose static analysis the server keeps between jobs: a fault
-/// universe and its collapsed partition are megabytes each, and a server
-/// sees an unbounded series of models.
+/// universe is megabytes, and a server sees an unbounded series of
+/// models.
 const ANALYSIS_CACHE: usize = 4;
 
 /// Server tunables.
@@ -263,35 +263,49 @@ impl Inner {
 struct ServiceSink {
     inner: Arc<Inner>,
     job: u64,
-    last_persist: Mutex<Instant>,
+    /// When the record was last persisted, and the highest campaign
+    /// tally forwarded so far (a job runs one campaign).
+    forwarded: Mutex<(Instant, usize)>,
 }
 
 impl ServiceSink {
     fn new(inner: Arc<Inner>, job: u64) -> Self {
-        Self { inner, job, last_persist: Mutex::named("service.sink.last_persist", Instant::now()) }
+        Self {
+            inner,
+            job,
+            forwarded: Mutex::named("service.sink.last_persist", (Instant::now(), 0)),
+        }
     }
 }
 
 impl ProgressSink for ServiceSink {
     fn emit(&self, progress: Progress) {
-        self.inner.store.update_progress_in_memory(self.job, progress.clone());
-        self.inner
-            .bus
-            .publish(JobEventPayload::Progress { job: self.job, progress: progress.clone() });
-        // The throttle decision happens under `service.sink.last_persist`;
-        // the persisting `store.update` (a disk write) runs after the
-        // guard is released.
+        // Campaign threads take their tally and then emit it, so two
+        // emissions can arrive crossed — and the later tally's thread can
+        // overtake the earlier one's again while that one waits for a
+        // lock. The stale-tally check and both in-memory forwards are
+        // therefore one critical section; only the persisting
+        // `store.update` (a disk write) runs after the guard is released.
         let should_persist = {
-            let mut last = self.last_persist.lock();
-            if last.elapsed() >= PROGRESS_PERSIST_EVERY {
-                *last = Instant::now();
-                true
-            } else {
-                false
+            let mut forwarded = self.forwarded.lock();
+            if let Progress::FaultsSimulated { done, .. } = progress {
+                if done <= forwarded.1 {
+                    return;
+                }
+                forwarded.1 = done;
             }
+            self.inner.store.update_progress_in_memory(self.job, progress.clone());
+            self.inner.bus.publish(JobEventPayload::Progress { job: self.job, progress });
+            let due = forwarded.0.elapsed() >= PROGRESS_PERSIST_EVERY;
+            if due {
+                forwarded.0 = Instant::now();
+            }
+            due
         };
         if should_persist {
-            self.inner.store.update(self.job, |r| r.progress = Some(progress));
+            // The record already holds the newest progress; a tally
+            // captured above could be stale by now.
+            self.inner.store.update(self.job, |_| {});
         }
     }
 }
@@ -437,7 +451,7 @@ fn preset_config(spec: &JobSpec) -> Result<TestGenConfig, String> {
 }
 
 /// Cached per-model static analysis: the standard fault universe and
-/// the collapsed partition over it.
+/// the interval analysis whose dead mask shapes generation.
 struct CachedAnalysis {
     universe: FaultUniverse,
     analysis: snn_analyze::Analysis,
@@ -593,7 +607,7 @@ fn execute(
 
     let started = Instant::now();
     // Static analysis first: dead neurons leave the generator's target
-    // set, and the collapsed universe prunes the coverage campaign.
+    // set.
     let analyze_started = snn_obs::clock::monotonic();
     let cached = analysis_for(inner, &spec.model, &net);
     let analyze_ms = ms_since(analyze_started);
@@ -641,33 +655,23 @@ fn execute(
             ..FaultSimConfig::default()
         };
         let universe = &cached.universe;
+        // One campaign over the whole universe, in-process or sharded:
+        // the verdicts — and the digest — are what `snn-mtfc verify`
+        // computes for the same model and events.
         let per_fault = if inner.expect_workers > 0 {
-            match distributed_coverage(inner, spec, &cached, &test, sim_cfg, sink, token) {
+            match distributed_coverage(inner, spec, universe.len(), &test, sim_cfg, sink, token) {
                 Ok(per_fault) => per_fault,
                 Err(outcome) => return outcome,
             }
         } else {
             let assembled = test.assembled();
-            let tests = std::slice::from_ref(&assembled);
-            // Simulate only the representatives and expand to
-            // full-universe outcomes; coverage accounting is still over
-            // every fault. The campaign runs under the engine the spec
-            // selected (packed/scalar/auto) — verdicts are
-            // engine-invariant, so the expansion is too.
-            let campaign = cached
-                .analysis
-                .collapsed
-                .detect_collapsed(&net, universe, tests, sim_cfg, sink, token)
-                .or_else(|e| match e {
-                    snn_analyze::CollapsedCampaignError::Campaign(e) => Err(e),
-                    // Expansion refused (e.g. the test is too short for a
-                    // provably-detected claim): fall back to the full
-                    // campaign.
-                    snn_analyze::CollapsedCampaignError::Expand(_) => FaultSimulator::new(
-                        &net, sim_cfg,
-                    )
-                    .detect_with(universe, universe.faults(), tests, sink, token),
-                });
+            let campaign = FaultSimulator::new(&net, sim_cfg).detect_with(
+                universe,
+                universe.faults(),
+                std::slice::from_ref(&assembled),
+                sink,
+                token,
+            );
             match campaign {
                 Ok(outcome) => outcome.per_fault,
                 Err(snn_faults::CampaignError::Cancelled) => {
@@ -699,7 +703,7 @@ fn execute(
 
 /// The reliability-job body: score every fault-map configuration for
 /// accuracy impact — in-process, or sharded over the worker pool exactly
-/// like coverage campaigns (lease `fault_ids` are configuration indices;
+/// like coverage campaigns (leased ranges are configuration indices;
 /// workers re-sample configurations from the spec, so the merged
 /// outcomes and digest are bit-identical to the local path).
 fn execute_reliability(
@@ -721,7 +725,6 @@ fn execute_reliability(
 
     let started = Instant::now();
     let sim_started = snn_obs::clock::monotonic();
-    let ids: Vec<usize> = (0..rspec.map.configs).collect();
     let outcomes = if inner.expect_workers > 0 {
         if let Err(e) =
             inner.coordinator.wait_for_workers(inner.expect_workers, token, Duration::from_secs(60))
@@ -736,7 +739,7 @@ fn execute_reliability(
             faults: rspec.map.configs,
             reliability: Some(rspec.clone()),
         };
-        match run_distributed(inner, payload, ids, sink, token) {
+        match run_distributed(inner, payload, sink, token) {
             Ok(outcomes) => outcomes,
             Err(outcome) => return outcome,
         }
@@ -746,7 +749,7 @@ fn execute_reliability(
             Ok(evaluator) => evaluator,
             Err(e) => return JobOutcome::Failed(e),
         };
-        match evaluator.evaluate_chunk(&ids, spec.threads, token) {
+        match evaluator.evaluate_chunk(0..rspec.map.configs, spec.threads, token) {
             Ok(outcomes) => outcomes,
             Err(_) => return JobOutcome::Cancelled(cancelled_why(inner)),
         }
@@ -795,14 +798,13 @@ fn cluster_outcome(inner: &Inner, e: ClusterError) -> JobOutcome {
     }
 }
 
-/// Runs the coverage campaign on the worker pool: representatives are
-/// sharded into leased chunks, merged exactly, and expanded to the full
-/// universe — bit-identical to the in-process path, including the
-/// expansion-refused fallback to a full-universe campaign.
+/// Runs the coverage campaign on the worker pool: the universe's
+/// `faults` ids are sharded into leased chunks and merged exactly —
+/// bit-identical to the in-process path.
 fn distributed_coverage(
     inner: &Inner,
     spec: &JobSpec,
-    cached: &CachedAnalysis,
+    faults: usize,
     test: &snn_testgen::GeneratedTest,
     sim_cfg: FaultSimConfig,
     sink: &ServiceSink,
@@ -828,21 +830,10 @@ fn distributed_coverage(
         model: spec.model.clone(),
         events: vec![events],
         sim: sim_cfg,
-        faults: 0,
+        faults,
         reliability: None,
     };
-
-    let collapsed = &cached.analysis.collapsed;
-    let reps: Vec<usize> = collapsed.representatives().iter().map(|f| f.id).collect();
-    let rep_outcomes = run_distributed(inner, payload.clone(), reps, sink, token)?;
-    match collapsed.expand(&rep_outcomes, test.test_steps()) {
-        Ok(full) => Ok(full),
-        // Expansion refused: re-run distributed over the whole universe.
-        Err(_) => {
-            let all: Vec<usize> = (0..cached.universe.len()).collect();
-            run_distributed(inner, payload, all, sink, token)
-        }
-    }
+    run_distributed(inner, payload, sink, token)
 }
 
 /// Submits one distributed campaign and waits for its merged outcomes,
@@ -850,7 +841,6 @@ fn distributed_coverage(
 fn run_distributed(
     inner: &Inner,
     payload: CampaignSpec,
-    fault_ids: Vec<usize>,
     sink: &ServiceSink,
     token: &CancelToken,
 ) -> Result<Vec<FaultOutcome>, JobOutcome> {
@@ -858,11 +848,11 @@ fn run_distributed(
     // workers inside every lease grant, and their shipped chunk spans
     // come back parented (via per-worker wrappers) under it.
     let mut span = snn_obs::span!("cluster.campaign");
-    span.attr("faults", fault_ids.len());
+    span.attr("faults", payload.faults);
     // The trace has no identity separate from its root span, so the
     // campaign span's id doubles as the trace id.
     let trace = span.id().map(|id| TraceContext { trace_id: id, parent_span_id: id });
-    let campaign = inner.coordinator.submit(payload, fault_ids, trace);
+    let campaign = inner.coordinator.submit(payload, trace);
     let merged = inner.coordinator.wait(campaign, token, |p| {
         sink.emit(Progress::FaultsSimulated { done: p.done, total: p.total, detected: p.detected });
     });
@@ -1048,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use std::io::BufRead;
+    use std::sync::atomic::AtomicUsize;
     use std::thread::JoinHandle;
 
     /// A two-worker server on a fresh state directory, with a handle on
@@ -1158,6 +1149,66 @@ mod tests {
         assert_eq!(inner.bus.subscriber_count(), 0);
 
         halt(&mut client, server, &dir);
+    }
+
+    /// Campaign threads take their tally and then emit it. One crossing
+    /// is forced here (tally 1 leaves after tally 2 has been forwarded);
+    /// the race for the sink's lock behind it makes more.
+    #[test]
+    fn crossed_campaign_tallies_are_forwarded_strictly_increasing_to_the_total() {
+        const TOTAL: usize = 4000;
+        let (inner, addr, server, dir) = boot("sink");
+        let job = inner.store.submit(fast_spec(1)).id;
+        let events = inner.bus.subscribe_with_capacity(Some(job), TOTAL);
+        let sink = ServiceSink::new(Arc::clone(&inner), job);
+        let taken = AtomicUsize::new(0);
+        let emit_next = || {
+            let done = taken.fetch_add(1, Ordering::Relaxed) + 1;
+            if done <= TOTAL {
+                sink.emit(Progress::FaultsSimulated { done, total: TOTAL, detected: 0 });
+            }
+            done < TOTAL
+        };
+        let (second_is_out, wait_for_second) = std::sync::mpsc::channel();
+        std::thread::scope(|threads| {
+            let (sink, taken, emit_next) = (&sink, &taken, &emit_next);
+            threads.spawn(move || {
+                let first = taken.fetch_add(1, Ordering::Relaxed) + 1;
+                wait_for_second.recv().unwrap();
+                sink.emit(Progress::FaultsSimulated { done: first, total: TOTAL, detected: 0 });
+                while emit_next() {}
+            });
+            threads.spawn(move || {
+                while taken.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                emit_next();
+                second_is_out.send(()).unwrap();
+                while emit_next() {}
+            });
+        });
+
+        let forwarded: Vec<usize> = events
+            .try_iter()
+            .map(|event| match event.payload {
+                JobEventPayload::Progress {
+                    progress: Progress::FaultsSimulated { done, .. },
+                    ..
+                } => done,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(forwarded.first(), Some(&2), "tally 1 arrived after tally 2 and was dropped");
+        assert!(forwarded.windows(2).all(|w| w[0] < w[1]), "a tally went backwards");
+        assert_eq!(forwarded.last(), Some(&TOTAL));
+        let stored = inner.store.get(job).unwrap().progress;
+        assert_eq!(
+            stored,
+            Some(Progress::FaultsSimulated { done: TOTAL, total: TOTAL, detected: 0 })
+        );
+
+        drop(events);
+        halt(&mut Client::connect(addr).unwrap(), server, &dir);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use snn_cluster::wire::{read_line, write_line, ChunkOutcomes, CoordMsg, WorkerMsg};
 use snn_cluster::PreparedCampaign;
 use snn_faults::progress::CancelToken;
+use snn_faults::{verdict_digest_hex, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_service::{
     Client, JobRecord, JobSpec, JobState, ModelSpec, Response, Server, ServiceConfig,
     PROTOCOL_VERSION,
@@ -65,6 +66,22 @@ fn digest_of(record: &JobRecord) -> String {
     record.result.as_ref().and_then(|r| r.verdict_digest.clone()).expect("a verdict digest")
 }
 
+/// What `snn-mtfc verify` computes for the job's model and the events
+/// file the job wrote: one campaign over the whole universe.
+fn verify_digest(record: &JobRecord) -> String {
+    let net = snn_cluster::build_model(&record.spec.model).expect("model");
+    let universe = FaultUniverse::standard(&net);
+    let path = record.result.as_ref().and_then(|r| r.events_path.clone()).expect("events file");
+    let text = std::fs::read_to_string(path).expect("events file exists");
+    let stimulus = snn_testgen::parse_events(&text).expect("events parse");
+    let outcome = FaultSimulator::new(&net, FaultSimConfig::default()).detect(
+        &universe,
+        universe.faults(),
+        std::slice::from_ref(&stimulus),
+    );
+    verdict_digest_hex(&outcome.per_fault)
+}
+
 /// A worker connection spoken by hand.
 struct RawWorker {
     reader: BufReader<TcpStream>,
@@ -91,6 +108,7 @@ impl RawWorker {
 fn a_result_that_does_not_fit_its_lease_bounces_and_the_campaign_still_completes() {
     let (reference_addr, reference_server, reference_dir) = boot("reference", 0);
     let reference = run_to_done(reference_addr);
+    assert_eq!(digest_of(&reference), verify_digest(&reference), "0 workers: the job is `verify`");
     Client::connect(reference_addr).expect("connect").shutdown().expect("shutdown");
     reference_server.join().expect("server thread").expect("server run");
     let _ = std::fs::remove_dir_all(&reference_dir);
@@ -122,7 +140,7 @@ fn a_result_that_does_not_fit_its_lease_bounces_and_the_campaign_still_completes
             prepared = Some(PreparedCampaign::new(&spec, Some(1)).expect("prepare"));
         }
         let campaign = prepared.as_ref().expect("prepared above");
-        let rows = campaign.run_chunk(&grant.fault_ids, &CancelToken::new()).expect("chunk");
+        let rows = campaign.run_chunk(grant.chunk.range(), &CancelToken::new()).expect("chunk");
         let good = ChunkOutcomes::from_rows(rows.clone());
         let mut result = |outcomes: ChunkOutcomes| {
             worker.ask(&WorkerMsg::Result {
@@ -152,6 +170,7 @@ fn a_result_that_does_not_fit_its_lease_bounces_and_the_campaign_still_completes
 
     let record = job.join().expect("job thread");
     assert_eq!(digest_of(&record), digest_of(&reference), "verdicts match the 0-worker run");
+    assert_eq!(digest_of(&record), verify_digest(&record), "1 worker: the job is `verify`");
     let mut client = Client::connect(addr).expect("connect");
     let status = client.cluster_status().expect("cluster status");
     assert_eq!(status.results_stale, bounced);

@@ -71,5 +71,5 @@ pub use fault_hooks::{NeuronBehaviorFault, NeuronFaultMap};
 pub use layer::{ConvLayer, DenseLayer, Layer, PoolLayer, RecurrentLayer};
 pub use network::{Network, WeightRef};
 pub use params::{LifParams, LifTick, Surrogate};
-pub use quantize::{is_quantized, quantize_weights, QuantReport};
+pub use quantize::{is_quantized, magnitude_prune, quantize_weights, QuantReport};
 pub use sim::{LayerState, LayerTrace, LifRecord, LifState, RecordOptions, Trace};

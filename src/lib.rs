@@ -9,7 +9,7 @@
 //! * [`tensor`] — dense `f32` tensors and conv/matmul/pool kernels,
 //! * [`model`] — the clocked LIF SNN simulator with surrogate-gradient
 //!   BPTT, plus an event-driven cross-check engine, training, int8
-//!   quantization and a binary model format,
+//!   quantization, magnitude pruning and a binary model format,
 //! * [`faults`] — behavioural fault models and the fault simulator, one
 //!   campaign entry point over two engines with bit-identical verdicts
 //!   (`--engine packed|scalar|auto`): the scalar reference and the
@@ -22,9 +22,8 @@
 //!   datasets and rate/TTFS encoders,
 //! * [`testgen`] — the paper's contribution: the two-stage loss-driven
 //!   test generation algorithm, plus test compaction,
-//! * [`analyze`] — static testability analysis: LIF interval analysis,
-//!   sound fault collapsing with machine-checkable justifications, and
-//!   campaign pruning via collapsed universes,
+//! * [`analyze`] — static testability analysis: LIF interval analysis
+//!   and the provably-dead-neuron mask the generator excludes,
 //! * [`baselines`] — prior-art test generation methods for comparison,
 //! * [`obs`] — dependency-free observability: hierarchical spans with a
 //!   JSONL trace collector, a lock-free metrics registry with Prometheus
@@ -47,7 +46,7 @@
 //!
 //! A CLI (`snn-mtfc new/info/generate/verify/reliability` plus the
 //! service commands `serve/submit/status/watch/cancel` and the cluster
-//! commands `worker/cluster-status/cluster-bench`) drives the flow over
+//! commands `worker/cluster-status`) drives the flow over
 //! model and event-list files; see the repository README.
 //!
 //! # Quickstart

@@ -27,11 +27,6 @@
 //!
 //! snn-mtfc worker         [--addr HOST:PORT] [--name NAME] [--threads N] [--trace]
 //! snn-mtfc cluster-status [--addr HOST:PORT] [--json]
-//! snn-mtfc cluster-bench  [--out BENCH_cluster.json] [--synthetic IxH..xO]
-//!                         [--preset P] [--seed N] [--chunk-size N]
-//!                         [--git-rev REV] [--timestamp TS] [--host-cores N]
-//!                         [--baseline FILE] [--max-regression FRAC]
-//!                         [--engine packed|scalar|auto]
 //! ```
 //!
 //! `new` creates a (randomly initialized) model file so the rest of the
@@ -90,7 +85,6 @@ fn main() -> ExitCode {
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
         Some("cluster-status") => cmd_cluster_status(&args[1..]),
-        Some("cluster-bench") => cmd_cluster_bench(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print_usage();
             Ok(())
@@ -113,9 +107,7 @@ fn print_usage() {
          snn-mtfc new      --input <CxHxW|N> --arch <spec> --out <model.snn> [--seed N]\n                    \
          [--sparsity FRAC]\n  \
          snn-mtfc info     <model.snn>\n  \
-         snn-mtfc analyze  <model.snn> [--format text|json|sarif] [--self-check]\n                    \
-         [--timing-faults] [--bitflip-bits 0,3,7] [--min-collapse FRAC]\n                    \
-         [--trace-out <trace.jsonl>]\n  \
+         snn-mtfc analyze  <model.snn> [--format text|json|sarif] [--trace-out <trace.jsonl>]\n  \
          snn-mtfc generate <model.snn> [--out <test.events>] [--preset fast|repro|paper] [--seed N]\n                    \
          [--trace-out <trace.jsonl>]\n  \
          snn-mtfc verify   <model.snn> <test.events> [--engine packed|scalar|auto]\n                    \
@@ -138,12 +130,7 @@ fn print_usage() {
          snn-mtfc cancel   <job>   [--addr host:port]\n  \
          snn-mtfc shutdown         [--addr host:port]\n\n  \
          snn-mtfc worker         [--addr host:port] [--name NAME] [--threads N] [--trace]\n  \
-         snn-mtfc cluster-status [--addr host:port] [--json]\n  \
-         snn-mtfc cluster-bench  [--out <BENCH_cluster.json>] [--synthetic IxH..xO]\n                          \
-         [--preset fast|repro|paper] [--seed N] [--chunk-size N]\n                          \
-         [--git-rev REV] [--timestamp TS] [--host-cores N]\n                          \
-         [--baseline FILE] [--max-regression FRAC]\n                          \
-         [--engine packed|scalar|auto]\n\n\
+         snn-mtfc cluster-status [--addr host:port] [--json]\n\n\
          ARCH SPEC (comma-separated stages):\n  \
          dense:<n> | conv:<out_c>:<k>:<stride>:<pad> | pool:<k> | recurrent:<n>\n  \
          e.g. --input 2x16x16 --arch pool:2,dense:48,dense:10\n\n\
@@ -158,17 +145,8 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 /// Flags that take no value; anything else starting with `--` consumes the
 /// next argument.
-const BOOL_FLAGS: &[&str] = &[
-    "--coverage",
-    "--watch",
-    "--help",
-    "--self-check",
-    "--timing-faults",
-    "--json",
-    "--reliability",
-    "--phases",
-    "--trace",
-];
+const BOOL_FLAGS: &[&str] =
+    &["--coverage", "--watch", "--help", "--json", "--reliability", "--phases", "--trace"];
 
 fn positional(args: &[String], index: usize) -> Option<&str> {
     args.iter()
@@ -266,7 +244,7 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
         if !(0.0..=1.0).contains(&sparsity) {
             return Err(format!("--sparsity {sparsity} is outside [0, 1]"));
         }
-        let zeroed = snn_mtfc::analyze::magnitude_prune(&mut net, sparsity);
+        let zeroed = snn_mtfc::model::magnitude_prune(&mut net, sparsity);
         println!("pruned {zeroed} weights (magnitude, fraction {sparsity})");
     }
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
@@ -281,53 +259,16 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let path = positional(args, 0).ok_or("missing model path")?;
     let net = load_model(path)?;
-    let timing = args.iter().any(|a| a == "--timing-faults");
-    let mut bits = Vec::new();
-    if let Some(list) = flag(args, "--bitflip-bits") {
-        for part in list.split(',').filter(|p| !p.is_empty()) {
-            let bit: u8 = part
-                .trim()
-                .parse()
-                .map_err(|_| format!("--bitflip-bits: `{part}` is not a bit position"))?;
-            if bit > 7 {
-                return Err(format!("--bitflip-bits: {bit} exceeds 7 (int8 words)"));
-            }
-            bits.push(bit);
-        }
-    }
-    let universe = if timing || !bits.is_empty() {
-        FaultUniverse::with_config(&net, Default::default(), timing, &bits)
-    } else {
-        FaultUniverse::standard(&net)
-    };
+    let universe = FaultUniverse::standard(&net);
     let (analysis, collector) = with_trace(|| Ok(snn_mtfc::analyze::analyze(&net, &universe)));
     let analysis = analysis?;
     write_trace_out(args, &collector)?;
-    let self_check_errors = if args.iter().any(|a| a == "--self-check") {
-        analysis.collapsed.self_check(&net, &universe)
-    } else {
-        Vec::new()
-    };
     use snn_mtfc::analyze::report;
     match flag(args, "--format").unwrap_or("text") {
-        "text" => out(report::render_text(path, &analysis, &self_check_errors)),
-        "json" => println!("{}", report::render_json(path, &analysis, &self_check_errors)),
-        "sarif" => println!("{}", report::render_sarif(path, &analysis, &self_check_errors)),
+        "text" => out(report::render_text(path, &analysis)),
+        "json" => println!("{}", report::render_json(path, &analysis)),
+        "sarif" => println!("{}", report::render_sarif(path, &analysis)),
         other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
-    }
-    if !self_check_errors.is_empty() {
-        return Err(format!(
-            "{} collapse justification(s) failed self-check",
-            self_check_errors.len()
-        ));
-    }
-    if let Some(min) = num_flag::<f64>(args, "--min-collapse")? {
-        if analysis.summary.collapse_fraction < min {
-            return Err(format!(
-                "collapse fraction {:.4} is below the required {min:.4}",
-                analysis.summary.collapse_fraction
-            ));
-        }
     }
     Ok(())
 }
@@ -417,13 +358,12 @@ fn print_record(record: &JobRecord) {
         ));
         if let (Some(detected), Some(total)) = (result.faults_detected, result.faults_total) {
             line.push_str(&format!(", fault coverage {detected}/{total}"));
+            if let Some(digest) = &result.verdict_digest {
+                line.push_str(&format!(", verdict digest {digest}"));
+            }
         }
         if let Some(analysis) = &result.analysis {
-            line.push_str(&format!(
-                ", analysis: {} dead neuron(s), {:.1}% faults collapsed",
-                analysis.dead_neurons,
-                analysis.collapse_fraction * 100.0
-            ));
+            line.push_str(&format!(", analysis: {} dead neuron(s)", analysis.dead_neurons));
         }
         if let Some(t) = &result.timings {
             line.push_str(&format!(
@@ -847,17 +787,6 @@ fn cmd_cluster_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One `cluster-bench` measurement: a coverage campaign at a fixed
-/// worker count, over the full service + wire stack.
-struct BenchRun {
-    workers: usize,
-    fault_sim_ms: u64,
-    faults_total: usize,
-    faults_per_sec: f64,
-    digest: String,
-    engine: Option<String>,
-}
-
 /// Runs one job against a fresh in-process server with `workers` real
 /// TCP cluster workers and returns its terminal record. Errors unless
 /// the job ends `Done`.
@@ -886,7 +815,7 @@ fn cluster_job_run(
         .map(|i| {
             let name = format!("{tag}-{i}");
             std::thread::spawn(move || {
-                // In-process worker threads share the bench process; a
+                // In-process worker threads share this process; a
                 // traced worker would hijack its global collector.
                 snn_mtfc::cluster::run_worker(&snn_mtfc::cluster::WorkerConfig {
                     addr: addr.to_string(),
@@ -922,25 +851,6 @@ fn cluster_job_run(
     outcome
 }
 
-/// Runs one coverage job against a fresh in-process server with
-/// `workers` real TCP cluster workers and returns the measurement.
-fn bench_run(workers: usize, spec: &JobSpec, chunk_size: usize) -> Result<BenchRun, String> {
-    let record = cluster_job_run(workers, spec, chunk_size, "cluster-bench")?;
-    let result = record.result.ok_or("bench job finished without a result")?;
-    let fault_sim_ms =
-        result.timings.as_ref().map(|t| t.fault_sim_ms).ok_or("bench job has no timings")?;
-    let faults_total = result.faults_total.ok_or("bench job has no fault count")?;
-    let digest = result.verdict_digest.ok_or("bench job has no verdict digest")?;
-    Ok(BenchRun {
-        workers,
-        fault_sim_ms,
-        faults_total,
-        faults_per_sec: faults_total as f64 / (fault_sim_ms as f64 / 1000.0),
-        digest,
-        engine: result.engine,
-    })
-}
-
 /// Runs a fault-map reliability campaign — in-process by default, or
 /// over an in-process cluster of `--workers N` real TCP workers (the
 /// digest is identical either way; CI gates on exactly that).
@@ -953,11 +863,10 @@ fn cmd_reliability(args: &[String]) -> Result<(), String> {
 
     let report = if workers == 0 {
         let evaluator = ReliabilityEvaluator::new(net.clone(), rspec.clone())?;
-        let ids: Vec<usize> = (0..rspec.map.configs).collect();
         let threads = num_flag(args, "--threads")?.unwrap_or(0);
         let cancel = snn_mtfc::faults::progress::CancelToken::new();
         let outcomes = evaluator
-            .evaluate_chunk(&ids, threads, &cancel)
+            .evaluate_chunk(0..rspec.map.configs, threads, &cancel)
             .map_err(|_| "campaign cancelled".to_string())?;
         ReliabilityReport::build(&net, &rspec, &outcomes)?
     } else {
@@ -1017,217 +926,4 @@ fn print_reliability_report(report: &snn_mtfc::reliability::ReliabilityReport) {
         );
     }
     println!("digest: {}", report.digest);
-}
-
-/// One kernel phase's share of the benchmarked campaigns, for the
-/// perf-history records.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct BenchPhase {
-    name: String,
-    seconds: f64,
-    count: u64,
-}
-
-/// One appended perf-history record: the headline throughput of the
-/// 2-worker run plus the kernel-phase breakdown, stamped with metadata
-/// the harness passes in (the binary itself never reads clocks or VCS
-/// state, keeping the determinism lints clean). `host_cores` and
-/// `engine` are additive `Option`s so records written by older binaries
-/// keep decoding; `host_cores` lets the regression gate discard
-/// measurements taken on hosts too small to run the benched worker
-/// count without oversubscription.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct BenchHistoryRecord {
-    git_rev: String,
-    timestamp: String,
-    faults_per_sec: f64,
-    phase_breakdown: Vec<BenchPhase>,
-    host_cores: Option<usize>,
-    engine: Option<String>,
-}
-
-/// The slice of a previous `BENCH_cluster.json` the regression gate and
-/// history carry-forward need; unknown keys are ignored by the decoder.
-#[derive(serde::Deserialize)]
-struct BenchBaseline {
-    runs: Vec<BenchBaselineRun>,
-    history: Option<Vec<BenchHistoryRecord>>,
-}
-
-#[derive(serde::Deserialize)]
-struct BenchBaselineRun {
-    workers: usize,
-    faults_per_sec: f64,
-}
-
-/// History records kept in the bench file; older ones age out.
-const BENCH_HISTORY_CAP: usize = 20;
-
-/// Benchmarks one fixed coverage campaign at 0 (local), 1 and 2 cluster
-/// workers, gates that all three verdict digests are identical, gates
-/// 2-worker throughput against `--baseline` (if given), and writes the
-/// measurements — with run metadata and an appended perf-history
-/// record — as JSON.
-fn cmd_cluster_bench(args: &[String]) -> Result<(), String> {
-    let out = flag(args, "--out").unwrap_or("BENCH_cluster.json");
-    let seed = seed_of(args)?;
-    let synthetic = flag(args, "--synthetic").unwrap_or("16x64x10");
-    let spec = JobSpec {
-        model: synthetic_model(synthetic, seed)?,
-        preset: flag(args, "--preset").unwrap_or("fast").to_string(),
-        seed,
-        max_iterations: None,
-        t_limit_secs: None,
-        evaluate_coverage: true,
-        threads: 1,
-        reliability: None,
-        engine: engine_flag(args)?,
-    };
-    let chunk_size = num_flag(args, "--chunk-size")?.unwrap_or(128);
-    let git_rev = flag(args, "--git-rev").unwrap_or("unknown").to_string();
-    let timestamp = flag(args, "--timestamp").unwrap_or("unknown").to_string();
-    let host_cores = num_flag::<usize>(args, "--host-cores")?;
-    let baseline = flag(args, "--baseline").map(load_bench_baseline).transpose()?;
-    let max_regression: f64 = num_flag(args, "--max-regression")?.unwrap_or(0.15);
-
-    // The phase accumulator is process-global and both the local run and
-    // the in-process bench workers feed it; the delta across all three
-    // runs is this benchmark's kernel-phase breakdown.
-    let phases_before = obs::phase::faultsim().snapshot();
-    let mut runs = Vec::new();
-    for workers in [0usize, 1, 2] {
-        let run = bench_run(workers, &spec, chunk_size)?;
-        println!(
-            "{} worker(s): {} faults in {} ms ({:.0} faults/sec), digest {}",
-            run.workers, run.faults_total, run.fault_sim_ms, run.faults_per_sec, run.digest
-        );
-        runs.push(run);
-    }
-    let phase_breakdown: Vec<BenchPhase> = obs::phase::faultsim()
-        .snapshot()
-        .delta_since(&phases_before)
-        .entries()
-        .into_iter()
-        .map(|e| BenchPhase { name: e.name, seconds: e.total.as_secs_f64(), count: e.count })
-        .collect();
-
-    // The exactness gate: every path — in-process, 1 worker, 2 workers —
-    // must produce bit-identical verdicts.
-    for run in &runs[1..] {
-        if run.digest != runs[0].digest {
-            return Err(format!(
-                "verdict digest diverged at {} worker(s): {} != local {}",
-                run.workers, run.digest, runs[0].digest
-            ));
-        }
-    }
-    let speedup = runs[1].fault_sim_ms as f64 / runs[2].fault_sim_ms as f64;
-    println!("digests identical across all paths; 2-worker speedup over 1: {speedup:.2}x");
-
-    // The regression gate: 2-worker throughput must stay within
-    // `--max-regression` of the slowest recorded run — the baseline's
-    // 2-worker measurement and every history record. Gating on the
-    // minimum (not the latest) keeps one fast outlier from setting an
-    // unattainable bar on noisy shared hosts. On hosts with fewer cores
-    // than the gated worker count the 2-worker run measures
-    // oversubscription, not the engine, so the gate is skipped (and
-    // history records stamped by such hosts are excluded from the bar).
-    let gated_workers = 2usize;
-    let mut history = Vec::new();
-    if let Some(baseline) = baseline {
-        history = baseline.history.unwrap_or_default();
-        if host_cores.is_some_and(|cores| cores < gated_workers) {
-            println!(
-                "regression gate skipped: host has {} core(s) < {gated_workers} bench worker(s) \
-                 (multi-worker throughput on an oversubscribed host is noise)",
-                host_cores.unwrap_or(0)
-            );
-        } else {
-            let recorded = baseline
-                .runs
-                .iter()
-                .filter(|r| r.workers == gated_workers)
-                .map(|r| r.faults_per_sec)
-                .chain(
-                    history
-                        .iter()
-                        .filter(|h| h.host_cores.is_none_or(|cores| cores >= gated_workers))
-                        .map(|h| h.faults_per_sec),
-                )
-                .fold(f64::INFINITY, f64::min);
-            if recorded.is_finite() {
-                let floor = recorded * (1.0 - max_regression);
-                let measured = runs[2].faults_per_sec;
-                if measured < floor {
-                    return Err(format!(
-                        "perf regression: 2-worker throughput {measured:.0} faults/sec is below \
-                         {floor:.0} (slowest recorded {recorded:.0}, {:.0}% tolerance)",
-                        max_regression * 100.0
-                    ));
-                }
-                println!(
-                    "regression gate ok: {measured:.0} faults/sec vs slowest recorded \
-                     {recorded:.0} ({:.0}% tolerance)",
-                    max_regression * 100.0
-                );
-            }
-        }
-    }
-    history.push(BenchHistoryRecord {
-        git_rev: git_rev.clone(),
-        timestamp: timestamp.clone(),
-        faults_per_sec: runs[2].faults_per_sec,
-        phase_breakdown,
-        host_cores,
-        engine: runs[2].engine.clone(),
-    });
-    if history.len() > BENCH_HISTORY_CAP {
-        let drop = history.len() - BENCH_HISTORY_CAP;
-        history.drain(..drop);
-    }
-
-    let entries: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"workers\": {}, \"fault_sim_ms\": {}, \"faults_per_sec\": {:.2}, \
-                 \"digest\": \"{}\", \"engine\": \"{}\"}}",
-                r.workers,
-                r.fault_sim_ms,
-                r.faults_per_sec,
-                r.digest,
-                r.engine.as_deref().unwrap_or("unknown")
-            )
-        })
-        .collect();
-    let history_entries: Vec<String> =
-        history.iter().map(|h| format!("    {}", serde::json::to_string(h))).collect();
-    let host_cores_json = host_cores.map_or_else(|| "null".to_string(), |n| n.to_string());
-    let engine_name = runs[0].engine.as_deref().unwrap_or("unknown");
-    let json = format!(
-        "{{\n  \"meta\": {{\"git_rev\": \"{git_rev}\", \"timestamp\": \"{timestamp}\", \
-         \"preset\": \"{}\", \"synthetic\": \"{synthetic}\", \"seed\": {seed}, \
-         \"chunk_size\": {chunk_size}, \"host_cores\": {host_cores_json}, \
-         \"engine\": \"{engine_name}\"}},\n  \
-         \"campaign\": {{\"synthetic\": \"{synthetic}\", \"preset\": \"{}\", \"seed\": {seed}, \
-         \"chunk_size\": {chunk_size}, \"faults_total\": {}}},\n  \"runs\": [\n{}\n  ],\n  \
-         \"speedup_2_over_1\": {:.4},\n  \"history\": [\n{}\n  ]\n}}\n",
-        spec.preset,
-        spec.preset,
-        runs[0].faults_total,
-        entries.join(",\n"),
-        speedup,
-        history_entries.join(",\n")
-    );
-    std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-/// Reads and decodes a previous bench file for the regression gate and
-/// history carry-forward.
-fn load_bench_baseline(path: &str) -> Result<BenchBaseline, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    serde::json::from_str(&text).map_err(|e| format!("cannot decode baseline {path}: {e}"))
 }

@@ -5,6 +5,7 @@
 //! bumped epoch to the surviving worker, with no fault lost or counted
 //! twice.
 
+use snn_mtfc::faults::{verdict_digest_hex, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_mtfc::service::{Client, JobSpec, JobState, ModelSpec, Server, ServiceConfig};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -35,8 +36,10 @@ fn coverage_spec() -> JobSpec {
     }
 }
 
-/// The single-process reference digest for [`coverage_spec`], computed
-/// through the same service code path with no cluster workers.
+/// The reference digest for [`coverage_spec`]: what `snn-mtfc verify`
+/// computes — one `FaultSimulator::detect` over the whole universe — for
+/// the events file a job with no cluster workers wrote, which that job's
+/// own digest must equal.
 fn local_reference_digest() -> String {
     let state_dir = temp_state_dir("local");
     let server = Server::bind(ServiceConfig::loopback(&state_dir)).expect("bind local server");
@@ -46,11 +49,23 @@ fn local_reference_digest() -> String {
     let job = client.submit(coverage_spec()).expect("submit local");
     let record = client.watch(job, |_| {}).expect("watch local");
     assert_eq!(record.state, JobState::Done, "local error: {:?}", record.error);
-    let digest = record
-        .result
-        .expect("local result")
-        .verdict_digest
-        .expect("local job carries a verdict digest");
+    let result = record.result.expect("local result");
+    let net = snn_mtfc::cluster::build_model(&record.spec.model).expect("model");
+    let universe = FaultUniverse::standard(&net);
+    let events = std::fs::read_to_string(result.events_path.expect("events file recorded"))
+        .expect("events file exists");
+    let stimulus = snn_mtfc::testgen::parse_events(&events).expect("events parse");
+    let outcome = FaultSimulator::new(&net, FaultSimConfig::default()).detect(
+        &universe,
+        universe.faults(),
+        std::slice::from_ref(&stimulus),
+    );
+    let digest = verdict_digest_hex(&outcome.per_fault);
+    assert_eq!(
+        result.verdict_digest.as_deref(),
+        Some(digest.as_str()),
+        "a job with no workers records the digest `verify` prints for its events file"
+    );
     client.shutdown().expect("shutdown local");
     handle.join().expect("local server thread").expect("local server run");
     let _ = std::fs::remove_dir_all(&state_dir);

@@ -2,6 +2,7 @@
 //! submit → progress stream → result, mid-run cancellation, and job-store
 //! persistence across a server restart.
 
+use snn_mtfc::faults::progress::Progress;
 use snn_mtfc::service::{
     Client, JobEventPayload, JobSpec, JobState, ModelSpec, Server, ServiceConfig,
 };
@@ -96,7 +97,10 @@ fn submit_watch_cancel_and_restart_over_tcp() {
         assert!(result.activated > 0);
         assert!(result.activation_coverage > 0.0);
         let analysis = result.analysis.as_ref().expect("result carries an analysis summary");
-        assert_eq!(analysis.collapsed + analysis.representatives, analysis.faults);
+        assert_eq!(
+            analysis.dead_neurons + analysis.excitable_neurons + analysis.undecided_neurons,
+            analysis.neurons
+        );
         assert!(analysis.faults > 0);
         // The stimulus file persisted server-side and is parseable.
         let events_path = result.events_path.expect("events file recorded");
@@ -188,12 +192,32 @@ fn metrics_snapshot_reports_job_and_generator_series() {
         let mut client = Client::connect(addr).expect("connect");
         let mut spec = quick_spec(11);
         spec.evaluate_coverage = true;
+        let net = snn_mtfc::cluster::build_model(&spec.model).expect("synthetic model");
+        let universe = snn_mtfc::faults::FaultUniverse::standard(&net).len();
         let job = client.submit(spec).expect("submit");
-        let record = client.watch(job, |_| {}).expect("watch");
+        let mut tallies = Vec::new();
+        let record = client
+            .watch(job, |event| {
+                if let JobEventPayload::Progress {
+                    progress: Progress::FaultsSimulated { done, total, .. },
+                    ..
+                } = &event.payload
+                {
+                    tallies.push((*done, *total));
+                }
+            })
+            .expect("watch");
         assert_eq!(record.state, JobState::Done, "error: {:?}", record.error);
 
-        // The result carries the per-phase timing breakdown.
+        // The campaign a watcher sees is the one the result counts: the
+        // whole universe, its tally only ever rising, to the last fault.
         let result = record.result.expect("result");
+        assert_eq!(result.faults_total, Some(universe));
+        assert!(tallies.iter().all(|&(_, total)| total == universe), "{tallies:?}");
+        assert!(tallies.windows(2).all(|w| w[0].0 < w[1].0), "{tallies:?}");
+        assert_eq!(tallies.last().map(|t| t.0), Some(universe));
+
+        // The result carries the per-phase timing breakdown.
         let timings = result.timings.expect("timings stamped into the result");
         assert!(timings.generation_ms > 0, "generation took measurable time: {timings:?}");
         assert!(
