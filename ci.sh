@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=26156
+LINE_BUDGET=26345
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -123,21 +123,34 @@ awk "$AWK_US"'
             exit 1
         }
     }' <<< "$IBM_PROFILE"
+# (snn.forward + snn.backward) / stage.sample of the generate profile on
+# stdin, which must lie between $1 and $2. All three spans run on the one
+# generator thread, so host speed cancels.
+simulator_per_sample_within() {
+    awk -v lo="$1" -v hi="$2" "$AWK_US"'
+        $4 == "stage.sample" { sample += us($1) }
+        $4 == "snn.forward" || $4 == "snn.backward" { simulator += us($1) }
+        END {
+            if (sample <= 0 || simulator <= 0) { print "generate profile lacks sample or simulator spans"; exit 1 }
+            printf "(snn.forward + snn.backward) / stage.sample = %.2f (need %s to %s)\n", simulator / sample, lo, hi
+            if (simulator < lo * sample || simulator > hi * sample) exit 1
+        }'
+}
+# Ticks are the convolution's vector axis: on the conv example the forward
+# and backward passes together cost 4.3-4.9x the Gumbel sample (five runs;
+# 6.2-7.8x while each tick's rows were convolved on their own). The ceiling
+# is 30% over the worst of the five.
+simulator_per_sample_within 0 6.4 <<< "$IBM_PROFILE" \
+    || { echo "the conv forward and backward passes lost the lead of the time-batched kernels"; exit 1; }
 # Sampling is no longer the step: on the dense example, where it was the
 # largest line (1.4-1.8x the simulator while each element cost two libm
 # calls), drawing the Gumbel sample must cost no more than the forward and
-# backward passes together (0.6-0.9x now). Both run on the one generator
-# thread, so host speed cancels.
+# backward passes together (the simulator reads 1.2-1.5x the sample now).
 cargo run --release -q --offline -- generate "$ANALYZE_TMP/nmnist.snn" --preset fast \
     --out "$ANALYZE_TMP/nmnist.obs.events" --trace-out "$ANALYZE_TMP/nmnist.generate.trace.jsonl" > /dev/null
-cargo run --release -q --offline -- profile "$ANALYZE_TMP/nmnist.generate.trace.jsonl" | awk "$AWK_US"'
-    $4 == "stage.sample" { sample += us($1) }
-    $4 == "snn.forward" || $4 == "snn.backward" { simulator += us($1) }
-    END {
-        if (sample <= 0 || simulator <= 0) { print "generate profile lacks sample or simulator spans"; exit 1 }
-        printf "stage.sample / (snn.forward + snn.backward) = %.2f\n", sample / simulator
-        if (sample > simulator) { print "sampling costs more than the simulator again"; exit 1 }
-    }'
+cargo run --release -q --offline -- profile "$ANALYZE_TMP/nmnist.generate.trace.jsonl" \
+    | simulator_per_sample_within 1 1000 \
+    || { echo "sampling costs more than the simulator again"; exit 1; }
 
 step "packed engine — digest equality with the scalar engine on the example nets"
 # Same seeded campaign under both engines: the packed path promises

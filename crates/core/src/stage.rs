@@ -183,14 +183,24 @@ impl<'a> Descent<'a> {
         let _span = snn_obs::span!("stage.update");
         if let Some(best_loss) = improved {
             // BPTT is done with the trace, so it moves instead of being
-            // cloned; the logits are still those the sample was drawn from.
-            self.best = Some(StageOutcome {
-                best_input: input.clone(),
-                best_logits: self.logits.clone(),
-                best_loss,
-                best_trace: trace,
-                loss_history: Vec::new(),
-            });
+            // cloned; the logits are still those the sample was drawn from,
+            // and both tensors go into the buffers of the best they replace.
+            match &mut self.best {
+                Some(best) => {
+                    best.best_input.clone_from(input);
+                    best.best_logits.clone_from(&self.logits);
+                    (best.best_loss, best.best_trace) = (best_loss, trace);
+                }
+                None => {
+                    self.best = Some(StageOutcome {
+                        best_input: input.clone(),
+                        best_logits: self.logits.clone(),
+                        best_loss,
+                        best_trace: trace,
+                        loss_history: Vec::new(),
+                    });
+                }
+            }
         }
         let Some(mut grads) = grads else { return false };
         self.sample.grad_logits(&mut grads.input);

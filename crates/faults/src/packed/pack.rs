@@ -636,7 +636,7 @@ fn conv_weight(
                 z[p] = conv2d_window(spec, x_t, h, w, w_oc, p / ow, p % ow);
             }
         }
-        gold.lif.step_row(carried, refrac, z, spikes);
+        gold.lif.step_row(carried, refrac, z, spikes, None);
         sink.flips(t, base, spikes, &gold.out[channel]);
     }
 }
@@ -728,7 +728,7 @@ fn recurrent_site(
                 *zi = drive(*ff, *fb);
             }
             let own = (carried[q], refrac[q]);
-            gold.lif.step_row(carried, refrac, z, spikes);
+            gold.lif.step_row(carried, refrac, z, spikes, None);
             (carried[q], refrac[q]) = own;
         }
         let fired_q = site.forced.unwrap_or_else(|| {
@@ -947,7 +947,7 @@ fn lane_layer(
         // recorded one — bitwise (same functions over the same spikes) —
         // and is read where it lies.
         let z = if off_record { &s.z[..n] } else { gd.row(&rec.drive, t) };
-        gd.lif.step_row(&mut s.carried[..n], &mut s.refrac[..n], z, &mut s.spikes[..n]);
+        gd.lif.step_row(&mut s.carried[..n], &mut s.refrac[..n], z, &mut s.spikes[..n], None);
         prev_differs = sink.flips(t, 0, &s.spikes[..n], gd.row(gd.out, t));
         if prev_differs {
             std::mem::swap(&mut s.prev, &mut s.spikes);

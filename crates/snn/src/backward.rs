@@ -386,25 +386,14 @@ impl Network {
                     );
                     let dz = delta_z.as_slice();
                     let (h, w) = l.in_hw;
+                    // All ticks at once: rows are independent and the
+                    // kernel batches them sixteen at a time.
                     let igd = in_grad.as_mut_slice();
-                    for t in 0..steps {
-                        ops::conv2d_backward_input(
-                            &l.spec,
-                            &dz[t * n..(t + 1) * n],
-                            h,
-                            w,
-                            &l.weight,
-                            &mut igd[t * in_features..(t + 1) * in_features],
-                        );
-                        if want_weights {
-                            ops::conv2d_backward_weight(
-                                &l.spec,
-                                &dz[t * n..(t + 1) * n],
-                                &li[t * in_features..(t + 1) * in_features],
-                                h,
-                                w,
-                                &mut weight_grads[idx][0],
-                            );
+                    ops::conv2d_backward_input(&l.spec, dz, h, w, &l.weight, igd);
+                    if want_weights {
+                        let w_grad = &mut weight_grads[idx][0];
+                        for (dz, x) in dz.chunks_exact(n).zip(li.chunks_exact(in_features)) {
+                            ops::conv2d_backward_weight(&l.spec, dz, x, h, w, w_grad);
                         }
                     }
                 }

@@ -225,6 +225,8 @@ impl Layer {
     /// most of a spike train ([`ops::matvec_skip_zeros`]). The copy is
     /// made per call: weights are public fields that fault injection and
     /// training write, so a copy cached on the layer could go stale.
+    /// A conv layer hands the whole sequence to [`ops::conv2d`], whose
+    /// time-batched kernel takes sixteen ticks at once.
     pub(crate) fn feedforward_rows(&self, input: &[f32], out: &mut [f32]) {
         let rows = input
             .chunks_exact(self.in_features().max(1))
@@ -237,7 +239,8 @@ impl Layer {
                     ops::matvec_skip_zeros(&wt, x, z);
                 }
             }
-            Layer::Conv(_) | Layer::Pool(_) => {
+            Layer::Conv(l) => ops::conv2d(&l.spec, input, l.in_hw.0, l.in_hw.1, &l.weight, out),
+            Layer::Pool(_) => {
                 for (x, z) in rows {
                     self.feedforward(x, z);
                 }

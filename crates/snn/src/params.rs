@@ -93,33 +93,63 @@ impl LifParams {
 
     /// One tick of a row of neurons that share these parameters:
     /// [`step`](Self::step) for every `i`, on `carried[i]`, `refrac[i]`
-    /// and `z[i]`, with the spike written to `spikes[i]` as `0.0`/`1.0`.
+    /// and `z[i]`, with the spike written to `spikes[i]` as `0.0`/`1.0`
+    /// and, into a `recorded` pair of `(potential, gate)` rows, what BPTT
+    /// needs of the tick: `v` and `1.0`, or `0.0` twice when resting.
     ///
     /// This is a second spelling of the update, not a loop over `step`:
     /// its branches are written as selects so that the loop vectorises
     /// (a select-form `step` is slower on the one-neuron paths, where
-    /// the branch predicts well). The two are held together by a
-    /// property test on spikes and state bits, not by construction. A
-    /// resting neuron computes a potential that the select then drops;
-    /// no floating-point state is touched by it.
+    /// the branch predicts well). The two are held together by a property
+    /// test on spikes, state bits and recorded rows, not by construction.
+    /// A resting neuron computes a potential that the select then drops;
+    /// no floating-point state is touched by it. Without `recorded` the
+    /// loop is the indexed one the packed engine has always called (on
+    /// rows of 32 a zip reads 5 % slower); with it the rows are zipped,
+    /// because six indexed rows keep their bounds checks and stay scalar.
     ///
     /// # Panics
     ///
-    /// Panics if the four rows differ in length.
-    pub fn step_row(&self, carried: &mut [f32], refrac: &mut [u32], z: &[f32], spikes: &mut [f32]) {
+    /// Panics if the rows differ in length.
+    pub fn step_row(
+        &self,
+        carried: &mut [f32],
+        refrac: &mut [u32],
+        z: &[f32],
+        spikes: &mut [f32],
+        recorded: Option<(&mut [f32], &mut [f32])>,
+    ) {
         let n = carried.len();
         assert!(
             refrac.len() == n && z.len() == n && spikes.len() == n,
             "step_row rows must have one length"
         );
-        for i in 0..n {
-            let resting = refrac[i] > 0;
-            let v = self.leak * carried[i] + z[i];
+        // One tick of one neuron, branch-free: `(potential, resting)`.
+        let tick = |c: &mut f32, r: &mut u32, z: f32, s: &mut f32| {
+            let resting = *r > 0;
+            let v = self.leak * *c + z;
             let fired = !resting & (v >= self.threshold);
-            carried[i] = if resting | fired { 0.0 } else { v };
+            *c = if resting | fired { 0.0 } else { v };
             // Not resting means the counter is already 0.
-            refrac[i] = if fired { self.refrac_steps } else { refrac[i].saturating_sub(1) };
-            spikes[i] = f32::from(u8::from(fired));
+            *r = if fired { self.refrac_steps } else { r.saturating_sub(1) };
+            *s = f32::from(u8::from(fired));
+            (v, resting)
+        };
+        match recorded {
+            None => {
+                for i in 0..n {
+                    tick(&mut carried[i], &mut refrac[i], z[i], &mut spikes[i]);
+                }
+            }
+            Some((pot, gate)) => {
+                assert!(pot.len() == n && gate.len() == n, "step_row rows must have one length");
+                let state = carried.iter_mut().zip(refrac).zip(z.iter().zip(spikes));
+                for (((c, r), (&z, s)), (p, g)) in state.zip(pot.iter_mut().zip(gate)) {
+                    let (v, resting) = tick(c, r, z, s);
+                    *p = if resting { 0.0 } else { v };
+                    *g = f32::from(u8::from(!resting));
+                }
+            }
         }
     }
 
@@ -248,6 +278,9 @@ mod tests {
         /// from arbitrary pre-states (refractory ones included), on rows
         /// that leave a vector remainder, with drives that land a
         /// potential exactly on the threshold and zeroes of both signs.
+        /// Every other tick also asks for the potential and gate rows,
+        /// which must hold what `LifTick` reports: `v` and `1.0`, or
+        /// `+0.0` twice on a resting tick.
         #[test]
         fn step_row_is_step_for_every_neuron(
             n in 1usize..71,
@@ -263,6 +296,7 @@ mod tests {
                 (0..n).map(|_| if rng.gen_bool(0.3) { rng.gen_range(1..4) } else { 0 }).collect();
             let (mut carried_row, mut refrac_row) = (carried.clone(), refrac.clone());
             let mut spikes = vec![f32::NAN; n];
+            let (mut potential, mut gate) = (vec![f32::NAN; n], vec![f32::NAN; n]);
             for tick in 0..200 {
                 let z: Vec<f32> = (0..n)
                     .map(|i| match rng.gen_range(0..6) {
@@ -274,9 +308,15 @@ mod tests {
                         _ => rng.gen_range(-0.5f32..1.5),
                     })
                     .collect();
-                lif.step_row(&mut carried_row, &mut refrac_row, &z, &mut spikes);
+                let record = tick % 2 == 1;
+                let recorded = record.then_some((&mut potential[..], &mut gate[..]));
+                lif.step_row(&mut carried_row, &mut refrac_row, &z, &mut spikes, recorded);
                 for i in 0..n {
-                    let fired = lif.step(&mut carried[i], &mut refrac[i], z[i]).fired;
+                    let LifTick { fired, potential: v } = lif.step(&mut carried[i], &mut refrac[i], z[i]);
+                    if record {
+                        prop_assert_eq!(potential[i].to_bits(), v.unwrap_or(0.0).to_bits(), "tick {} neuron {}", tick, i);
+                        prop_assert_eq!(gate[i].to_bits(), f32::from(u8::from(v.is_some())).to_bits(), "tick {} neuron {}", tick, i);
+                    }
                     prop_assert_eq!(spikes[i].to_bits(), f32::from(u8::from(fired)).to_bits(), "tick {} neuron {}", tick, i);
                     prop_assert_eq!(carried_row[i].to_bits(), carried[i].to_bits(), "tick {} neuron {}", tick, i);
                     prop_assert_eq!(refrac_row[i], refrac[i], "tick {} neuron {}", tick, i);

@@ -207,7 +207,7 @@ impl LifRecord {
     }
 }
 
-/// Per-neuron behaviour after applying behavioural faults.
+/// Per-neuron behaviour of a layer that has behavioural faults.
 struct EffectiveParams {
     lif: Vec<LifParams>,
     /// `Some(spike)` for a neuron whose output a fault forces.
@@ -215,13 +215,9 @@ struct EffectiveParams {
 }
 
 impl EffectiveParams {
-    fn new(
-        n: usize,
-        lif: &LifParams,
-        faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
-    ) -> Self {
+    fn new(n: usize, lif: &LifParams, faults: &HashMap<usize, NeuronBehaviorFault>) -> Self {
         let mut p = Self { lif: vec![*lif; n], forced: vec![None; n] };
-        for (&i, fault) in faults.into_iter().flatten() {
+        for (&i, fault) in faults {
             if i < n {
                 p.lif[i] = fault.lif(lif);
                 p.forced[i] = fault.forced();
@@ -234,13 +230,17 @@ impl EffectiveParams {
 /// Simulates one spiking layer over the rows of `input`. `rec.drive`
 /// (`[T × n]`) is where the drives are computed; the other fields of `rec`
 /// are filled in when sized by [`LifRecord::zeroed`] and skipped when
-/// empty.
+/// empty. A fault-free layer (`faulty` is `None`) steps each tick as one
+/// row of `lif`; a layer with a forced or perturbed neuron steps neuron
+/// by neuron through its [`EffectiveParams`].
+#[allow(clippy::too_many_arguments)]
 fn run_lif(
     layer: &Layer,
+    lif: &LifParams,
     input: &Tensor,
     t_offset: usize,
     record: RecordOptions,
-    params: &EffectiveParams,
+    faulty: Option<&EffectiveParams>,
     state: &mut LifState,
     rec: &mut LifRecord,
 ) -> LayerTrace {
@@ -288,19 +288,24 @@ fn run_lif(
             .as_mut()
             .zip(gate.as_mut())
             .map(|(p, g)| (&mut p.as_mut_slice()[row.clone()], &mut g.as_mut_slice()[row.clone()]));
-        for i in 0..n {
-            if let Some(spike) = params.forced[i] {
-                // Dead halts spike propagation entirely; saturated fires
-                // every tick regardless of input.
-                out_row[i] = f32::from(u8::from(spike));
-                continue;
-            }
-            let tick = params.lif[i].step(&mut carried[i], &mut refrac[i], z[i]);
-            out_row[i] = f32::from(u8::from(tick.fired));
-            // A refractory tick leaves gate and potential at 0.
-            if let (Some(v), Some((p, g))) = (tick.potential, recorded.as_mut()) {
-                p[i] = v;
-                g[i] = 1.0;
+        match faulty {
+            None => lif.step_row(carried, refrac, z, out_row, recorded),
+            Some(params) => {
+                for i in 0..n {
+                    if let Some(spike) = params.forced[i] {
+                        // Dead halts spike propagation entirely; saturated
+                        // fires every tick regardless of input.
+                        out_row[i] = f32::from(u8::from(spike));
+                        continue;
+                    }
+                    let tick = params.lif[i].step(&mut carried[i], &mut refrac[i], z[i]);
+                    out_row[i] = f32::from(u8::from(tick.fired));
+                    // A refractory tick leaves gate and potential at 0.
+                    if let (Some(v), Some((p, g))) = (tick.potential, recorded.as_mut()) {
+                        p[i] = v;
+                        g[i] = 1.0;
+                    }
+                }
             }
         }
         prev_spikes.copy_from_slice(out_row);
@@ -342,7 +347,7 @@ fn run_layer_segment(
         layer.feedforward_rows(input.as_slice(), output.as_mut_slice());
         return LayerTrace { output, potential: None, gate: None };
     };
-    let params = EffectiveParams::new(n, lif, faults);
+    let faulty = faults.filter(|f| !f.is_empty()).map(|f| EffectiveParams::new(n, lif, f));
     let state = state.lif.get_or_insert_with(|| LifState::fresh(n));
     // A run nobody resumes from keeps the drives alone, for its own use.
     let mut drive_only = LifRecord::default();
@@ -350,7 +355,7 @@ fn run_layer_segment(
         drive_only.drive = vec![0.0; steps * n];
         &mut drive_only
     });
-    run_lif(layer, input, t_offset, record, &params, state, rec)
+    run_lif(layer, lif, input, t_offset, record, faulty.as_ref(), state, rec)
 }
 
 impl Network {
@@ -765,8 +770,11 @@ mod tests {
         assert_eq!(segmented_layer_output(&net, &input, 2), full.output().as_slice());
     }
 
-    /// One spiking layer of each kind (refractory period 2), with a
-    /// stimulus dense enough that every kind fires and rests.
+    /// One spiking layer of each kind (refractory period 2; the conv
+    /// layer at stride 2), with a stimulus dense enough that every kind
+    /// fires and rests. 40 ticks are two blocks of the time-batched
+    /// convolution kernels and a tail of 8 rows for the row-stationary
+    /// ones.
     fn one_layer_nets() -> Vec<(Network, Tensor)> {
         let mut rng = StdRng::seed_from_u64(21);
         let lif = LifParams { threshold: 1.0, leak: 0.9, refrac_steps: 2 };
@@ -913,14 +921,19 @@ mod tests {
         }
     }
 
-    /// The simulation loop the sequence drives replaced, kept as the
-    /// reference: one [`Layer::feedforward`] per tick (`ops::matvec`, every
-    /// product taken), feedback through `ops::matvec`, [`LifParams::step`]
-    /// per neuron. Returns `(spikes, potential, gate, drive, feedforward,
-    /// feedback)`, each `[T × n]`.
-    fn per_tick_reference(layer: &Layer, input: &Tensor) -> [Vec<f32>; 6] {
+    /// The simulation loop the sequence drives and the row-stepped sweep
+    /// replaced, kept as the reference: one [`Layer::feedforward`] per tick
+    /// (`ops::matvec` or the single-row convolution, every product
+    /// taken), feedback through `ops::matvec`, [`LifParams::step`] per
+    /// neuron — with `fault` applied to its one neuron. Returns `(spikes,
+    /// potential, gate, drive, feedforward, feedback)`, each `[T × n]`.
+    fn per_tick_reference(
+        layer: &Layer,
+        input: &Tensor,
+        fault: Option<(usize, NeuronBehaviorFault)>,
+    ) -> [Vec<f32>; 6] {
         let (f, n) = (layer.in_features(), layer.out_features());
-        let lif = *layer.lif().unwrap();
+        let nominal = *layer.lif().unwrap();
         let steps = input.shape().dim(0);
         let mut cols: [Vec<f32>; 6] = std::array::from_fn(|_| vec![0.0; steps * n]);
         let (mut carried, mut refrac) = (vec![0.0f32; n], vec![0u32; n]);
@@ -936,6 +949,13 @@ mod tests {
             }
             cols[3][row.clone()].copy_from_slice(&z);
             for i in 0..n {
+                let fault = fault.filter(|&(at, _)| at == i).map(|(_, fault)| fault);
+                if let Some(spike) = fault.and_then(|fault| fault.forced()) {
+                    prev[i] = f32::from(u8::from(spike));
+                    cols[0][row.start + i] = prev[i];
+                    continue;
+                }
+                let lif = fault.map_or(nominal, |fault| fault.lif(&nominal));
                 let tick = lif.step(&mut carried[i], &mut refrac[i], z[i]);
                 prev[i] = f32::from(u8::from(tick.fired));
                 cols[0][row.start + i] = prev[i];
@@ -968,7 +988,7 @@ mod tests {
             }
             for input in [&spikes, &input] {
                 let [out, pot, gate, drive, feedforward, feedback] =
-                    per_tick_reference(layer, input);
+                    per_tick_reference(layer, input, None);
                 let trace = net.forward(input, RecordOptions::full());
                 let lt = &trace.layers[0];
                 assert_eq!(bits(lt.output.as_slice()), bits(&out), "{kind}");
@@ -999,6 +1019,48 @@ mod tests {
             pool.feedforward(&input.as_slice()[t * 48..(t + 1) * 48], &mut want[t * 12..][..12]);
         }
         assert_eq!(bits(trace.output().as_slice()), bits(&want));
+    }
+
+    /// A layer with one faulty neuron leaves the row-stepped sweep for the
+    /// per-neuron loop: the faulty neuron follows its own parameters (the
+    /// row sweep would have stepped it with the layer's, as the fault-free
+    /// run does), and every neuron keeps the reference's bits.
+    #[test]
+    fn one_faulty_neuron_takes_the_exact_per_neuron_path() {
+        let faults = [
+            NeuronBehaviorFault::Dead,
+            NeuronBehaviorFault::Saturated,
+            NeuronBehaviorFault::ParamScale {
+                threshold_scale: 0.5,
+                leak_scale: 0.7,
+                refrac_delta: 1,
+            },
+        ];
+        for (net, input) in one_layer_nets() {
+            let layer = &net.layers()[0];
+            let (kind, n) = (layer.kind(), layer.out_features());
+            let nominal = net.forward(&input, RecordOptions::full());
+            // The busiest neuron: silencing it shows as surely as forcing it.
+            let counts = nominal.layers[0].spike_counts();
+            let at = (0..n).max_by(|&a, &b| counts[a].total_cmp(&counts[b])).unwrap();
+            for fault in faults {
+                let [out, pot, gate, ..] = per_tick_reference(layer, &input, Some((at, fault)));
+                let map = NeuronFaultMap::single(0, at, fault);
+                let trace = net.forward_faulty(&input, RecordOptions::full(), &map);
+                let lt = &trace.layers[0];
+                assert_eq!(bits(lt.output.as_slice()), bits(&out), "{kind} {fault:?}");
+                assert_eq!(
+                    bits(lt.potential.as_ref().unwrap().as_slice()),
+                    bits(&pot),
+                    "{kind} {fault:?}"
+                );
+                assert_eq!(bits(lt.gate.as_ref().unwrap().as_slice()), bits(&gate), "{kind}");
+                let train = |t: &Trace| -> Vec<f32> {
+                    t.output().as_slice().iter().skip(at).step_by(n).copied().collect()
+                };
+                assert_ne!(train(&trace), train(&nominal), "{kind} {fault:?}: fault not applied");
+            }
+        }
     }
 
     #[test]

@@ -16,19 +16,26 @@
 //!   gradient is exactly zero skipped.
 //! * [`conv2d`], [`conv2d_window`]: an output pixel accumulates its taps
 //!   from `+0.0` in `(ic, ky, kx)` order, taps in the zero padding
-//!   skipped. `conv2d` is *row-stationary*: one output row is the
-//!   accumulator and each tap adds a shifted input row into it, so every
-//!   pixel of the row still sees its own taps in that order.
+//!   skipped. For one row `conv2d` is *row-stationary*: one output row is
+//!   the accumulator and each tap adds a shifted input row into it, so
+//!   every pixel of the row still sees its own taps in that order.
 //! * [`conv2d_backward_input`]: an input-gradient element accumulates in
 //!   ascending `(oc, oy, ox)` of the output pixels that tap it — the
 //!   row-stationary loop visits `kx` *descending*, which is `ox`
 //!   ascending for a fixed input pixel. [`conv2d_backward_weight`]: a
 //!   weight accumulates in ascending `(oy, ox)`.
+//! * Both take `T` rows, and rows of different ticks share nothing: every
+//!   whole block of sixteen goes through `conv2d_ticks`, where the *tick*
+//!   is the vector axis — one element's sixteen ticks are one register
+//!   accumulator that takes that element's taps in the order above, the
+//!   input gradient as the convolution with the flipped kernel it is.
+//!   Which kernel a row went through cannot be read off its bits.
 //! * [`avg_pool2d`]: a window is summed from `+0.0` in `(ky, kx)` order,
 //!   then scaled once.
 //!
 //! The zero-skipping kernels (`matvec_skip_zeros`, the per-row gradient
-//! skip of the convolution backward kernels) leave out products that are
+//! skip of the row-stationary convolution backward kernels, which the
+//! time-batched kernel does not make) leave out products that are
 //! `±0.0`. Adding `±0.0` changes no accumulator that started at `+0.0`
 //! — a sum of `f32` is `−0.0` only when both terms are — so they return
 //! the bits of the unskipped sum provided the other factor is finite
@@ -142,6 +149,95 @@ impl Conv2dSpec {
                 (lo, hi.max(lo), (lo * self.stride + kx).saturating_sub(self.padding))
             })
             .collect()
+    }
+
+    /// Per output coordinate (of `out`), its [`Taps`] among `extent` input
+    /// coordinates; each next input meets the next offset.
+    fn taps_by_output(&self, extent: usize, out: usize) -> Vec<Taps> {
+        (0..out)
+            .map(|o| {
+                let k_lo = self.padding.saturating_sub(o * self.stride).min(self.kernel);
+                let k_hi = (extent + self.padding).saturating_sub(o * self.stride).min(self.kernel);
+                let lo = (o * self.stride + k_lo).saturating_sub(self.padding);
+                (lo, lo + k_hi.saturating_sub(k_lo), k_lo)
+            })
+            .collect()
+    }
+
+    /// Per input coordinate (of `extent`), the [`Taps`] among `out` output
+    /// coordinates that reach it, offsets counted in the *flipped* kernel
+    /// (`kernel − 1 − k`): each next output meets one `stride` further on.
+    fn taps_by_input(&self, extent: usize, out: usize) -> Vec<Taps> {
+        (0..extent)
+            .map(|i| {
+                let lo = (i + self.padding + 1).saturating_sub(self.kernel).div_ceil(self.stride);
+                let hi = ((i + self.padding) / self.stride + 1).min(out);
+                let k = (self.kernel + lo * self.stride).saturating_sub(i + self.padding + 1);
+                (lo, hi.max(lo), k.min(self.kernel))
+            })
+            .collect()
+    }
+}
+
+/// What one coordinate of a time-batched kernel's destination taps along
+/// an axis: the run `lo..hi` of source coordinates and the kernel offset
+/// that meets `lo`.
+type Taps = (usize, usize, usize);
+
+/// Ticks the time-batched convolution kernel takes at once (DESIGN.md
+/// §19.6 has the measurement that fixed it).
+const TICK_BLOCK: usize = 16;
+
+/// `TICK_BLOCK` rows of `n` values each, transposed to `[n][TICK_BLOCK]`.
+fn ticks_innermost(rows: &[f32], n: usize) -> Vec<[f32; TICK_BLOCK]> {
+    assert_eq!(rows.len(), TICK_BLOCK * n, "a block of ticks is TICK_BLOCK rows");
+    (0..n).map(|i| std::array::from_fn(|b| rows[b * n + i])).collect()
+}
+
+/// [`conv2d`] and [`conv2d_backward_input`] for [`TICK_BLOCK`] rows at
+/// once, ticks innermost. Every element of `dst` (rows of `dst_chw`)
+/// starts from the block of ticks it holds and adds, in registers,
+/// `weight · src` over the source elements (rows of `src_chw`) it taps:
+/// channels ascending, then the rows of `taps_y[y]`, then the columns of
+/// `taps_x[x]` — a contiguous run of the transposed source, met by kernel
+/// offsets `k_step` apart in the kernel row that starts at
+/// `wd[w_row(dst channel, src channel, ky)]`. No zero row is skipped:
+/// `±0.0` products change no bit (module doc).
+#[allow(clippy::too_many_arguments)]
+fn conv2d_ticks(
+    src: &[f32],
+    (src_c, src_h, src_w): (usize, usize, usize),
+    dst: &mut [f32],
+    (dst_c, dst_h, dst_w): (usize, usize, usize),
+    (taps_y, taps_x): (&[Taps], &[Taps]),
+    wd: &[f32],
+    w_row: impl Fn(usize, usize, usize) -> usize,
+    k_step: usize,
+) {
+    let st = ticks_innermost(src, src_c * src_h * src_w);
+    let dst_len = dst_c * dst_h * dst_w;
+    for d in 0..dst_len {
+        let (c, (y_lo, y_hi, ky), (x_lo, x_hi, kx)) =
+            (d / (dst_h * dst_w), taps_y[d / dst_w % dst_h], taps_x[d % dst_w]);
+        // A local copy: the accumulator stays in registers across the taps.
+        let mut acc: [f32; TICK_BLOCK] = std::array::from_fn(|b| dst[b * dst_len + d]);
+        for s in 0..src_c {
+            for (n, y) in (y_lo..y_hi).enumerate() {
+                let w_run = wd[w_row(c, s, ky + n * k_step)..][kx..].iter();
+                let x_run = &st[(s * src_h + y) * src_w..][x_lo..x_hi];
+                // A unit step takes the plain zip: `step_by(1)` is a tenth
+                // of the kernel's time.
+                if k_step == 1 {
+                    w_run.zip(x_run).for_each(|(&wv, x)| axpy_strided(&mut acc, 1, wv, x, 1));
+                } else {
+                    let w_run = w_run.step_by(k_step);
+                    w_run.zip(x_run).for_each(|(&wv, x)| axpy_strided(&mut acc, 1, wv, x, 1));
+                }
+            }
+        }
+        for (b, v) in acc.into_iter().enumerate() {
+            dst[b * dst_len + d] = v;
+        }
     }
 }
 
@@ -351,11 +447,13 @@ pub fn conv2d_window(
     acc
 }
 
-/// 2-D convolution forward pass.
+/// 2-D convolution forward pass, over one row or a whole sequence.
 ///
-/// `input` is `[C_in, H, W]` flattened row-major, `weight` is
-/// `[C_out, C_in, k, k]`, and the result is written into `out`
-/// (`[C_out, OH, OW]` flattened).
+/// `input` is `T` rows of `[C_in, H, W]` flattened row-major, `weight` is
+/// `[C_out, C_in, k, k]`, and the result is written into `out` (`T` rows
+/// of `[C_out, OH, OW]` flattened). Rows are independent: every whole
+/// block of [`TICK_BLOCK`] rows goes through the time-batched kernel and
+/// the rest — a single row always — through the row-stationary one.
 ///
 /// # Panics
 ///
@@ -369,27 +467,44 @@ pub fn conv2d(
     out: &mut [f32],
 ) {
     let (oh, ow) = spec.out_hw(h, w);
-    assert_eq!(input.len(), spec.in_channels * h * w, "conv2d input length");
+    let (in_len, out_len) = (spec.in_channels * h * w, spec.out_channels * oh * ow);
+    let steps = input.len() / in_len.max(1);
+    assert_eq!(input.len(), steps * in_len, "conv2d input length");
     assert_eq!(weight.len(), spec.weight_count(), "conv2d weight length");
-    assert_eq!(out.len(), spec.out_channels * oh * ow, "conv2d output length");
+    assert_eq!(out.len(), steps * out_len, "conv2d output length");
     let (k, stride) = (spec.kernel, spec.stride);
     let per_channel = spec.in_channels * k * k;
     let wd = weight.as_slice();
     debug_assert_finite("conv2d", "input", input);
     debug_assert_finite("conv2d", "weight", wd);
+    let blocked = steps / TICK_BLOCK * TICK_BLOCK;
+    let (x_blocks, x_rows) = input.split_at(blocked * in_len);
+    let (z_blocks, z_rows) = out.split_at_mut(blocked * out_len);
+    if blocked > 0 {
+        z_blocks.fill(0.0);
+        let taps = (&spec.taps_by_output(h, oh)[..], &spec.taps_by_output(w, ow)[..]);
+        let w_row = |oc, ic, ky| ((oc * spec.in_channels + ic) * k + ky) * k;
+        let (src, dst) = ((spec.in_channels, h, w), (spec.out_channels, oh, ow));
+        let blocks = x_blocks.chunks_exact(TICK_BLOCK * in_len);
+        for (x, z) in blocks.zip(z_blocks.chunks_exact_mut(TICK_BLOCK * out_len)) {
+            conv2d_ticks(x, src, z, dst, taps, wd, w_row, 1);
+        }
+    }
     let runs = spec.tap_runs(w, ow);
-    out.fill(0.0);
-    for (oc_oy, acc) in out.chunks_exact_mut(ow).enumerate() {
-        let (oc, oy) = (oc_oy / oh, oc_oy % oh);
-        let w_oc = &wd[oc * per_channel..(oc + 1) * per_channel];
-        for ic in 0..spec.in_channels {
-            for ky in 0..k {
-                let Some(iy) = spec.tap(oy, ky, h) else { continue };
-                let in_row = &input[(ic * h + iy) * w..][..w];
-                let w_row = &w_oc[(ic * k + ky) * k..][..k];
-                for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs) {
-                    if lo < hi {
-                        axpy_strided(&mut acc[lo..hi], 1, wv, &in_row[start..], stride);
+    for (x, z) in x_rows.chunks_exact(in_len.max(1)).zip(z_rows.chunks_exact_mut(out_len.max(1))) {
+        z.fill(0.0);
+        for (oc_oy, acc) in z.chunks_exact_mut(ow).enumerate() {
+            let (oc, oy) = (oc_oy / oh, oc_oy % oh);
+            let w_oc = &wd[oc * per_channel..(oc + 1) * per_channel];
+            for ic in 0..spec.in_channels {
+                for ky in 0..k {
+                    let Some(iy) = spec.tap(oy, ky, h) else { continue };
+                    let in_row = &x[(ic * h + iy) * w..][..w];
+                    let w_row = &w_oc[(ic * k + ky) * k..][..k];
+                    for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs) {
+                        if lo < hi {
+                            axpy_strided(&mut acc[lo..hi], 1, wv, &in_row[start..], stride);
+                        }
                     }
                 }
             }
@@ -399,7 +514,9 @@ pub fn conv2d(
 }
 
 /// Gradient of [`conv2d`] with respect to the input, accumulated into
-/// `in_grad` (`[C_in, H, W]`).
+/// `in_grad` (`T` rows of `[C_in, H, W]`) from `T` rows of `out_grad`,
+/// split between a time-batched and a row-stationary kernel as in
+/// [`conv2d`].
 ///
 /// # Panics
 ///
@@ -413,27 +530,48 @@ pub fn conv2d_backward_input(
     in_grad: &mut [f32],
 ) {
     let (oh, ow) = spec.out_hw(h, w);
-    assert_eq!(out_grad.len(), spec.out_channels * oh * ow, "conv2d out-grad length");
-    assert_eq!(in_grad.len(), spec.in_channels * h * w, "conv2d in-grad length");
+    let (in_len, out_len) = (spec.in_channels * h * w, spec.out_channels * oh * ow);
+    let steps = out_grad.len() / out_len.max(1);
+    assert_eq!(out_grad.len(), steps * out_len, "conv2d out-grad length");
+    assert_eq!(in_grad.len(), steps * in_len, "conv2d in-grad length");
     let (k, stride) = (spec.kernel, spec.stride);
     let wd = weight.as_slice();
     debug_assert_finite("conv2d_backward_input", "out_grad", out_grad);
     debug_assert_finite("conv2d_backward_input", "weight", wd);
-    let runs = spec.tap_runs(w, ow);
-    for (oc_oy, g_row) in out_grad.chunks_exact(ow).enumerate() {
-        if all_zero(g_row) {
-            continue;
+    let blocked = steps / TICK_BLOCK * TICK_BLOCK;
+    let (g_blocks, g_rows) = out_grad.split_at(blocked * out_len);
+    let (x_blocks, x_rows) = in_grad.split_at_mut(blocked * in_len);
+    if blocked > 0 {
+        // The input gradient is a convolution of the output gradient with
+        // the flipped kernel: ascending there is descending `(ky, kx)`
+        // here, which is `(oc, oy, ox)` ascending for an input pixel.
+        let taps = (&spec.taps_by_input(h, oh)[..], &spec.taps_by_input(w, ow)[..]);
+        let flipped: Vec<f32> = wd.iter().rev().copied().collect();
+        let (last_oc, last_ic) = (spec.out_channels - 1, spec.in_channels - 1);
+        let w_row = |ic, oc, ky| (((last_oc - oc) * spec.in_channels + last_ic - ic) * k + ky) * k;
+        let (src, dst) = ((spec.out_channels, oh, ow), (spec.in_channels, h, w));
+        let blocks = g_blocks.chunks_exact(TICK_BLOCK * out_len);
+        for (g, x) in blocks.zip(x_blocks.chunks_exact_mut(TICK_BLOCK * in_len)) {
+            conv2d_ticks(g, src, x, dst, taps, &flipped, w_row, stride);
         }
-        let (oc, oy) = (oc_oy / oh, oc_oy % oh);
-        for ic in 0..spec.in_channels {
-            for ky in 0..k {
-                let Some(iy) = spec.tap(oy, ky, h) else { continue };
-                let in_row = &mut in_grad[(ic * h + iy) * w..][..w];
-                let w_row = &wd[((oc * spec.in_channels + ic) * k + ky) * k..][..k];
-                // `kx` descending is `ox` ascending for a fixed input pixel.
-                for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs).rev() {
-                    if lo < hi {
-                        axpy_strided(&mut in_row[start..], stride, wv, &g_row[lo..hi], 1);
+    }
+    let runs = spec.tap_runs(w, ow);
+    for (g, x) in g_rows.chunks_exact(out_len.max(1)).zip(x_rows.chunks_exact_mut(in_len.max(1))) {
+        for (oc_oy, g_row) in g.chunks_exact(ow).enumerate() {
+            if all_zero(g_row) {
+                continue;
+            }
+            let (oc, oy) = (oc_oy / oh, oc_oy % oh);
+            for ic in 0..spec.in_channels {
+                for ky in 0..k {
+                    let Some(iy) = spec.tap(oy, ky, h) else { continue };
+                    let in_row = &mut x[(ic * h + iy) * w..][..w];
+                    let w_row = &wd[((oc * spec.in_channels + ic) * k + ky) * k..][..k];
+                    // `kx` descending is `ox` ascending for a fixed input pixel.
+                    for (&wv, &(lo, hi, start)) in w_row.iter().zip(&runs).rev() {
+                        if lo < hi {
+                            axpy_strided(&mut in_row[start..], stride, wv, &g_row[lo..hi], 1);
+                        }
                     }
                 }
             }
@@ -881,6 +1019,64 @@ mod tests {
                 prop_assert_eq!(got.to_bits(), want.to_bits());
             }
             for (got, want) in w_grad.as_slice().iter().zip(&w_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        /// Handed `T` rows at once, `conv2d` and `conv2d_backward_input`
+        /// return the bits of `T` single-row calls — the row-stationary
+        /// kernels the two tests above hold to their references — whether
+        /// `T` is one row, falls one short of a block of ticks, fills it,
+        /// spills one row into the tail or spans two blocks and a tail.
+        /// Stride reaches 3 and padding the kernel extent; inputs are
+        /// half zeros of both signs, gradients carry all-zero rows and
+        /// scattered `±0.0` (which only the row kernel skips), and the
+        /// input gradient accumulates into a buffer that is not zero.
+        #[test]
+        fn t_row_kernels_match_their_single_row_calls(
+            in_c in 1usize..3, out_c in 1usize..4, k in 1usize..5, stride in 1usize..4,
+            pad_sel in 0usize..5, extra in 0usize..5, t_sel in 0usize..5, seed in 0u64..1000,
+        ) {
+            let steps = [1, TICK_BLOCK - 1, TICK_BLOCK, TICK_BLOCK + 1, 37][t_sel];
+            let spec = Conv2dSpec::new(in_c, out_c, k, stride, pad_sel % (k + 1));
+            let (h, w) = (k + extra, k + extra + 1);
+            let (oh, ow) = spec.out_hw(h, w);
+            let (in_len, out_len) = (in_c * h * w, out_c * oh * ow);
+            let mut next = xorshift(seed);
+            let weight = Tensor::from_vec(
+                spec.weight_shape(),
+                (0..spec.weight_count()).map(|_| next()).collect(),
+            ).unwrap();
+            let mut sparse = |at: usize| match (next(), at % 3) {
+                (v, _) if v.abs() >= 0.5 => v,
+                (_, 0) => -0.0,
+                _ => 0.0,
+            };
+            let input: Vec<f32> = (0..steps * in_len).map(&mut sparse).collect();
+            let mut out_grad: Vec<f32> = (0..steps * out_len).map(&mut sparse).collect();
+            for (row, g_row) in out_grad.chunks_mut(ow).enumerate() {
+                if (row as u64 + seed).is_multiple_of(4) {
+                    g_row.fill(0.0);
+                }
+            }
+            // An accumulator never holds `-0.0` (module doc): `+0.0` here.
+            let held: Vec<f32> = (0..steps * in_len).map(|_| next() + 0.0).collect();
+
+            let (mut out, mut out_rows) = (vec![f32::NAN; steps * out_len], vec![f32::NAN; steps * out_len]);
+            conv2d(&spec, &input, h, w, &weight, &mut out);
+            for (x, z) in input.chunks(in_len).zip(out_rows.chunks_mut(out_len)) {
+                conv2d(&spec, x, h, w, &weight, z);
+            }
+            for (got, want) in out.iter().zip(&out_rows) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+
+            let (mut in_grad, mut in_rows) = (held.clone(), held);
+            conv2d_backward_input(&spec, &out_grad, h, w, &weight, &mut in_grad);
+            for (g, x) in out_grad.chunks(out_len).zip(in_rows.chunks_mut(in_len)) {
+                conv2d_backward_input(&spec, g, h, w, &weight, x);
+            }
+            for (got, want) in in_grad.iter().zip(&in_rows) {
                 prop_assert_eq!(got.to_bits(), want.to_bits());
             }
         }

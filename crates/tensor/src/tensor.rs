@@ -21,10 +21,24 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 /// assert_eq!(t[[0, 1]], 3.0);
 /// assert_eq!(t.sum(), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self { shape: self.shape.clone(), data: self.data.clone() }
+    }
+
+    /// Into the buffers `self` owns (the derived one would allocate).
+    fn clone_from(&mut self, source: &Self) {
+        if self.shape != source.shape {
+            self.shape = source.shape.clone();
+        }
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Tensor {
@@ -338,6 +352,18 @@ impl fmt::Display for Tensor {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn clone_from_keeps_the_buffer_when_shapes_agree() {
+        let mut held = Tensor::zeros(Shape::d2(2, 3));
+        let buffer = held.as_slice().as_ptr();
+        let source = Tensor::full(Shape::d2(2, 3), 1.5);
+        held.clone_from(&source);
+        assert_eq!(held, source);
+        assert_eq!(held.as_slice().as_ptr(), buffer);
+        held.clone_from(&Tensor::full(Shape::d1(4), 2.0));
+        assert_eq!(held, Tensor::full(Shape::d1(4), 2.0));
+    }
 
     #[test]
     fn zeros_and_full() {
