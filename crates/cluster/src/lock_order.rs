@@ -6,7 +6,7 @@
 //! both crates is published here, in the lower of the two, and
 //! `snn-service` re-exports it. Every lock of the two crates is built
 //! with `Mutex::named(..)` on a name from [`LOCK_ORDER`] (`snn-lint` pass
-//! `L-LOCK`); in debug builds, acquiring one while holding a lock that
+//! `L-LOCKGRAPH`); in debug builds, acquiring one while holding a lock that
 //! ranks after it panics with both acquisition sites — an ABBA deadlock
 //! becomes a deterministic single-run test failure.
 

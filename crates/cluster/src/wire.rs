@@ -399,8 +399,18 @@ fn read_capped_line(r: &mut impl BufRead, cap: usize) -> std::io::Result<Option<
 mod tests {
     use super::*;
 
-    fn round_trip<T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(v: &T) {
+    /// Asserts that `v` encodes to exactly `json` — the pinned bytes a
+    /// peer of this protocol version sends — and decodes back to itself.
+    fn pinned<T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(
+        v: &T,
+        json: &str,
+    ) {
         let s = serde::json::to_string(v);
+        assert_eq!(
+            s, json,
+            "the wire encoding changed: bump `PROTOCOL_VERSION` (and `JOB_SCHEMA_VERSION` for \
+             `JobRecord`), then update the pinned encoding"
+        );
         let back: T = serde::json::from_str(&s).unwrap();
         assert_eq!(&back, v, "round trip of {s}");
     }
@@ -418,54 +428,78 @@ mod tests {
 
     #[test]
     fn worker_messages_round_trip() {
-        round_trip(&WorkerMsg::Hello { name: "w1".into(), protocol: PROTOCOL_VERSION });
-        round_trip(&WorkerMsg::Lease { worker: "w1".into() });
-        round_trip(&WorkerMsg::Fetch { worker: "w1".into(), campaign: 2 });
-        round_trip(&WorkerMsg::Heartbeat { worker: "w1".into(), lease: 7 });
-        round_trip(&WorkerMsg::Result {
-            worker: "w1".into(),
-            lease: 7,
-            campaign: 2,
-            chunk: 1,
-            epoch: 3,
-            outcomes: ChunkOutcomes {
-                detected: vec![true, false],
-                distance: vec![2.5, 0.0],
-                class_diff: Some(vec![Some(vec![1.0, -1.0]), None]),
+        pinned(
+            &WorkerMsg::Hello { name: "w1".into(), protocol: PROTOCOL_VERSION },
+            r#"{"Hello":{"name":"w1","protocol":9}}"#,
+        );
+        pinned(&WorkerMsg::Lease { worker: "w1".into() }, r#"{"Lease":{"worker":"w1"}}"#);
+        pinned(
+            &WorkerMsg::Fetch { worker: "w1".into(), campaign: 2 },
+            r#"{"Fetch":{"worker":"w1","campaign":2}}"#,
+        );
+        pinned(
+            &WorkerMsg::Heartbeat { worker: "w1".into(), lease: 7 },
+            r#"{"Heartbeat":{"worker":"w1","lease":7}}"#,
+        );
+        pinned(
+            &WorkerMsg::Result {
+                worker: "w1".into(),
+                lease: 7,
+                campaign: 2,
+                chunk: 1,
+                epoch: 3,
+                outcomes: ChunkOutcomes {
+                    detected: vec![true, false],
+                    distance: vec![2.5, 0.0],
+                    class_diff: Some(vec![Some(vec![1.0, -1.0]), None]),
+                },
+                spans: Some(vec![snn_obs::SpanRecord {
+                    id: 4,
+                    parent: None,
+                    name: "cluster.chunk".into(),
+                    start_us: 10,
+                    end_us: 250,
+                    attrs: vec![("lease".into(), "7".into())],
+                }]),
             },
-            spans: Some(vec![snn_obs::SpanRecord {
-                id: 4,
-                parent: None,
-                name: "cluster.chunk".into(),
-                start_us: 10,
-                end_us: 250,
-                attrs: vec![("lease".into(), "7".into())],
-            }]),
-        });
-        round_trip(&WorkerMsg::Bye { worker: "w1".into() });
+            r#"{"Result":{"worker":"w1","lease":7,"campaign":2,"chunk":1,"epoch":3,"outcomes":{"detected":[true,false],"distance":[2.5,0],"class_diff":[[1,-1],null]},"spans":[{"id":4,"parent":null,"name":"cluster.chunk","start_us":10,"end_us":250,"attrs":[["lease","7"]]}]}}"#,
+        );
+        pinned(&WorkerMsg::Bye { worker: "w1".into() }, r#"{"Bye":{"worker":"w1"}}"#);
     }
 
     #[test]
     fn coordinator_messages_round_trip() {
-        round_trip(&CoordMsg::Welcome {
-            protocol: PROTOCOL_VERSION,
-            lease_ms: 5000,
-            heartbeat_ms: 1000,
-        });
-        round_trip(&CoordMsg::Granted(grant()));
-        round_trip(&CoordMsg::Idle { retry_ms: 50 });
-        round_trip(&CoordMsg::Campaign(CampaignSpec {
-            id: 2,
-            model: ModelSpec::Synthetic { inputs: 4, hidden: vec![6], outputs: 2, seed: 1 },
-            events: vec!["# snn-mtfc test: 2 ticks x 4 features, 1 chunks\n0 1\n".into()],
-            sim: FaultSimConfig::default(),
-            faults: 128,
-            reliability: None,
-        }));
-        round_trip(&CoordMsg::HeartbeatAck { live: false });
-        round_trip(&CoordMsg::ResultAck { accepted: true });
-        round_trip(&CoordMsg::Shutdown);
-        round_trip(&CoordMsg::Error { message: "unknown campaign".into() });
+        pinned(
+            &CoordMsg::Welcome { protocol: PROTOCOL_VERSION, lease_ms: 5000, heartbeat_ms: 1000 },
+            r#"{"Welcome":{"protocol":9,"lease_ms":5000,"heartbeat_ms":1000}}"#,
+        );
+        pinned(
+            &CoordMsg::Granted(grant()),
+            r#"{"Granted":{"lease":7,"campaign":2,"chunk":{"index":1,"start":64,"len":64},"epoch":3,"deadline_in_ms":5000,"trace":{"trace_id":11,"parent_span_id":11}}}"#,
+        );
+        pinned(&CoordMsg::Idle { retry_ms: 50 }, r#"{"Idle":{"retry_ms":50}}"#);
+        pinned(
+            &CoordMsg::Campaign(CampaignSpec {
+                id: 2,
+                model: ModelSpec::Synthetic { inputs: 4, hidden: vec![6], outputs: 2, seed: 1 },
+                events: vec!["# snn-mtfc test: 2 ticks x 4 features, 1 chunks\n0 1\n".into()],
+                sim: FaultSimConfig {
+                    threads: 2,
+                    record_class_diffs: true,
+                    engine: Some(snn_faults::Engine::Packed),
+                },
+                faults: 128,
+                reliability: None,
+            }),
+            r##"{"Campaign":{"id":2,"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":1}},"events":["# snn-mtfc test: 2 ticks x 4 features, 1 chunks\n0 1\n"],"sim":{"threads":2,"record_class_diffs":true,"engine":"Packed"},"faults":128,"reliability":null}}"##,
+        );
+        pinned(&CoordMsg::HeartbeatAck { live: false }, r#"{"HeartbeatAck":{"live":false}}"#);
+        pinned(&CoordMsg::ResultAck { accepted: true }, r#"{"ResultAck":{"accepted":true}}"#);
+        pinned(&CoordMsg::Shutdown, r#""Shutdown""#);
+        pinned(
+            &CoordMsg::Error { message: "unknown campaign".into() },
+            r#"{"Error":{"message":"unknown campaign"}}"#,
+        );
     }
 
     #[test]
@@ -474,27 +508,30 @@ mod tests {
             EvalSpec, FaultMapSpec, MemoryRegion, MitigationKind, RegionSpec, ReliabilitySpec,
             WeightFaultModel,
         };
-        round_trip(&CampaignSpec {
-            id: 3,
-            model: ModelSpec::Synthetic { inputs: 4, hidden: vec![6], outputs: 2, seed: 1 },
-            events: Vec::new(),
-            sim: FaultSimConfig::default(),
-            faults: 16,
-            reliability: Some(ReliabilitySpec {
-                map: FaultMapSpec {
-                    regions: vec![RegionSpec {
-                        region: MemoryRegion::Weights { layer: 0, tensor: 0 },
-                        ber: 0.01,
-                    }],
-                    configs: 16,
-                    seed: 42,
-                    weight_model: WeightFaultModel::StuckSat,
-                    window: Some(snn_faults::TransientWindow::new(2, 9)),
-                },
-                eval: EvalSpec { samples: 8, steps: 20, rate: 0.3, seed: 7 },
-                mitigation: MitigationKind::RangeRestriction,
-            }),
-        });
+        pinned(
+            &CampaignSpec {
+                id: 3,
+                model: ModelSpec::Synthetic { inputs: 4, hidden: vec![6], outputs: 2, seed: 1 },
+                events: Vec::new(),
+                sim: FaultSimConfig::default(),
+                faults: 16,
+                reliability: Some(ReliabilitySpec {
+                    map: FaultMapSpec {
+                        regions: vec![RegionSpec {
+                            region: MemoryRegion::Weights { layer: 0, tensor: 0 },
+                            ber: 0.01,
+                        }],
+                        configs: 16,
+                        seed: 42,
+                        weight_model: WeightFaultModel::StuckSat,
+                        window: Some(snn_faults::TransientWindow::new(2, 9)),
+                    },
+                    eval: EvalSpec { samples: 8, steps: 20, rate: 0.3, seed: 7 },
+                    mitigation: MitigationKind::RangeRestriction,
+                }),
+            },
+            r#"{"id":3,"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":1}},"events":[],"sim":{"threads":0,"record_class_diffs":false,"engine":null},"faults":16,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":16,"seed":42,"weight_model":"StuckSat","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":20,"rate":0.30000001192092896,"seed":7},"mitigation":"RangeRestriction"}}"#,
+        );
     }
 
     /// A v4 lease grant (no `trace` field on the wire) still decodes —
@@ -521,21 +558,24 @@ mod tests {
 
     #[test]
     fn status_round_trips() {
-        round_trip(&ClusterStatus {
-            workers: vec![WorkerStatus {
-                name: "w1".into(),
-                last_seen_ms: 12,
-                chunks_completed: 4,
-                busy_ms: 880,
-                lease: Some(HeldLease { lease: 7, campaign: 2, chunk: 1, expires_in_ms: 4100 }),
-            }],
-            campaigns_active: 1,
-            chunks_pending: 3,
-            chunks_leased: 2,
-            chunks_completed: 9,
-            chunks_reissued: 1,
-            results_stale: 1,
-        });
+        pinned(
+            &ClusterStatus {
+                workers: vec![WorkerStatus {
+                    name: "w1".into(),
+                    last_seen_ms: 12,
+                    chunks_completed: 4,
+                    busy_ms: 880,
+                    lease: Some(HeldLease { lease: 7, campaign: 2, chunk: 1, expires_in_ms: 4100 }),
+                }],
+                campaigns_active: 1,
+                chunks_pending: 3,
+                chunks_leased: 2,
+                chunks_completed: 9,
+                chunks_reissued: 1,
+                results_stale: 1,
+            },
+            r#"{"workers":[{"name":"w1","last_seen_ms":12,"chunks_completed":4,"busy_ms":880,"lease":{"lease":7,"campaign":2,"chunk":1,"expires_in_ms":4100}}],"campaigns_active":1,"chunks_pending":3,"chunks_leased":2,"chunks_completed":9,"chunks_reissued":1,"results_stale":1}"#,
+        );
     }
 
     /// A row as bit patterns, so that NaN payloads and signed zeros

@@ -201,7 +201,6 @@ pub fn l4_contribution_variance(
         let pre_counts = counts(trace, idx - 1);
         debug_assert_eq!(pre_counts.len(), cols);
 
-        // snn-lint: allow(L-FLOATEQ): exact-zero test selects structurally connected weights, not a tolerance
         let connected = |w: f32| w != 0.0;
         // dL/d(count_j) accumulated over all post-neurons of this layer.
         let mut dcount = vec![0.0f32; cols];
@@ -225,7 +224,6 @@ pub fn l4_contribution_variance(
                 *d += (c - mean) * scale * w;
             }
         }
-        // snn-lint: allow(L-FLOATEQ): exact-zero test — skips layers whose gradient is identically zero
         if dcount.iter().any(|&d| d != 0.0) {
             dcount.iter_mut().for_each(|d| *d *= alpha);
             inject_per_tick(inj, idx - 1, trace.steps, &dcount);

@@ -347,7 +347,6 @@ impl<'a> Stage<'a> {
                     losses::output_preservation(self.net, trace, reference, self.cfg.mu, inj);
                 history.push(alpha5 * l5 + penalty);
                 // Hard guard: accept only exact output preservation.
-                // snn-lint: allow(L-FLOATEQ): the penalty counts mismatching exact 0.0/1.0 spikes, so zero is exact
                 (penalty == 0.0).then_some(l5)
             });
             if !more {

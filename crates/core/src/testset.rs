@@ -143,7 +143,6 @@ impl GeneratedTest {
         let n = self.input_features;
         for t in 0..full.shape().dim(0) {
             for f in 0..n {
-                // snn-lint: allow(L-FLOATEQ): spike tensors hold exact 0.0/1.0 values by construction
                 if full[[t, f]] != 0.0 {
                     writeln!(w, "{t} {f}")?;
                 }

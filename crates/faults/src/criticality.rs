@@ -114,9 +114,10 @@ pub fn classify(
 }
 
 /// Fraction of evaluation samples whose top-1 prediction a single fault
-/// flips — the *accuracy-delta criticality* shared by the detection path
-/// (critical/benign labelling above is `accuracy_delta > 0`) and
-/// snn-reliability's per-region criticality ranking.
+/// flips — the *accuracy-delta criticality* behind the critical/benign
+/// labelling above (`accuracy_delta > 0`). Only this module's tests call
+/// it, to check [`classify`] against it; snn-reliability ranks regions by
+/// its own per-configuration accuracy drops.
 ///
 /// `predictions[k]` is the fault-free top-1 of `samples[k]` (typically
 /// precomputed once per campaign). An empty evaluation set yields `0.0`,
@@ -160,7 +161,6 @@ fn spike_counts(sample: &Tensor, baseline: &Trace) -> Vec<Vec<f32>> {
 /// source never spikes — so the pair is not simulated at all. Dataset
 /// samples are sparse: this is the larger half of what labelling saves.
 fn sees_no_spike(net: &Network, counts: &[Vec<f32>], fault: &Fault) -> bool {
-    // snn-lint: allow(L-FLOATEQ): spike counts sum exact 0.0/1.0 values, so zero activity is exact
     let quiet = |boundary: usize, i: usize| counts[boundary][i] == 0.0;
     match (fault.site, fault.kind) {
         (FaultSite::Neuron { layer, index }, FaultKind::NeuronDead) => quiet(layer + 1, index),

@@ -162,7 +162,6 @@ struct Gold<'a> {
 impl Gold<'_> {
     /// `true` when golden neuron `q` spikes at tick `t`.
     fn spike(&self, t: usize, q: usize) -> bool {
-        // snn-lint: allow(L-FLOATEQ): spikes are exact 0.0/1.0 values
         self.out[t * self.n + q] != 0.0
     }
 
@@ -553,7 +552,6 @@ fn fault_stage(
                         // product is bitwise the stored golden drive. This
                         // also covers fractional (pooled) inputs — an average
                         // of zero spikes is exactly +0.0.
-                        // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
                         if x_t[c] != 0.0 {
                             row_dot(row, x_t)
                         } else {
@@ -631,7 +629,6 @@ fn conv_weight(
         let channel = t * gold.n + base..t * gold.n + base + pixels;
         z.copy_from_slice(&gold.rec.drive[channel.clone()]);
         for (p, tapped) in s.tapped.iter().enumerate() {
-            // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
             if tapped.is_some_and(|j| x_t[j] != 0.0) {
                 z[p] = conv2d_window(spec, x_t, h, w, w_oc, p / ow, p % ow);
             }
@@ -703,7 +700,6 @@ fn recurrent_site(
         if let Some(patch) = &site.patch {
             // Exact-zero reuse, as for a dense row: the patched sum is
             // redone only where the patched input carries traffic.
-            // snn-lint: allow(L-FLOATEQ): exact-zero traffic test; spikes and their averages are exact values
             let live = |row: &[f32]| row[patch.c] != 0.0;
             if !patch.feedback {
                 let x_t = &x[t * in_features..(t + 1) * in_features];

@@ -21,10 +21,14 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::diag::Diagnostic;
-use crate::parser::{Block, CallEvent, MetricKind, ParsedFile, Stmt, TypeKind};
+use crate::parser::{Block, CallEvent, MetricKind, ParsedFile, Stmt};
 use crate::{cfg, dataflow};
 
-/// Crates whose locks and blocking behaviour are analysed.
+/// Crates whose locks and blocking behaviour are analysed. They share
+/// one process-wide lock-order registry (first registration wins), so
+/// each must name every lock from it. crates/reliability holds no locks
+/// today; keeping it in scope means any future lock there must be named
+/// and registered from day one.
 pub const LOCK_CRATES: &[&str] = &["service", "cluster", "reliability"];
 
 /// Blocking path calls: (`prefix`, `name`) as in `TcpStream::connect`.
@@ -256,8 +260,10 @@ impl Facts {
                 continue;
             }
             let map = facts.locks.entry(key.to_string()).or_default();
-            for b in &f.parsed.lock_bindings {
-                map.insert(b.ident.clone(), b.lock.clone());
+            for site in &f.parsed.locks {
+                if let (Some(ident), Some(lock)) = (&site.ident, &site.lock) {
+                    map.insert(ident.clone(), lock.clone());
+                }
             }
         }
 
@@ -416,30 +422,66 @@ pub fn blocking_reason(c: &CallEvent, facts: &Facts) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-graph extraction (L-LOCKGRAPH).
+// Lock registration and the lock graph (L-LOCKGRAPH).
 // ---------------------------------------------------------------------------
+
+/// L-LOCKGRAPH over the lock-disciplined files among `files`: every lock
+/// constructed `::named` with a literal registered in LOCK_ORDER, and the
+/// acquisition graph of all of them acyclic, rank-consistent and free of
+/// re-entry.
+pub fn check_locks(files: &[FileInput<'_>], facts: &Facts) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let mut edges = Vec::new();
+    for f in files.iter().filter(|f| in_lock_crates(f.path)) {
+        out.extend(f.parsed.locks.iter().filter_map(|site| {
+            let (ty, ctor) = (&site.ty, &site.ctor);
+            let message = match &site.lock {
+                Some(name) if facts.lock_order.contains(name) => return None,
+                Some(name) => format!(
+                    "lock name {name:?} is not registered in LOCK_ORDER \
+                     (crates/cluster/src/lock_order.rs) — add it at its acquisition rank"
+                ),
+                None if ctor == "named" => format!(
+                    "`{ty}::named` must take a string literal name so the lock-order list \
+                     can be checked statically"
+                ),
+                None => format!(
+                    "unnamed `{ty}::{ctor}` in a lock-disciplined crate — construct with \
+                     `{ty}::named(\"<name>\", …)` using a name from LOCK_ORDER \
+                     (crates/cluster/src/lock_order.rs)"
+                ),
+            };
+            Some(Diagnostic {
+                file: f.path.to_string(),
+                line: site.line,
+                id: "L-LOCKGRAPH",
+                message,
+            })
+        }));
+        edges.extend(lock_edges(f.path, f.parsed, facts));
+    }
+    out.extend(check_lock_graph(&edges, &facts.lock_order));
+    out
+}
 
 /// One lock-order edge observed at a source location: `held` was live
 /// when `acquired` was (transitively) taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockEdge {
+struct LockEdge {
     /// The lock already held.
-    pub held: String,
+    held: String,
     /// The lock being acquired.
-    pub acquired: String,
+    acquired: String,
     /// File of the acquisition site.
-    pub file: String,
+    file: String,
     /// Line of the acquisition site.
-    pub line: u32,
+    line: u32,
 }
 
 /// Extracts lock-graph edges from one file's functions (guard dataflow
 /// per function; call edges resolved through `fn_acquires`).
-pub fn lock_edges(path: &str, parsed: &ParsedFile, facts: &Facts) -> Vec<LockEdge> {
+fn lock_edges(path: &str, parsed: &ParsedFile, facts: &Facts) -> Vec<LockEdge> {
     let mut edges = Vec::new();
-    if !in_lock_crates(path) {
-        return edges;
-    }
     let lock_of = facts.lock_of(path);
     for fun in &parsed.fns {
         let g = cfg::build(fun, &lock_of);
@@ -501,7 +543,7 @@ fn resolvable_callee_for_edges(c: &CallEvent) -> Option<String> {
 
 /// Checks the collected lock graph: rank consistency against LOCK_ORDER,
 /// re-entrancy, and acyclicity.
-pub fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagnostic> {
+fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let rank = |name: &str| lock_order.iter().position(|o| o == name);
     // Deduplicate edges, keeping the first site (deterministic: callers
@@ -600,335 +642,6 @@ pub fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagno
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// Wire-protocol schema (L-WIRE).
-// ---------------------------------------------------------------------------
-
-/// The serde-facing files captured in the committed baseline, in order.
-pub const WIRE_FILES: &[&str] = &["crates/cluster/src/wire.rs", "crates/service/src/protocol.rs"];
-
-/// Workspace-relative path of the committed baseline.
-pub const WIRE_BASELINE_PATH: &str = "crates/lint/wire_schema.txt";
-
-/// Renders the deterministic schema text for the wire files present in
-/// `files` (types with a `Serialize` or `Deserialize` derive, in source
-/// order).
-pub fn wire_schema_text(files: &[FileInput<'_>]) -> String {
-    let mut out = String::new();
-    out.push_str("# snn-lint wire-protocol schema baseline (pass L-WIRE).\n");
-    out.push_str("# Captures the serde-facing shape of the cluster and service protocols.\n");
-    out.push_str("# Regenerate after an intentional protocol change with:\n");
-    out.push_str("#   cargo run -p snn-lint -- --write-wire-baseline\n");
-    out.push_str("# See DESIGN.md section 15 for the compatibility workflow.\n");
-    for wf in WIRE_FILES {
-        let Some(input) = files.iter().find(|f| f.path == *wf) else { continue };
-        out.push('\n');
-        out.push_str("file ");
-        out.push_str(wf);
-        out.push('\n');
-        for ty in &input.parsed.types {
-            if !ty.derives.iter().any(|d| d == "Serialize" || d == "Deserialize") {
-                continue;
-            }
-            match ty.kind {
-                TypeKind::Struct => {
-                    out.push_str(&format!("struct {}\n", ty.name));
-                    for f in &ty.fields {
-                        out.push_str(&render_field(f, 1));
-                    }
-                }
-                TypeKind::Enum => {
-                    out.push_str(&format!("enum {}\n", ty.name));
-                    for v in &ty.variants {
-                        out.push_str(&format!("  variant {}\n", v.name));
-                        for f in &v.fields {
-                            out.push_str(&render_field(f, 2));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-fn render_field(f: &crate::parser::FieldDef, indent: usize) -> String {
-    format!(
-        "{}field {}: {} {}\n",
-        "  ".repeat(indent),
-        f.name,
-        f.ty,
-        if f.optional { "optional" } else { "required" }
-    )
-}
-
-/// A parsed schema: file → type name → record.
-type Schema = BTreeMap<String, BTreeMap<String, TypeRec>>;
-
-#[derive(Debug, Default, PartialEq)]
-struct TypeRec {
-    kind: String,
-    /// Struct fields: name → (type, optional).
-    fields: BTreeMap<String, (String, bool)>,
-    /// Field names in declaration order (for messages).
-    variants: BTreeMap<String, BTreeMap<String, (String, bool)>>,
-}
-
-/// Parses schema text (the committed baseline or a fresh rendering).
-fn parse_schema(text: &str) -> Schema {
-    let mut schema = Schema::new();
-    let mut file = String::new();
-    let mut ty = String::new();
-    let mut variant: Option<String> = None;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("file ") {
-            file = rest.trim().to_string();
-            schema.entry(file.clone()).or_default();
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("struct ") {
-            ty = rest.trim().to_string();
-            variant = None;
-            schema
-                .entry(file.clone())
-                .or_default()
-                .insert(ty.clone(), TypeRec { kind: "struct".into(), ..TypeRec::default() });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("enum ") {
-            ty = rest.trim().to_string();
-            variant = None;
-            schema
-                .entry(file.clone())
-                .or_default()
-                .insert(ty.clone(), TypeRec { kind: "enum".into(), ..TypeRec::default() });
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("variant ") {
-            let v = rest.trim().to_string();
-            if let Some(rec) = schema.get_mut(&file).and_then(|m| m.get_mut(&ty)) {
-                rec.variants.entry(v.clone()).or_default();
-            }
-            variant = Some(v);
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("field ") {
-            let Some((name, tail)) = rest.split_once(':') else { continue };
-            let tail = tail.trim();
-            let (field_ty, optional) = match tail.strip_suffix(" optional") {
-                Some(t) => (t.trim().to_string(), true),
-                None => (tail.strip_suffix(" required").unwrap_or(tail).trim().to_string(), false),
-            };
-            if let Some(rec) = schema.get_mut(&file).and_then(|m| m.get_mut(&ty)) {
-                let target = match &variant {
-                    Some(v) => rec.variants.entry(v.clone()).or_default(),
-                    None => &mut rec.fields,
-                };
-                target.insert(name.trim().to_string(), (field_ty, optional));
-            }
-        }
-    }
-    schema
-}
-
-/// Structural baseline-vs-current diff: returns L-WIRE findings for every
-/// breaking change (removed/renamed types, variants or fields; changed
-/// field types; new required fields). Additive optional changes pass here
-/// (byte-identity of the committed baseline is gated separately).
-pub fn wire_breaking_changes(
-    baseline_text: &str,
-    current_text: &str,
-    type_lines: &HashMap<(String, String), u32>,
-) -> Vec<Diagnostic> {
-    let baseline = parse_schema(baseline_text);
-    let current = parse_schema(current_text);
-    let mut out = Vec::new();
-    let hint = "breaking protocol drift: if intentional, bump PROTOCOL_VERSION and regenerate \
-                the baseline (`cargo run -p snn-lint -- --write-wire-baseline`, DESIGN.md §15)";
-    let anchor = |file: &str, ty: &str| {
-        type_lines.get(&(file.to_string(), ty.to_string())).copied().unwrap_or(1)
-    };
-    let diag = |file: &str, line: u32, message: String| Diagnostic {
-        file: file.to_string(),
-        line,
-        id: "L-WIRE",
-        message,
-    };
-    for (file, base_types) in &baseline {
-        let empty = BTreeMap::new();
-        let cur_types = current.get(file).unwrap_or(&empty);
-        for (name, base) in base_types {
-            let Some(cur) = cur_types.get(name) else {
-                out.push(diag(
-                    file,
-                    1,
-                    format!(
-                        "wire type `{name}` was removed or renamed — v1–v4 peers still \
-                         send/expect it; {hint}"
-                    ),
-                ));
-                continue;
-            };
-            if cur.kind != base.kind {
-                out.push(diag(
-                    file,
-                    anchor(file, name),
-                    format!(
-                        "wire type `{name}` changed from {} to {} — {hint}",
-                        base.kind, cur.kind
-                    ),
-                ));
-                continue;
-            }
-            diff_fields(
-                &mut out,
-                file,
-                anchor(file, name),
-                name,
-                None,
-                &base.fields,
-                &cur.fields,
-                hint,
-            );
-            for (vname, vbase) in &base.variants {
-                let Some(vcur) = cur.variants.get(vname) else {
-                    out.push(diag(
-                        file,
-                        anchor(file, name),
-                        format!(
-                            "enum `{name}` lost variant `{vname}` — decoding v1–v4 \
-                             payloads carrying it will fail; {hint}"
-                        ),
-                    ));
-                    continue;
-                };
-                diff_fields(
-                    &mut out,
-                    file,
-                    anchor(file, name),
-                    name,
-                    Some(vname),
-                    vbase,
-                    vcur,
-                    hint,
-                );
-            }
-            // New required variant fields / struct fields in current.
-            check_new_required(
-                &mut out,
-                file,
-                anchor(file, name),
-                name,
-                None,
-                &base.fields,
-                &cur.fields,
-                hint,
-            );
-            for (vname, vcur) in &cur.variants {
-                let vbase = base.variants.get(vname).cloned().unwrap_or_default();
-                check_new_required(
-                    &mut out,
-                    file,
-                    anchor(file, name),
-                    name,
-                    Some(vname),
-                    &vbase,
-                    vcur,
-                    hint,
-                );
-            }
-        }
-    }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn diff_fields(
-    out: &mut Vec<Diagnostic>,
-    file: &str,
-    line: u32,
-    ty: &str,
-    variant: Option<&str>,
-    base: &BTreeMap<String, (String, bool)>,
-    cur: &BTreeMap<String, (String, bool)>,
-    hint: &str,
-) {
-    let ctx = match variant {
-        Some(v) => format!("`{ty}::{v}`"),
-        None => format!("`{ty}`"),
-    };
-    for (fname, (fty, _)) in base {
-        match cur.get(fname) {
-            None => out.push(Diagnostic {
-                file: file.to_string(),
-                line,
-                id: "L-WIRE",
-                message: format!(
-                    "{ctx} lost field `{fname}: {fty}` — old encodings carry it and new \
-                     encodings omit it; {hint}"
-                ),
-            }),
-            Some((cty, _)) if cty != fty => out.push(Diagnostic {
-                file: file.to_string(),
-                line,
-                id: "L-WIRE",
-                message: format!(
-                    "{ctx} field `{fname}` changed type from `{fty}` to `{cty}` — {hint}"
-                ),
-            }),
-            _ => {}
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn check_new_required(
-    out: &mut Vec<Diagnostic>,
-    file: &str,
-    line: u32,
-    ty: &str,
-    variant: Option<&str>,
-    base: &BTreeMap<String, (String, bool)>,
-    cur: &BTreeMap<String, (String, bool)>,
-    hint: &str,
-) {
-    let ctx = match variant {
-        Some(v) => format!("`{ty}::{v}`"),
-        None => format!("`{ty}`"),
-    };
-    for (fname, (fty, optional)) in cur {
-        if base.contains_key(fname) || *optional {
-            continue;
-        }
-        out.push(Diagnostic {
-            file: file.to_string(),
-            line,
-            id: "L-WIRE",
-            message: format!(
-                "{ctx} gained *required* field `{fname}: {fty}` — v1–v4 peers omit it and \
-                 their messages will no longer decode; make it `Option<…>` or {hint}"
-            ),
-        });
-    }
-}
-
-/// Map from (wire file, type name) to the type's current source line, for
-/// anchoring L-WIRE findings.
-pub fn wire_type_lines(files: &[FileInput<'_>]) -> HashMap<(String, String), u32> {
-    let mut map = HashMap::new();
-    for wf in WIRE_FILES {
-        let Some(input) = files.iter().find(|f| f.path == *wf) else { continue };
-        for ty in &input.parsed.types {
-            map.insert(((*wf).to_string(), ty.name.clone()), ty.line);
-        }
-    }
-    map
 }
 
 // ---------------------------------------------------------------------------

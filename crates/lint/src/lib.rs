@@ -11,11 +11,11 @@
 //! The passes encode this repository's history: the seed's one real bug
 //! was a silent mixed-precision cast (`L-CAST`), PR 1 introduced typed
 //! errors that casual `unwrap()`s bypass (`L-PANIC`), the service crate
-//! is multi-threaded with an ordered lock discipline (`L-LOCK`,
-//! `L-HELDLOCK`, `L-LOCKGRAPH`), the cluster protocol promises v1–v4
-//! decode compatibility (`L-WIRE`), and the telemetry surface promises
-//! stable metric/span names (`L-OBS`). See DESIGN.md §15 for the
-//! analysis model and each pass's soundness/completeness contract.
+//! is multi-threaded with an ordered lock discipline (`L-HELDLOCK`,
+//! `L-LOCKGRAPH`), and the telemetry surface promises stable metric/span
+//! names (`L-OBS`). Float equality is clippy's `float_cmp`, and the wire
+//! protocol is pinned by its own encoder's tests. See DESIGN.md §15 for
+//! the analysis model and each pass's soundness/completeness contract.
 //!
 //! Findings are suppressed in-source with a mandatory justification:
 //!
@@ -41,10 +41,10 @@ pub mod taint;
 pub mod vendor;
 
 pub use diag::Diagnostic;
-pub use passes::{ALLOW_ID, LOCKGRAPH_ID, VENDOR_ID, WIRE_ID};
+pub use passes::{ALLOW_ID, VENDOR_ID};
 
 use passes::FileContext;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -62,30 +62,6 @@ impl Report {
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
     }
-}
-
-/// Tuning for [`run_with_options`].
-#[derive(Debug, Clone)]
-pub struct RunOptions {
-    /// When set, only findings anchored in these workspace-relative files
-    /// are reported. The whole workspace is still parsed (workspace-level
-    /// facts would otherwise be wrong), so this trades report scope for
-    /// nothing — it exists to keep `--changed-only` output focused.
-    pub report_only: Option<BTreeSet<String>>,
-    /// Worker threads for the per-file phases (1 = sequential).
-    pub threads: usize,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions { report_only: None, threads: default_threads() }
-    }
-}
-
-/// Default lint parallelism: the machine's parallelism, capped at 8
-/// (the workspace has ~60 files; more threads only add spawn cost).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(8)
 }
 
 /// One scanned file: source derivatives shared by every pass.
@@ -109,29 +85,19 @@ impl FileData {
     }
 }
 
-/// Lints the workspace rooted at `root` with default options.
+/// Lints the workspace rooted at `root`.
+///
+/// Phases: (1) read + lex + parse every file; (2) build workspace facts
+/// (lock maps, blocking closure, LOCK_ORDER, span registry); (3) run the
+/// per-file pass registry; (4) run the workspace-level checks (lock
+/// registration and graph, obs consistency); (5) apply allow directives
+/// per file.
 ///
 /// # Errors
 ///
 /// Returns a message when `root` is not a workspace (no `Cargo.toml`) or
 /// a source file cannot be read.
 pub fn run(root: &Path) -> Result<Report, String> {
-    run_with_options(root, &RunOptions::default())
-}
-
-/// Lints the workspace rooted at `root`.
-///
-/// Phases: (1) read + lex + parse every file (parallel); (2) build
-/// workspace facts (lock maps, blocking closure, LOCK_ORDER registries,
-/// span registry — sequential, cheap); (3) run the per-file pass registry
-/// (parallel); (4) run the workspace-level checks (lock graph, wire
-/// baseline, obs consistency); (5) apply allow directives per file.
-///
-/// # Errors
-///
-/// Returns a message when `root` is not a workspace (no `Cargo.toml`) or
-/// a source file cannot be read.
-pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String> {
     if !root.join("Cargo.toml").is_file() {
         return Err(format!("{} is not a cargo workspace (no Cargo.toml)", root.display()));
     }
@@ -140,53 +106,25 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
     let rels = workspace_files(root)?;
     let checked_files = rels.len();
 
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(rels.len());
+    let mut files: Vec<FileData> = Vec::with_capacity(rels.len());
     for rel in rels {
         let source =
             fs::read_to_string(root.join(&rel)).map_err(|e| format!("cannot read {rel}: {e}"))?;
-        sources.push((rel, source));
+        files.push(FileData::parse(&rel, &source));
     }
-    let files: Vec<FileData> =
-        par_map(&sources, opts.threads, |(rel, source)| FileData::parse(rel, source));
-    drop(sources);
 
     let inputs: Vec<facts::FileInput<'_>> =
         files.iter().map(|f| facts::FileInput { path: &f.path, parsed: &f.parsed }).collect();
-    let facts = facts::Facts::build(&inputs, lock_order.clone());
+    let facts = facts::Facts::build(&inputs, lock_order);
 
     let registry = passes::registry();
     let known = passes::known_ids();
 
-    let per_file: Vec<Vec<Diagnostic>> = par_map(&files, opts.threads, |f| {
-        let ctx = FileContext {
-            path: &f.path,
-            tokens: &f.lexed.tokens,
-            live: &f.live,
-            lock_order: &lock_order,
-            parsed: &f.parsed,
-            facts: &facts,
-        };
-        let mut findings = Vec::new();
-        for pass in &registry {
-            if pass.applies(&f.path) {
-                findings.extend(pass.check(&ctx));
-            }
-        }
-        findings
-    });
-
-    // Workspace-level checks.
-    let mut edges = Vec::new();
-    for f in &files {
-        edges.extend(facts::lock_edges(&f.path, &f.parsed, &facts));
-    }
-    let mut extra = facts::check_lock_graph(&edges, &lock_order);
-    extra.extend(wire_findings(root, &inputs));
+    let mut extra = facts::check_locks(&inputs, &facts);
     extra.extend(facts::check_obs_consistency(&inputs, span_registry.as_deref()));
 
     // Route workspace findings to their file so in-source allows apply;
-    // findings anchored outside the scanned set (e.g. a missing baseline)
-    // pass through untouched.
+    // findings anchored outside the scanned set pass through untouched.
     let scanned: HashSet<&str> = files.iter().map(|f| f.path.as_str()).collect();
     let mut by_extra: HashMap<String, Vec<Diagnostic>> = HashMap::new();
     let mut orphans = Vec::new();
@@ -199,15 +137,14 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
     }
 
     let mut diagnostics = Vec::new();
-    for (f, mut findings) in files.iter().zip(per_file) {
+    for f in &files {
+        let mut findings = per_file_findings(f, &registry, &facts);
         if let Some(more) = by_extra.remove(&f.path) {
             findings.extend(more);
         }
-        let (directives, mut out) = diag::parse_directives(&f.path, &f.lexed.comments);
-        out.extend(diag::apply_directives(&f.path, findings, directives, &known));
-        if opts.report_only.as_ref().is_none_or(|set| set.contains(&f.path)) {
-            diagnostics.extend(out);
-        }
+        let (directives, out) = diag::parse_directives(&f.path, &f.lexed.comments);
+        diagnostics.extend(out);
+        diagnostics.extend(diag::apply_directives(&f.path, findings, directives, &known));
     }
     diagnostics.extend(orphans);
     diagnostics.extend(vendor::check(root));
@@ -216,119 +153,35 @@ pub fn run_with_options(root: &Path, opts: &RunOptions) -> Result<Report, String
 }
 
 /// Lints one source text as if it lived at workspace-relative path
-/// `rel_path` (which decides pass scopes). Workspace-level checks (lock
-/// graph, wire baseline, obs cross-file consistency) are skipped — they
-/// need the whole workspace. Used by `run` and by the fixture tests.
+/// `rel_path` (which decides pass scopes), with the lock checks run over
+/// this one file. The obs cross-file check is skipped — it needs the
+/// whole workspace. Used by the fixture tests.
 pub fn lint_source(rel_path: &str, source: &str, lock_order: &[String]) -> Vec<Diagnostic> {
-    let registry = passes::registry();
-    let known = passes::known_ids();
     let f = FileData::parse(rel_path, source);
     let inputs = [facts::FileInput { path: rel_path, parsed: &f.parsed }];
     let facts = facts::Facts::build(&inputs, lock_order.to_vec());
-    let ctx = FileContext {
-        path: rel_path,
-        tokens: &f.lexed.tokens,
-        live: &f.live,
-        lock_order,
-        parsed: &f.parsed,
-        facts: &facts,
-    };
-    let mut findings = Vec::new();
-    for pass in &registry {
-        if pass.applies(rel_path) {
-            findings.extend(pass.check(&ctx));
-        }
-    }
+    let mut findings = per_file_findings(&f, &passes::registry(), &facts);
+    findings.extend(facts::check_locks(&inputs, &facts));
     let (directives, mut out) = diag::parse_directives(rel_path, &f.lexed.comments);
-    out.extend(diag::apply_directives(rel_path, findings, directives, &known));
+    out.extend(diag::apply_directives(rel_path, findings, directives, &passes::known_ids()));
     diag::sort(&mut out);
     out
 }
 
-/// Extracts the current wire-protocol schema text from the workspace's
-/// wire files (see [`facts::WIRE_FILES`]).
-///
-/// # Errors
-///
-/// Returns a message when a wire file cannot be read.
-pub fn extract_wire_schema(root: &Path) -> Result<String, String> {
-    let mut datas = Vec::new();
-    for wf in facts::WIRE_FILES {
-        let source =
-            fs::read_to_string(root.join(wf)).map_err(|e| format!("cannot read {wf}: {e}"))?;
-        datas.push(FileData::parse(wf, &source));
-    }
-    let inputs: Vec<facts::FileInput<'_>> =
-        datas.iter().map(|f| facts::FileInput { path: &f.path, parsed: &f.parsed }).collect();
-    Ok(facts::wire_schema_text(&inputs))
-}
-
-/// L-WIRE findings for the workspace: structural breaking changes against
-/// the committed baseline, plus byte-level drift (the baseline must
-/// reproduce exactly, so additive changes also require a regen + commit).
-fn wire_findings(root: &Path, inputs: &[facts::FileInput<'_>]) -> Vec<Diagnostic> {
-    if !facts::WIRE_FILES.iter().any(|wf| inputs.iter().any(|i| i.path == *wf)) {
-        return Vec::new(); // not a workspace with wire files (unit-test trees)
-    }
-    let current = facts::wire_schema_text(inputs);
-    let Ok(baseline) = fs::read_to_string(root.join(facts::WIRE_BASELINE_PATH)) else {
-        return vec![Diagnostic {
-            file: facts::WIRE_BASELINE_PATH.to_string(),
-            line: 1,
-            id: passes::WIRE_ID,
-            message: "wire-schema baseline is missing — generate and commit it with \
-                      `cargo run -p snn-lint -- --write-wire-baseline`"
-                .to_string(),
-        }];
+/// The findings of every registry pass whose scope includes `f`.
+fn per_file_findings(
+    f: &FileData,
+    registry: &[passes::Pass],
+    facts: &facts::Facts,
+) -> Vec<Diagnostic> {
+    let ctx = FileContext {
+        path: &f.path,
+        tokens: &f.lexed.tokens,
+        live: &f.live,
+        parsed: &f.parsed,
+        facts,
     };
-    let lines = facts::wire_type_lines(inputs);
-    let mut out = facts::wire_breaking_changes(&baseline, &current, &lines);
-    if out.is_empty() && baseline != current {
-        out.push(Diagnostic {
-            file: facts::WIRE_BASELINE_PATH.to_string(),
-            line: 1,
-            id: passes::WIRE_ID,
-            message: "wire schema drifted from the committed baseline (non-breaking \
-                      additions) — regenerate with `cargo run -p snn-lint -- \
-                      --write-wire-baseline` and commit so the baseline stays byte-identical"
-                .to_string(),
-        });
-    }
-    out
-}
-
-/// Runs `f` over `items` on up to `threads` workers (vendored scoped
-/// threads); preserves input order. Falls back to a sequential pass when
-/// a worker panics, so a pass bug degrades to slow-but-diagnosable.
-fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-    let chunk = items.len().div_ceil(threads);
-    let fref = &f;
-    let ok = crossbeam::thread::scope(|s| {
-        for (ichunk, ochunk) in items.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move |_| {
-                for (item, slot) in ichunk.iter().zip(ochunk.iter_mut()) {
-                    *slot = Some(fref(item));
-                }
-            });
-        }
-    })
-    .is_ok();
-    if ok && slots.iter().all(Option::is_some) {
-        slots.into_iter().flatten().collect()
-    } else {
-        items.iter().map(&f).collect()
-    }
+    registry.iter().filter(|p| p.applies(&f.path)).flat_map(|p| p.check(&ctx)).collect()
 }
 
 /// The workspace's documented lock-order list, parsed from
@@ -378,29 +231,6 @@ fn const_str_list(source: &str, name: &str) -> Vec<(String, u32)> {
         i += 1;
     }
     out
-}
-
-/// Parses `git diff --name-status -M` output into the set of changed
-/// `.rs` paths. Renames/copies (`R<score>`/`C<score>` lines carrying
-/// `old\tnew`) contribute their *new* path — a plain `--name-only` diff
-/// silently drops renamed files. Deletions are skipped (nothing to lint).
-pub fn parse_git_name_status(output: &str) -> BTreeSet<String> {
-    let mut set = BTreeSet::new();
-    for line in output.lines() {
-        let mut fields = line.split('\t');
-        let Some(status) = fields.next().map(str::trim) else { continue };
-        let path = match status.chars().next() {
-            Some('D') | None => continue,
-            Some('R' | 'C') => fields.next_back(),
-            _ => fields.next(),
-        };
-        if let Some(path) = path.map(str::trim) {
-            if path.ends_with(".rs") {
-                set.insert(path.to_string());
-            }
-        }
-    }
-    set
 }
 
 /// Collects every workspace-relative source path to scan, sorted:
@@ -494,35 +324,5 @@ mod tests {
         let order = load_lock_order(&dir);
         assert_eq!(order, vec!["service.queue".to_string(), "service.store.jobs".to_string()]);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn git_name_status_keeps_rename_targets() {
-        let out = parse_git_name_status(
-            "M\tcrates/lint/src/lib.rs\n\
-             A\tcrates/lint/src/taint.rs\n\
-             R087\tcrates/lint/src/old.rs\tcrates/lint/src/new.rs\n\
-             C100\tcrates/a/src/x.rs\tcrates/b/src/x.rs\n\
-             D\tcrates/lint/src/gone.rs\n\
-             M\tREADME.md\n",
-        );
-        let want: Vec<&str> = vec![
-            "crates/b/src/x.rs",
-            "crates/lint/src/lib.rs",
-            "crates/lint/src/new.rs",
-            "crates/lint/src/taint.rs",
-        ];
-        assert_eq!(out.iter().map(String::as_str).collect::<Vec<_>>(), want);
-    }
-
-    #[test]
-    fn par_map_preserves_order() {
-        let items: Vec<usize> = (0..100).collect();
-        let out = par_map(&items, 4, |&x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        let out = par_map(&items, 1, |&x| x + 1);
-        assert_eq!(out.len(), 100);
-        let empty: Vec<usize> = Vec::new();
-        assert!(par_map(&empty, 4, |&x: &usize| x).is_empty());
     }
 }

@@ -2,15 +2,12 @@
 //! on findings.
 //!
 //! ```text
-//! snn-lint [--root <dir>] [--format text|json|sarif] [--list]
-//!          [--explain <ID>] [--changed-only] [--threads N]
-//!          [--write-wire-baseline | --check-wire-baseline]
+//! snn-lint [--root <dir>] [--format text|json|sarif] [--list] [--explain <ID>]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -26,23 +23,10 @@ struct Args {
     format: Format,
     list: bool,
     explain: Option<String>,
-    changed_only: bool,
-    threads: Option<usize>,
-    write_wire_baseline: bool,
-    check_wire_baseline: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        format: Format::Text,
-        list: false,
-        explain: None,
-        changed_only: false,
-        threads: None,
-        write_wire_baseline: false,
-        check_wire_baseline: false,
-    };
+    let mut args = Args { root: None, format: Format::Text, list: false, explain: None };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -61,35 +45,17 @@ fn parse_args() -> Result<Args, String> {
                     ))
                 }
             },
-            "--threads" => {
-                let value = it.next().ok_or("--threads needs a count argument")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("--threads expects a number, got {value:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = Some(n);
-            }
             "--list" => args.list = true,
             "--explain" => {
                 let id = it.next().ok_or("--explain needs a lint id argument (e.g. L-DET-FLOW)")?;
                 args.explain = Some(id);
             }
-            "--changed-only" => args.changed_only = true,
-            "--write-wire-baseline" => args.write_wire_baseline = true,
-            "--check-wire-baseline" => args.check_wire_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "snn-lint: repo-native static analysis\n\n\
                      USAGE: snn-lint [--root <dir>] [--format text|json|sarif] [--list]\n       \
-                     [--explain <ID>] [--changed-only] [--threads N]\n       \
-                     [--write-wire-baseline | --check-wire-baseline]\n\n\
-                     --explain <ID>        print one pass's rule, scope and rationale\n\
-                     --changed-only        report findings only for files changed vs git HEAD\n\
-                     --threads N           per-file analysis parallelism (default: cores, max 8)\n\
-                     --write-wire-baseline regenerate crates/lint/wire_schema.txt and exit\n\
-                     --check-wire-baseline verify the committed baseline is byte-identical\n\n\
+                     [--explain <ID>]\n\n\
+                     --explain <ID>        print one pass's rule, scope and rationale\n\n\
                      Suppress a finding in-source with a justification:\n  \
                      // snn-lint: allow(<ID>): <why this is sound>\n\n\
                      See DESIGN.md §9, §15 and §16 for every lint id and its rationale."
@@ -98,9 +64,6 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
-    }
-    if args.write_wire_baseline && args.check_wire_baseline {
-        return Err("--write-wire-baseline and --check-wire-baseline are mutually exclusive".into());
     }
     Ok(args)
 }
@@ -126,64 +89,6 @@ fn find_root() -> Result<PathBuf, String> {
     }
 }
 
-/// Workspace-relative `.rs` files changed vs `HEAD` (tracked diffs with
-/// rename detection, plus untracked files). `--name-status -M` keeps a
-/// renamed file's *new* path in scope — a plain `--name-only` diff lists
-/// the old path only, silently dropping the file from the lint.
-fn changed_files(root: &Path) -> Result<BTreeSet<String>, String> {
-    let run = |git_args: &[&str]| -> Result<String, String> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(git_args)
-            .output()
-            .map_err(|e| format!("cannot run git for --changed-only: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "git {} failed: {}",
-                git_args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let mut set = snn_lint::parse_git_name_status(&run(&["diff", "--name-status", "-M", "HEAD"])?);
-    for line in run(&["ls-files", "--others", "--exclude-standard"])?.lines() {
-        let line = line.trim();
-        if line.ends_with(".rs") {
-            set.insert(line.to_string());
-        }
-    }
-    Ok(set)
-}
-
-fn wire_baseline_mode(root: &Path, write: bool) -> Result<(), String> {
-    let schema = snn_lint::extract_wire_schema(root)?;
-    let path = root.join(snn_lint::facts::WIRE_BASELINE_PATH);
-    if write {
-        std::fs::write(&path, &schema)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {} ({} bytes)", snn_lint::facts::WIRE_BASELINE_PATH, schema.len());
-        return Ok(());
-    }
-    let committed = std::fs::read_to_string(&path).map_err(|e| {
-        format!("cannot read {} (run --write-wire-baseline first): {e}", path.display())
-    })?;
-    if committed == schema {
-        println!(
-            "wire-schema baseline is byte-identical to a fresh extraction ({} bytes)",
-            schema.len()
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "wire-schema baseline {} differs from a fresh extraction — protocol drift; \
-             review the diff, then regenerate with --write-wire-baseline",
-            snn_lint::facts::WIRE_BASELINE_PATH
-        ))
-    }
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -193,28 +98,17 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        for pass in snn_lint::passes::registry() {
-            println!("{:<12} {}  [scope: {}]", pass.id, pass.summary, pass.scope);
+        for lint in snn_lint::passes::catalog() {
+            println!("{:<12} {}  [scope: {}]", lint.id, lint.summary, lint.scope);
         }
-        for (id, summary, scope, _) in snn_lint::passes::workspace_checks() {
-            println!("{id:<12} {summary}  [scope: {scope}]");
-        }
-        println!(
-            "{:<12} unused/unjustified allow directives (driver-level)  [scope: all scanned files]",
-            snn_lint::ALLOW_ID
-        );
-        println!(
-            "{:<12} vendored dependency drift vs vendor/README.md pins  [scope: vendor/, Cargo.toml]",
-            snn_lint::VENDOR_ID
-        );
         return ExitCode::SUCCESS;
     }
     if let Some(id) = &args.explain {
-        let Some((summary, scope, explain)) = snn_lint::passes::explain(id) else {
+        let Some(lint) = snn_lint::passes::explain(id) else {
             eprintln!("error: unknown lint id {id:?} — run `snn-lint --list` for every known id");
             return ExitCode::from(2);
         };
-        println!("{id}: {summary}\n\nscope: {scope}\n\n{explain}");
+        println!("{id}: {}\n\nscope: {}\n\n{}", lint.summary, lint.scope, lint.explain);
         return ExitCode::SUCCESS;
     }
     let root = match args.root.map_or_else(find_root, Ok) {
@@ -224,30 +118,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.write_wire_baseline || args.check_wire_baseline {
-        return match wire_baseline_mode(&root, args.write_wire_baseline) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut opts = snn_lint::RunOptions::default();
-    if let Some(n) = args.threads {
-        opts.threads = n;
-    }
-    if args.changed_only {
-        match changed_files(&root) {
-            Ok(set) => opts.report_only = Some(set),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
     let started = Instant::now();
-    let report = match snn_lint::run_with_options(&root, &opts) {
+    let report = match snn_lint::run(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
@@ -260,29 +132,12 @@ fn main() -> ExitCode {
             println!("{}", snn_lint::diag::to_json(&report.diagnostics, report.checked_files));
         }
         Format::Sarif => {
-            let rules: Vec<snn_lint::sarif::SarifRule> = snn_lint::passes::registry()
-                .iter()
-                .map(|p| snn_lint::sarif::SarifRule {
-                    id: p.id,
-                    short_description: p.summary.to_string(),
+            let rules: Vec<snn_lint::sarif::SarifRule> = snn_lint::passes::catalog()
+                .into_iter()
+                .map(|lint| snn_lint::sarif::SarifRule {
+                    id: lint.id,
+                    short_description: lint.summary.to_string(),
                 })
-                .chain(snn_lint::passes::workspace_checks().into_iter().map(
-                    |(id, summary, _, _)| snn_lint::sarif::SarifRule {
-                        id,
-                        short_description: summary.to_string(),
-                    },
-                ))
-                .chain([
-                    snn_lint::sarif::SarifRule {
-                        id: snn_lint::ALLOW_ID,
-                        short_description: "unused or unjustified allow directive".into(),
-                    },
-                    snn_lint::sarif::SarifRule {
-                        id: snn_lint::VENDOR_ID,
-                        short_description: "vendored dependency drift vs vendor/README.md pins"
-                            .into(),
-                    },
-                ])
                 .collect();
             println!(
                 "{}",
@@ -314,12 +169,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    eprintln!(
-        "snn-lint: analysis wall time {:.1} ms ({} thread{})",
-        wall.as_secs_f64() * 1000.0,
-        opts.threads,
-        if opts.threads == 1 { "" } else { "s" }
-    );
+    eprintln!("snn-lint: analysis wall time {:.1} ms", wall.as_secs_f64() * 1000.0);
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

@@ -1,11 +1,11 @@
 //! A lightweight, tolerant Rust parser for dataflow-based lint passes.
 //!
 //! This is deliberately *not* a full Rust grammar. It recovers exactly the
-//! structure the concurrency and wire-protocol passes need from the token
+//! structure the concurrency and determinism passes need from the token
 //! stream: function bodies as statement trees (so a CFG can be built),
-//! serde-facing type definitions (for the wire-schema baseline), named-lock
-//! bindings (`Mutex::named("…", …)` and the identifier they are bound to),
-//! and metric/span registration sites. Everything else — types, generics,
+//! struct fields with their type text, lock construction sites
+//! (`Mutex::named("…", …)` and the identifier each is bound to), and
+//! metric/span registration sites. Everything else — types, generics,
 //! trait resolution, macro expansion — is skipped or flattened.
 //!
 //! Design rules that keep the parser sound for its consumers:
@@ -28,10 +28,10 @@ use crate::lexer::{Token, TokenKind};
 pub struct ParsedFile {
     /// Every `fn` item (including nested fns, parsed independently).
     pub fns: Vec<FnDef>,
-    /// Serde-facing (and other) struct/enum definitions.
-    pub types: Vec<TypeDef>,
-    /// `Mutex::named` / `RwLock::named` construction sites.
-    pub lock_bindings: Vec<LockBinding>,
+    /// The named fields of every `struct` item.
+    pub fields: Vec<FieldDef>,
+    /// `Mutex` / `RwLock` construction sites.
+    pub locks: Vec<LockSite>,
     /// `counter!` / `gauge!` / `histogram!` sites with literal names.
     pub metrics: Vec<MetricSite>,
     /// `span!("…")` / `enter_with_parent("…", …)` sites.
@@ -105,59 +105,29 @@ pub struct CallEvent {
     pub line: u32,
 }
 
-/// Kind of a parsed type definition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TypeKind {
-    /// `struct` (named or tuple).
-    Struct,
-    /// `enum`.
-    Enum,
-}
-
-/// A struct or enum definition (fields/variants in source order).
-#[derive(Debug)]
-pub struct TypeDef {
-    /// Type name.
-    pub name: String,
-    /// Struct or enum.
-    pub kind: TypeKind,
-    /// Identifiers inside `#[derive(...)]` attributes on this item.
-    pub derives: Vec<String>,
-    /// Struct fields (empty for enums and unit structs).
-    pub fields: Vec<FieldDef>,
-    /// Enum variants (empty for structs).
-    pub variants: Vec<VariantDef>,
-    /// Line of the `struct` / `enum` keyword.
-    pub line: u32,
-}
-
-/// One struct or variant field.
+/// One named struct field.
 #[derive(Debug)]
 pub struct FieldDef {
-    /// Field name; tuple fields are `"0"`, `"1"`, ….
+    /// Field name.
     pub name: String,
-    /// Compact rendering of the field type (`Option<ReliabilitySpec>`).
+    /// Compact rendering of the field type (`HashMap<u64,Job>`).
     pub ty: String,
-    /// `true` when the type is `Option<…>` (additive-compatible).
-    pub optional: bool,
 }
 
-/// One enum variant.
+/// A `Mutex` / `RwLock` construction site (`::new`, `::default` or
+/// `::named`) with the identifier it is bound to.
 #[derive(Debug)]
-pub struct VariantDef {
-    /// Variant name.
-    pub name: String,
-    /// Payload fields (tuple fields are `"0"`, `"1"`, …).
-    pub fields: Vec<FieldDef>,
-}
-
-/// A named-lock construction site with its binding identifier.
-#[derive(Debug)]
-pub struct LockBinding {
-    /// Identifier the lock is stored under (struct field or let binding).
-    pub ident: String,
-    /// The registered lock name (`"service.queue"`).
-    pub lock: String,
+pub struct LockSite {
+    /// `Mutex` or `RwLock`.
+    pub ty: String,
+    /// `new`, `default` or `named`.
+    pub ctor: String,
+    /// The string literal a `::named` call registers the lock under;
+    /// `None` for `new` / `default` and for a name that is not a literal.
+    pub lock: Option<String>,
+    /// Identifier the lock is stored under (struct field init or let
+    /// binding), when there is one.
+    pub ident: Option<String>,
     /// Source line of the constructor.
     pub line: u32,
 }
@@ -213,8 +183,8 @@ pub fn parse(tokens: &[Token], live: &[bool]) -> ParsedFile {
         tokens.iter().zip(live).filter(|(_, l)| **l).map(|(t, _)| t.clone()).collect();
     let mut out = ParsedFile::default();
     collect_fns(&toks, &mut out);
-    collect_types(&toks, &mut out);
-    collect_lock_bindings(&toks, &mut out);
+    collect_struct_fields(&toks, &mut out);
+    collect_locks(&toks, &mut out);
     collect_obs_sites(&toks, &mut out);
     out
 }
@@ -781,105 +751,28 @@ fn is_keyword(name: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Type definitions (wire-schema extraction).
+// Struct fields (unordered-collection facts).
 // ---------------------------------------------------------------------------
 
-/// Collects struct/enum definitions and their derive lists.
-fn collect_types(toks: &[Token], out: &mut ParsedFile) {
-    let mut pending_derives: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct("#") {
-            // Attribute: record derive idents, keep pending for the item.
-            let open = i + 1;
-            if toks.get(open).is_some_and(|t| t.is_punct("[")) {
-                let end = skip_group(toks, open);
-                let inner = &toks[open + 1..end.saturating_sub(1)];
-                if inner.first().is_some_and(|t| t.is_ident("derive")) {
-                    pending_derives.extend(
-                        inner
-                            .iter()
-                            .skip(1)
-                            .filter(|t| t.kind == TokenKind::Ident)
-                            .map(|t| t.text.clone()),
-                    );
-                }
-                i = end;
-                continue;
-            }
-            i += 1;
+/// Collects the named fields of every `struct` item. The body is the
+/// first `{` after the name; a `(` or `;` before it means a tuple or unit
+/// struct, which has no named fields.
+fn collect_struct_fields(toks: &[Token], out: &mut ParsedFile) {
+    for i in 0..toks.len() {
+        if !(toks[i].is_ident("struct")
+            && toks.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident))
+        {
             continue;
         }
-        match t.text.as_str() {
-            "pub" => {
-                i += 1;
-                // Skip `pub(crate)` / `pub(super)` groups.
-                if toks.get(i).is_some_and(|t| t.is_punct("(")) {
-                    i = skip_group(toks, i);
-                }
-                continue;
-            }
-            "struct" | "enum" if t.kind == TokenKind::Ident => {
-                let kind = if t.text == "struct" { TypeKind::Struct } else { TypeKind::Enum };
-                let line = t.line;
-                let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
-                    i += 1;
-                    continue;
-                };
-                let name = name_tok.text.clone();
-                let mut j = i + 2;
-                // Skip generics.
-                if toks.get(j).is_some_and(|t| t.is_punct("<")) {
-                    let mut angle = 0i32;
-                    while j < toks.len() {
-                        if toks[j].is_punct("<") {
-                            angle += 1;
-                        } else if toks[j].is_punct(">") {
-                            angle -= 1;
-                            if angle == 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        j += 1;
-                    }
-                }
-                let mut def = TypeDef {
-                    name,
-                    kind,
-                    derives: std::mem::take(&mut pending_derives),
-                    fields: Vec::new(),
-                    variants: Vec::new(),
-                    line,
-                };
-                if toks.get(j).is_some_and(|t| t.is_punct("{")) {
-                    let close = matching_brace(toks, j);
-                    let inner = &toks[j + 1..close];
-                    match kind {
-                        TypeKind::Struct => def.fields = parse_fields(inner),
-                        TypeKind::Enum => def.variants = parse_variants(inner),
-                    }
-                    i = close + 1;
-                } else if toks.get(j).is_some_and(|t| t.is_punct("(")) {
-                    let end = skip_group(toks, j);
-                    def.fields = parse_tuple_fields(&toks[j + 1..end.saturating_sub(1)]);
-                    i = end;
-                } else {
-                    i = j;
-                }
-                out.types.push(def);
-                continue;
-            }
-            _ => {
-                pending_derives.clear();
-                i += 1;
-            }
+        let body = (i + 2..toks.len())
+            .find(|&j| toks[j].is_punct("{") || toks[j].is_punct("(") || toks[j].is_punct(";"));
+        if let Some(open) = body.filter(|&j| toks[j].is_punct("{")) {
+            out.fields.extend(parse_fields(&toks[open + 1..matching_brace(toks, open)]));
         }
     }
 }
 
-/// Parses `name: Type, …` field lists (struct bodies and struct variants).
+/// Parses a `name: Type, …` field list.
 fn parse_fields(toks: &[Token]) -> Vec<FieldDef> {
     let mut fields = Vec::new();
     let mut i = 0;
@@ -914,94 +807,13 @@ fn parse_fields(toks: &[Token]) -> Vec<FieldDef> {
                 }
                 j += 1;
             }
-            let ty = render_type(&toks[ty_start..j]);
-            fields.push(FieldDef { optional: ty.starts_with("Option<"), name, ty });
+            fields.push(FieldDef { name, ty: render_type(&toks[ty_start..j]) });
             i = j + 1;
             continue;
         }
         i += 1;
     }
     fields
-}
-
-/// Parses tuple-struct / tuple-variant field lists (`A, B<C>, …`).
-fn parse_tuple_fields(toks: &[Token]) -> Vec<FieldDef> {
-    let mut fields = Vec::new();
-    let mut start = 0;
-    let mut depth = 0i32;
-    let mut i = 0;
-    let push = |slice: &[Token], fields: &mut Vec<FieldDef>| {
-        // Strip leading visibility.
-        let mut s = 0;
-        while slice.get(s).is_some_and(|t| t.is_ident("pub")) {
-            s += 1;
-            if slice.get(s).is_some_and(|t| t.is_punct("(")) {
-                s = skip_group(slice, s);
-            }
-        }
-        let slice = &slice[s.min(slice.len())..];
-        if slice.is_empty() {
-            return;
-        }
-        let ty = render_type(slice);
-        fields.push(FieldDef {
-            optional: ty.starts_with("Option<"),
-            name: fields.len().to_string(),
-            ty,
-        });
-    };
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") || t.is_punct(">") {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct(",") {
-            push(&toks[start..i], &mut fields);
-            start = i + 1;
-        }
-        i += 1;
-    }
-    push(&toks[start..], &mut fields);
-    fields
-}
-
-/// Parses enum variant lists.
-fn parse_variants(toks: &[Token]) -> Vec<VariantDef> {
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_punct("#") {
-            i += 1;
-            if i < toks.len() && toks[i].is_punct("[") {
-                i = skip_group(toks, i);
-            }
-            continue;
-        }
-        if toks[i].is_punct(",") {
-            i += 1;
-            continue;
-        }
-        if toks[i].kind == TokenKind::Ident {
-            let name = toks[i].text.clone();
-            let mut fields = Vec::new();
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|t| t.is_punct("(")) {
-                let end = skip_group(toks, j);
-                fields = parse_tuple_fields(&toks[j + 1..end.saturating_sub(1)]);
-                j = end;
-            } else if toks.get(j).is_some_and(|t| t.is_punct("{")) {
-                let close = matching_brace(toks, j);
-                fields = parse_fields(&toks[j + 1..close]);
-                j = close + 1;
-            }
-            variants.push(VariantDef { name, fields });
-            i = j;
-            continue;
-        }
-        i += 1;
-    }
-    variants
 }
 
 /// Deterministic compact rendering of a type token run.
@@ -1024,23 +836,26 @@ fn render_type(toks: &[Token]) -> String {
 // Named locks and observability sites.
 // ---------------------------------------------------------------------------
 
-/// Finds `Mutex::named("…", …)` / `RwLock::named(…)` sites and the
-/// identifier each lock is bound to (struct field init or let binding).
-fn collect_lock_bindings(toks: &[Token], out: &mut ParsedFile) {
+/// Finds `Mutex::{new, default, named}` / `RwLock::…` sites, the literal
+/// name of a `named` one, and the identifier each lock is bound to.
+fn collect_locks(toks: &[Token], out: &mut ParsedFile) {
     for i in 0..toks.len() {
-        if !(toks[i].is_ident("Mutex") || toks[i].is_ident("RwLock")) {
-            continue;
-        }
-        if !(toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("named"))
-            && toks.get(i + 3).is_some_and(|t| t.is_punct("(")))
+        if !(toks[i].is_ident("Mutex") || toks[i].is_ident("RwLock"))
+            || !toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
         {
             continue;
         }
-        let Some(name_tok) = toks.get(i + 4).filter(|t| t.kind == TokenKind::Str) else {
+        let Some(ctor) = toks
+            .get(i + 2)
+            .filter(|t| t.is_ident("new") || t.is_ident("default") || t.is_ident("named"))
+        else {
             continue;
         };
-        let lock = name_tok.text.clone();
+        let lock = (ctor.is_ident("named") && toks.get(i + 3).is_some_and(|t| t.is_punct("(")))
+            .then(|| toks.get(i + 4))
+            .flatten()
+            .filter(|t| t.kind == TokenKind::Str)
+            .map(|t| t.text.clone());
         // Walk back over constructor wrappers (`Arc::new(`, path prefixes)
         // to the binding: `ident:` (field init) or `let [mut] ident =`.
         let mut j = i;
@@ -1066,9 +881,13 @@ fn collect_lock_bindings(toks: &[Token], out: &mut ParsedFile) {
             }
             break None;
         };
-        if let Some(ident) = ident {
-            out.lock_bindings.push(LockBinding { ident, lock, line: toks[i].line });
-        }
+        out.locks.push(LockSite {
+            ty: toks[i].text.clone(),
+            ctor: ctor.text.clone(),
+            lock,
+            ident,
+            line: toks[i].line,
+        });
     }
 }
 
@@ -1186,35 +1005,33 @@ mod tests {
     }
 
     #[test]
-    fn serde_types_are_extracted() {
+    fn struct_fields_are_extracted() {
         let p = parsed(
-            "#[derive(Debug, Serialize, Deserialize)]\npub struct Spec {\n    pub id: u64,\n    pub extra: Option<Meta>,\n}\n\n#[derive(Serialize, Deserialize)]\npub enum Msg {\n    Hello { protocol: u64 },\n    Grant(Lease),\n    Bye,\n}\n",
+            "pub struct Spec<T> where T: Copy {\n    pub(crate) jobs: HashMap<u64, T>,\n    #[allow(dead_code)]\n    extra: Option<Meta>,\n}\n\npub struct Id(u64);\n\npub enum Msg {\n    Hello { protocol: u64 },\n}\n",
         );
-        assert_eq!(p.types.len(), 2);
-        let s = &p.types[0];
-        assert_eq!(s.name, "Spec");
-        assert!(s.derives.iter().any(|d| d == "Serialize"));
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[1].ty, "Option<Meta>");
-        assert!(s.fields[1].optional);
-        let e = &p.types[1];
-        assert_eq!(e.kind, TypeKind::Enum);
-        assert_eq!(e.variants.len(), 3);
-        assert_eq!(e.variants[0].fields[0].name, "protocol");
-        assert_eq!(e.variants[1].fields[0].ty, "Lease");
-        assert!(e.variants[2].fields.is_empty());
+        let fields: Vec<(&str, &str)> =
+            p.fields.iter().map(|f| (f.name.as_str(), f.ty.as_str())).collect();
+        assert_eq!(fields, vec![("jobs", "HashMap<u64,T>"), ("extra", "Option<Meta>")]);
     }
 
     #[test]
-    fn lock_bindings_field_and_let_forms() {
+    fn lock_sites_field_and_let_forms() {
         let p = parsed(
-            "fn b() -> S {\n    let session = Arc::new(Mutex::named(\"cluster.worker.session\", 0));\n    S { queue: Mutex::named(\"service.queue\", Vec::new()), session }\n}\n",
+            "fn b() -> S {\n    let session = Arc::new(Mutex::named(\"cluster.worker.session\", 0));\n    S { queue: Mutex::named(\"service.queue\", Vec::new()), rogue: RwLock::new(0), session }\n}\n",
         );
-        assert_eq!(p.lock_bindings.len(), 2);
-        assert_eq!(p.lock_bindings[0].ident, "session");
-        assert_eq!(p.lock_bindings[0].lock, "cluster.worker.session");
-        assert_eq!(p.lock_bindings[1].ident, "queue");
-        assert_eq!(p.lock_bindings[1].lock, "service.queue");
+        let sites: Vec<(&str, &str, Option<&str>, Option<&str>)> = p
+            .locks
+            .iter()
+            .map(|l| (l.ty.as_str(), l.ctor.as_str(), l.lock.as_deref(), l.ident.as_deref()))
+            .collect();
+        assert_eq!(
+            sites,
+            vec![
+                ("Mutex", "named", Some("cluster.worker.session"), Some("session")),
+                ("Mutex", "named", Some("service.queue"), Some("queue")),
+                ("RwLock", "new", None, Some("rogue")),
+            ]
+        );
     }
 
     #[test]

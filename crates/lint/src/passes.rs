@@ -3,7 +3,7 @@
 //! Every pass has a stable id, a path-based scope, and a token-level
 //! checker. Passes only see *live* tokens: `#[cfg(test)]` items and
 //! `#[test]` functions are masked out before any pass runs, because test
-//! code legitimately unwraps, compares floats exactly, and reads clocks.
+//! code legitimately unwraps and reads clocks.
 
 use std::collections::BTreeSet;
 
@@ -21,9 +21,6 @@ pub struct FileContext<'a> {
     pub tokens: &'a [Token],
     /// `live[i] == false` marks token `i` as test-only code.
     pub live: &'a [bool],
-    /// The registered service lock-order names (empty when the service
-    /// crate or its lock-order list is absent).
-    pub lock_order: &'a [String],
     /// The file's parse (items, fn bodies, lock bindings, obs sites).
     pub parsed: &'a ParsedFile,
     /// Workspace-level facts (lock maps, blocking closure, LOCK_ORDER).
@@ -97,16 +94,6 @@ pub fn registry() -> Vec<Pass> {
             check: check_cast,
         },
         Pass {
-            id: "L-FLOATEQ",
-            summary: "float literal compared with == or !=",
-            scope: "crate libraries (same as L-PANIC)",
-            explain: "Exact float comparison is almost always a rounding bug. The one \
-                      legitimate case — spike trains are exact 0.0/1.0 values — is stated \
-                      in an allow justification.",
-            applies: is_library_code,
-            check: check_floateq,
-        },
-        Pass {
             id: "L-DET-CLOCK",
             summary: "wall-clock, entropy, thread-id or env source in reproducible code",
             scope: "crates/core, crates/faults, crates/obs, crates/reliability",
@@ -145,16 +132,6 @@ pub fn registry() -> Vec<Pass> {
             check: check_det_iter,
         },
         Pass {
-            id: "L-LOCK",
-            summary: "service/cluster locks must be named and registered in LOCK_ORDER",
-            scope: "crates/service, crates/cluster, crates/reliability",
-            explain: "Every lock in the multi-threaded crates is constructed with \
-                      `Mutex::named(\"<name>\", …)` and the name registered in LOCK_ORDER \
-                      so the static lock graph (L-LOCKGRAPH) can rank it.",
-            applies: is_lock_disciplined_crate,
-            check: check_lock,
-        },
-        Pass {
             id: "L-HELDLOCK",
             summary: "no MutexGuard/RwLock guard live across a blocking operation",
             scope: "crates/service, crates/cluster, crates/reliability",
@@ -163,7 +140,7 @@ pub fn registry() -> Vec<Pass> {
                       the name-resolved call graph) while a named guard may be live \
                       stalls every thread behind that lock. Fix by narrowing the guard \
                       scope, not by allowing.",
-            applies: is_lock_disciplined_crate,
+            applies: facts::in_lock_crates,
             check: check_heldlock,
         },
         Pass {
@@ -181,88 +158,74 @@ pub fn registry() -> Vec<Pass> {
     ]
 }
 
-/// Id of the workspace-level lock-graph check (not a per-file pass: it
-/// consumes guard dataflow from every lock-disciplined file at once).
+/// One id the tool can report, as `--list`, `--explain` and SARIF show it.
+pub struct Lint {
+    /// Stable id, e.g. `L-PANIC`.
+    pub id: &'static str,
+    /// One-line summary.
+    pub summary: &'static str,
+    /// Human description of the files it covers.
+    pub scope: &'static str,
+    /// Rule and rationale paragraph.
+    pub explain: &'static str,
+}
+
+/// Id of the workspace-level lock check (not a per-file pass: it
+/// consumes the lock sites and guard dataflow of every lock-disciplined
+/// file at once).
 pub const LOCKGRAPH_ID: &str = "L-LOCKGRAPH";
 
-/// Id of the workspace-level wire-schema check (baseline drift and
-/// breaking protocol changes).
-pub const WIRE_ID: &str = "L-WIRE";
-
-/// Descriptors for the workspace-level checks, shown by `--list`
-/// alongside the per-file registry: (id, summary, scope, explain).
-pub fn workspace_checks() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
-    vec![
-        (
-            LOCKGRAPH_ID,
-            "static lock-acquisition graph: acyclic, LOCK_ORDER-consistent, no re-entry",
-            "crates/service, crates/cluster, crates/reliability (whole-workspace)",
-            "Collects every (held, acquired) lock pair from the guard dataflow of all \
-             lock-disciplined files at once, then checks the graph is acyclic, free of \
-             re-entrant acquisition, and consistent with the LOCK_ORDER ranks. Cycle \
-             findings print the full lock path.",
-        ),
-        (
-            WIRE_ID,
-            "wire-protocol schema matches the committed baseline; no breaking drift",
-            "crates/service/src/protocol.rs, crates/cluster/src/wire.rs",
-            "Extracts the serde-facing shape of the protocol types and compares it with \
-             the committed wire_schema.txt baseline: removed/renamed types or fields, \
-             changed field types and new required fields are breaking (v1–v4 peers must \
-             keep decoding). Intentional changes regenerate the baseline with \
-             --write-wire-baseline and, if breaking, bump PROTOCOL_VERSION.",
-        ),
-    ]
+/// Every id the tool can report, in `--list` order: the per-file
+/// registry, then the workspace-level and driver-level ids.
+pub fn catalog() -> Vec<Lint> {
+    let mut lints: Vec<Lint> = registry()
+        .iter()
+        .map(|p| Lint { id: p.id, summary: p.summary, scope: p.scope, explain: p.explain })
+        .collect();
+    lints.extend([
+        Lint {
+            id: LOCKGRAPH_ID,
+            summary: "locks named and registered; acquisition graph acyclic, \
+                      LOCK_ORDER-consistent, no re-entry",
+            scope: "crates/service, crates/cluster, crates/reliability (whole-workspace)",
+            explain: "Every Mutex/RwLock construction must be `::named(\"<name>\", …)` with \
+                      a string literal registered in LOCK_ORDER \
+                      (crates/cluster/src/lock_order.rs), so the graph can rank it and the \
+                      runtime detector can see it. The check then collects every (held, \
+                      acquired) lock pair from the guard dataflow of all lock-disciplined \
+                      files at once and requires the graph to be acyclic, free of \
+                      re-entrant acquisition, and consistent with the LOCK_ORDER ranks. \
+                      Cycle findings print the full lock path.",
+        },
+        Lint {
+            id: ALLOW_ID,
+            summary: "unused or unjustified allow directives (driver-level)",
+            scope: "all scanned files",
+            explain: "Findings are suppressed in-source with `// snn-lint: allow(<ID>): \
+                      <why>`. A directive with no justification text, one naming an unknown \
+                      lint id (e.g. a retired pass), or one that no longer suppresses \
+                      anything is itself a finding, so the allow list can never silently rot.",
+        },
+        Lint {
+            id: VENDOR_ID,
+            summary: "vendored dependency drift vs vendor/README.md pins",
+            scope: "vendor/, Cargo.toml",
+            explain: "Vendored dependencies are pinned in vendor/README.md; this check \
+                      detects drift between the pins, the vendored sources and the \
+                      workspace Cargo.toml patch table.",
+        },
+    ]);
+    lints
 }
 
-/// Rationale shown by `--explain L-ALLOW` (driver-level, not a pass).
-pub const ALLOW_EXPLAIN: &str =
-    "Findings are suppressed in-source with `// snn-lint: allow(<ID>): <why>`. A \
-     directive with no justification text, one naming an unknown lint id (e.g. a \
-     retired pass), or one that no longer suppresses anything is itself a finding, so \
-     the allow list can never silently rot.";
-
-/// Rationale shown by `--explain L-VENDOR` (driver-level, not a pass).
-pub const VENDOR_EXPLAIN: &str =
-    "Vendored dependencies are pinned in vendor/README.md; this check detects drift \
-     between the pins, the vendored sources and the workspace Cargo.toml patch table.";
-
-/// Ids of every finding the tool can emit (passes plus driver-level ids).
+/// Ids of every finding the tool can emit.
 pub fn known_ids() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = registry().iter().map(|p| p.id).collect();
-    ids.push(LOCKGRAPH_ID);
-    ids.push(WIRE_ID);
-    ids.push(ALLOW_ID);
-    ids.push(VENDOR_ID);
-    ids
+    catalog().iter().map(|l| l.id).collect()
 }
 
-/// The (summary, scope, rationale) triple behind `--explain <ID>`; `None`
-/// for unknown ids.
-pub fn explain(id: &str) -> Option<(&'static str, &'static str, &'static str)> {
-    for p in registry() {
-        if p.id == id {
-            return Some((p.summary, p.scope, p.explain));
-        }
-    }
-    for (wid, summary, scope, explain) in workspace_checks() {
-        if wid == id {
-            return Some((summary, scope, explain));
-        }
-    }
-    match id {
-        _ if id == ALLOW_ID => Some((
-            "unused or unjustified allow directives (driver-level)",
-            "all scanned files",
-            ALLOW_EXPLAIN,
-        )),
-        _ if id == VENDOR_ID => Some((
-            "vendored dependency drift vs vendor/README.md pins",
-            "vendor/, Cargo.toml",
-            VENDOR_EXPLAIN,
-        )),
-        _ => None,
-    }
+/// The entry behind `--explain <ID>`; `None` for unknown ids.
+pub fn explain(id: &str) -> Option<Lint> {
+    catalog().into_iter().find(|l| l.id == id)
 }
 
 // ---------------------------------------------------------------------------
@@ -308,16 +271,6 @@ fn is_digest_crate(path: &str) -> bool {
     // deliberately out: job metadata legitimately carries wall-clock
     // timestamps and never feeds a verdict digest.
     crate::taint::in_digest_crates(path)
-}
-
-fn is_lock_disciplined_crate(path: &str) -> bool {
-    // The crates share one process-wide lock-order registry (first
-    // registration wins), so each must name every lock from it.
-    // crates/reliability holds no locks today; keeping it in scope means
-    // any future lock there must be named and registered from day one.
-    path.starts_with("crates/service/src/")
-        || path.starts_with("crates/cluster/src/")
-        || path.starts_with("crates/reliability/src/")
 }
 
 // ---------------------------------------------------------------------------
@@ -417,34 +370,6 @@ fn check_cast(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------------
-// L-FLOATEQ
-// ---------------------------------------------------------------------------
-
-fn check_floateq(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for i in live_indices(ctx) {
-        let t = &ctx.tokens[i];
-        if !(t.is_punct("==") || t.is_punct("!=")) {
-            continue;
-        }
-        let float_operand = prev_live(ctx, i).is_some_and(|p| p.kind == TokenKind::Float)
-            || next_live(ctx, i).is_some_and(|n| n.kind == TokenKind::Float);
-        if float_operand {
-            out.push(ctx.diag(
-                t.line,
-                "L-FLOATEQ",
-                format!(
-                    "float literal compared with `{}` — use an epsilon (or justify: spike \
-                     trains are exact 0.0/1.0 values)",
-                    t.text
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // L-DET-CLOCK (token half of the determinism family; subsumes v1 L-NONDET)
 // ---------------------------------------------------------------------------
 
@@ -529,78 +454,6 @@ fn check_det_flow(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
 
 fn check_det_iter(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
     crate::taint::iter_findings(ctx.path, ctx.parsed, ctx.facts)
-}
-
-// ---------------------------------------------------------------------------
-// L-LOCK
-// ---------------------------------------------------------------------------
-
-const LOCK_TYPES: &[&str] = &["Mutex", "RwLock"];
-
-fn check_lock(ctx: &FileContext<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for i in live_indices(ctx) {
-        let t = &ctx.tokens[i];
-        if t.kind != TokenKind::Ident || !LOCK_TYPES.contains(&t.text.as_str()) {
-            continue;
-        }
-        // Match `Mutex::new`, `Mutex::default`, `Mutex::named("…")`.
-        let Some(sep) = next_live(ctx, i) else { continue };
-        if !sep.is_punct("::") {
-            continue;
-        }
-        let idx_method = (i + 1..ctx.tokens.len()).filter(|&j| ctx.live[j]).nth(1);
-        let Some(j) = idx_method else { continue };
-        let method = &ctx.tokens[j];
-        if method.kind != TokenKind::Ident {
-            continue;
-        }
-        match method.text.as_str() {
-            "new" | "default" => out.push(ctx.diag(
-                t.line,
-                "L-LOCK",
-                format!(
-                    "unnamed `{}::{}` in a lock-disciplined crate — construct with \
-                     `{}::named(\"<name>\", …)` using a name from LOCK_ORDER \
-                     (crates/cluster/src/lock_order.rs)",
-                    t.text, method.text, t.text
-                ),
-            )),
-            "named" => {
-                let name = (j + 1..ctx.tokens.len())
-                    .filter(|&k| ctx.live[k])
-                    .map(|k| &ctx.tokens[k])
-                    .nth(1); // skip the `(`
-                match name {
-                    Some(n) if n.kind == TokenKind::Str => {
-                        if !ctx.lock_order.iter().any(|o| o == &n.text) {
-                            out.push(ctx.diag(
-                                n.line,
-                                "L-LOCK",
-                                format!(
-                                    "lock name {:?} is not registered in LOCK_ORDER \
-                                     (crates/cluster/src/lock_order.rs) — add it at its \
-                                     acquisition rank",
-                                    n.text
-                                ),
-                            ));
-                        }
-                    }
-                    _ => out.push(ctx.diag(
-                        t.line,
-                        "L-LOCK",
-                        format!(
-                            "`{}::named` must take a string literal name so the \
-                             lock-order list can be checked statically",
-                            t.text
-                        ),
-                    )),
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +616,6 @@ mod tests {
             path,
             tokens: &lexed.tokens,
             live: &live,
-            lock_order,
             parsed: &parsed,
             facts: &facts,
         };
@@ -810,13 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn floateq_flags_literal_comparisons() {
-        let src = "fn f(v: f32) -> bool { v == 0.0 || v != 1.0 || 2 == 2 }";
-        let out = run_pass("L-FLOATEQ", "crates/tensor/src/tensor.rs", src);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
     fn det_clock_flags_clocks_and_entropy() {
         let src = "fn f() { let t = Instant::now(); let r = StdRng::from_entropy(); }";
         let out = run_pass("L-DET-CLOCK", "crates/core/src/generator.rs", src);
@@ -841,29 +686,6 @@ mod tests {
                    let var = 1.0;\n    let p = v.as_ptr();\n    x + var\n}";
         let out = run_pass("L-DET-CLOCK", "crates/core/src/generator.rs", src);
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn lock_pass_requires_named_registered_locks() {
-        let order = vec!["service.queue".to_string()];
-        let src = "fn f() { let a = Mutex::new(1); let b = Mutex::named(\"service.queue\", 2); \
-                   let c = RwLock::named(\"service.rogue\", 3); }";
-        let out = run_pass_with_locks("L-LOCK", "crates/service/src/server.rs", src, &order);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out[0].message.contains("unnamed"));
-        assert!(out[1].message.contains("service.rogue"));
-    }
-
-    #[test]
-    fn lock_pass_covers_the_cluster_crate() {
-        let order = vec!["cluster.coordinator".to_string()];
-        let src = "fn f() { let a = Mutex::new(1); \
-                   let b = Mutex::named(\"cluster.coordinator\", 2); \
-                   let c = Mutex::named(\"cluster.rogue\", 3); }";
-        let out = run_pass_with_locks("L-LOCK", "crates/cluster/src/coordinator.rs", src, &order);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out[0].message.contains("unnamed"));
-        assert!(out[1].message.contains("cluster.rogue"));
     }
 
     #[test]

@@ -84,11 +84,9 @@ pub fn unordered_idents(files: &[FileInput<'_>]) -> HashMap<String, BTreeSet<Str
     let mut out: HashMap<String, BTreeSet<String>> = HashMap::new();
     for f in files {
         let set = out.entry(f.path.to_string()).or_default();
-        for ty in &f.parsed.types {
-            for field in &ty.fields {
-                if field.ty.contains("HashMap") || field.ty.contains("HashSet") {
-                    set.insert(field.name.clone());
-                }
+        for field in &f.parsed.fields {
+            if field.ty.contains("HashMap") || field.ty.contains("HashSet") {
+                set.insert(field.name.clone());
             }
         }
         for fun in &f.parsed.fns {

@@ -1,12 +1,10 @@
 //! Fixture tests for the v2 analysis passes: L-HELDLOCK (guard live
-//! across a blocking call), L-LOCKGRAPH (static acquisition graph),
-//! L-WIRE (schema baseline drift) and L-OBS (metric/span registries).
-//! Each pass gets a bad fixture that must fire on the expected line and
-//! a good twin — the same logic with the guard narrowed or the schema
-//! intact — that must stay silent.
+//! across a blocking call), L-LOCKGRAPH (static acquisition graph) and
+//! L-OBS (metric/span registries). Each pass gets a bad fixture that
+//! must fire on the expected line and a good twin — the same logic with
+//! the guard narrowed or the registry intact — that must stay silent.
 
 use snn_lint::{facts, lexer, lint_source, parser, passes};
-use std::path::Path;
 
 const LOCKS: &[&str] = &["service.queue", "service.store.jobs", "cluster.coordinator"];
 
@@ -149,9 +147,7 @@ fn lockgraph_findings(source: &str) -> Vec<snn_lint::Diagnostic> {
     let parsed = parse(source);
     let path = "crates/service/src/fixture.rs";
     let inputs = [facts::FileInput { path, parsed: &parsed }];
-    let f = facts::Facts::build(&inputs, lock_order());
-    let edges = facts::lock_edges(path, &parsed, &f);
-    facts::check_lock_graph(&edges, &lock_order())
+    facts::check_locks(&inputs, &facts::Facts::build(&inputs, lock_order()))
 }
 
 #[test]
@@ -197,105 +193,6 @@ impl S {
     assert!(
         got.iter().any(|d| d.message.contains("re-entrant") || d.message.contains("reentrant")),
         "self-edge must be reported as re-entrant: {got:?}"
-    );
-}
-
-// ---------------------------------------------------------------- L-WIRE
-
-const WIRE_FIXTURE: &str = "\
-use serde::{Deserialize, Serialize};
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Grant {
-    pub lease: u64,
-    pub epoch: u64,
-    pub note: Option<String>,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-pub enum Msg {
-    Hello { name: String, protocol: u64 },
-    Bye,
-}
-";
-
-fn schema_of(source: &str) -> (String, std::collections::HashMap<(String, String), u32>) {
-    let parsed = parse(source);
-    let inputs = [facts::FileInput { path: "crates/cluster/src/wire.rs", parsed: &parsed }];
-    (facts::wire_schema_text(&inputs), facts::wire_type_lines(&inputs))
-}
-
-/// Diff a breaking edit of `WIRE_FIXTURE` against its own baseline.
-fn breaking(edit: impl Fn(&str) -> String) -> Vec<snn_lint::Diagnostic> {
-    let (baseline, _) = schema_of(WIRE_FIXTURE);
-    let edited = edit(WIRE_FIXTURE);
-    assert_ne!(edited, WIRE_FIXTURE, "fixture edit must apply");
-    let (current, lines) = schema_of(&edited);
-    facts::wire_breaking_changes(&baseline, &current, &lines)
-}
-
-#[test]
-fn wire_removed_field_is_a_pointed_breaking_change() {
-    let got = breaking(|s| s.replace("    pub epoch: u64,\n", ""));
-    assert_eq!(got.len(), 1, "exactly one finding: {got:?}");
-    let d = &got[0];
-    assert_eq!(d.id, "L-WIRE");
-    assert!(
-        d.message.contains("epoch") && d.message.contains("Grant"),
-        "must name the removed field and its type: {}",
-        d.message
-    );
-    assert!(
-        d.message.contains("PROTOCOL_VERSION"),
-        "must point at the version-bump workflow: {}",
-        d.message
-    );
-}
-
-#[test]
-fn wire_removed_variant_and_changed_type_are_breaking() {
-    let got = breaking(|s| s.replace("    Bye,\n", ""));
-    assert!(
-        got.iter().any(|d| d.message.contains("Bye")),
-        "removed variant must be named: {got:?}"
-    );
-    let got = breaking(|s| s.replace("pub lease: u64", "pub lease: u32"));
-    assert!(
-        got.iter().any(|d| d.message.contains("lease")
-            && d.message.contains("u64")
-            && d.message.contains("u32")),
-        "field type change must show both types: {got:?}"
-    );
-}
-
-#[test]
-fn wire_new_required_field_is_breaking_but_new_optional_is_not() {
-    let got = breaking(|s| {
-        s.replace("    pub lease: u64,\n", "    pub lease: u64,\n    pub shard: u32,\n")
-    });
-    assert!(
-        got.iter().any(|d| d.message.contains("shard")),
-        "new required field breaks old senders: {got:?}"
-    );
-    let (baseline, _) = schema_of(WIRE_FIXTURE);
-    let added = WIRE_FIXTURE
-        .replace("    pub lease: u64,\n", "    pub lease: u64,\n    pub shard: Option<u32>,\n");
-    let (current, lines) = schema_of(&added);
-    let got = facts::wire_breaking_changes(&baseline, &current, &lines);
-    assert!(got.is_empty(), "additive Option field is compatible: {got:?}");
-}
-
-#[test]
-fn committed_wire_baseline_reproduces_byte_identically() {
-    // The acceptance-gate half of L-WIRE: a fresh extraction from the
-    // real protocol files must equal the committed baseline exactly.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let fresh = snn_lint::extract_wire_schema(&root).expect("wire files must parse");
-    let committed = std::fs::read_to_string(root.join(facts::WIRE_BASELINE_PATH))
-        .expect("baseline must be committed (cargo run -p snn-lint -- --write-wire-baseline)");
-    assert_eq!(
-        committed, fresh,
-        "committed wire_schema.txt drifted — regenerate with --write-wire-baseline"
     );
 }
 
@@ -359,14 +256,10 @@ pub fn f() {
 
 #[test]
 fn sarif_output_carries_the_v2_rule_ids() {
-    // The same rule chain the CLI builds: per-file registry plus the
-    // workspace-level checks.
-    let rules: Vec<snn_lint::sarif::SarifRule> = passes::registry()
-        .iter()
-        .map(|p| snn_lint::sarif::SarifRule { id: p.id, short_description: p.summary.to_string() })
-        .chain(passes::workspace_checks().into_iter().map(|(id, summary, _, _)| {
-            snn_lint::sarif::SarifRule { id, short_description: summary.to_string() }
-        }))
+    // The same rule chain the CLI builds: every id in the catalog.
+    let rules: Vec<snn_lint::sarif::SarifRule> = passes::catalog()
+        .into_iter()
+        .map(|l| snn_lint::sarif::SarifRule { id: l.id, short_description: l.summary.to_string() })
         .collect();
     let ds = vec![
         snn_lint::Diagnostic {
@@ -376,17 +269,19 @@ fn sarif_output_carries_the_v2_rule_ids() {
             message: "guard across blocking call".into(),
         },
         snn_lint::Diagnostic {
-            file: "crates/lint/wire_schema.txt".into(),
-            line: 1,
-            id: "L-WIRE",
-            message: "baseline drift".into(),
+            file: "crates/service/src/server.rs".into(),
+            line: 9,
+            id: "L-LOCKGRAPH",
+            message: "unnamed `Mutex::new`".into(),
         },
     ];
     let out = snn_lint::sarif::render("snn-lint", "DESIGN.md", &rules, &ds, |_| {
         snn_lint::sarif::Level::Warning
     });
-    for id in ["L-HELDLOCK", "L-LOCKGRAPH", "L-WIRE", "L-OBS"] {
+    for id in ["L-HELDLOCK", "L-LOCKGRAPH", "L-OBS", "L-ALLOW", "L-VENDOR"] {
         assert!(out.contains(&format!("\"id\":\"{id}\"")), "SARIF rules must include {id}");
     }
-    assert!(out.contains("\"ruleId\":\"L-HELDLOCK\"") && out.contains("\"ruleId\":\"L-WIRE\""));
+    assert!(
+        out.contains("\"ruleId\":\"L-HELDLOCK\"") && out.contains("\"ruleId\":\"L-LOCKGRAPH\"")
+    );
 }

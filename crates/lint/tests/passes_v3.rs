@@ -1,7 +1,9 @@
 //! v3 pass tests: the interprocedural determinism-taint analysis
 //! (L-DET-FLOW), the unordered-iteration pass (L-DET-ITER), the widened
 //! clock/entropy pass (L-DET-CLOCK), and the retirement of the
-//! token-level L-NONDET id it replaces.
+//! token-level L-NONDET id it replaces — and of L-FLOATEQ, L-LOCK and
+//! L-WIRE, whose properties clippy, L-LOCKGRAPH and the pinned wire
+//! encodings now check.
 
 use snn_lint::{lint_source, passes};
 
@@ -164,13 +166,17 @@ fn det_clock_flags_the_widened_source_set_in_scope() {
     assert_eq!(findings("crates/service/src/server.rs", src), vec![]);
 }
 
-// --------------------------------------------- L-NONDET retirement
+// --------------------------------------------- retired ids
+
+const RETIRED: [&str; 4] = ["L-NONDET", "L-FLOATEQ", "L-LOCK", "L-WIRE"];
 
 #[test]
 fn l_nondet_is_retired_everywhere() {
-    assert!(passes::registry().iter().all(|p| p.id != "L-NONDET"));
-    assert!(!passes::known_ids().contains(&"L-NONDET"));
-    assert!(passes::explain("L-NONDET").is_none());
+    for id in RETIRED {
+        assert!(passes::registry().iter().all(|p| p.id != id), "{id}");
+        assert!(!passes::known_ids().contains(&id), "{id}");
+        assert!(passes::explain(id).is_none(), "{id}");
+    }
 }
 
 #[test]
@@ -183,20 +189,23 @@ fn migrated_allow_suppresses_and_stale_l_nondet_allow_is_a_finding() {
                     }\n";
     assert_eq!(findings("crates/core/src/generator.rs", migrated), vec![]);
 
-    // …while a leftover allow(L-NONDET) is loudly wrong three ways: the
-    // finding it used to suppress resurfaces, the id is unknown, and the
-    // directive is stale.
-    let stale = "fn f() {\n\
-                 \x20   // snn-lint: allow(L-NONDET): sanctioned fixture read\n\
-                 \x20   Instant::now();\n\
-                 }\n";
-    let out = diags("crates/core/src/generator.rs", stale);
-    let ids: Vec<&str> = out.iter().map(|d| d.id).collect();
-    assert!(ids.contains(&"L-DET-CLOCK"), "{out:?}");
-    assert!(
-        out.iter().any(|d| d.id == "L-ALLOW" && d.message.contains("unknown lint id")),
-        "{out:?}"
-    );
+    // …while a leftover allow of any retired id is loudly wrong: the
+    // finding it would suppress resurfaces and the id is unknown.
+    for id in RETIRED {
+        let stale = format!(
+            "fn f() {{\n\
+             \x20   // snn-lint: allow({id}): sanctioned fixture read\n\
+             \x20   Instant::now();\n\
+             }}\n"
+        );
+        let out = diags("crates/core/src/generator.rs", &stale);
+        let ids: Vec<&str> = out.iter().map(|d| d.id).collect();
+        assert!(ids.contains(&"L-DET-CLOCK"), "{id}: {out:?}");
+        assert!(
+            out.iter().any(|d| d.id == "L-ALLOW" && d.message.contains("unknown lint id")),
+            "{id}: {out:?}"
+        );
+    }
 }
 
 // ------------------------------------------------------------- --explain
@@ -205,8 +214,8 @@ fn migrated_allow_suppresses_and_stale_l_nondet_allow_is_a_finding() {
 fn every_det_pass_is_listed_and_explained() {
     for id in ["L-DET-FLOW", "L-DET-ITER", "L-DET-CLOCK"] {
         assert!(passes::registry().iter().any(|p| p.id == id), "{id} missing from registry");
-        let (summary, scope, explain) = passes::explain(id).unwrap_or_else(|| panic!("{id}"));
-        assert!(!summary.is_empty() && !scope.is_empty());
-        assert!(explain.len() > 80, "--explain {id} rationale too thin: {explain:?}");
+        let lint = passes::explain(id).unwrap_or_else(|| panic!("{id}"));
+        assert!(!lint.summary.is_empty() && !lint.scope.is_empty());
+        assert!(lint.explain.len() > 80, "--explain {id} rationale too thin: {:?}", lint.explain);
     }
 }

@@ -135,25 +135,38 @@ impl ConfigOutcome {
         }
     }
 
-    /// Decodes an outcome produced by [`ConfigOutcome::encode`].
+    /// Decodes an outcome produced by [`ConfigOutcome::encode`]. The
+    /// counts arrive from workers over the wire, so each must be a whole,
+    /// non-negative number and no correct-count may exceed `samples`.
     pub fn decode(outcome: &FaultOutcome) -> Result<Self, String> {
+        let config = outcome.fault_id;
         let counts = outcome
             .class_diff
             .as_ref()
-            .ok_or_else(|| format!("config {}: outcome carries no counts", outcome.fault_id))?;
+            .ok_or_else(|| format!("config {config}: outcome carries no counts"))?;
         if counts.len() != 4 {
             return Err(format!(
-                "config {}: expected 4 encoded counts, found {}",
-                outcome.fault_id,
+                "config {config}: expected 4 encoded counts, found {}",
                 counts.len()
             ));
         }
+        let mut whole = [0usize; 4];
+        for (slot, &c) in whole.iter_mut().zip(counts) {
+            if !(c.is_finite() && c >= 0.0 && c.fract() == 0.0) {
+                return Err(format!("config {config}: encoded count {c} is not a whole number"));
+            }
+            *slot = c as usize;
+        }
+        let [baseline_correct, faulty_correct, mitigated_correct, samples] = whole;
+        if let Some(&over) = whole[..3].iter().find(|&&n| n > samples) {
+            return Err(format!("config {config}: {over} correct of only {samples} samples"));
+        }
         Ok(Self {
-            config: outcome.fault_id,
-            baseline_correct: counts[0] as usize,
-            faulty_correct: counts[1] as usize,
-            mitigated_correct: counts[2] as usize,
-            samples: counts[3] as usize,
+            config,
+            baseline_correct,
+            faulty_correct,
+            mitigated_correct,
+            samples,
             spike_delta: outcome.distance,
         })
     }
@@ -349,13 +362,28 @@ mod tests {
         let detection =
             FaultOutcome { fault_id: 0, detected: true, distance: 1.0, class_diff: None };
         assert!(ConfigOutcome::decode(&detection).is_err());
-        let short = FaultOutcome {
-            fault_id: 0,
+        let counts = |class_diff: Vec<f32>| FaultOutcome {
+            fault_id: 3,
             detected: true,
             distance: 1.0,
-            class_diff: Some(vec![1.0, 2.0]),
+            class_diff: Some(class_diff),
         };
-        assert!(ConfigOutcome::decode(&short).is_err());
+        assert!(ConfigOutcome::decode(&counts(vec![1.0, 2.0])).is_err());
+        // Counts a worker could not have produced: not a number, negative,
+        // fractional, beyond any usize, or more correct than samples.
+        for bad in [
+            vec![4.0, f32::NAN, 4.0, 4.0],
+            vec![4.0, -1.0, 4.0, 4.0],
+            vec![4.0, 2.5, 4.0, 4.0],
+            vec![4.0, 4.0, 1e30, 4.0],
+            vec![4.0, 4.0, 4.0, f32::INFINITY],
+            vec![5.0, 4.0, 4.0, 4.0],
+            vec![4.0, 4.0, 6.0, 4.0],
+        ] {
+            let err = ConfigOutcome::decode(&counts(bad.clone())).unwrap_err();
+            assert!(err.starts_with("config 3: ") && !err.contains('\n'), "{bad:?}: {err}");
+        }
+        assert!(ConfigOutcome::decode(&counts(vec![4.0, 0.0, 4.0, 4.0])).is_ok());
     }
 
     #[test]

@@ -353,23 +353,58 @@ pub fn read_line<T: serde::Deserialize>(
 mod tests {
     use super::*;
 
-    fn round_trip<T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(v: &T) {
+    /// Asserts that `v` encodes to exactly `json` — the pinned bytes a
+    /// peer of this protocol version sends, or a record of this schema
+    /// holds — and decodes back to itself.
+    fn pinned<T: Serialize + serde::Deserialize + PartialEq + std::fmt::Debug>(v: &T, json: &str) {
         let s = serde::json::to_string(v);
+        assert_eq!(
+            s, json,
+            "the wire encoding changed: bump `PROTOCOL_VERSION` (and `JOB_SCHEMA_VERSION` for \
+             `JobRecord`), then update the pinned encoding"
+        );
         let back: T = serde::json::from_str(&s).unwrap();
         assert_eq!(&back, v, "round trip of {s}");
     }
 
+    /// A reliability job: the spec a `reliability` submission sends.
+    fn reliability_spec() -> JobSpec {
+        use snn_reliability::{
+            EvalSpec, FaultMapSpec, MemoryRegion, MitigationKind, RegionSpec, ReliabilitySpec,
+            WeightFaultModel,
+        };
+        let mut spec = JobSpec::synthetic_repro(4, vec![6], 2, 5);
+        spec.reliability = Some(ReliabilitySpec {
+            map: FaultMapSpec {
+                regions: vec![RegionSpec {
+                    region: MemoryRegion::Weights { layer: 0, tensor: 0 },
+                    ber: 0.01,
+                }],
+                configs: 8,
+                seed: 42,
+                weight_model: WeightFaultModel::BitFlip,
+                window: Some(snn_faults::TransientWindow::new(2, 9)),
+            },
+            eval: EvalSpec { samples: 8, steps: 16, rate: 0.3, seed: 7 },
+            mitigation: MitigationKind::FaultAwareMapping,
+        });
+        spec
+    }
+
     #[test]
     fn requests_round_trip() {
-        round_trip(&Request::Submit(Box::new(JobSpec::synthetic_repro(6, vec![12], 4, 7))));
-        round_trip(&Request::Status { job: 3 });
-        round_trip(&Request::List);
-        round_trip(&Request::Cancel { job: 9 });
-        round_trip(&Request::Watch { job: 0 });
-        round_trip(&Request::Ping);
-        round_trip(&Request::Metrics);
-        round_trip(&Request::ClusterStatus);
-        round_trip(&Request::Shutdown);
+        pinned(
+            &Request::Submit(Box::new(JobSpec::synthetic_repro(6, vec![12], 4, 7))),
+            r#"{"Submit":{"model":{"Synthetic":{"inputs":6,"hidden":[12],"outputs":4,"seed":7}},"preset":"repro","seed":7,"max_iterations":null,"t_limit_secs":null,"evaluate_coverage":false,"threads":0,"reliability":null,"engine":null}}"#,
+        );
+        pinned(&Request::Status { job: 3 }, r#"{"Status":{"job":3}}"#);
+        pinned(&Request::List, r#""List""#);
+        pinned(&Request::Cancel { job: 9 }, r#"{"Cancel":{"job":9}}"#);
+        pinned(&Request::Watch { job: 0 }, r#"{"Watch":{"job":0}}"#);
+        pinned(&Request::Ping, r#""Ping""#);
+        pinned(&Request::Metrics, r#""Metrics""#);
+        pinned(&Request::ClusterStatus, r#""ClusterStatus""#);
+        pinned(&Request::Shutdown, r#""Shutdown""#);
     }
 
     #[test]
@@ -424,32 +459,125 @@ mod tests {
             error: None,
             schema: Some(JOB_SCHEMA_VERSION),
         };
-        round_trip(&Response::Submitted { job: 1 });
-        round_trip(&Response::Status(Box::new(record.clone())));
-        round_trip(&Response::Jobs(vec![record]));
-        round_trip(&Response::CancelRequested { job: 1 });
-        round_trip(&Response::Pong { version: PROTOCOL_VERSION });
-        round_trip(&Response::ShuttingDown);
-        round_trip(&Response::Event(JobEvent {
-            seq: 41,
-            at_ms: 1_700_000_002_000,
-            payload: JobEventPayload::State {
-                job: 1,
-                state: JobState::Cancelled,
-                error: Some("cancelled by user".into()),
-            },
-        }));
-        round_trip(&Response::Error { message: "queue full".into() });
-        round_trip(&Response::Metrics(snn_obs::MetricsSnapshot { metrics: Vec::new() }));
-        round_trip(&Response::Cluster(ClusterStatus {
-            workers: Vec::new(),
-            campaigns_active: 0,
-            chunks_pending: 0,
-            chunks_leased: 0,
-            chunks_completed: 4,
-            chunks_reissued: 1,
-            results_stale: 1,
-        }));
+        pinned(&Response::Submitted { job: 1 }, r#"{"Submitted":{"job":1}}"#);
+        pinned(
+            &Response::Status(Box::new(record)),
+            r#"{"Status":{"id":1,"spec":{"model":{"Path":"model.snn"},"preset":"fast","seed":1,"max_iterations":4,"t_limit_secs":null,"evaluate_coverage":true,"threads":2,"reliability":null,"engine":"Packed"},"state":"Done","submitted_at_ms":1700000000000,"started_at_ms":1700000000100,"finished_at_ms":1700000003000,"progress":{"FaultsSimulated":{"done":5,"total":9,"detected":4}},"result":{"chunks":3,"test_steps":120,"activated":14,"total_neurons":16,"activation_coverage":0.875,"runtime_ms":2900,"faults_total":9,"faults_detected":7,"fault_coverage":0.7777777777777778,"events_path":"results/job-1.events","analysis":{"neurons":16,"dead_neurons":2,"excitable_neurons":10,"undecided_neurons":4,"faults":9,"collapse_fraction":0},"timings":{"queue_wait_ms":100,"analyze_ms":20,"generation_ms":2500,"fault_sim_ms":380},"verdict_digest":"cbf29ce484222325","reliability":null,"engine":"packed"},"error":null,"schema":6}}"#,
+        );
+        let drop = snn_reliability::DropStats { mean: 0.25, p95: 0.5, worst: 0.75 };
+        pinned(
+            &Response::Jobs(vec![JobRecord {
+                id: 2,
+                spec: reliability_spec(),
+                state: JobState::Done,
+                submitted_at_ms: 1_700_000_004_000,
+                started_at_ms: Some(1_700_000_004_010),
+                finished_at_ms: Some(1_700_000_004_500),
+                progress: None,
+                result: Some(JobResult {
+                    chunks: 0,
+                    test_steps: 0,
+                    activated: 0,
+                    total_neurons: 8,
+                    activation_coverage: 0.0,
+                    runtime_ms: 490,
+                    faults_total: None,
+                    faults_detected: None,
+                    fault_coverage: None,
+                    events_path: None,
+                    analysis: None,
+                    timings: None,
+                    verdict_digest: None,
+                    reliability: Some(snn_reliability::ReliabilityReport {
+                        configs: 8,
+                        samples: 8,
+                        mitigation: "fault-aware-mapping".into(),
+                        baseline_accuracy: 1.0,
+                        faulty_accuracy: 0.75,
+                        mitigated_accuracy: 0.875,
+                        drop,
+                        mitigated_drop: drop,
+                        mean_spike_delta: 3.5,
+                        regions: vec![snn_reliability::RegionCriticality {
+                            region: "weights[L0.T0]".into(),
+                            configs_hit: 8,
+                            mean_drop: 0.25,
+                        }],
+                        digest: "cbf29ce484222325".into(),
+                    }),
+                    engine: None,
+                }),
+                error: None,
+                schema: Some(JOB_SCHEMA_VERSION),
+            }]),
+            r#"{"Jobs":[{"id":2,"spec":{"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":5}},"preset":"repro","seed":5,"max_iterations":null,"t_limit_secs":null,"evaluate_coverage":false,"threads":0,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":8,"seed":42,"weight_model":"BitFlip","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":16,"rate":0.30000001192092896,"seed":7},"mitigation":"FaultAwareMapping"},"engine":null},"state":"Done","submitted_at_ms":1700000004000,"started_at_ms":1700000004010,"finished_at_ms":1700000004500,"progress":null,"result":{"chunks":0,"test_steps":0,"activated":0,"total_neurons":8,"activation_coverage":0,"runtime_ms":490,"faults_total":null,"faults_detected":null,"fault_coverage":null,"events_path":null,"analysis":null,"timings":null,"verdict_digest":null,"reliability":{"configs":8,"samples":8,"mitigation":"fault-aware-mapping","baseline_accuracy":1,"faulty_accuracy":0.75,"mitigated_accuracy":0.875,"drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mitigated_drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mean_spike_delta":3.5,"regions":[{"region":"weights[L0.T0]","configs_hit":8,"mean_drop":0.25}],"digest":"cbf29ce484222325"},"engine":null},"error":null,"schema":6}]}"#,
+        );
+        pinned(&Response::CancelRequested { job: 1 }, r#"{"CancelRequested":{"job":1}}"#);
+        pinned(&Response::Pong { version: PROTOCOL_VERSION }, r#"{"Pong":{"version":9}}"#);
+        pinned(&Response::ShuttingDown, r#""ShuttingDown""#);
+        pinned(
+            &Response::Event(JobEvent {
+                seq: 41,
+                at_ms: 1_700_000_002_000,
+                payload: JobEventPayload::State {
+                    job: 1,
+                    state: JobState::Cancelled,
+                    error: Some("cancelled by user".into()),
+                },
+            }),
+            r#"{"Event":{"seq":41,"at_ms":1700000002000,"payload":{"State":{"job":1,"state":"Cancelled","error":"cancelled by user"}}}}"#,
+        );
+        pinned(
+            &Response::Event(JobEvent {
+                seq: 42,
+                at_ms: 1_700_000_002_500,
+                payload: JobEventPayload::Progress {
+                    job: 1,
+                    progress: Progress::Iteration {
+                        iteration: 0,
+                        chunk_steps: 40,
+                        newly_activated: 9,
+                        activated: 9,
+                        total_neurons: 16,
+                        growths: 1,
+                    },
+                },
+            }),
+            r#"{"Event":{"seq":42,"at_ms":1700000002500,"payload":{"Progress":{"job":1,"progress":{"Iteration":{"iteration":0,"chunk_steps":40,"newly_activated":9,"activated":9,"total_neurons":16,"growths":1}}}}}}"#,
+        );
+        pinned(
+            &Response::Error { message: "queue full".into() },
+            r#"{"Error":{"message":"queue full"}}"#,
+        );
+        pinned(
+            &Response::Metrics(snn_obs::MetricsSnapshot {
+                metrics: vec![snn_obs::metrics::MetricSample {
+                    name: "snn_job_seconds".into(),
+                    help: "Job wall time.".into(),
+                    value: snn_obs::metrics::MetricValue::Histogram(
+                        snn_obs::metrics::HistogramSnapshot {
+                            bounds: vec![0.5, 2.0],
+                            buckets: vec![1, 0, 1],
+                            count: 2,
+                            sum: 3.25,
+                        },
+                    ),
+                }],
+            }),
+            r#"{"Metrics":{"metrics":[{"name":"snn_job_seconds","help":"Job wall time.","value":{"Histogram":{"bounds":[0.5,2],"buckets":[1,0,1],"count":2,"sum":3.25}}}]}}"#,
+        );
+        pinned(
+            &Response::Cluster(ClusterStatus {
+                workers: Vec::new(),
+                campaigns_active: 0,
+                chunks_pending: 0,
+                chunks_leased: 0,
+                chunks_completed: 4,
+                chunks_reissued: 1,
+                results_stale: 1,
+            }),
+            r#"{"Cluster":{"workers":[],"campaigns_active":0,"chunks_pending":0,"chunks_leased":0,"chunks_completed":4,"chunks_reissued":1,"results_stale":1}}"#,
+        );
     }
 
     #[test]
@@ -469,26 +597,10 @@ mod tests {
 
     #[test]
     fn reliability_job_spec_round_trips() {
-        use snn_reliability::{
-            EvalSpec, FaultMapSpec, MemoryRegion, MitigationKind, RegionSpec, ReliabilitySpec,
-            WeightFaultModel,
-        };
-        let mut spec = JobSpec::synthetic_repro(4, vec![6], 2, 5);
-        spec.reliability = Some(ReliabilitySpec {
-            map: FaultMapSpec {
-                regions: vec![RegionSpec {
-                    region: MemoryRegion::Weights { layer: 0, tensor: 0 },
-                    ber: 0.01,
-                }],
-                configs: 8,
-                seed: 42,
-                weight_model: WeightFaultModel::BitFlip,
-                window: Some(snn_faults::TransientWindow::new(2, 9)),
-            },
-            eval: EvalSpec { samples: 8, steps: 16, rate: 0.3, seed: 7 },
-            mitigation: MitigationKind::FaultAwareMapping,
-        });
-        round_trip(&Request::Submit(Box::new(spec)));
+        pinned(
+            &Request::Submit(Box::new(reliability_spec())),
+            r#"{"Submit":{"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":5}},"preset":"repro","seed":5,"max_iterations":null,"t_limit_secs":null,"evaluate_coverage":false,"threads":0,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":8,"seed":42,"weight_model":"BitFlip","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":16,"rate":0.30000001192092896,"seed":7},"mitigation":"FaultAwareMapping"},"engine":null}}"#,
+        );
     }
 
     #[test]

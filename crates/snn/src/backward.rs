@@ -185,7 +185,6 @@ fn lif_temporal_backward(
             (&og[row.clone()], &pot[row.clone()], &sp[row.clone()], &gt[row.clone()]);
         let extra_row = if w_rec.is_some() { &extra[row.clone()] } else { &extra[..] };
         for i in 0..n {
-            // snn-lint: allow(L-FLOATEQ): integration gates are exact 0.0/1.0 values by construction
             if gt[i] == 0.0 {
                 // Refractory (or forced) tick: spike is constant and the
                 // carried potential is held at zero, so both gradient

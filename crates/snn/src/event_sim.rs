@@ -132,7 +132,6 @@ impl LayerState {
                 self.refrac[i] = self.refrac_steps[i] + 1;
             } else {
                 self.carried[i] = v;
-                // snn-lint: allow(L-FLOATEQ): exact-zero sparsity test — only charged neurons are tracked
                 if v != 0.0 {
                     next_charged.push(i);
                 }
@@ -238,7 +237,6 @@ pub fn event_forward(
         let mut carry_events: Vec<(usize, f32)> = Vec::new();
         for f in 0..in_features {
             let v = in_data[t * in_features + f];
-            // snn-lint: allow(L-FLOATEQ): exact-zero sparsity test — spike trains store exact values
             if v != 0.0 {
                 carry_events.push((f, v));
                 stats.routed_spikes += 1;
@@ -333,7 +331,6 @@ pub fn event_forward(
                     carry_events = vout
                         .iter()
                         .enumerate()
-                        // snn-lint: allow(L-FLOATEQ): exact-zero sparsity test on pooled spike values
                         .filter(|(_, &v)| v != 0.0)
                         .map(|(i, &v)| (i, v))
                         .collect();

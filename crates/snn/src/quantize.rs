@@ -50,7 +50,6 @@ pub fn quantize_weights(net: &mut Network) -> QuantReport {
         for tensor in layer.weight_tensors_mut() {
             let scale = tensor.as_slice().iter().fold(0.0f32, |acc, v| acc.max(v.abs())) / 127.0;
             layer_scales.push(scale);
-            // snn-lint: allow(L-FLOATEQ): exact-zero scale means an all-zero tensor, not a tolerance test
             if scale == 0.0 {
                 continue; // all-zero tensor: already on the grid
             }
@@ -83,7 +82,6 @@ pub fn is_quantized(net: &Network) -> bool {
         }
         for tensor in layer.weight_tensors() {
             let scale = tensor.as_slice().iter().fold(0.0f32, |acc, v| acc.max(v.abs())) / 127.0;
-            // snn-lint: allow(L-FLOATEQ): exact-zero scale means an all-zero tensor, not a tolerance test
             if scale == 0.0 {
                 continue;
             }
@@ -114,7 +112,6 @@ pub fn magnitude_prune(net: &mut Network, fraction: f64) -> usize {
     let mut zeroed = 0;
     for &(_, g) in refs.iter().take(keep_cutoff) {
         let r = net.locate_weight(g);
-        // snn-lint: allow(L-FLOATEQ): counting weights that change; already-zero weights compare bit-exactly to 0.0
         if net.set_weight(r, 0.0) != 0.0 {
             zeroed += 1;
         }

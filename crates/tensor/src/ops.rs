@@ -278,7 +278,6 @@ fn dot_strided(mut acc: f32, a: &[f32], b: &[f32], stride: usize) -> f32 {
 /// `true` when every entry is exactly `±0.0`.
 #[inline]
 fn all_zero(row: &[f32]) -> bool {
-    // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
     row.iter().all(|&v| v == 0.0)
 }
 
@@ -344,7 +343,6 @@ pub fn matvec_skip_zeros(wt: &[f32], x: &[f32], y: &mut [f32]) {
     debug_assert_finite("matvec_skip_zeros", "x", x);
     y.fill(0.0);
     for (&xv, col) in x.iter().zip(wt.chunks_exact(y.len().max(1))) {
-        // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
         if xv != 0.0 {
             axpy_strided(y, 1, xv, col, 1);
         }
@@ -369,7 +367,6 @@ pub fn matvec_t_acc(w: &Tensor, y_grad: &[f32], x_grad: &mut [f32]) {
     debug_assert_finite("matvec_t_acc", "y_grad", y_grad);
     for r in 0..rows {
         let g = y_grad[r];
-        // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
         if g == 0.0 {
             continue;
         }
@@ -398,7 +395,6 @@ pub fn outer_acc(w_grad: &mut Tensor, y_grad: &[f32], x: &[f32]) {
     let wd = w_grad.as_mut_slice();
     for r in 0..rows {
         let g = y_grad[r];
-        // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
         if g == 0.0 {
             continue;
         }
@@ -693,7 +689,6 @@ pub fn avg_pool2d_backward(
         for oy in 0..oh {
             for ox in 0..ow {
                 let g = out_grad[(ch * oh + oy) * ow + ox] * inv;
-                // snn-lint: allow(L-FLOATEQ): exact-zero sparsity shortcut, not a tolerance comparison
                 if g == 0.0 {
                     continue;
                 }

@@ -111,7 +111,6 @@ pub fn broadcast_row(golden: &[f32], words: &mut [u64]) {
     debug_assert_eq!(golden.len(), words.len(), "broadcast_row length mismatch");
     crate::sanitize::debug_assert_binary("broadcast_row", "golden", golden);
     for (word, g) in words.iter_mut().zip(golden.iter()) {
-        // snn-lint: allow(L-FLOATEQ): spikes are exact 0.0/1.0 values
         *word = if *g != 0.0 { u64::MAX } else { 0 };
     }
 }
@@ -162,7 +161,6 @@ pub fn row_diff_mask(words: &[u64], golden: &[f32], active: u64) -> u64 {
     crate::sanitize::debug_assert_binary("row_diff_mask", "golden", golden);
     let mut diff = 0u64;
     for (word, g) in words.iter().zip(golden.iter()) {
-        // snn-lint: allow(L-FLOATEQ): spikes are exact 0.0/1.0 values
         let bcast = if *g != 0.0 { u64::MAX } else { 0 };
         diff |= word ^ bcast;
     }

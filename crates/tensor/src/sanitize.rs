@@ -42,7 +42,6 @@ pub fn debug_assert_finite(op: &str, operand: &str, values: &[f32]) {
 #[allow(clippy::float_cmp)] // binary spikes are exact 0.0/1.0 values, not tolerances
 pub fn debug_assert_binary(op: &str, operand: &str, values: &[f32]) {
     if cfg!(debug_assertions) {
-        // snn-lint: allow(L-FLOATEQ): binary spikes are exact 0.0/1.0 values, not tolerances
         if let Some(idx) = values.iter().position(|&v| v != 0.0 && v != 1.0) {
             // snn-lint: allow(L-PANIC): the sanitizer's report IS a deliberate debug-build panic
             panic!(

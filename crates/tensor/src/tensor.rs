@@ -177,7 +177,6 @@ impl Tensor {
 
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
-        // snn-lint: allow(L-FLOATEQ): exact-zero test — counts stored zeros, not near-zeros
         self.data.iter().filter(|&&v| v != 0.0).count()
     }
 
@@ -228,9 +227,8 @@ impl Tensor {
     }
 
     /// `true` if every element is exactly 0.0 or 1.0 (a valid spike tensor).
-    #[allow(clippy::float_cmp)] // exact spike values, see the snn-lint justification below
+    #[allow(clippy::float_cmp)] // spike tensors hold exact 0.0/1.0 values by construction
     pub fn is_binary(&self) -> bool {
-        // snn-lint: allow(L-FLOATEQ): spike tensors hold exact 0.0/1.0 values by construction
         self.data.iter().all(|&v| v == 0.0 || v == 1.0)
     }
 
