@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=25396
+LINE_BUDGET=25516
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -103,55 +103,61 @@ cargo run --release -q --offline -- verify "$ANALYZE_TMP/obs.snn" "$ANALYZE_TMP/
 cargo run --release -q --offline -- profile "$ANALYZE_TMP/verify.trace.jsonl" \
     | grep -q "faultsim.campaign" || { echo "verify profile missing span 'faultsim.campaign'"; exit 1; }
 # Generator attribution: sampling, losses, BPTT and the STE/Adam update
-# each have a span, so on the conv example the stages' own (unattributed)
-# time must stay within 5% of the generation.
+# each have a span on the generator thread, so on the conv example the
+# stages' own (unattributed) time there must stay within 5% of the
+# generation. The stages' SELF column cannot say it: their `stage.noise`
+# children run beside them on the noise thread, so it is recomputed from
+# the generator thread's spans alone.
 cargo run --release -q --offline -- generate "$ANALYZE_TMP/ibm.snn" --preset fast \
     --out "$ANALYZE_TMP/ibm.obs.events" --trace-out "$ANALYZE_TMP/ibm.generate.trace.jsonl" > /dev/null
 IBM_PROFILE="$(cargo run --release -q --offline -- profile "$ANALYZE_TMP/ibm.generate.trace.jsonl")"
-for node in stage.sample stage.losses stage.update snn.forward snn.backward; do
+for node in stage.sample stage.noise stage.losses stage.update snn.forward snn.backward; do
     grep -q "$node" <<< "$IBM_PROFILE" || { echo "generate profile missing span '$node'"; exit 1; }
 done
 # A profile duration ("12us", "3.4ms", "1.2s") in microseconds.
 AWK_US='function us(d) { return d ~ /us$/ ? d + 0 : d ~ /ms$/ ? d * 1e3 : d * 1e6 }'
 awk "$AWK_US"'
     $4 == "generate" { total = us($1) }
-    $4 == "stage1" || $4 == "stage2" { self += us($2) }
+    $4 == "stage1" || $4 == "stage2" { own += us($1) }
+    $4 ~ /^(stage\.(sample|losses|update)|snn\.(forward|backward))$/ { own -= us($1) }
     END {
         if (total <= 0) { print "generate profile has no generate span"; exit 1 }
-        share = 100 * self / total
-        if (share > 5) {
-            printf "stage1+stage2 self time is %.1f%% of generate (need <=5%%)\n", share
-            exit 1
-        }
+        share = 100 * own / total
+        printf "stage1+stage2 own time is %.1f%% of generate (need <=5%%)\n", share
+        if (share > 5) exit 1
     }' <<< "$IBM_PROFILE"
-# (snn.forward + snn.backward) / stage.sample of the generate profile on
-# stdin, which must lie between $1 and $2. All three spans run on the one
-# generator thread, so host speed cancels.
-simulator_per_sample_within() {
-    awk -v lo="$1" -v hi="$2" "$AWK_US"'
-        $4 == "stage.sample" { sample += us($1) }
-        $4 == "snn.forward" || $4 == "snn.backward" { simulator += us($1) }
-        END {
-            if (sample <= 0 || simulator <= 0) { print "generate profile lacks sample or simulator spans"; exit 1 }
-            printf "(snn.forward + snn.backward) / stage.sample = %.2f (need %s to %s)\n", simulator / sample, lo, hi
-            if (simulator < lo * sample || simulator > hi * sample) exit 1
-        }'
-}
 # Ticks are the convolution's vector axis: on the conv example the forward
-# and backward passes together cost 4.3-4.9x the Gumbel sample (five runs;
-# 6.2-7.8x while each tick's rows were convolved on their own). The ceiling
-# is 30% over the worst of the five.
-simulator_per_sample_within 0 6.4 <<< "$IBM_PROFILE" \
+# and backward passes together cost 7.1-10.1x the generator thread's
+# `stage.sample` (eleven runs; the noise is drawn on the noise thread, so
+# that span is the relaxation and the wait for a block — the passes cost
+# 4.3-4.9x it while it drew the noise, and 6.2-7.8x that while each
+# tick's rows were convolved on their own). All spans run on the one
+# generator thread, so host speed cancels; the ceiling is 30% over the
+# worst of the eleven.
+awk "$AWK_US"'
+    $4 == "stage.sample" { sample += us($1) }
+    $4 == "snn.forward" || $4 == "snn.backward" { simulator += us($1) }
+    END {
+        if (sample <= 0 || simulator <= 0) { print "generate profile lacks sample or simulator spans"; exit 1 }
+        printf "(snn.forward + snn.backward) / stage.sample = %.2f (need <= 13.1)\n", simulator / sample
+        if (simulator > 13.1 * sample) exit 1
+    }' <<< "$IBM_PROFILE" \
     || { echo "the conv forward and backward passes lost the lead of the time-batched kernels"; exit 1; }
-# Sampling is no longer the step: on the dense example, where it was the
-# largest line (1.4-1.8x the simulator while each element cost two libm
-# calls), drawing the Gumbel sample must cost no more than the forward and
-# backward passes together (the simulator reads 1.2-1.5x the sample now).
+# The noise is not part of the step: on the dense example, where sampling
+# was the largest line, the noise is drawn on a thread of its own one
+# step ahead (`stage.noise`), and what the generator thread spends in
+# `stage.sample` — relaxing a drawn block and waiting for one — must stay
+# below the drawing (it read 0.49-0.92 of it over eleven runs).
 cargo run --release -q --offline -- generate "$ANALYZE_TMP/nmnist.snn" --preset fast \
     --out "$ANALYZE_TMP/nmnist.obs.events" --trace-out "$ANALYZE_TMP/nmnist.generate.trace.jsonl" > /dev/null
-cargo run --release -q --offline -- profile "$ANALYZE_TMP/nmnist.generate.trace.jsonl" \
-    | simulator_per_sample_within 1 1000 \
-    || { echo "sampling costs more than the simulator again"; exit 1; }
+cargo run --release -q --offline -- profile "$ANALYZE_TMP/nmnist.generate.trace.jsonl" | awk "$AWK_US"'
+    $4 == "stage.sample" { sample += us($1) }
+    $4 == "stage.noise" { noise += us($1) }
+    END {
+        if (noise <= 0) { print "generate profile has no stage.noise span: the noise is drawn in line"; exit 1 }
+        printf "stage.sample / stage.noise = %.2f (need < 1)\n", sample / noise
+        if (sample >= noise) { print "the generator thread spends longer sampling than the noise thread drawing"; exit 1 }
+    }'
 
 step "packed engine — digest equality with the scalar engine on the example nets"
 # Same seeded campaign under both engines: the packed path promises

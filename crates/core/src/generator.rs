@@ -120,7 +120,7 @@ impl TestGenConfig {
 /// Returns the calibrated duration, capped at `max`.
 pub fn calibrate_t_in_min(
     net: &Network,
-    rng: &mut impl Rng,
+    rng: &mut (impl Rng + Clone + Send),
     cfg: &TestGenConfig,
     start: usize,
     max: usize,
@@ -138,13 +138,11 @@ pub fn calibrate_t_in_min(
         // Short L1-only optimization at duration t. L1 has no gradient
         // left exactly when every output neuron fired.
         let logits = init_logits(rng, t, net.input_features());
-        let mut descent = Descent::new(net, &stage_cfg, logits, None);
-        let satisfied = (0..steps).any(|k| {
-            !descent.step(rng, k, |trace, inj| {
+        let satisfied =
+            Descent::new(net, &stage_cfg, logits, None).run(rng, steps, |trace, inj| {
                 losses::l1_output_activation(net, trace, 1.0, inj);
                 None
-            })
-        });
+            });
         if satisfied || t >= max {
             return t.min(max);
         }
@@ -204,7 +202,7 @@ impl<'a> TestGenerator<'a> {
     }
 
     /// Runs the full algorithm, producing the compact test stimulus.
-    pub fn generate(&self, rng: &mut impl Rng) -> GeneratedTest {
+    pub fn generate(&self, rng: &mut (impl Rng + Clone + Send)) -> GeneratedTest {
         self.generate_with(rng, &NullSink, &CancelToken::new())
             // snn-lint: allow(L-PANIC): a fresh private token is never cancelled, so Err is unreachable
             .expect("fresh token is never cancelled")
@@ -217,7 +215,7 @@ impl<'a> TestGenerator<'a> {
     /// are discarded).
     pub fn generate_with(
         &self,
-        rng: &mut impl Rng,
+        rng: &mut (impl Rng + Clone + Send),
         sink: &dyn ProgressSink,
         cancel: &CancelToken,
     ) -> Result<GeneratedTest, Cancelled> {
@@ -394,6 +392,7 @@ impl<'a> TestGenerator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::init_logits;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snn_model::{LifParams, NetworkBuilder, RecordOptions};
@@ -469,6 +468,34 @@ mod tests {
         let cfg = TestGenConfig::fast();
         let t = calibrate_t_in_min(&net, &mut rng, &cfg, 4, 64);
         assert!((4..=64).contains(&t));
+    }
+
+    /// The calibration stops at the first step whose L1 has no gradient,
+    /// while the helper thread has drawn noise for steps beyond it: the
+    /// generator must still end where drawing only the noise of the steps
+    /// that ran would have left it.
+    #[test]
+    fn an_early_stop_leaves_the_generator_where_drawing_in_line_would() {
+        let net = net(7);
+        let cfg = TestGenConfig::fast();
+        let (t, steps) = (8, (cfg.stage1_steps / 4).max(10));
+        let start = StdRng::seed_from_u64(10);
+        let mut rng = start.clone();
+        assert_eq!(calibrate_t_in_min(&net, &mut rng, &cfg, t, t), t);
+        let next = rng.gen::<u64>();
+        // The next draw after the logits and `steps_run` steps of noise.
+        let in_line = |steps_run: usize| {
+            let mut rng = start.clone();
+            let _ = init_logits(&mut rng, t, net.input_features());
+            for _ in 0..steps_run * t * net.input_features() {
+                let _: f32 = rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
+            }
+            rng.gen::<u64>()
+        };
+        // L1 is satisfied at the fourth of fifteen steps on this net, and
+        // the generator is where four steps of noise leave it.
+        let steps_run: Vec<usize> = (1..=steps).filter(|&s| in_line(s) == next).collect();
+        assert_eq!(steps_run, [4]);
     }
 
     #[test]

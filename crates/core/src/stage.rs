@@ -1,11 +1,12 @@
 use crate::losses::{self, TargetMask};
 use rand::Rng;
 use snn_model::{
-    gumbel::GumbelSample,
+    gumbel::{logistic_noise, GumbelSample},
     optim::{Adam, Schedule},
     InjectedGrads, Network, RecordOptions, Surrogate, Trace,
 };
 use snn_tensor::{Shape, Tensor};
+use std::sync::mpsc;
 
 /// Evaluates one loss expression, recording its wall-clock cost in a
 /// `snn_testgen_<name>_eval_seconds` histogram and its last value in a
@@ -119,7 +120,7 @@ impl StageOutcome {
 /// steps, and the one place the input-optimization step is spelled out:
 /// sample → forward → losses → BPTT → STE → Adam (paper Fig. 3). Stage 1,
 /// stage 2 and the `T_in,min` calibration differ only in the losses they
-/// hand to [`step`](Self::step).
+/// hand to [`run`](Self::run).
 pub(crate) struct Descent<'a> {
     net: &'a Network,
     cfg: &'a StageConfig,
@@ -127,7 +128,7 @@ pub(crate) struct Descent<'a> {
     adam: Adam,
     sample: GumbelSample,
     inj: InjectedGrads,
-    /// The best stimulus so far, by the scores `step`'s callers report.
+    /// The best stimulus so far, by the scores `run`'s callers report.
     best: Option<StageOutcome>,
 }
 
@@ -150,25 +151,98 @@ impl<'a> Descent<'a> {
         }
     }
 
-    /// Optimization step `k`. `losses` evaluates the caller's loss terms
-    /// on the step's trace, adding their scaled gradients into the
-    /// (cleared) accumulator it is handed, and returns the step's score if
-    /// its stimulus may stand as the best so far — lower wins. Returns
-    /// `false`, leaving the logits as they were, once no loss has any
-    /// gradient left: there is nothing more to optimize.
-    pub(crate) fn step(
+    /// Runs optimization steps `0..steps`. `losses` evaluates the
+    /// caller's loss terms on a step's trace, adding their scaled
+    /// gradients into the (cleared) accumulator it is handed, and returns
+    /// the step's score if its stimulus may stand as the best so far —
+    /// lower wins. Stops early, leaving the logits as they were, once no
+    /// loss has any gradient left — there is nothing more to optimize —
+    /// and returns whether it did.
+    ///
+    /// A stochastic descent draws its noise ahead of the steps on a
+    /// helper thread, into two buffers the two threads hand back and
+    /// forth; each block comes with the generator state it was drawn
+    /// from, so that `rng` ends where drawing the consumed blocks in line
+    /// would have left it (DESIGN.md §19.7). A deterministic descent
+    /// draws nothing and spawns nothing.
+    pub(crate) fn run<R: Rng + Clone + Send>(
         &mut self,
-        rng: &mut impl Rng,
-        k: usize,
-        losses: impl FnOnce(&Trace, &mut InjectedGrads) -> Option<f32>,
+        rng: &mut R,
+        steps: usize,
+        mut losses: impl FnMut(&Trace, &mut InjectedGrads) -> Option<f32>,
     ) -> bool {
+        let len = self.logits.len();
+        if !self.cfg.stochastic || steps == 0 {
+            let zeros = vec![0.0f32; len];
+            return (0..steps).any(|k| {
+                let span = snn_obs::span!("stage.sample");
+                self.relax(&zeros, k);
+                drop(span);
+                !self.step(k, &mut losses)
+            });
+        }
+        let mut ring = vec![0.0f32; 2 * len];
+        let (first, second) = ring.split_at_mut(len);
+        let stage_span = snn_obs::trace::current_id();
+        std::thread::scope(|scope| {
+            let (free, free_rx) = mpsc::sync_channel::<&mut [f32]>(2);
+            let (drawn_tx, drawn) = mpsc::sync_channel(2);
+            let mut ahead = rng.clone();
+            let helper = scope.spawn(move || {
+                for block in free_rx.iter().take(steps) {
+                    let _span = snn_obs::trace::enter_with_parent("stage.noise", stage_span);
+                    let drawn_from = ahead.clone();
+                    logistic_noise(&mut ahead, block);
+                    if drawn_tx.send((block, drawn_from)).is_err() {
+                        break;
+                    }
+                }
+                ahead
+            });
+            // A buffer handed over after the helper has drawn its `steps`
+            // blocks and hung up is not needed: these sends may fail.
+            let _ = (free.send(first), free.send(second));
+            let mut stopped = false;
+            for k in 0..steps {
+                let span = snn_obs::span!("stage.sample");
+                // Only a helper that died hangs up early; its panic
+                // resumes at the join below.
+                let Ok((block, _)) = drawn.recv() else { break };
+                self.relax(block, k);
+                let _ = free.send(block);
+                drop(span);
+                if !self.step(k, &mut losses) {
+                    stopped = true;
+                    break;
+                }
+            }
+            // The helper draws at most the blocks it already holds; the
+            // first one still in the channel is the first unconsumed.
+            drop(free);
+            let next = drawn.recv().ok();
+            match helper.join() {
+                Ok(end) => *rng = next.map_or(end, |(_, drawn_from)| drawn_from),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+            stopped
+        })
+    }
+
+    /// Step `k`'s sample: the logits relaxed at step `k`'s temperature.
+    fn relax(&mut self, noise: &[f32], k: usize) {
         let tau = self.cfg.tau.at(k);
         snn_obs::gauge!("snn_testgen_gumbel_tau", "Current Gumbel-Softmax temperature.")
             .set(f64::from(tau));
-        {
-            let _span = snn_obs::span!("stage.sample");
-            self.sample.resample(self.cfg.stochastic.then_some(rng), &self.logits, tau);
-        }
+        self.sample.relax(noise, &self.logits, tau);
+    }
+
+    /// The rest of optimization step `k` on the sample [`relax`](Self::relax)
+    /// made; `false` when no loss has a gradient left.
+    fn step(
+        &mut self,
+        k: usize,
+        losses: &mut impl FnMut(&Trace, &mut InjectedGrads) -> Option<f32>,
+    ) -> bool {
         let input = &self.sample.binary;
         let trace = self.net.forward(input, RecordOptions::full());
         self.inj.clear();
@@ -241,7 +315,7 @@ impl<'a> Stage<'a> {
     /// Panics if `logits` feature count mismatches the network.
     pub fn run_stage1(
         &self,
-        rng: &mut impl Rng,
+        rng: &mut (impl Rng + Clone + Send),
         logits: Tensor,
         mask: &TargetMask,
     ) -> StageOutcome {
@@ -257,25 +331,21 @@ impl<'a> Stage<'a> {
         let mut alphas: Option<Vec<f32>> = None;
         let mut history = Vec::with_capacity(self.cfg.steps);
 
-        for k in 0..self.cfg.steps {
-            let more = descent.step(rng, k, |trace, inj| {
-                let a = alphas.get_or_insert_with(|| {
-                    // The weights come from the first step's loss values,
-                    // so that step evaluates the losses twice: unscaled
-                    // for the values, then again for the scaled gradients.
-                    let values = self.stage1_losses(trace, mask, &[1.0; 5], inj);
-                    inj.clear();
-                    losses::balance_weights(&values)
-                });
-                let values = self.stage1_losses(trace, mask, a, inj);
-                let total: f32 = values.iter().zip(a.iter()).map(|(v, al)| v * al).sum();
-                history.push(total);
-                Some(total)
+        // A perfect loss ends the descent early: nothing left to optimize.
+        descent.run(rng, self.cfg.steps, |trace, inj| {
+            let a = alphas.get_or_insert_with(|| {
+                // The weights come from the first step's loss values, so
+                // that step evaluates the losses twice: unscaled for the
+                // values, then again for the scaled gradients.
+                let values = self.stage1_losses(trace, mask, &[1.0; 5], inj);
+                inj.clear();
+                losses::balance_weights(&values)
             });
-            if !more {
-                break; // perfect loss — nothing left to optimize
-            }
-        }
+            let values = self.stage1_losses(trace, mask, a, inj);
+            let total: f32 = values.iter().zip(a.iter()).map(|(v, al)| v * al).sum();
+            history.push(total);
+            Some(total)
+        });
 
         // snn-lint: allow(L-PANIC): the entry assert guarantees steps ≥ 1, and the first step's score always stands
         let mut out = descent.best.expect("stage ran at least one step");
@@ -321,7 +391,11 @@ impl<'a> Stage<'a> {
     /// hidden activity `L5` while keeping the output spike trains exactly
     /// equal to the stage-1 output (enforced as a hard acceptance guard on
     /// top of the `μ`-weighted penalty).
-    pub fn run_stage2(&self, rng: &mut impl Rng, stage1: &StageOutcome) -> StageOutcome {
+    pub fn run_stage2(
+        &self,
+        rng: &mut (impl Rng + Clone + Send),
+        stage1: &StageOutcome,
+    ) -> StageOutcome {
         let mut stage_span = snn_obs::span!("stage2");
         stage_span.attr("steps", self.cfg.steps);
         let reference = stage1.best_trace.output();
@@ -339,20 +413,13 @@ impl<'a> Stage<'a> {
         let mut descent =
             Descent::new(self.net, &self.cfg, stage1.best_logits.clone(), Some(baseline));
 
-        for k in 0..self.cfg.steps {
-            let more = descent.step(rng, k, |trace, inj| {
-                let l5 =
-                    timed_loss!("l5", losses::l5_hidden_activity(self.net, trace, alpha5, inj));
-                let penalty =
-                    losses::output_preservation(self.net, trace, reference, self.cfg.mu, inj);
-                history.push(alpha5 * l5 + penalty);
-                // Hard guard: accept only exact output preservation.
-                (penalty == 0.0).then_some(l5)
-            });
-            if !more {
-                break;
-            }
-        }
+        descent.run(rng, self.cfg.steps, |trace, inj| {
+            let l5 = timed_loss!("l5", losses::l5_hidden_activity(self.net, trace, alpha5, inj));
+            let penalty = losses::output_preservation(self.net, trace, reference, self.cfg.mu, inj);
+            history.push(alpha5 * l5 + penalty);
+            // Hard guard: accept only exact output preservation.
+            (penalty == 0.0).then_some(l5)
+        });
 
         // snn-lint: allow(L-PANIC): the descent started from the stage-1 baseline, so a best always exists
         let mut best = descent.best.expect("stage 2 starts from a baseline");
@@ -464,6 +531,25 @@ mod tests {
                 assert_eq!(*m, *c >= 1.0);
             }
         }
+    }
+
+    /// A loss that panics on the optimizer's thread one step in, with the
+    /// noise helper running and blocks in flight, surfaces as that panic:
+    /// the helper is released and joined, not left waiting.
+    #[test]
+    #[should_panic(expected = "loss panicked on step 1")]
+    fn a_panicking_loss_propagates_out_of_the_descent() {
+        let (net, cfg) = (net(1), cfg(20));
+        let (stage, mask) = (Stage::new(&net, cfg.clone()), full_mask(&net));
+        let mut rng = StdRng::seed_from_u64(2);
+        let logits = init_logits(&mut rng, 10, 6);
+        let mut k = 0;
+        // Step 0 must have a gradient, or the descent stops before step 1.
+        Descent::new(&net, &cfg, logits, None).run(&mut rng, cfg.steps, |trace, inj| {
+            assert!(k == 0, "loss panicked on step {k}");
+            k += 1;
+            Some(stage.stage1_losses(trace, &mask, &[1.0; 5], inj).iter().sum())
+        });
     }
 
     #[test]

@@ -152,6 +152,11 @@ impl GeneratedTest {
     }
 }
 
+/// The largest stimulus an event list may declare, in `ticks × features`
+/// values: 2³⁰, 4 GiB as `f32`. The header is read before any event, so
+/// an untrusted file must not size the tensor on its word alone.
+const MAX_EVENT_VOLUME: usize = 1 << 30;
+
 /// Parses the event-list format written by [`GeneratedTest::write_events`]
 /// back into the assembled stimulus tensor (`[T × features]`) — the
 /// decoder an in-field self-test controller would run against the test
@@ -159,21 +164,13 @@ impl GeneratedTest {
 ///
 /// # Errors
 ///
-/// Returns a descriptive error when the header is missing/malformed or an
-/// event lies outside the declared volume.
+/// Returns a descriptive error when the header is missing or malformed,
+/// declares more than 2³⁰ values (`ticks × features`), or an event lies
+/// outside the declared volume.
 pub fn parse_events(text: &str) -> Result<Tensor, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or_else(|| "empty input".to_string())?;
-    // header: "# snn-mtfc test: <T> ticks x <N> features, <d> chunks"
-    let nums: Vec<usize> = header
-        .split(|c: char| !c.is_ascii_digit())
-        .filter(|s| !s.is_empty())
-        .filter_map(|s| s.parse().ok())
-        .collect();
-    if !header.starts_with("# snn-mtfc test:") || nums.len() < 2 {
-        return Err(format!("malformed header: {header:?}"));
-    }
-    let (steps, features) = (nums[0], nums[1]);
+    let (steps, features) = parse_header(header)?;
     let mut out = Tensor::zeros(Shape::d2(steps, features));
     for (lineno, line) in lines.enumerate() {
         let line = line.trim();
@@ -197,6 +194,29 @@ pub fn parse_events(text: &str) -> Result<Tensor, String> {
         out[[t, f]] = 1.0;
     }
     Ok(out)
+}
+
+/// `(T, N)` of the header `# snn-mtfc test: <T> ticks x <N> features, <d>
+/// chunks`, each a whole number as written, their product within
+/// [`MAX_EVENT_VOLUME`].
+fn parse_header(header: &str) -> Result<(usize, usize), String> {
+    let malformed = || format!("malformed header: {header:?}");
+    let words: Vec<&str> =
+        header.strip_prefix("# snn-mtfc test:").ok_or_else(malformed)?.split_whitespace().collect();
+    let [steps, "ticks", "x", features, "features,", ..] = words[..] else {
+        return Err(malformed());
+    };
+    let count = |word: &str, what: &str| {
+        word.parse::<usize>().map_err(|e| format!("header {what} count {word:?}: {e}"))
+    };
+    let (steps, features) = (count(steps, "tick")?, count(features, "feature")?);
+    match steps.checked_mul(features) {
+        Some(volume) if volume <= MAX_EVENT_VOLUME => Ok((steps, features)),
+        _ => Err(format!(
+            "header declares {steps} ticks x {features} features, over the \
+             {MAX_EVENT_VOLUME}-value limit"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +313,27 @@ mod tests {
         assert!(parse_events("# snn-mtfc test: 2 ticks x 2 features, 1 chunks\n5 0\n").is_err());
         assert!(parse_events("# snn-mtfc test: 2 ticks x 2 features, 1 chunks\n0\n").is_err());
         assert!(parse_events("# snn-mtfc test: 2 ticks x 2 features, 1 chunks\nx y\n").is_err());
+    }
+
+    /// A count too large for `usize` used to be dropped silently, shifting
+    /// the next number into its place; a volume past `usize` used to
+    /// abort the process in `Tensor::zeros`.
+    #[test]
+    fn parse_rejects_headers_it_cannot_trust() {
+        let overflowing = "# snn-mtfc test: 99999999999999999999999 ticks x 4 features, 2 chunks\n";
+        let err = parse_events(overflowing).unwrap_err();
+        assert!(err.contains("tick count \"99999999999999999999999\""), "{err}");
+        let huge = "# snn-mtfc test: 4000000000 ticks x 4000000000 features, 1 chunks\n0 0\n";
+        let err = parse_events(huge).unwrap_err();
+        assert!(err.contains("over the 1073741824-value limit"), "{err}");
+        let garbled = "# snn-mtfc test: 2 ticks by 4 features, 1 chunks\n";
+        assert!(parse_events(garbled).unwrap_err().starts_with("malformed header"));
+        let limit =
+            format!("# snn-mtfc test: {} ticks x 1 features, 1 chunks\n", MAX_EVENT_VOLUME + 1);
+        assert!(parse_events(&limit).is_err());
+        for err in [overflowing, huge, garbled, &limit].map(|h| parse_events(h).unwrap_err()) {
+            assert_eq!(err.lines().count(), 1, "{err}");
+        }
     }
 
     #[test]

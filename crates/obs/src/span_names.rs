@@ -43,6 +43,7 @@ pub const SPAN_NAMES: &[&str] = &[
     "generate.calibrate",
     "generate.iteration",
     "stage.losses",
+    "stage.noise",
     "stage.sample",
     "stage.update",
     "stage1",

@@ -323,20 +323,10 @@ impl Network {
 
             match layer {
                 Layer::Pool(l) => {
-                    // Linear pass-through: avg-pool backward per tick.
+                    // Linear pass-through, all ticks at once.
                     let (h, w) = l.in_hw;
-                    let ogd = out_grad.as_slice();
-                    let igd = in_grad.as_mut_slice();
-                    for t in 0..steps {
-                        ops::avg_pool2d_backward(
-                            &ogd[t * n..(t + 1) * n],
-                            l.channels,
-                            h,
-                            w,
-                            l.k,
-                            &mut igd[t * in_features..(t + 1) * in_features],
-                        );
-                    }
+                    let (ogd, igd) = (out_grad.as_slice(), in_grad.as_mut_slice());
+                    ops::avg_pool2d_backward(ogd, l.channels, h, w, l.k, igd);
                 }
                 Layer::Dense(l) => {
                     let (pot, gt) = trace_state(lt, idx)?;

@@ -24,7 +24,8 @@ const LN2_LO: f32 = -2.121_944_4e-4;
 /// `[ε, 1 − ε]`: within 2 ulp, odd about `u = ½`, `+0` there. IEEE
 /// `+ − × ÷`, selects and bit arithmetic only, like [`sigmoid`]: no libm
 /// call, so a sample is the same on every host; no branch or table, so
-/// `resample`'s loops vectorise. Derivation and error: DESIGN.md §19.4.
+/// [`logistic_noise`]'s loop vectorises. Derivation and error: DESIGN.md
+/// §19.4.
 fn logit(u: f32) -> f32 {
     // ±ln((1 − w)/w) with w = min(u, 1 − u), which is exact.
     let sign = if u >= 0.5 { 1.0 } else { -1.0 };
@@ -91,61 +92,65 @@ pub struct GumbelSample {
     tau: f32,
 }
 
+/// Fills `noise` with logistic noise `g = ln u − ln(1 − u)`, one uniform
+/// `u` from `rng` per element in order — the draws a stochastic sample
+/// of `noise.len()` elements makes. The noise depends on the generator
+/// alone, not on the logits or the temperature, so it can be drawn ahead
+/// of the step that [`relax`](GumbelSample::relax)es with it.
+pub fn logistic_noise(rng: &mut impl Rng, noise: &mut [f32]) {
+    // The serial generator fills a block that is still in L1 when a
+    // vectorisable loop makes noise of it.
+    for block in noise.chunks_mut(256) {
+        block.fill_with(|| rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON)));
+        block.iter_mut().for_each(|g| *g = logit(*g));
+    }
+}
+
 impl GumbelSample {
     /// Samples the pipeline stochastically: logistic noise is added to the
     /// logits before the temperature-scaled sigmoid.
     pub fn stochastic(rng: &mut impl Rng, logits: &Tensor, tau: f32) -> Self {
+        let mut noise = vec![0.0; logits.len()];
+        logistic_noise(rng, &mut noise);
         let mut sample = Self::unsampled(logits);
-        sample.resample(Some(rng), logits, tau);
+        sample.relax(&noise, logits, tau);
         sample
     }
 
     /// Deterministic pipeline (no noise): `I_soft = σ(I_real/τ)`.
     pub fn deterministic(logits: &Tensor, tau: f32) -> Self {
         let mut sample = Self::unsampled(logits);
-        sample.resample(None::<&mut rand::rngs::StdRng>, logits, tau);
+        sample.relax(&vec![0.0; logits.len()], logits, tau);
         sample
     }
 
     /// All-zero buffers shaped like `logits`, for
-    /// [`resample`](Self::resample) to fill.
+    /// [`relax`](Self::relax) to fill.
     pub fn unsampled(logits: &Tensor) -> Self {
         let zeros = Tensor::zeros(logits.shape().clone());
         Self { soft: zeros.clone(), binary: zeros, tau: 1.0 }
     }
 
-    /// Draws the sample anew in place — with logistic noise from `rng`,
-    /// or deterministically without one — so that an optimizer loop
-    /// samples every step into the same two buffers. Same values, and
-    /// the same draws from `rng` in the same order, as a fresh
-    /// [`stochastic`](Self::stochastic)/[`deterministic`](Self::deterministic)
-    /// sample.
+    /// Makes the sample anew in place from `logits` and a block of
+    /// [`logistic_noise`] — all `+0` in the deterministic mode — so that
+    /// an optimizer loop samples every step into the same two buffers:
+    /// `soft = σ((l + g)/τ)`, then the straight-through threshold.
     ///
     /// # Panics
     ///
-    /// Panics if `tau` is not positive or `logits` has another shape than
-    /// the sample.
-    pub fn resample(&mut self, mut rng: Option<&mut impl Rng>, logits: &Tensor, tau: f32) {
+    /// Panics if `tau` is not positive, or `logits` or `noise` is of
+    /// another size than the sample.
+    pub fn relax(&mut self, noise: &[f32], logits: &Tensor, tau: f32) {
         assert!(tau > 0.0, "temperature must be positive, got {tau}");
         assert_eq!(logits.shape(), self.soft.shape(), "logit shape must match the sample");
+        assert_eq!(noise.len(), logits.len(), "noise length must match the sample");
         self.tau = tau;
-        // The serial generator fills a stack block, vectorisable loops make
-        // the rest of it; left at zero, the block is the noise-free mode.
-        const BLOCK: usize = 256;
-        let mut noise = [0.0f32; BLOCK];
-        let soft = self.soft.as_mut_slice().chunks_mut(BLOCK);
-        let binary = self.binary.as_mut_slice().chunks_mut(BLOCK);
-        for ((logits, soft), binary) in logits.as_slice().chunks(BLOCK).zip(soft).zip(binary) {
-            if let Some(rng) = rng.as_mut() {
-                let noise = &mut noise[..logits.len()];
-                noise.fill_with(|| rng.gen_range(f32::EPSILON..(1.0 - f32::EPSILON)));
-                noise.iter_mut().for_each(|g| *g = logit(*g));
-            }
-            for (((&l, &g), soft), binary) in logits.iter().zip(&noise).zip(soft).zip(binary) {
-                *soft = sigmoid((l + g) / tau);
-                // The straight-through estimator's forward pass.
-                *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
-            }
+        let (soft, binary) = (self.soft.as_mut_slice(), self.binary.as_mut_slice());
+        for (((&l, &g), soft), binary) in logits.as_slice().iter().zip(noise).zip(soft).zip(binary)
+        {
+            *soft = sigmoid((l + g) / tau);
+            // The straight-through estimator's forward pass.
+            *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
         }
     }
 
@@ -237,14 +242,23 @@ mod tests {
     }
 
     #[test]
-    fn resampling_in_place_equals_a_fresh_sample() {
+    fn relaxing_in_place_equals_a_fresh_sample() {
         let mut rng = StdRng::seed_from_u64(3);
         let logits = snn_tensor::init::uniform(&mut rng, Shape::d2(4, 9), -2.0, 2.0);
         let mut reused = GumbelSample::deterministic(&Tensor::zeros(Shape::d2(4, 9)), 0.4);
-        reused.resample(Some(&mut StdRng::seed_from_u64(8)), &logits, 0.7);
+        let mut noise = vec![f32::NAN; logits.len()];
+        logistic_noise(&mut StdRng::seed_from_u64(8), &mut noise);
+        reused.relax(&noise, &logits, 0.7);
         assert_eq!(reused, GumbelSample::stochastic(&mut StdRng::seed_from_u64(8), &logits, 0.7));
-        reused.resample(None::<&mut StdRng>, &logits, 0.6);
+        reused.relax(&[0.0; 36], &logits, 0.6);
         assert_eq!(reused, GumbelSample::deterministic(&logits, 0.6));
+    }
+
+    #[test]
+    #[should_panic(expected = "noise length must match the sample")]
+    fn rejects_noise_of_another_length() {
+        let logits = Tensor::zeros(Shape::d1(3));
+        GumbelSample::unsampled(&logits).relax(&[0.0; 2], &logits, 0.5);
     }
 
     #[test]
@@ -420,14 +434,15 @@ mod tests {
     }
 
     #[test]
-    fn resample_draws_one_uniform_per_element_in_order() {
-        // 3 × 173 = 519 elements: two full blocks of 256 and a partial one.
-        let logits = Tensor::zeros(Shape::d2(3, 173));
+    fn logistic_noise_draws_one_uniform_per_element_in_order() {
+        // 519 elements: two full blocks of 256 and a partial one.
+        let mut noise = vec![0.0f32; 519];
         let mut sampled = StdRng::seed_from_u64(9);
         let mut drawn = sampled.clone();
-        GumbelSample::unsampled(&logits).resample(Some(&mut sampled), &logits, 0.9);
-        for _ in 0..logits.len() {
-            let _: f32 = drawn.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
+        logistic_noise(&mut sampled, &mut noise);
+        for g in &noise {
+            let u: f32 = drawn.gen_range(f32::EPSILON..(1.0 - f32::EPSILON));
+            assert_eq!(g.to_bits(), logit(u).to_bits());
         }
         assert_eq!(sampled.gen::<u64>(), drawn.gen::<u64>());
     }

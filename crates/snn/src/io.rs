@@ -83,9 +83,17 @@ fn read_tensor(r: &mut impl Read, shape: Shape) -> io::Result<Tensor> {
     if len != shape.len() {
         return Err(bad(format!("weight blob of {len} values does not fit shape {shape}")));
     }
-    let mut data = Vec::with_capacity(len);
+    // The count is the file's word: reserve no more than a small layer
+    // needs and grow as values actually arrive, so a short blob claiming a
+    // huge layer fails here instead of in the allocator.
+    let mut data = Vec::with_capacity(len.min(1 << 16));
     for _ in 0..len {
-        let v = read_f32(r)?;
+        let v = read_f32(r).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => {
+                bad(format!("weight blob ends after {} of its {len} values", data.len()))
+            }
+            _ => e,
+        })?;
         // The zero-skipping kernels rest on `0 · w = ±0`, which an
         // infinite or NaN weight breaks.
         if !v.is_finite() {
@@ -343,6 +351,28 @@ mod tests {
         let err = Network::load(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("conv kernel 7 exceeds the 3×3 input"), "{err}");
+    }
+
+    /// 61 bytes declaring a 65535×65535 dense layer over a 65535-wide
+    /// input, then four weights: the loader used to reserve the claimed
+    /// 17 GB and abort the process.
+    #[test]
+    fn load_rejects_a_blob_shorter_than_its_count_without_reserving_it() {
+        let mut buf = MAGIC.to_vec();
+        for v in [1u32, 65_535, 1] {
+            buf.extend(v.to_le_bytes()); // rank, dim, one layer
+        }
+        buf.push(0); // dense
+        for v in [65_535u32, 65_535] {
+            buf.extend(v.to_le_bytes()); // out, in
+        }
+        write_lif(&mut buf, &LifParams::default()).unwrap();
+        buf.extend((65_535u32 * 65_535).to_le_bytes());
+        buf.extend(std::iter::repeat_n(0.5f32.to_le_bytes(), 4).flatten());
+        assert_eq!(buf.len(), 61);
+        let err = Network::load(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "weight blob ends after 4 of its 4294836225 values");
     }
 
     #[test]

@@ -226,25 +226,22 @@ impl Layer {
     /// made per call: weights are public fields that fault injection and
     /// training write, so a copy cached on the layer could go stale.
     /// A conv layer hands the whole sequence to [`ops::conv2d`], whose
-    /// time-batched kernel takes sixteen ticks at once.
+    /// time-batched kernel takes sixteen ticks at once, and a pooling
+    /// layer to [`ops::avg_pool2d`].
     pub(crate) fn feedforward_rows(&self, input: &[f32], out: &mut [f32]) {
-        let rows = input
-            .chunks_exact(self.in_features().max(1))
-            .zip(out.chunks_exact_mut(self.out_features().max(1)));
         match self {
             Layer::Dense(DenseLayer { weight, .. })
             | Layer::Recurrent(RecurrentLayer { w_in: weight, .. }) => {
                 let wt = ops::transposed(weight);
+                let rows = input
+                    .chunks_exact(self.in_features().max(1))
+                    .zip(out.chunks_exact_mut(self.out_features().max(1)));
                 for (x, z) in rows {
                     ops::matvec_skip_zeros(&wt, x, z);
                 }
             }
             Layer::Conv(l) => ops::conv2d(&l.spec, input, l.in_hw.0, l.in_hw.1, &l.weight, out),
-            Layer::Pool(_) => {
-                for (x, z) in rows {
-                    self.feedforward(x, z);
-                }
-            }
+            Layer::Pool(l) => ops::avg_pool2d(input, l.channels, l.in_hw.0, l.in_hw.1, l.k, out),
         }
     }
 

@@ -3,6 +3,8 @@
 //! These are the only compute primitives the SNN simulator needs: dense
 //! matrix–vector products, 2-D convolution and average pooling, each paired
 //! with the gradient computations used by backpropagation-through-time.
+//! Convolution and pooling take one row or a whole sequence of `T` rows;
+//! the row count is the buffer length over the row length.
 //!
 //! Every kernel keeps a fixed *ordering contract*: the sequence of `f32`
 //! multiplies and adds that reaches each output element, which is what
@@ -31,16 +33,20 @@
 //!   input gradient as the convolution with the flipped kernel it is.
 //!   Which kernel a row went through cannot be read off its bits.
 //! * [`avg_pool2d`]: a window is summed from `+0.0` in `(ky, kx)` order,
-//!   then scaled once.
+//!   then scaled once. [`avg_pool2d_backward`] adds `g / k²` once to
+//!   each pixel of the window of `g`. Both take `T` rows, and go over all
+//!   `(tick, channel)` planes of a sequence in one call.
 //!
 //! The zero-skipping kernels (`matvec_skip_zeros`, the per-row gradient
 //! skip of the row-stationary convolution backward kernels, which the
 //! time-batched kernel does not make) leave out products that are
-//! `±0.0`. Adding `±0.0` changes no accumulator that started at `+0.0`
-//! — a sum of `f32` is `−0.0` only when both terms are — so they return
-//! the bits of the unskipped sum provided the other factor is finite
-//! (`0 · ∞` is NaN) and gradient accumulators passed in hold no `−0.0`.
-//! Model files with non-finite weights are rejected at load.
+//! `±0.0`, and the pooling gradient adds the zero gradients the
+//! per-pixel loop it replaced left out. Adding `±0.0` changes no
+//! accumulator that started at `+0.0` — a sum of `f32` is `−0.0` only
+//! when both terms are — so they return the bits of the unskipped sum
+//! provided the other factor is finite (`0 · ∞` is NaN) and gradient
+//! accumulators passed in hold no `−0.0`. Model files with non-finite
+//! weights are rejected at load.
 //!
 //! In debug builds every kernel additionally scans its operands and its
 //! result for NaN/Inf via [`crate::sanitize::debug_assert_finite`], so a
@@ -628,42 +634,88 @@ fn assert_pool_tiles(h: usize, w: usize, k: usize) {
     );
 }
 
-/// Average pooling forward pass with a square window `k` and stride `k`.
+/// Checks the geometry of a pooling call: `pixels` must be `T` rows of
+/// `[C, H, W]` and `pooled` as many rows of `[C, H/k, W/k]`.
+fn assert_pool_rows(pixels: &[f32], pooled: &[f32], c: usize, h: usize, w: usize, k: usize) {
+    assert_pool_tiles(h, w, k);
+    let (in_len, out_len) = (c * h * w, c * (h / k) * (w / k));
+    let steps = pixels.len() / in_len.max(1);
+    assert_eq!(pixels.len(), steps * in_len, "avg_pool2d input length");
+    assert_eq!(pooled.len(), steps * out_len, "avg_pool2d output length");
+}
+
+/// [`avg_pool2d`] over all `(tick, channel)` planes, `w` pixels wide. A
+/// band of `k` input rows is cut into runs of `K` pixels (`K` divides
+/// `k`): output `ox` sums runs `ky·w/K + ox·k/K ..` of length `k/K` for
+/// `ky` ascending into a register. The one window the example nets use,
+/// `k = 2`, takes `K = k`: the window is an array the compiler unrolls
+/// and a row of windows a loop it vectorises. Any other `k` takes
+/// `K = 1`, runs of one pixel.
+#[inline(always)]
+fn pool_planes<const K: usize>(input: &[f32], w: usize, k: usize, out: &mut [f32]) {
+    let (runs, ow) = (k / K, w / k);
+    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
+    let inv = 1.0 / (k * k) as f32;
+    for (band, acc) in input.chunks_exact((k * w).max(1)).zip(out.chunks_exact_mut(ow.max(1))) {
+        let wins = band.as_chunks::<K>().0;
+        for (ox, o) in acc.iter_mut().enumerate() {
+            let mut sum = 0.0f32;
+            for ky in 0..k {
+                for &v in wins[ky * (w / K) + ox * runs..][..runs].as_flattened() {
+                    sum += v;
+                }
+            }
+            *o = sum * inv;
+        }
+    }
+}
+
+/// [`avg_pool2d_backward`] over all planes, windows cut as in
+/// [`pool_planes`].
+#[inline(always)]
+fn unpool_planes<const K: usize>(out_grad: &[f32], w: usize, k: usize, in_grad: &mut [f32]) {
+    let (runs, ow) = (k / K, w / k);
+    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
+    let inv = 1.0 / (k * k) as f32;
+    let bands = in_grad.chunks_exact_mut((k * w).max(1));
+    for (g_row, band) in out_grad.chunks_exact(ow.max(1)).zip(bands) {
+        let wins = band.as_chunks_mut::<K>().0;
+        for (ox, &g) in g_row.iter().enumerate() {
+            let g = g * inv;
+            for ky in 0..k {
+                for v in wins[ky * (w / K) + ox * runs..][..runs].as_flattened_mut() {
+                    *v += g;
+                }
+            }
+        }
+    }
+}
+
+/// Average pooling forward pass with a square window `k` and stride `k`,
+/// over one row or a whole sequence.
 ///
-/// `input` is `[C, H, W]`; `out` is `[C, H/k, W/k]`. The window must tile
-/// the input: there are no partial windows at the border.
+/// `input` is `T` rows of `[C, H, W]`; `out` is `T` rows of
+/// `[C, H/k, W/k]`. The window must tile the input: there are no partial
+/// windows at the border. Rows and channels are independent planes, so a
+/// sequence goes through in one call.
 ///
 /// # Panics
 ///
 /// Panics if `k` is zero or does not divide `h` and `w`, or if buffer
 /// lengths disagree.
 pub fn avg_pool2d(input: &[f32], c: usize, h: usize, w: usize, k: usize, out: &mut [f32]) {
-    assert_pool_tiles(h, w, k);
-    let (oh, ow) = (h / k, w / k);
-    assert_eq!(input.len(), c * h * w, "avg_pool2d input length");
-    assert_eq!(out.len(), c * oh * ow, "avg_pool2d output length");
+    assert_pool_rows(input, out, c, h, w, k);
     debug_assert_finite("avg_pool2d", "input", input);
-    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
-    let inv = 1.0 / (k * k) as f32;
-    for ch in 0..c {
-        let base = ch * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ky in 0..k {
-                    let row = base + (oy * k + ky) * w + ox * k;
-                    for kx in 0..k {
-                        acc += input[row + kx];
-                    }
-                }
-                out[(ch * oh + oy) * ow + ox] = acc * inv;
-            }
-        }
+    match k {
+        2 => pool_planes::<2>(input, w, 2, out),
+        _ => pool_planes::<1>(input, w, k, out),
     }
     debug_assert_finite("avg_pool2d", "out", out);
 }
 
-/// Gradient of [`avg_pool2d`], accumulated into `in_grad` (`[C, H, W]`).
+/// Gradient of [`avg_pool2d`], accumulated into `in_grad` (`T` rows of
+/// `[C, H, W]`) from `T` rows of `out_grad`. Every input pixel takes one
+/// add, its window's `out_grad / k²`, zero or not (module doc).
 ///
 /// # Panics
 ///
@@ -677,29 +729,11 @@ pub fn avg_pool2d_backward(
     k: usize,
     in_grad: &mut [f32],
 ) {
-    assert_pool_tiles(h, w, k);
-    let (oh, ow) = (h / k, w / k);
-    assert_eq!(out_grad.len(), c * oh * ow, "avg_pool2d out-grad length");
-    assert_eq!(in_grad.len(), c * h * w, "avg_pool2d in-grad length");
+    assert_pool_rows(in_grad, out_grad, c, h, w, k);
     debug_assert_finite("avg_pool2d_backward", "out_grad", out_grad);
-    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
-    let inv = 1.0 / (k * k) as f32;
-    for ch in 0..c {
-        let base = ch * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = out_grad[(ch * oh + oy) * ow + ox] * inv;
-                if g == 0.0 {
-                    continue;
-                }
-                for ky in 0..k {
-                    let row = base + (oy * k + ky) * w + ox * k;
-                    for kx in 0..k {
-                        in_grad[row + kx] += g;
-                    }
-                }
-            }
-        }
+    match k {
+        2 => unpool_planes::<2>(out_grad, w, 2, in_grad),
+        _ => unpool_planes::<1>(out_grad, w, k, in_grad),
     }
     debug_assert_finite("avg_pool2d_backward", "in_grad", in_grad);
 }
@@ -1104,6 +1138,72 @@ mod tests {
             matvec_skip_zeros(&transposed(&w), &x, &mut got);
             for (g, v) in got.iter().zip(&want) {
                 prop_assert_eq!(g.to_bits(), v.to_bits());
+            }
+        }
+
+        /// Handed `T` rows, `avg_pool2d` and `avg_pool2d_backward` return
+        /// the bits of `T` single-row calls, and both those of the
+        /// per-pixel loops they replaced: windows summed from `+0.0` in
+        /// `(ky, kx)` order and scaled once, zero gradients skipped one by
+        /// one. Window 2 takes the unrolled kernel, 1 and 3–5 the
+        /// one-pixel runs; inputs and gradients are half zeros of both
+        /// signs, and the input gradient accumulates into a buffer that
+        /// is not zero.
+        #[test]
+        fn pooling_over_t_rows_matches_single_rows_and_the_per_pixel_loops(
+            steps in 1usize..6, c in 1usize..4, k in 1usize..6, scale in 1usize..4, seed in 0u64..1000,
+        ) {
+            let (h, w) = (k * scale, k * (scale + 1));
+            let (oh, ow) = (h / k, w / k);
+            let (in_len, out_len) = (c * h * w, c * oh * ow);
+            let mut next = xorshift(seed);
+            let mut sparse = |at: usize| match (next(), at % 3) {
+                (v, _) if v.abs() >= 0.5 => v,
+                (_, 0) => -0.0,
+                _ => 0.0,
+            };
+            let input: Vec<f32> = (0..steps * in_len).map(&mut sparse).collect();
+            let out_grad: Vec<f32> = (0..steps * out_len).map(&mut sparse).collect();
+            let held: Vec<f32> = (0..steps * in_len).map(|i| 0.25 + (i % 7) as f32).collect();
+
+            let inv = 1.0 / (k * k) as f32;
+            let (mut out_ref, mut in_ref) = (vec![0.0f32; steps * out_len], held.clone());
+            for plane in 0..steps * c {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let at = (plane * oh + oy) * ow + ox;
+                        let (mut acc, g) = (0.0f32, out_grad[at] * inv);
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                let pixel = (plane * h + oy * k + ky) * w + ox * k + kx;
+                                acc += input[pixel];
+                                if g != 0.0 {
+                                    in_ref[pixel] += g;
+                                }
+                            }
+                        }
+                        out_ref[at] = acc * inv;
+                    }
+                }
+            }
+
+            let (mut out, mut out_rows) = (vec![f32::NAN; steps * out_len], vec![f32::NAN; steps * out_len]);
+            avg_pool2d(&input, c, h, w, k, &mut out);
+            for (x, z) in input.chunks(in_len).zip(out_rows.chunks_mut(out_len)) {
+                avg_pool2d(x, c, h, w, k, z);
+            }
+            let (mut in_grad, mut in_rows) = (held.clone(), held);
+            avg_pool2d_backward(&out_grad, c, h, w, k, &mut in_grad);
+            for (g, x) in out_grad.chunks(out_len).zip(in_rows.chunks_mut(in_len)) {
+                avg_pool2d_backward(g, c, h, w, k, x);
+            }
+            for ((got, row), want) in out.iter().zip(&out_rows).zip(&out_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(row.to_bits(), want.to_bits());
+            }
+            for ((got, row), want) in in_grad.iter().zip(&in_rows).zip(&in_ref) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(row.to_bits(), want.to_bits());
             }
         }
 

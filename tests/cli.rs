@@ -166,6 +166,57 @@ fn garbage_events_fail_cleanly() {
     let _ = std::fs::remove_file(&events);
 }
 
+/// Counts an untrusted file states about itself: an event header whose
+/// numbers overflow (one used to be dropped, the next read in its place)
+/// or whose volume does (`capacity overflow`, exit 101), and a model
+/// whose 61 bytes claim a 65535×65535 layer (the loader reserved the
+/// claimed 17 GB, exit 134).
+#[test]
+fn headers_that_claim_too_much_fail_cleanly() {
+    let model = scratch("header-model.snn");
+    let out = run(&[
+        "new",
+        "--input",
+        "4",
+        "--arch",
+        "dense:6,dense:2",
+        "--out",
+        model.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let events = scratch("header.events");
+    for (header, needle) in [
+        ("99999999999999999999999 ticks x 4 features, 2 chunks", "tick count"),
+        ("4000000000 ticks x 4000000000 features, 1 chunks", "value limit"),
+    ] {
+        std::fs::write(&events, format!("# snn-mtfc test: {header}\n0 0\n")).unwrap();
+        assert_clean_failure(
+            &["verify", model.to_str().unwrap(), events.to_str().unwrap()],
+            needle,
+        );
+    }
+
+    let mut bytes = b"SNNMTFC1".to_vec();
+    for v in [1u32, 65_535, 1] {
+        bytes.extend(v.to_le_bytes()); // rank, dim, one layer
+    }
+    bytes.push(0); // dense
+    for v in [65_535u32, 65_535] {
+        bytes.extend(v.to_le_bytes()); // out, in
+    }
+    bytes.extend(1.0f32.to_le_bytes()); // threshold
+    bytes.extend(0.9f32.to_le_bytes()); // leak
+    bytes.extend(0u32.to_le_bytes()); // refractory steps
+    bytes.extend((65_535u32 * 65_535).to_le_bytes());
+    bytes.extend(std::iter::repeat_n(0.5f32.to_le_bytes(), 4).flatten());
+    let huge = scratch("huge-layer.snn");
+    std::fs::write(&huge, &bytes).unwrap();
+    assert_clean_failure(&["analyze", huge.to_str().unwrap()], "weight blob ends after 4");
+    for p in [&model, &events, &huge] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn analyze_reports_on_a_sparse_model() {
     let model = scratch("analyze.snn");
