@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=25516
+LINE_BUDGET=25492
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -169,13 +169,16 @@ step "packed engine — digest equality with the scalar engine on the example ne
 # one run of this script, so host speed cancels — has a floor at half of
 # what it read before the sweep behind the fault followed the lane's
 # spikes (12x / 5.4x / 3.3x): a sweep that falls back to per-lane full
-# products drops below it, noise does not.
+# products drops below it, noise does not. The ibm floor is half the
+# worst of five readings (8.2-11.9x) taken once a conv weight fault's
+# channel went through the model's own `conv2d`; the per-window stage
+# before it read 4.8-6.4x on the same host.
 verdict_of() { sed -n 's/^verdict digest: \([0-9a-f]*\)$/\1/p' <<< "$1"; }
 campaign_seconds_of() {
     sed -n 's/^fault coverage: .* in \([0-9.]*\)\(ns\|µs\|ms\|s\)$/\1 \2/p' <<< "$1" | awk '
         { scale["ns"] = 1e-9; scale["µs"] = 1e-6; scale["ms"] = 1e-3; scale["s"] = 1; print $1 * scale[$2] }'
 }
-declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=6 [ibm]=3 [shd]=2)
+declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=6 [ibm]=4 [shd]=2)
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
         --out "$ANALYZE_TMP/$m.events" > /dev/null

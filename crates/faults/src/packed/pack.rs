@@ -12,9 +12,9 @@
 //! * **Fault-layer stage** — per lane, redo at layer `ℓ` only what the
 //!   fault can change, on golden drives wherever they still hold:
 //!   one neuron column for a neuron fault or a dense weight fault, one
-//!   output channel for a conv kernel weight (re-accumulating only the
-//!   windows whose tapped input pixel carries traffic), and for a
-//!   recurrent layer the faulty neuron alone until its spikes leave the
+//!   output channel for a conv kernel weight (convolved with the patched
+//!   kernel by the model's own kernel, a block of ticks a call), and for
+//!   a recurrent layer the faulty neuron alone until its spikes leave the
 //!   golden train, then the whole layer for as long as it stays off it.
 //!   A lane without flips is resolved right here: undetected by this
 //!   test.
@@ -36,7 +36,8 @@
 //! are made once per campaign), never a full product; a tick of a layer
 //! is one [`LifParams::step_row`] and one folded comparison with the
 //! golden row; and every buffer a lane touches belongs to its worker
-//! thread's [`Scratch`] — a lane allocates nothing. The clock is read
+//! thread's [`Scratch`] — a lane allocates nothing of its own, only
+//! [`ops::conv2d`] sets up its tap tables per call. The clock is read
 //! once per stage of a pack ([`Laps`]), not per lane.
 //!
 //! # Bit-exactness
@@ -53,10 +54,12 @@
 //! * **same additions in the same order** — a drive is recomputed by the
 //!   function the model computes it with ([`Layer::feedforward`] for conv
 //!   and pooling rows, [`ops::matvec_skip_zeros`] for matrices,
-//!   [`conv2d_window`]) or by [`lane_matvec`] / [`row_dot`], which make
-//!   `matvec`'s non-zero additions per output in `matvec`'s order; it is
-//!   reused where every input the fault touches is an exact zero, whose
-//!   products never move an accumulator (see `snn_tensor::packed`);
+//!   [`ops::conv2d`] on a one-channel spec for a faulty conv channel,
+//!   whose pixels sum their taps as the whole layer's do) or by
+//!   [`lane_matvec`] / [`row_dot`], which make `matvec`'s non-zero
+//!   additions per output in `matvec`'s order; it is reused where every
+//!   input the fault touches is an exact zero, whose products never move
+//!   an accumulator (see `snn_tensor::packed`);
 //! * **exact resume** — a lane equal to the golden run before `t0` has
 //!   the golden state entering `t0`, so resuming from the record is the
 //!   computation the scalar engine performs from tick 0;
@@ -73,11 +76,11 @@ use crate::{Fault, FaultOutcome, FaultSimConfig, FaultSite, Injection};
 use snn_model::{Layer, LifParams, LifRecord, Network, RecurrentLayer, Trace};
 use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
-use snn_tensor::ops::{self, conv2d_window};
+use snn_tensor::ops::{self, Conv2dSpec};
 use snn_tensor::packed::{
     broadcast_row, lane_matvec, row_diff_mask, row_dot, set_lane_bit, unpack_lane,
 };
-use snn_tensor::Tensor;
+use snn_tensor::{Shape, Tensor};
 use std::time::Duration;
 
 use super::plan::Pack;
@@ -180,7 +183,8 @@ impl Gold<'_> {
 
 /// One worker thread's buffers, made once per campaign and thread and
 /// reused by every pack, test and lane the thread runs: the sweep
-/// allocates per pack (verdicts and outcomes), never per lane.
+/// allocates per pack (verdicts and outcomes), never per lane — only the
+/// convolution kernel it calls sets up tables per call.
 pub(crate) struct Scratch {
     lane: LaneScratch,
     /// Output words of the spiking layer a sweep step reads …
@@ -210,9 +214,10 @@ struct LaneScratch {
     /// The lane's row on its way through pooling layers.
     row: Vec<f32>,
     pooled: Vec<f32>,
-    /// Conv weight faults: the input each output pixel reads through the
-    /// faulty tap, if any.
-    tapped: Vec<Option<usize>>,
+    /// Conv weight faults: the patched kernel of the faulty channel, and
+    /// that channel's drive over a block of [`CONV_TICKS`] ticks.
+    kernel: Tensor,
+    drive: Vec<f32>,
 }
 
 impl Scratch {
@@ -229,7 +234,8 @@ impl Scratch {
                 fb: row(),
                 row: row(),
                 pooled: row(),
-                tapped: Vec::new(),
+                kernel: Tensor::zeros(Shape::d1(0)),
+                drive: Vec::new(),
             },
             words: Vec::new(),
             words_out: Vec::new(),
@@ -560,7 +566,7 @@ fn fault_stage(
                     };
                     column(gold, q, None, gold.lif, drive, sink);
                 }
-                Layer::Conv(l) => conv_weight(x, l, gold, (q, c, row), s, sink),
+                Layer::Conv(l) => conv_weight(x, l, gold, (q, row), s, sink),
                 Layer::Recurrent(l) => {
                     let patch = Some(RowPatch { feedback: at.tensor != 0, row, c });
                     let site = RecurrentSite { q, forced: None, lif: *gold.lif, patch };
@@ -595,46 +601,47 @@ fn column(
     }
 }
 
-/// A conv kernel weight: tap `tap` (`(ic, ky, kx)` flattened) of output
-/// channel `oc`, whose patched kernel is `w_oc`. Only channel `oc` can
-/// change, and at a given tick only the output pixels whose tapped input
-/// pixel is non-zero — every other window's golden drive is reused
-/// (exact-zero products; taps in the padding are skipped by the kernel
-/// altogether). The channel's drive row is put together first, then the
-/// channel — one set of LIF parameters — is stepped as a row.
+/// Ticks of a conv weight fault's channel convolved per call: four of
+/// the kernel's 16-tick blocks, so the drive buffer is one channel × this
+/// many ticks whatever the test length.
+const CONV_TICKS: usize = 64;
+
+/// A conv kernel weight of output channel `oc`, whose patched kernel is
+/// `w_oc`. Only channel `oc` can change, and its drive is what the scalar
+/// engine computes for it: [`ops::conv2d`] over the layer's input, on a
+/// one-channel spec with the kernel `w_oc`, [`CONV_TICKS`] ticks a call.
+/// Each tick of the channel — one set of LIF parameters — is then stepped
+/// as a row.
 fn conv_weight(
     x: &[f32],
     l: &snn_model::ConvLayer,
     gold: &Gold<'_>,
-    (oc, tap, w_oc): (usize, usize, &[f32]),
+    (oc, w_oc): (usize, &[f32]),
     s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
-    let (spec, (h, w), (oh, ow)) = (&l.spec, l.in_hw, l.out_hw());
-    let k = spec.kernel;
-    let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-    let (pixels, base, in_features) = (oh * ow, oc * oh * ow, spec.in_channels * h * w);
-    // Input index each output pixel reads through the faulty weight.
-    s.tapped.clear();
-    s.tapped.extend(
-        (0..pixels)
-            .map(|p| Some((ic * h + spec.tap(p / ow, ky, h)?) * w + spec.tap(p % ow, kx, w)?)),
-    );
+    let ((h, w), (oh, ow)) = (l.in_hw, l.out_hw());
+    let one = Conv2dSpec { out_channels: 1, ..l.spec };
+    let (pixels, base, in_features) = (oh * ow, oc * oh * ow, one.in_channels * h * w);
+    if *s.kernel.shape() != one.weight_shape() {
+        s.kernel = Tensor::zeros(one.weight_shape());
+    }
+    s.kernel.as_mut_slice().copy_from_slice(w_oc);
+    s.drive.resize(CONV_TICKS * pixels, 0.0);
     let (carried, refrac) = (&mut s.carried[..pixels], &mut s.refrac[..pixels]);
-    let (z, spikes) = (&mut s.z[..pixels], &mut s.spikes[..pixels]);
+    let spikes = &mut s.spikes[..pixels];
     carried.fill(0.0);
     refrac.fill(0);
-    for t in 0..gold.steps {
-        let x_t = &x[t * in_features..(t + 1) * in_features];
-        let channel = t * gold.n + base..t * gold.n + base + pixels;
-        z.copy_from_slice(&gold.rec.drive[channel.clone()]);
-        for (p, tapped) in s.tapped.iter().enumerate() {
-            if tapped.is_some_and(|j| x_t[j] != 0.0) {
-                z[p] = conv2d_window(spec, x_t, h, w, w_oc, p / ow, p % ow);
-            }
+    for t0 in (0..gold.steps).step_by(CONV_TICKS) {
+        let ticks = CONV_TICKS.min(gold.steps - t0);
+        let drive = &mut s.drive[..ticks * pixels];
+        let x_block = &x[t0 * in_features..(t0 + ticks) * in_features];
+        ops::conv2d(&one, x_block, h, w, &s.kernel, drive);
+        for (t, z) in (t0..).zip(drive.chunks_exact(pixels)) {
+            gold.lif.step_row(carried, refrac, z, spikes, None);
+            let channel = t * gold.n + base..t * gold.n + base + pixels;
+            sink.flips(t, base, spikes, &gold.out[channel]);
         }
-        gold.lif.step_row(carried, refrac, z, spikes, None);
-        sink.flips(t, base, spikes, &gold.out[channel]);
     }
 }
 

@@ -274,6 +274,42 @@ fn named_layer_orders_are_bit_identical() {
     }
 }
 
+/// Conv weight faults through both paths of the convolution kernel: a
+/// 37-tick test is two 16-tick blocks and a five-row tail, a 101-tick one
+/// a full call of the fault stage's tick block and the same again, both
+/// dense enough that most windows carry traffic. A stride-2 padded conv
+/// sits first, and behind a pool; every weight fault of its universe,
+/// standard and bit-flip kinds.
+#[test]
+fn conv_weight_faults_over_blocks_and_a_tail_are_bit_identical() {
+    let strided = Stage::Conv { channels: 3, kernel: 3, stride: 2, padding: 1 };
+    let orders: [&[Stage]; 2] =
+        [&[strided, Stage::Dense(4)], &[Stage::Pool, strided, Stage::Dense(4)]];
+    for (i, stages) in orders.iter().enumerate() {
+        for seed in 0..2u64 {
+            let mut rng = StdRng::seed_from_u64(200 + 10 * seed + u64::try_from(i).unwrap());
+            let net = build(stages, &mut rng);
+            let conv = net.layers().iter().position(|l| matches!(l, Layer::Conv(_))).unwrap();
+            let u = FaultUniverse::with_config(&net, FaultModelConfig::default(), false, &[0, 7]);
+            let faults: Vec<Fault> = (u.faults().iter())
+                .filter(|f| matches!(f.site, FaultSite::Synapse(at) if at.layer == conv))
+                .copied()
+                .collect();
+            let features = net.input_features();
+            let tests: Vec<Tensor> = [(37, 0.5), (101, 0.3)]
+                .map(|(steps, density)| {
+                    snn_tensor::init::bernoulli(&mut rng, Shape::d2(steps, features), density)
+                })
+                .into();
+            let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
+            let packed = run(&net, Engine::Packed, &u, &faults, &tests);
+            assert_bit_identical(&scalar, &packed);
+            let detected = packed.per_fault.iter().filter(|o| o.detected).count();
+            assert!(0 < detected && detected < faults.len(), "{stages:?}: {detected} detected");
+        }
+    }
+}
+
 /// The planner takes the full standard universe of all three example
 /// networks (README, `ci.sh`) and nothing of a network whose output is
 /// not spikes.

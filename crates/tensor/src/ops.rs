@@ -16,11 +16,14 @@
 //!   products of exact-zero inputs left out.
 //! * [`matvec_t_acc`], [`outer_acc`]: rows in ascending order, rows whose
 //!   gradient is exactly zero skipped.
-//! * [`conv2d`], [`conv2d_window`]: an output pixel accumulates its taps
-//!   from `+0.0` in `(ic, ky, kx)` order, taps in the zero padding
-//!   skipped. For one row `conv2d` is *row-stationary*: one output row is
-//!   the accumulator and each tap adds a shifted input row into it, so
-//!   every pixel of the row still sees its own taps in that order.
+//! * [`conv2d`]: an output pixel accumulates its taps from `+0.0` in
+//!   `(ic, ky, kx)` order, taps in the zero padding skipped. For one row
+//!   `conv2d` is *row-stationary*: one output row is the accumulator and
+//!   each tap adds a shifted input row into it, so every pixel of the row
+//!   still sees its own taps in that order. Output channels share
+//!   nothing: a spec of one output channel with kernel `w[oc]` returns
+//!   channel `oc`'s bits, which is how the packed fault simulator redoes
+//!   the one channel a faulty kernel weight changes.
 //! * [`conv2d_backward_input`]: an input-gradient element accumulates in
 //!   ascending `(oc, oy, ox)` of the output pixels that tap it — the
 //!   row-stationary loop visits `kx` *descending*, which is `ox`
@@ -158,13 +161,14 @@ impl Conv2dSpec {
     }
 
     /// Per output coordinate (of `out`), its [`Taps`] among `extent` input
-    /// coordinates; each next input meets the next offset.
+    /// coordinates; each next input meets the next offset. A window wholly
+    /// in the padding past the end taps the empty run at `extent`.
     fn taps_by_output(&self, extent: usize, out: usize) -> Vec<Taps> {
         (0..out)
             .map(|o| {
                 let k_lo = self.padding.saturating_sub(o * self.stride).min(self.kernel);
                 let k_hi = (extent + self.padding).saturating_sub(o * self.stride).min(self.kernel);
-                let lo = (o * self.stride + k_lo).saturating_sub(self.padding);
+                let lo = (o * self.stride + k_lo).saturating_sub(self.padding).min(extent);
                 (lo, lo + k_hi.saturating_sub(k_lo), k_lo)
             })
             .collect()
@@ -410,43 +414,6 @@ pub fn outer_acc(w_grad: &mut Tensor, y_grad: &[f32], x: &[f32]) {
         }
     }
     debug_assert_finite("outer_acc", "w_grad", wd);
-}
-
-/// One output pixel of [`conv2d`]: the products of output channel
-/// weights `w_oc` (`[C_in, k, k]`) with the input window of output pixel
-/// `(oy, ox)`, accumulated in `(ic, ky, kx)` order with taps in the zero
-/// padding skipped. [`conv2d`] performs the same multiplies and adds per
-/// pixel in the same order (a property test holds the two to the bit), so
-/// a caller that needs a few pixels only (differential fault simulation
-/// of one kernel weight) gets the same bits.
-///
-/// # Panics
-///
-/// Panics if `w_oc` or `input` is shorter than `spec` and `(h, w)` imply.
-#[inline]
-pub fn conv2d_window(
-    spec: &Conv2dSpec,
-    input: &[f32],
-    h: usize,
-    w: usize,
-    w_oc: &[f32],
-    oy: usize,
-    ox: usize,
-) -> f32 {
-    let k = spec.kernel;
-    let mut acc = 0.0f32;
-    for ic in 0..spec.in_channels {
-        let in_base = ic * h * w;
-        let w_base = ic * k * k;
-        for ky in 0..k {
-            let Some(iy) = spec.tap(oy, ky, h) else { continue };
-            for kx in 0..k {
-                let Some(ix) = spec.tap(ox, kx, w) else { continue };
-                acc += w_oc[w_base + ky * k + kx] * input[in_base + iy * w + ix];
-            }
-        }
-    }
-    acc
 }
 
 /// 2-D convolution forward pass, over one row or a whole sequence.
@@ -931,11 +898,11 @@ mod tests {
     }
 
     proptest! {
-        /// `conv2d` and the per-pixel `conv2d_window` agree to the bit
-        /// with a reference that walks the window in signed coordinates
-        /// — padding, stride > 1 and non-square inputs included.
+        /// `conv2d` agrees to the bit with a reference that walks the
+        /// window in signed coordinates — padding, stride > 1 and
+        /// non-square inputs included.
         #[test]
-        fn conv2d_window_matches_a_signed_coordinate_reference(
+        fn conv2d_matches_a_signed_coordinate_reference(
             in_c in 1usize..3, out_c in 1usize..3, k in 1usize..5,
             stride in 1usize..4, pad in 0usize..3, extra in 0usize..4, seed in 0u64..1000,
         ) {
@@ -971,8 +938,6 @@ mod tests {
                                 }
                             }
                         }
-                        let got = conv2d_window(&spec, &input, h, w, w_oc, oy, ox);
-                        prop_assert_eq!(got.to_bits(), acc.to_bits());
                         prop_assert_eq!(out[(oc * oh + oy) * ow + ox].to_bits(), acc.to_bits());
                     }
                 }
@@ -1107,6 +1072,48 @@ mod tests {
             }
             for (got, want) in in_grad.iter().zip(&in_rows) {
                 prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        /// Output channels share nothing: on a spec of one output channel
+        /// with kernel `w[oc]`, `conv2d` returns channel `oc` of the full
+        /// convolution to the bit — for `T` from a single row through
+        /// blocks of ticks with and without a tail, stride 1–3 and padding
+        /// 0–2, on inputs half zeros of both signs.
+        #[test]
+        fn a_one_channel_spec_returns_its_channel_of_the_full_conv2d(
+            in_c in 1usize..3, out_c in 1usize..4, k in 1usize..5, stride in 1usize..4,
+            pad in 0usize..3, extra in 0usize..4, steps in 1usize..40, seed in 0u64..1000,
+        ) {
+            let spec = Conv2dSpec::new(in_c, out_c, k, stride, pad);
+            let (h, w) = (k + extra, k + extra + 1);
+            let (oh, ow) = spec.out_hw(h, w);
+            let pixels = oh * ow;
+            let mut next = xorshift(seed);
+            let weight = Tensor::from_vec(
+                spec.weight_shape(),
+                (0..spec.weight_count()).map(|_| next()).collect(),
+            ).unwrap();
+            let input: Vec<f32> = (0..steps * in_c * h * w)
+                .map(|at| match (next(), at % 3) {
+                    (v, _) if v.abs() >= 0.5 => v,
+                    (_, 0) => -0.0,
+                    _ => 0.0,
+                })
+                .collect();
+            let mut full = vec![f32::NAN; steps * out_c * pixels];
+            conv2d(&spec, &input, h, w, &weight, &mut full);
+            let one = Conv2dSpec { out_channels: 1, ..spec };
+            for (oc, w_oc) in weight.as_slice().chunks(one.weight_count()).enumerate() {
+                let w_oc = Tensor::from_vec(one.weight_shape(), w_oc.to_vec()).unwrap();
+                let mut channel = vec![f32::NAN; steps * pixels];
+                conv2d(&one, &input, h, w, &w_oc, &mut channel);
+                for (t, row) in channel.chunks(pixels).enumerate() {
+                    let want = &full[(t * out_c + oc) * pixels..][..pixels];
+                    for (got, want) in row.iter().zip(want) {
+                        prop_assert_eq!(got.to_bits(), want.to_bits());
+                    }
+                }
             }
         }
 

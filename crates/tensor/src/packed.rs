@@ -132,7 +132,8 @@ pub fn set_lane_bit(word: &mut u64, lane: u32, on: bool) {
 
 /// Expands one lane of `words` into an `f32` spike row: `out[j]` is `1.0`
 /// where bit `lane` of `words[j]` is set and `0.0` elsewhere — the row
-/// a scalar kernel (pooling, convolution) consumes for that lane.
+/// a scalar kernel (pooling, convolution) consumes for that lane. The bit
+/// is converted as an integer, a form the compiler vectorises.
 ///
 /// # Panics
 ///
@@ -142,7 +143,8 @@ pub fn unpack_lane(words: &[u64], lane: u32, out: &mut [f32]) {
     debug_assert_eq!(out.len(), words.len(), "unpack_lane length mismatch");
     debug_assert!((lane as usize) < LANES, "lane out of range");
     for (o, word) in out.iter_mut().zip(words.iter()) {
-        *o = f32::from(u8::from((word >> lane) & 1 == 1));
+        // snn-lint: allow(L-CAST): the masked bit is 0 or 1, exact in u32 and in f32
+        *o = (((word >> lane) as u32) & 1) as f32;
     }
 }
 
