@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=25492
+LINE_BUDGET=25619
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -172,13 +172,16 @@ step "packed engine — digest equality with the scalar engine on the example ne
 # products drops below it, noise does not. The ibm floor is half the
 # worst of five readings (8.2-11.9x) taken once a conv weight fault's
 # channel went through the model's own `conv2d`; the per-window stage
-# before it read 4.8-6.4x on the same host.
+# before it read 4.8-6.4x on the same host. The nmnist floor is half the
+# worst of five readings (13.6-17.6x) taken once a pack's dense weight
+# members went together, the members as the vector axis; per-member row
+# dots read 12.0-18.6x on the same two-core host.
 verdict_of() { sed -n 's/^verdict digest: \([0-9a-f]*\)$/\1/p' <<< "$1"; }
 campaign_seconds_of() {
     sed -n 's/^fault coverage: .* in \([0-9.]*\)\(ns\|µs\|ms\|s\)$/\1 \2/p' <<< "$1" | awk '
         { scale["ns"] = 1e-9; scale["µs"] = 1e-6; scale["ms"] = 1e-3; scale["s"] = 1; print $1 * scale[$2] }'
 }
-declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=6 [ibm]=4 [shd]=2)
+declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=6.8 [ibm]=4 [shd]=2)
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
         --out "$ANALYZE_TMP/$m.events" > /dev/null
@@ -200,15 +203,15 @@ for m in nmnist ibm shd; do
     [[ -n "$SCALAR_S" && -n "$PACKED_S" ]] || { echo "$m: verify printed no campaign time"; exit 1; }
     awk -v m="$m" -v scalar="$SCALAR_S" -v packed="$PACKED_S" -v floor="${PACKED_SPEEDUP_FLOOR[$m]}" 'BEGIN {
         ratio = scalar / packed
-        printf "%s: scalar %.3f s / packed %.3f s = %.1fx (floor %dx)\n", m, scalar, packed, ratio, floor
+        printf "%s: scalar %.3f s / packed %.3f s = %.1fx (floor %gx)\n", m, scalar, packed, ratio, floor
         if (ratio < floor) { print m ": the packed engine lost its lead over the scalar one"; exit 1 }
     }'
 done
 
-step "packed engine — kernel phases attribute >=95% of conv- and recurrent-site campaigns"
-# Conv and recurrent fault-layer stages must land in the forward.l*
-# slots like the dense ones do.
-for m in ibm shd; do
+step "packed engine — kernel phases attribute >=95% of dense-, conv- and recurrent-site campaigns"
+# Every fault-layer stage — a pack's dense weight members together, conv
+# and recurrent sites lane by lane — must land in the forward.l* slots.
+for m in nmnist ibm shd; do
     cargo run --release -q --offline -- verify "$ANALYZE_TMP/$m.snn" "$ANALYZE_TMP/$m.events" \
         --engine packed --trace-out "$ANALYZE_TMP/$m.packed.trace.jsonl" > /dev/null
     PACKED_PROFILE="$(cargo run --release -q --offline -- profile \

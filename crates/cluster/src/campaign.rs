@@ -20,7 +20,8 @@ use std::io::BufReader;
 ///
 /// # Errors
 ///
-/// A one-line diagnostic when a `Path` model cannot be opened or parsed.
+/// A one-line diagnostic when a `Path` model cannot be opened or parsed,
+/// or a `Synthetic` one has an empty layer or input.
 pub fn build_model(spec: &ModelSpec) -> Result<Network, String> {
     match spec {
         ModelSpec::Path(path) => {
@@ -35,7 +36,9 @@ pub fn build_model(spec: &ModelSpec) -> Result<Network, String> {
             for &h in hidden {
                 builder = builder.dense(h);
             }
-            Ok(builder.dense(*outputs).build(&mut rng))
+            let net = builder.dense(*outputs).build(&mut rng);
+            net.validate_widths().map_err(|e| format!("synthetic model: {e}"))?;
+            Ok(net)
         }
     }
 }
@@ -187,6 +190,21 @@ mod tests {
         a.save(&mut wa).unwrap();
         b.save(&mut wb).unwrap();
         assert_eq!(wa, wb, "two builds of the same spec must serialize identically");
+    }
+
+    /// A synthetic model with an empty layer or input is one diagnostic,
+    /// not a network the generator would panic on.
+    #[test]
+    fn synthetic_models_without_width_are_refused() {
+        for (inputs, hidden, outputs, needle) in [
+            (6, vec![10, 0], 4, "layer 1 (dense) has no outputs"),
+            (6, vec![10], 0, "layer 1 (dense) has no outputs"),
+            (0, vec![10], 4, "has no features"),
+        ] {
+            let spec = ModelSpec::Synthetic { inputs, hidden, outputs, seed: 9 };
+            let err = build_model(&spec).map(|_| ()).unwrap_err();
+            assert!(err.starts_with("synthetic model: ") && err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -97,11 +97,12 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
         })
         .collect();
     // Column-major weight copies for the layers a diverged lane is
-    // carried through: every matrix behind the first fault layer, and a
-    // recurrent fault layer's own feedback matrix.
+    // carried through — every matrix behind the first fault layer — and
+    // for a fault layer's own weight members: a dense layer's weight, and
+    // a recurrent layer's feedback matrix.
     let transposed: Vec<pack::Transposed> = (net.layers().iter().enumerate())
         .map(|(idx, layer)| match layer {
-            Layer::Dense(l) if idx > first_fault_layer => {
+            Layer::Dense(l) if idx >= first_fault_layer => {
                 pack::Transposed { input: ops::transposed(&l.weight), feedback: Vec::new() }
             }
             Layer::Recurrent(l) if idx >= first_fault_layer => pack::Transposed {

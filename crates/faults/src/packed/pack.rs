@@ -9,15 +9,19 @@
 //! where its spike differs from the golden one. The sweep runs in two
 //! stages:
 //!
-//! * **Fault-layer stage** — per lane, redo at layer `ℓ` only what the
-//!   fault can change, on golden drives wherever they still hold:
-//!   one neuron column for a neuron fault or a dense weight fault, one
-//!   output channel for a conv kernel weight (convolved with the patched
-//!   kernel by the model's own kernel, a block of ticks a call), and for
-//!   a recurrent layer the faulty neuron alone until its spikes leave the
-//!   golden train, then the whole layer for as long as it stays off it.
-//!   A lane without flips is resolved right here: undetected by this
-//!   test.
+//! * **Fault-layer stage** — redo at layer `ℓ` only what the fault can
+//!   change, on golden drives wherever they still hold. The dense weight
+//!   members of a pack go together, the members as the vector axis: their
+//!   patched rows are transposed once per pack, and a tick is one product
+//!   of the input row with them — one drive per member — and one LIF step
+//!   of the members' faulty neurons as a row ([`dense_weights`]). Every
+//!   other member goes on its own: one neuron column for a neuron fault,
+//!   one output channel for a conv kernel weight (convolved with the
+//!   patched kernel by the model's own kernel, a block of ticks a call),
+//!   and for a recurrent layer the faulty neuron alone until its spikes
+//!   leave the golden train, then the whole layer for as long as it stays
+//!   off it. A lane without flips is resolved right here: undetected by
+//!   this test.
 //! * **Downstream** — flips toggle the lane's bit in packed `u64` spike
 //!   words (golden rows broadcast to every lane), which carry the lanes
 //!   from one spiking layer to the next. Per spiking layer, a per-tick
@@ -52,14 +56,21 @@
 //!   golden drives and pre-tick states are records *of* that forward
 //!   pass ([`Network::forward_golden`](snn_model::Network::forward_golden));
 //! * **same additions in the same order** — a drive is recomputed by the
-//!   function the model computes it with ([`Layer::feedforward`] for conv
-//!   and pooling rows, [`ops::matvec_skip_zeros`] for matrices,
+//!   function the model computes it with: [`Layer::feedforward`] for conv
+//!   and pooling rows, [`ops::matvec_skip_zeros`] for matrices, and
 //!   [`ops::conv2d`] on a one-channel spec for a faulty conv channel,
-//!   whose pixels sum their taps as the whole layer's do) or by
-//!   [`lane_matvec`] / [`row_dot`], which make `matvec`'s non-zero
-//!   additions per output in `matvec`'s order; it is reused where every
-//!   input the fault touches is an exact zero, whose products never move
-//!   an accumulator (see `snn_tensor::packed`);
+//!   whose pixels sum their taps as the whole layer's do. The dense
+//!   weight members' drives are `matvec_skip_zeros` over their transposed
+//!   patched rows: member `j`'s adds `x[c] · w` over its patched row for
+//!   each non-zero input `c`, ascending, from `+0.0` — the additions the
+//!   model's product over the patched layer makes for `j`'s neuron.
+//!   [`lane_matvec`] and [`row_dot`] make `matvec`'s non-zero additions
+//!   per output in `matvec`'s order;
+//! * **exact zeroes** — a drive is reused where every input the fault
+//!   touches is an exact zero, whose products never move an accumulator
+//!   (see `snn_tensor::packed`); by the same token a dense weight member,
+//!   recomputed on every tick, has the golden drive's bits wherever its
+//!   own input is silent;
 //! * **exact resume** — a lane equal to the golden run before `t0` has
 //!   the golden state entering `t0`, so resuming from the record is the
 //!   computation the scalar engine performs from tick 0;
@@ -93,9 +104,10 @@ pub(crate) struct Golden {
 }
 
 /// Column-major copies ([`ops::transposed`]) of one layer's weight
-/// matrices, the layout the sweep multiplies a lane's spikes in. Empty
-/// where the sweep never multiplies: conv and pooling layers, and layers
-/// no fault sits at or before.
+/// matrices, the layout the sweep multiplies a lane's spikes in and a
+/// dense fault layer's weight members gather their rows from. Empty where
+/// neither happens: conv and pooling layers, and layers no fault sits at
+/// or before.
 #[derive(Default)]
 pub(crate) struct Transposed {
     /// A dense layer's `weight`, a recurrent layer's `w_in`.
@@ -198,6 +210,8 @@ pub(crate) struct Scratch {
     /// The pack's patched weight rows, one slot of equal length per
     /// member.
     patched: Vec<f32>,
+    /// The pack's dense weight members, stepped together.
+    dense: DenseMembers,
 }
 
 /// What simulating one lane at one layer needs: rows as wide as the
@@ -218,6 +232,67 @@ struct LaneScratch {
     /// that channel's drive over a block of [`CONV_TICKS`] ticks.
     kernel: Tensor,
     drive: Vec<f32>,
+}
+
+/// A pack's dense weight members, simulated together with the members as
+/// the vector axis ([`dense_weights`]). The buffers follow the pack — its
+/// member count and its layer's input width — and grow on demand.
+#[derive(Default)]
+struct DenseMembers {
+    /// Per member simulated here, in pack order: its index in the pack and
+    /// its faulty neuron.
+    members: Vec<(usize, usize)>,
+    /// The members' patched rows transposed, `[inputs × members]`.
+    rows_t: Vec<f32>,
+    /// One tick's drives, and the members' neuron state and spikes.
+    z: Vec<f32>,
+    carried: Vec<f32>,
+    refrac: Vec<u32>,
+    spikes: Vec<f32>,
+    /// Per member, the ticks of the test at hand where its neuron's spike
+    /// differs from golden's, and whether it fired.
+    flips: Vec<Vec<(usize, bool)>>,
+}
+
+impl DenseMembers {
+    /// Takes the weight members of a pack at a dense layer — none at any
+    /// other — and builds their patched rows transposed: row `c` gathers
+    /// input `c`'s weights of the members' neurons from the layer's
+    /// transposed weight, and each member's faulty value is put in place.
+    fn load(&mut self, ctx: &Ctx<'_>, pack: &Pack) {
+        self.members.clear();
+        let Layer::Dense(l) = &ctx.net.layers()[pack.layer] else { return };
+        let (n, cols) = (l.weight.shape().dim(0), l.weight.shape().dim(1));
+        let weight = |fi: usize| match &ctx.injections[fi] {
+            Injection::Weight { at, value } => Some((at.offset, *value)),
+            Injection::Neuron(_) => None,
+        };
+        for (i, &fi) in pack.members.iter().enumerate() {
+            if let Some((offset, _)) = weight(fi) {
+                self.members.push((i, offset / cols));
+            }
+        }
+        let m = self.members.len();
+        self.rows_t.resize(cols * m, 0.0);
+        for (c, row) in self.rows_t.chunks_exact_mut(m.max(1)).enumerate() {
+            let wt_c = &ctx.transposed[pack.layer].input[c * n..(c + 1) * n];
+            for (w, &(_, q)) in row.iter_mut().zip(&self.members) {
+                *w = wt_c[q];
+            }
+        }
+        for (j, &(i, _)) in self.members.iter().enumerate() {
+            if let Some((offset, value)) = weight(pack.members[i]) {
+                self.rows_t[offset % cols * m + j] = value;
+            }
+        }
+        for row in [&mut self.z, &mut self.carried, &mut self.spikes] {
+            row.resize(m, 0.0);
+        }
+        self.refrac.resize(m, 0);
+        if self.flips.len() < m {
+            self.flips.resize_with(m, Vec::new);
+        }
+    }
 }
 
 impl Scratch {
@@ -242,6 +317,7 @@ impl Scratch {
             diffmask: Vec::new(),
             delta: vec![0; widest],
             patched: Vec::new(),
+            dense: DenseMembers::default(),
         }
     }
 }
@@ -415,11 +491,16 @@ pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec
     verdicts.resize_with(pack.members.len(), LaneVerdict::default);
 
     // Injection: every weight fault's row with the faulty value in place,
-    // built once for all test inputs.
+    // built once for all test inputs — a dense layer's all in one
+    // transposed matrix, the others in a slot each.
     let layer = &ctx.net.layers()[pack.layer];
+    scratch.dense.load(ctx, pack);
     // (Only a recurrent layer has a second matrix, with rows of its own
     // length.)
-    let slot = weight_rows(layer, 0).1.max(weight_rows(layer, 1).1);
+    let slot = match layer {
+        Layer::Dense(_) => 0,
+        _ => weight_rows(layer, 0).1.max(weight_rows(layer, 1).1),
+    };
     scratch.patched.resize(pack.members.len() * slot, 0.0);
     for (&fi, row) in pack.members.iter().zip(scratch.patched.chunks_exact_mut(slot.max(1))) {
         if let Injection::Weight { at, value } = &ctx.injections[fi] {
@@ -469,7 +550,8 @@ pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec
 }
 
 /// Sweeps the pack under test input `k`; member `i`'s patched weight row
-/// is the `i`-th `slot` of `scratch.patched`.
+/// is the `i`-th `slot` of `scratch.patched`, and the pack's dense weight
+/// members are loaded into `scratch.dense`.
 fn run_test(
     ctx: &Ctx<'_>,
     pack: &Pack,
@@ -491,13 +573,25 @@ fn run_test(
         gold.broadcast(&mut scratch.words);
         laps.end(Phase::PackRun);
     }
+    if !scratch.dense.members.is_empty() {
+        dense_weights(ctx.layer_input(k, ell), &gold, &mut scratch.dense);
+    }
+    // The dense weight members' flips are in, in pack order; every other
+    // member runs its own stage here.
+    let mut dense = scratch.dense.members.iter().zip(&scratch.dense.flips).peekable();
     let mut live = 0u64;
     for (i, &fi) in pack.members.iter().enumerate() {
         let lane = pack.lane(i);
         let words = (!last).then_some(&mut scratch.words[..]);
         let mut sink = Sink::new(words, &mut scratch.delta[..gold.n], lane);
-        let patched = &scratch.patched[i * slot..(i + 1) * slot];
-        fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
+        if let Some((&(_, q), flips)) = dense.next_if(|((member, _), _)| *member == i) {
+            for &(t, fired) in flips {
+                sink.flip(t, q, fired);
+            }
+        } else {
+            let patched = &scratch.patched[i * slot..(i + 1) * slot];
+            fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
+        }
         live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i])) << lane;
     }
     laps.end_forward(ell);
@@ -506,9 +600,10 @@ fn run_test(
     }
 }
 
-/// The fault-layer stage: simulates what member fault `fi` changes at its
-/// own layer under test `k` and reports the flips. `patched` is the
-/// member's slot of patched weight rows.
+/// The fault-layer stage of one member fault `fi` — any but a dense
+/// weight, which [`dense_weights`] runs with the pack's others: simulates
+/// what the fault changes at its own layer under test `k` and reports the
+/// flips. `patched` is the member's slot of patched weight rows.
 fn fault_stage(
     ctx: &Ctx<'_>,
     k: usize,
@@ -537,9 +632,7 @@ fn fault_stage(
                 // A feed-forward neuron's drive does not depend on its own
                 // behaviour: the golden drive column under other constants,
                 // and no synaptic arithmetic at all.
-                _ => {
-                    column(gold, index, forced, &lif, |t| gold.rec.drive[t * gold.n + index], sink)
-                }
+                _ => column(gold, index, forced, &lif, sink),
             }
         }
         (Injection::Weight { at, .. }, _) => {
@@ -548,24 +641,6 @@ fn fault_stage(
             // The faulty weight is input `c` of neuron (or channel) `q`.
             let (q, c, row) = (at.offset / cols, at.offset % cols, &patched[..cols]);
             match gold.layer {
-                Layer::Dense(_) => {
-                    let drive = |t: usize| {
-                        let x_t = &x[t * cols..(t + 1) * cols];
-                        // z reuse: when input feature c carries no traffic
-                        // this tick, the old and new products at c are both
-                        // exact zeroes, which never change the accumulator
-                        // (see snn_tensor::packed), so the patched row's dot
-                        // product is bitwise the stored golden drive. This
-                        // also covers fractional (pooled) inputs — an average
-                        // of zero spikes is exactly +0.0.
-                        if x_t[c] != 0.0 {
-                            row_dot(row, x_t)
-                        } else {
-                            gold.rec.drive[t * gold.n + q]
-                        }
-                    };
-                    column(gold, q, None, gold.lif, drive, sink);
-                }
                 Layer::Conv(l) => conv_weight(x, l, gold, (q, row), s, sink),
                 Layer::Recurrent(l) => {
                     let patch = Some(RowPatch { feedback: at.tensor != 0, row, c });
@@ -573,6 +648,7 @@ fn fault_stage(
                     let w_rec_t = &ctx.transposed[ell].feedback;
                     recurrent_site(x, l, w_rec_t, gold, &site, s, sink);
                 }
+                Layer::Dense(_) => unreachable!("a pack's dense weight members run together"),
                 Layer::Pool(_) => unreachable!("pooling layers have no weights to fault"),
             }
         }
@@ -583,20 +659,41 @@ fn fault_stage(
 }
 
 /// Neuron `q` alone, from rest, over the whole run: forced to a constant
-/// output, or integrating `drive(t)` under `lif`.
-fn column(
-    gold: &Gold<'_>,
-    q: usize,
-    forced: Option<bool>,
-    lif: &LifParams,
-    mut drive: impl FnMut(usize) -> f32,
-    sink: &mut Sink<'_>,
-) {
+/// output, or integrating its golden drive under `lif`.
+fn column(gold: &Gold<'_>, q: usize, forced: Option<bool>, lif: &LifParams, sink: &mut Sink<'_>) {
     let (mut carried, mut refrac) = (0.0f32, 0u32);
     for t in 0..gold.steps {
-        let fired = forced.unwrap_or_else(|| lif.step(&mut carried, &mut refrac, drive(t)).fired);
+        let drive = gold.rec.drive[t * gold.n + q];
+        let fired = forced.unwrap_or_else(|| lif.step(&mut carried, &mut refrac, drive).fired);
         if fired != gold.spike(t, q) {
             sink.flip(t, q, fired);
+        }
+    }
+}
+
+/// Every dense weight member of the pack under one test, at once: member
+/// `j`'s neuron integrates, from rest, the drive of its patched row over
+/// the layer's input `x`. A tick's drives are one
+/// [`ops::matvec_skip_zeros`] of the input row with the transposed
+/// patched rows — output `j` is what the model's product over the patched
+/// layer computes for `j`'s neuron — and the members' neurons, all under
+/// the layer's constants, take one [`LifParams::step_row`]. Each member's
+/// flips against the golden spikes of its neuron go to its buffer.
+fn dense_weights(x: &[f32], gold: &Gold<'_>, d: &mut DenseMembers) {
+    let cols = d.rows_t.len() / d.members.len();
+    d.carried.fill(0.0);
+    d.refrac.fill(0);
+    for flips in &mut d.flips {
+        flips.clear();
+    }
+    for (t, x_t) in x.chunks_exact(cols).enumerate() {
+        ops::matvec_skip_zeros(&d.rows_t, x_t, &mut d.z);
+        gold.lif.step_row(&mut d.carried, &mut d.refrac, &d.z, &mut d.spikes, None);
+        for ((&(_, q), s), flips) in d.members.iter().zip(&d.spikes).zip(&mut d.flips) {
+            let fired = *s != 0.0;
+            if fired != gold.spike(t, q) {
+                flips.push((t, fired));
+            }
         }
     }
 }
@@ -705,8 +802,8 @@ fn recurrent_site(
         }
         let mut ff_q = rec.feedforward[t * n + q];
         if let Some(patch) = &site.patch {
-            // Exact-zero reuse, as for a dense row: the patched sum is
-            // redone only where the patched input carries traffic.
+            // Exact-zero reuse: the patched sum is redone only where the
+            // patched input carries traffic.
             let live = |row: &[f32]| row[patch.c] != 0.0;
             if !patch.feedback {
                 let x_t = &x[t * in_features..(t + 1) * in_features];

@@ -10,7 +10,8 @@
 //! all-zero one — the reference shares no shortcut with the engine it
 //! referees; plus dedicated lane-divergence tests — exactly one lane's membrane
 //! crosses threshold; every lane of a full pack diverges on every tick —
-//! and the planner's shape on the example networks.
+//! a pack's dense weight members at inner and output layers, and the
+//! planner's shape on the example networks.
 
 #![allow(clippy::unwrap_used)] // test-only shorthand
 
@@ -306,6 +307,56 @@ fn conv_weight_faults_over_blocks_and_a_tail_are_bit_identical() {
             assert_bit_identical(&scalar, &packed);
             let detected = packed.per_fault.iter().filter(|o| o.detected).count();
             assert!(0 < detected && detected < faults.len(), "{stages:?}: {detected} detected");
+        }
+    }
+}
+
+/// A pack's dense weight members are simulated together, the members as
+/// the vector axis. Per dense layer — two inner ones whose flips go to
+/// the pack's words, and the output layer, whose flips are the verdict
+/// and its class diffs — and behind binary and behind pooled
+/// (fractional) inputs: a full pack of 64 weight faults, a partial pack
+/// (golden lane) alternating weight and neuron faults, and the layer's
+/// faults at a stride, so that a pack's members sit at many neurons.
+/// The universe is the extended one: bit flips and timing faults.
+#[test]
+fn dense_weight_members_of_a_pack_are_bit_identical() {
+    let lif = LifParams { refrac_steps: 1, ..LifParams::default() };
+    let mut rng = StdRng::seed_from_u64(61);
+    let binary = NetworkBuilder::new(7, lif).dense(12).dense(9).dense(4).build(&mut rng);
+    let pooled = NetworkBuilder::new_spatial(2, 4, 4, lif).avg_pool(2).dense(12).dense(4);
+    for net in [binary, pooled.build(&mut rng)] {
+        let u = FaultUniverse::with_config(&net, FaultModelConfig::default(), true, &[0, 3, 7]);
+        let tests = vec![
+            snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, net.input_features()), 0.4),
+            compacted_like(&net, 0.3, &mut rng),
+        ];
+        for (layer, _) in net.layers().iter().enumerate().filter(|(_, l)| l.is_spiking()) {
+            let at_layer = |synapse: bool| -> Vec<Fault> {
+                (u.faults().iter())
+                    .filter(|f| {
+                        f.site.layer() == layer
+                            && matches!(f.site, FaultSite::Synapse(_)) == synapse
+                    })
+                    .copied()
+                    .collect()
+            };
+            let (weights, neurons) = (at_layer(true), at_layer(false));
+            let mixed: Vec<Fault> =
+                weights.iter().zip(&neurons).flat_map(|(w, n)| [*w, *n]).take(40).collect();
+            let strided: Vec<Fault> = weights.iter().step_by(7).copied().collect();
+            for (faults, packs) in [(&weights[..64], 1), (&mixed[..], 1), (&strided[..], 0)] {
+                let p = plan(&net, faults, 1);
+                assert_eq!(p.packed_faults(), faults.len(), "layer {layer}");
+                if packs > 0 {
+                    assert_eq!(p.pack_count(), packs, "layer {layer}");
+                }
+                let scalar = run(&net, Engine::Scalar, &u, faults, &tests);
+                let packed = run(&net, Engine::Packed, &u, faults, &tests);
+                assert_bit_identical(&scalar, &packed);
+                let detected = packed.per_fault.iter().filter(|o| o.detected).count();
+                assert!(detected > 0, "layer {layer}: no member detected");
+            }
         }
     }
 }

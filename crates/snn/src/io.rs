@@ -15,8 +15,9 @@
 //!
 //! The format is self-describing enough to rebuild the exact [`Network`];
 //! [`Network::load`] validates the magic, geometry (chaining, kernels that
-//! fit their padded input, pooling windows that tile theirs), weight
-//! lengths and weight finiteness, and fails with
+//! fit their padded input, pooling windows that tile theirs, no input or
+//! layer without features), weight lengths and weight finiteness, and
+//! fails with
 //! [`std::io::ErrorKind::InvalidData`] otherwise.
 
 use crate::{ConvLayer, DenseLayer, Layer, LifParams, Network, PoolLayer, RecurrentLayer};
@@ -252,7 +253,9 @@ impl Network {
             }
             features = layer.out_features();
         }
-        Ok(Network::new(input_shape, layers))
+        let net = Network::new(input_shape, layers);
+        net.validate_widths().map_err(bad)?;
+        Ok(net)
     }
 }
 
@@ -373,6 +376,60 @@ mod tests {
         let err = Network::load(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "weight blob ends after 4 of its 4294836225 values");
+    }
+
+    /// One layer's bytes: its kind, its geometry words and, for a spiking
+    /// layer, default LIF parameters and weight blobs of the given
+    /// lengths.
+    fn layer_bytes(kind: u8, geometry: &[u32], blobs: &[u32]) -> Vec<u8> {
+        let mut buf = vec![kind];
+        geometry.iter().for_each(|v| buf.extend(v.to_le_bytes()));
+        if kind != 2 {
+            write_lif(&mut buf, &LifParams::default()).unwrap();
+        }
+        for &len in blobs {
+            buf.extend(len.to_le_bytes());
+            let values = usize::try_from(len).unwrap();
+            buf.extend(std::iter::repeat_n(0.5f32.to_le_bytes(), values).flatten());
+        }
+        buf
+    }
+
+    /// A model file of a `dims` input and the given layers.
+    fn model_bytes(dims: &[u32], layers: &[Vec<u8>]) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        buf.extend(u32::try_from(dims.len()).unwrap().to_le_bytes());
+        dims.iter().for_each(|v| buf.extend(v.to_le_bytes()));
+        buf.extend(u32::try_from(layers.len()).unwrap().to_le_bytes());
+        layers.iter().for_each(|layer| buf.extend(layer));
+        buf
+    }
+
+    /// Stages with nothing to compute — a dense layer of no neurons, a
+    /// recurrent one of no units, a conv layer of no output channels, a
+    /// pool over no channels — and an input of no features: `generate`
+    /// panicked on such models; loading one is one `InvalidData` line.
+    #[test]
+    fn load_rejects_zero_width_layers_and_inputs() {
+        let two_of_none = layer_bytes(0, &[2, 0], &[0]);
+        let cases = [
+            (&[4][..], layer_bytes(0, &[0, 4], &[0]), "layer 0 (dense) has no outputs"),
+            (&[4], layer_bytes(3, &[0, 4], &[0, 0]), "layer 0 (recurrent) has no outputs"),
+            (
+                &[1, 3, 3],
+                layer_bytes(1, &[1, 0, 3, 1, 1, 3, 3], &[0]),
+                "layer 0 (conv) has no outputs",
+            ),
+            (&[0, 4, 4], layer_bytes(2, &[0, 4, 4, 2], &[]), "has no features"),
+        ];
+        for (dims, first, needle) in cases {
+            let bytes = model_bytes(dims, &[first, two_of_none.clone()]);
+            let err = Network::load(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        let err = Network::load(&mut model_bytes(&[0], &[two_of_none]).as_slice()).unwrap_err();
+        assert!(err.to_string().contains("has no features"), "{err}");
     }
 
     #[test]

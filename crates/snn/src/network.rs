@@ -73,6 +73,25 @@ impl Network {
         Self { layers, input_features, input_shape }
     }
 
+    /// Checks that every stage has something to compute: an input of at
+    /// least one feature, and at least one output per layer. A dense or
+    /// recurrent layer of no neurons and a conv layer of no output
+    /// channels chain and serialize, but the generator and the simulator
+    /// take rows of every layer and fail on an empty one.
+    ///
+    /// # Errors
+    ///
+    /// One line naming the first empty stage.
+    pub fn validate_widths(&self) -> Result<(), String> {
+        if self.input_features == 0 {
+            return Err(format!("input {} has no features", self.input_shape));
+        }
+        match self.layers.iter().position(|l| l.out_features() == 0) {
+            Some(i) => Err(format!("layer {i} ({}) has no outputs", self.layers[i].kind())),
+            None => Ok(()),
+        }
+    }
+
     /// The layers in order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers

@@ -11,8 +11,8 @@
 //!   **bit-identical** to [`ops::matvec`](crate::ops::matvec) over the
 //!   same spikes, at a cost that follows how many there are;
 //! * [`row_dot`] — the plain `f32` row product, literally `matvec`
-//!   restricted to a single output row (for golden inputs that may be
-//!   fractional, e.g. downstream of an average-pooling layer);
+//!   restricted to a single output row (a recurrent fault site's patched
+//!   row, whose input may be fractional behind an average-pooling layer);
 //! * [`broadcast_row`] / [`set_lane_bit`] / [`unpack_lane`] — word
 //!   construction from a golden binary row plus per-lane overrides, and
 //!   the way back to one lane's `f32` row;
@@ -79,9 +79,12 @@ pub fn lane_matvec(wt: &[f32], words: &[u64], lane: u32, y: &mut [f32]) {
     }
 }
 
-/// Dot product of one dense weight row with an `f32` input row — exactly
-/// the computation [`ops::matvec`](crate::ops::matvec) performs for a
-/// single output row, for callers that only need that row.
+/// Dot product of one weight row with an `f32` input row — exactly the
+/// computation [`ops::matvec`](crate::ops::matvec) performs for a single
+/// output row. The packed engine calls it for a recurrent fault site's
+/// patched row, the one neuron it steps alone; a dense layer's weight
+/// faults go together, their patched rows transposed into one matrix for
+/// [`ops::matvec_skip_zeros`](crate::ops::matvec_skip_zeros).
 ///
 /// # Panics
 ///

@@ -240,6 +240,7 @@ fn cmd_new(args: &[String]) -> Result<(), String> {
         };
     }
     let mut net = builder.build(&mut rng);
+    net.validate_widths()?;
     if let Some(sparsity) = num_flag::<f64>(args, "--sparsity")? {
         if !(0.0..=1.0).contains(&sparsity) {
             return Err(format!("--sparsity {sparsity} is outside [0, 1]"));

@@ -139,6 +139,49 @@ fn model_files_that_would_break_the_kernels_fail_cleanly() {
     }
 }
 
+/// A stage with nothing to compute, or an input of no features: `new`
+/// refuses to write such a model, and `generate` refuses to load one
+/// (it used to panic in the losses or the conv kernel).
+#[test]
+fn zero_width_layers_and_inputs_fail_cleanly() {
+    let model = scratch("zero-width.snn");
+    let path = model.to_str().unwrap();
+    for (input, arch, needle) in [
+        ("4", "dense:0,dense:2", "layer 0 (dense) has no outputs"),
+        ("4", "dense:3,dense:0", "layer 1 (dense) has no outputs"),
+        ("4", "recurrent:0,dense:2", "layer 0 (recurrent) has no outputs"),
+        ("1x4x4", "conv:0:3:1:1,dense:2", "layer 0 (conv) has no outputs"),
+        ("0", "dense:3,dense:2", "has no features"),
+        ("0x4x4", "pool:2,dense:2", "has no features"),
+    ] {
+        assert_clean_failure(&["new", "--input", input, "--arch", arch, "--out", path], needle);
+        assert!(!model.exists(), "{arch}: a rejected model was written");
+    }
+
+    // Input 4, one dense layer of no neurons, then dense 0 → 2.
+    let mut bytes = b"SNNMTFC1".to_vec();
+    for v in [1u32, 4, 2] {
+        bytes.extend(v.to_le_bytes()); // rank, dim, layer count
+    }
+    for (geometry, len) in [([0u32, 4], 0u32), ([2, 0], 0)] {
+        bytes.push(0); // dense
+        geometry.iter().for_each(|v| bytes.extend(v.to_le_bytes())); // out, in
+        bytes.extend(1.0f32.to_le_bytes()); // threshold
+        bytes.extend(0.9f32.to_le_bytes()); // leak
+        bytes.extend(0u32.to_le_bytes()); // refractory steps
+        bytes.extend(len.to_le_bytes());
+    }
+    std::fs::write(&model, &bytes).unwrap();
+    let events = scratch("zero-width.events");
+    assert_clean_failure(
+        &["generate", path, "--preset", "fast", "--out", events.to_str().unwrap()],
+        "layer 0 (dense) has no outputs",
+    );
+    for p in [&model, &events] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn garbage_events_fail_cleanly() {
     // A real (tiny) model plus an unparseable events file.
