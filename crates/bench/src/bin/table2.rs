@@ -4,12 +4,13 @@
 //!
 //! The paper runs this campaign over the full dataset on an A100 (days of
 //! wall clock at paper scale — the very cost the proposed method avoids);
-//! here it runs at repro scale over the test split, with prefix caching,
-//! early exit and all cores.
+//! here it runs at repro scale over the first samples of the test split,
+//! one detection campaign per sample on all cores.
 //!
 //! Usage: `cargo run -p snn-bench --bin table2 --release`
 //!   `SNN_MTFC_FAST=1`     — fewer samples/faults for smoke runs
-//!   `SNN_MTFC_SAMPLES=n`  — criticality sample cap (default 24)
+//!   `SNN_MTFC_SAMPLES=n`  — criticality sample cap (default 12, 4 under
+//!   `SNN_MTFC_FAST`)
 
 use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
 use snn_faults::{criticality, FaultKind, FaultUniverse};

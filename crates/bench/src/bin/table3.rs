@@ -7,7 +7,8 @@
 //!
 //! Usage: `cargo run -p snn-bench --bin table3 --release`
 //!   `SNN_MTFC_FAST=1`    — smoke-run sizes
-//!   `SNN_MTFC_SAMPLES=n` — criticality sample cap (default 24)
+//!   `SNN_MTFC_SAMPLES=n` — criticality sample cap (default 12, 4 under
+//!   `SNN_MTFC_FAST`)
 
 use snn_bench::{fmt_duration, print_table, Benchmark, BenchmarkKind, PrepConfig, Scale};
 use snn_faults::{

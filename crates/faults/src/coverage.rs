@@ -1,6 +1,7 @@
-use crate::{parallel, Fault, FaultOutcome, FaultUniverse, Injection};
+use crate::criticality::{spiking_output, top1_under_faults};
+use crate::{Fault, FaultOutcome, FaultUniverse};
 use serde::{Deserialize, Serialize};
-use snn_model::{Network, RecordOptions};
+use snn_model::Network;
 use snn_tensor::Tensor;
 
 /// Detected/total accounting for one fault class.
@@ -104,13 +105,15 @@ impl CoverageReport {
 /// Worst-case consequence of a *test escape*: over the given undetected
 /// critical faults, the maximum drop in top-1 accuracy on `dataset`
 /// relative to the fault-free network — the paper's Table III last row.
+/// Each sample is one detection campaign over `escapes`, read as the
+/// labelling reads it ([`criticality::classify`](crate::criticality::classify)).
 ///
-/// Returns `(max_drop, fault_id_of_worst)` or `None` when `escapes` is
-/// empty (perfect coverage).
+/// Returns `(max_drop, fault_id_of_worst)` — the last of equal maxima —
+/// or `None` when `escapes` is empty (perfect coverage).
 ///
 /// # Panics
 ///
-/// Panics if `dataset` is empty.
+/// Panics if `dataset` is empty or the network's last layer does not spike.
 pub fn escape_max_accuracy_drop(
     net: &Network,
     universe: &FaultUniverse,
@@ -119,59 +122,26 @@ pub fn escape_max_accuracy_drop(
     threads: usize,
 ) -> Option<(f64, usize)> {
     assert!(!dataset.is_empty(), "escape analysis needs a dataset");
+    assert!(spiking_output(net), "escape analysis needs a spiking output layer");
     if escapes.is_empty() {
         return None;
     }
-    let baseline_acc = accuracy(net, dataset);
-    let drops = parallel::map_indexed(
-        escapes.len(),
-        threads,
-        || net.clone(),
-        |worker, i| {
-            let injection = Injection::for_fault(net, universe, &escapes[i])
-                // snn-lint: allow(L-PANIC): escapes come from the same universe that enumerated them, so they are well-formed
-                .expect("universe faults are well-formed");
-            let restore = match &injection {
-                Injection::Weight { at, value } => Some((*at, worker.set_weight(*at, *value))),
-                Injection::Neuron(_) => None,
-            };
-            let acc = match &injection {
-                Injection::Weight { .. } => accuracy(worker, dataset),
-                Injection::Neuron(map) => {
-                    dataset
-                        .iter()
-                        .filter(|(input, label)| {
-                            worker
-                                .forward_faulty(input, RecordOptions::spikes_only(), map)
-                                .predict()
-                                == *label
-                        })
-                        .count() as f64
-                        / dataset.len() as f64
-                }
-            };
-            if let Some((at, old)) = restore {
-                worker.set_weight(at, old);
-            }
-            baseline_acc - acc
-        },
-    );
-    drops
+    let mut golden_correct = 0usize;
+    let mut correct = vec![0usize; escapes.len()];
+    for (input, label) in dataset {
+        let (golden, faulty) = top1_under_faults(net, universe, escapes, input, threads);
+        golden_correct += usize::from(golden == *label);
+        for (c, top1) in correct.iter_mut().zip(faulty) {
+            *c += usize::from(top1 == *label);
+        }
+    }
+    let accuracy = |correct: usize| correct as f64 / dataset.len() as f64;
+    correct
         .into_iter()
-        .enumerate()
-        .map(|(i, d)| (d, escapes[i].id))
+        .zip(escapes)
+        .map(|(c, f)| (accuracy(golden_correct) - accuracy(c), f.id))
         // snn-lint: allow(L-PANIC): accuracy is a ratio of finite counts, so partial_cmp cannot return None
         .max_by(|a, b| a.0.partial_cmp(&b.0).expect("accuracy drops are finite"))
-}
-
-fn accuracy(net: &Network, dataset: &[(Tensor, usize)]) -> f64 {
-    dataset
-        .iter()
-        .filter(|(input, label)| {
-            net.forward(input, RecordOptions::spikes_only()).predict() == *label
-        })
-        .count() as f64
-        / dataset.len() as f64
 }
 
 #[cfg(test)]
@@ -249,6 +219,75 @@ mod tests {
         let (drop, id) = escape_max_accuracy_drop(&net, &u, &[dead_out1], &dataset, 1).unwrap();
         assert_eq!(id, dead_out1.id);
         assert!(drop > 0.0, "killing the winning class must cost accuracy");
+    }
+
+    /// On a conv → pool → dense net and a recurrent one, the per-sample
+    /// campaigns give the oracle's worst drop to the bit, and the same
+    /// fault: the last of equal maxima.
+    #[test]
+    fn escape_analysis_matches_the_oracle() {
+        use crate::criticality::tests::oracle_predictions;
+        let mut rng = StdRng::seed_from_u64(7);
+        let lif = LifParams::default();
+        let nets = [
+            NetworkBuilder::new_spatial(1, 6, 6, lif)
+                .conv(2, 3, 1, 1)
+                .avg_pool(2)
+                .dense(4)
+                .build(&mut rng),
+            NetworkBuilder::new(12, lif).recurrent(8).dense(6).dense(3).build(&mut rng),
+        ];
+        for net in nets {
+            let features = net.input_features();
+            let classes = net.output_features();
+            let u = FaultUniverse::standard(&net);
+            let inputs: Vec<Tensor> = (0..5)
+                .map(|_| snn_tensor::init::bernoulli(&mut rng, Shape::d2(24, features), 0.15))
+                .collect();
+            let golden: Vec<usize> = (inputs.iter())
+                .map(|s| net.forward(s, snn_model::RecordOptions::spikes_only()).predict())
+                .collect();
+            // Half the labels are the fault-free top-1, half another class,
+            // so a fault can cost accuracy or win some back.
+            let labels: Vec<usize> =
+                golden.iter().enumerate().map(|(k, top1)| (top1 + k % 2) % classes).collect();
+            let dataset: Vec<(Tensor, usize)> =
+                inputs.iter().cloned().zip(labels.clone()).collect();
+            let accuracy = |predictions: &[usize]| {
+                let correct = predictions.iter().zip(&labels).filter(|(p, l)| p == l);
+                correct.count() as f64 / labels.len() as f64
+            };
+            let expected = (u.faults().iter())
+                .map(|f| {
+                    let faulty = oracle_predictions(&net, &u, f, &inputs);
+                    (accuracy(&golden) - accuracy(&faulty), f.id)
+                })
+                .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap())
+                .unwrap();
+            assert!(expected.0 > 0.0);
+            for threads in [1, 2] {
+                let (drop, id) =
+                    escape_max_accuracy_drop(&net, &u, u.faults(), &dataset, threads).unwrap();
+                assert_eq!((drop.to_bits(), id), (expected.0.to_bits(), expected.1));
+            }
+        }
+    }
+
+    /// A pooling output layer has real-valued class counts, which the
+    /// campaign's class differences do not reproduce exactly: refused.
+    #[test]
+    fn escape_analysis_refuses_a_pooling_output_layer() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
+            .conv(1, 3, 1, 1)
+            .avg_pool(2)
+            .build(&mut rng);
+        let u = FaultUniverse::standard(&net);
+        let dataset = [(Tensor::zeros(Shape::d2(8, 16)), 0usize)];
+        let refused =
+            std::panic::catch_unwind(|| escape_max_accuracy_drop(&net, &u, &[], &dataset, 1));
+        let message = *refused.unwrap_err().downcast::<&str>().unwrap();
+        assert!(message.contains("spiking output layer"), "{message}");
     }
 
     #[test]

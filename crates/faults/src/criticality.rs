@@ -7,10 +7,9 @@
 //! taking days on an A100 at paper scale, and the very cost the proposed
 //! test-generation algorithm avoids during optimization.
 
-use crate::sim::with_fault;
-use crate::{parallel, Fault, FaultKind, FaultSite, FaultUniverse, Injection};
+use crate::{Fault, FaultSimConfig, FaultSimulator, FaultUniverse};
 use serde::{Deserialize, Serialize};
-use snn_model::{Layer, LayerState, LayerTrace, Network, RecordOptions, Trace};
+use snn_model::{top1, Layer, Network, RecordOptions};
 use snn_tensor::Tensor;
 use std::time::Duration;
 
@@ -51,15 +50,16 @@ impl CriticalityReport {
 /// labels are irrelevant because criticality compares against the
 /// fault-free top-1 prediction, not the ground truth).
 ///
-/// A (fault, sample) pair is skipped when the fault meets no spike,
-/// otherwise runs from the fault's layer to the first one that spikes as
-/// in the fault-free run; a fault is critical at the first sample whose
-/// prediction flips.
+/// One detection campaign per sample, each over the faults not yet
+/// labelled critical, reads every fault's faulty top-1 (see
+/// [`top1_under_faults`]); a fault is critical at the first sample whose
+/// prediction flips and leaves the campaigns of the later ones.
 ///
 /// # Panics
 ///
-/// Panics if there is no sample to label against: `dataset` is empty or
-/// `cfg.max_samples` is `Some(0)`.
+/// Panics if there is no sample to label against (`dataset` is empty or
+/// `cfg.max_samples` is `Some(0)`), or if the network's last layer does
+/// not spike.
 ///
 /// # Example
 ///
@@ -86,135 +86,109 @@ pub fn classify(
     let start = snn_obs::clock::monotonic();
     let take = cfg.max_samples.unwrap_or(dataset.len()).min(dataset.len());
     assert!(take > 0, "criticality labelling needs at least one sample");
-    let samples = &dataset[..take];
+    assert!(spiking_output(net), "criticality labelling needs a spiking output layer");
 
-    let baselines: Vec<Trace> =
-        samples.iter().map(|s| net.forward(s, RecordOptions::spikes_only())).collect();
-    let predictions: Vec<usize> = baselines.iter().map(|b| b.predict()).collect();
-    let traffic: Vec<Vec<Vec<f32>>> =
-        samples.iter().zip(&baselines).map(|(s, b)| spike_counts(s, b)).collect();
-
-    let critical = parallel::map_indexed(
-        faults.len(),
-        cfg.threads,
-        || net.clone(),
-        |worker, i| {
-            let injection = Injection::for_fault(net, universe, &faults[i])
-                // snn-lint: allow(L-PANIC): faults come from the same universe that enumerated them, so they are well-formed
-                .expect("universe faults are well-formed");
-            (0..take).any(|k| {
-                !sees_no_spike(net, &traffic[k], &faults[i])
-                    && faulty_prediction(worker, &baselines[k], &samples[k], &injection)
-                        .is_some_and(|faulty| faulty != predictions[k])
-            })
-        },
-    );
+    let mut critical = vec![false; faults.len()];
+    // Positions in `faults` of those still benign.
+    let mut open: Vec<usize> = (0..faults.len()).collect();
+    for sample in &dataset[..take] {
+        if open.is_empty() {
+            break;
+        }
+        let subset: Vec<Fault> = open.iter().map(|&i| faults[i]).collect();
+        let (golden, faulty) = top1_under_faults(net, universe, &subset, sample, cfg.threads);
+        let mut faulty = faulty.into_iter();
+        open.retain(|&i| {
+            critical[i] = faulty.next() != Some(golden);
+            !critical[i]
+        });
+    }
 
     CriticalityReport { critical, elapsed: snn_obs::clock::monotonic().saturating_sub(start) }
 }
 
-/// Fraction of evaluation samples whose top-1 prediction a single fault
-/// flips — the *accuracy-delta criticality* behind the critical/benign
-/// labelling above (`accuracy_delta > 0`). Only this module's tests call
-/// it, to check [`classify`] against it; snn-reliability ranks regions by
-/// its own per-configuration accuracy drops.
-///
-/// `predictions[k]` is the fault-free top-1 of `samples[k]` (typically
-/// precomputed once per campaign). An empty evaluation set yields `0.0`,
-/// not NaN: with nothing to misclassify, a fault costs no accuracy.
-pub fn accuracy_delta(
+/// `true` when `net`'s last layer spikes, so its class counts are integers
+/// and [`top1_under_faults`] reads faulty counts exactly.
+pub(crate) fn spiking_output(net: &Network) -> bool {
+    net.layers().last().is_some_and(Layer::is_spiking)
+}
+
+/// The fault-free top-1 of `net` on `sample` and, for each of `faults`, the
+/// top-1 under that fault — read from one detection campaign over the
+/// sample with class differences recorded. An undetected fault leaves the
+/// output spike trains, so its top-1 is the fault-free one; a detected
+/// fault's class counts are the fault-free ones plus its `class_diff`.
+/// That sum is exact only for integer counts: callers check
+/// [`spiking_output`] first.
+pub(crate) fn top1_under_faults(
     net: &Network,
     universe: &FaultUniverse,
-    fault: &Fault,
-    samples: &[Tensor],
-    predictions: &[usize],
-) -> f32 {
-    assert_eq!(samples.len(), predictions.len(), "one fault-free prediction per sample");
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let injection = Injection::for_fault(net, universe, fault)
-        // snn-lint: allow(L-PANIC): faults come from the same universe that enumerated them, so they are well-formed
-        .expect("universe faults are well-formed");
-    let mut worker = net.clone();
-    let mut flipped = 0usize;
-    for (sample, &pred) in samples.iter().zip(predictions.iter()) {
-        let baseline = net.forward(sample, RecordOptions::spikes_only());
-        let faulty = faulty_prediction(&mut worker, &baseline, sample, &injection);
-        if faulty.is_some_and(|faulty| faulty != pred) {
-            flipped += 1;
-        }
-    }
-    // snn-lint: allow(L-CAST): sample counts are far below f32's 2^24 exact-integer range
-    flipped as f32 / samples.len() as f32
-}
-
-/// Spike counts at every layer boundary of one fault-free run: entry 0
-/// counts the sample's input columns, entry `ℓ + 1` layer `ℓ`'s neurons.
-fn spike_counts(sample: &Tensor, baseline: &Trace) -> Vec<Vec<f32>> {
-    let input = LayerTrace { output: sample.clone(), potential: None, gate: None };
-    std::iter::once(&input).chain(&baseline.layers).map(LayerTrace::spike_counts).collect()
-}
-
-/// `true` when `fault` provably changes nothing of a run with these
-/// [`spike_counts`] — a dead neuron that never fires, a synapse whose
-/// source never spikes — so the pair is not simulated at all. Dataset
-/// samples are sparse: this is the larger half of what labelling saves.
-fn sees_no_spike(net: &Network, counts: &[Vec<f32>], fault: &Fault) -> bool {
-    let quiet = |boundary: usize, i: usize| counts[boundary][i] == 0.0;
-    match (fault.site, fault.kind) {
-        (FaultSite::Neuron { layer, index }, FaultKind::NeuronDead) => quiet(layer + 1, index),
-        (FaultSite::Synapse(r), _) => match &net.layers()[r.layer] {
-            Layer::Conv(_) | Layer::Pool(_) => false,
-            l @ Layer::Recurrent(_) if r.tensor == 1 => {
-                quiet(r.layer + 1, r.offset % l.out_features())
-            }
-            l => quiet(r.layer, r.offset % l.in_features()),
-        },
-        _ => false,
-    }
-}
-
-/// Top-1 prediction on `sample` under `injection`, or `None` once a layer
-/// from the fault's on spikes exactly as in `baseline`: nothing after it
-/// can differ, so the prediction stands and the rest is not run. These
-/// two shortcuts are labelling's own — nine faults in ten are benign and
-/// meet every sample — and the detection reference shares neither.
-fn faulty_prediction(
-    worker: &mut Network,
-    baseline: &Trace,
+    faults: &[Fault],
     sample: &Tensor,
-    injection: &Injection,
-) -> Option<usize> {
-    let start = injection.start_layer();
-    let first = if start == 0 { sample } else { &baseline.layers[start - 1].output };
-    // Labelling is outside the campaign's phase accounting.
-    let mut scratch = snn_obs::phase::LocalPhases::new();
-    with_fault(worker, injection, &mut scratch, |net, map| {
-        let mut last: Option<LayerTrace> = None;
-        for idx in start..net.layers().len() {
-            let input = last.as_ref().map_or(first, |t| &t.output);
-            let spikes = RecordOptions::spikes_only();
-            let layer =
-                net.forward_layer_segment(idx, input, 0, spikes, map, &mut LayerState::default());
-            if layer.output == baseline.layers[idx].output {
-                return None;
-            }
-            last = Some(layer);
-        }
-        Some(Trace { steps: baseline.steps, layers: last.into_iter().collect() }.predict())
-    })
+    threads: usize,
+) -> (usize, Vec<usize>) {
+    let golden = net.forward(sample, RecordOptions::spikes_only()).class_counts();
+    let cfg = FaultSimConfig { threads, record_class_diffs: true, ..FaultSimConfig::default() };
+    let campaign =
+        FaultSimulator::new(net, cfg).detect(universe, faults, std::slice::from_ref(sample));
+    let faulty = (campaign.per_fault.iter())
+        .map(|outcome| match &outcome.class_diff {
+            Some(diff) => top1(&golden.iter().zip(diff).map(|(g, d)| g + d).collect::<Vec<_>>()),
+            None => top1(&golden),
+        })
+        .collect();
+    (top1(&golden), faulty)
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests assert exact accuracy deltas
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{FaultKind, FaultSite};
+    use crate::{FaultKind, FaultSite, Injection};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_model::{DenseLayer, Layer, LifParams, NetworkBuilder};
+    use snn_model::{DenseLayer, LifParams, NetworkBuilder, NeuronFaultMap};
     use snn_tensor::Shape;
+
+    /// `net`'s top-1 on each of `samples` under `fault`, from a
+    /// whole-network faulty forward on a patched clone: the oracle that
+    /// labels and escapes are held to, sharing no code with the engines.
+    pub(crate) fn oracle_predictions(
+        net: &Network,
+        universe: &FaultUniverse,
+        fault: &Fault,
+        samples: &[Tensor],
+    ) -> Vec<usize> {
+        let mut faulty = net.clone();
+        let map = match Injection::for_fault(net, universe, fault).unwrap() {
+            Injection::Weight { at, value } => {
+                faulty.set_weight(at, value);
+                NeuronFaultMap::new()
+            }
+            Injection::Neuron(map) => map,
+        };
+        let spikes = RecordOptions::spikes_only();
+        samples.iter().map(|s| faulty.forward_faulty(s, spikes, &map).predict()).collect()
+    }
+
+    /// Fraction of `samples` whose top-1 `fault` flips away from
+    /// `predictions`, the fault-free top-1s: the accuracy-delta criticality
+    /// behind the labelling (critical ⇔ `accuracy_delta > 0`).
+    fn accuracy_delta(
+        net: &Network,
+        universe: &FaultUniverse,
+        fault: &Fault,
+        samples: &[Tensor],
+        predictions: &[usize],
+    ) -> f32 {
+        let faulty = oracle_predictions(net, universe, fault, samples);
+        let flipped = faulty.iter().zip(predictions).filter(|(f, p)| f != p).count();
+        flipped as f32 / samples.len() as f32
+    }
+
+    fn predictions(net: &Network, samples: &[Tensor]) -> Vec<usize> {
+        samples.iter().map(|s| net.forward(s, RecordOptions::spikes_only()).predict()).collect()
+    }
 
     #[test]
     fn dead_output_neuron_of_winning_class_is_critical() {
@@ -234,6 +208,7 @@ mod tests {
         for (f, &crit) in u.faults().iter().zip(report.critical.iter()) {
             if let (FaultSite::Neuron { index: 1, .. }, FaultKind::NeuronDead) = (f.site, f.kind) {
                 assert!(crit, "killing the winning output must flip the top-1");
+                assert_eq!(accuracy_delta(&net, &u, f, &data, &predictions(&net, &data)), 1.0);
             }
         }
         assert!(report.critical_count() + report.benign_count() == u.len());
@@ -290,16 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn accuracy_delta_on_empty_set_is_zero_not_nan() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let net = NetworkBuilder::new(3, LifParams::default()).dense(2).build(&mut rng);
-        let u = FaultUniverse::standard(&net);
-        let d = accuracy_delta(&net, &u, &u.faults()[0], &[], &[]);
-        assert_eq!(d, 0.0);
-        assert!(!d.is_nan());
-    }
-
-    #[test]
     fn accuracy_delta_agrees_with_critical_labelling() {
         // classify() says critical ⇔ accuracy_delta > 0 on the same set.
         let mut rng = StdRng::seed_from_u64(5);
@@ -307,8 +272,7 @@ mod tests {
         let u = FaultUniverse::standard(&net);
         let data: Vec<_> =
             (0..3).map(|_| snn_tensor::init::bernoulli(&mut rng, Shape::d2(15, 4), 0.5)).collect();
-        let predictions: Vec<usize> =
-            data.iter().map(|s| net.forward(s, RecordOptions::spikes_only()).predict()).collect();
+        let predictions = predictions(&net, &data);
         let report = classify(&net, &u, u.faults(), &data, CriticalityConfig::default());
         for (fault, &crit) in u.faults().iter().zip(report.critical.iter()) {
             let delta = accuracy_delta(&net, &u, fault, &data, &predictions);
@@ -317,37 +281,11 @@ mod tests {
         }
     }
 
+    /// On a recurrent net and a conv → pool → dense one, with sparse
+    /// samples and a silent one, the per-sample campaigns label exactly as
+    /// the oracle's accuracy delta does, at one thread and at two.
     #[test]
-    fn dead_winning_output_costs_full_accuracy_on_a_single_sample() {
-        let lif = LifParams { threshold: 0.5, leak: 1.0, refrac_steps: 0 };
-        let net = Network::new(
-            Shape::d1(1),
-            vec![Layer::Dense(DenseLayer::new(
-                snn_tensor::Tensor::from_vec(Shape::d2(2, 1), vec![0.3, 0.9]).unwrap(),
-                lif,
-            ))],
-        );
-        let u = FaultUniverse::standard(&net);
-        let data = vec![snn_tensor::Tensor::full(Shape::d2(10, 1), 1.0)];
-        let predictions = vec![net.forward(&data[0], RecordOptions::spikes_only()).predict()];
-        let fault = u
-            .faults()
-            .iter()
-            .find(|f| {
-                matches!(
-                    (f.site, f.kind),
-                    (FaultSite::Neuron { index: 1, .. }, FaultKind::NeuronDead)
-                )
-            })
-            .unwrap();
-        assert_eq!(accuracy_delta(&net, &u, fault, &data, &predictions), 1.0);
-    }
-
-    /// Labelling's two shortcuts move no label: on sparse samples and a
-    /// silent one, where both fire, `classify` agrees with predictions
-    /// taken from the detection reference's run to the end of the network.
-    #[test]
-    fn shortcuts_label_as_the_detection_reference_predicts() {
+    fn labels_are_the_oracle_accuracy_delta_at_any_thread_count() {
         let mut rng = StdRng::seed_from_u64(9);
         let lif = LifParams::default();
         let nets = [
@@ -365,36 +303,16 @@ mod tests {
                 .collect();
             data.push(Tensor::zeros(Shape::d2(24, features)));
             let u = FaultUniverse::standard(&net);
-            let baselines: Vec<Trace> =
-                data.iter().map(|s| net.forward(s, RecordOptions::spikes_only())).collect();
-            let (mut skipped, mut cut_short) = (0usize, 0usize);
-            let mut worker = net.clone();
-            let mut scratch = snn_obs::phase::LocalPhases::new();
+            let predictions = predictions(&net, &data);
             let expected: Vec<bool> = (u.faults().iter())
-                .map(|fault| {
-                    let injection = Injection::for_fault(&net, &u, fault).unwrap();
-                    let mut critical = false;
-                    for (sample, baseline) in data.iter().zip(&baselines) {
-                        let counts = spike_counts(sample, baseline);
-                        skipped += usize::from(sees_no_spike(&net, &counts, fault));
-                        let short = faulty_prediction(&mut worker, baseline, sample, &injection);
-                        cut_short += usize::from(short.is_none());
-                        let faulty = crate::sim::faulty_output(
-                            &mut worker,
-                            baseline,
-                            sample,
-                            &injection,
-                            &mut scratch,
-                        );
-                        critical |= faulty.predict() != baseline.predict();
-                    }
-                    critical
-                })
+                .map(|fault| accuracy_delta(&net, &u, fault, &data, &predictions) > 0.0)
                 .collect();
-            assert!(skipped > 0 && cut_short > skipped, "{skipped} skipped, {cut_short} cut");
             assert!(expected.contains(&true) && expected.contains(&false));
-            let report = classify(&net, &u, u.faults(), &data, CriticalityConfig::default());
-            assert_eq!(report.critical, expected);
+            for threads in [1, 2] {
+                let cfg = CriticalityConfig { threads, max_samples: None };
+                let report = classify(&net, &u, u.faults(), &data, cfg);
+                assert_eq!(report.critical, expected, "{threads} threads");
+            }
         }
     }
 
@@ -412,5 +330,23 @@ mod tests {
             let message = *refused.unwrap_err().downcast::<&str>().unwrap();
             assert!(message.contains("at least one sample"), "{message}");
         }
+    }
+
+    /// A network ending in a pooling layer has real-valued class counts,
+    /// which a recorded class difference does not reproduce exactly: it
+    /// is refused rather than labelled approximately.
+    #[test]
+    fn classify_refuses_a_pooling_output_layer() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
+            .conv(1, 3, 1, 1)
+            .avg_pool(2)
+            .build(&mut rng);
+        let u = FaultUniverse::standard(&net);
+        let data = [snn_tensor::init::bernoulli(&mut rng, Shape::d2(8, 16), 0.5)];
+        let cfg = CriticalityConfig::default();
+        let refused = std::panic::catch_unwind(|| classify(&net, &u, u.faults(), &data, cfg));
+        let message = *refused.unwrap_err().downcast::<&str>().unwrap();
+        assert!(message.contains("spiking output layer"), "{message}");
     }
 }

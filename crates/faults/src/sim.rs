@@ -355,7 +355,7 @@ pub(crate) fn detect_reference(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Ca
 /// A fault confined to layer `ℓ` cannot change the activity of layers
 /// before `ℓ`, so the run starts at `ℓ` on the fault-free activity of the
 /// layer before it and goes to the end of the network.
-pub(crate) fn faulty_output(
+fn faulty_output(
     worker: &mut Network,
     baseline: &Trace,
     input: &Tensor,
@@ -376,7 +376,7 @@ pub(crate) fn faulty_output(
 /// ride on the override map handed to `simulate`. `local` accrues the
 /// kernel-phase time: patch apply/restore under `inject`, the whole of
 /// `simulate` under the `forward` slot of the fault's layer.
-pub(crate) fn with_fault<R>(
+fn with_fault<R>(
     worker: &mut Network,
     injection: &Injection,
     local: &mut snn_obs::phase::LocalPhases,

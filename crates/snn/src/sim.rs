@@ -104,16 +104,9 @@ impl Trace {
     }
 
     /// Index of the class with the highest output spike count (top-1
-    /// prediction under rate coding). Ties break toward the lower index.
+    /// prediction under rate coding): [`top1`] of the class counts.
     pub fn predict(&self) -> usize {
-        let counts = self.class_counts();
-        let mut best = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            if c > counts[best] {
-                best = i;
-            }
-        }
-        best
+        top1(&self.class_counts())
     }
 
     /// L1 distance between this trace's output spike trains and another's —
@@ -125,6 +118,18 @@ impl Trace {
     pub fn output_distance(&self, other: &Trace) -> f32 {
         (self.output() - other.output()).l1_norm()
     }
+}
+
+/// Index of the highest of `counts` — the top-1 class under rate coding.
+/// Ties break toward the lower index; an empty slice reads as class 0.
+pub fn top1(counts: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        if c > counts[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Resumable per-neuron LIF integration state, carried across segmented
