@@ -70,8 +70,8 @@ impl PreparedCampaign {
     ///
     /// # Errors
     ///
-    /// A one-line diagnostic when the model cannot be built or a
-    /// stimulus fails to parse.
+    /// A one-line diagnostic when the model cannot be built, or a
+    /// stimulus fails to parse or is not as wide as the model's input.
     pub fn new(spec: &CampaignSpec, threads: Option<usize>) -> Result<Self, String> {
         let net = build_model(&spec.model)?;
         let universe = FaultUniverse::standard(&net);
@@ -80,8 +80,16 @@ impl PreparedCampaign {
             .iter()
             .enumerate()
             .map(|(i, text)| {
-                snn_testgen::parse_events(text)
-                    .map_err(|e| format!("campaign {} stimulus {i}: {e}", spec.id))
+                let test = snn_testgen::parse_events(text)
+                    .map_err(|e| format!("campaign {} stimulus {i}: {e}", spec.id))?;
+                let (width, expects) = (test.shape().dim(1), net.input_features());
+                if width != expects {
+                    return Err(format!(
+                        "campaign {} stimulus {i}: {width} features, model expects {expects}",
+                        spec.id
+                    ));
+                }
+                Ok(test)
             })
             .collect::<Result<Vec<_>, String>>()?;
         // Reliability campaigns generate their own evaluation inputs from
@@ -242,6 +250,15 @@ mod tests {
         broken.events[0] = "not an events file".into();
         let err = PreparedCampaign::new(&broken, None).map(|_| ()).unwrap_err();
         assert!(err.contains("stimulus 0"), "{err}");
+        let mut wide = spec();
+        let stim = Tensor::zeros(snn_tensor::Shape::d2(4, 6));
+        let mut events = Vec::new();
+        snn_testgen::GeneratedTest::from_chunks(vec![stim], 6, vec![false; 11])
+            .write_events(&mut events)
+            .unwrap();
+        wide.events.push(String::from_utf8(events).unwrap());
+        let err = PreparedCampaign::new(&wide, None).map(|_| ()).unwrap_err();
+        assert_eq!(err, "campaign 1 stimulus 1: 6 features, model expects 5");
         let mut empty = spec();
         empty.events.clear();
         let err = PreparedCampaign::new(&empty, None).map(|_| ()).unwrap_err();

@@ -10,18 +10,19 @@
 //! and pre-tick states; a fault variant reuses those wherever it still
 //! equals the golden run and redoes arithmetic only where it does not.
 //! Variants travel between layers as bit *lanes* inside `u64` spike
-//! words — per-lane `f32` state is materialized lazily, only for lanes
-//! that actually diverge, and only from their first divergent tick.
+//! words; at each layer behind the fault the lanes that actually diverge
+//! share one `[neurons × lanes]` block of `f32` state, stepped together
+//! from the first tick any of them diverges.
 //!
 //! Behind its fault a diverged lane costs what diverged: a drive is read
 //! from the golden record on the ticks where nothing it depends on
 //! differs, and is otherwise the sum of the transposed weight's columns
 //! at the lane's spikes (the transposed copies are made once per
 //! campaign); a tick of a layer is one vectorisable
-//! [`LifParams::step_row`](snn_model::LifParams::step_row) and one
-//! folded comparison with the golden row; the buffers belong to the
-//! worker thread, not to the lane; and the phase clock is read per pack
-//! and layer.
+//! [`LifParams::step_row`](snn_model::LifParams::step_row) over the
+//! block and one folded comparison per neuron row with the golden spike;
+//! the buffers belong to the worker thread, not to the lane; and the
+//! phase clock is read per pack and layer.
 //!
 //! The pipeline:
 //!

@@ -26,23 +26,26 @@
 //!   words (golden rows broadcast to every lane), which carry the lanes
 //!   from one spiking layer to the next. Per spiking layer, a per-tick
 //!   [`row_diff_mask`] against the golden rows finds which lanes still
-//!   differ; each such lane is *materialized lazily*: from its first
-//!   divergent tick `t0` onward the layer is re-simulated in `f32` from
-//!   the recorded golden pre-tick state, with the stored golden drive on
-//!   ticks where the lane's input row is golden and a recomputed one
-//!   otherwise — pooling layers on the way are applied to the lane's row
-//!   then and there. Lanes whose output reconverges drop out; at the last
-//!   layer the flips *are* the verdict.
+//!   differ, and those lanes are stepped together as one [`Block`]:
+//!   lane-minor `[n × lanes]` state in `f32`, entered at the first tick
+//!   any of them diverges in the recorded golden pre-tick state. Each
+//!   tick broadcasts the stored golden drive into the block and
+//!   recomputes it only for the lanes whose input row (or, in a
+//!   recurrent layer, own previous spikes) differs — pooling layers on
+//!   the way applied to the lane's row then and there — then steps the
+//!   whole block at once. Lanes whose output reconverges drop out; at
+//!   the last layer the flips *are* the verdict.
 //!
 //! What a diverged lane costs follows what diverged. A recomputed drive
 //! is the sum of the transposed weight's columns at the lane's spikes
 //! ([`lane_matvec`], [`ops::matvec_skip_zeros`]; the transposed copies
 //! are made once per campaign), never a full product; a tick of a layer
-//! is one [`LifParams::step_row`] and one folded comparison with the
-//! golden row; and every buffer a lane touches belongs to its worker
-//! thread's [`Scratch`] — a lane allocates nothing of its own, only
-//! [`ops::conv2d`] sets up its tap tables per call. The clock is read
-//! once per stage of a pack ([`Laps`]), not per lane.
+//! is one [`LifParams::step_row`] over the block and one folded
+//! comparison per neuron row with its golden spike; and every buffer a
+//! pack touches belongs to its worker thread's [`Scratch`] — a lane
+//! allocates nothing of its own, only [`ops::conv2d`] sets up its tap
+//! tables per call. The clock is read once per stage of a pack
+//! ([`Laps`]), not per lane.
 //!
 //! # Bit-exactness
 //!
@@ -73,7 +76,9 @@
 //!   own input is silent;
 //! * **exact resume** — a lane equal to the golden run before `t0` has
 //!   the golden state entering `t0`, so resuming from the record is the
-//!   computation the scalar engine performs from tick 0;
+//!   computation the scalar engine performs from tick 0; a lane that
+//!   joins a block before its own first divergent tick steps the
+//!   recorded drives from the recorded state, and stays on the record;
 //! * **exact verdict** — the L1 distance over binary spike trains is the
 //!   flip count, a sum of exact `1.0`s, so counting and converting the
 //!   integer to `f32` reproduces the scalar accumulation bitwise (output
@@ -205,27 +210,31 @@ pub(crate) struct Scratch {
     words_out: Vec<u64>,
     /// Per tick, the lanes whose row in `words` differs from golden's.
     diffmask: Vec<u64>,
-    /// Per-class spike-count deltas of the lane at the output layer.
+    /// Per-class spike-count deltas of a fault-layer lane at the output
+    /// layer.
     delta: Vec<i32>,
     /// The pack's patched weight rows, one slot of equal length per
     /// member.
     patched: Vec<f32>,
     /// The pack's dense weight members, stepped together.
     dense: DenseMembers,
+    /// The live lanes at a layer behind the fault, stepped together.
+    block: Block,
 }
 
-/// What simulating one lane at one layer needs: rows as wide as the
-/// widest layer, used up to the layer at hand.
+/// What one lane needs at its fault layer, and what recomputing one
+/// lane's drive behind it needs: rows as wide as the widest layer, used up
+/// to the layer at hand.
 struct LaneScratch {
     carried: Vec<f32>,
     refrac: Vec<u32>,
     z: Vec<f32>,
     spikes: Vec<f32>,
-    /// Recurrent layers: the lane's own previous spikes while they differ
+    /// Recurrent layers: a lane's own previous spikes while they differ
     /// from golden's, and the feedback they drive.
     prev: Vec<f32>,
     fb: Vec<f32>,
-    /// The lane's row on its way through pooling layers.
+    /// A lane's row on its way through pooling layers.
     row: Vec<f32>,
     pooled: Vec<f32>,
     /// Conv weight faults: the patched kernel of the faulty channel, and
@@ -318,6 +327,7 @@ impl Scratch {
             delta: vec![0; widest],
             patched: Vec::new(),
             dense: DenseMembers::default(),
+            block: Block::default(),
         }
     }
 }
@@ -356,7 +366,7 @@ impl Laps {
     }
 }
 
-/// Where a lane's flips at one layer go.
+/// Where a lane's flips at its fault layer go.
 enum Sink<'a> {
     /// The output layer: the flips are the verdict.
     Verdict { count: u32, delta: &'a mut [i32] },
@@ -873,9 +883,9 @@ fn recurrent_site(
 }
 
 /// Carries diverged lanes through the spiking layers behind `pack.layer`,
-/// materializing lanes lazily and resolving verdicts at the last layer.
-/// `scratch.words` are the fault layer's output words, `live` its
-/// diverged lanes.
+/// stepping a layer's live lanes together as one [`Block`] and resolving
+/// verdicts at the last layer. `scratch.words` are the fault layer's
+/// output words, `live` its diverged lanes.
 fn downstream(
     ctx: &Ctx<'_>,
     pack: &Pack,
@@ -887,7 +897,7 @@ fn downstream(
 ) {
     let layers = ctx.net.layers();
     let member_shift = usize::from(pack.golden_lane);
-    let Scratch { lane: lane_scratch, words, words_out, diffmask, delta, .. } = scratch;
+    let Scratch { lane: lane_scratch, words, words_out, diffmask, block, .. } = scratch;
 
     // `src` is the spiking layer whose output the words hold; pooling
     // layers between it and the next spiking layer `d` carry no words.
@@ -898,7 +908,7 @@ fn downstream(
         }
         let gin = ctx.gold(k, src);
         let gd = ctx.gold(k, d);
-        let (n_in, n_d) = (gin.n, gd.n);
+        let n_in = gin.n;
 
         // Which lanes' rows at `src` differ from the golden rows, and at
         // which ticks. Lanes with no divergent tick reconverged at the
@@ -922,17 +932,14 @@ fn downstream(
             gd.broadcast(words_out);
             laps.end(Phase::PackRun);
         }
-        let mut next_live = 0u64;
-        let mut rest = live;
-        while rest != 0 {
-            let lane = rest.trailing_zeros();
-            rest &= rest - 1;
-            let member = lane as usize - member_shift;
-            let mut sink =
-                Sink::new((!last).then_some(&mut words_out[..]), &mut delta[..n_d], lane);
-            let input = LaneInput { src, words, n_in, lane, diffmask };
-            lane_layer(ctx, d, &gd, &input, lane_scratch, &mut sink);
-            next_live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[member])) << lane;
+        let input = Input { src, words, n_in, live, diffmask };
+        let out = (!last).then_some(&mut words_out[..]);
+        let next_live = block.run(ctx, d, &gd, &input, lane_scratch, out);
+        if last {
+            for (j, &lane) in block.lanes.iter().enumerate() {
+                let delta = &block.delta[j * gd.n..(j + 1) * gd.n];
+                verdicts[lane as usize - member_shift].update(&ctx.cfg, block.count[j], delta);
+            }
         }
         laps.end_forward(d);
 
@@ -945,42 +952,39 @@ fn downstream(
     }
 }
 
-/// One lane's input to a spiking layer: the output words of the spiking
-/// layer `src` before it, and the ticks at which the lane's row there
-/// differs from the golden row.
-struct LaneInput<'a> {
+/// The lanes' input to a spiking layer: the output words of the spiking
+/// layer `src` before it, the `live` lanes whose rows there differ from
+/// the golden rows, and per tick the lanes whose row does.
+struct Input<'a> {
     src: usize,
     words: &'a [u64],
     n_in: usize,
-    lane: u32,
+    live: u64,
     diffmask: &'a [u64],
 }
 
-impl LaneInput<'_> {
-    fn diverges(&self, t: usize) -> bool {
-        (self.diffmask[t] >> self.lane) & 1 == 1
-    }
-
-    /// The lane's feed-forward drive of layer `d` at a divergent tick:
-    /// its spike row at `src`, through the pooling layers in between and
-    /// the layer's own input transform, with the bits the model's forward
-    /// pass gives the same row. A weight matrix is multiplied from its
-    /// transposed copy, by the lane's spikes alone: straight off the
-    /// words when the layer sits right behind `src`, and through
-    /// [`ops::matvec_skip_zeros`] — the forward pass's own product —
-    /// once pooling has made the row fractional.
-    fn drive(&self, ctx: &Ctx<'_>, d: usize, t: usize, s: &mut LaneScratch) {
+impl Input<'_> {
+    /// The feed-forward drive of layer `d` at tick `t` for `lane`, whose
+    /// input row differs from golden's there: its spike row at `src`,
+    /// through the pooling layers in between and the layer's own input
+    /// transform, with the bits the model's forward pass gives the same
+    /// row, into `s.z`. A weight matrix is multiplied from its transposed
+    /// copy, by the lane's spikes alone: straight off the words when the
+    /// layer sits right behind `src`, and through
+    /// [`ops::matvec_skip_zeros`] — the forward pass's own product — once
+    /// pooling has made the row fractional.
+    fn drive(&self, ctx: &Ctx<'_>, d: usize, t: usize, lane: u32, s: &mut LaneScratch) {
         let layers = ctx.net.layers();
         let wt = &ctx.transposed[d].input;
         let z = &mut s.z[..layers[d].out_features()];
         let row_words = &self.words[t * self.n_in..(t + 1) * self.n_in];
         if self.src + 1 == d && !wt.is_empty() {
-            lane_matvec(wt, row_words, self.lane, z);
+            lane_matvec(wt, row_words, lane, z);
             return;
         }
         let (row, pooled) = (&mut s.row, &mut s.pooled);
         let mut width = self.n_in;
-        unpack_lane(row_words, self.lane, &mut row[..width]);
+        unpack_lane(row_words, lane, &mut row[..width]);
         for pool in &layers[self.src + 1..d] {
             let out = pool.out_features();
             pool.feedforward(&row[..width], &mut pooled[..out]);
@@ -995,62 +999,144 @@ impl LaneInput<'_> {
     }
 }
 
-/// Materializes one lane through spiking layer `d` from its first
-/// divergent input tick `t0`: before `t0` the lane's input rows are
-/// golden, so its state *entering* `t0` is exactly the recorded golden
-/// pre-tick state. A tick's drive is read from the golden record where
-/// nothing it depends on has diverged; otherwise the feed-forward half
-/// comes from [`LaneInput::drive`] (or the record) and a recurrent layer
-/// adds its feedback, golden while the lane's own previous spikes are.
-/// The layer's neurons share one set of LIF parameters and are stepped as
-/// a row.
-fn lane_layer(
-    ctx: &Ctx<'_>,
-    d: usize,
-    gd: &Gold<'_>,
-    input: &LaneInput<'_>,
-    s: &mut LaneScratch,
-    sink: &mut Sink<'_>,
-) {
-    let (n, steps, rec) = (gd.n, gd.steps, gd.rec);
-    let Some(t0) = (0..steps).find(|&t| input.diverges(t)) else {
-        // A lane is live because its words differ from golden somewhere.
-        unreachable!("live lane without a divergent tick")
-    };
-    let w_rec_t = Some(&ctx.transposed[d].feedback).filter(|wt| !wt.is_empty());
-    s.carried[..n].copy_from_slice(gd.row(&rec.carried_pre, t0));
-    s.refrac[..n].copy_from_slice(gd.row(&rec.refrac_pre, t0));
-    // Recurrent layers: the lane's own previous spikes (in `s.prev`) differ
-    // from the golden ones.
-    let mut prev_differs = false;
+/// A pack's live lanes at one spiking layer behind the fault, stepped
+/// together: the layer's neuron state, drives and spikes for every lane,
+/// lane-minor `[n × lanes]` — neuron `i`'s row holds lane after lane, in
+/// ascending lane order. Every buffer is sized by the layer and the live
+/// lane count of the step at hand and grows on demand.
+#[derive(Default)]
+struct Block {
+    /// Column `j`'s bit lane.
+    lanes: Vec<u32>,
+    carried: Vec<f32>,
+    refrac: Vec<u32>,
+    z: Vec<f32>,
+    spikes: Vec<f32>,
+    /// At the output layer, per column: the flip count, and the
+    /// per-class spike-count deltas (`[lanes × n]`).
+    count: Vec<u32>,
+    delta: Vec<i32>,
+}
 
-    for t in t0..steps {
-        let feedback = w_rec_t.filter(|_| t > 0);
-        let off_record = input.diverges(t) || (prev_differs && feedback.is_some());
-        if off_record {
-            if input.diverges(t) {
-                input.drive(ctx, d, t, s);
-            } else {
-                s.z[..n].copy_from_slice(gd.row(&rec.feedforward, t));
-            }
-            if let Some(w_rec_t) = feedback {
-                if prev_differs {
-                    ops::matvec_skip_zeros(w_rec_t, &s.prev[..n], &mut s.fb[..n]);
-                }
-                let fb = if prev_differs { &s.fb[..n] } else { gd.row(&rec.feedback, t) };
-                for (zi, ri) in s.z[..n].iter_mut().zip(fb) {
-                    *zi += ri;
-                }
-            }
+impl Block {
+    /// Steps the live lanes through spiking layer `d`; returns the lanes
+    /// whose output differs from golden's, whose flips went to `out` (the
+    /// layer's output words) or, at the output layer, to `count`/`delta`.
+    ///
+    /// The block enters at the first tick any live lane's input diverges,
+    /// in the recorded pre-tick state: before its own first divergent tick
+    /// a lane's inputs are golden, so it steps the recorded drives from the
+    /// recorded state and stays on the record (exact resume). A tick
+    /// broadcasts the recorded drive and redoes only an off-record lane's
+    /// column — input row diverged ([`Input::drive`]; else the recorded
+    /// feed-forward half), plus a recurrent layer's feedback, recomputed
+    /// from the lane's own previous spikes while they differ from golden's
+    /// — then steps the block with one [`LifParams::step_row`] (the layer's
+    /// neurons share their parameters) and compares each neuron row with
+    /// its golden spike by one or-folded xor, scanning only a row that
+    /// differs.
+    fn run(
+        &mut self,
+        ctx: &Ctx<'_>,
+        d: usize,
+        gd: &Gold<'_>,
+        input: &Input<'_>,
+        s: &mut LaneScratch,
+        mut out: Option<&mut [u64]>,
+    ) -> u64 {
+        let (n, steps, rec) = (gd.n, gd.steps, gd.rec);
+        let Some(t0) = input.diffmask.iter().position(|&mask| mask != 0) else {
+            // The lanes are live because their words differ from golden
+            // somewhere.
+            unreachable!("live lanes without a divergent tick")
+        };
+        self.lanes.clear();
+        self.lanes.extend((0..64u32).filter(|lane| (input.live >> lane) & 1 == 1));
+        let m = self.lanes.len();
+        for v in [&mut self.carried, &mut self.z, &mut self.spikes] {
+            v.resize(n * m, 0.0);
         }
-        // Input row and own previous spikes golden: the drive is the
-        // recorded one — bitwise (same functions over the same spikes) —
-        // and is read where it lies.
-        let z = if off_record { &s.z[..n] } else { gd.row(&rec.drive, t) };
-        gd.lif.step_row(&mut s.carried[..n], &mut s.refrac[..n], z, &mut s.spikes[..n], None);
-        prev_differs = sink.flips(t, 0, &s.spikes[..n], gd.row(gd.out, t));
-        if prev_differs {
-            std::mem::swap(&mut s.prev, &mut s.spikes);
+        self.refrac.resize(n * m, 0);
+        for (i, (c, r)) in
+            self.carried.chunks_exact_mut(m).zip(self.refrac.chunks_exact_mut(m)).enumerate()
+        {
+            c.fill(rec.carried_pre[t0 * n + i]);
+            r.fill(rec.refrac_pre[t0 * n + i]);
         }
+        if out.is_none() {
+            self.count.clear();
+            self.count.resize(m, 0);
+            self.delta.clear();
+            self.delta.resize(m * n, 0);
+        }
+        let w_rec_t = Some(&ctx.transposed[d].feedback).filter(|wt| !wt.is_empty());
+        let mut next_live = 0u64;
+        // The lanes whose own spikes of the previous tick differ from
+        // golden's; a recurrent layer feeds them back.
+        let mut prev_differs = 0u64;
+
+        for t in t0..steps {
+            for (zi, &g) in self.z.chunks_exact_mut(m).zip(gd.row(&rec.drive, t)) {
+                zi.fill(g);
+            }
+            let feedback = w_rec_t.filter(|_| t > 0);
+            let mut off = input.diffmask[t];
+            if feedback.is_some() {
+                off |= prev_differs;
+            }
+            while off != 0 {
+                let lane = off.trailing_zeros();
+                off &= off - 1;
+                let j = self.lanes.partition_point(|&l| l < lane);
+                if (input.diffmask[t] >> lane) & 1 == 1 {
+                    input.drive(ctx, d, t, lane, s);
+                } else {
+                    s.z[..n].copy_from_slice(gd.row(&rec.feedforward, t));
+                }
+                if let Some(w_rec_t) = feedback {
+                    let own = (prev_differs >> lane) & 1 == 1;
+                    if own {
+                        for (p, row) in s.prev[..n].iter_mut().zip(self.spikes.chunks_exact(m)) {
+                            *p = row[j];
+                        }
+                        ops::matvec_skip_zeros(w_rec_t, &s.prev[..n], &mut s.fb[..n]);
+                    }
+                    let fb = if own { &s.fb[..n] } else { gd.row(&rec.feedback, t) };
+                    for (zi, ri) in s.z[..n].iter_mut().zip(fb) {
+                        *zi += ri;
+                    }
+                }
+                for (row, &zi) in self.z.chunks_exact_mut(m).zip(&s.z[..n]) {
+                    row[j] = zi;
+                }
+            }
+            gd.lif.step_row(&mut self.carried, &mut self.refrac, &self.z, &mut self.spikes, None);
+
+            // Both sides hold exact `0.0`/`1.0`: a neuron row without a
+            // flip xors to zero in every lane.
+            prev_differs = 0;
+            for (q, (row, g)) in self.spikes.chunks_exact(m).zip(gd.row(gd.out, t)).enumerate() {
+                let g = g.to_bits();
+                if row.iter().fold(0, |acc, s| acc | (s.to_bits() ^ g)) == 0 {
+                    continue;
+                }
+                for (j, s) in row.iter().enumerate() {
+                    if s.to_bits() == g {
+                        continue;
+                    }
+                    let (lane, fired) = (self.lanes[j], s.to_bits() != 0);
+                    prev_differs |= 1 << lane;
+                    match out.as_deref_mut() {
+                        Some(words) => set_lane_bit(&mut words[t * n + q], lane, fired),
+                        None => {
+                            self.count[j] += 1;
+                            self.delta[j * n + q] += if fired { 1 } else { -1 };
+                        }
+                    }
+                }
+            }
+            next_live |= prev_differs;
+        }
+        next_live
     }
 }

@@ -20,9 +20,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snn_faults::{
     verdict_digest, CampaignOutcome, Engine, Fault, FaultKind, FaultModelConfig, FaultPlan,
-    FaultSimConfig, FaultSimulator, FaultSite, FaultUniverse,
+    FaultSimConfig, FaultSimulator, FaultSite, FaultUniverse, Injection,
 };
-use snn_model::{Layer, LifParams, Network, NetworkBuilder, WeightRef};
+use snn_model::{Layer, LifParams, Network, NetworkBuilder, RecordOptions, WeightRef};
 use snn_tensor::{Shape, Tensor};
 
 fn dense_net(seed: u64, inputs: usize, hidden: usize, outputs: usize) -> Network {
@@ -358,6 +358,109 @@ fn dense_weight_members_of_a_pack_are_bit_identical() {
                 assert!(detected > 0, "layer {layer}: no member detected");
             }
         }
+    }
+}
+
+/// A stimulus of `steps` ticks for `net` that is silent for its first
+/// half; then the lower half of the features spikes at `density` and the
+/// upper half only on the last tick, where every feature spikes.
+fn half_silent(net: &Network, steps: usize, density: f64, rng: &mut StdRng) -> Tensor {
+    let features = net.input_features();
+    let mut x = Tensor::zeros(Shape::d2(steps, features));
+    for (t, row) in x.as_mut_slice().chunks_exact_mut(features).enumerate() {
+        for (c, v) in row.iter_mut().enumerate() {
+            let on =
+                t + 1 == steps || (2 * t >= steps && 2 * c < features && rng.gen_bool(density));
+            *v = f32::from(u8::from(on));
+        }
+    }
+    x
+}
+
+/// The first tick at which `fault` makes its layer's spikes leave the
+/// golden train under `test`, by whole-network forward passes — the
+/// tick at which the lane's input to the next spiking layer first
+/// differs.
+fn first_divergence(
+    net: &Network,
+    u: &FaultUniverse,
+    fault: &Fault,
+    test: &Tensor,
+) -> Option<usize> {
+    let record = RecordOptions::spikes_only();
+    let golden = net.forward(test, record);
+    let faulty = match Injection::for_fault(net, u, fault).unwrap() {
+        Injection::Weight { at, value } => {
+            let mut patched = net.clone();
+            patched.set_weight(at, value);
+            patched.forward(test, record)
+        }
+        Injection::Neuron(map) => net.forward_faulty(test, record, &map),
+    };
+    let layer = fault.site.layer();
+    let n = net.layers()[layer].out_features();
+    let rows = |trace: &snn_model::Trace| trace.layers[layer].output.as_slice().to_vec();
+    let (g, f) = (rows(&golden), rows(&faulty));
+    g.chunks_exact(n).zip(f.chunks_exact(n)).position(|(g, f)| g != f)
+}
+
+/// Behind the fault layer a pack's live lanes are stepped as one block,
+/// which enters at the first tick at which any of them diverges: every
+/// other lane rides along on the golden trajectory until its own first
+/// divergent tick. One pack per kind of layer behind the fault — dense and
+/// recurrent behind a spiking layer, dense and conv behind a pool — of
+/// faults at the first layer that diverge first at tick 0 (forced
+/// neurons, on the silent half of the stimulus), mid-run and on the last
+/// tick (weights of the features that spike only there), interleaved.
+/// Per-fault verdicts equal the scalar engine's at one and two threads.
+#[test]
+fn lanes_entering_the_block_at_different_ticks_are_bit_identical() {
+    let lif = LifParams { refrac_steps: 1, ..LifParams::default() };
+    let nets = [
+        ("dense", NetworkBuilder::new(7, lif).dense(12).dense(4)),
+        ("recurrent", NetworkBuilder::new(7, lif).dense(12).recurrent(6).dense(3)),
+        (
+            "pool → dense",
+            NetworkBuilder::new_spatial(2, 8, 8, lif).conv(3, 3, 1, 1).avg_pool(2).dense(4),
+        ),
+        (
+            "pool → conv",
+            NetworkBuilder::new_spatial(2, 8, 8, lif).conv(3, 3, 1, 1).avg_pool(2).conv(2, 3, 1, 1),
+        ),
+    ];
+    let steps = 24;
+    let mut rng = StdRng::seed_from_u64(71);
+    for (kind, builder) in nets {
+        let net = builder.build(&mut rng);
+        let u = FaultUniverse::with_config(&net, FaultModelConfig::default(), false, &[0, 7]);
+        let tests =
+            vec![half_silent(&net, steps, 0.5, &mut rng), half_silent(&net, steps, 0.3, &mut rng)];
+        // The first layer's faults that leave the golden train on the
+        // first test, by the tick they do it at: 0, mid-run, last.
+        let mut by_entry: [Vec<Fault>; 3] = Default::default();
+        for f in u.faults().iter().filter(|f| f.site.layer() == 0) {
+            if let Some(t0) = first_divergence(&net, &u, f, &tests[0]) {
+                by_entry[usize::from(t0 > 0) + usize::from(t0 + 1 == steps)].push(*f);
+            }
+        }
+        let counts = by_entry.each_ref().map(Vec::len);
+        assert!(
+            counts.iter().all(|&c| c > 0),
+            "{kind}: lanes entering at 0 / mid / last: {counts:?}"
+        );
+        let faults: Vec<Fault> = (0..64)
+            .flat_map(|i| by_entry.iter().filter_map(move |b| b.get(i).copied()))
+            .take(64)
+            .collect();
+        assert_eq!(plan(&net, &faults, 1).pack_count(), 1, "{kind}");
+        let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
+        for threads in [1, 2] {
+            let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
+            let packed = FaultSimulator::new(&net, cfg).detect(&u, &faults, &tests);
+            assert_bit_identical(&scalar, &packed);
+        }
+        let detected = scalar.per_fault.iter().filter(|o| o.detected).count();
+        assert!(0 < detected && detected < faults.len(), "{kind}: {detected} detected");
     }
 }
 

@@ -336,13 +336,20 @@ pub fn transposed(w: &Tensor) -> Vec<f32> {
     wt
 }
 
+/// How many inputs [`matvec_skip_zeros`] scans for non-zeros before it
+/// adds their columns.
+const GATHER: usize = 256;
+
 /// [`matvec`] from the [`transposed`] weight `wt` (`[x.len() × y.len()]`),
 /// leaving out the products of exact-zero inputs: one contiguous
 /// `y += x[c] · Wᵀ[c, :]` per non-zero input, columns in ascending order.
 /// Each output still accumulates its products in `matvec`'s order, and a
 /// left-out product is `±0.0`, so for finite weights `y` has `matvec`'s
 /// bits — at a cost that follows the input's density, which for spike
-/// trains is a fraction of the dense product.
+/// trains is a fraction of the dense product. The non-zero columns of
+/// each block of [`GATHER`] inputs are listed first, without a branch —
+/// every index is written, a counter moves past the non-zero ones — so
+/// a spike train's unpredictable zeroes cost no mispredicted jumps.
 ///
 /// # Panics
 ///
@@ -352,9 +359,16 @@ pub fn matvec_skip_zeros(wt: &[f32], x: &[f32], y: &mut [f32]) {
     debug_assert_finite("matvec_skip_zeros", "wt", wt);
     debug_assert_finite("matvec_skip_zeros", "x", x);
     y.fill(0.0);
-    for (&xv, col) in x.iter().zip(wt.chunks_exact(y.len().max(1))) {
-        if xv != 0.0 {
-            axpy_strided(y, 1, xv, col, 1);
+    let rows = y.len();
+    let mut live = [0usize; GATHER];
+    for (b, block) in x.chunks(GATHER).enumerate() {
+        let mut count = 0;
+        for (c, &xv) in (b * GATHER..).zip(block) {
+            live[count] = c;
+            count += usize::from(xv != 0.0);
+        }
+        for &c in &live[..count] {
+            axpy_strided(y, 1, x[c], &wt[c * rows..(c + 1) * rows], 1);
         }
     }
     debug_assert_finite("matvec_skip_zeros", "y", y);
@@ -1119,20 +1133,33 @@ mod tests {
 
         /// The zero-skipping drive has `matvec`'s bits at every input
         /// density from all-zero to dense, on pooled spike values `k/4`
-        /// and with `-0.0` among the inputs.
+        /// and with `-0.0` among the inputs: on rows short and long — up
+        /// to 700 columns, several blocks of the non-zero gather — with a
+        /// whole gather block silent in half the long ones, and with one
+        /// weight row all zeroes of both signs.
         #[test]
         fn matvec_skip_zeros_matches_matvec_to_the_bit(
-            rows in 1usize..24, cols in 1usize..40, density in 0u64..11, seed in 0u64..1000,
+            rows in 1usize..24, cols in 1usize..700, short in proptest::bool::ANY,
+            density in 0u64..11, silent_block in proptest::bool::ANY, zero_row in 0usize..24,
+            seed in 0u64..1000,
         ) {
+            let cols = if short { cols % 40 + 1 } else { cols };
             let mut next = xorshift(seed);
-            let w = Tensor::from_vec(
+            let mut w = Tensor::from_vec(
                 Shape::d2(rows, cols),
                 (0..rows * cols).map(|_| next()).collect(),
             ).unwrap();
+            if zero_row < rows {
+                let row = &mut w.as_mut_slice()[zero_row * cols..(zero_row + 1) * cols];
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = if c % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let silent = if silent_block { GATHER..2 * GATHER } else { 0..0 };
             let x: Vec<f32> = (0..cols)
                 .map(|c| {
                     let pick = (next() + 1.0) * 5.0; // uniform in [0, 10)
-                    if pick >= density as f32 {
+                    if pick >= density as f32 || silent.contains(&c) {
                         if c % 3 == 0 { -0.0 } else { 0.0 }
                     } else {
                         (1 + c % 4) as f32 / 4.0

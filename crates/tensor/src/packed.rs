@@ -17,7 +17,9 @@
 //!   construction from a golden binary row plus per-lane overrides, and
 //!   the way back to one lane's `f32` row;
 //! * [`row_diff_mask`] — which lanes' spike rows differ from the golden
-//!   row, the divergence test behind lazy per-lane materialization.
+//!   row, the divergence test that picks the lanes a layer behind the
+//!   fault steps together, and the ticks at which each one's drive is
+//!   recomputed.
 //!
 //! # Why `lane_matvec` is exact
 //!
