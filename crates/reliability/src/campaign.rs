@@ -74,6 +74,19 @@ impl ReliabilitySpec {
         if !(0.0..=1.0).contains(&self.eval.rate) || self.eval.rate.is_nan() {
             return Err(format!("input rate {} outside [0, 1]", self.eval.rate));
         }
+        // A window that is never live would report that the network lost
+        // nothing; one that only runs past the end is cut at it.
+        if let Some(w) = self.map.window {
+            if w.is_empty() {
+                return Err(format!("window [{}, {}) covers no tick", w.start, w.end));
+            }
+            if w.start >= self.eval.steps {
+                return Err(format!(
+                    "window [{}, {}) starts after the {}-tick samples",
+                    w.start, w.end, self.eval.steps
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -247,6 +260,7 @@ impl ReliabilityEvaluator {
             self.inputs.iter().zip(self.baselines.iter()).zip(self.predictions.iter())
         {
             let faulty = windowed_forward(
+                &self.net,
                 scratch,
                 input,
                 &raw,
@@ -259,6 +273,7 @@ impl ReliabilityEvaluator {
             }
             spike_delta += baseline.output_distance(&faulty);
             let shielded = windowed_forward(
+                &self.net,
                 scratch,
                 input,
                 &mitigated,
@@ -325,6 +340,7 @@ mod tests {
     use super::*;
     use crate::fault_map::WeightFaultModel;
     use rand::rngs::StdRng;
+    use snn_faults::TransientWindow;
     use snn_model::{LifParams, NetworkBuilder};
 
     fn test_net() -> Network {
@@ -443,5 +459,28 @@ mod tests {
         let mut spec = test_spec(&net, 0.1);
         spec.eval.rate = 1.5;
         assert!(spec.validate(&net).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_windows_that_are_never_live() {
+        let net = test_net();
+        let with_window = |start, end| {
+            let mut spec = test_spec(&net, 0.1);
+            spec.map.window = Some(TransientWindow::new(start, end));
+            spec.validate(&net)
+        };
+        assert_eq!(with_window(9, 3).unwrap_err(), "window [9, 3) covers no tick");
+        assert_eq!(with_window(5, 5).unwrap_err(), "window [5, 5) covers no tick");
+        assert_eq!(
+            with_window(50, 80).unwrap_err(),
+            "window [50, 80) starts after the 12-tick samples"
+        );
+        assert_eq!(
+            with_window(12, 20).unwrap_err(),
+            "window [12, 20) starts after the 12-tick samples"
+        );
+        // A window running past the end is cut at it; one inside is kept.
+        assert_eq!(with_window(11, 80), Ok(()));
+        assert_eq!(with_window(0, 12), Ok(()));
     }
 }

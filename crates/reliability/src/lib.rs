@@ -14,8 +14,8 @@
 //!   function of `(spec, topology, config index)`, so distributed
 //!   workers re-sample instead of receiving fault lists over the wire.
 //! * transient injection windows — faults live only for `[t0, t1)`
-//!   timesteps, via [`snn_faults::TransientWindow`] and the segmented
-//!   simulator path ([`snn_faults::windowed_forward`]).
+//!   timesteps, via [`snn_faults::TransientWindow`] and one windowed
+//!   forward pass ([`snn_faults::windowed_forward`]).
 //! * [`campaign`] — the accuracy-impact campaign: each configuration is
 //!   scored on a deterministic oracle-labelled evaluation set as a
 //!   (baseline, faulty, mitigated) accuracy triple plus spike-activity

@@ -72,4 +72,4 @@ pub use layer::{ConvLayer, DenseLayer, Layer, PoolLayer, RecurrentLayer};
 pub use network::{Network, WeightRef};
 pub use params::{LifParams, LifTick, Surrogate};
 pub use quantize::{is_quantized, magnitude_prune, quantize_weights, QuantReport};
-pub use sim::{top1, LayerState, LayerTrace, LifRecord, LifState, RecordOptions, Trace};
+pub use sim::{top1, LayerTrace, LifRecord, RecordOptions, Trace};

@@ -2,6 +2,7 @@ use crate::{Layer, LifParams, Network, NeuronBehaviorFault, NeuronFaultMap};
 use serde::{Deserialize, Serialize};
 use snn_tensor::{ops, Shape, Tensor};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// What the forward pass records besides output spike trains.
 ///
@@ -132,42 +133,6 @@ pub fn top1(counts: &[f32]) -> usize {
     best
 }
 
-/// Resumable per-neuron LIF integration state, carried across segmented
-/// simulation calls.
-///
-/// A transient-fault window splits one logical forward pass into time
-/// segments (fault-free prefix, faulty window, fault-free suffix); the
-/// membrane potentials, refractory counters and previous-tick spikes must
-/// survive the segment boundary for the stitched run to be bit-identical
-/// to an unsegmented one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LifState {
-    /// Membrane potential carried across ticks, per neuron.
-    carried: Vec<f32>,
-    /// Remaining refractory ticks, per neuron.
-    refrac: Vec<u32>,
-    /// Own spikes emitted on the previous tick (recurrent feedback input).
-    prev_spikes: Vec<f32>,
-}
-
-impl LifState {
-    /// Resting state for a layer of `n` neurons (what an unsegmented run
-    /// starts from).
-    pub fn fresh(n: usize) -> Self {
-        Self { carried: vec![0.0; n], refrac: vec![0; n], prev_spikes: vec![0.0; n] }
-    }
-}
-
-/// Resumable simulation state of one network layer.
-///
-/// Spiking layers carry a [`LifState`]; stateless layers (pooling) carry
-/// nothing. A `Default` value means "not yet simulated" — the first
-/// segment lazily initialises the state to resting conditions.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LayerState {
-    lif: Option<LifState>,
-}
-
 /// Golden per-tick records of one spiking layer, kept by
 /// [`Network::forward_golden`] for differential fault simulation: a run
 /// that equals the fault-free one up to some tick can take its drive and
@@ -232,21 +197,42 @@ impl EffectiveParams {
     }
 }
 
+/// [`Layer::feedforward_rows`] of `layer` over the ticks `live` covers and
+/// of `clean` over every other tick of the `steps` rows of `input`. Rows
+/// do not depend on each other, so the cuts change no bit.
+fn feedforward_live(
+    layer: &Layer,
+    clean: &Layer,
+    live: &Range<usize>,
+    steps: usize,
+    input: &[f32],
+    out: &mut [f32],
+) {
+    let (f, n) = (layer.in_features(), layer.out_features());
+    for (l, ticks) in [(clean, 0..live.start), (layer, live.clone()), (clean, live.end..steps)] {
+        if !ticks.is_empty() {
+            let (x, z) = (ticks.start * f..ticks.end * f, ticks.start * n..ticks.end * n);
+            l.feedforward_rows(&input[x], &mut out[z]);
+        }
+    }
+}
+
 /// Simulates one spiking layer over the rows of `input`. `rec.drive`
 /// (`[T × n]`) is where the drives are computed; the other fields of `rec`
 /// are filled in when sized by [`LifRecord::zeroed`] and skipped when
-/// empty. A fault-free layer (`faulty` is `None`) steps each tick as one
-/// row of `lif`; a layer with a forced or perturbed neuron steps neuron
-/// by neuron through its [`EffectiveParams`].
+/// empty. A tick that `live` covers takes its drive and feedback from
+/// `layer` and, if a neuron of the layer is forced or perturbed (`faulty`
+/// is `Some`), steps neuron by neuron through its [`EffectiveParams`];
+/// every other tick takes them from `clean` and steps as one row of `lif`.
 #[allow(clippy::too_many_arguments)]
 fn run_lif(
     layer: &Layer,
+    clean: &Layer,
+    live: &Range<usize>,
     lif: &LifParams,
     input: &Tensor,
-    t_offset: usize,
     record: RecordOptions,
     faulty: Option<&EffectiveParams>,
-    state: &mut LifState,
     rec: &mut LifRecord,
 ) -> LayerTrace {
     let n = layer.out_features();
@@ -258,25 +244,29 @@ fn run_lif(
     // The feed-forward drive of the whole sequence does not depend on LIF
     // state; only a recurrent layer's feedback has to wait for each tick.
     let LifRecord { drive, carried_pre, refrac_pre, feedforward, feedback } = rec;
-    layer.feedforward_rows(input.as_slice(), drive);
+    feedforward_live(layer, clean, live, steps, input.as_slice(), drive);
     if !feedforward.is_empty() {
         feedforward.copy_from_slice(drive);
     }
-    let w_rec_t = match layer {
+    let w_rec_t = |l: &Layer| match l {
         Layer::Recurrent(l) => Some(ops::transposed(&l.w_rec)),
         _ => None,
     };
-    let mut z_rec = vec![0.0f32; if w_rec_t.is_some() { n } else { 0 }];
+    // A run live on every tick never reads the clean feedback weights.
+    let live_rec = w_rec_t(layer);
+    let clean_rec = if *live == (0..steps) { None } else { w_rec_t(clean) };
+    let mut z_rec = vec![0.0f32; if live_rec.is_some() { n } else { 0 }];
 
-    let LifState { carried, refrac, prev_spikes } = state;
+    let (mut carried, mut refrac) = (vec![0.0f32; n], vec![0u32; n]);
+    let out = output.as_mut_slice();
     for t in 0..steps {
         let row = t * n..(t + 1) * n;
+        let on = live.contains(&t);
         let z = &mut drive[row.clone()];
-        // Feedback applies from the second *global* tick on; at a segment
-        // boundary `prev_spikes` already holds the last tick of the
-        // previous segment.
-        if let Some(w_rec_t) = w_rec_t.as_deref().filter(|_| t_offset + t > 0) {
-            ops::matvec_skip_zeros(w_rec_t, prev_spikes, &mut z_rec);
+        // Feedback applies from the second tick on.
+        let w_rec_t = if on { &live_rec } else { &clean_rec };
+        if let Some(w_rec_t) = w_rec_t.as_deref().filter(|_| t > 0) {
+            ops::matvec_skip_zeros(w_rec_t, &out[row.start - n..row.start], &mut z_rec);
             for (zi, ri) in z.iter_mut().zip(z_rec.iter()) {
                 *zi += ri;
             }
@@ -285,16 +275,16 @@ fn run_lif(
             }
         }
         if !carried_pre.is_empty() {
-            carried_pre[row.clone()].copy_from_slice(carried);
-            refrac_pre[row.clone()].copy_from_slice(refrac);
+            carried_pre[row.clone()].copy_from_slice(&carried);
+            refrac_pre[row.clone()].copy_from_slice(&refrac);
         }
-        let out_row = &mut output.as_mut_slice()[row.clone()];
+        let out_row = &mut out[row.clone()];
         let mut recorded = potential
             .as_mut()
             .zip(gate.as_mut())
             .map(|(p, g)| (&mut p.as_mut_slice()[row.clone()], &mut g.as_mut_slice()[row.clone()]));
-        match faulty {
-            None => lif.step_row(carried, refrac, z, out_row, recorded),
+        match faulty.filter(|_| on) {
+            None => lif.step_row(&mut carried, &mut refrac, z, out_row, recorded),
             Some(params) => {
                 for i in 0..n {
                     if let Some(spike) = params.forced[i] {
@@ -313,26 +303,20 @@ fn run_lif(
                 }
             }
         }
-        prev_spikes.copy_from_slice(out_row);
     }
 
     LayerTrace { output, potential, gate }
 }
 
-/// Simulates one layer over a *segment* of a longer run.
-///
-/// `t_offset` is the global tick the segment starts at; `state` carries
-/// the membrane/refractory/feedback state across segment boundaries.
-/// Calling this once with `t_offset == 0` and a default `state` is a
-/// whole run; calling it for consecutive segments with the same `state`
-/// reproduces the unsegmented run bit for bit.
-fn run_layer_segment(
+/// Simulates one layer over the whole of `input`, with `clean` driving the
+/// ticks outside `live` (see [`run_lif`]).
+fn run_layer(
     layer: &Layer,
+    clean: &Layer,
+    live: &Range<usize>,
     input: &Tensor,
-    t_offset: usize,
     record: RecordOptions,
     faults: Option<&HashMap<usize, NeuronBehaviorFault>>,
-    state: &mut LayerState,
     golden: Option<&mut LifRecord>,
 ) -> LayerTrace {
     let dims = input.shape().dims();
@@ -349,18 +333,17 @@ fn run_layer_segment(
     let Some(lif) = layer.lif() else {
         // Pooling: stateless, one transform per tick.
         let mut output = Tensor::zeros(Shape::d2(steps, n));
-        layer.feedforward_rows(input.as_slice(), output.as_mut_slice());
+        feedforward_live(layer, clean, live, steps, input.as_slice(), output.as_mut_slice());
         return LayerTrace { output, potential: None, gate: None };
     };
     let faulty = faults.filter(|f| !f.is_empty()).map(|f| EffectiveParams::new(n, lif, f));
-    let state = state.lif.get_or_insert_with(|| LifState::fresh(n));
     // A run nobody resumes from keeps the drives alone, for its own use.
     let mut drive_only = LifRecord::default();
     let rec = golden.unwrap_or_else(|| {
         drive_only.drive = vec![0.0; steps * n];
         &mut drive_only
     });
-    run_lif(layer, lif, input, t_offset, record, faulty.as_ref(), state, rec)
+    run_lif(layer, clean, live, lif, input, record, faulty.as_ref(), rec)
 }
 
 impl Network {
@@ -384,45 +367,40 @@ impl Network {
         record: RecordOptions,
         faults: &NeuronFaultMap,
     ) -> Trace {
-        let _span = snn_obs::span!("snn.forward");
-        let steps = input.shape().dim(0);
-        let layers = self.forward_from(0, input, record, faults);
-        Trace { steps, layers }
+        self.forward_live(self, 0..input.shape().dim(0), input, record, faults)
     }
 
-    /// Simulates layer `idx` over a time *segment*, resuming from `state`.
-    ///
-    /// `input` holds the segment's rows (`[T_seg × features]`),
-    /// `t_offset` the global tick the segment starts at, and `state` the
-    /// layer's integration state from earlier segments (a default
-    /// [`LayerState`] means resting conditions). Running consecutive
-    /// segments with the same `state` is bit-identical to one whole run
-    /// ([`Network::forward_from`]) over the concatenated input — the
-    /// primitive behind transient-fault injection windows, where the
-    /// fault set differs per segment.
+    /// Forward pass whose faults are live on the ticks in `live` only:
+    /// there, this network's layers drive every neuron, feedback included,
+    /// and `faults` apply; on every other tick `clean`'s layers drive it
+    /// and no fault applies. Membrane potentials and refractory counters
+    /// carry across the edges of `live`, and ticks past the end of `input`
+    /// are ignored. This is a transient fault: `self` is `clean` with
+    /// weights patched, and `live` the window they are wrong in.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range or shapes mismatch.
-    pub fn forward_layer_segment(
+    /// Panics if `clean` has other layer widths, or as
+    /// [`forward`](Self::forward) does.
+    pub fn forward_live(
         &self,
-        idx: usize,
+        clean: &Network,
+        live: Range<usize>,
         input: &Tensor,
-        t_offset: usize,
         record: RecordOptions,
         faults: &NeuronFaultMap,
-        state: &mut LayerState,
-    ) -> LayerTrace {
-        assert!(idx < self.layers.len(), "layer index {idx} out of range");
-        run_layer_segment(
-            &self.layers[idx],
-            input,
-            t_offset,
-            record,
-            faults.layer_faults(idx),
-            state,
-            None,
-        )
+    ) -> Trace {
+        let _span = snn_obs::span!("snn.forward");
+        let widths = |l: &Layer| (l.in_features(), l.out_features());
+        assert!(
+            clean.layers.iter().map(widths).eq(self.layers.iter().map(widths)),
+            "the clean network must have this one's layer widths"
+        );
+        let steps = input.shape().dim(0);
+        let start = live.start.min(steps);
+        let live = start..live.end.clamp(start, steps);
+        let layers = self.run_layers(0, input, record, faults, None, Some((clean, live))).0;
+        Trace { steps, layers }
     }
 
     /// Simulates layers `start..` using `stage_input` as the input sequence
@@ -443,7 +421,7 @@ impl Network {
         record: RecordOptions,
         faults: &NeuronFaultMap,
     ) -> Vec<LayerTrace> {
-        self.run_layers(start, stage_input, record, faults, None).0
+        self.run_layers(start, stage_input, record, faults, None, None).0
     }
 
     /// Fault-free forward pass that also keeps what differential fault
@@ -467,12 +445,14 @@ impl Network {
             RecordOptions::spikes_only(),
             &NeuronFaultMap::new(),
             Some(from),
+            None,
         );
         (Trace { steps: input.shape().dim(0), layers }, records)
     }
 
     /// Layers `start..` chained on `stage_input`, with golden records from
-    /// layer `golden_from` on when asked for.
+    /// layer `golden_from` on when asked for; `live` as in
+    /// [`forward_live`](Self::forward_live), `None` when every tick is.
     fn run_layers(
         &self,
         start: usize,
@@ -480,8 +460,10 @@ impl Network {
         record: RecordOptions,
         faults: &NeuronFaultMap,
         golden_from: Option<usize>,
+        live: Option<(&Network, Range<usize>)>,
     ) -> (Vec<LayerTrace>, Vec<Option<LifRecord>>) {
         assert!(start < self.layers.len(), "start layer {start} out of range");
+        let (clean, live) = live.unwrap_or((self, 0..stage_input.shape().dim(0)));
         let mut traces: Vec<LayerTrace> = Vec::with_capacity(self.layers.len() - start);
         let mut records = Vec::new();
         for (idx, layer) in self.layers.iter().enumerate().skip(start) {
@@ -491,13 +473,13 @@ impl Network {
                     let pre_state = idx > from || matches!(layer, Layer::Recurrent(_));
                     LifRecord::zeroed(layer, input.shape().dim(0), pre_state)
                 });
-            let trace = run_layer_segment(
+            let trace = run_layer(
                 layer,
+                &clean.layers[idx],
+                &live,
                 input,
-                0,
                 record,
                 faults.layer_faults(idx),
-                &mut LayerState::default(),
                 golden.as_mut(),
             );
             traces.push(trace);
@@ -690,91 +672,6 @@ mod tests {
         assert_eq!(trace.output().sum(), 5.0);
     }
 
-    /// Splits `input` at `k` and simulates layer 0 in two segments with a
-    /// shared state, returning the concatenated output rows.
-    fn segmented_layer_output(net: &Network, input: &Tensor, k: usize) -> Vec<f32> {
-        let dims = input.shape().dims();
-        let (steps, f) = (dims[0], dims[1]);
-        let data = input.as_slice();
-        let head = Tensor::from_vec(Shape::d2(k, f), data[..k * f].to_vec()).unwrap();
-        let tail = Tensor::from_vec(Shape::d2(steps - k, f), data[k * f..].to_vec()).unwrap();
-        let mut state = LayerState::default();
-        let empty = NeuronFaultMap::new();
-        let a = net.forward_layer_segment(
-            0,
-            &head,
-            0,
-            RecordOptions::spikes_only(),
-            &empty,
-            &mut state,
-        );
-        let b = net.forward_layer_segment(
-            0,
-            &tail,
-            k,
-            RecordOptions::spikes_only(),
-            &empty,
-            &mut state,
-        );
-        let mut out = a.output.as_slice().to_vec();
-        out.extend_from_slice(b.output.as_slice());
-        out
-    }
-
-    #[test]
-    fn segmented_dense_matches_one_shot() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let net = NetworkBuilder::new(5, LifParams::default()).dense(7).build(&mut rng);
-        let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(13, 5), 0.5);
-        let full = net.forward(&input, RecordOptions::spikes_only());
-        for k in [1, 4, 12] {
-            assert_eq!(segmented_layer_output(&net, &input, k), full.output().as_slice());
-        }
-    }
-
-    #[test]
-    fn segmented_conv_matches_one_shot() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let net = NetworkBuilder::new_spatial(1, 4, 4, LifParams::default())
-            .conv(2, 3, 1, 1)
-            .build(&mut rng);
-        let input = snn_tensor::init::bernoulli(&mut rng, Shape::d2(10, 16), 0.4);
-        let full = net.forward(&input, RecordOptions::spikes_only());
-        assert_eq!(segmented_layer_output(&net, &input, 5), full.output().as_slice());
-    }
-
-    #[test]
-    fn segmented_recurrent_matches_one_shot() {
-        // The single kick at t=0 only sustains if recurrent feedback is
-        // live across the segment boundary — this pins the t_offset logic.
-        let lif = LifParams { threshold: 1.0, leak: 1.0, refrac_steps: 0 };
-        let l = crate::RecurrentLayer::new(
-            Tensor::from_vec(Shape::d2(1, 1), vec![1.5]).unwrap(),
-            Tensor::from_vec(Shape::d2(1, 1), vec![1.5]).unwrap(),
-            lif,
-        );
-        let net = Network::new(Shape::d1(1), vec![Layer::Recurrent(l)]);
-        let mut input = Tensor::zeros(Shape::d2(6, 1));
-        input[[0, 0]] = 1.0;
-        let full = net.forward(&input, RecordOptions::spikes_only());
-        assert_eq!(full.output().sum(), 6.0);
-        for k in [1, 3, 5] {
-            assert_eq!(segmented_layer_output(&net, &input, k), full.output().as_slice());
-        }
-    }
-
-    #[test]
-    fn segmented_pool_matches_one_shot() {
-        let net = Network::new(Shape::d3(1, 2, 2), vec![Layer::Pool(PoolLayer::new(1, (2, 2), 2))]);
-        let input = Tensor::from_vec(
-            Shape::d2(4, 4),
-            vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
-        )
-        .unwrap();
-        let full = net.forward(&input, RecordOptions::spikes_only());
-        assert_eq!(segmented_layer_output(&net, &input, 2), full.output().as_slice());
-    }
-
     /// One spiking layer of each kind (refractory period 2; the conv
     /// layer at stride 2), with a stimulus dense enough that every kind
     /// fires and rests. 40 ticks are two blocks of the time-batched
@@ -895,34 +792,12 @@ mod tests {
             assert_eq!(deep_trace.layers[1], plain.layers[0], "{kind}");
             let rec = deep_records[1].as_ref().unwrap();
             assert_eq!(rec.drive.len(), steps * n, "{kind}");
-            assert!(rec.carried_pre[..n].iter().all(|c| c.to_bits() == 0), "{kind}");
             assert!(rec.refrac_pre.iter().any(|&r| r > 0), "{kind}: nothing ever rested");
-            let out = plain.output().as_slice();
-            for t0 in [0usize, 1, 7, 23, steps - 1] {
-                let mut state = LayerState {
-                    lif: Some(LifState {
-                        carried: rec.carried_pre[t0 * n..(t0 + 1) * n].to_vec(),
-                        refrac: rec.refrac_pre[t0 * n..(t0 + 1) * n].to_vec(),
-                        prev_spikes: if t0 == 0 {
-                            vec![0.0; n]
-                        } else {
-                            out[(t0 - 1) * n..t0 * n].to_vec()
-                        },
-                    }),
-                };
-                let tail =
-                    Tensor::from_vec(Shape::d2(steps - t0, f), input.as_slice()[t0 * f..].to_vec())
-                        .unwrap();
-                let resumed = net.forward_layer_segment(
-                    0,
-                    &tail,
-                    t0,
-                    RecordOptions::spikes_only(),
-                    &NeuronFaultMap::new(),
-                    &mut state,
-                );
-                assert_eq!(resumed.output.as_slice(), &out[t0 * n..], "{kind} t0={t0}");
-            }
+            // Its pre-tick state is the reference's, bit for bit, at every
+            // tick: the packed engine resumes a layer from exactly here.
+            let (_, carried_pre, refrac_pre) = per_tick_reference(layer, &input, None);
+            assert_eq!(bits(&rec.carried_pre), bits(&carried_pre), "{kind}");
+            assert_eq!(rec.refrac_pre, refrac_pre, "{kind}");
         }
     }
 
@@ -930,18 +805,21 @@ mod tests {
     /// replaced, kept as the reference: one [`Layer::feedforward`] per tick
     /// (`ops::matvec` or the single-row convolution, every product
     /// taken), feedback through `ops::matvec`, [`LifParams::step`] per
-    /// neuron — with `fault` applied to its one neuron. Returns `(spikes,
-    /// potential, gate, drive, feedforward, feedback)`, each `[T × n]`.
+    /// neuron — with `fault` applied to its one neuron. Returns `[spikes,
+    /// potential, gate, drive, feedforward, feedback]` and the membrane
+    /// potential and refractory counter carried into each tick, each
+    /// `[T × n]`.
     fn per_tick_reference(
         layer: &Layer,
         input: &Tensor,
         fault: Option<(usize, NeuronBehaviorFault)>,
-    ) -> [Vec<f32>; 6] {
+    ) -> ([Vec<f32>; 6], Vec<f32>, Vec<u32>) {
         let (f, n) = (layer.in_features(), layer.out_features());
         let nominal = *layer.lif().unwrap();
         let steps = input.shape().dim(0);
         let mut cols: [Vec<f32>; 6] = std::array::from_fn(|_| vec![0.0; steps * n]);
         let (mut carried, mut refrac) = (vec![0.0f32; n], vec![0u32; n]);
+        let (mut carried_pre, mut refrac_pre) = (Vec::new(), Vec::new());
         let (mut z, mut z_rec, mut prev) = (vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]);
         for t in 0..steps {
             let row = t * n..(t + 1) * n;
@@ -953,6 +831,8 @@ mod tests {
                 z.iter_mut().zip(&z_rec).for_each(|(zi, ri)| *zi += ri);
             }
             cols[3][row.clone()].copy_from_slice(&z);
+            carried_pre.extend_from_slice(&carried);
+            refrac_pre.extend_from_slice(&refrac);
             for i in 0..n {
                 let fault = fault.filter(|&(at, _)| at == i).map(|(_, fault)| fault);
                 if let Some(spike) = fault.and_then(|fault| fault.forced()) {
@@ -970,7 +850,7 @@ mod tests {
                 }
             }
         }
-        cols
+        (cols, carried_pre, refrac_pre)
     }
 
     fn bits(values: &[f32]) -> Vec<u32> {
@@ -992,7 +872,7 @@ mod tests {
                 };
             }
             for input in [&spikes, &input] {
-                let [out, pot, gate, drive, feedforward, feedback] =
+                let ([out, pot, gate, drive, feedforward, feedback], ..) =
                     per_tick_reference(layer, input, None);
                 let trace = net.forward(input, RecordOptions::full());
                 let lt = &trace.layers[0];
@@ -1049,7 +929,8 @@ mod tests {
             let counts = nominal.layers[0].spike_counts();
             let at = (0..n).max_by(|&a, &b| counts[a].total_cmp(&counts[b])).unwrap();
             for fault in faults {
-                let [out, pot, gate, ..] = per_tick_reference(layer, &input, Some((at, fault)));
+                let ([out, pot, gate, ..], ..) =
+                    per_tick_reference(layer, &input, Some((at, fault)));
                 let map = NeuronFaultMap::single(0, at, fault);
                 let trace = net.forward_faulty(&input, RecordOptions::full(), &map);
                 let lt = &trace.layers[0];
