@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=25529
+LINE_BUDGET=25663
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -170,9 +170,11 @@ step "packed engine — digest equality with the scalar engine on the example ne
 # what it read before the sweep behind the fault followed the lane's
 # spikes (12x / 5.4x / 3.3x): a sweep that falls back to per-lane full
 # products drops below it, noise does not. The ibm floor is half the
-# worst of five readings (8.2-11.9x) taken once a conv weight fault's
-# channel went through the model's own `conv2d`; the per-window stage
-# before it read 4.8-6.4x on the same host. The nmnist floor is half the
+# worst of five readings (14.4-15.9x) taken once a conv weight fault
+# convolved only the ticks its input channel carries traffic on and a
+# conv lane re-pooled only its own channel; the parent, alternating with
+# it on the same two-core host, read 10.2-14.2x, so the floor does not
+# catch a return to it. The nmnist floor is half the
 # worst of five readings (18.3-33.2x) taken once the live lanes behind
 # the fault layer were stepped together as one block; stepping them one
 # lane at a time read 15.0-18.7x in alternation with them on the same
@@ -182,7 +184,7 @@ campaign_seconds_of() {
     sed -n 's/^fault coverage: .* in \([0-9.]*\)\(ns\|µs\|ms\|s\)$/\1 \2/p' <<< "$1" | awk '
         { scale["ns"] = 1e-9; scale["µs"] = 1e-6; scale["ms"] = 1e-3; scale["s"] = 1; print $1 * scale[$2] }'
 }
-declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=9.1 [ibm]=4 [shd]=2)
+declare -A PACKED_SPEEDUP_FLOOR=([nmnist]=9.1 [ibm]=7.2 [shd]=2)
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- generate "$ANALYZE_TMP/$m.snn" --preset fast --seed 5 \
         --out "$ANALYZE_TMP/$m.events" > /dev/null
@@ -210,8 +212,8 @@ for m in nmnist ibm shd; do
 done
 
 step "packed engine — kernel phases attribute >=95% of dense-, conv- and recurrent-site campaigns"
-# Every fault-layer stage — a pack's dense weight members together, conv
-# and recurrent sites lane by lane — must land in the forward.l* slots.
+# Every fault-layer stage — a pack's dense weight members together, each
+# conv and recurrent site on its own — must land in the forward.l* slots.
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- verify "$ANALYZE_TMP/$m.snn" "$ANALYZE_TMP/$m.events" \
         --engine packed --trace-out "$ANALYZE_TMP/$m.packed.trace.jsonl" > /dev/null

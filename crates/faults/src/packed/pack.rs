@@ -17,8 +17,10 @@
 //!   of the members' faulty neurons as a row ([`dense_weights`]). Every
 //!   other member goes on its own: one neuron column for a neuron fault,
 //!   one output channel for a conv kernel weight (convolved with the
-//!   patched kernel by the model's own kernel, a block of ticks a call),
-//!   and for a recurrent layer the faulty neuron alone until its spikes
+//!   patched kernel by the model's own kernel, a block of ticks a call,
+//!   only on the ticks its input channel carries traffic — the record
+//!   holds on the others), and for a recurrent layer the faulty neuron
+//!   alone until its spikes
 //!   leave the golden train, then the whole layer for as long as it stays
 //!   off it. A lane without flips is resolved right here: undetected by
 //!   this test.
@@ -32,9 +34,10 @@
 //!   tick broadcasts the stored golden drive into the block and
 //!   recomputes it only for the lanes whose input row (or, in a
 //!   recurrent layer, own previous spikes) differs — pooling layers on
-//!   the way applied to the lane's row then and there — then steps the
-//!   whole block at once. Lanes whose output reconverges drop out; at
-//!   the last layer the flips *are* the verdict.
+//!   the way applied to the lane's row then and there, to the one channel
+//!   a conv fault layer's lane can differ in, over the golden pooled row
+//!   — then steps the whole block at once. Lanes whose output reconverges
+//!   drop out; at the last layer the flips *are* the verdict.
 //!
 //! What a diverged lane costs follows what diverged. A recomputed drive
 //! is the sum of the transposed weight's columns at the lane's spikes
@@ -60,18 +63,21 @@
 //!   pass ([`Network::forward_golden`](snn_model::Network::forward_golden));
 //! * **same additions in the same order** — a drive is recomputed by the
 //!   function the model computes it with: [`Layer::feedforward`] for conv
-//!   and pooling rows, [`ops::matvec_skip_zeros`] for matrices, and
-//!   [`ops::conv2d`] on a one-channel spec for a faulty conv channel,
-//!   whose pixels sum their taps as the whole layer's do. The dense
-//!   weight members' drives are `matvec_skip_zeros` over their transposed
-//!   patched rows: member `j`'s adds `x[c] · w` over its patched row for
-//!   each non-zero input `c`, ascending, from `+0.0` — the additions the
-//!   model's product over the patched layer makes for `j`'s neuron.
+//!   and pooling rows ([`ops::avg_pool2d`] on one plane for a conv fault
+//!   layer's channel: planes pool alone), [`ops::matvec_skip_zeros`] for
+//!   matrices, and [`ops::conv2d`] on a one-channel spec for a faulty
+//!   conv channel, whose pixels sum their taps as the whole layer's do.
+//!   The dense weight members' drives are `matvec_skip_zeros` over their
+//!   transposed patched rows: member `j`'s adds `x[c] · w` over its
+//!   patched row for each non-zero input `c`, ascending, from `+0.0` —
+//!   the additions the model's product over the patched layer makes for
+//!   `j`'s neuron.
 //!   [`lane_matvec`] and [`row_dot`] make `matvec`'s non-zero additions
 //!   per output in `matvec`'s order;
 //! * **exact zeroes** — a drive is reused where every input the fault
 //!   touches is an exact zero, whose products never move an accumulator
-//!   (see `snn_tensor::packed`); by the same token a dense weight member,
+//!   (see `snn_tensor::packed`) — a conv weight's channel where its input
+//!   channel is silent; by the same token a dense weight member,
 //!   recomputed on every tick, has the golden drive's bits wherever its
 //!   own input is silent;
 //! * **exact resume** — a lane equal to the golden run before `t0` has
@@ -237,9 +243,12 @@ struct LaneScratch {
     /// A lane's row on its way through pooling layers.
     row: Vec<f32>,
     pooled: Vec<f32>,
-    /// Conv weight faults: the patched kernel of the faulty channel, and
-    /// that channel's drive over a block of [`CONV_TICKS`] ticks.
+    /// Conv weight faults: the patched kernel of the faulty channel; up
+    /// to [`CONV_TICKS`] ticks on which its input channel carries traffic,
+    /// their input rows, and the faulty channel's drive on them.
     kernel: Tensor,
+    ticks: Vec<usize>,
+    inputs: Vec<f32>,
     drive: Vec<f32>,
 }
 
@@ -319,6 +328,8 @@ impl Scratch {
                 row: row(),
                 pooled: row(),
                 kernel: Tensor::zeros(Shape::d1(0)),
+                ticks: Vec::with_capacity(CONV_TICKS),
+                inputs: Vec::new(),
                 drive: Vec::new(),
             },
             words: Vec::new(),
@@ -651,7 +662,10 @@ fn fault_stage(
             // The faulty weight is input `c` of neuron (or channel) `q`.
             let (q, c, row) = (at.offset / cols, at.offset % cols, &patched[..cols]);
             match gold.layer {
-                Layer::Conv(l) => conv_weight(x, l, gold, (q, row), s, sink),
+                Layer::Conv(l) => {
+                    let ic = c / (l.spec.kernel * l.spec.kernel);
+                    conv_weight(x, l, gold, (q, ic, row), s, sink);
+                }
                 Layer::Recurrent(l) => {
                     let patch = Some(RowPatch { feedback: at.tensor != 0, row, c });
                     let site = RecurrentSite { q, forced: None, lif: *gold.lif, patch };
@@ -709,46 +723,68 @@ fn dense_weights(x: &[f32], gold: &Gold<'_>, d: &mut DenseMembers) {
 }
 
 /// Ticks of a conv weight fault's channel convolved per call: four of
-/// the kernel's 16-tick blocks, so the drive buffer is one channel × this
-/// many ticks whatever the test length.
+/// the kernel's 16-tick blocks, so the input and drive buffers are this
+/// many rows whatever the test length.
 const CONV_TICKS: usize = 64;
 
-/// A conv kernel weight of output channel `oc`, whose patched kernel is
-/// `w_oc`. Only channel `oc` can change, and its drive is what the scalar
-/// engine computes for it: [`ops::conv2d`] over the layer's input, on a
-/// one-channel spec with the kernel `w_oc`, [`CONV_TICKS`] ticks a call.
-/// Each tick of the channel — one set of LIF parameters — is then stepped
-/// as a row.
+/// A conv kernel weight `(oc, ic, ky, kx)`, whose patched kernel of
+/// output channel `oc` is `w_oc`. Only channel `oc` can change, and only
+/// through input channel `ic`: on a tick where `ic`'s plane is all zero
+/// the patched product adds the same `±0.0` as the golden one, so the
+/// recorded drive holds. The other ticks' input rows are gathered and
+/// channel `oc`'s drive is what the scalar engine computes for it:
+/// [`ops::conv2d`] on a one-channel spec with the kernel `w_oc`,
+/// [`CONV_TICKS`] rows a call. Each tick of the channel — one set of LIF
+/// parameters — is then stepped as a row.
 fn conv_weight(
     x: &[f32],
     l: &snn_model::ConvLayer,
     gold: &Gold<'_>,
-    (oc, w_oc): (usize, &[f32]),
+    (oc, ic, w_oc): (usize, usize, &[f32]),
     s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
     let ((h, w), (oh, ow)) = (l.in_hw, l.out_hw());
     let one = Conv2dSpec { out_channels: 1, ..l.spec };
     let (pixels, base, in_features) = (oh * ow, oc * oh * ow, one.in_channels * h * w);
+    let plane = ic * h * w..(ic + 1) * h * w;
     if *s.kernel.shape() != one.weight_shape() {
         s.kernel = Tensor::zeros(one.weight_shape());
     }
     s.kernel.as_mut_slice().copy_from_slice(w_oc);
+    s.inputs.resize(CONV_TICKS * in_features, 0.0);
     s.drive.resize(CONV_TICKS * pixels, 0.0);
     let (carried, refrac) = (&mut s.carried[..pixels], &mut s.refrac[..pixels]);
     let spikes = &mut s.spikes[..pixels];
     carried.fill(0.0);
     refrac.fill(0);
-    for t0 in (0..gold.steps).step_by(CONV_TICKS) {
-        let ticks = CONV_TICKS.min(gold.steps - t0);
-        let drive = &mut s.drive[..ticks * pixels];
-        let x_block = &x[t0 * in_features..(t0 + ticks) * in_features];
-        ops::conv2d(&one, x_block, h, w, &s.kernel, drive);
-        for (t, z) in (t0..).zip(drive.chunks_exact(pixels)) {
-            gold.lif.step_row(carried, refrac, z, spikes, None);
+    let mut t0 = 0;
+    while t0 < gold.steps {
+        // Ticks `t0..t1` hold the next (up to) `CONV_TICKS` live ones.
+        s.ticks.clear();
+        let mut t1 = t0;
+        while t1 < gold.steps && s.ticks.len() < CONV_TICKS {
+            let x_t = &x[t1 * in_features..(t1 + 1) * in_features];
+            if x_t[plane.clone()].iter().any(|&v| v != 0.0) {
+                let row = s.ticks.len() * in_features;
+                s.inputs[row..row + in_features].copy_from_slice(x_t);
+                s.ticks.push(t1);
+            }
+            t1 += 1;
+        }
+        let drive = &mut s.drive[..s.ticks.len() * pixels];
+        ops::conv2d(&one, &s.inputs[..s.ticks.len() * in_features], h, w, &s.kernel, drive);
+        let mut live = s.ticks.iter().zip(drive.chunks_exact(pixels)).peekable();
+        for t in t0..t1 {
             let channel = t * gold.n + base..t * gold.n + base + pixels;
+            let z = match live.next_if(|(&tick, _)| tick == t) {
+                Some((_, z)) => z,
+                None => &gold.rec.drive[channel.clone()],
+            };
+            gold.lif.step_row(carried, refrac, z, spikes, None);
             sink.flips(t, base, spikes, &gold.out[channel]);
         }
+        t0 = t1;
     }
 }
 
@@ -898,6 +934,7 @@ fn downstream(
     let layers = ctx.net.layers();
     let member_shift = usize::from(pack.golden_lane);
     let Scratch { lane: lane_scratch, words, words_out, diffmask, block, .. } = scratch;
+    let mut channels = conv_channels(ctx, pack);
 
     // `src` is the spiking layer whose output the words hold; pooling
     // layers between it and the next spiking layer `d` carry no words.
@@ -932,7 +969,8 @@ fn downstream(
             gd.broadcast(words_out);
             laps.end(Phase::PackRun);
         }
-        let input = Input { src, words, n_in, live, diffmask };
+        let one_channel = channels.take().map(|of_lane| (of_lane, ctx.layer_input(k, d)));
+        let input = Input { src, words, n_in, live, diffmask, one_channel };
         let out = (!last).then_some(&mut words_out[..]);
         let next_live = block.run(ctx, d, &gd, &input, lane_scratch, out);
         if last {
@@ -952,15 +990,35 @@ fn downstream(
     }
 }
 
+/// Per lane of a pack at a conv layer, the one output channel in which
+/// the lane can differ from golden: a weight fault's output channel, a
+/// neuron fault's pixel's channel. `None` at any other layer.
+fn conv_channels(ctx: &Ctx<'_>, pack: &Pack) -> Option<[usize; 64]> {
+    let layer = &ctx.net.layers()[pack.layer];
+    let Layer::Conv(l) = layer else { return None };
+    let (pixels, cols) = (l.out_hw().0 * l.out_hw().1, weight_rows(layer, 0).1);
+    let mut channels = [0; 64];
+    for (i, &fi) in pack.members.iter().enumerate() {
+        channels[pack.lane(i) as usize] = match ctx.faults[fi].site {
+            FaultSite::Neuron { index, .. } => index / pixels,
+            FaultSite::Synapse(at) => at.offset / cols,
+        };
+    }
+    Some(channels)
+}
+
 /// The lanes' input to a spiking layer: the output words of the spiking
 /// layer `src` before it, the `live` lanes whose rows there differ from
-/// the golden rows, and per tick the lanes whose row does.
+/// the golden rows, and per tick the lanes whose row does. When `src` is
+/// a conv fault layer, `one_channel` holds per lane the channel it
+/// differs in, and the golden input rows of the layer.
 struct Input<'a> {
     src: usize,
     words: &'a [u64],
     n_in: usize,
     live: u64,
     diffmask: &'a [u64],
+    one_channel: Option<([usize; 64], &'a [f32])>,
 }
 
 impl Input<'_> {
@@ -972,7 +1030,9 @@ impl Input<'_> {
     /// copy, by the lane's spikes alone: straight off the words when the
     /// layer sits right behind `src`, and through
     /// [`ops::matvec_skip_zeros`] — the forward pass's own product — once
-    /// pooling has made the row fractional.
+    /// pooling has made the row fractional. Pooling runs plane by plane,
+    /// so a lane that differs in one channel takes the golden pooled row
+    /// with that channel's plane re-pooled from its bits.
     fn drive(&self, ctx: &Ctx<'_>, d: usize, t: usize, lane: u32, s: &mut LaneScratch) {
         let layers = ctx.net.layers();
         let wt = &ctx.transposed[d].input;
@@ -983,18 +1043,38 @@ impl Input<'_> {
             return;
         }
         let (row, pooled) = (&mut s.row, &mut s.pooled);
-        let mut width = self.n_in;
-        unpack_lane(row_words, lane, &mut row[..width]);
-        for pool in &layers[self.src + 1..d] {
-            let out = pool.out_features();
-            pool.feedforward(&row[..width], &mut pooled[..out]);
-            std::mem::swap(row, pooled);
-            width = out;
-        }
-        if wt.is_empty() {
-            layers[d].feedforward(&row[..width], z);
+        let pools = &layers[self.src + 1..d];
+        let x = if let (Some((channels, golden)), Some(Layer::Pool(first))) =
+            (self.one_channel, pools.first())
+        {
+            let (c, mut width) = (channels[lane as usize], self.n_in / first.channels);
+            unpack_lane(&row_words[c * width..(c + 1) * width], lane, &mut row[..width]);
+            for pool in pools {
+                let Layer::Pool(p) = pool else { unreachable!("only pooling sits between") };
+                let out = width / (p.k * p.k);
+                ops::avg_pool2d(&row[..width], 1, p.in_hw.0, p.in_hw.1, p.k, &mut pooled[..out]);
+                std::mem::swap(row, pooled);
+                width = out;
+            }
+            let n = layers[d - 1].out_features();
+            pooled[..n].copy_from_slice(&golden[t * n..(t + 1) * n]);
+            pooled[c * width..(c + 1) * width].copy_from_slice(&row[..width]);
+            &pooled[..n]
         } else {
-            ops::matvec_skip_zeros(wt, &row[..width], z);
+            let mut width = self.n_in;
+            unpack_lane(row_words, lane, &mut row[..width]);
+            for pool in pools {
+                let out = pool.out_features();
+                pool.feedforward(&row[..width], &mut pooled[..out]);
+                std::mem::swap(row, pooled);
+                width = out;
+            }
+            &row[..width]
+        };
+        if wt.is_empty() {
+            layers[d].feedforward(x, z);
+        } else {
+            ops::matvec_skip_zeros(wt, x, z);
         }
     }
 }

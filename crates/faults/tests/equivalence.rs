@@ -311,6 +311,66 @@ fn conv_weight_faults_over_blocks_and_a_tail_are_bit_identical() {
     }
 }
 
+/// A two-channel spatial stimulus of `steps` ticks in which each input
+/// channel falls silent on runs of its own — channel 0's first run
+/// crosses the 16-tick block edge — and both do on ticks 24–29 and
+/// 70–79; elsewhere a channel spikes at `density`.
+fn channel_silences(net: &Network, steps: usize, density: f64, rng: &mut StdRng) -> Tensor {
+    let features = net.input_features();
+    let silent = |c: usize, t: usize| match c {
+        _ if (24..30).contains(&t) || (70..80).contains(&t) => true,
+        0 => (12..21).contains(&t) || t % 13 == 7 || (45..52).contains(&t),
+        _ => (3..8).contains(&t) || t % 11 == 5 || (55..66).contains(&t),
+    };
+    let mut x = Tensor::zeros(Shape::d2(steps, features));
+    for (t, row) in x.as_mut_slice().chunks_exact_mut(features).enumerate() {
+        for (c, plane) in row.chunks_exact_mut(features / 2).enumerate() {
+            for v in plane.iter_mut().filter(|_| !silent(c, t)) {
+                *v = f32::from(u8::from(rng.gen_bool(density)));
+            }
+        }
+    }
+    x
+}
+
+/// A conv weight fault changes its channel only through its input
+/// channel, so the fault stage convolves only the ticks on which that
+/// channel carries traffic; and behind a pool a conv fault layer's lane
+/// differs from golden in one channel, so only that channel is re-pooled.
+/// Two input channels silent on runs of their own (one across a 16-tick
+/// block edge, and stretches where both are), on 37- and 101-tick
+/// stimuli; conv → pool → dense, conv → pool → conv → dense and a
+/// pool → pool crossing; every conv weight and conv neuron fault, scalar
+/// against packed at one and two threads.
+#[test]
+fn conv_faults_on_silent_ticks_and_across_a_pool_are_bit_identical() {
+    let lif = LifParams { refrac_steps: 1, ..LifParams::default() };
+    let spatial = || NetworkBuilder::new_spatial(2, 8, 8, lif).conv(3, 3, 1, 1).avg_pool(2);
+    let nets = [
+        ("conv → pool → dense", spatial().dense(4)),
+        ("conv → pool → conv → dense", spatial().conv(2, 3, 1, 1).dense(4)),
+        ("conv → pool → pool → dense", spatial().avg_pool(2).dense(4)),
+    ];
+    let mut rng = StdRng::seed_from_u64(83);
+    for (kind, builder) in nets {
+        let net = builder.build(&mut rng);
+        let u = FaultUniverse::with_config(&net, FaultModelConfig::default(), false, &[0, 7]);
+        let is_conv = |layer: usize| matches!(net.layers()[layer], Layer::Conv(_));
+        let faults: Vec<Fault> =
+            u.faults().iter().filter(|f| is_conv(f.site.layer())).copied().collect();
+        let tests: Vec<Tensor> =
+            [(37, 0.5), (101, 0.3)].map(|(t, p)| channel_silences(&net, t, p, &mut rng)).into();
+        let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
+        for threads in [1, 2] {
+            let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
+            let packed = FaultSimulator::new(&net, cfg).detect(&u, &faults, &tests);
+            assert_bit_identical(&scalar, &packed);
+        }
+        let detected = scalar.per_fault.iter().filter(|o| o.detected).count();
+        assert!(0 < detected && detected < faults.len(), "{kind}: {detected} detected");
+    }
+}
+
 /// A pack's dense weight members are simulated together, the members as
 /// the vector axis. Per dense layer — two inner ones whose flips go to
 /// the pack's words, and the output layer, whose flips are the verdict

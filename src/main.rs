@@ -66,30 +66,59 @@ fn out(text: impl std::fmt::Display) {
     assert!(written.is_ok() || closed, "failed printing to stdout: {written:?}");
 }
 
+/// A subcommand: its name, the flags it takes (`--help` aside; those in
+/// [`BOOL_FLAGS`] take no value, every other one the argument after it)
+/// and what runs it.
+type Command = (&'static str, &'static str, fn(&[String]) -> Result<(), String>);
+
+/// Every subcommand. `main` refuses a flag its subcommand does not take
+/// before the subcommand runs.
+const COMMANDS: &[Command] = &[
+    ("new", "--input --arch --out --seed --sparsity", cmd_new),
+    ("info", "", cmd_info),
+    ("analyze", "--format --trace-out", cmd_analyze),
+    ("generate", "--out --preset --seed --trace-out", cmd_generate),
+    ("verify", "--engine --trace-out", cmd_verify),
+    (
+        "reliability",
+        "--model --synthetic --seed --configs --weight-ber --neuron-ber --fault-model \
+         --mitigation --window --samples --steps --rate --eval-seed --workers --threads \
+         --chunk-size --engine --json",
+        cmd_reliability,
+    ),
+    (
+        "serve",
+        "--state-dir --addr --workers --queue --metrics-dump --expect-workers --chunk-size \
+         --lease-ms --trace-out",
+        cmd_serve,
+    ),
+    (
+        "submit",
+        "--model --synthetic --preset --seed --max-iterations --t-limit --coverage --threads \
+         --engine --watch --json --addr --reliability --configs --weight-ber --neuron-ber \
+         --fault-model --mitigation --window --samples --steps --rate --eval-seed",
+        cmd_submit,
+    ),
+    ("status", "--addr", cmd_status),
+    ("watch", "--addr --json", cmd_watch),
+    ("cancel", "--addr", cmd_cancel),
+    ("shutdown", "--addr", cmd_shutdown),
+    ("profile", "--phases", cmd_profile),
+    ("metrics", "--addr", cmd_metrics),
+    ("worker", "--addr --name --threads --trace", cmd_worker),
+    ("cluster-status", "--addr --json", cmd_cluster_status),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("new") => cmd_new(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("reliability") => cmd_reliability(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("status") => cmd_status(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
-        Some("cancel") => cmd_cancel(&args[1..]),
-        Some("shutdown") => cmd_shutdown(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
-        Some("cluster-status") => cmd_cluster_status(&args[1..]),
-        Some("--help" | "-h" | "help") | None => {
+    let result = match args.split_first() {
+        Some((command, rest)) if !matches!(command.as_str(), "--help" | "-h" | "help") => {
+            run_command(command, rest)
+        }
+        _ => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}` (try --help)")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -98,6 +127,31 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Runs subcommand `command` on `args` once every flag in them is one it
+/// takes, and every value flag has its value; `--help` prints the usage.
+fn run_command(command: &str, args: &[String]) -> Result<(), String> {
+    let Some(&(_, flags, run)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        return Err(format!("unknown command `{command}` (try --help)"));
+    };
+    let (mut rest, mut help) = (args.iter().map(String::as_str), false);
+    while let Some(arg) = rest.next() {
+        if arg == "--help" {
+            help = true;
+        } else if !arg.starts_with("--") {
+            continue;
+        } else if !flags.split_whitespace().any(|flag| flag == arg) {
+            return Err(format!("{command} does not take {arg} (try --help)"));
+        } else if !BOOL_FLAGS.contains(&arg) && rest.next().is_none() {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    if help {
+        print_usage();
+        return Ok(());
+    }
+    run(args)
 }
 
 fn print_usage() {

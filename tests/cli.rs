@@ -67,6 +67,50 @@ fn missing_flags_fail_cleanly() {
     assert_clean_failure(&["cancel"], "missing job id");
 }
 
+/// A flag the subcommand does not take, or a value flag with nothing
+/// after it, is refused before the subcommand runs — it used to be
+/// ignored, or to leave its default in place.
+#[test]
+fn unknown_flags_and_flags_without_a_value_fail_cleanly() {
+    assert_clean_failure(
+        &["verify", "m.snn", "t.events", "--engin", "scalar"],
+        "verify does not take --engin (try --help)",
+    );
+    assert_clean_failure(&["generate", "m.snn", "--sed", "3"], "generate does not take --sed");
+    assert_clean_failure(&["generate", "m.snn", "--seed"], "--seed needs a value");
+    assert_clean_failure(&["verify", "m.snn", "t.events", "--engine"], "--engine needs a value");
+}
+
+/// Every flag the usage text lists under a subcommand is one that
+/// subcommand takes: given with a value (or none, for a flag the text
+/// shows as `[--flag]`) and then `--help`, it prints the usage.
+#[test]
+fn every_flag_the_usage_lists_is_accepted() {
+    let usage = String::from_utf8(run(&["--help"]).stdout).unwrap();
+    let mut command = "";
+    let mut checked = 0;
+    for line in usage.lines().take_while(|l| !l.starts_with("ARCH SPEC")) {
+        let mut words = line.split_whitespace().peekable();
+        if words.next_if_eq(&"snn-mtfc").is_some() {
+            command = words.next().unwrap();
+        }
+        for word in words {
+            let Some(at) = word.find("--") else { continue };
+            let flag = word[at..].trim_end_matches(['|', ')', ']']);
+            let args = if word.ends_with(']') {
+                vec![command, flag, "--help"]
+            } else {
+                vec![command, flag, "value", "--help"]
+            };
+            let out = run(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?} was refused: {stderr}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 50, "only {checked} flags found in the usage text");
+}
+
 #[test]
 fn malformed_values_fail_cleanly() {
     assert_clean_failure(
