@@ -14,8 +14,8 @@
 //! on spike, so the no-spike trajectory is the supremum) is bounded by
 //! `v ≤ z_max / (1 − λ)` for `λ < 1`. A neuron whose bound provably
 //! stays below its threshold can never fire — its `NeuronDead` fault is
-//! untestable, it is silent towards every later layer, and the generator
-//! drops it from its activation targets ([`IntervalAnalysis::dead_mask`]).
+//! untestable and it is silent towards every later layer
+//! ([`IntervalAnalysis::dead_mask`]).
 //!
 //! Two guards keep the f64 bounds sound against the simulator's f32
 //! arithmetic (see DESIGN.md §10 for the full argument):

@@ -6,10 +6,9 @@
 //!
 //! * [`interval`] bounds every LIF neuron's membrane potential under
 //!   worst-/best-case `[0,1]` input and classifies neurons as
-//!   provably-excitable, provably-dead, or undecided. The dead mask
-//!   leaves the generator's activation targets
-//!   (`TestGenerator::with_excluded`): a neuron that can never fire is
-//!   not worth optimising a stimulus for.
+//!   provably-excitable, provably-dead, or undecided. A provably-dead
+//!   neuron's `NeuronDead` fault is untestable. Nothing else in the
+//!   workspace acts on the classes: the generator targets every neuron.
 //! * [`report`] renders the results as human text, JSON, or SARIF
 //!   (sharing `snn-lint`'s diagnostic record and serialization).
 //!

@@ -1,6 +1,5 @@
-//! Soundness of the dead mask — the one analysis result production
-//! acts on (`TestGenerator::with_excluded` drops dead neurons from the
-//! activation targets): a neuron the interval analysis calls dead must
+//! Soundness of the dead mask — what `snn-mtfc analyze` reports as
+//! `[A-DEAD]`: a neuron the interval analysis calls dead must
 //! never spike in `Network::forward`, whatever binary stimulus drives
 //! the network. Random pruned dense, conv+pool and recurrent networks
 //! whose weights are scaled so that drive bounds land on both sides of

@@ -8,7 +8,7 @@
 //! worker *processes* — potentially on other machines — without changing
 //! a single verdict bit:
 //!
-//! * [`wire`] — protocol v9: the newline-JSON messages workers and the
+//! * [`wire`] — protocol v10: the newline-JSON messages workers and the
 //!   coordinator exchange ([`wire::WorkerMsg`], [`wire::CoordMsg`]), the
 //!   self-contained [`wire::CampaignSpec`] payload — detection stimuli
 //!   or, since v4, an optional reliability payload whose "fault ids" are

@@ -32,14 +32,9 @@
 ///   tokens — tokens are cloned out before `cancel()` is called. It sits
 ///   between the queue and the store so a future "queue → running"
 ///   handoff under both locks would stay legal.
-/// * `service.bus.subscribers` ranks second-to-last among the service
-///   locks: event fan-out must never acquire another service lock while
-///   delivering (the analysis cache is never touched from the event
-///   path).
-/// * `service.analysis.cache` ranks last among the service locks: it is
-///   a leaf — the cache is locked only for a point lookup or insert,
-///   never while computing an analysis and never while holding it
-///   acquiring anything else.
+/// * `service.bus.subscribers` ranks last among the service locks:
+///   event fan-out must never acquire another service lock while
+///   delivering.
 /// * `cluster.coordinator` ranks after every service lock because job
 ///   workers call into the coordinator (submit, wait, status) from code
 ///   that also takes service locks. Today every such call site releases
@@ -59,7 +54,6 @@ pub const LOCK_ORDER: &[&str] = &[
     "service.sink.last_persist",
     "service.store.jobs",
     "service.bus.subscribers",
-    "service.analysis.cache",
     "cluster.coordinator",
     "cluster.worker.session",
 ];
@@ -88,7 +82,7 @@ mod tests {
         assert!(
             LOCK_ORDER
                 .windows(2)
-                .any(|w| w[0] == "service.analysis.cache" && w[1] == "cluster.coordinator"),
+                .any(|w| w[0] == "service.bus.subscribers" && w[1] == "cluster.coordinator"),
             "cluster locks must rank directly after the service locks"
         );
     }

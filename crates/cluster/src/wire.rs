@@ -1,4 +1,4 @@
-//! Protocol v9: the coordinator/worker messages of distributed
+//! Protocol v10: the coordinator/worker messages of distributed
 //! campaigns, plus the newline-JSON line codec both the job server and
 //! the cluster share.
 //!
@@ -23,8 +23,9 @@ use std::io::{BufRead, Read, Write};
 /// reduced the `FaultSimConfig` inside [`CampaignSpec`] to `threads`,
 /// `record_class_diffs` and `engine`, and v9 dropped the explicit id
 /// list from [`LeaseGrant`]: a campaign's fault list is `0..faults`, so
-/// the grant's [`ChunkRange`] is the list.
-pub const PROTOCOL_VERSION: u64 = 9;
+/// the grant's [`ChunkRange`] is the list. v10 changed only the job
+/// record: a job result no longer carries a static-analysis summary.
+pub const PROTOCOL_VERSION: u64 = 10;
 
 /// Longest line [`read_raw_line`] accepts. The largest legitimate line
 /// is a [`CampaignSpec`] carrying an events text.
@@ -430,7 +431,7 @@ mod tests {
     fn worker_messages_round_trip() {
         pinned(
             &WorkerMsg::Hello { name: "w1".into(), protocol: PROTOCOL_VERSION },
-            r#"{"Hello":{"name":"w1","protocol":9}}"#,
+            r#"{"Hello":{"name":"w1","protocol":10}}"#,
         );
         pinned(&WorkerMsg::Lease { worker: "w1".into() }, r#"{"Lease":{"worker":"w1"}}"#);
         pinned(
@@ -471,7 +472,7 @@ mod tests {
     fn coordinator_messages_round_trip() {
         pinned(
             &CoordMsg::Welcome { protocol: PROTOCOL_VERSION, lease_ms: 5000, heartbeat_ms: 1000 },
-            r#"{"Welcome":{"protocol":9,"lease_ms":5000,"heartbeat_ms":1000}}"#,
+            r#"{"Welcome":{"protocol":10,"lease_ms":5000,"heartbeat_ms":1000}}"#,
         );
         pinned(
             &CoordMsg::Granted(grant()),

@@ -111,6 +111,16 @@ impl TestGenConfig {
             ..Self::paper()
         }
     }
+
+    /// The preset named `name`: `fast`, `repro` or `paper`.
+    pub fn preset(name: &str) -> Result<Self, String> {
+        match name {
+            "fast" => Ok(Self::fast()),
+            "repro" => Ok(Self::repro()),
+            "paper" => Ok(Self::paper()),
+            other => Err(format!("unknown preset {other:?} (expected fast, repro or paper)")),
+        }
+    }
 }
 
 /// Calibrates the minimum input duration `T_in,min`: the shortest duration
@@ -161,44 +171,17 @@ pub fn calibrate_t_in_min(
 pub struct TestGenerator<'a> {
     net: &'a Network,
     cfg: TestGenConfig,
-    excluded: Option<Vec<Vec<bool>>>,
 }
 
 impl<'a> TestGenerator<'a> {
     /// Creates a generator over a trained network.
     pub fn new(net: &'a Network, cfg: TestGenConfig) -> Self {
-        Self { net, cfg, excluded: None }
+        Self { net, cfg }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &TestGenConfig {
         &self.cfg
-    }
-
-    /// Excludes neurons from the target set `𝒩_T` — typically neurons
-    /// `snn-analyze` proves can never fire, which stage 1 would otherwise
-    /// chase for the whole budget. The mask is indexed like the network's
-    /// layers: one entry per layer, empty for non-spiking layers (the
-    /// shape `IntervalAnalysis::dead_mask` produces). Excluded neurons
-    /// are never optimization targets and do not gate termination, but
-    /// still count as activated if a chunk happens to fire them, so the
-    /// reported stats stay honest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mask shape does not match the network's layers.
-    pub fn with_excluded(mut self, excluded: Vec<Vec<bool>>) -> Self {
-        assert_eq!(
-            excluded.len(),
-            self.net.layers().len(),
-            "excluded mask needs one entry per layer"
-        );
-        for (idx, (layer, m)) in self.net.layers().iter().zip(&excluded).enumerate() {
-            let want = if layer.is_spiking() { layer.out_features() } else { 0 };
-            assert_eq!(m.len(), want, "excluded mask for layer {idx} has the wrong length");
-        }
-        self.excluded = Some(excluded);
-        self
     }
 
     /// Runs the full algorithm, producing the compact test stimulus.
@@ -240,8 +223,6 @@ impl<'a> TestGenerator<'a> {
             .map(|l| if l.is_spiking() { vec![false; l.out_features()] } else { Vec::new() })
             .collect();
         let total_neurons: usize = layout.iter().map(|&(_, n)| n).sum();
-        // Neurons excluded from 𝒩_T (all-false when no mask was given).
-        let excluded: Vec<Vec<bool>> = self.excluded.clone().unwrap_or_else(|| activated.clone());
 
         let mut chunks = Vec::new();
         let mut iterations = Vec::new();
@@ -249,27 +230,18 @@ impl<'a> TestGenerator<'a> {
         for iter in 0..cfg.max_iterations {
             cancel.check()?;
             let _iteration_span = snn_obs::span!("generate.iteration");
-            // Termination counts only targetable neurons: excluded ones
-            // can never be forced to fire, so waiting on them would burn
-            // the whole budget.
-            let remaining: usize = activated
-                .iter()
-                .zip(&excluded)
-                .flat_map(|(m, e)| m.iter().zip(e.iter()))
-                .filter(|&(&a, &e)| !a && !e)
-                .count();
+            let remaining = activated.iter().flatten().filter(|&&a| !a).count();
             if remaining == 0 || elapsed() >= cfg.t_limit {
                 break;
             }
 
-            // Target set: everything not yet activated and not excluded.
+            // Target set 𝒩_T: everything not yet activated.
             let mask: TargetMask = activated
                 .iter()
-                .zip(&excluded)
                 .enumerate()
-                .map(|(idx, (m, e))| {
+                .map(|(idx, m)| {
                     if self.net.layers()[idx].is_spiking() {
-                        Some(m.iter().zip(e.iter()).map(|(&a, &ex)| !a && !ex).collect())
+                        Some(m.iter().map(|&a| !a).collect())
                     } else {
                         None
                     }
@@ -545,59 +517,15 @@ mod tests {
         assert_eq!(out.unwrap_err(), Cancelled);
     }
 
-    fn all_false_mask(net: &Network) -> Vec<Vec<bool>> {
-        net.layers()
-            .iter()
-            .map(|l| if l.is_spiking() { vec![false; l.out_features()] } else { Vec::new() })
-            .collect()
-    }
-
     #[test]
-    fn excluding_every_neuron_terminates_immediately() {
-        let net = net(1);
-        let mut rng = StdRng::seed_from_u64(2);
-        let all = all_false_mask(&net).iter().map(|m| vec![true; m.len()]).collect();
-        let test =
-            TestGenerator::new(&net, TestGenConfig::fast()).with_excluded(all).generate(&mut rng);
-        assert!(test.chunks.is_empty(), "nothing left to target");
-        assert!(test.iterations.is_empty());
-    }
-
-    #[test]
-    fn empty_exclusion_matches_baseline_generation() {
-        let net = net(1);
-        let cfg = TestGenConfig::fast();
-        let baseline =
-            TestGenerator::new(&net, cfg.clone()).generate(&mut StdRng::seed_from_u64(2));
-        let masked = TestGenerator::new(&net, cfg)
-            .with_excluded(all_false_mask(&net))
-            .generate(&mut StdRng::seed_from_u64(2));
-        assert_eq!(baseline.chunks, masked.chunks);
-        assert_eq!(baseline.activated, masked.activated);
-    }
-
-    #[test]
-    fn excluded_neurons_leave_the_target_set_but_stay_in_stats() {
-        let net = net(3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut excluded = all_false_mask(&net);
-        // Exclude half of the hidden layer.
-        for e in excluded[0].iter_mut().take(6) {
-            *e = true;
-        }
-        let test = TestGenerator::new(&net, TestGenConfig::fast())
-            .with_excluded(excluded)
-            .generate(&mut rng);
-        // Stats stay over the full neuron set.
-        assert_eq!(test.activated.len(), net.neuron_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong length")]
-    fn exclusion_mask_shape_is_validated() {
-        let net = net(1);
-        let _ = TestGenerator::new(&net, TestGenConfig::fast())
-            .with_excluded(vec![vec![true], Vec::new()]);
+    fn presets_are_named_and_an_unknown_name_lists_them() {
+        assert_eq!(TestGenConfig::preset("fast"), Ok(TestGenConfig::fast()));
+        assert_eq!(TestGenConfig::preset("repro"), Ok(TestGenConfig::repro()));
+        assert_eq!(TestGenConfig::preset("paper"), Ok(TestGenConfig::paper()));
+        assert_eq!(
+            TestGenConfig::preset("x"),
+            Err(r#"unknown preset "x" (expected fast, repro or paper)"#.to_string())
+        );
     }
 
     #[test]

@@ -115,8 +115,9 @@ impl std::fmt::Display for JobState {
 pub struct JobTimings {
     /// Time spent in the queue before a worker picked the job up.
     pub queue_wait_ms: u64,
-    /// Static-analysis time (fault universe + interval analysis, or a
-    /// cache hit).
+    /// Time to build the job's fault universe; `0` when no campaign
+    /// ran. (The name predates protocol v10, when it also timed a
+    /// static analysis.)
     pub analyze_ms: u64,
     /// Test-generation time.
     pub generation_ms: u64,
@@ -148,9 +149,6 @@ pub struct JobResult {
     pub fault_coverage: Option<f64>,
     /// Server-side path of the persisted `.events` stimulus file.
     pub events_path: Option<String>,
-    /// Static-analysis summary of the model (interval classes). `None`
-    /// on records written by older servers.
-    pub analysis: Option<snn_analyze::AnalysisSummary>,
     /// Per-phase wall-clock breakdown. `None` on records written by
     /// older servers.
     pub timings: Option<JobTimings>,
@@ -175,13 +173,14 @@ pub struct JobResult {
 /// Schema revision stamped into every [`JobRecord`] the server persists.
 ///
 /// Followed [`PROTOCOL_VERSION`] from v4, when the field was introduced,
-/// to v6; protocols v7 and v8 changed only the worker wire, not the record.
-/// Every schema change so far is an additive `Option` field (v6 added
-/// the spec's requested `engine` and the result's resolved `engine`),
-/// so records from any earlier schema (including v1–v3 records, which
-/// predate the field itself) still decode — `crate::store` proves it
-/// with pinned JSON fixtures.
-pub const JOB_SCHEMA_VERSION: u32 = 6;
+/// to v6; protocols v7 to v9 changed only the worker wire, not the record.
+/// v6 added the spec's requested `engine` and the result's resolved
+/// `engine`; v7 (protocol v10) dropped the result's `analysis` summary.
+/// Decoding ignores fields a record has and the type lacks, and reads
+/// an absent `Option` as `None`, so records from any earlier schema
+/// (including v1–v3 records, which predate the field itself) still
+/// decode — `crate::store` proves it with pinned JSON fixtures.
+pub const JOB_SCHEMA_VERSION: u32 = 7;
 
 /// Everything the server knows about one job. Persisted as one JSON file
 /// under `<state-dir>/jobs/`, rewritten on every state change.
@@ -438,14 +437,6 @@ mod tests {
                 faults_detected: Some(7),
                 fault_coverage: Some(7.0 / 9.0),
                 events_path: Some("results/job-1.events".into()),
-                analysis: Some(snn_analyze::AnalysisSummary {
-                    neurons: 16,
-                    dead_neurons: 2,
-                    excitable_neurons: 10,
-                    undecided_neurons: 4,
-                    faults: 9,
-                    collapse_fraction: 0.0,
-                }),
                 timings: Some(JobTimings {
                     queue_wait_ms: 100,
                     analyze_ms: 20,
@@ -462,7 +453,7 @@ mod tests {
         pinned(&Response::Submitted { job: 1 }, r#"{"Submitted":{"job":1}}"#);
         pinned(
             &Response::Status(Box::new(record)),
-            r#"{"Status":{"id":1,"spec":{"model":{"Path":"model.snn"},"preset":"fast","seed":1,"max_iterations":4,"t_limit_secs":null,"evaluate_coverage":true,"threads":2,"reliability":null,"engine":"Packed"},"state":"Done","submitted_at_ms":1700000000000,"started_at_ms":1700000000100,"finished_at_ms":1700000003000,"progress":{"FaultsSimulated":{"done":5,"total":9,"detected":4}},"result":{"chunks":3,"test_steps":120,"activated":14,"total_neurons":16,"activation_coverage":0.875,"runtime_ms":2900,"faults_total":9,"faults_detected":7,"fault_coverage":0.7777777777777778,"events_path":"results/job-1.events","analysis":{"neurons":16,"dead_neurons":2,"excitable_neurons":10,"undecided_neurons":4,"faults":9,"collapse_fraction":0},"timings":{"queue_wait_ms":100,"analyze_ms":20,"generation_ms":2500,"fault_sim_ms":380},"verdict_digest":"cbf29ce484222325","reliability":null,"engine":"packed"},"error":null,"schema":6}}"#,
+            r#"{"Status":{"id":1,"spec":{"model":{"Path":"model.snn"},"preset":"fast","seed":1,"max_iterations":4,"t_limit_secs":null,"evaluate_coverage":true,"threads":2,"reliability":null,"engine":"Packed"},"state":"Done","submitted_at_ms":1700000000000,"started_at_ms":1700000000100,"finished_at_ms":1700000003000,"progress":{"FaultsSimulated":{"done":5,"total":9,"detected":4}},"result":{"chunks":3,"test_steps":120,"activated":14,"total_neurons":16,"activation_coverage":0.875,"runtime_ms":2900,"faults_total":9,"faults_detected":7,"fault_coverage":0.7777777777777778,"events_path":"results/job-1.events","timings":{"queue_wait_ms":100,"analyze_ms":20,"generation_ms":2500,"fault_sim_ms":380},"verdict_digest":"cbf29ce484222325","reliability":null,"engine":"packed"},"error":null,"schema":7}}"#,
         );
         let drop = snn_reliability::DropStats { mean: 0.25, p95: 0.5, worst: 0.75 };
         pinned(
@@ -485,7 +476,6 @@ mod tests {
                     faults_detected: None,
                     fault_coverage: None,
                     events_path: None,
-                    analysis: None,
                     timings: None,
                     verdict_digest: None,
                     reliability: Some(snn_reliability::ReliabilityReport {
@@ -510,10 +500,10 @@ mod tests {
                 error: None,
                 schema: Some(JOB_SCHEMA_VERSION),
             }]),
-            r#"{"Jobs":[{"id":2,"spec":{"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":5}},"preset":"repro","seed":5,"max_iterations":null,"t_limit_secs":null,"evaluate_coverage":false,"threads":0,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":8,"seed":42,"weight_model":"BitFlip","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":16,"rate":0.30000001192092896,"seed":7},"mitigation":"FaultAwareMapping"},"engine":null},"state":"Done","submitted_at_ms":1700000004000,"started_at_ms":1700000004010,"finished_at_ms":1700000004500,"progress":null,"result":{"chunks":0,"test_steps":0,"activated":0,"total_neurons":8,"activation_coverage":0,"runtime_ms":490,"faults_total":null,"faults_detected":null,"fault_coverage":null,"events_path":null,"analysis":null,"timings":null,"verdict_digest":null,"reliability":{"configs":8,"samples":8,"mitigation":"fault-aware-mapping","baseline_accuracy":1,"faulty_accuracy":0.75,"mitigated_accuracy":0.875,"drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mitigated_drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mean_spike_delta":3.5,"regions":[{"region":"weights[L0.T0]","configs_hit":8,"mean_drop":0.25}],"digest":"cbf29ce484222325"},"engine":null},"error":null,"schema":6}]}"#,
+            r#"{"Jobs":[{"id":2,"spec":{"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":5}},"preset":"repro","seed":5,"max_iterations":null,"t_limit_secs":null,"evaluate_coverage":false,"threads":0,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":8,"seed":42,"weight_model":"BitFlip","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":16,"rate":0.30000001192092896,"seed":7},"mitigation":"FaultAwareMapping"},"engine":null},"state":"Done","submitted_at_ms":1700000004000,"started_at_ms":1700000004010,"finished_at_ms":1700000004500,"progress":null,"result":{"chunks":0,"test_steps":0,"activated":0,"total_neurons":8,"activation_coverage":0,"runtime_ms":490,"faults_total":null,"faults_detected":null,"fault_coverage":null,"events_path":null,"timings":null,"verdict_digest":null,"reliability":{"configs":8,"samples":8,"mitigation":"fault-aware-mapping","baseline_accuracy":1,"faulty_accuracy":0.75,"mitigated_accuracy":0.875,"drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mitigated_drop":{"mean":0.25,"p95":0.5,"worst":0.75},"mean_spike_delta":3.5,"regions":[{"region":"weights[L0.T0]","configs_hit":8,"mean_drop":0.25}],"digest":"cbf29ce484222325"},"engine":null},"error":null,"schema":7}]}"#,
         );
         pinned(&Response::CancelRequested { job: 1 }, r#"{"CancelRequested":{"job":1}}"#);
-        pinned(&Response::Pong { version: PROTOCOL_VERSION }, r#"{"Pong":{"version":9}}"#);
+        pinned(&Response::Pong { version: PROTOCOL_VERSION }, r#"{"Pong":{"version":10}}"#);
         pinned(&Response::ShuttingDown, r#""ShuttingDown""#);
         pinned(
             &Response::Event(JobEvent {
@@ -581,18 +571,24 @@ mod tests {
     }
 
     #[test]
-    fn job_result_without_analysis_field_still_decodes() {
-        // Records persisted before the analysis summary and the timing
-        // breakdown existed must still load (the fields are additive).
+    fn job_result_without_optional_fields_still_decodes() {
+        // Records persisted before the timing breakdown and the digest
+        // existed must still load (the fields are additive).
         let json = "{\"chunks\":1,\"test_steps\":10,\"activated\":2,\"total_neurons\":4,\
                     \"activation_coverage\":0.5,\"runtime_ms\":3,\"faults_total\":null,\
                     \"faults_detected\":null,\"fault_coverage\":null,\"events_path\":null}";
         let r: JobResult = serde::json::from_str(json).unwrap();
-        assert!(r.analysis.is_none());
         assert!(r.timings.is_none());
         assert!(r.verdict_digest.is_none());
         assert!(r.reliability.is_none());
         assert_eq!(r.chunks, 1);
+
+        // Schema 6 results carried an `analysis` summary; it is skipped.
+        let v6 = json.replace(
+            "\"events_path\":null",
+            "\"events_path\":null,\"analysis\":{\"neurons\":4,\"dead_neurons\":0}",
+        );
+        assert_eq!(serde::json::from_str::<JobResult>(&v6).unwrap(), r);
     }
 
     #[test]

@@ -41,11 +41,6 @@ use std::time::{Duration, Instant};
 /// event still updates memory and the event bus).
 const PROGRESS_PERSIST_EVERY: Duration = Duration::from_millis(500);
 
-/// Models whose static analysis the server keeps between jobs: a fault
-/// universe is megabytes, and a server sees an unbounded series of
-/// models.
-const ANALYSIS_CACHE: usize = 4;
-
 /// Server tunables.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -92,11 +87,6 @@ struct Inner {
     queue_capacity: usize,
     /// Cancellation tokens of currently running jobs.
     running: Mutex<HashMap<u64, CancelToken>>,
-    /// Static-analysis results keyed by model-spec JSON, shared across
-    /// jobs over the same model: the [`ANALYSIS_CACHE`] most recently
-    /// used, oldest first. Assumes `ModelSpec::Path` files do not change
-    /// while the server runs (restart to pick up a new model).
-    analysis_cache: Mutex<VecDeque<(String, Arc<CachedAnalysis>)>>,
     /// The chunk scheduler for distributed coverage campaigns. Always
     /// present; it simply idles when no workers connect.
     coordinator: Coordinator,
@@ -341,7 +331,6 @@ impl Server {
             queue_cv: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
             running: Mutex::named("service.running", HashMap::new()),
-            analysis_cache: Mutex::named("service.analysis.cache", VecDeque::new()),
             coordinator,
             expect_workers: config.expect_workers,
             shutdown: AtomicBool::new(false),
@@ -435,12 +424,7 @@ fn validate_spec(spec: &JobSpec) -> Result<(), String> {
 
 /// Resolves the spec's preset name plus overrides into a generator config.
 fn preset_config(spec: &JobSpec) -> Result<TestGenConfig, String> {
-    let mut cfg = match spec.preset.as_str() {
-        "fast" => TestGenConfig::fast(),
-        "repro" => TestGenConfig::repro(),
-        "paper" => TestGenConfig::paper(),
-        other => return Err(format!("unknown preset {other:?} (expected fast, repro or paper)")),
-    };
+    let mut cfg = TestGenConfig::preset(&spec.preset)?;
     if let Some(iters) = spec.max_iterations {
         cfg.max_iterations = iters;
     }
@@ -448,49 +432,6 @@ fn preset_config(spec: &JobSpec) -> Result<TestGenConfig, String> {
         cfg.t_limit = Duration::from_secs(secs);
     }
     Ok(cfg)
-}
-
-/// Cached per-model static analysis: the standard fault universe and
-/// the interval analysis whose dead mask shapes generation.
-struct CachedAnalysis {
-    universe: FaultUniverse,
-    analysis: snn_analyze::Analysis,
-}
-
-/// Looks up (or computes and caches) the static analysis of `net`. The
-/// potentially slow analysis runs outside the cache lock; a racing
-/// duplicate computation is tolerated and the first insert wins. The
-/// analysis is a function of the model alone, so an evicted entry costs a
-/// recomputation, never a different answer.
-fn analysis_for(inner: &Inner, model: &ModelSpec, net: &Network) -> Arc<CachedAnalysis> {
-    /// The entry under `key`, now the most recently used one.
-    fn touch(
-        cache: &mut VecDeque<(String, Arc<CachedAnalysis>)>,
-        key: &str,
-    ) -> Option<Arc<CachedAnalysis>> {
-        let at = cache.iter().position(|(k, _)| k == key)?;
-        let hit = cache.remove(at)?;
-        let entry = Arc::clone(&hit.1);
-        cache.push_back(hit);
-        Some(entry)
-    }
-
-    let key = serde::json::to_string(model);
-    if let Some(cached) = touch(&mut inner.analysis_cache.lock(), &key) {
-        return cached;
-    }
-    let universe = FaultUniverse::standard(net);
-    let analysis = snn_analyze::analyze(net, &universe);
-    let entry = Arc::new(CachedAnalysis { universe, analysis });
-    let mut cache = inner.analysis_cache.lock();
-    if let Some(raced) = touch(&mut cache, &key) {
-        return raced;
-    }
-    cache.push_back((key, Arc::clone(&entry)));
-    if cache.len() > ANALYSIS_CACHE {
-        cache.pop_front();
-    }
-    entry
 }
 
 /// How one job execution ended.
@@ -605,17 +546,12 @@ fn execute(
         return execute_reliability(inner, spec, rspec, &net, queue_wait_ms, sink, token);
     }
 
+    // The stimulus is `snn-mtfc generate`'s for the same model, preset
+    // and seed.
     let started = Instant::now();
-    // Static analysis first: dead neurons leave the generator's target
-    // set.
-    let analyze_started = snn_obs::clock::monotonic();
-    let cached = analysis_for(inner, &spec.model, &net);
-    let analyze_ms = ms_since(analyze_started);
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let generator =
-        TestGenerator::new(&net, cfg).with_excluded(cached.analysis.intervals.dead_mask(&net));
     let generation_started = snn_obs::clock::monotonic();
-    let test = match generator.generate_with(&mut rng, sink, token) {
+    let test = match TestGenerator::new(&net, cfg).generate_with(&mut rng, sink, token) {
         Ok(test) => test,
         Err(_) => return JobOutcome::Cancelled(cancelled_why(inner)),
     };
@@ -640,21 +576,22 @@ fn execute(
         faults_detected: None,
         fault_coverage: None,
         events_path,
-        analysis: Some(cached.analysis.summary.clone()),
-        timings: Some(JobTimings { queue_wait_ms, analyze_ms, generation_ms, fault_sim_ms: 0 }),
+        timings: Some(JobTimings { queue_wait_ms, analyze_ms: 0, generation_ms, fault_sim_ms: 0 }),
         verdict_digest: None,
         reliability: None,
         engine: None,
     };
 
     if spec.evaluate_coverage && !test.chunks.is_empty() {
+        let universe_started = snn_obs::clock::monotonic();
+        let universe = FaultUniverse::standard(&net);
+        let analyze_ms = ms_since(universe_started);
         let fault_sim_started = snn_obs::clock::monotonic();
         let sim_cfg = FaultSimConfig {
             threads: spec.threads,
             engine: spec.engine,
             ..FaultSimConfig::default()
         };
-        let universe = &cached.universe;
         // One campaign over the whole universe, in-process or sharded:
         // the verdicts — and the digest — are what `snn-mtfc verify`
         // computes for the same model and events.
@@ -666,7 +603,7 @@ fn execute(
         } else {
             let assembled = test.assembled();
             let campaign = FaultSimulator::new(&net, sim_cfg).detect_with(
-                universe,
+                &universe,
                 universe.faults(),
                 std::slice::from_ref(&assembled),
                 sink,
@@ -695,6 +632,7 @@ fn execute(
             // A distributed campaign on a small universe can finish inside
             // a millisecond; `0` is reserved for "no campaign ran".
             timings.fault_sim_ms = ms_since(fault_sim_started).max(1);
+            timings.analyze_ms = analyze_ms;
         }
     }
 
@@ -776,7 +714,6 @@ fn execute_reliability(
         faults_detected: Some(impactful),
         fault_coverage: None,
         events_path: None,
-        analysis: None,
         timings: Some(JobTimings { queue_wait_ms, analyze_ms: 0, generation_ms: 0, fault_sim_ms }),
         verdict_digest: Some(report.digest.clone()),
         reliability: Some(report),
@@ -1209,37 +1146,5 @@ mod tests {
 
         drop(events);
         halt(&mut Client::connect(addr).unwrap(), server, &dir);
-    }
-
-    #[test]
-    fn the_analysis_cache_keeps_the_most_recent_models() {
-        let (inner, addr, server, dir) = boot("cache");
-        let mut client = Client::connect(addr).unwrap();
-        let mut analysis_of = |seed: u64| {
-            let job = client.submit(fast_spec(seed)).unwrap();
-            let record = client.watch(job, |_| {}).unwrap();
-            assert_eq!(record.state, JobState::Done, "error: {:?}", record.error);
-            record.result.unwrap().analysis.unwrap()
-        };
-        let cached_models = || {
-            let cache = inner.analysis_cache.lock();
-            cache.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>()
-        };
-
-        let first = analysis_of(0);
-        let oldest_key = cached_models()[0].clone();
-        for seed in 1..=ANALYSIS_CACHE as u64 {
-            analysis_of(seed);
-        }
-        // One model more than the cache holds: the first one made room.
-        assert_eq!(cached_models().len(), ANALYSIS_CACHE);
-        assert!(!cached_models().contains(&oldest_key));
-
-        // Recomputed on return, to the same answer, as the newest entry.
-        assert_eq!(analysis_of(0), first);
-        assert_eq!(cached_models().len(), ANALYSIS_CACHE);
-        assert_eq!(cached_models().last(), Some(&oldest_key));
-
-        halt(&mut client, server, &dir);
     }
 }

@@ -227,7 +227,6 @@ mod tests {
                     faults_detected: None,
                     fault_coverage: None,
                     events_path: None,
-                    analysis: None,
                     timings: None,
                     verdict_digest: None,
                     reliability: None,

@@ -69,32 +69,3 @@ fn cluster_locks_rank_after_every_service_lock() {
     assert!(msg.contains("cluster.coordinator"), "message must name the held lock: {msg}");
     assert!(msg.contains("service.queue"), "message must name the violating lock: {msg}");
 }
-
-#[test]
-fn analysis_cache_is_a_leaf_lock() {
-    snn_service::lock_order::register();
-    let cache = parking_lot::Mutex::named("service.analysis.cache", ());
-    let queue = parking_lot::Mutex::named("service.queue", ());
-
-    // Documented direction: any service lock may be held when the cache
-    // is taken.
-    {
-        let _q = queue.lock();
-        let _c = cache.lock();
-    }
-
-    // Acquiring anything while holding the cache is an inversion and
-    // must panic deterministically.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _c = cache.lock();
-        let _q = queue.lock();
-    }));
-    let payload = result.expect_err("cache-then-queue must panic under debug_assertions");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a message");
-    assert!(msg.contains("lock-order violation"), "unexpected panic message: {msg}");
-    assert!(msg.contains("service.analysis.cache"), "message must name the held lock: {msg}");
-}

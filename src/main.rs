@@ -345,12 +345,7 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 fn cmd_generate(args: &[String]) -> Result<(), String> {
     let path = positional(args, 0).ok_or("missing model path")?;
     let net = load_model(path)?;
-    let cfg = match flag(args, "--preset").unwrap_or("repro") {
-        "fast" => TestGenConfig::fast(),
-        "repro" => TestGenConfig::repro(),
-        "paper" => TestGenConfig::paper(),
-        other => return Err(format!("unknown preset `{other}`")),
-    };
+    let cfg = TestGenConfig::preset(flag(args, "--preset").unwrap_or("repro"))?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed_of(args)?);
     let (test, collector) = with_trace(|| Ok(TestGenerator::new(&net, cfg).generate(&mut rng)));
     let test = test?;
@@ -416,9 +411,6 @@ fn print_record(record: &JobRecord) {
             if let Some(digest) = &result.verdict_digest {
                 line.push_str(&format!(", verdict digest {digest}"));
             }
-        }
-        if let Some(analysis) = &result.analysis {
-            line.push_str(&format!(", analysis: {} dead neuron(s)", analysis.dead_neurons));
         }
         if let Some(t) = &result.timings {
             line.push_str(&format!(
