@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=25557
+LINE_BUDGET=25682
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -194,7 +194,7 @@ for m in nmnist ibm shd; do
         "$ANALYZE_TMP/$m.events" --engine packed)"
     grep -q '^engine: scalar$' <<< "$SCALAR_OUT" || { echo "$m: verify ignored --engine scalar"; exit 1; }
     grep -q '^engine: packed$' <<< "$PACKED_OUT" || { echo "$m: verify ignored --engine packed"; exit 1; }
-    grep -Eq '^packed: [0-9]+ faults in [0-9]+ packs, fallback: 0$' <<< "$PACKED_OUT" \
+    grep -Eq '^packed: [0-9]+ faults in [0-9]+ runs, fallback: 0$' <<< "$PACKED_OUT" \
         || { echo "$m: packed verify left faults to the scalar fallback"; grep '^packed:' <<< "$PACKED_OUT"; exit 1; }
     SCALAR_DIGEST="$(verdict_of "$SCALAR_OUT")"
     PACKED_DIGEST="$(verdict_of "$PACKED_OUT")"
@@ -212,8 +212,9 @@ for m in nmnist ibm shd; do
 done
 
 step "packed engine — kernel phases attribute >=95% of dense-, conv- and recurrent-site campaigns"
-# Every fault-layer stage — a pack's dense weight members together, each
-# conv and recurrent site on its own — must land in the forward.l* slots.
+# Every fault-layer stage — a run's dense weight members together, each
+# conv and recurrent site on its own — must land in the forward.l* slots,
+# and the grouping of equal divergences in the compare slot.
 for m in nmnist ibm shd; do
     cargo run --release -q --offline -- verify "$ANALYZE_TMP/$m.snn" "$ANALYZE_TMP/$m.events" \
         --engine packed --trace-out "$ANALYZE_TMP/$m.packed.trace.jsonl" > /dev/null

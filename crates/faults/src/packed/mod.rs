@@ -1,18 +1,20 @@
 //! The packed engine — bit-packed fault-parallel simulation: fault plan →
-//! lane assignment → packed differential run.
+//! per run, fault-layer stage → collapse of equal divergences → packed
+//! differential sweep.
 //!
 //! A detection campaign asks one question per (fault, test) pair: does
 //! the faulty output spike train differ from the fault-free one? The
 //! scalar engine answers it by re-simulating the network once per fault.
-//! This module answers it for up to 64 faults at once, and for each of
-//! them *differentially*: the fault-free ("golden") run is simulated once
-//! per test by the model's own forward pass, which records its drives
-//! and pre-tick states; a fault variant reuses those wherever it still
-//! equals the golden run and redoes arithmetic only where it does not.
-//! Variants travel between layers as bit *lanes* inside `u64` spike
-//! words; at each layer behind the fault the lanes that actually diverge
-//! share one `[neurons × lanes]` block of `f32` state, stepped together
-//! from the first tick any of them diverges.
+//! This module answers it *differentially*: the fault-free ("golden") run
+//! is simulated once per test by the model's own forward pass, which
+//! records its drives and pre-tick states; a fault variant reuses those
+//! wherever it still equals the golden run and redoes arithmetic only
+//! where it does not. Variants that leave their fault layer with the same
+//! spikes are one variant from there on and are swept once. Swept
+//! variants travel between layers as bit *lanes* inside `u64` spike
+//! words, up to 64 at a time; at each layer behind the fault the lanes
+//! that actually diverge share one `[neurons × lanes]` block of `f32`
+//! state, stepped together from the first tick any of them diverges.
 //!
 //! Behind its fault a diverged lane costs what diverged: a drive is read
 //! from the golden record on the ticks where nothing it depends on
@@ -22,22 +24,26 @@
 //! [`LifParams::step_row`](snn_model::LifParams::step_row) over the
 //! block and one folded comparison per neuron row with the golden spike;
 //! the buffers belong to the worker thread, not to the lane; and the
-//! phase clock is read per pack and layer.
+//! phase clock is read per run and layer.
 //!
 //! The pipeline:
 //!
-//! 1. [`plan`] — group the fault list by fault layer into *packs* of
-//!    ≤ 64 variants. Every fault of every spiking layer kind (dense,
-//!    conv, recurrent) is packable as long as the network's last layer
-//!    is spiking; otherwise the list is the scalar engine's;
-//! 2. lane assignment — each pack member gets a bit lane, with lane 0
-//!    reserved as a fault-free self-check in non-full packs;
-//! 3. packed run — per pack, per test: a per-site fault-layer stage
-//!    yields each lane's divergence from the golden spikes at the fault
-//!    layer, then the layers behind it are swept lane-parallel.
+//! 1. [`plan`] — group the fault list by fault layer into *runs* of up
+//!    to 512 consecutive faults, the unit a thread claims. Every fault of
+//!    every spiking layer kind (dense, conv, recurrent) is packable as
+//!    long as the network's last layer is spiking; otherwise the list is
+//!    the scalar engine's;
+//! 2. per run, per test: a per-site fault-layer stage yields each
+//!    member's flips — its divergence from the golden spikes at the fault
+//!    layer; members with equal flips are grouped, and one representative
+//!    per group is swept;
+//! 3. the representatives go in blocks of up to 64 bit lanes, lane 0 a
+//!    fault-free self-check in a block that is not full, lane-parallel
+//!    through the layers behind the fault; every member takes its
+//!    representative's verdict.
 //!
 //! [`detect`] is what [`FaultSimulator::detect_with`] runs under
-//! [`Engine::Packed`](crate::Engine::Packed): it plans the packs, runs
+//! [`Engine::Packed`](crate::Engine::Packed): it plans the runs, runs
 //! them and returns outcomes **bit-identical** to the scalar engine's —
 //! same per-fault detection flags, distances, class diffs and therefore
 //! the same [`verdict_digest`](crate::verdict_digest). Cluster chunking
@@ -58,8 +64,8 @@ use snn_tensor::ops;
 
 use pack::{as_u64, Golden};
 
-/// The packed campaign: plan → one golden forward per test →
-/// lane-parallel pack fan-out, one progress event per pack. A plan that
+/// The packed campaign: plan → one golden forward per test → run
+/// fan-out, one progress event per run. A plan that
 /// leaves anything to the fallback — a network whose output is not
 /// spikes, or a fault addressed to a layer without neurons — hands the
 /// whole campaign to the scalar engine.
@@ -72,7 +78,7 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
         let mut plan_span = snn_obs::span!("batch.plan");
         let threads = parallel::effective_threads(cfg.threads);
         let plan = plan::plan(net, faults, threads, &mut campaign_local);
-        plan_span.attr("packs", plan.packs.len());
+        plan_span.attr("runs", plan.runs.len());
         plan_span.attr("fallback", plan.fallback.len());
         plan
     };
@@ -86,10 +92,10 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
     }
 
     // The one golden forward per test: the baseline every verdict is
-    // against and, from the first fault layer on, the records every pack
+    // against and, from the first fault layer on, the records every run
     // reuses.
     let baseline_span = snn_obs::span!("faultsim.baseline");
-    let first_fault_layer = plan.packs.first().map_or(0, |pk| pk.layer);
+    let first_fault_layer = plan.runs.first().map_or(0, |r| r.layer);
     let golden: Vec<Golden> = tests
         .iter()
         .map(|t| {
@@ -126,17 +132,17 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
         tests,
         golden: &golden,
     };
-    let pack_outcomes = parallel::try_map_indexed(
-        plan.packs.len(),
+    let run_outcomes = parallel::try_map_indexed(
+        plan.runs.len(),
         cfg.threads,
         c.cancel,
         || pack::Scratch::new(net),
-        |scratch, pi| {
-            let pk = &plan.packs[pi];
-            let outcomes = pack::run_pack(&ctx, pk, scratch);
+        |scratch, ri| {
+            let run = &plan.runs[ri];
+            let outcomes = pack::run_faults(&ctx, run, scratch);
             let det = outcomes.iter().filter(|o| o.detected).count();
             let detected = detected_total.fetch_add(det, Ordering::Relaxed) + det;
-            let done_now = done.fetch_add(pk.members.len(), Ordering::Relaxed) + pk.members.len();
+            let done_now = done.fetch_add(run.members.len(), Ordering::Relaxed) + run.members.len();
             c.sink.emit(Progress::FaultsSimulated {
                 done: done_now,
                 total: faults.len(),
@@ -148,15 +154,15 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
     snn_obs::phase::faultsim().merge(&campaign_local);
     let mut per_fault: Vec<Option<FaultOutcome>> = Vec::new();
     per_fault.resize_with(faults.len(), || None);
-    for (pk, outcomes) in plan.packs.iter().zip(pack_outcomes) {
-        for (&fi, o) in pk.members.iter().zip(outcomes) {
+    for (run, outcomes) in plan.runs.iter().zip(run_outcomes) {
+        for (&fi, o) in run.members.iter().zip(outcomes) {
             per_fault[fi] = Some(o);
         }
     }
     Ok(per_fault
         .into_iter()
-        // snn-lint: allow(L-PANIC): with an empty fallback the plan assigns every fault index to exactly one pack
-        .map(|o| o.expect("every fault assigned to a pack"))
+        // snn-lint: allow(L-PANIC): with an empty fallback the plan assigns every fault index to exactly one run
+        .map(|o| o.expect("every fault assigned to a run"))
         .collect())
 }
 

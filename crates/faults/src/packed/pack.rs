@@ -1,18 +1,18 @@
-//! The packed kernel: one pack of up to 64 fault variants simulated
-//! *differentially* against the golden run and swept lane-parallel over
-//! the layers behind the fault.
+//! The packed kernel: one run of fault variants simulated
+//! *differentially* against the golden run, each distinct divergence
+//! swept once, lane-parallel, over the layers behind the fault.
 //!
 //! # Shape of a sweep
 //!
-//! Every fault in a pack sits at the same spiking layer `ℓ`. Whatever a
-//! lane does is stated as its **flips**: the `(tick, neuron)` positions
-//! where its spike differs from the golden one. The sweep runs in two
-//! stages:
+//! Every fault in a run sits at the same spiking layer `ℓ`. Whatever a
+//! variant does is stated as its **flips**: the `(tick, neuron)` positions
+//! where its spike differs from the golden one. Per test the run goes
+//! through three stages:
 //!
 //! * **Fault-layer stage** — redo at layer `ℓ` only what the fault can
 //!   change, on golden drives wherever they still hold. The dense weight
-//!   members of a pack go together, the members as the vector axis: their
-//!   patched rows are transposed once per pack, and a tick is one product
+//!   members of a run go together, 64 at a time, the members as the
+//!   vector axis: their patched rows are transposed, and a tick is one product
 //!   of the input row with them — one drive per member — and one LIF step
 //!   of the members' faulty neurons as a row ([`dense_weights`]). Every
 //!   other member goes on its own: one neuron column for a neuron fault,
@@ -22,9 +22,21 @@
 //!   holds on the others), and for a recurrent layer the faulty neuron
 //!   alone until its spikes
 //!   leave the golden train, then the whole layer for as long as it stays
-//!   off it. A lane without flips is resolved right here: undetected by
-//!   this test.
-//! * **Downstream** — flips toggle the lane's bit in packed `u64` spike
+//!   off it. Each member's flips go to the run's [`Divergences`], in
+//!   (tick, neuron) order. A member without flips is resolved right here:
+//!   undetected by this test; at the output layer the flips are the
+//!   verdict.
+//! * **Collapse** — members whose flips are equal diverge alike: behind
+//!   `ℓ` a variant reads nothing but the golden records and its own bits,
+//!   so equal flips at `ℓ` are equal flips at every later layer. The
+//!   diverged members are grouped by equal flip lists (a hash finds the
+//!   candidates, equality decides), and only the first member of each
+//!   group, its representative, is swept. A dense fault's flips stay in
+//!   its neuron, and the universe lists a neuron's synapse faults side by
+//!   side, which is why a run is wider than a sweep.
+//! * **Downstream** — the representatives go in blocks of up to 64 bit
+//!   lanes, lane 0 a fault-free self-check in a block that is not full.
+//!   Flips toggle the lane's bit in packed `u64` spike
 //!   words (golden rows broadcast to every lane), which carry the lanes
 //!   from one spiking layer to the next. Per spiking layer, a per-tick
 //!   [`row_diff_mask`] against the golden rows finds which lanes still
@@ -37,7 +49,8 @@
 //!   the way applied to the lane's row then and there, to the one channel
 //!   a conv fault layer's lane can differ in, over the golden pooled row
 //!   — then steps the whole block at once. Lanes whose output reconverges
-//!   drop out; at the last layer the flips *are* the verdict.
+//!   drop out; at the last layer the flips *are* the verdict, and every
+//!   member of a group folds its representative's into its own.
 //!
 //! What a diverged lane costs follows what diverged. A recomputed drive
 //! is the sum of the transposed weight's columns at the lane's spikes
@@ -45,9 +58,9 @@
 //! are made once per campaign), never a full product; a tick of a layer
 //! is one [`LifParams::step_row`] over the block and one folded
 //! comparison per neuron row with its golden spike; and every buffer a
-//! pack touches belongs to its worker thread's [`Scratch`] — a lane
+//! run touches belongs to its worker thread's [`Scratch`] — a lane
 //! allocates nothing of its own, only [`ops::conv2d`] sets up its tap
-//! tables per call. The clock is read once per stage of a pack
+//! tables per call. The clock is read once per stage of a run
 //! ([`Laps`]), not per lane.
 //!
 //! # Bit-exactness
@@ -85,6 +98,9 @@
 //!   computation the scalar engine performs from tick 0; a lane that
 //!   joins a block before its own first divergent tick steps the
 //!   recorded drives from the recorded state, and stays on the record;
+//! * **exact sharing** — a member takes its representative's flip count
+//!   and class deltas test by test, and folds them into its own verdict
+//!   in test order, as it would its own;
 //! * **exact verdict** — the L1 distance over binary spike trains is the
 //!   flip count, a sum of exact `1.0`s, so counting and converting the
 //!   integer to `f32` reproduces the scalar accumulation bitwise (output
@@ -100,12 +116,13 @@ use snn_obs::clock::monotonic;
 use snn_obs::phase::{LocalPhases, Phase};
 use snn_tensor::ops::{self, Conv2dSpec};
 use snn_tensor::packed::{
-    broadcast_row, lane_matvec, row_diff_mask, row_dot, set_lane_bit, unpack_lane,
+    broadcast_row, lane_matvec, row_diff_mask, row_dot, set_lane_bit, unpack_lane, LANES,
 };
 use snn_tensor::{Shape, Tensor};
+use std::ops::Range;
 use std::time::Duration;
 
-use super::plan::Pack;
+use super::plan::Run;
 
 /// The fault-free run of one test input: the baseline trace plus the
 /// per-layer records the model's forward pass kept for reuse.
@@ -127,7 +144,7 @@ pub(crate) struct Transposed {
     pub feedback: Vec<f32>,
 }
 
-/// Read-only campaign state shared by every pack run.
+/// Read-only campaign state shared by every run.
 pub(crate) struct Ctx<'a> {
     pub net: &'a Network,
     /// Per layer, made once per campaign.
@@ -205,8 +222,8 @@ impl Gold<'_> {
 }
 
 /// One worker thread's buffers, made once per campaign and thread and
-/// reused by every pack, test and lane the thread runs: the sweep
-/// allocates per pack (verdicts and outcomes), never per lane — only the
+/// reused by every run, test and lane the thread runs: the sweep
+/// allocates per run (verdicts and outcomes), never per lane — only the
 /// convolution kernel it calls sets up tables per call.
 pub(crate) struct Scratch {
     lane: LaneScratch,
@@ -216,14 +233,13 @@ pub(crate) struct Scratch {
     words_out: Vec<u64>,
     /// Per tick, the lanes whose row in `words` differs from golden's.
     diffmask: Vec<u64>,
-    /// Per-class spike-count deltas of a fault-layer lane at the output
-    /// layer.
-    delta: Vec<i32>,
-    /// The pack's patched weight rows, one slot of equal length per
-    /// member.
+    /// A weight member's patched row: its neuron's (or channel's) weights
+    /// with the faulty value in place.
     patched: Vec<f32>,
-    /// The pack's dense weight members, stepped together.
+    /// The run's dense weight members, stepped together.
     dense: DenseMembers,
+    /// The members' flips at the fault layer, and who sweeps for whom.
+    div: Divergences,
     /// The live lanes at a layer behind the fault, stepped together.
     block: Block,
 }
@@ -252,63 +268,81 @@ struct LaneScratch {
     drive: Vec<f32>,
 }
 
-/// A pack's dense weight members, simulated together with the members as
-/// the vector axis ([`dense_weights`]). The buffers follow the pack — its
-/// member count and its layer's input width — and grow on demand.
+/// A run's dense weight members, simulated together with the members as
+/// the vector axis ([`dense_weights`]), up to 64 at a time. The buffers
+/// grow on demand.
 #[derive(Default)]
 struct DenseMembers {
-    /// Per member simulated here, in pack order: its index in the pack and
+    /// Per member simulated here, in run order: its index in the run and
     /// its faulty neuron.
     members: Vec<(usize, usize)>,
-    /// The members' patched rows transposed, `[inputs × members]`.
+    /// Up to 64 members' patched rows transposed, `[inputs × members]`.
     rows_t: Vec<f32>,
     /// One tick's drives, and the members' neuron state and spikes.
     z: Vec<f32>,
     carried: Vec<f32>,
     refrac: Vec<u32>,
     spikes: Vec<f32>,
-    /// Per member, the ticks of the test at hand where its neuron's spike
-    /// differs from golden's, and whether it fired.
-    flips: Vec<Vec<(usize, bool)>>,
+    /// Per tick of the test at hand, a bit per member (`⌈members / 64⌉`
+    /// words a tick): set where its neuron's spike differs from golden's.
+    flipped: Vec<u64>,
+    /// Per member, where its next flip goes while they are placed.
+    cursor: Vec<usize>,
 }
 
 impl DenseMembers {
-    /// Takes the weight members of a pack at a dense layer — none at any
-    /// other — and builds their patched rows transposed: row `c` gathers
-    /// input `c`'s weights of the members' neurons from the layer's
-    /// transposed weight, and each member's faulty value is put in place.
-    fn load(&mut self, ctx: &Ctx<'_>, pack: &Pack) {
+    /// Takes the weight members of a run at a dense layer — none at any
+    /// other.
+    fn load(&mut self, ctx: &Ctx<'_>, run: &Run) {
         self.members.clear();
-        let Layer::Dense(l) = &ctx.net.layers()[pack.layer] else { return };
-        let (n, cols) = (l.weight.shape().dim(0), l.weight.shape().dim(1));
-        let weight = |fi: usize| match &ctx.injections[fi] {
-            Injection::Weight { at, value } => Some((at.offset, *value)),
-            Injection::Neuron(_) => None,
-        };
-        for (i, &fi) in pack.members.iter().enumerate() {
-            if let Some((offset, _)) = weight(fi) {
-                self.members.push((i, offset / cols));
-            }
-        }
-        let m = self.members.len();
-        self.rows_t.resize(cols * m, 0.0);
-        for (c, row) in self.rows_t.chunks_exact_mut(m.max(1)).enumerate() {
-            let wt_c = &ctx.transposed[pack.layer].input[c * n..(c + 1) * n];
-            for (w, &(_, q)) in row.iter_mut().zip(&self.members) {
-                *w = wt_c[q];
-            }
-        }
-        for (j, &(i, _)) in self.members.iter().enumerate() {
-            if let Some((offset, value)) = weight(pack.members[i]) {
-                self.rows_t[offset % cols * m + j] = value;
+        let Layer::Dense(l) = &ctx.net.layers()[run.layer] else { return };
+        let cols = l.weight.shape().dim(1);
+        for (i, &fi) in run.members.iter().enumerate() {
+            if let Injection::Weight { at, .. } = &ctx.injections[fi] {
+                self.members.push((i, at.offset / cols));
             }
         }
         for row in [&mut self.z, &mut self.carried, &mut self.spikes] {
-            row.resize(m, 0.0);
+            row.resize(LANES, 0.0);
         }
-        self.refrac.resize(m, 0);
-        if self.flips.len() < m {
-            self.flips.resize_with(m, Vec::new);
+        self.refrac.resize(LANES, 0);
+    }
+
+    /// Appends the members' flips to `flips` as positions into the
+    /// layer's `[T × n]` output, member after member, each in tick order,
+    /// and sets each member's span in `spans` (by run member): one pass
+    /// over the set bits counts them, a second places them.
+    fn flips_into(&mut self, n: usize, flips: &mut Vec<usize>, spans: &mut [Range<usize>]) {
+        let Self { members, flipped, cursor, .. } = self;
+        let words = members.len().div_ceil(LANES);
+        cursor.clear();
+        cursor.resize(members.len(), 0);
+        for_each_bit(flipped, words, |_, j| cursor[j] += 1);
+        let mut end = flips.len();
+        for (&(i, _), at) in members.iter().zip(cursor.iter_mut()) {
+            let start = end;
+            end += *at;
+            spans[i] = start..end;
+            *at = start;
+        }
+        flips.resize(end, 0);
+        for_each_bit(flipped, words, |t, j| {
+            flips[cursor[j]] = t * n + members[j].1;
+            cursor[j] += 1;
+        });
+    }
+}
+
+/// Calls `f(t, j)` for each set bit `j` of row `t` of a bitmap of `words`
+/// words a row, row after row.
+fn for_each_bit(bitmap: &[u64], words: usize, mut f: impl FnMut(usize, usize)) {
+    for (t, row) in bitmap.chunks_exact(words).enumerate() {
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(t, w * LANES + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
     }
 }
@@ -335,15 +369,15 @@ impl Scratch {
             words: Vec::new(),
             words_out: Vec::new(),
             diffmask: Vec::new(),
-            delta: vec![0; widest],
             patched: Vec::new(),
             dense: DenseMembers::default(),
+            div: Divergences::default(),
             block: Block::default(),
         }
     }
 }
 
-/// The pack's phase clock. A lap is read once, where a stage of the pack
+/// The run's phase clock. A lap is read once, where a stage of the run
 /// ends — a fault-layer loop, a layer of the sweep — and is credited
 /// whole to the phase that stage mostly is: the clock is never read per
 /// lane or per fault.
@@ -377,59 +411,23 @@ impl Laps {
     }
 }
 
-/// Where a lane's flips at its fault layer go.
-enum Sink<'a> {
-    /// The output layer: the flips are the verdict.
-    Verdict { count: u32, delta: &'a mut [i32] },
-    /// An inner layer: the flips set the lane's bit in the layer's output
-    /// words, which hold the golden row in every lane.
-    Words { words: &'a mut [u64], n: usize, lane: u32, any: bool },
+/// Where a member's flips at its fault layer go: the run's flip list, as
+/// positions `t · n + q` of the layer's `[T × n]` output.
+struct Sink<'a> {
+    flips: &'a mut Vec<usize>,
+    n: usize,
 }
 
-impl<'a> Sink<'a> {
-    /// A lane's sink at a layer of `delta.len()` neurons: into the
-    /// layer's output `words`, or — the output layer has none — a
-    /// verdict tallied in `delta`, which the previous lane left dirty.
-    fn new(words: Option<&'a mut [u64]>, delta: &'a mut [i32], lane: u32) -> Self {
-        match words {
-            Some(words) => Sink::Words { words, n: delta.len(), lane, any: false },
-            None => {
-                delta.fill(0);
-                Sink::Verdict { count: 0, delta }
-            }
-        }
-    }
-
-    /// Closes the lane's sink: `true` when the lane leaves an inner layer
-    /// diverged; an output-layer sink folds into the lane's `verdict`.
-    fn finish(self, cfg: &FaultSimConfig, verdict: &mut LaneVerdict) -> bool {
-        match self {
-            Sink::Words { any, .. } => any,
-            Sink::Verdict { count, delta } => {
-                verdict.update(cfg, count, delta);
-                false
-            }
-        }
-    }
-
-    /// Neuron `q` of the lane spikes (`fired`) or stays silent at tick
-    /// `t` where the golden neuron does the opposite.
+impl Sink<'_> {
+    /// Neuron `q` spikes at tick `t` where the golden neuron is silent, or
+    /// the other way round.
     #[inline]
-    fn flip(&mut self, t: usize, q: usize, fired: bool) {
-        match self {
-            Sink::Verdict { count, delta } => {
-                *count += 1;
-                delta[q] += if fired { 1 } else { -1 };
-            }
-            Sink::Words { words, n, lane, any } => {
-                set_lane_bit(&mut words[t * *n + q], *lane, fired);
-                *any = true;
-            }
-        }
+    fn flip(&mut self, t: usize, q: usize) {
+        self.flips.push(t * self.n + q);
     }
 
     /// Reports the flips of one tick of neurons `base..base + spikes.len()`:
-    /// wherever the lane's `spikes` differ from the `golden` ones. Both
+    /// wherever the member's `spikes` differ from the `golden` ones. Both
     /// rows hold exact `0.0`/`1.0`, so one or-folded xor of their bits
     /// settles the usual case — no flip — without a look at any neuron.
     /// `true` when there was one.
@@ -441,11 +439,86 @@ impl<'a> Sink<'a> {
         }
         for (p, (s, g)) in spikes.iter().zip(golden).enumerate() {
             if differ(s, g) != 0 {
-                self.flip(t, base + p, s.to_bits() != 0);
+                self.flip(t, base + p);
             }
         }
         true
     }
+}
+
+/// A run's members under one test: their flips at the fault layer, and
+/// which of them sweep the layers behind it for the others.
+#[derive(Default)]
+struct Divergences {
+    /// Every member's flips, each member's in ascending position order.
+    flips: Vec<usize>,
+    /// Per member, where its flips are in `flips`.
+    spans: Vec<Range<usize>>,
+    /// The diverged members, by the hash of their flips.
+    keys: Vec<(u64, usize)>,
+    /// Per diverged member, its representative: the first member with
+    /// the same flips, itself if there is none before it.
+    rep: Vec<Option<usize>>,
+    /// The representatives, the members swept, by their first flip: a
+    /// block of lanes is stepped from the first tick any of them diverges,
+    /// so lanes that diverge at about the same tick go together.
+    reps: Vec<usize>,
+    /// Per representative (by member index), the flip count and per-class
+    /// deltas (`[members × classes]`) its sweep left at the output layer.
+    count: Vec<u32>,
+    delta: Vec<i32>,
+}
+
+impl Divergences {
+    /// Member `i`'s flips.
+    fn of(&self, i: usize) -> &[usize] {
+        flips_of(&self.flips, &self.spans, i)
+    }
+
+    /// Groups the diverged members by equal flips and picks each group's
+    /// representative, returning the number of members that diverged.
+    fn group(&mut self) -> usize {
+        let Self { flips, spans, keys, rep, reps, .. } = self;
+        keys.clear();
+        for i in 0..spans.len() {
+            let own = flips_of(flips, spans, i);
+            if !own.is_empty() {
+                let hash = own.iter().fold(as_u64(own.len()), |h, &p| {
+                    (h.rotate_left(5) ^ as_u64(p)).wrapping_mul(0x517c_c1b7_2722_0a95)
+                });
+                keys.push((hash, i));
+            }
+        }
+        keys.sort_unstable();
+        rep.clear();
+        rep.resize(spans.len(), None);
+        reps.clear();
+        // Members of one hash come in member order; each is compared with
+        // the representatives its hash has so far — one, unless two lists
+        // collide.
+        let mut a = 0;
+        while a < keys.len() {
+            let hash = keys[a].0;
+            let end = a + keys[a..].partition_point(|key| key.0 == hash);
+            let first = reps.len();
+            for &(_, i) in &keys[a..end] {
+                let own = flips_of(flips, spans, i);
+                let found = reps[first..].iter().find(|&&r| flips_of(flips, spans, r) == own);
+                rep[i] = Some(found.copied().unwrap_or(i));
+                if rep[i] == Some(i) {
+                    reps.push(i);
+                }
+            }
+            a = end;
+        }
+        reps.sort_unstable_by_key(|&r| (flips_of(flips, spans, r)[0], r));
+        keys.len()
+    }
+}
+
+/// Member `i`'s flips in a run's flip list.
+fn flips_of<'a>(flips: &'a [usize], spans: &[Range<usize>], i: usize) -> &'a [usize] {
+    &flips[spans[i].clone()]
 }
 
 /// One lane's running verdict across the campaign's test inputs,
@@ -498,67 +571,57 @@ fn weight_rows(layer: &Layer, tensor: usize) -> (&Tensor, usize) {
     (w, w.len() / w.shape().dim(0))
 }
 
-/// Runs one pack over every test input, returning per-member outcomes in
-/// member order. Phase accounting is recorded into a pack-local scratch
+/// Runs one run over every test input, returning per-member outcomes in
+/// member order. Phase accounting is recorded into a run-local scratch
 /// and folded into the process-wide accumulator via `merge_pack`, which
-/// scales *counts* (not nanoseconds) by the lane width so per-fault
+/// scales *counts* (not nanoseconds) by the member count so per-fault
 /// normalization stays meaningful.
-pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec<FaultOutcome> {
-    let mut pack_span = snn_obs::span!("batch.pack");
-    pack_span.attr("layer", pack.layer);
-    pack_span.attr("lanes", pack.lanes());
+pub(crate) fn run_faults(ctx: &Ctx<'_>, run: &Run, scratch: &mut Scratch) -> Vec<FaultOutcome> {
+    let mut run_span = snn_obs::span!("batch.run");
+    run_span.attr("layer", run.layer);
+    run_span.attr("members", run.members.len());
     let mut laps = Laps::start();
     let mut verdicts: Vec<LaneVerdict> = Vec::new();
-    verdicts.resize_with(pack.members.len(), LaneVerdict::default);
+    verdicts.resize_with(run.members.len(), LaneVerdict::default);
 
-    // Injection: every weight fault's row with the faulty value in place,
-    // built once for all test inputs — a dense layer's all in one
-    // transposed matrix, the others in a slot each.
-    let layer = &ctx.net.layers()[pack.layer];
-    scratch.dense.load(ctx, pack);
-    // (Only a recurrent layer has a second matrix, with rows of its own
-    // length.)
-    let slot = match layer {
-        Layer::Dense(_) => 0,
-        _ => weight_rows(layer, 0).1.max(weight_rows(layer, 1).1),
-    };
-    scratch.patched.resize(pack.members.len() * slot, 0.0);
-    for (&fi, row) in pack.members.iter().zip(scratch.patched.chunks_exact_mut(slot.max(1))) {
-        if let Injection::Weight { at, value } = &ctx.injections[fi] {
-            let (w, cols) = weight_rows(layer, at.tensor);
-            let q = at.offset / cols;
-            row[..cols].copy_from_slice(&w.as_slice()[q * cols..(q + 1) * cols]);
-            row[at.offset % cols] = *value;
-        }
-    }
+    scratch.dense.load(ctx, run);
     laps.end(Phase::Inject);
 
+    let (mut distinct, mut shared) = (0, 0);
     for k in 0..ctx.tests.len() {
-        run_test(ctx, pack, k, slot, &mut verdicts, scratch, &mut laps);
+        let (diverged, swept) = run_test(ctx, run, k, &mut verdicts, scratch, &mut laps);
+        distinct += swept;
+        shared += diverged - swept;
     }
 
     let Laps { mut local, started, mark } = laps;
-    let pack_elapsed = mark.saturating_sub(started);
-    local.add(Phase::Fault, pack_elapsed);
-    let members = pack.members.len();
+    let run_elapsed = mark.saturating_sub(started);
+    local.add(Phase::Fault, run_elapsed);
+    let members = run.members.len();
     let detected = verdicts.iter().filter(|v| v.detected).count();
-    snn_obs::counter!("snn_batch_packs_total", "Packs executed by the packed engine.").inc();
+    snn_obs::counter!("snn_batch_runs_total", "Runs executed by the packed engine.").inc();
     snn_obs::counter!("snn_batch_lanes_total", "Fault variants simulated in packed lanes.")
         .add(as_u64(members));
+    snn_obs::counter!(
+        "snn_batch_lanes_shared_total",
+        "Diverged fault variants resolved by another variant's sweep, per test."
+    )
+    .add(as_u64(shared));
     record_faults_simulated(as_u64(members));
     if detected > 0 {
         record_faults_detected(as_u64(detected));
     }
     snn_obs::histogram!(
-        "snn_batch_pack_seconds",
-        "Per-pack packed-sweep time.",
+        "snn_batch_run_seconds",
+        "Per-run packed-sweep time.",
         snn_obs::metrics::FINE_DURATION_BUCKETS
     )
-    .observe_duration(pack_elapsed);
+    .observe_duration(run_elapsed);
     snn_obs::phase::faultsim().merge_pack(&local, as_u64(members));
-    pack_span.attr("detected", detected);
+    run_span.attr("distinct", distinct);
+    run_span.attr("detected", detected);
 
-    pack.members
+    run.members
         .iter()
         .zip(verdicts)
         .map(|(&fi, v)| FaultOutcome {
@@ -570,74 +633,110 @@ pub(crate) fn run_pack(ctx: &Ctx<'_>, pack: &Pack, scratch: &mut Scratch) -> Vec
         .collect()
 }
 
-/// Sweeps the pack under test input `k`; member `i`'s patched weight row
-/// is the `i`-th `slot` of `scratch.patched`, and the pack's dense weight
-/// members are loaded into `scratch.dense`.
+/// Runs the run under test input `k`; the run's dense weight members are
+/// loaded into `scratch.dense`. Returns how many members
+/// diverged at the fault layer and how many of them were swept behind it.
 fn run_test(
     ctx: &Ctx<'_>,
-    pack: &Pack,
+    run: &Run,
     k: usize,
-    slot: usize,
     verdicts: &mut [LaneVerdict],
     scratch: &mut Scratch,
     laps: &mut Laps,
-) {
-    let ell = pack.layer;
+) -> (usize, usize) {
+    let ell = run.layer;
     let gold = ctx.gold(k, ell);
-    let last = ell == ctx.net.layers().len() - 1;
 
-    // Layer ℓ's output words: golden rows broadcast to every lane, then
-    // each lane's flips applied by its fault-layer stage. A lane without
-    // flips equals the golden run everywhere and is resolved; at the
-    // output layer there are no words and the flips are the verdict.
-    if !last {
-        gold.broadcast(&mut scratch.words);
-        laps.end(Phase::PackRun);
-    }
+    // Every member's flips at layer ℓ: the dense weight members' from
+    // `dense_weights`, every other member's from its own stage.
+    let div = &mut scratch.div;
+    div.flips.clear();
+    div.spans.clear();
+    div.spans.resize(run.members.len(), 0..0);
     if !scratch.dense.members.is_empty() {
-        dense_weights(ctx.layer_input(k, ell), &gold, &mut scratch.dense);
+        dense_weights(ctx, run, ctx.layer_input(k, ell), &gold, &mut scratch.dense);
+        scratch.dense.flips_into(gold.n, &mut div.flips, &mut div.spans);
     }
-    // The dense weight members' flips are in, in pack order; every other
-    // member runs its own stage here.
-    let mut dense = scratch.dense.members.iter().zip(&scratch.dense.flips).peekable();
-    let mut live = 0u64;
-    for (i, &fi) in pack.members.iter().enumerate() {
-        let lane = pack.lane(i);
-        let words = (!last).then_some(&mut scratch.words[..]);
-        let mut sink = Sink::new(words, &mut scratch.delta[..gold.n], lane);
-        if let Some((&(_, q), flips)) = dense.next_if(|((member, _), _)| *member == i) {
-            for &(t, fired) in flips {
-                sink.flip(t, q, fired);
-            }
-        } else {
-            let patched = &scratch.patched[i * slot..(i + 1) * slot];
-            fault_stage(ctx, k, fi, &gold, patched, &mut scratch.lane, &mut sink);
+    let mut dense = scratch.dense.members.iter().peekable();
+    for (i, &fi) in run.members.iter().enumerate() {
+        if dense.next_if(|&&(member, _)| member == i).is_none() {
+            let start = div.flips.len();
+            let mut sink = Sink { flips: &mut div.flips, n: gold.n };
+            fault_stage(ctx, k, fi, &gold, &mut scratch.patched, &mut scratch.lane, &mut sink);
+            div.spans[i] = start..div.flips.len();
         }
-        live |= u64::from(sink.finish(&ctx.cfg, &mut verdicts[i])) << lane;
     }
     laps.end_forward(ell);
-    if live != 0 {
-        downstream(ctx, pack, k, live, verdicts, scratch, laps);
+
+    // A member without flips equals the golden run everywhere; the others
+    // diverge alike in groups, one representative each. At the output
+    // layer a representative's flips are its verdict; at any other its
+    // sweep behind the layer finds it, the representatives in blocks of
+    // up to 64 lanes.
+    let diverged = div.group();
+    let outputs = ctx.net.layers().last().map_or(0, Layer::out_features);
+    div.count.clear();
+    div.count.resize(run.members.len(), 0);
+    div.delta.resize(run.members.len() * outputs, 0);
+    let distinct = div.reps.len();
+    let last = ell + 1 == ctx.net.layers().len();
+    if last {
+        for &r in &div.reps {
+            let flips = flips_of(&div.flips, &div.spans, r);
+            let delta = &mut div.delta[r * outputs..(r + 1) * outputs];
+            delta.fill(0);
+            for &p in flips {
+                delta[p % outputs] += if gold.out[p] == 0.0 { 1 } else { -1 };
+            }
+            // snn-lint: allow(L-CAST): a flip count is bounded by the output tensor volume
+            div.count[r] = flips.len() as u32;
+        }
     }
+    laps.end(Phase::Compare);
+    let swept = if last { 0 } else { distinct };
+    for start in (0..swept).step_by(LANES) {
+        let block = start..distinct.min(start + LANES);
+        let shift = usize::from(block.len() < LANES);
+        gold.broadcast(&mut scratch.words);
+        for (j, &r) in scratch.div.reps[block.clone()].iter().enumerate() {
+            for &p in scratch.div.of(r) {
+                scratch.words[p] ^= 1u64 << (j + shift);
+            }
+        }
+        laps.end(Phase::PackRun);
+        let live = (u64::MAX >> (LANES - block.len())) << shift;
+        downstream(ctx, run, k, block, live, scratch, laps);
+    }
+
+    // Every diverged member takes its representative's verdict of this
+    // test.
+    let div = &scratch.div;
+    for (verdict, r) in verdicts.iter_mut().zip(&div.rep) {
+        if let &Some(r) = r {
+            verdict.update(&ctx.cfg, div.count[r], &div.delta[r * outputs..(r + 1) * outputs]);
+        }
+    }
+    laps.end(Phase::Compare);
+    (diverged, distinct)
 }
 
 /// The fault-layer stage of one member fault `fi` — any but a dense
-/// weight, which [`dense_weights`] runs with the pack's others: simulates
+/// weight, which [`dense_weights`] runs with the run's others: simulates
 /// what the fault changes at its own layer under test `k` and reports the
-/// flips. `patched` is the member's slot of patched weight rows.
+/// flips. A weight fault's patched row goes to `patched`.
 fn fault_stage(
     ctx: &Ctx<'_>,
     k: usize,
     fi: usize,
     gold: &Gold<'_>,
-    patched: &[f32],
+    patched: &mut Vec<f32>,
     s: &mut LaneScratch,
     sink: &mut Sink<'_>,
 ) {
     let ell = ctx.faults[fi].site.layer();
     // What the fault is, in the terms the simulator applies it in. The
     // injections were realized via `for_fault`, which rejects site/kind
-    // mismatches before any pack runs.
+    // mismatches before any run starts.
     match (&ctx.injections[fi], ctx.faults[fi].site) {
         (Injection::Neuron(map), FaultSite::Neuron { layer, index }) => {
             let Some(behaviour) = map.get(layer, index) else {
@@ -656,11 +755,15 @@ fn fault_stage(
                 _ => column(gold, index, forced, &lif, sink),
             }
         }
-        (Injection::Weight { at, .. }, _) => {
+        (Injection::Weight { at, value }, _) => {
             let x = ctx.layer_input(k, ell);
-            let cols = weight_rows(gold.layer, at.tensor).1;
+            let (w, cols) = weight_rows(gold.layer, at.tensor);
             // The faulty weight is input `c` of neuron (or channel) `q`.
-            let (q, c, row) = (at.offset / cols, at.offset % cols, &patched[..cols]);
+            let (q, c) = (at.offset / cols, at.offset % cols);
+            patched.clear();
+            patched.extend_from_slice(&w.as_slice()[q * cols..(q + 1) * cols]);
+            patched[c] = *value;
+            let row = &patched[..];
             match gold.layer {
                 Layer::Conv(l) => {
                     let ic = c / (l.spec.kernel * l.spec.kernel);
@@ -672,7 +775,7 @@ fn fault_stage(
                     let w_rec_t = &ctx.transposed[ell].feedback;
                     recurrent_site(x, l, w_rec_t, gold, &site, s, sink);
                 }
-                Layer::Dense(_) => unreachable!("a pack's dense weight members run together"),
+                Layer::Dense(_) => unreachable!("a run's dense weight members go together"),
                 Layer::Pool(_) => unreachable!("pooling layers have no weights to fault"),
             }
         }
@@ -690,33 +793,52 @@ fn column(gold: &Gold<'_>, q: usize, forced: Option<bool>, lif: &LifParams, sink
         let drive = gold.rec.drive[t * gold.n + q];
         let fired = forced.unwrap_or_else(|| lif.step(&mut carried, &mut refrac, drive).fired);
         if fired != gold.spike(t, q) {
-            sink.flip(t, q, fired);
+            sink.flip(t, q);
         }
     }
 }
 
-/// Every dense weight member of the pack under one test, at once: member
-/// `j`'s neuron integrates, from rest, the drive of its patched row over
-/// the layer's input `x`. A tick's drives are one
-/// [`ops::matvec_skip_zeros`] of the input row with the transposed
-/// patched rows — output `j` is what the model's product over the patched
-/// layer computes for `j`'s neuron — and the members' neurons, all under
-/// the layer's constants, take one [`LifParams::step_row`]. Each member's
-/// flips against the golden spikes of its neuron go to its buffer.
-fn dense_weights(x: &[f32], gold: &Gold<'_>, d: &mut DenseMembers) {
-    let cols = d.rows_t.len() / d.members.len();
-    d.carried.fill(0.0);
-    d.refrac.fill(0);
-    for flips in &mut d.flips {
-        flips.clear();
-    }
-    for (t, x_t) in x.chunks_exact(cols).enumerate() {
-        ops::matvec_skip_zeros(&d.rows_t, x_t, &mut d.z);
-        gold.lif.step_row(&mut d.carried, &mut d.refrac, &d.z, &mut d.spikes, None);
-        for ((&(_, q), s), flips) in d.members.iter().zip(&d.spikes).zip(&mut d.flips) {
-            let fired = *s != 0.0;
-            if fired != gold.spike(t, q) {
-                flips.push((t, fired));
+/// Every dense weight member of the run under one test, 64 at a time:
+/// member `j`'s neuron integrates, from rest, the drive of its patched row
+/// over the layer's input `x`. The members' patched rows are transposed
+/// into `[inputs × members]` — row `c` gathers input `c`'s weights of the
+/// members' neurons from the layer's transposed weight, with each member's
+/// faulty value in place — and a tick's drives are one
+/// [`ops::matvec_skip_zeros`] of the input row with them: output `j` is
+/// what the model's product over the patched layer computes for `j`'s
+/// neuron. The members' neurons, all under the layer's constants, take one
+/// [`LifParams::step_row`]. Each member's flips against the golden spikes
+/// of its neuron set its bits in `flipped`.
+fn dense_weights(ctx: &Ctx<'_>, run: &Run, x: &[f32], gold: &Gold<'_>, d: &mut DenseMembers) {
+    let DenseMembers { members, rows_t, z, carried, refrac, spikes, flipped, .. } = d;
+    let (n, words) = (gold.n, members.len().div_ceil(LANES));
+    let (cols, wt) = (x.len() / gold.steps, &ctx.transposed[run.layer].input);
+    flipped.clear();
+    flipped.resize(gold.steps * words, 0);
+    for (w, chunk) in members.chunks(LANES).enumerate() {
+        let m = chunk.len();
+        rows_t.resize(cols * m, 0.0);
+        for (row, wt_c) in rows_t.chunks_exact_mut(m).zip(wt.chunks_exact(n)) {
+            for (w, &(_, q)) in row.iter_mut().zip(chunk) {
+                *w = wt_c[q];
+            }
+        }
+        for (j, &(i, _)) in chunk.iter().enumerate() {
+            if let Injection::Weight { at, value } = &ctx.injections[run.members[i]] {
+                rows_t[at.offset % cols * m + j] = *value;
+            }
+        }
+        let (z, carried, refrac, spikes) =
+            (&mut z[..m], &mut carried[..m], &mut refrac[..m], &mut spikes[..m]);
+        carried.fill(0.0);
+        refrac.fill(0);
+        for (t, x_t) in x.chunks_exact(cols).enumerate() {
+            ops::matvec_skip_zeros(rows_t, x_t, z);
+            gold.lif.step_row(carried, refrac, z, spikes, None);
+            for (j, (&(_, q), s)) in chunk.iter().zip(spikes.iter()).enumerate() {
+                if (*s != 0.0) != gold.spike(t, q) {
+                    flipped[t * words + w] |= 1 << j;
+                }
             }
         }
     }
@@ -888,7 +1010,7 @@ fn recurrent_site(
         } else {
             let differs = fired_q != gold.spike(t, q);
             if differs {
-                sink.flip(t, q, fired_q);
+                sink.flip(t, q);
                 prev.copy_from_slice(gold.row(gold.out, t));
                 prev[q] = f32::from(u8::from(fired_q));
             }
@@ -918,28 +1040,33 @@ fn recurrent_site(
     }
 }
 
-/// Carries diverged lanes through the spiking layers behind `pack.layer`,
-/// stepping a layer's live lanes together as one [`Block`] and resolving
-/// verdicts at the last layer. `scratch.words` are the fault layer's
-/// output words, `live` its diverged lanes.
+/// Carries a block of representatives through the spiking layers behind
+/// `run.layer`, stepping a layer's live lanes together as one [`Block`]
+/// and leaving each representative's flip count and class deltas at the
+/// last layer in `scratch.div`. The block is `scratch.div.reps[block]`,
+/// representative `j` at lane `j`, shifted past a golden lane 0 when the
+/// block is not full; `scratch.words` are the fault layer's output words,
+/// `live` its diverged lanes.
 fn downstream(
     ctx: &Ctx<'_>,
-    pack: &Pack,
+    run: &Run,
     k: usize,
+    block: Range<usize>,
     mut live: u64,
-    verdicts: &mut [LaneVerdict],
     scratch: &mut Scratch,
     laps: &mut Laps,
 ) {
     let layers = ctx.net.layers();
-    let member_shift = usize::from(pack.golden_lane);
-    let Scratch { lane: lane_scratch, words, words_out, diffmask, block, .. } = scratch;
-    let mut channels = conv_channels(ctx, pack);
+    let Scratch { lane: lane_scratch, words, words_out, diffmask, block: lanes, div, .. } = scratch;
+    let reps = &div.reps[block];
+    let golden_lane = reps.len() < LANES;
+    let shift = usize::from(golden_lane);
+    let mut channels = conv_channels(ctx, run, reps, shift);
 
     // `src` is the spiking layer whose output the words hold; pooling
     // layers between it and the next spiking layer `d` carry no words.
-    let mut src = pack.layer;
-    for d in pack.layer + 1..layers.len() {
+    let mut src = run.layer;
+    for d in run.layer + 1..layers.len() {
         if !layers[d].is_spiking() {
             continue;
         }
@@ -950,13 +1077,13 @@ fn downstream(
         // Which lanes' rows at `src` differ from the golden rows, and at
         // which ticks. Lanes with no divergent tick reconverged at the
         // previous layer — their remaining suffix is provably golden.
-        let watched = live | u64::from(pack.golden_lane);
+        let watched = live | u64::from(golden_lane);
         diffmask.clear();
         diffmask.extend((0..gd.steps).map(|t| {
             row_diff_mask(&words[t * n_in..(t + 1) * n_in], gin.row(gin.out, t), watched)
         }));
         // Exactly the lanes that reported flips differ — in particular
-        // not the fault-free lane 0 of a pack that reserves it.
+        // not the fault-free lane 0 of a block that reserves it.
         debug_assert_eq!(
             diffmask.iter().fold(0, |union, mask| union | mask),
             live,
@@ -972,11 +1099,13 @@ fn downstream(
         let one_channel = channels.take().map(|of_lane| (of_lane, ctx.layer_input(k, d)));
         let input = Input { src, words, n_in, live, diffmask, one_channel };
         let out = (!last).then_some(&mut words_out[..]);
-        let next_live = block.run(ctx, d, &gd, &input, lane_scratch, out);
+        let next_live = lanes.run(ctx, d, &gd, &input, lane_scratch, out);
         if last {
-            for (j, &lane) in block.lanes.iter().enumerate() {
-                let delta = &block.delta[j * gd.n..(j + 1) * gd.n];
-                verdicts[lane as usize - member_shift].update(&ctx.cfg, block.count[j], delta);
+            for (j, &lane) in lanes.lanes.iter().enumerate() {
+                let r = reps[lane as usize - shift];
+                div.count[r] = lanes.count[j];
+                div.delta[r * gd.n..(r + 1) * gd.n]
+                    .copy_from_slice(&lanes.delta[j * gd.n..(j + 1) * gd.n]);
             }
         }
         laps.end_forward(d);
@@ -990,16 +1119,17 @@ fn downstream(
     }
 }
 
-/// Per lane of a pack at a conv layer, the one output channel in which
-/// the lane can differ from golden: a weight fault's output channel, a
-/// neuron fault's pixel's channel. `None` at any other layer.
-fn conv_channels(ctx: &Ctx<'_>, pack: &Pack) -> Option<[usize; 64]> {
-    let layer = &ctx.net.layers()[pack.layer];
+/// Per lane of a block at a conv fault layer, the one output channel in
+/// which the lane can differ from golden: its representative's weight
+/// fault's output channel, or its neuron fault's pixel's channel. `None`
+/// at any other layer.
+fn conv_channels(ctx: &Ctx<'_>, run: &Run, reps: &[usize], shift: usize) -> Option<[usize; 64]> {
+    let layer = &ctx.net.layers()[run.layer];
     let Layer::Conv(l) = layer else { return None };
     let (pixels, cols) = (l.out_hw().0 * l.out_hw().1, weight_rows(layer, 0).1);
     let mut channels = [0; 64];
-    for (i, &fi) in pack.members.iter().enumerate() {
-        channels[pack.lane(i) as usize] = match ctx.faults[fi].site {
+    for (j, &r) in reps.iter().enumerate() {
+        channels[j + shift] = match ctx.faults[run.members[r]].site {
             FaultSite::Neuron { index, .. } => index / pixels,
             FaultSite::Synapse(at) => at.offset / cols,
         };
@@ -1079,7 +1209,7 @@ impl Input<'_> {
     }
 }
 
-/// A pack's live lanes at one spiking layer behind the fault, stepped
+/// A block's live lanes at one spiking layer behind the fault, stepped
 /// together: the layer's neuron state, drives and spikes for every lane,
 /// lane-minor `[n × lanes]` — neuron `i`'s row holds lane after lane, in
 /// ascending lane order. Every buffer is sized by the layer and the live

@@ -1,5 +1,5 @@
-//! Fault planning and lane assignment: which faults the packed engine
-//! can take, grouped into packs of at most 64 compatible variants.
+//! Fault planning: which faults the packed engine can take, grouped
+//! into *runs* of consecutive faults of one fault layer.
 //!
 //! The packed sweep reads its verdict off binary output spikes, so it
 //! takes a campaign when the network's last layer is spiking, and then
@@ -8,17 +8,20 @@
 //! network that ends in a pooling layer; a hand-made fault addressed to a
 //! pooling layer) is listed as **fallback** for the scalar engine.
 //!
-//! Packs group faults by their fault layer — every member of a pack
-//! starts diverging at the same layer, so one sweep of the layers behind
-//! it serves all of them. Lane assignment is positional: member `i` sits
-//! at lane `i`, shifted up by one when the pack reserves lane 0 for the
-//! golden self-check (packs with fewer than 64 members do; a full
-//! 64-member pack uses every lane for variants).
+//! Runs group faults by their fault layer — every member of a run starts
+//! diverging at the same layer, so the layers behind it can be swept once
+//! for every distinct divergence among the members (`pack.rs`). A run is
+//! wider than the 64 lanes a sweep carries: the universe lists a neuron's
+//! synapse faults next to each other, and those are the faults that
+//! diverge alike, so the wider the run the more of them are swept once.
 //!
-//! Packs are the unit threads claim, and their cost is far from uniform
-//! (a conv-weight variant costs hundreds of dense ones), so a layer group
-//! too small to give every thread a full pack is cut into one pack per
-//! thread instead of one pack in all.
+//! Runs are the unit threads claim, and their cost is far from uniform (a
+//! conv-weight variant costs hundreds of dense ones). On one thread a run
+//! is [`RUN_MAX`] faults of its group. On `T > 1` threads it is
+//! `max(p, min(RUN_MAX, ⌈F / 8T⌉))` for a campaign of `F` faults, where
+//! `p` is a 64-lane pack cut so that a group too small to give every
+//! thread one holds one per thread: every thread keeps about eight runs,
+//! and a run is never narrower than that pack.
 
 use crate::Fault;
 use snn_model::{Layer, Network};
@@ -41,63 +44,42 @@ pub fn dense_suffix_start(net: &Network) -> usize {
     s
 }
 
-/// One pack: up to 64 fault variants confined to the same layer, each
-/// assigned a bit lane of the packed spike words.
+/// Widest run, in faults.
+pub(crate) const RUN_MAX: usize = 512;
+
+/// One run: consecutive faults of one fault layer, claimed by a thread as
+/// a unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Pack {
+pub(crate) struct Run {
     /// Layer every member fault is confined to.
     pub layer: usize,
-    /// Member faults as indices into the campaign's fault slice, in lane
-    /// order.
+    /// Member faults as indices into the campaign's fault slice, in
+    /// supplied order.
     pub members: Vec<usize>,
-    /// `true` when lane 0 is reserved for a fault-free golden self-check
-    /// (members then occupy lanes `1..=len`). Reserved whenever the pack
-    /// is not full — the check costs nothing (golden bits are broadcast
-    /// anyway) and lets debug builds assert the golden lane never
-    /// diverges.
-    pub golden_lane: bool,
 }
 
-impl Pack {
-    /// Bit lane of member `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `i` is not a member index.
-    pub fn lane(&self, i: usize) -> u32 {
-        debug_assert!(i < self.members.len(), "member index out of range");
-        // members.len() + golden ≤ 64, so the lane always fits.
-        u32::try_from(i + usize::from(self.golden_lane)).unwrap_or(u32::MAX)
-    }
-
-    /// Occupied lanes: members plus the golden lane when reserved.
-    pub fn lanes(&self) -> usize {
-        self.members.len() + usize::from(self.golden_lane)
-    }
-}
-
-/// The engine's split of a campaign fault list: packs for the packed
+/// The engine's split of a campaign fault list: runs for the packed
 /// kernel plus the scalar-fallback remainder. Indices refer to the fault
 /// slice the plan was built from; every index appears exactly once.
 /// Outside the crate a plan is its three counts (what `verify` prints).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Packs in ascending fault-layer order, members in supplied order.
-    pub(crate) packs: Vec<Pack>,
+    /// Runs in ascending fault-layer order, members in supplied order.
+    pub(crate) runs: Vec<Run>,
     /// Faults the packed kernel cannot take, in supplied order. A
     /// campaign with any runs on the scalar engine as a whole.
     pub(crate) fallback: Vec<usize>,
 }
 
 impl FaultPlan {
-    /// Total faults assigned to packs.
+    /// Total faults assigned to runs.
     pub fn packed_faults(&self) -> usize {
-        self.packs.iter().map(|p| p.members.len()).sum()
+        self.runs.iter().map(|r| r.members.len()).sum()
     }
 
-    /// Number of packs.
-    pub fn pack_count(&self) -> usize {
-        self.packs.len()
+    /// Number of runs.
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
     }
 
     /// Number of faults left to the scalar engine.
@@ -108,8 +90,8 @@ impl FaultPlan {
 
 /// Plans `faults` over `net` for a campaign on `threads` threads:
 /// partitions into packable/fallback, groups packable faults by fault
-/// layer, cuts each group into packs and assigns lanes. Records its two
-/// stages into `local` as the `pack.plan` / `pack.assign` kernel phases.
+/// layer and cuts each group into runs. Records its two stages into
+/// `local` as the `pack.plan` / `pack.assign` kernel phases.
 pub fn plan(net: &Network, faults: &[Fault], threads: usize, local: &mut LocalPhases) -> FaultPlan {
     use snn_obs::clock::monotonic;
 
@@ -132,19 +114,23 @@ pub fn plan(net: &Network, faults: &[Fault], threads: usize, local: &mut LocalPh
     let assign_started = monotonic();
     local.add(Phase::PackPlan, assign_started.saturating_sub(plan_started));
 
-    // Stage 2 — cut each layer group into packs and assign lanes: full
-    // 64-wide packs while the group has one for every thread, an even
-    // split across the threads below that.
-    let mut packs = Vec::new();
+    // Stage 2 — cut each layer group into runs.
+    let threads = threads.max(1);
+    let mut runs = Vec::new();
     for (layer, group) in by_layer.iter().enumerate() {
-        let width = group.len().div_ceil(threads.max(1)).clamp(1, LANES);
+        let width = if threads == 1 {
+            RUN_MAX
+        } else {
+            let pack = group.len().div_ceil(threads).clamp(1, LANES);
+            pack.max(faults.len().div_ceil(8 * threads).min(RUN_MAX))
+        };
         for chunk in group.chunks(width) {
-            packs.push(Pack { layer, members: chunk.to_vec(), golden_lane: chunk.len() < LANES });
+            runs.push(Run { layer, members: chunk.to_vec() });
         }
     }
     local.add(Phase::PackAssign, monotonic().saturating_sub(assign_started));
 
-    FaultPlan { packs, fallback }
+    FaultPlan { runs, fallback }
 }
 
 #[cfg(test)]
@@ -165,30 +151,17 @@ mod tests {
         let net = dense_net();
         assert_eq!(dense_suffix_start(&net), 0);
         let u = FaultUniverse::standard(&net);
-        let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
-        assert!(p.fallback.is_empty());
-        assert_eq!(p.packed_faults(), u.len());
-        // Every index appears exactly once, and packs are ≤ 64 wide.
-        let mut seen: Vec<usize> = p.packs.iter().flat_map(|pk| pk.members.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..u.len()).collect::<Vec<_>>());
-        for pk in &p.packs {
-            assert!(pk.members.len() <= LANES);
-            assert_eq!(pk.golden_lane, pk.members.len() < LANES);
-            assert!(pk.lanes() <= LANES);
+        for threads in [1, 2] {
+            let p = plan(&net, u.faults(), threads, &mut LocalPhases::new());
+            assert!(p.fallback.is_empty());
+            assert_eq!(p.packed_faults(), u.len());
+            // Every index appears exactly once, in supplied order within
+            // a run.
+            let mut seen: Vec<usize> = p.runs.iter().flat_map(|r| r.members.clone()).collect();
+            assert!(p.runs.iter().all(|r| r.members.is_sorted()));
+            seen.sort_unstable();
+            assert_eq!(seen, (0..u.len()).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn lane_assignment_shifts_past_the_golden_lane() {
-        let partial = Pack { layer: 0, members: vec![5, 9], golden_lane: true };
-        assert_eq!(partial.lane(0), 1);
-        assert_eq!(partial.lane(1), 2);
-        assert_eq!(partial.lanes(), 3);
-        let full = Pack { layer: 0, members: (0..LANES).collect(), golden_lane: false };
-        assert_eq!(full.lane(0), 0);
-        assert_eq!(full.lane(63), 63);
-        assert_eq!(full.lanes(), LANES);
     }
 
     #[test]
@@ -204,8 +177,8 @@ mod tests {
         let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
         assert!(p.fallback.is_empty());
         assert_eq!(p.packed_faults(), u.len());
-        assert!(p.packs.iter().any(|pk| pk.layer == 0));
-        assert!(p.packs.iter().all(|pk| pk.layer != 1), "a pooling layer has no fault site");
+        assert!(p.runs.iter().any(|r| r.layer == 0));
+        assert!(p.runs.iter().all(|r| r.layer != 1), "a pooling layer has no fault site");
     }
 
     #[test]
@@ -217,39 +190,48 @@ mod tests {
             .build(&mut rng);
         let u = FaultUniverse::standard(&net);
         let p = plan(&net, u.faults(), 1, &mut LocalPhases::new());
-        assert!(p.packs.is_empty());
+        assert!(p.runs.is_empty());
         assert_eq!(p.fallback, (0..u.len()).collect::<Vec<_>>());
     }
 
     #[test]
-    fn packs_group_by_fault_layer() {
+    fn runs_group_by_fault_layer() {
         let net = dense_net();
         let u = FaultUniverse::standard(&net);
         let p = plan(&net, u.faults(), 2, &mut LocalPhases::new());
-        for pk in &p.packs {
-            for &i in &pk.members {
-                assert_eq!(u.faults()[i].site.layer(), pk.layer);
+        for r in &p.runs {
+            for &i in &r.members {
+                assert_eq!(u.faults()[i].site.layer(), r.layer);
             }
         }
     }
 
+    /// One thread takes runs of `RUN_MAX`; more threads keep about eight
+    /// runs each, never narrower than a 64-lane pack cut once per thread.
     #[test]
-    fn a_group_too_small_for_every_thread_is_split_evenly() {
-        let net = dense_net();
+    fn run_width_follows_the_campaign_and_the_thread_count() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let net = NetworkBuilder::new(64, LifParams::default()).dense(48).dense(3).build(&mut rng);
         let u = FaultUniverse::standard(&net);
-        let last: Vec<Fault> = u.faults().iter().filter(|f| f.site.layer() == 0).copied().collect();
+        let first: Vec<Fault> =
+            u.faults().iter().filter(|f| f.site.layer() == 0).copied().collect();
         let sizes = |count: usize, threads: usize| -> Vec<usize> {
-            plan(&net, &last[..count], threads, &mut LocalPhases::new())
-                .packs
+            plan(&net, &first[..count], threads, &mut LocalPhases::new())
+                .runs
                 .iter()
-                .map(|pk| pk.members.len())
+                .map(|r| r.members.len())
                 .collect()
         };
-        assert!(last.len() >= 65);
+        assert!(first.len() > 16 * RUN_MAX);
         assert_eq!(sizes(55, 1), vec![55]);
-        assert_eq!(sizes(65, 1), vec![64, 1]);
+        assert_eq!(sizes(600, 1), vec![512, 88]);
+        // ⌈F / 8T⌉ below a pack: the pack wins.
         assert_eq!(sizes(55, 2), vec![28, 27]);
-        assert_eq!(sizes(55, 4), vec![14, 14, 14, 13]);
         assert_eq!(sizes(3, 8), vec![1, 1, 1]);
+        assert_eq!(sizes(1000, 2), [&[64; 15][..], &[40]].concat());
+        // Above it: ⌈F / 8T⌉, up to RUN_MAX.
+        assert_eq!(sizes(2000, 2), [125; 16]);
+        assert_eq!(sizes(8193, 1), [&[RUN_MAX; 16][..], &[1]].concat());
+        assert_eq!(sizes(8193, 2), [&[RUN_MAX; 16][..], &[1]].concat());
     }
 }

@@ -1,9 +1,10 @@
 //! Minimal crossbeam-based data parallelism for fault campaigns.
 //!
 //! A fault-simulation campaign is embarrassingly parallel over faults, but
-//! each worker needs mutable scratch state (its own network clone for
-//! weight patching). [`map_indexed`] provides exactly that shape: the
-//! caller supplies a per-worker state factory and a per-item function.
+//! each worker needs mutable scratch state: the packed engine's buffers,
+//! reused run after run, or the scalar engine's network clone to patch.
+//! [`map_indexed`] provides exactly that shape: the caller supplies a
+//! per-worker state factory and a per-item function.
 
 use crate::progress::{CancelToken, Cancelled};
 use crossbeam::thread;
@@ -51,7 +52,7 @@ where
 /// returns `Err(Cancelled)` (partial results are discarded).
 ///
 /// Items are claimed one at a time from a shared counter, so workers stay
-/// busy however unevenly the items cost (packs of the batched engine
+/// busy however unevenly the items cost (runs of the packed engine
 /// differ by orders of magnitude); results still come back in index
 /// order.
 ///

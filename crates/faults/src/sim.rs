@@ -146,7 +146,7 @@ impl<'a> FaultSimulator<'a> {
     }
 
     /// How the packed engine would split `faults` at this simulator's
-    /// thread count — what `verify` prints and tests assert pack shapes on.
+    /// thread count — what `verify` prints and tests assert run shapes on.
     pub fn plan(&self, faults: &[Fault]) -> FaultPlan {
         let threads = parallel::effective_threads(self.cfg.threads);
         packed::plan::plan(self.net, faults, threads, &mut snn_obs::phase::LocalPhases::new())
@@ -472,7 +472,7 @@ mod tests {
         }
     }
 
-    /// `cfg.engine` is what runs: one progress event per pack under the
+    /// `cfg.engine` is what runs: one progress event per run under the
     /// packed engine, one per fault under the scalar one, the same
     /// outcomes, and `None` is the packed engine on a dense network.
     #[test]
@@ -493,13 +493,13 @@ mod tests {
                     &CancelToken::new(),
                 )
                 .unwrap();
-            (out.per_fault, events.into_inner(), sim.plan(u.faults()).pack_count())
+            (out.per_fault, events.into_inner(), sim.plan(u.faults()).run_count())
         };
-        let (scalar, scalar_events, packs) = run(Some(Engine::Scalar));
+        let (scalar, scalar_events, runs) = run(Some(Engine::Scalar));
         let (packed, packed_events, _) = run(Some(Engine::Packed));
         let (auto, auto_events, _) = run(None);
-        assert!(packs < u.len());
-        assert_eq!((scalar_events, packed_events, auto_events), (u.len(), packs, packs));
+        assert!(runs < u.len());
+        assert_eq!((scalar_events, packed_events, auto_events), (u.len(), runs, runs));
         assert_eq!(scalar, packed);
         assert_eq!(packed, auto);
     }

@@ -2,16 +2,18 @@
 //! engine — per-fault detection flags, distances, class diffs and the
 //! FNV-1a [`verdict_digest`] match across random *topologies*
 //! (dense/conv/pool/recurrent in every legal order), fault kinds (weight
-//! / neuron / timing / bit-range), pack sizes {1, 7, 64}, remainder packs
-//! (universe size not a multiple of 64), thread counts and half-pruned
+//! / neuron / timing / bit-range), run sizes {1, 7, 64, 65}, thread
+//! counts and half-pruned
 //! networks, on random stimuli and on stimuli shaped like a compacted
 //! test (spike chunks between equally long silences, two per campaign),
 //! on a sparse stimulus most of whose input columns stay silent and on an
 //! all-zero one — the reference shares no shortcut with the engine it
 //! referees; plus dedicated lane-divergence tests — exactly one lane's membrane
-//! crosses threshold; every lane of a full pack diverges on every tick —
-//! a pack's dense weight members at inner and output layers, and the
-//! planner's shape on the example networks.
+//! crosses threshold; every lane of a full block diverges on every tick —
+//! a run's dense weight members at inner and output layers, faults that
+//! diverge alike swept once (full dense universes; two faults alike under
+//! one test and not under the other), and the planner's shape on the
+//! example networks.
 
 #![allow(clippy::unwrap_used)] // test-only shorthand
 
@@ -371,13 +373,13 @@ fn conv_faults_on_silent_ticks_and_across_a_pool_are_bit_identical() {
     }
 }
 
-/// A pack's dense weight members are simulated together, the members as
-/// the vector axis. Per dense layer — two inner ones whose flips go to
-/// the pack's words, and the output layer, whose flips are the verdict
+/// A run's dense weight members are simulated together, the members as
+/// the vector axis. Per dense layer — two inner ones whose flips are
+/// swept behind it, and the output layer, whose flips are the verdict
 /// and its class diffs — and behind binary and behind pooled
-/// (fractional) inputs: a full pack of 64 weight faults, a partial pack
-/// (golden lane) alternating weight and neuron faults, and the layer's
-/// faults at a stride, so that a pack's members sit at many neurons.
+/// (fractional) inputs: 64 weight faults, weight and neuron faults
+/// alternating, and the layer's faults at a stride, so that a run's
+/// members sit at many neurons.
 /// The universe is the extended one: bit flips and timing faults.
 #[test]
 fn dense_weight_members_of_a_pack_are_bit_identical() {
@@ -405,12 +407,9 @@ fn dense_weight_members_of_a_pack_are_bit_identical() {
             let mixed: Vec<Fault> =
                 weights.iter().zip(&neurons).flat_map(|(w, n)| [*w, *n]).take(40).collect();
             let strided: Vec<Fault> = weights.iter().step_by(7).copied().collect();
-            for (faults, packs) in [(&weights[..64], 1), (&mixed[..], 1), (&strided[..], 0)] {
+            for faults in [&weights[..64], &mixed[..], &strided[..]] {
                 let p = plan(&net, faults, 1);
-                assert_eq!(p.packed_faults(), faults.len(), "layer {layer}");
-                if packs > 0 {
-                    assert_eq!(p.pack_count(), packs, "layer {layer}");
-                }
+                assert_eq!((p.packed_faults(), p.run_count()), (faults.len(), 1), "layer {layer}");
                 let scalar = run(&net, Engine::Scalar, &u, faults, &tests);
                 let packed = run(&net, Engine::Packed, &u, faults, &tests);
                 assert_bit_identical(&scalar, &packed);
@@ -464,10 +463,10 @@ fn first_divergence(
     g.chunks_exact(n).zip(f.chunks_exact(n)).position(|(g, f)| g != f)
 }
 
-/// Behind the fault layer a pack's live lanes are stepped as one block,
+/// Behind the fault layer a block's live lanes are stepped together,
 /// which enters at the first tick at which any of them diverges: every
 /// other lane rides along on the golden trajectory until its own first
-/// divergent tick. One pack per kind of layer behind the fault — dense and
+/// divergent tick. One run per kind of layer behind the fault — dense and
 /// recurrent behind a spiking layer, dense and conv behind a pool — of
 /// faults at the first layer that diverge first at tick 0 (forced
 /// neurons, on the silent half of the stimulus), mid-run and on the last
@@ -512,7 +511,7 @@ fn lanes_entering_the_block_at_different_ticks_are_bit_identical() {
             .flat_map(|i| by_entry.iter().filter_map(move |b| b.get(i).copied()))
             .take(64)
             .collect();
-        assert_eq!(plan(&net, &faults, 1).pack_count(), 1, "{kind}");
+        assert_eq!(plan(&net, &faults, 1).run_count(), 1, "{kind}");
         let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
         for threads in [1, 2] {
             let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
@@ -552,14 +551,13 @@ fn example_networks_plan_without_fallback() {
     assert!(matches!(net.layers().last(), Some(Layer::Pool(_))));
     let u = FaultUniverse::standard(&net);
     let p = plan(&net, u.faults(), 2);
-    assert_eq!((p.pack_count(), p.fallback_count()), (0, u.len()));
+    assert_eq!((p.run_count(), p.fallback_count()), (0, u.len()));
 }
 
-/// Pack sizes 1, 7 and 64 plus a 65-fault remainder slice (one full
-/// pack + a 1-member remainder pack) — all sliced from a single layer so
-/// the plan produces exactly the intended pack shapes.
+/// Runs of 1, 7, 64 and 65 output-layer faults — all sliced from a
+/// single layer, so that each is one run.
 #[test]
-fn pack_sizes_and_remainder_packs_are_bit_identical() {
+fn run_sizes_are_bit_identical() {
     let net = dense_net(21, 6, 10, 4);
     let u = FaultUniverse::standard(&net);
     let last = net.layers().len() - 1;
@@ -569,17 +567,16 @@ fn pack_sizes_and_remainder_packs_are_bit_identical() {
     let tests = tests_for(&net, 22, 2);
     for k in [1usize, 7, 64, 65] {
         let subset = &last_layer[..k];
-        // The plan must shape as intended: one pack, or a full one and a
-        // remainder (the planner's unit tests pin the sizes and that a
-        // partial pack — and only a partial one — has the golden lane).
+        // The plan must shape as intended (the planner's unit tests pin
+        // the widths).
         let p = plan(&net, subset, 1);
         assert_eq!(p.fallback_count(), 0, "k={k}");
-        assert_eq!((p.packed_faults(), p.pack_count()), (k, k.div_ceil(64)), "k={k}");
+        assert_eq!((p.packed_faults(), p.run_count()), (k, 1), "k={k}");
         assert_engines_agree_on(&net, &u, subset, &tests);
     }
 }
 
-/// Hand-crafted two-lane pack where exactly one lane's membrane crosses
+/// Hand-crafted two-fault run where exactly one lane's membrane crosses
 /// threshold: a saturated synapse on a driven input diverges (and the
 /// divergence propagates to the output), while the same fault kind on a
 /// never-spiking input carries no traffic and stays on the golden
@@ -631,7 +628,7 @@ fn exactly_one_lane_diverges() {
 
     let faults = [diverging, quiet];
     let p = plan(&net, &faults, 1);
-    assert_eq!(p.pack_count(), 1, "both faults must share one (partial, golden-lane) pack");
+    assert_eq!(p.run_count(), 1, "both faults must share one run");
 
     let scalar = run(&net, Engine::Scalar, &u, &faults, &tests);
     let packed = run(&net, Engine::Packed, &u, &faults, &tests);
@@ -640,13 +637,14 @@ fn exactly_one_lane_diverges() {
     assert!(!packed.per_fault[1].detected, "saturated silent synapse must stay golden");
 }
 
-/// The other extreme: a full pack (64 lanes, no golden self-check lane)
-/// in which every lane diverges on every tick. Layer 0 never fires in the
-/// golden run (its weights are zero), and each lane saturates one of its
-/// 64 neurons, so every tick of every lane has a divergent input row at
-/// layer 1 and no lane ever reads a recorded drive there.
+/// The other extreme: a full block (64 distinct divergences, no golden
+/// self-check lane) in which every lane diverges on every tick. Layer 0
+/// never fires in the golden run (its weights are zero), and each lane
+/// saturates one of its 64 neurons, so every tick of every lane has a
+/// divergent input row at layer 1 and no lane ever reads a recorded drive
+/// there.
 #[test]
-fn every_lane_of_a_full_pack_diverges_on_every_tick() {
+fn every_lane_of_a_full_block_diverges_on_every_tick() {
     let mut rng = StdRng::seed_from_u64(43);
     let mut net = NetworkBuilder::new(3, LifParams { refrac_steps: 1, ..LifParams::default() })
         .dense(64)
@@ -662,7 +660,7 @@ fn every_lane_of_a_full_pack_diverges_on_every_tick() {
         .copied()
         .collect();
     let p = plan(&net, &faults, 1);
-    assert_eq!((p.pack_count(), p.packed_faults()), (1, 64), "one full pack: no golden lane");
+    assert_eq!((p.run_count(), p.packed_faults()), (1, 64), "one run of 64 distinct lanes");
 
     let tests = vec![
         snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, 3), 0.5),
@@ -674,4 +672,124 @@ fn every_lane_of_a_full_pack_diverges_on_every_tick() {
     // A neuron firing on all 192 ticks where golden's never does reaches
     // the output through random weights for at least some lanes.
     assert!(packed.per_fault.iter().any(|o| o.detected));
+}
+
+/// A three-layer dense net and two stimuli on which many of its faults
+/// diverge alike: saturated synapses of one neuron whose inputs spike
+/// make that neuron fire on the same ticks.
+fn alike_campaign() -> (Network, FaultUniverse, Vec<Tensor>) {
+    let lif = LifParams { refrac_steps: 1, ..LifParams::default() };
+    let mut rng = StdRng::seed_from_u64(91);
+    let net = NetworkBuilder::new(12, lif).dense(16).dense(10).dense(4).build(&mut rng);
+    let u = FaultUniverse::standard(&net);
+    let tests = vec![
+        snn_tensor::init::bernoulli(&mut rng, Shape::d2(40, 12), 0.3),
+        compacted_like(&net, 0.4, &mut rng),
+    ];
+    (net, u, tests)
+}
+
+/// Faults that diverge alike at their layer are swept once and share the
+/// verdict: over full dense universes, with class diffs, at one thread
+/// (runs of 512) and two (runs of ⌈F / 16⌉), every verdict equals the
+/// scalar engine's.
+#[test]
+fn faults_that_diverge_alike_are_bit_identical() {
+    let (net, u, tests) = alike_campaign();
+    let scalar = run(&net, Engine::Scalar, &u, u.faults(), &tests);
+    for threads in [1, 2] {
+        let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
+        assert_bit_identical(
+            &scalar,
+            &FaultSimulator::new(&net, cfg).detect(&u, u.faults(), &tests),
+        );
+    }
+    let mut rng = StdRng::seed_from_u64(92);
+    let pruned = {
+        let mut net = dense_net(93, 8, 24, 5);
+        snn_model::magnitude_prune(&mut net, 0.5);
+        net
+    };
+    let u = FaultUniverse::standard(&pruned);
+    let tests: Vec<Tensor> = (0..2).map(|_| compacted_like(&pruned, 0.3, &mut rng)).collect();
+    let scalar = run(&pruned, Engine::Scalar, &u, u.faults(), &tests);
+    for threads in [1, 2] {
+        let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
+        let packed = FaultSimulator::new(&pruned, cfg).detect(&u, u.faults(), &tests);
+        assert_bit_identical(&scalar, &packed);
+    }
+}
+
+/// The collapse is on: a dense campaign resolves diverged variants by
+/// another variant's sweep (`snn_batch_lanes_shared_total` rises), so it
+/// sweeps fewer lanes than it has diverged members.
+#[test]
+fn a_dense_campaign_sweeps_fewer_lanes_than_it_has_diverged_members() {
+    let (net, u, tests) = alike_campaign();
+    let shared = snn_obs::metrics::global().counter(
+        "snn_batch_lanes_shared_total",
+        "Diverged fault variants resolved by another variant's sweep, per test.",
+    );
+    let before = shared.get();
+    run(&net, Engine::Packed, &u, u.faults(), &tests);
+    assert!(shared.get() > before, "no diverged member took another's sweep");
+}
+
+/// Two saturated synapses of one neuron whose inputs spike on the same
+/// ticks under test 0 diverge alike there; under test 1 their inputs
+/// spike apart and so do the faults. Each test's verdict of a member is
+/// its own — sharing under one test carries nothing into the other.
+#[test]
+fn faults_alike_under_one_test_and_not_the_other_keep_their_own_verdicts() {
+    let mut rng = StdRng::seed_from_u64(95);
+    let mut net = NetworkBuilder::new(3, LifParams { refrac_steps: 1, ..LifParams::default() })
+        .dense(2)
+        .dense(2)
+        .build(&mut rng);
+    // Layer 0 ([out × in], offset = out·3 + in): h0 listens to in0 and in1
+    // below threshold (0.06 / (1 − leak 0.9) < θ), h1 to nothing; layer 1
+    // wires h0 → o0 and h1 → o1 at θ, so max|w| = 1.0 and a saturated
+    // synapse (2.0) fires h0 on every tick its input spikes.
+    for (layer, offset, w) in [(0, 0, 0.03), (0, 1, 0.03), (1, 0, 1.0), (1, 3, 1.0)] {
+        net.set_weight(WeightRef { layer, tensor: 0, offset }, w);
+    }
+    for (layer, offset) in [(0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2)] {
+        net.set_weight(WeightRef { layer, tensor: 0, offset }, 0.0);
+    }
+    let u = FaultUniverse::standard(&net);
+    let sat = |offset: usize| {
+        let site = FaultSite::Synapse(WeightRef { layer: 0, tensor: 0, offset });
+        (u.faults().iter())
+            .find(|f| f.kind == FaultKind::SynapseSatPos && f.site == site)
+            .copied()
+            .unwrap()
+    };
+    let faults = [sat(0), sat(1)];
+    let stimulus = |in0: fn(usize) -> bool, in1: fn(usize) -> bool| {
+        let mut x = vec![0.0f32; 24 * 3];
+        for t in 0..24 {
+            x[t * 3] = f32::from(u8::from(in0(t)));
+            x[t * 3 + 1] = f32::from(u8::from(in1(t)));
+        }
+        Tensor::from_vec(Shape::d2(24, 3), x).unwrap()
+    };
+    let tests = vec![stimulus(|t| t % 4 == 0, |t| t % 4 == 0), stimulus(|_| true, |t| t % 3 == 0)];
+    // Each fault's verdict under each test alone, as (distance bits, class
+    // diff).
+    let alone = |k: usize| -> Vec<(u32, Option<Vec<f32>>)> {
+        let out = run(&net, Engine::Scalar, &u, &faults, &tests[k..=k]).per_fault;
+        out.into_iter().map(|o| (o.distance.to_bits(), o.class_diff)).collect()
+    };
+    let (first, second) = (alone(0), alone(1));
+    assert_eq!(first[0], first[1], "alike under test 0");
+    assert_ne!(second[0].0, second[1].0, "apart under test 1");
+    assert!(second.iter().zip(&first).all(|(b, a)| f32::from_bits(b.0) > f32::from_bits(a.0)));
+    for threads in [1, 2] {
+        let cfg = FaultSimConfig { threads, ..cfg_for(Engine::Packed) };
+        let packed = FaultSimulator::new(&net, cfg).detect(&u, &faults, &tests);
+        assert_bit_identical(&run(&net, Engine::Scalar, &u, &faults, &tests), &packed);
+        for (p, own) in packed.per_fault.iter().zip(&second) {
+            assert_eq!(p.distance.to_bits(), own.0, "a member keeps its own test-1 verdict");
+        }
+    }
 }

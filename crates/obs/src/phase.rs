@@ -13,11 +13,11 @@
 //! The hot loop records into a plain-integer [`LocalPhases`] scratch and
 //! folds it into the shared accumulator once per fault
 //! ([`PhaseAccumulator::merge`]). The packed engine (`snn_faults::packed`)
-//! simulates up to 64 fault variants per pass and records each phase
-//! once per *pack*; it flushes through
+//! simulates a *run* of up to 512 fault variants at a time and records
+//! each phase once per stage of the run; it flushes through
 //! [`PhaseAccumulator::merge_pack`], which attributes the wall time once
-//! but weights sample counts by lane occupancy, keeping per-fault counts
-//! comparable across engines. Campaign-level code snapshots the
+//! but weights sample counts by the run's fault count, keeping per-fault
+//! counts comparable across engines. Campaign-level code snapshots the
 //! accumulator before and after a run ([`PhaseAccumulator::snapshot`],
 //! [`PhaseSnapshot::delta_since`]) and publishes the delta as synthetic
 //! `phase.*` spans ([`emit_spans`]) that `snn profile --phases`
@@ -50,23 +50,25 @@ const SLOTS: usize = SLOT_FORWARD + MAX_FORWARD_LAYERS;
 /// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Applying and restoring the fault's weight patch on the worker net.
+    /// Applying and restoring the fault's weight patch on the scalar
+    /// engine's worker network; under the packed engine, a run's set-up.
     Inject,
     /// Comparing simulated activity against the golden baseline (the
-    /// output-distance verdict; the packed engine's divergence masks).
+    /// output-distance verdict; the packed engine's divergence masks and
+    /// its grouping of equal divergences).
     Compare,
     /// One whole per-fault simulation — the attribution denominator for
-    /// the in-loop phases. Under the packed engine, one whole per-pack
-    /// run flushed with [`PhaseAccumulator::merge_pack`].
+    /// the in-loop phases. Under the packed engine, one whole run
+    /// flushed with [`PhaseAccumulator::merge_pack`].
     Fault,
-    /// Grouping a fault list into ≤64-lane packs (packed engine, once
-    /// per campaign, outside [`Phase::Fault`]).
+    /// Grouping a fault list by fault layer (packed engine, once per
+    /// campaign, outside [`Phase::Fault`]).
     PackPlan,
-    /// Assigning bit lanes to the variants of each pack (packed engine,
-    /// once per campaign, outside [`Phase::Fault`]).
+    /// Cutting the layer groups into runs (packed engine, once per
+    /// campaign, outside [`Phase::Fault`]).
     PackAssign,
-    /// Per-pack word construction and lane bookkeeping that is neither
-    /// forward simulation nor verdict comparison.
+    /// Packed spike-word construction that is neither forward simulation
+    /// nor verdict comparison.
     PackRun,
 }
 
@@ -139,12 +141,12 @@ impl PhaseAccumulator {
         }
     }
 
-    /// Pack-aware variant of [`merge`](Self::merge) for the batched
-    /// engine, which simulates `lanes` fault variants in one pass and
-    /// records each phase **once** per pack: wall time is folded in
-    /// unscaled (the seconds really elapsed once), while sample counts
-    /// are weighted by lane occupancy so per-fault counts stay
-    /// comparable with the scalar engine's one-merge-per-fault flushes.
+    /// Variant of [`merge`](Self::merge) for the packed engine, which
+    /// simulates `lanes` fault variants in one run and records each phase
+    /// **once** per stage of it: wall time is folded in unscaled (the
+    /// seconds really elapsed once), while sample counts are weighted by
+    /// the fault count so per-fault counts stay comparable with the
+    /// scalar engine's one-merge-per-fault flushes.
     pub fn merge_pack(&self, local: &LocalPhases, lanes: u64) {
         for slot in 0..SLOTS {
             if local.counts[slot] > 0 {

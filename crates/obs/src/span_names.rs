@@ -28,8 +28,8 @@ pub const SPAN_NAMES: &[&str] = &[
     "analyze",
     "analyze.intervals",
     // snn-faults, packed engine: the bit-packed fault-parallel campaign.
-    "batch.pack",
     "batch.plan",
+    "batch.run",
     // snn-cluster + the service's worker-message handler.
     "cluster.campaign",
     "cluster.chunk",

@@ -715,9 +715,9 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         // requires `fallback: 0` on the example networks.
         let plan = sim.plan(universe.faults());
         println!(
-            "packed: {} faults in {} packs, fallback: {}",
+            "packed: {} faults in {} runs, fallback: {}",
             plan.packed_faults(),
-            plan.pack_count(),
+            plan.run_count(),
             plan.fallback_count()
         );
     }
