@@ -377,7 +377,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // asserting the exact 0.0 bound for all-negative fan-in
+    #[expect(clippy::float_cmp, reason = "asserting the exact 0.0 bound for all-negative fan-in")]
     fn all_negative_fanin_is_dead() {
         let net = dense_net(1, 3, vec![-0.5, -0.1, -2.0]);
         let a = IntervalAnalysis::new(&net);

@@ -10,7 +10,7 @@
 //!   neuron's `NeuronDead` fault is untestable. Nothing else in the
 //!   workspace acts on the classes: the generator targets every neuron.
 //! * [`report`] renders the results as human text, JSON, or SARIF
-//!   (sharing `snn-lint`'s diagnostic record and serialization).
+//!   ([`sarif`] holds the diagnostic record and the SARIF writer).
 //!
 //! The dead classification is *sound*, not heuristic: the crate's
 //! property tests assert that no dead-masked neuron ever spikes under
@@ -18,9 +18,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
+// Results are a pure function of the seed: no clock, environment, thread
+// identity, address or hash order reaches them (clippy.toml lists the bans).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod interval;
 pub mod report;
+pub mod sarif;
 
 pub use interval::{IntervalAnalysis, LayerAnalysis, NeuronClass};
 

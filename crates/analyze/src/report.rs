@@ -1,13 +1,11 @@
 //! Rendering of analysis results as human text, JSON, or SARIF.
 //!
-//! Reuses `snn-lint`'s [`Diagnostic`] record and shared serialization
-//! (`snn_lint::sarif`), so CI treats model-level findings exactly like
-//! source-level ones. Model findings have no meaningful source line;
-//! they anchor to line 0 (clamped to 1 in SARIF) of the model file.
+//! Findings are [`Diagnostic`] records rendered by [`crate::sarif`].
+//! Model findings have no meaningful source line; they anchor to line 0
+//! (clamped to 1 in SARIF) of the model file.
 
+use crate::sarif::{self, json_string, Diagnostic, SarifRule};
 use crate::{Analysis, NeuronClass};
-use snn_lint::sarif::{self, json_string, Level, SarifRule};
-use snn_lint::Diagnostic;
 use std::fmt::Write as _;
 
 /// Provably-dead neuron: its `NeuronDead` fault is untestable.
@@ -92,10 +90,10 @@ pub fn render_json(model: &str, analysis: &Analysis) -> String {
     out
 }
 
-/// SARIF report via the shared `snn_lint::sarif` module.
+/// SARIF report via [`crate::sarif`].
 pub fn render_sarif(model: &str, analysis: &Analysis) -> String {
     let ds = diagnostics(model, analysis);
-    sarif::render("snn-analyze", "DESIGN.md", &sarif_rules(), &ds, |_| Level::Warning)
+    sarif::render("snn-analyze", "DESIGN.md", &sarif_rules(), &ds)
 }
 
 #[cfg(test)]

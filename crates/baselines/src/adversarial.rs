@@ -122,11 +122,13 @@ fn perturb(net: &Network, sample: &Tensor, adv: AdversarialConfig, rng: &mut imp
         let relaxed = GumbelSample::stochastic(rng, &logits, adv.tau);
         let trace = net.forward(&relaxed.binary, RecordOptions::full());
         let counts = trace.class_counts();
+        #[expect(
+            clippy::expect_used,
+            reason = "spike counts are finite sums of 0.0/1.0, so partial_cmp cannot return None, and the caller's network has ≥ 2 output classes"
+        )]
         let runner = (0..classes)
             .filter(|&k| k != pred)
-            // snn-lint: allow(L-PANIC): spike counts are finite sums of 0.0/1.0, so partial_cmp cannot return None
             .max_by(|&a, &b| counts[a].partial_cmp(&counts[b]).expect("finite counts"))
-            // snn-lint: allow(L-PANIC): documented precondition — the caller's network has ≥ 2 output classes
             .expect("at least two classes");
         let margin = counts[pred] - counts[runner];
         if margin < best_margin {

@@ -40,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
 
 mod adversarial;
 mod greedy;

@@ -61,10 +61,13 @@ pub fn random_inputs(
             if o.detected {
                 // Map back via fault id order (faults slice is id-aligned
                 // with `detected` by position).
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`remaining` is filtered from `faults` above, so the id is always present"
+                )]
                 let pos = faults
                     .iter()
                     .position(|g| g.id == f.id)
-                    // snn-lint: allow(L-PANIC): `remaining` is filtered from `faults` above, so the id is always present
                     .expect("remaining fault comes from the fault list");
                 if !detected[pos] {
                     detected[pos] = true;

@@ -77,7 +77,7 @@ impl BaselineResult {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use snn_tensor::Shape;

@@ -143,7 +143,6 @@ impl PreparedCampaign {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use snn_faults::{Engine, FaultSimConfig};

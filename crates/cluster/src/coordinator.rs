@@ -96,10 +96,10 @@ struct WorkerEntry {
 
 #[derive(Default)]
 struct State {
-    // BTreeMap (not HashMap) so that every iteration — lease grants,
-    // gauge refreshes, status snapshots — walks workers and campaigns
-    // in a deterministic order (snn-lint L-DET-ITER is clean here by
-    // construction, no sorting at the use sites).
+    // BTreeMap (HashMap is banned in this crate) so that every
+    // iteration — lease grants, gauge refreshes, status snapshots —
+    // walks workers and campaigns in a deterministic order, with no
+    // sorting at the use sites.
     workers: BTreeMap<String, WorkerEntry>,
     campaigns: BTreeMap<u64, CampaignState>,
     next_campaign: u64,
@@ -436,7 +436,7 @@ impl Coordinator {
     /// synthetic wrapper span; stale results' spans are discarded with
     /// the outcomes so a re-issued chunk never appears twice in the
     /// merged tree.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors the wire message's fields")]
     pub fn result(
         &self,
         worker: &str,
@@ -601,7 +601,10 @@ impl Coordinator {
                 return Err(ClusterError::UnknownCampaign { campaign });
             };
             if campaign_state.done == campaign_state.chunks.len() {
-                // snn-lint: allow(L-PANIC): presence checked three lines up; remove cannot miss
+                #[expect(
+                    clippy::expect_used,
+                    reason = "presence checked three lines up; remove cannot miss"
+                )]
                 let campaign_state = state.campaigns.remove(&campaign).expect("checked above");
                 Self::refresh_gauges(&state);
                 drop(state);

@@ -13,7 +13,7 @@
 /// Lock names in their required acquisition order (earlier first).
 ///
 /// Since the guard narrowing driven by `snn-lint`'s `L-HELDLOCK` pass
-/// (DESIGN.md §15), the progress sink is the one place where a service
+/// (DESIGN.md §9), the progress sink is the one place where a service
 /// lock nests inside another. The ranks document the only nestings that
 /// would ever be legal, and the runtime detector still catches
 /// regressions reaching a lock through a path the static pass cannot

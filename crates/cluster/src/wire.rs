@@ -396,7 +396,6 @@ fn read_capped_line(r: &mut impl BufRead, cap: usize) -> std::io::Result<Option<
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
 

@@ -21,7 +21,7 @@ use crate::wire::{
 use parking_lot::Mutex;
 use snn_faults::progress::CancelToken;
 use snn_faults::ChunkCampaignError;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -262,7 +262,7 @@ fn lease_loop(
     collector: Option<&Arc<snn_obs::Collector>>,
 ) -> Result<WorkerReport, WorkerError> {
     let mut report = WorkerReport::default();
-    let mut campaigns: HashMap<u64, PreparedCampaign> = HashMap::new();
+    let mut campaigns: BTreeMap<u64, PreparedCampaign> = BTreeMap::new();
     let lease = WorkerMsg::Lease { worker: cfg.name.clone() };
     let mut mark = snn_obs::clock::monotonic();
     // Exactly one lease request is outstanding at the top of the loop.
@@ -309,7 +309,7 @@ fn lease_loop(
                 PreparedCampaign::new(&spec, Some(cfg.threads)).map_err(WorkerError::Campaign)?;
             campaigns.insert(grant.campaign, prepared);
         }
-        // snn-lint: allow(L-PANIC): inserted above when absent
+        #[expect(clippy::expect_used, reason = "inserted above when absent")]
         let prepared = campaigns.get(&grant.campaign).expect("cached above");
 
         let cancel = CancelToken::new();

@@ -6,7 +6,7 @@
 //! API (grant → payload → run_chunk → result), each materializing its
 //! own [`PreparedCampaign`] exactly as a worker process would.
 
-#![allow(clippy::unwrap_used)] // test-only shorthand
+#![expect(clippy::unwrap_used, reason = "test-only shorthand")]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -6,7 +6,7 @@
 //! calling the coordinator directly, using short real-time leases with
 //! wide margins.
 
-#![allow(clippy::unwrap_used)] // test-only shorthand
+#![expect(clippy::unwrap_used, reason = "test-only shorthand")]
 
 use snn_cluster::coordinator::{
     CampaignProgress, ClusterError, Coordinator, CoordinatorConfig, Grant,

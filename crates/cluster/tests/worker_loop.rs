@@ -3,7 +3,7 @@
 //! with the next `Lease`, and what it does with each reply that can come
 //! second in such a pair.
 
-#![allow(clippy::unwrap_used)] // test-only shorthand
+#![expect(clippy::unwrap_used, reason = "test-only shorthand")]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

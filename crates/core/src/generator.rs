@@ -185,9 +185,12 @@ impl<'a> TestGenerator<'a> {
     }
 
     /// Runs the full algorithm, producing the compact test stimulus.
+    #[expect(
+        clippy::expect_used,
+        reason = "a fresh private token is never cancelled, so Err is unreachable"
+    )]
     pub fn generate(&self, rng: &mut (impl Rng + Clone + Send)) -> GeneratedTest {
         self.generate_with(rng, &NullSink, &CancelToken::new())
-            // snn-lint: allow(L-PANIC): a fresh private token is never cancelled, so Err is unreachable
             .expect("fresh token is never cancelled")
     }
 
@@ -259,7 +262,10 @@ impl<'a> TestGenerator<'a> {
                     tau: cfg.tau,
                     surrogate: cfg.surrogate,
                     stochastic: cfg.stochastic,
-                    // snn-lint: allow(L-CAST): simulation durations stay far below f32's 2^24 exact-integer limit
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "simulation durations stay far below f32's 2^24 exact-integer limit"
+                    )]
                     td_min: (t_cur as f32 / cfg.td_min_divisor).max(1.0),
                     mu: cfg.mu,
                     use_l3: cfg.use_l3,
@@ -314,6 +320,10 @@ impl<'a> TestGenerator<'a> {
                 "Chunk duration growths (beta doublings)."
             )
             .add(growths as u64);
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "neuron counts are far below 2^53, so they convert exactly"
+            )]
             snn_obs::gauge!("snn_testgen_activated_neurons", "Neurons activated so far (N_A).")
                 .set(active_now as f64);
             sink.emit(Progress::Iteration {

@@ -213,7 +213,10 @@ pub fn l4_contribution_variance(
             if contrib.len() < 2 {
                 continue;
             }
-            // snn-lint: allow(L-CAST): fan-in counts stay far below f32's 2^24 exact-integer limit
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "fan-in counts stay far below f32's 2^24 exact-integer limit"
+            )]
             let m = contrib.len() as f32;
             let mean = contrib.iter().sum::<f32>() / m;
             value += contrib.iter().map(|c| (c - mean) * (c - mean)).sum::<f32>() / m;
@@ -303,7 +306,10 @@ pub fn l6_saturation_margin(
     let mut value = 0.0;
     for (idx, layer) in net.layers().iter().enumerate() {
         let Some(lif) = layer.lif() else { continue };
-        // snn-lint: allow(L-CAST): step counts and refractory periods stay far below f32's 2^24 exact-integer limit
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "step counts and refractory periods stay far below f32's 2^24 exact-integer limit"
+        )]
         let max_count = steps as f32 / (lif.refrac_steps as f32 + 1.0);
         let cap = margin * max_count;
         let c = counts(trace, idx);
@@ -331,7 +337,7 @@ pub fn balance_weights(initial_losses: &[f32]) -> Vec<f32> {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

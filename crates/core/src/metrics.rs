@@ -25,6 +25,10 @@ impl ActivityMap {
     }
 
     /// Activated fraction in `[0, 1]`.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "neuron counts are far below 2^53, so they convert exactly"
+    )]
     pub fn fraction(&self) -> f64 {
         let n = self.neuron_count();
         if n == 0 {
@@ -140,7 +144,7 @@ impl std::fmt::Display for TestMetrics {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -347,7 +347,10 @@ impl<'a> Stage<'a> {
             Some(total)
         });
 
-        // snn-lint: allow(L-PANIC): the entry assert guarantees steps ≥ 1, and the first step's score always stands
+        #[expect(
+            clippy::expect_used,
+            reason = "the entry assert guarantees steps ≥ 1, and the first step's score always stands"
+        )]
         let mut out = descent.best.expect("stage ran at least one step");
         out.loss_history = history;
         out
@@ -421,7 +424,10 @@ impl<'a> Stage<'a> {
             (penalty == 0.0).then_some(l5)
         });
 
-        // snn-lint: allow(L-PANIC): the descent started from the stage-1 baseline, so a best always exists
+        #[expect(
+            clippy::expect_used,
+            reason = "the descent started from the stage-1 baseline, so a best always exists"
+        )]
         let mut best = descent.best.expect("stage 2 starts from a baseline");
         best.loss_history = history;
         best

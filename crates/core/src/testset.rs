@@ -106,6 +106,10 @@ impl GeneratedTest {
     /// # Panics
     ///
     /// Panics if `sample_steps` is zero.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "tick counts are far below 2^53, so they convert exactly"
+    )]
     pub fn duration_samples(&self, sample_steps: usize) -> f64 {
         assert!(sample_steps > 0, "sample length must be positive");
         self.test_steps() as f64 / sample_steps as f64
@@ -117,6 +121,10 @@ impl GeneratedTest {
     }
 
     /// Fraction of activated neurons in `[0, 1]`.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "neuron counts are far below 2^53, so they convert exactly"
+    )]
     pub fn activated_fraction(&self) -> f64 {
         if self.activated.is_empty() {
             return 0.0;
@@ -220,7 +228,7 @@ fn parse_header(header: &str) -> Result<(usize, usize), String> {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
 

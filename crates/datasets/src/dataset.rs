@@ -60,7 +60,7 @@ pub fn materialize_inputs<D: SpikeDataset + ?Sized>(
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
 

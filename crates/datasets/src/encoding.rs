@@ -64,7 +64,7 @@ pub fn ttfs_encode(values: &[f32], steps: usize) -> Tensor {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -46,7 +46,7 @@ pub fn events_to_tensor(events: &[Event], c: usize, h: usize, w: usize, steps: u
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
 

@@ -16,6 +16,10 @@ pub struct ClassCoverage {
 impl ClassCoverage {
     /// Fault coverage in `[0, 1]`; defined as 1 for an empty class so that
     /// "nothing to detect" reads as full coverage in reports.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "fault counts are far below 2^53, so they convert exactly"
+    )]
     pub fn fc(&self) -> f64 {
         if self.total == 0 {
             1.0
@@ -135,17 +139,24 @@ pub fn escape_max_accuracy_drop(
             *c += usize::from(top1 == *label);
         }
     }
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "sample counts are far below 2^53, so they convert exactly"
+    )]
     let accuracy = |correct: usize| correct as f64 / dataset.len() as f64;
-    correct
-        .into_iter()
-        .zip(escapes)
+    let drops = correct.into_iter().zip(escapes);
+    #[expect(
+        clippy::expect_used,
+        reason = "accuracy is a ratio of finite counts, so partial_cmp cannot return None"
+    )]
+    let worst = drops
         .map(|(c, f)| (accuracy(golden_correct) - accuracy(c), f.id))
-        // snn-lint: allow(L-PANIC): accuracy is a ratio of finite counts, so partial_cmp cannot return None
-        .max_by(|a, b| a.0.partial_cmp(&b.0).expect("accuracy drops are finite"))
+        .max_by(|a, b| a.0.partial_cmp(&b.0).expect("accuracy drops are finite"));
+    worst
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{FaultKind, FaultSimConfig, FaultSimulator, FaultUniverse};

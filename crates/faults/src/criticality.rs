@@ -141,7 +141,7 @@ pub(crate) fn top1_under_faults(
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact accuracy deltas
+#[expect(clippy::float_cmp, reason = "tests assert exact accuracy deltas")]
 pub(crate) mod tests {
     use super::*;
     use crate::{FaultKind, FaultSite, Injection};

@@ -74,6 +74,10 @@ impl FaultDictionary {
     /// Fraction of dictionary faults whose signature is unique — the
     /// *diagnostic resolution* of the test (1.0 = every detected fault is
     /// fully locatable from its signature alone).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "fault counts are far below 2^53, so they convert exactly"
+    )]
     pub fn resolution(&self) -> f64 {
         if self.entries.is_empty() {
             return 0.0;
@@ -110,7 +114,10 @@ impl FaultDictionary {
                 distance: sig.iter().zip(observed.iter()).map(|(a, b)| (a - b).abs()).sum(),
             })
             .collect();
-        // snn-lint: allow(L-PANIC): distances are sums of |finite − finite| signature entries, so partial_cmp cannot return None
+        #[expect(
+            clippy::expect_used,
+            reason = "distances are sums of |finite − finite| signature entries, so partial_cmp cannot return None"
+        )]
         ranked.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("finite distances"));
         ranked.truncate(top_k);
         ranked
@@ -118,7 +125,7 @@ impl FaultDictionary {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{FaultSimConfig, FaultSimulator, FaultUniverse};

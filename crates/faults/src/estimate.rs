@@ -43,6 +43,10 @@ impl std::fmt::Display for CoverageEstimate {
 }
 
 /// Wilson score interval for a binomial proportion at z = 1.96.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts are far below 2^53, so they convert exactly"
+)]
 pub(crate) fn wilson(successes: usize, n: usize) -> (f64, f64) {
     if n == 0 {
         return (0.0, 1.0);
@@ -101,6 +105,10 @@ pub fn estimate_coverage(
     let n = faults.len();
     let (lo, hi) = wilson(detected, n);
     CoverageEstimate {
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "fault counts are far below 2^53, so they convert exactly"
+        )]
         fc: detected as f64 / n as f64,
         lo,
         hi,
@@ -186,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // asserting the exact 0.0 sentinel
+    #[expect(clippy::float_cmp, reason = "asserting the exact 0.0 sentinel")]
     fn empty_universe_reports_zero_coverage_not_nan() {
         // A pool-only network has no spiking neurons and no weights, so
         // its fault universe is empty.

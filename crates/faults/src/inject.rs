@@ -122,15 +122,17 @@ pub fn bit_flip_int8(weight: f32, max_abs: f32, bit: u8) -> f32 {
         return weight;
     }
     let scale = max_abs / 127.0;
-    // snn-lint: allow(L-CAST): clamped to [-128, 127] on the line itself, so the i8 cast cannot truncate
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "clamped to [-128, 127] on the line itself, so the i8 cast cannot truncate"
+    )]
     let q = (weight / scale).round().clamp(-128.0, 127.0) as i8;
-    // snn-lint: allow(L-CAST): deliberate two's-complement reinterpretation — the bit flip targets the memory word
-    let flipped = (q as u8 ^ (1u8 << bit)) as i8;
+    let flipped = (q.cast_unsigned() ^ (1u8 << bit)).cast_signed();
     f32::from(flipped) * scale
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -58,6 +58,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
+// A kernel's numeric conversions are exact or say why they may round;
+// test code, as for panics, is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation, clippy::cast_precision_loss))]
+#![cfg_attr(not(test), warn(clippy::cast_sign_loss, clippy::cast_possible_wrap))]
+// Results are a pure function of the seed: no clock, environment, thread
+// identity, address or hash order reaches them (clippy.toml lists the bans).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 mod coverage;
 mod dictionary;

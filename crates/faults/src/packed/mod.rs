@@ -159,15 +159,15 @@ pub(crate) fn detect(c: &Campaign<'_>) -> Result<Vec<FaultOutcome>, Cancelled> {
             per_fault[fi] = Some(o);
         }
     }
-    Ok(per_fault
-        .into_iter()
-        // snn-lint: allow(L-PANIC): with an empty fallback the plan assigns every fault index to exactly one run
-        .map(|o| o.expect("every fault assigned to a run"))
-        .collect())
+    #[expect(
+        clippy::expect_used,
+        reason = "with an empty fallback the plan assigns every fault index to exactly one run"
+    )]
+    let outcomes = per_fault.into_iter().map(|o| o.expect("every fault assigned to a run"));
+    Ok(outcomes.collect())
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use crate::{
         verdict_digest, CampaignError, CampaignOutcome, CancelToken, Engine, Fault, FaultKind,

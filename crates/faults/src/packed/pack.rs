@@ -538,14 +538,17 @@ impl LaneVerdict {
         // Exact small-integer conversions: both counts are bounded by the
         // output tensor volume, far below `f32`'s 2^24 integer-exactness
         // bound.
-        // snn-lint: allow(L-CAST): flip counts are small exact integers
+        #[expect(clippy::cast_precision_loss, reason = "flip counts are small exact integers")]
         let distance = count as f32;
         if distance > 0.0 {
             self.detected = true;
             if distance > self.best_distance {
                 self.best_distance = distance;
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "spike-count deltas are small exact integers"
+                )]
                 if cfg.record_class_diffs {
-                    // snn-lint: allow(L-CAST): spike-count deltas are small exact integers
                     self.best_diff = Some(delta.iter().map(|&d| d as f32).collect());
                 }
             }
@@ -681,6 +684,10 @@ fn run_test(
     let distinct = div.reps.len();
     let last = ell + 1 == ctx.net.layers().len();
     if last {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a flip count is bounded by the output tensor volume"
+        )]
         for &r in &div.reps {
             let flips = flips_of(&div.flips, &div.spans, r);
             let delta = &mut div.delta[r * outputs..(r + 1) * outputs];
@@ -688,7 +695,6 @@ fn run_test(
             for &p in flips {
                 delta[p % outputs] += if gold.out[p] == 0.0 { 1 } else { -1 };
             }
-            // snn-lint: allow(L-CAST): a flip count is bounded by the output tensor volume
             div.count[r] = flips.len() as u32;
         }
     }

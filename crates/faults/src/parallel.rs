@@ -36,6 +36,10 @@ pub fn effective_threads(requested: usize) -> usize {
 /// # Panics
 ///
 /// Propagates panics from worker threads.
+#[expect(
+    clippy::expect_used,
+    reason = "a fresh private token is never cancelled, so Err is unreachable"
+)]
 pub fn map_indexed<S, T, F, M>(n: usize, threads: usize, make_state: M, f: F) -> Vec<T>
 where
     T: Send,
@@ -43,7 +47,6 @@ where
     M: Fn() -> S + Sync,
 {
     try_map_indexed(n, threads, &CancelToken::new(), make_state, f)
-        // snn-lint: allow(L-PANIC): a fresh private token is never cancelled, so Err is unreachable
         .expect("fresh token is never cancelled")
 }
 
@@ -107,6 +110,10 @@ where
         worker_span.attr("items", out.len());
         out
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "the scope only fails if a worker panicked, which is documented to propagate"
+    )]
     thread::scope(|scope| {
         // The caller is one of the workers. A thread that spawned every
         // worker and slept in `join` left their placement to the kernel,
@@ -120,13 +127,15 @@ where
             slots[i] = Some(value);
         }
         for h in handles {
-            // snn-lint: allow(L-PANIC): documented behaviour — worker panics propagate to the caller
+            #[expect(
+                clippy::expect_used,
+                reason = "documented behaviour — worker panics propagate to the caller"
+            )]
             for (i, value) in h.join().expect("worker thread panicked") {
                 slots[i] = Some(value);
             }
         }
     })
-    // snn-lint: allow(L-PANIC): the scope only fails if a worker panicked, which is documented to propagate
     .expect("crossbeam scope failed");
     cancel.check()?;
     // A worker stops claiming only past `n` or on a tripped token, and a
@@ -186,6 +195,7 @@ mod tests {
     /// Two items that each wait for the other to be claimed need two
     /// workers; with `threads = 2` one of them is the calling thread.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the test asserts which thread ran the work")]
     fn the_caller_is_one_of_the_workers() {
         let both_claimed = std::sync::Barrier::new(2);
         let ran_on = map_indexed(

@@ -53,6 +53,10 @@ impl CampaignOutcome {
     }
 
     /// Fault coverage over the supplied fault list (Eq. 4).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "fault counts are far below 2^53, so they convert exactly"
+    )]
     pub fn fault_coverage(&self) -> f64 {
         if self.per_fault.is_empty() {
             return 0.0;
@@ -164,6 +168,10 @@ impl<'a> FaultSimulator<'a> {
     /// Panics if `tests` is empty or a fault's site/kind disagree (use
     /// [`detect_with`](Self::detect_with) to surface the latter as a typed
     /// [`CampaignError`] instead).
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper — detect_with is the fallible API"
+    )]
     pub fn detect(
         &self,
         universe: &FaultUniverse,
@@ -171,7 +179,6 @@ impl<'a> FaultSimulator<'a> {
         tests: &[Tensor],
     ) -> CampaignOutcome {
         self.detect_with(universe, faults, tests, &NullSink, &CancelToken::new())
-            // snn-lint: allow(L-PANIC): documented panicking wrapper — detect_with is the fallible API
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -569,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // asserting the exact 0.0 sentinel
+    #[expect(clippy::float_cmp, reason = "asserting the exact 0.0 sentinel")]
     fn empty_campaign_coverage_is_zero_not_nan() {
         let out = CampaignOutcome { per_fault: Vec::new(), elapsed: Duration::ZERO };
         assert_eq!(out.fault_coverage(), 0.0);

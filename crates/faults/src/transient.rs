@@ -75,7 +75,7 @@ pub fn windowed_forward(
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

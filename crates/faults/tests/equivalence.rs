@@ -15,8 +15,6 @@
 //! one test and not under the other), and the planner's shape on the
 //! example networks.
 
-#![allow(clippy::unwrap_used)] // test-only shorthand
-
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -46,16 +46,6 @@ pub enum Node {
     },
     /// Any other call event (blocking-op and call-graph analysis).
     Call(CallEvent),
-    /// Statement boundary. `name` is the `let` binding the statement's
-    /// value flows into (`None` for expression statements and construct
-    /// heads). The taint analysis commits expression taint to the binding
-    /// here and clears it otherwise; guard analyses ignore these nodes.
-    Bind {
-        /// The `let` binding name, when the statement is a simple let.
-        name: Option<String>,
-        /// Source line of the statement.
-        line: u32,
-    },
 }
 
 /// Static information about one acquisition site.
@@ -255,7 +245,7 @@ impl Builder<'_> {
 
     fn stmt(&mut self, stmt: &Stmt, tails: Vec<usize>) -> Vec<usize> {
         match stmt {
-            Stmt::Let { name, calls, line } => {
+            Stmt::Let { name, calls } => {
                 let (mut tails, temps, bound) = self.calls(calls, tails, name.is_some());
                 self.handle_drop(calls, &mut tails);
                 // Statement temporaries die here; a let-bound guard joins
@@ -266,9 +256,9 @@ impl Builder<'_> {
                         frame.guards.push((name.clone(), g));
                     }
                 }
-                vec![self.push(Node::Bind { name: name.clone(), line: *line }, tails)]
+                tails
             }
-            Stmt::Expr { calls, line } | Stmt::Return { calls, line } => {
+            Stmt::Expr { calls } | Stmt::Return { calls } => {
                 let (mut tails, temps, _) = self.calls(calls, tails, false);
                 self.handle_drop(calls, &mut tails);
                 let tails = self.release(&temps, tails);
@@ -280,18 +270,14 @@ impl Builder<'_> {
                     }
                     return Vec::new();
                 }
-                vec![self.push(Node::Bind { name: None, line: *line }, tails)]
+                tails
             }
-            Stmt::If { head, is_let, then_b, else_b, line } => {
+            Stmt::If { head, is_let, then_b, else_b } => {
                 let (head_tails, temps, _) = self.calls(head, tails, false);
                 // Plain-if condition temporaries die before branching; the
                 // 2021 if-let scrutinee lives across both branches.
                 let head_tails =
                     if *is_let { head_tails } else { self.release(&temps, head_tails) };
-                // Condition/scrutinee values are consumed here (pattern
-                // bindings are not tracked — documented under-approx).
-                let head_tails =
-                    vec![self.push(Node::Bind { name: None, line: *line }, head_tails)];
                 let then_tails = self.nested(then_b, head_tails.clone());
                 let else_tails = match else_b {
                     Some(e) => self.nested(e, head_tails.clone()),
@@ -304,13 +290,11 @@ impl Builder<'_> {
                     vec![join]
                 }
             }
-            Stmt::While { head, is_let, body, line } => {
+            Stmt::While { head, is_let, body } => {
                 let head_entry = self.push(Node::Join, tails);
                 let (head_tails, temps, _) = self.calls(head, vec![head_entry], false);
                 let head_tails =
                     if *is_let { head_tails } else { self.release(&temps, head_tails) };
-                let head_tails =
-                    vec![self.push(Node::Bind { name: None, line: *line }, head_tails)];
                 let body_tails = self.nested(body, head_tails.clone());
                 for t in body_tails {
                     self.edge(t, head_entry);
@@ -322,13 +306,11 @@ impl Builder<'_> {
                     vec![after]
                 }
             }
-            Stmt::For { head, body, line } => {
+            Stmt::For { head, body } => {
                 // The iterator expression is evaluated once; its
                 // temporaries (e.g. a guard in `for x in m.lock().iter()`)
                 // live for the whole loop.
                 let (head_tails, temps, _) = self.calls(head, tails, false);
-                let head_tails =
-                    vec![self.push(Node::Bind { name: None, line: *line }, head_tails)];
                 let head_entry = self.push(Node::Join, head_tails);
                 let body_tails = self.nested(body, vec![head_entry]);
                 for t in body_tails {
@@ -337,7 +319,7 @@ impl Builder<'_> {
                 let after = self.push(Node::Join, vec![head_entry]);
                 self.release(&temps, vec![after])
             }
-            Stmt::Loop { body, .. } => {
+            Stmt::Loop { body } => {
                 let head_entry = self.push(Node::Join, tails);
                 let body_tails = self.nested(body, vec![head_entry]);
                 for t in &body_tails {
@@ -349,10 +331,8 @@ impl Builder<'_> {
                 preds.push(head_entry);
                 vec![self.push(Node::Join, preds)]
             }
-            Stmt::Match { head, arms, line } => {
+            Stmt::Match { head, arms } => {
                 let (head_tails, temps, _) = self.calls(head, tails, false);
-                let head_tails =
-                    vec![self.push(Node::Bind { name: None, line: *line }, head_tails)];
                 let mut arm_tails = Vec::new();
                 for arm in arms {
                     arm_tails.extend(self.nested(arm, head_tails.clone()));
@@ -364,7 +344,7 @@ impl Builder<'_> {
                 // Scrutinee temporaries live across every arm.
                 self.release(&temps, vec![join])
             }
-            Stmt::Sub { body, .. } => self.nested(body, tails),
+            Stmt::Sub { body } => self.nested(body, tails),
         }
     }
 }
@@ -377,9 +357,9 @@ mod tests {
     use crate::passes::live_mask;
 
     fn cfg_of(src: &str) -> FnCfg {
-        let lexed = lex(src);
-        let live = live_mask(&lexed.tokens);
-        let parsed = parser::parse(&lexed.tokens, &live);
+        let tokens = lex(src);
+        let live = live_mask(&tokens);
+        let parsed = parser::parse(&tokens, &live);
         let lock_of = |r: &str| match r {
             "queue" => Some("service.queue".to_string()),
             "running" => Some("service.running".to_string()),

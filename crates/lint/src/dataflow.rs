@@ -96,9 +96,9 @@ mod tests {
     use crate::passes::live_mask;
 
     fn held_at_call(src: &str, callee: &str) -> Vec<String> {
-        let lexed = lex(src);
-        let live = live_mask(&lexed.tokens);
-        let parsed = parser::parse(&lexed.tokens, &live);
+        let tokens = lex(src);
+        let live = live_mask(&tokens);
+        let parsed = parser::parse(&tokens, &live);
         let lock_of = |r: &str| match r {
             "queue" => Some("service.queue".to_string()),
             "jobs" => Some("service.store.jobs".to_string()),

@@ -1,6 +1,6 @@
-//! Workspace-level facts and the cross-file halves of the v2 passes.
+//! Workspace-level lock facts and the lock-graph check (L-LOCKGRAPH).
 //!
-//! The per-file passes in [`crate::passes`] consume a [`Facts`] snapshot
+//! L-HELDLOCK in [`crate::passes`] consumes a [`Facts`] snapshot
 //! built once per lint run from every parsed file:
 //!
 //! - per-crate maps from receiver identifier to registered lock name
@@ -20,8 +20,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use crate::diag::Diagnostic;
-use crate::parser::{Block, CallEvent, MetricKind, ParsedFile, Stmt};
+use crate::parser::{Block, CallEvent, ParsedFile, Stmt};
+use crate::Diagnostic;
 use crate::{cfg, dataflow};
 
 /// Crates whose locks and blocking behaviour are analysed. They share
@@ -199,12 +199,6 @@ pub struct Facts {
     pub fn_acquires: HashMap<String, BTreeSet<String>>,
     /// The service crate's `LOCK_ORDER` (rank = index).
     pub lock_order: Vec<String>,
-    /// Fn name → description of the nondeterminism its return value may
-    /// carry (interprocedural taint summaries, see [`crate::taint`]).
-    pub fn_taint: BTreeMap<String, String>,
-    /// file path → idents bound to unordered collections (HashMap/HashSet
-    /// struct fields and let bindings).
-    pub unordered: HashMap<String, BTreeSet<String>>,
 }
 
 /// The crate key of a workspace path (`crates/service/src/…` → `service`).
@@ -266,10 +260,6 @@ impl Facts {
                 }
             }
         }
-
-        // Determinism-taint facts (whole workspace, obs exempt).
-        facts.unordered = crate::taint::unordered_idents(files);
-        facts.fn_taint = crate::taint::summaries(files, &facts.unordered);
 
         // Per-function direct facts over the namespace crates. BTreeMap:
         // the fixpoint below locks in the first blocking reason it sees
@@ -381,12 +371,6 @@ fn direct_blocking(c: &CallEvent) -> Option<String> {
         return Some(format!("performs `{}()`", c.name));
     }
     None
-}
-
-/// `true` when a method name collides with a ubiquitous `std` method and
-/// must never resolve through the namespace call graph.
-pub(crate) fn is_stoplisted(name: &str) -> bool {
-    STD_METHOD_STOPLIST.contains(&name)
 }
 
 /// The namespace function a call may resolve to, if any (stoplist and
@@ -639,156 +623,6 @@ fn check_lock_graph(edges: &[LockEdge], lock_order: &[String]) -> Vec<Diagnostic
                     path.pop();
                 }
             }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Observability consistency (L-OBS, cross-file half).
-// ---------------------------------------------------------------------------
-
-/// Cross-file metric and span checks: one registration site per metric
-/// name, consistent kind/help, and span names declared in the
-/// `SPAN_NAMES` registry and all registry entries used.
-pub fn check_obs_consistency(
-    files: &[FileInput<'_>],
-    span_registry: Option<&[(String, u32)]>,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // Metric sites by name, in deterministic file order.
-    let mut sites: BTreeMap<&str, Vec<(&str, &crate::parser::MetricSite)>> = BTreeMap::new();
-    for f in files {
-        for m in &f.parsed.metrics {
-            sites.entry(m.name.as_str()).or_default().push((f.path, m));
-        }
-    }
-    for (name, sites) in &sites {
-        if sites.len() > 1 {
-            let (first_file, first) = sites[0];
-            for (file, m) in &sites[1..] {
-                out.push(Diagnostic {
-                    file: (*file).to_string(),
-                    line: m.line,
-                    id: "L-OBS",
-                    message: format!(
-                        "metric `{name}` is registered at multiple sites (first: \
-                         {first_file}:{}) — route every update through one registration \
-                         site so kind/help can never diverge",
-                        first.line
-                    ),
-                });
-            }
-            let _ = first;
-        }
-    }
-    // Span usage vs the registry.
-    if let Some(registry) = span_registry {
-        let declared: HashSet<&str> = registry.iter().map(|(n, _)| n.as_str()).collect();
-        let mut used: HashSet<&str> = HashSet::new();
-        for f in files {
-            if f.path.starts_with("crates/obs/src/") {
-                continue; // the registry and the span! macro definition
-            }
-            for s in &f.parsed.spans {
-                used.insert(s.name.as_str());
-                if !declared.contains(s.name.as_str()) {
-                    out.push(Diagnostic {
-                        file: f.path.to_string(),
-                        line: s.line,
-                        id: "L-OBS",
-                        message: format!(
-                            "span name {:?} is not declared in SPAN_NAMES \
-                             (crates/obs/src/span_names.rs) — declare it there so span \
-                             names stay greppable and consistent",
-                            s.name
-                        ),
-                    });
-                }
-            }
-        }
-        for (name, line) in registry {
-            if !used.contains(name.as_str()) {
-                out.push(Diagnostic {
-                    file: "crates/obs/src/span_names.rs".to_string(),
-                    line: *line,
-                    id: "L-OBS",
-                    message: format!(
-                        "SPAN_NAMES entry {name:?} is never used by a span!/enter_with_parent \
-                         site — remove it or restore the instrumentation"
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Per-file metric naming rules (Prometheus conventions); used by the
-/// registry pass in [`crate::passes`].
-pub fn metric_naming_findings(path: &str, parsed: &ParsedFile) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let diag = |line: u32, message: String| Diagnostic {
-        file: path.to_string(),
-        line,
-        id: "L-OBS",
-        message,
-    };
-    for m in &parsed.metrics {
-        let name = m.name.as_str();
-        let well_formed = name.starts_with("snn_")
-            && name.len() > 4
-            && name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-        if !well_formed {
-            out.push(diag(
-                m.line,
-                format!(
-                    "metric name {name:?} must match `snn_[a-z0-9_]+` (workspace prefix, \
-                     lowercase snake_case)"
-                ),
-            ));
-            continue;
-        }
-        match m.kind {
-            MetricKind::Counter => {
-                if !name.ends_with("_total") {
-                    out.push(diag(
-                        m.line,
-                        format!(
-                            "counter `{name}` must end in `_total` (Prometheus counter \
-                             convention)"
-                        ),
-                    ));
-                }
-            }
-            MetricKind::Gauge | MetricKind::Histogram => {
-                if name.ends_with("_total") {
-                    out.push(diag(
-                        m.line,
-                        format!(
-                            "{} `{name}` must not end in `_total` — that suffix is \
-                             reserved for counters",
-                            m.kind.as_str()
-                        ),
-                    ));
-                }
-                if m.kind == MetricKind::Histogram
-                    && !(name.ends_with("_seconds")
-                        || name.ends_with("_bytes")
-                        || name.ends_with("_ratio"))
-                {
-                    out.push(diag(
-                        m.line,
-                        format!(
-                            "histogram `{name}` must carry a base-unit suffix \
-                             (`_seconds`, `_bytes` or `_ratio`)"
-                        ),
-                    ));
-                }
-            }
-        }
-        if m.help.as_deref().is_some_and(|h| h.is_empty()) {
-            out.push(diag(m.line, format!("metric `{name}` has an empty help string")));
         }
     }
     out

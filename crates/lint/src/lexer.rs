@@ -53,29 +53,6 @@ impl Token {
     }
 }
 
-/// A line comment captured during lexing (for allow directives).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Comment {
-    /// Comment text without the leading `//` (block comments: without the
-    /// delimiters), untrimmed.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// `true` when code tokens precede the comment on its line (a
-    /// trailing comment annotates its own line; a standalone one
-    /// annotates the next).
-    pub trailing: bool,
-}
-
-/// Output of [`lex`]: the token stream plus every comment.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Code tokens in source order.
-    pub tokens: Vec<Token>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
-}
-
 /// Multi-character operators, longest first so maximal munch is a simple
 /// prefix scan.
 const OPERATORS: &[&str] = &[
@@ -83,17 +60,14 @@ const OPERATORS: &[&str] = &[
     "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-/// Lexes `source` into tokens and comments. The lexer never fails: bytes
+/// Lexes `source` into code tokens; comments are skipped. The lexer never fails: bytes
 /// it cannot classify become single-character punctuation, which keeps
 /// passes working even on slightly exotic code.
-pub fn lex(source: &str) -> Lexed {
+pub fn lex(source: &str) -> Vec<Token> {
     let bytes = source.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line: u32 = 1;
-    // Line number of the last code token, used to classify comments as
-    // trailing or standalone.
-    let mut last_token_line: u32 = 0;
 
     while i < bytes.len() {
         let c = bytes[i];
@@ -104,20 +78,11 @@ pub fn lex(source: &str) -> Lexed {
             }
             c if c.is_ascii_whitespace() => i += 1,
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                out.comments.push(Comment {
-                    text: source[start..i].to_string(),
-                    line,
-                    trailing: last_token_line == line,
-                });
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
-                let comment_line = line;
-                let trailing = last_token_line == line;
-                let start = i + 2;
                 let mut depth = 1usize;
                 i += 2;
                 while i < bytes.len() && depth > 0 {
@@ -134,31 +99,22 @@ pub fn lex(source: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                let end = i.saturating_sub(2).max(start);
-                out.comments.push(Comment {
-                    text: source[start..end].to_string(),
-                    line: comment_line,
-                    trailing,
-                });
             }
             b'r' | b'b' | b'c' if is_raw_or_byte_string_start(bytes, i) => {
                 let (token, ni, nl) = lex_string_like(source, i, line);
-                last_token_line = token.line;
-                out.tokens.push(token);
+                out.push(token);
                 i = ni;
                 line = nl;
             }
             b'"' => {
                 let (token, ni, nl) = lex_plain_string(source, i, line);
-                last_token_line = token.line;
-                out.tokens.push(token);
+                out.push(token);
                 i = ni;
                 line = nl;
             }
             b'\'' => {
                 let (token, ni) = lex_quote(source, i, line);
-                last_token_line = line;
-                out.tokens.push(token);
+                out.push(token);
                 i = ni;
             }
             c if c == b'_' || c.is_ascii_alphabetic() => {
@@ -166,8 +122,7 @@ pub fn lex(source: &str) -> Lexed {
                 while i < bytes.len() && (bytes[i] == b'_' || bytes[i].is_ascii_alphanumeric()) {
                     i += 1;
                 }
-                last_token_line = line;
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Ident,
                     text: source[start..i].to_string(),
                     line,
@@ -175,8 +130,7 @@ pub fn lex(source: &str) -> Lexed {
             }
             c if c.is_ascii_digit() => {
                 let (token, ni) = lex_number(source, i, line);
-                last_token_line = line;
-                out.tokens.push(token);
+                out.push(token);
                 i = ni;
             }
             _ => {
@@ -191,8 +145,7 @@ pub fn lex(source: &str) -> Lexed {
                     }
                 };
                 i += text.len();
-                last_token_line = line;
-                out.tokens.push(Token { kind: TokenKind::Punct, text, line });
+                out.push(Token { kind: TokenKind::Punct, text, line });
             }
         }
     }
@@ -397,7 +350,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        lex(src).tokens.into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -440,19 +393,12 @@ mod tests {
 
     #[test]
     fn nested_block_comments_and_line_tracking() {
-        let lexed = lex("/* a /* b */ c */\nsecond\n// tail\nthird");
-        assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.tokens[0].text, "second");
-        assert_eq!(lexed.tokens[0].line, 2);
-        assert_eq!(lexed.tokens[1].text, "third");
-        assert_eq!(lexed.tokens[1].line, 4);
-    }
-
-    #[test]
-    fn trailing_vs_standalone_comments() {
-        let lexed = lex("let x = 1; // trailing\n// standalone\nlet y = 2;");
-        assert!(lexed.comments[0].trailing);
-        assert!(!lexed.comments[1].trailing);
+        let tokens = lex("/* a /* b */ c */\nsecond\n// tail\nthird");
+        assert_eq!(tokens.len(), 2);
+        assert_eq!(tokens[0].text, "second");
+        assert_eq!(tokens[0].line, 2);
+        assert_eq!(tokens[1].text, "third");
+        assert_eq!(tokens[1].line, 4);
     }
 
     #[test]

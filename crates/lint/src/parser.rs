@@ -1,12 +1,11 @@
 //! A lightweight, tolerant Rust parser for dataflow-based lint passes.
 //!
 //! This is deliberately *not* a full Rust grammar. It recovers exactly the
-//! structure the concurrency and determinism passes need from the token
-//! stream: function bodies as statement trees (so a CFG can be built),
-//! struct fields with their type text, lock construction sites
-//! (`Mutex::named("…", …)` and the identifier each is bound to), and
-//! metric/span registration sites. Everything else — types, generics,
-//! trait resolution, macro expansion — is skipped or flattened.
+//! structure the lock passes need from the token
+//! stream: function bodies as statement trees (so a CFG can be built) and
+//! lock construction sites (`Mutex::named("…", …)` and the identifier
+//! each is bound to). Everything else — types, generics, trait
+//! resolution, macro expansion — is skipped or flattened.
 //!
 //! Design rules that keep the parser sound for its consumers:
 //!
@@ -28,14 +27,8 @@ use crate::lexer::{Token, TokenKind};
 pub struct ParsedFile {
     /// Every `fn` item (including nested fns, parsed independently).
     pub fns: Vec<FnDef>,
-    /// The named fields of every `struct` item.
-    pub fields: Vec<FieldDef>,
     /// `Mutex` / `RwLock` construction sites.
     pub locks: Vec<LockSite>,
-    /// `counter!` / `gauge!` / `histogram!` sites with literal names.
-    pub metrics: Vec<MetricSite>,
-    /// `span!("…")` / `enter_with_parent("…", …)` sites.
-    pub spans: Vec<SpanSite>,
 }
 
 /// One function definition with its parsed body.
@@ -44,8 +37,6 @@ pub struct FnDef {
     /// The function name (no path or impl owner — collisions across types
     /// are resolved conservatively by the passes).
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// The body as a statement tree.
     pub body: Block,
 }
@@ -61,23 +52,23 @@ pub struct Block {
 #[derive(Debug)]
 pub enum Stmt {
     /// `let NAME = …;` — `name` is `None` for non-trivial patterns.
-    Let { name: Option<String>, calls: Vec<CallEvent>, line: u32 },
+    Let { name: Option<String>, calls: Vec<CallEvent> },
     /// Any other expression statement (including `break` / `continue`).
-    Expr { calls: Vec<CallEvent>, line: u32 },
+    Expr { calls: Vec<CallEvent> },
     /// `if` / `if let`, with an optional else branch (else-if chains nest).
-    If { head: Vec<CallEvent>, is_let: bool, then_b: Block, else_b: Option<Block>, line: u32 },
+    If { head: Vec<CallEvent>, is_let: bool, then_b: Block, else_b: Option<Block> },
     /// `while` / `while let`.
-    While { head: Vec<CallEvent>, is_let: bool, body: Block, line: u32 },
+    While { head: Vec<CallEvent>, is_let: bool, body: Block },
     /// `for PAT in EXPR { … }` — iterator temporaries live for the loop.
-    For { head: Vec<CallEvent>, body: Block, line: u32 },
+    For { head: Vec<CallEvent>, body: Block },
     /// Bare `loop { … }`.
-    Loop { body: Block, line: u32 },
+    Loop { body: Block },
     /// `match EXPR { arms }` — scrutinee temporaries live across the arms.
-    Match { head: Vec<CallEvent>, arms: Vec<Block>, line: u32 },
+    Match { head: Vec<CallEvent>, arms: Vec<Block> },
     /// A nested `{ … }` (or `unsafe { … }`) block with its own scope.
-    Sub { body: Block, line: u32 },
+    Sub { body: Block },
     /// `return …;` — edges to the function exit in the CFG.
-    Return { calls: Vec<CallEvent>, line: u32 },
+    Return { calls: Vec<CallEvent> },
 }
 
 /// One call observed inside a statement, in token order.
@@ -97,21 +88,8 @@ pub struct CallEvent {
     pub no_args: bool,
     /// For bare `drop(ident)` calls: the single-identifier argument.
     pub arg_ident: Option<String>,
-    /// Every identifier appearing inside the call's argument list, in
-    /// token order (taint propagation: a tainted variable passed as any
-    /// argument taints the call's value — a may-over-approximation).
-    pub arg_idents: Vec<String>,
     /// Source line of the callee identifier.
     pub line: u32,
-}
-
-/// One named struct field.
-#[derive(Debug)]
-pub struct FieldDef {
-    /// Field name.
-    pub name: String,
-    /// Compact rendering of the field type (`HashMap<u64,Job>`).
-    pub ty: String,
 }
 
 /// A `Mutex` / `RwLock` construction site (`::new`, `::default` or
@@ -132,50 +110,6 @@ pub struct LockSite {
     pub line: u32,
 }
 
-/// Kind of a metric registration macro.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// `counter!`.
-    Counter,
-    /// `gauge!`.
-    Gauge,
-    /// `histogram!`.
-    Histogram,
-}
-
-impl MetricKind {
-    /// Macro name for diagnostics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// One metric macro site with a literal name.
-#[derive(Debug)]
-pub struct MetricSite {
-    /// counter / gauge / histogram.
-    pub kind: MetricKind,
-    /// The literal metric name.
-    pub name: String,
-    /// The literal help string, when present as the second argument.
-    pub help: Option<String>,
-    /// Source line of the macro.
-    pub line: u32,
-}
-
-/// One span entry site (`span!("…")` or `enter_with_parent("…", …)`).
-#[derive(Debug)]
-pub struct SpanSite {
-    /// The literal span name.
-    pub name: String,
-    /// Source line.
-    pub line: u32,
-}
-
 /// Parses the live tokens of one file. `live` must be the
 /// `passes::live_mask` of `tokens`.
 pub fn parse(tokens: &[Token], live: &[bool]) -> ParsedFile {
@@ -183,9 +117,7 @@ pub fn parse(tokens: &[Token], live: &[bool]) -> ParsedFile {
         tokens.iter().zip(live).filter(|(_, l)| **l).map(|(t, _)| t.clone()).collect();
     let mut out = ParsedFile::default();
     collect_fns(&toks, &mut out);
-    collect_struct_fields(&toks, &mut out);
     collect_locks(&toks, &mut out);
-    collect_obs_sites(&toks, &mut out);
     out
 }
 
@@ -199,7 +131,6 @@ fn collect_fns(toks: &[Token], out: &mut ParsedFile) {
     while i < toks.len() {
         if toks[i].is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident) {
             let name = toks[i + 1].text.clone();
-            let line = toks[i].line;
             // Walk to the body `{` (or a `;` for trait/extern decls),
             // counting only paren/bracket nesting: return types and where
             // clauses cannot contain a top-level `{`.
@@ -222,7 +153,7 @@ fn collect_fns(toks: &[Token], out: &mut ParsedFile) {
             }
             if let Some(open) = body {
                 let close = matching_brace(toks, open);
-                out.fns.push(FnDef { name, line, body: parse_block(&toks[open + 1..close]) });
+                out.fns.push(FnDef { name, body: parse_block(&toks[open + 1..close]) });
                 // Continue scanning *inside* the body too: nested fns are
                 // parsed as their own defs (their calls are additionally
                 // attributed to the enclosing fn, which over-approximates).
@@ -310,59 +241,48 @@ fn parse_block(toks: &[Token]) -> Block {
                     continue;
                 }
                 "while" => {
-                    let line = t.line;
                     let (head, is_let, open) = parse_head(toks, i + 1);
                     let close = matching_brace(toks, open);
                     stmts.push(Stmt::While {
                         head,
                         is_let,
                         body: parse_block(&toks[open + 1..close]),
-                        line,
                     });
                     i = close + 1;
                     continue;
                 }
                 "for" => {
-                    let line = t.line;
                     let (head, _, open) = parse_head(toks, i + 1);
                     let close = matching_brace(toks, open);
-                    stmts.push(Stmt::For { head, body: parse_block(&toks[open + 1..close]), line });
+                    stmts.push(Stmt::For { head, body: parse_block(&toks[open + 1..close]) });
                     i = close + 1;
                     continue;
                 }
-                "loop" => {
-                    let line = t.line;
-                    if toks.get(i + 1).is_some_and(|t| t.is_punct("{")) {
-                        let close = matching_brace(toks, i + 1);
-                        stmts.push(Stmt::Loop { body: parse_block(&toks[i + 2..close]), line });
-                        i = close + 1;
-                        continue;
-                    }
+                "loop" if toks.get(i + 1).is_some_and(|t| t.is_punct("{")) => {
+                    let close = matching_brace(toks, i + 1);
+                    stmts.push(Stmt::Loop { body: parse_block(&toks[i + 2..close]) });
+                    i = close + 1;
+                    continue;
                 }
                 "match" => {
-                    let line = t.line;
                     let (head, _, open) = parse_head(toks, i + 1);
                     let close = matching_brace(toks, open);
-                    stmts.push(Stmt::Match {
-                        head,
-                        arms: parse_arms(&toks[open + 1..close]),
-                        line,
-                    });
+                    stmts.push(Stmt::Match { head, arms: parse_arms(&toks[open + 1..close]) });
                     i = close + 1;
                     continue;
                 }
                 "unsafe" if toks.get(i + 1).is_some_and(|t| t.is_punct("{")) => {
                     let close = matching_brace(toks, i + 1);
-                    stmts.push(Stmt::Sub { body: parse_block(&toks[i + 2..close]), line: t.line });
+                    stmts.push(Stmt::Sub { body: parse_block(&toks[i + 2..close]) });
                     i = close + 1;
                     continue;
                 }
                 "return" => {
                     let (end, calls, subs) = flat_stmt(toks, i + 1);
                     for body in subs {
-                        stmts.push(Stmt::Sub { body, line: t.line });
+                        stmts.push(Stmt::Sub { body });
                     }
-                    stmts.push(Stmt::Return { calls, line: t.line });
+                    stmts.push(Stmt::Return { calls });
                     i = end;
                     continue;
                 }
@@ -374,18 +294,17 @@ fn parse_block(toks: &[Token]) -> Block {
         }
         if t.is_punct("{") {
             let close = matching_brace(toks, i);
-            stmts.push(Stmt::Sub { body: parse_block(&toks[i + 1..close]), line: t.line });
+            stmts.push(Stmt::Sub { body: parse_block(&toks[i + 1..close]) });
             i = close + 1;
             continue;
         }
         // Plain expression statement; its brace groups (closure bodies,
         // block expressions) become scoped sub-statements.
-        let line = t.line;
         let (end, calls, subs) = flat_stmt(toks, i);
         for body in subs {
-            stmts.push(Stmt::Sub { body, line });
+            stmts.push(Stmt::Sub { body });
         }
-        stmts.push(Stmt::Expr { calls, line });
+        stmts.push(Stmt::Expr { calls });
         i = end;
     }
     Block { stmts }
@@ -395,7 +314,6 @@ fn parse_block(toks: &[Token]) -> Block {
 /// index just past its `;`. Handles `let … else { … }` by modelling the
 /// diverging else block as an `If`.
 fn parse_let(toks: &[Token], i: usize, stmts: &mut Vec<Stmt>) -> usize {
-    let line = toks[i].line;
     let mut j = i + 1;
     if j < toks.len() && toks[j].is_ident("mut") {
         j += 1;
@@ -423,15 +341,15 @@ fn parse_let(toks: &[Token], i: usize, stmts: &mut Vec<Stmt>) -> usize {
         } else if depth == 0 && t.is_punct(";") {
             let (calls, subs) = split_expr(&toks[start..k]);
             for body in subs {
-                stmts.push(Stmt::Sub { body, line });
+                stmts.push(Stmt::Sub { body });
             }
-            stmts.push(Stmt::Let { name, calls, line });
+            stmts.push(Stmt::Let { name, calls });
             return k + 1;
         } else if depth == 0 && t.is_ident("else") {
             // let-else: binding either succeeds or the else block diverges.
             let (calls, subs) = split_expr(&toks[start..k]);
             for body in subs {
-                stmts.push(Stmt::Sub { body, line });
+                stmts.push(Stmt::Sub { body });
             }
             let open = k + 1;
             if toks.get(open).is_some_and(|t| t.is_punct("{")) {
@@ -441,7 +359,6 @@ fn parse_let(toks: &[Token], i: usize, stmts: &mut Vec<Stmt>) -> usize {
                     is_let: true,
                     then_b: parse_block(&toks[open + 1..close]),
                     else_b: None,
-                    line,
                 });
                 let mut end = close + 1;
                 if toks.get(end).is_some_and(|t| t.is_punct(";")) {
@@ -449,23 +366,22 @@ fn parse_let(toks: &[Token], i: usize, stmts: &mut Vec<Stmt>) -> usize {
                 }
                 return end;
             }
-            stmts.push(Stmt::Let { name, calls, line });
+            stmts.push(Stmt::Let { name, calls });
             return k + 1;
         }
         k += 1;
     }
     let (calls, subs) = split_expr(&toks[start..k]);
     for body in subs {
-        stmts.push(Stmt::Sub { body, line });
+        stmts.push(Stmt::Sub { body });
     }
-    stmts.push(Stmt::Let { name, calls, line });
+    stmts.push(Stmt::Let { name, calls });
     k
 }
 
 /// Parses an `if` statement starting at the `if` keyword; returns the
 /// statement and the index just past it (including any else chain).
 fn parse_if(toks: &[Token], i: usize) -> (Stmt, usize) {
-    let line = toks[i].line;
     let (head, is_let, open) = parse_head(toks, i + 1);
     let close = matching_brace(toks, open);
     let then_b = parse_block(&toks[open + 1..close]);
@@ -483,7 +399,7 @@ fn parse_if(toks: &[Token], i: usize) -> (Stmt, usize) {
             end = eclose + 1;
         }
     }
-    (Stmt::If { head, is_let, then_b, else_b, line }, end)
+    (Stmt::If { head, is_let, then_b, else_b }, end)
 }
 
 /// Parses a condition / scrutinee / iterator head: tokens from `start` to
@@ -546,7 +462,6 @@ fn parse_arms(toks: &[Token]) -> Vec<Block> {
             break;
         }
         let guard_calls = extract_calls(&toks[pat_start..i]);
-        let line = toks[pat_start].line;
         i += 1; // past `=>`
         let mut body = if toks.get(i).is_some_and(|t| t.is_punct("{")) {
             let close = matching_brace(toks, i);
@@ -569,14 +484,12 @@ fn parse_arms(toks: &[Token]) -> Vec<Block> {
                 i += 1;
             }
             let (calls, subs) = split_expr(&toks[expr_start..i]);
-            let eline = toks.get(expr_start).map_or(line, |t| t.line);
-            let mut stmts: Vec<Stmt> =
-                subs.into_iter().map(|body| Stmt::Sub { body, line: eline }).collect();
-            stmts.push(Stmt::Expr { calls, line: eline });
+            let mut stmts: Vec<Stmt> = subs.into_iter().map(|body| Stmt::Sub { body }).collect();
+            stmts.push(Stmt::Expr { calls });
             Block { stmts }
         };
         if !guard_calls.is_empty() {
-            body.stmts.insert(0, Stmt::Expr { calls: guard_calls, line });
+            body.stmts.insert(0, Stmt::Expr { calls: guard_calls });
         }
         arms.push(body);
     }
@@ -677,14 +590,6 @@ fn extract_calls(toks: &[Token]) -> Vec<CallEvent> {
         } else {
             None
         };
-        // Every identifier inside the argument group (nested calls
-        // included — harmless for a may-analysis).
-        let arg_end = skip_group(toks, i + 1);
-        let arg_idents = toks[i + 2..arg_end.saturating_sub(1).max(i + 2)]
-            .iter()
-            .filter(|t| t.kind == TokenKind::Ident && !is_keyword(&t.text))
-            .map(|t| t.text.clone())
-            .collect();
         out.push(CallEvent {
             name,
             receiver,
@@ -692,7 +597,6 @@ fn extract_calls(toks: &[Token]) -> Vec<CallEvent> {
             is_method,
             no_args,
             arg_ident,
-            arg_idents,
             line: toks[i].line,
         });
     }
@@ -751,89 +655,7 @@ fn is_keyword(name: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Struct fields (unordered-collection facts).
-// ---------------------------------------------------------------------------
-
-/// Collects the named fields of every `struct` item. The body is the
-/// first `{` after the name; a `(` or `;` before it means a tuple or unit
-/// struct, which has no named fields.
-fn collect_struct_fields(toks: &[Token], out: &mut ParsedFile) {
-    for i in 0..toks.len() {
-        if !(toks[i].is_ident("struct")
-            && toks.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident))
-        {
-            continue;
-        }
-        let body = (i + 2..toks.len())
-            .find(|&j| toks[j].is_punct("{") || toks[j].is_punct("(") || toks[j].is_punct(";"));
-        if let Some(open) = body.filter(|&j| toks[j].is_punct("{")) {
-            out.fields.extend(parse_fields(&toks[open + 1..matching_brace(toks, open)]));
-        }
-    }
-}
-
-/// Parses a `name: Type, …` field list.
-fn parse_fields(toks: &[Token]) -> Vec<FieldDef> {
-    let mut fields = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_punct("#") {
-            i += 1;
-            if i < toks.len() && toks[i].is_punct("[") {
-                i = skip_group(toks, i);
-            }
-            continue;
-        }
-        if toks[i].is_ident("pub") {
-            i += 1;
-            if toks.get(i).is_some_and(|t| t.is_punct("(")) {
-                i = skip_group(toks, i);
-            }
-            continue;
-        }
-        if toks[i].kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|t| t.is_punct(":")) {
-            let name = toks[i].text.clone();
-            let ty_start = i + 2;
-            let mut j = ty_start;
-            let mut depth = 0i32;
-            while j < toks.len() {
-                let t = &toks[j];
-                if t.is_punct("(") || t.is_punct("[") || t.is_punct("{") || t.is_punct("<") {
-                    depth += 1;
-                } else if t.is_punct(")") || t.is_punct("]") || t.is_punct("}") || t.is_punct(">") {
-                    depth -= 1;
-                } else if depth == 0 && t.is_punct(",") {
-                    break;
-                }
-                j += 1;
-            }
-            fields.push(FieldDef { name, ty: render_type(&toks[ty_start..j]) });
-            i = j + 1;
-            continue;
-        }
-        i += 1;
-    }
-    fields
-}
-
-/// Deterministic compact rendering of a type token run.
-fn render_type(toks: &[Token]) -> String {
-    let mut out = String::new();
-    for t in toks {
-        let wordy = matches!(t.kind, TokenKind::Ident | TokenKind::Int | TokenKind::Lifetime);
-        if wordy && out.chars().last().is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
-            out.push(' ');
-        }
-        if t.kind == TokenKind::Lifetime {
-            out.push('\'');
-        }
-        out.push_str(&t.text);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Named locks and observability sites.
+// Named locks.
 // ---------------------------------------------------------------------------
 
 /// Finds `Mutex::{new, default, named}` / `RwLock::…` sites, the literal
@@ -891,58 +713,6 @@ fn collect_locks(toks: &[Token], out: &mut ParsedFile) {
     }
 }
 
-/// Finds metric macros with literal names and span entry sites.
-fn collect_obs_sites(toks: &[Token], out: &mut ParsedFile) {
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let kind = match t.text.as_str() {
-            "counter" => Some(MetricKind::Counter),
-            "gauge" => Some(MetricKind::Gauge),
-            "histogram" => Some(MetricKind::Histogram),
-            _ => None,
-        };
-        if let Some(kind) = kind {
-            if toks.get(i + 1).is_some_and(|t| t.is_punct("!"))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-            {
-                // Only literal names are checkable; `concat!`-built names
-                // are skipped (documented incompleteness).
-                if let Some(name_tok) = toks.get(i + 3).filter(|t| t.kind == TokenKind::Str) {
-                    let help = toks
-                        .get(i + 4)
-                        .filter(|t| t.is_punct(","))
-                        .and_then(|_| toks.get(i + 5))
-                        .filter(|t| t.kind == TokenKind::Str)
-                        .map(|t| t.text.clone());
-                    out.metrics.push(MetricSite {
-                        kind,
-                        name: name_tok.text.clone(),
-                        help,
-                        line: t.line,
-                    });
-                }
-            }
-            continue;
-        }
-        if t.text == "span"
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("!"))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-        {
-            if let Some(name_tok) = toks.get(i + 3).filter(|t| t.kind == TokenKind::Str) {
-                out.spans.push(SpanSite { name: name_tok.text.clone(), line: t.line });
-            }
-        }
-        if t.text == "enter_with_parent" && toks.get(i + 1).is_some_and(|t| t.is_punct("(")) {
-            if let Some(name_tok) = toks.get(i + 2).filter(|t| t.kind == TokenKind::Str) {
-                out.spans.push(SpanSite { name: name_tok.text.clone(), line: t.line });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,9 +720,9 @@ mod tests {
     use crate::passes::live_mask;
 
     fn parsed(src: &str) -> ParsedFile {
-        let lexed = lex(src);
-        let live = live_mask(&lexed.tokens);
-        parse(&lexed.tokens, &live)
+        let tokens = lex(src);
+        let live = live_mask(&tokens);
+        parse(&tokens, &live)
     }
 
     #[test]
@@ -1005,16 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_are_extracted() {
-        let p = parsed(
-            "pub struct Spec<T> where T: Copy {\n    pub(crate) jobs: HashMap<u64, T>,\n    #[allow(dead_code)]\n    extra: Option<Meta>,\n}\n\npub struct Id(u64);\n\npub enum Msg {\n    Hello { protocol: u64 },\n}\n",
-        );
-        let fields: Vec<(&str, &str)> =
-            p.fields.iter().map(|f| (f.name.as_str(), f.ty.as_str())).collect();
-        assert_eq!(fields, vec![("jobs", "HashMap<u64,T>"), ("extra", "Option<Meta>")]);
-    }
-
-    #[test]
     fn lock_sites_field_and_let_forms() {
         let p = parsed(
             "fn b() -> S {\n    let session = Arc::new(Mutex::named(\"cluster.worker.session\", 0));\n    S { queue: Mutex::named(\"service.queue\", Vec::new()), rogue: RwLock::new(0), session }\n}\n",
@@ -1032,19 +792,6 @@ mod tests {
                 ("RwLock", "new", None, Some("rogue")),
             ]
         );
-    }
-
-    #[test]
-    fn metric_and_span_sites() {
-        let p = parsed(
-            "fn f() {\n    counter!(\"snn_x_total\", \"Help.\").inc();\n    gauge!(\"snn_depth\", \"D.\").set(1.0);\n    let _s = span!(\"stage1\");\n    let _t = trace::enter_with_parent(\"faultsim.worker\", &_s);\n}\n",
-        );
-        assert_eq!(p.metrics.len(), 2);
-        assert_eq!(p.metrics[0].name, "snn_x_total");
-        assert_eq!(p.metrics[0].help.as_deref(), Some("Help."));
-        assert_eq!(p.metrics[0].kind, MetricKind::Counter);
-        let spans: Vec<&str> = p.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(spans, vec!["stage1", "faultsim.worker"]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ fn the_workspace_lints_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = snn_lint::run(&root).expect("workspace must be lintable");
     assert!(
-        report.checked_files > 50,
+        report.checked_files > 10,
         "suspiciously few files checked ({}) — did the file walk break?",
         report.checked_files
     );

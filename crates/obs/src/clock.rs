@@ -2,9 +2,9 @@
 //!
 //! Every time measurement in the workspace flows through the [`Clock`]
 //! trait so that (a) tests can substitute a [`ManualClock`] and stay
-//! deterministic, and (b) the snn-lint `L-DET-CLOCK` pass can require that
-//! the *only* raw `Instant::now()` call site in reproducibility-critical
-//! code is the single one in this module.
+//! deterministic, and (b) the *only* raw `Instant::now()` call site in
+//! the crates that feed a digest is the single one in this module, which
+//! carries the one `#[expect(clippy::disallowed_methods)]` there.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -22,11 +22,11 @@ pub trait Clock: Send + Sync {
 
 /// The single raw wall-clock read of the workspace; everything else
 /// measures time as a difference of [`Clock::now`] values.
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned raw monotonic-clock read")]
 fn raw_instant() -> Instant {
     // All other crates measure time through the Clock trait, and the
     // values only ever feed wall-clock budgets and telemetry, never the
     // seeded generation math.
-    // snn-lint: allow(L-DET-CLOCK): the one sanctioned raw monotonic-clock read
     Instant::now()
 }
 

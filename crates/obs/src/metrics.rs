@@ -7,8 +7,8 @@
 //! mutex is taken once per site per process, after which every update is
 //! plain interior atomics — no allocation, no locks on the hot path.
 //!
-//! Naming convention (enforced socially, documented in DESIGN.md §11):
-//! `snn_<subsystem>_<name>_<unit>`, e.g. `snn_faultsim_fault_seconds`.
+//! Naming convention (DESIGN.md §11.3, checked by this crate's `names`
+//! test): `snn_<subsystem>_<name>_<unit>`, e.g. `snn_faultsim_fault_seconds`.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -393,7 +393,6 @@ macro_rules! histogram {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
 

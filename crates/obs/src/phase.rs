@@ -305,7 +305,6 @@ pub fn emit_spans(delta: &PhaseSnapshot, parent: Option<u64>) {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use crate::clock::{Clock, ManualClock};

@@ -217,7 +217,6 @@ fn fmt_duration(d: Duration) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
 

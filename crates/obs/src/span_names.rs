@@ -3,9 +3,9 @@
 //! Every `span!("…")` / [`crate::trace::enter_with_parent`] name used by
 //! production code is declared here, so span names stay greppable, stable
 //! across refactors, and consistent between the profile tree and any
-//! external trace consumer. `snn-lint`'s L-OBS pass cross-checks the two
-//! directions: a span name used in `crates/*/src` but missing here is a
-//! finding, and so is a registry entry no instrumentation site uses.
+//! external trace consumer. The `names` test of this crate checks both
+//! directions: a span name used in `crates/*/src` but missing here fails
+//! it, and so does a registry entry no instrumentation site uses.
 //!
 //! Naming convention: `<subsystem>[.<operation>]`, lowercase, dot-separated
 //! (`generate.calibrate`, `cluster.chunk`). Nesting in the profile tree
@@ -17,7 +17,7 @@
 //! rather than opened by a guard at an instrumentation site — are outside
 //! this registry: their names are dynamic (`phase.inject`,
 //! `phase.forward.l3`, `worker:<name>`), so there is no literal site for
-//! L-OBS to cross-check. The stable prefixes are `phase.` for
+//! the test to cross-check. The stable prefixes are `phase.` for
 //! kernel-phase totals — including the packed engine's `phase.pack.plan`
 //! / `phase.pack.assign` / `phase.pack.run` rows — and `worker:` for
 //! per-worker trace subtrees.

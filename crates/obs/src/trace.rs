@@ -386,7 +386,6 @@ macro_rules! span {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use crate::clock::ManualClock;

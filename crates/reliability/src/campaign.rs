@@ -335,7 +335,7 @@ impl ReliabilityEvaluator {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact encoded counts
+#[expect(clippy::float_cmp, reason = "tests assert exact encoded counts")]
 mod tests {
     use super::*;
     use crate::fault_map::WeightFaultModel;

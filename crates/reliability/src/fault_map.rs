@@ -293,7 +293,7 @@ pub fn sample_config(net: &Network, spec: &FaultMapSpec, k: usize) -> FaultConfi
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact sampled values
+#[expect(clippy::float_cmp, reason = "tests assert exact sampled values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

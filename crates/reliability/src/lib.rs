@@ -55,6 +55,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
+// Results are a pure function of the seed: no clock, environment, thread
+// identity, address or hash order reaches them (clippy.toml lists the bans).
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod campaign;
 pub mod fault_map;

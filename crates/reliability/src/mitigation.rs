@@ -128,7 +128,7 @@ impl Mitigation for FaultAwareMapping {
             for h in hits {
                 let row = h.at.offset / cols;
                 let col = h.at.offset % cols;
-                // snn-lint: allow(L-PANIC): `row` was pushed into faulty_rows above
+                #[expect(clippy::expect_used, reason = "`row` was pushed into faulty_rows above")]
                 let idx = faulty_rows.iter().position(|&r| r == row).expect("row registered");
                 let new_offset = targets[idx] * cols + col;
                 remapped.push(WeightHit {
@@ -186,7 +186,6 @@ impl MitigationKind {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact patched values
 mod tests {
     use super::*;
     use crate::fault_map::{

@@ -162,7 +162,7 @@ impl ReliabilityReport {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact statistics
+#[expect(clippy::float_cmp, reason = "tests assert exact statistics")]
 mod tests {
     use super::*;
     use crate::campaign::{EvalSpec, ReliabilityEvaluator};

@@ -6,8 +6,7 @@
 //! * mitigation soundness — range restriction never lowers fault-free
 //!   accuracy on example networks (it is the identity on clean weights).
 
-#![allow(clippy::unwrap_used)] // test-only shorthand
-#![allow(clippy::float_cmp)] // soundness asserts exact accuracy values
+#![expect(clippy::float_cmp, reason = "soundness asserts exact accuracy values")]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -101,13 +101,13 @@ impl Client {
 
     /// The connection, reconnecting first when a previous attempt
     /// dropped it.
+    #[expect(clippy::expect_used, reason = "populated two lines up when absent")]
     fn conn(&mut self) -> Result<&mut Conn, Attempt> {
         if self.conn.is_none() {
             let conn = Self::open(&self.addr, &self.config)
                 .map_err(|e| Attempt::Transport(format!("reconnect failed: {e}")))?;
             self.conn = Some(conn);
         }
-        // snn-lint: allow(L-PANIC): populated two lines up when absent
         Ok(self.conn.as_mut().expect("populated above"))
     }
 
@@ -316,7 +316,6 @@ fn unexpected(response: &Response) -> String {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use crate::protocol::PROTOCOL_VERSION;

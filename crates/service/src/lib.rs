@@ -55,6 +55,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
 
 pub mod bus;
 pub mod client;

@@ -348,7 +348,6 @@ pub fn read_line<T: serde::Deserialize>(
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
 

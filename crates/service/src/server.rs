@@ -970,7 +970,6 @@ fn watch(inner: &Arc<Inner>, writer: &mut TcpStream, job: u64) -> io::Result<()>
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use crate::client::Client;

@@ -178,7 +178,6 @@ fn persist(state_dir: &Path, record: &JobRecord) -> io::Result<()> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)] // test-only shorthand
 mod tests {
     use super::*;
     use crate::protocol::{JobResult, JobSpec};

@@ -155,7 +155,7 @@ pub struct Gradients {
 /// The reset path uses the standard "detached reset": the spike's effect on
 /// the carried potential is treated as a constant, which is what SLAYER and
 /// most surrogate-gradient frameworks do for stability.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the LIF constants travel unpacked")]
 fn lif_temporal_backward(
     steps: usize,
     n: usize,
@@ -233,6 +233,10 @@ impl Network {
     /// state as a typed error instead.
     ///
     /// [`RecordOptions::full`]: crate::RecordOptions::full
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper — try_backward is the fallible API"
+    )]
     pub fn backward(
         &self,
         input: &Tensor,
@@ -242,7 +246,6 @@ impl Network {
         want_weights: bool,
     ) -> Gradients {
         self.try_backward(input, trace, injected, surrogate, want_weights)
-            // snn-lint: allow(L-PANIC): documented panicking wrapper — try_backward is the fallible API
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -429,11 +432,9 @@ impl Network {
             downstream = Some(in_grad);
         }
 
-        Ok(Gradients {
-            // snn-lint: allow(L-PANIC): Network::new asserts at least one layer, so the loop ran
-            input: downstream.expect("network has at least one layer"),
-            weights: weight_grads,
-        })
+        #[expect(clippy::expect_used, reason = "Network::new asserts a layer, so the loop ran")]
+        let input = downstream.expect("network has at least one layer");
+        Ok(Gradients { input, weights: weight_grads })
     }
 }
 
@@ -444,7 +445,7 @@ fn trace_state(lt: &crate::LayerTrace, idx: usize) -> Result<(&Tensor, &Tensor),
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{DenseLayer, LifParams, NetworkBuilder, PoolLayer, RecordOptions, RecurrentLayer};

@@ -115,9 +115,9 @@ impl NetworkBuilder {
         stride: usize,
         padding: usize,
     ) -> Self {
+        #[expect(clippy::expect_used, reason = "documented `# Panics` contract — a mis-sequenced builder is a caller bug")]
         let (c, h, w) = self
             .spatial
-            // snn-lint: allow(L-PANIC): documented `# Panics` contract — a mis-sequenced builder is a caller bug
             .expect("conv layer requires a spatial (c,h,w) input; use new_spatial or avoid conv after dense");
         let spec = Conv2dSpec::new(c, out_channels, kernel, stride, padding);
         let (oh, ow) = spec.out_hw(h, w);
@@ -134,7 +134,10 @@ impl NetworkBuilder {
     /// Panics if the running tensor is not spatial or `k` does not divide
     /// its extents.
     pub fn avg_pool(mut self, k: usize) -> Self {
-        // snn-lint: allow(L-PANIC): documented `# Panics` contract — a mis-sequenced builder is a caller bug
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract — a mis-sequenced builder is a caller bug"
+        )]
         let (c, h, w) = self.spatial.expect("avg_pool requires a spatial (c,h,w) input");
         let layer = PoolLayer::new(c, (h, w), k);
         let (oh, ow) = layer.out_hw();

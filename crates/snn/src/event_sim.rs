@@ -73,6 +73,11 @@ impl LayerState {
                 match *fault {
                     NeuronBehaviorFault::Dead => s.forced[i] = 1,
                     NeuronBehaviorFault::Saturated => s.forced[i] = 2,
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "clamped non-negative and refractory periods are tiny, truncation unreachable"
+                    )]
                     NeuronBehaviorFault::ParamScale {
                         threshold_scale,
                         leak_scale,
@@ -81,7 +86,6 @@ impl LayerState {
                         s.threshold[i] = (lif.threshold * threshold_scale).max(f32::EPSILON);
                         s.leak[i] = (lif.leak * leak_scale).clamp(f32::EPSILON, 1.0);
                         s.refrac_steps[i] =
-                            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
                             (i64::from(lif.refrac_steps) + i64::from(refrac_delta)).max(0) as u32;
                     }
                 }
@@ -246,7 +250,10 @@ pub fn event_forward(
         for (idx, layer) in layers.iter().enumerate() {
             match layer {
                 Layer::Dense(l) => {
-                    // snn-lint: allow(L-PANIC): states[idx] is Some for every spiking layer by the setup loop above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "states[idx] is Some for every spiking layer by the setup loop above"
+                    )]
                     let state = states[idx].as_mut().expect("dense layer has LIF state");
                     let cols = l.weight.shape().dim(1);
                     let wd = l.weight.as_slice();
@@ -264,11 +271,15 @@ pub fn event_forward(
                     stats.routed_spikes += carry_events.len();
                 }
                 Layer::Conv(l) => {
-                    // snn-lint: allow(L-PANIC): states[idx] is Some for every spiking layer by the setup loop above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "states[idx] is Some for every spiking layer by the setup loop above"
+                    )]
                     let state = states[idx].as_mut().expect("conv layer has LIF state");
                     let (h, w) = l.in_hw;
                     let (oh, ow) = l.out_hw();
                     let k = l.spec.kernel;
+                    let (pad, stride) = (l.spec.padding.cast_signed(), l.spec.stride.cast_signed());
                     let wd = l.weight.as_slice();
                     for &(flat, v) in &carry_events {
                         // Scatter the event to all output positions whose
@@ -281,21 +292,20 @@ pub fn event_forward(
                             let w_base = (oc * l.spec.in_channels + ic) * k * k;
                             for ky in 0..k {
                                 // oy·stride + ky − pad = iy
-                                let oy_num = iy as isize + l.spec.padding as isize - ky as isize;
-                                if oy_num < 0 || oy_num % l.spec.stride as isize != 0 {
+                                let oy_num = iy.cast_signed() + pad - ky.cast_signed();
+                                if oy_num < 0 || oy_num % stride != 0 {
                                     continue;
                                 }
-                                let oy = (oy_num / l.spec.stride as isize) as usize;
+                                let oy = (oy_num / stride).cast_unsigned();
                                 if oy >= oh {
                                     continue;
                                 }
                                 for kx in 0..k {
-                                    let ox_num =
-                                        ix as isize + l.spec.padding as isize - kx as isize;
-                                    if ox_num < 0 || ox_num % l.spec.stride as isize != 0 {
+                                    let ox_num = ix.cast_signed() + pad - kx.cast_signed();
+                                    if ox_num < 0 || ox_num % stride != 0 {
                                         continue;
                                     }
-                                    let ox = (ox_num / l.spec.stride as isize) as usize;
+                                    let ox = (ox_num / stride).cast_unsigned();
                                     if ox >= ow {
                                         continue;
                                     }
@@ -338,7 +348,10 @@ pub fn event_forward(
                     stats.synaptic_ops += n_in;
                 }
                 Layer::Recurrent(l) => {
-                    // snn-lint: allow(L-PANIC): states[idx] is Some for every spiking layer by the setup loop above
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "states[idx] is Some for every spiking layer by the setup loop above"
+                    )]
                     let state = states[idx].as_mut().expect("recurrent layer has LIF state");
                     let units = l.w_in.shape().dim(0);
                     let cols = l.w_in.shape().dim(1);
@@ -379,7 +392,7 @@ fn record(output: &mut Tensor, t: usize, spikes: &[usize]) {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{LifParams, NetworkBuilder, RecordOptions};

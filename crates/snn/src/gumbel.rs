@@ -301,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // the mirror image is exact, up to the sign of zero
+    #[expect(clippy::float_cmp, reason = "the mirror image is exact, up to the sign of zero")]
     fn logit_is_within_two_ulp_on_the_whole_sampling_grid() {
         assert_eq!(grid(0).to_bits(), f32::EPSILON.to_bits());
         assert_eq!(grid(1 << 23).to_bits(), 0.5f32.to_bits());
@@ -325,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::float_cmp)] // exact saturation values are the contract
+    #[expect(clippy::float_cmp, reason = "exact saturation values are the contract")]
     fn sigmoid_holds_its_contract_on_every_input() {
         // What the libm-based `1/(1 + exp(−x))` returned, with a correctly
         // rounded `exp` so that the expectation does not depend on the host.

@@ -113,8 +113,11 @@ impl Network {
     }
 
     /// Number of output classes (features of the last layer).
+    #[expect(
+        clippy::expect_used,
+        reason = "Network::new asserts at least one layer, so last() cannot fail"
+    )]
     pub fn output_features(&self) -> usize {
-        // snn-lint: allow(L-PANIC): Network::new asserts at least one layer, so last() cannot fail
         self.layers.last().expect("network is non-empty").out_features()
     }
 
@@ -145,6 +148,10 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `global` is out of range.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract — out-of-range ids are caller bugs"
+    )]
     pub fn locate_neuron(&self, global: usize) -> (usize, usize) {
         let mut remaining = global;
         for (layer, count) in self.neuron_layout() {
@@ -153,7 +160,6 @@ impl Network {
             }
             remaining -= count;
         }
-        // snn-lint: allow(L-PANIC): documented `# Panics` contract — out-of-range ids are caller bugs
         panic!(
             "global neuron id {global} out of range for network with {} neurons",
             self.neuron_count()
@@ -165,6 +171,10 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `global` is out of range.
+    #[expect(
+        clippy::panic,
+        reason = "documented `# Panics` contract — out-of-range ids are caller bugs"
+    )]
     pub fn locate_weight(&self, global: usize) -> WeightRef {
         let mut remaining = global;
         for (layer_idx, layer) in self.layers.iter().enumerate() {
@@ -175,7 +185,6 @@ impl Network {
                 remaining -= t.len();
             }
         }
-        // snn-lint: allow(L-PANIC): documented `# Panics` contract — out-of-range ids are caller bugs
         panic!(
             "global synapse id {global} out of range for network with {} synapses",
             self.synapse_count()
@@ -236,7 +245,7 @@ impl Network {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{DenseLayer, LifParams, PoolLayer, RecurrentLayer};

@@ -61,20 +61,31 @@ impl Schedule {
     pub fn at(&self, step: usize) -> f32 {
         match *self {
             Schedule::Constant(v) => v,
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                reason = "decay exponents saturate the schedule at `min` long before i32::MAX"
+            )]
             Schedule::Step { initial, factor, every, min } => {
                 let k = step.checked_div(every).unwrap_or(0);
-                // snn-lint: allow(L-CAST): decay exponents saturate the schedule at `min` long before i32::MAX
                 (initial * factor.powi(k as i32)).max(min)
             }
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_possible_wrap,
+                reason = "decay exponents saturate the schedule at `min` long before i32::MAX"
+            )]
             Schedule::Exponential { initial, decay, min } => {
-                // snn-lint: allow(L-CAST): decay exponents saturate the schedule at `min` long before i32::MAX
                 (initial * decay.powi(step as i32)).max(min)
             }
             Schedule::Cosine { initial, min, period } => {
                 if period == 0 || step >= period {
                     return min;
                 }
-                // snn-lint: allow(L-CAST): step < period here, and periods are training-run sized, far below 2^24
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "step < period here, and periods are training-run sized, far below 2^24"
+                )]
                 let x = step as f32 / period as f32;
                 min + 0.5 * (initial - min) * (1.0 + (std::f32::consts::PI * x).cos())
             }
@@ -135,9 +146,15 @@ impl Adam {
         self.t += 1;
         let b1 = self.beta1;
         let b2 = self.beta2;
-        // snn-lint: allow(L-CAST): bias correction converges to 1.0 long before t overflows i32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "bias correction converges to 1.0 long before t overflows i32"
+        )]
         let bc1 = 1.0 - b1.powi(self.t as i32);
-        // snn-lint: allow(L-CAST): bias correction converges to 1.0 long before t overflows i32
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "bias correction converges to 1.0 long before t overflows i32"
+        )]
         let bc2 = 1.0 - b2.powi(self.t as i32);
         let moments = self.m.as_mut_slice().iter_mut().zip(self.v.as_mut_slice());
         let params = param.as_mut_slice().iter_mut().zip(grad.as_slice());
@@ -157,7 +174,7 @@ impl Adam {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use snn_tensor::Shape;

@@ -160,7 +160,11 @@ impl LifParams {
         Self {
             threshold: (self.threshold * threshold_scale).max(f32::EPSILON),
             leak: (self.leak * leak_scale).clamp(f32::EPSILON, 1.0),
-            // snn-lint: allow(L-CAST): clamped non-negative and refractory periods are tiny, truncation unreachable
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "clamped non-negative and refractory periods are tiny, truncation unreachable"
+            )]
             refrac_steps: (i64::from(self.refrac_steps) + i64::from(refrac_delta)).max(0) as u32,
         }
     }
@@ -233,7 +237,7 @@ impl Default for Surrogate {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -9,7 +9,6 @@
 
 use crate::{Layer, Network};
 use serde::{Deserialize, Serialize};
-use snn_tensor::Tensor;
 
 /// Quantization report: per-tensor scales and the worst rounding error.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,7 +67,11 @@ pub fn quantize_weights(net: &mut Network) -> QuantReport {
     QuantReport {
         scales,
         max_abs_error: max_err,
-        // snn-lint: allow(L-CAST): a rounded element count changes the mean by ≤1 ulp, and the f32 narrowing is the report's precision
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_precision_loss,
+            reason = "a rounded element count changes the mean by ≤1 ulp, and the f32 narrowing is the report's precision"
+        )]
         mean_abs_error: if err_count == 0 { 0.0 } else { (err_sum / err_count as f64) as f32 },
     }
 }
@@ -103,8 +106,12 @@ pub fn is_quantized(net: &Network) -> bool {
 pub fn magnitude_prune(net: &mut Network, fraction: f64) -> usize {
     let total = net.synapse_count();
     let clamped = fraction.clamp(0.0, 1.0);
-    // snn-lint note: usize→f64→usize round-trip is exact for any real
-    // synapse count; the clamp keeps the index in range regardless.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_precision_loss,
+        reason = "usize→f64→usize round-trip is exact for any real synapse count; the clamp keeps the index in range"
+    )]
     let keep_cutoff = ((total as f64) * clamped).floor() as usize;
     let mut refs: Vec<(f32, usize)> =
         (0..total).map(|g| (net.weight(net.locate_weight(g)).abs(), g)).collect();
@@ -119,14 +126,8 @@ pub fn magnitude_prune(net: &mut Network, fraction: f64) -> usize {
     zeroed
 }
 
-/// Convenience: largest weight magnitude of one tensor.
-#[allow(dead_code)]
-fn tensor_max_abs(t: &Tensor) -> f32 {
-    t.as_slice().iter().fold(0.0f32, |acc, v| acc.max(v.abs()))
-}
-
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{LifParams, NetworkBuilder, RecordOptions};

@@ -93,14 +93,14 @@ pub struct Trace {
 impl Trace {
     /// Output spike trains of the last layer, `[T × classes]` — the
     /// paper's `O^L`.
+    #[expect(clippy::expect_used, reason = "a trace always records the non-empty network's layers")]
     pub fn output(&self) -> &Tensor {
-        // snn-lint: allow(L-PANIC): a trace always records the non-empty network's layers
         &self.layers.last().expect("trace has at least one layer").output
     }
 
     /// Output spike count per class (rate-coding readout).
+    #[expect(clippy::expect_used, reason = "a trace always records the non-empty network's layers")]
     pub fn class_counts(&self) -> Vec<f32> {
-        // snn-lint: allow(L-PANIC): a trace always records the non-empty network's layers
         self.layers.last().expect("non-empty").spike_counts()
     }
 
@@ -224,7 +224,7 @@ fn feedforward_live(
 /// `layer` and, if a neuron of the layer is forced or perturbed (`faulty`
 /// is `Some`), steps neuron by neuron through its [`EffectiveParams`];
 /// every other tick takes them from `clean` and steps as one row of `lif`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the one LIF loop takes every variant's inputs")]
 fn run_lif(
     layer: &Layer,
     clean: &Layer,
@@ -490,7 +490,7 @@ impl Network {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{DenseLayer, LifParams, LifTick, NetworkBuilder, PoolLayer};

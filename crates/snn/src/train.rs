@@ -123,9 +123,15 @@ impl Trainer {
                         continue;
                     }
                     let n = layer.out_features();
-                    // snn-lint: allow(L-CAST): steps×neurons stays far below f32's 2^24 exact-integer limit
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "steps×neurons stays far below f32's 2^24 exact-integer limit"
+                    )]
                     let rate = trace.layers[idx].output.sum() / (steps * n) as f32;
-                    // snn-lint: allow(L-CAST): steps×neurons stays far below f32's 2^24 exact-integer limit
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "steps×neurons stays far below f32's 2^24 exact-integer limit"
+                    )]
                     let g = self.cfg.rate_reg * (rate - self.cfg.target_rate) / (steps * n) as f32;
                     injected.set(idx, Tensor::full(Shape::d2(steps, n), g));
                 }
@@ -134,7 +140,10 @@ impl Trainer {
             let grads = net.backward(input, &trace, &injected, self.cfg.surrogate, true);
             for (la, lg) in acc.iter_mut().zip(grads.weights) {
                 for (ta, tg) in la.iter_mut().zip(lg) {
-                    // snn-lint: allow(L-CAST): batch sizes are small, exactly representable in f32
+                    #[expect(
+                        clippy::cast_precision_loss,
+                        reason = "batch sizes are small, exactly representable in f32"
+                    )]
                     ta.axpy(1.0 / batch.len() as f32, &tg);
                 }
             }
@@ -145,8 +154,9 @@ impl Trainer {
                 self.adam[layer_idx][tensor_idx].step(t, &acc[layer_idx][tensor_idx], self.cfg.lr);
             }
         }
-        // snn-lint: allow(L-CAST): batch sizes are small, exactly representable in f32
-        total_loss / batch.len() as f32
+        #[expect(clippy::cast_precision_loss, reason = "batch sizes are small, exact in f32")]
+        let batch_len = batch.len() as f32;
+        total_loss / batch_len
     }
 }
 
@@ -165,6 +175,10 @@ fn softmax_xent(trace: &Trace, label: usize) -> (f32, Vec<f32>) {
 }
 
 /// Top-1 accuracy of `net` over labelled samples (rate-coded readout).
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "sample counts stay far below f32's 2^24 exact-integer limit"
+)]
 pub fn evaluate(net: &Network, samples: &[(Tensor, usize)]) -> f32 {
     if samples.is_empty() {
         return 0.0;
@@ -175,12 +189,11 @@ pub fn evaluate(net: &Network, samples: &[(Tensor, usize)]) -> f32 {
             net.forward(input, RecordOptions::spikes_only()).predict() == *label
         })
         .count();
-    // snn-lint: allow(L-CAST): sample counts stay far below f32's 2^24 exact-integer limit
     correct as f32 / samples.len() as f32
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::{LifParams, NetworkBuilder};

@@ -1,7 +1,7 @@
 //! Property-based invariants of the SNN simulator, checked over randomly
 //! generated networks, parameters and stimuli.
 
-#![allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#![expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -19,15 +19,22 @@ use rand::Rng;
 /// let t = init::uniform(&mut rng, Shape::d2(4, 4), -1.0, 1.0);
 /// assert!(t.as_slice().iter().all(|&v| (-1.0..1.0).contains(&v)));
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "the iterator yields exactly shape.len() elements, so from_vec cannot fail"
+)]
 pub fn uniform(rng: &mut impl Rng, shape: impl Into<Shape>, lo: f32, hi: f32) -> Tensor {
     let shape = shape.into();
     let data = (0..shape.len()).map(|_| rng.gen_range(lo..hi)).collect();
-    // snn-lint: allow(L-PANIC): the iterator yields exactly shape.len() elements, so from_vec cannot fail
     Tensor::from_vec(shape, data).expect("length matches by construction")
 }
 
 /// Gaussian initialization with the given mean and standard deviation,
 /// using the Box–Muller transform (avoids a dependency on `rand_distr`).
+#[expect(
+    clippy::expect_used,
+    reason = "the loop above pushes exactly shape.len() elements, so from_vec cannot fail"
+)]
 pub fn normal(rng: &mut impl Rng, shape: impl Into<Shape>, mean: f32, std: f32) -> Tensor {
     let shape = shape.into();
     let n = shape.len();
@@ -42,7 +49,6 @@ pub fn normal(rng: &mut impl Rng, shape: impl Into<Shape>, mean: f32, std: f32) 
             data.push(mean + std * r * theta.sin());
         }
     }
-    // snn-lint: allow(L-PANIC): the loop above pushes exactly shape.len() elements, so from_vec cannot fail
     Tensor::from_vec(shape, data).expect("length matches by construction")
 }
 
@@ -53,22 +59,28 @@ pub fn normal(rng: &mut impl Rng, shape: impl Into<Shape>, mean: f32, std: f32) 
 /// where the membrane potential accumulates `fan_in` weighted spikes per
 /// step and must stay within a few thresholds of zero.
 pub fn kaiming(rng: &mut impl Rng, shape: impl Into<Shape>, fan_in: usize, gain: f32) -> Tensor {
-    // snn-lint: allow(L-CAST): fan_in is a layer width, far below f32's 2^24 exact-integer limit
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "fan_in is a layer width, far below f32's 2^24 exact-integer limit"
+    )]
     let std = gain / (fan_in.max(1) as f32).sqrt();
     normal(rng, shape, 0.0, std)
 }
 
 /// Bernoulli spike-tensor initialization: each element is 1.0 with
 /// probability `p`, otherwise 0.0.
+#[expect(
+    clippy::expect_used,
+    reason = "the iterator yields exactly shape.len() elements, so from_vec cannot fail"
+)]
 pub fn bernoulli(rng: &mut impl Rng, shape: impl Into<Shape>, p: f32) -> Tensor {
     let shape = shape.into();
     let data = (0..shape.len()).map(|_| if rng.gen::<f32>() < p { 1.0 } else { 0.0 }).collect();
-    // snn-lint: allow(L-PANIC): the iterator yields exactly shape.len() elements, so from_vec cannot fail
     Tensor::from_vec(shape, data).expect("length matches by construction")
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

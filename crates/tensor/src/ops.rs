@@ -213,7 +213,7 @@ fn ticks_innermost(rows: &[f32], n: usize) -> Vec<[f32; TICK_BLOCK]> {
 /// offsets `k_step` apart in the kernel row that starts at
 /// `wd[w_row(dst channel, src channel, ky)]`. No zero row is skipped:
 /// `±0.0` products change no bit (module doc).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one kernel serves the forward and backward taps")]
 fn conv2d_ticks(
     src: &[f32],
     (src_c, src_h, src_w): (usize, usize, usize),
@@ -635,7 +635,10 @@ fn assert_pool_rows(pixels: &[f32], pooled: &[f32], c: usize, h: usize, w: usize
 #[inline(always)]
 fn pool_planes<const K: usize>(input: &[f32], w: usize, k: usize, out: &mut [f32]) {
     let (runs, ow) = (k / K, w / k);
-    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "pooling window area is a small constant, exactly representable"
+    )]
     let inv = 1.0 / (k * k) as f32;
     for (band, acc) in input.chunks_exact((k * w).max(1)).zip(out.chunks_exact_mut(ow.max(1))) {
         let wins = band.as_chunks::<K>().0;
@@ -656,7 +659,10 @@ fn pool_planes<const K: usize>(input: &[f32], w: usize, k: usize, out: &mut [f32
 #[inline(always)]
 fn unpool_planes<const K: usize>(out_grad: &[f32], w: usize, k: usize, in_grad: &mut [f32]) {
     let (runs, ow) = (k / K, w / k);
-    // snn-lint: allow(L-CAST): pooling window area is a small constant, exactly representable
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "pooling window area is a small constant, exactly representable"
+    )]
     let inv = 1.0 / (k * k) as f32;
     let bands = in_grad.chunks_exact_mut((k * w).max(1));
     for (g_row, band) in out_grad.chunks_exact(ow.max(1)).zip(bands) {
@@ -720,7 +726,7 @@ pub fn avg_pool2d_backward(
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use crate::Shape;

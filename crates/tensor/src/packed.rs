@@ -147,8 +147,12 @@ pub fn set_lane_bit(word: &mut u64, lane: u32, on: bool) {
 pub fn unpack_lane(words: &[u64], lane: u32, out: &mut [f32]) {
     debug_assert_eq!(out.len(), words.len(), "unpack_lane length mismatch");
     debug_assert!((lane as usize) < LANES, "lane out of range");
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        reason = "the masked bit is 0 or 1, exact in u32 and in f32"
+    )]
     for (o, word) in out.iter_mut().zip(words.iter()) {
-        // snn-lint: allow(L-CAST): the masked bit is 0 or 1, exact in u32 and in f32
         *o = (((word >> lane) as u32) & 1) as f32;
     }
 }
@@ -175,7 +179,6 @@ pub fn row_diff_mask(words: &[u64], golden: &[f32], active: u64) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact bitwise equality by design
 mod tests {
     use super::*;
     use crate::{ops, Shape, Tensor};

@@ -16,10 +16,10 @@
 /// result being scanned (e.g. `"x"`, `"out"`). No-op in release builds.
 #[inline]
 #[track_caller]
+#[expect(clippy::panic, reason = "the sanitizer's report IS a deliberate debug-build panic")]
 pub fn debug_assert_finite(op: &str, operand: &str, values: &[f32]) {
     if cfg!(debug_assertions) {
         if let Some(idx) = values.iter().position(|v| !v.is_finite()) {
-            // snn-lint: allow(L-PANIC): the sanitizer's report IS a deliberate debug-build panic
             panic!(
                 "{op}: non-finite value {} at {operand}[{idx}] — a NaN/Inf entered or left \
                  a numeric kernel; inspect the upstream computation",
@@ -39,11 +39,11 @@ pub fn debug_assert_finite(op: &str, operand: &str, values: &[f32]) {
 /// builds.
 #[inline]
 #[track_caller]
-#[allow(clippy::float_cmp)] // binary spikes are exact 0.0/1.0 values, not tolerances
+#[expect(clippy::float_cmp, reason = "binary spikes are exact 0.0/1.0 values, not tolerances")]
+#[expect(clippy::panic, reason = "the sanitizer's report IS a deliberate debug-build panic")]
 pub fn debug_assert_binary(op: &str, operand: &str, values: &[f32]) {
     if cfg!(debug_assertions) {
         if let Some(idx) = values.iter().position(|&v| v != 0.0 && v != 1.0) {
-            // snn-lint: allow(L-PANIC): the sanitizer's report IS a deliberate debug-build panic
             panic!(
                 "{op}: non-binary value {} at {operand}[{idx}] — bit-packed lanes require \
                  exact 0.0/1.0 spikes; a fractional activation reached a packed kernel",

@@ -151,11 +151,14 @@ impl Tensor {
     }
 
     /// Mean of all elements (0.0 for an empty tensor).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "a rounded element count changes the mean by ≤1 ulp, harmless"
+    )]
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
             0.0
         } else {
-            // snn-lint: allow(L-CAST): a rounded element count changes the mean by ≤1 ulp, harmless
             self.sum() / self.data.len() as f32
         }
     }
@@ -227,7 +230,7 @@ impl Tensor {
     }
 
     /// `true` if every element is exactly 0.0 or 1.0 (a valid spike tensor).
-    #[allow(clippy::float_cmp)] // spike tensors hold exact 0.0/1.0 values by construction
+    #[expect(clippy::float_cmp, reason = "spike tensors hold exact 0.0/1.0 values by construction")]
     pub fn is_binary(&self) -> bool {
         self.data.iter().all(|&v| v == 0.0 || v == 1.0)
     }
@@ -346,7 +349,7 @@ impl fmt::Display for Tensor {
 }
 
 #[cfg(test)]
-#[allow(clippy::float_cmp)] // tests assert exact spike/gradient values
+#[expect(clippy::float_cmp, reason = "tests assert exact spike/gradient values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

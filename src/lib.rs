@@ -64,6 +64,9 @@
 //! assert_eq!(net.neuron_count(), 10);
 //! ```
 
+// Library code reports failure through its typed errors, never a panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
+
 pub use snn_analyze as analyze;
 pub use snn_baselines as baselines;
 /// The two names the repository benchmark (`benchmark/`) links by this

@@ -2,7 +2,7 @@
 //! train → enumerate faults → generate test → verify coverage pipeline of
 //! the paper, at a miniature scale so the suite stays fast.
 
-#![allow(clippy::float_cmp)] // tests assert exact spike values
+#![expect(clippy::float_cmp, reason = "tests assert exact spike values")]
 
 use rand::SeedableRng;
 use snn_mtfc::datasets::{materialize, materialize_inputs, NmnistLike, SpikeDataset};
