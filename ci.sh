@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=23855
+LINE_BUDGET=23881
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -399,12 +399,13 @@ step "benchmark harness — its own tests: a smoke pass of all five workloads, d
 # benchmark driver. Builds into the ignored .bench_build/. The committed
 # benchmark/Cargo.lock still lists the deleted snn-batch and cargo rewrites
 # it on every build, while benchmark/ only changes in a [benchmark] PR
-# (ROADMAP 4c refreshes it): the committed bytes go back afterwards, so a
-# green run leaves the tree as it found it.
+# (ROADMAP 1c refreshes it): the committed bytes go back afterwards, pass
+# or fail, so the run leaves the tree as it found it.
 mkdir -p .bench_build
 cp benchmark/Cargo.lock .bench_build/Cargo.lock.committed
 cargo test --release -q --offline --manifest-path benchmark/Cargo.toml \
-    --target-dir .bench_build/harness-tests
+    --target-dir .bench_build/harness-tests \
+    || { cp .bench_build/Cargo.lock.committed benchmark/Cargo.lock; exit 1; }
 cp .bench_build/Cargo.lock.committed benchmark/Cargo.lock
 
 step "cargo test --release — the service tests whose long jobs must stay long at full speed"

@@ -182,8 +182,8 @@ pub struct JobResult {
 /// decode — `crate::store` proves it with pinned JSON fixtures.
 pub const JOB_SCHEMA_VERSION: u32 = 7;
 
-/// Everything the server knows about one job. Persisted as one JSON file
-/// under `<state-dir>/jobs/`, rewritten on every state change.
+/// Everything the server knows about one job. Each state change appends it
+/// as one JSON line to `<state-dir>/jobs/job-<id>.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Server-assigned id, unique within a state directory.

@@ -37,8 +37,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often a running job's progress snapshot is flushed to disk (every
-/// event still updates memory and the event bus).
+/// How often a running job's progress snapshot is appended to its job file
+/// (every event still updates memory and the event bus).
 const PROGRESS_PERSIST_EVERY: Duration = Duration::from_millis(500);
 
 /// Server tunables.

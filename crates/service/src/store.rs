@@ -1,12 +1,13 @@
-//! Persistent job store: one JSON file per job under
-//! `<state-dir>/jobs/`, rewritten (atomically, via temp file + rename) on
-//! every state change, so a restarted server recovers every record.
+//! Persistent job store: every state change of a job appends its record
+//! as one JSON line to `<state-dir>/jobs/job-<id>.json`, and the last line
+//! that parses is the record, so a restarted server recovers every job
+//! (DESIGN.md §8 "Persistence" says why it appends rather than renames).
 
 use crate::protocol::{JobRecord, JobSpec, JobState, JOB_SCHEMA_VERSION};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fs;
-use std::io;
+use std::fs::{self, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -34,7 +35,8 @@ impl JobStore {
     /// Recovery policy: jobs found `Running` were interrupted by the
     /// previous shutdown/crash and are marked `Failed`; jobs found
     /// `Queued` never started and are kept queued (the server re-enqueues
-    /// them); terminal jobs load as-is. Unreadable job files are skipped.
+    /// them); terminal jobs load as-is. Job files with no complete record
+    /// are skipped.
     pub fn open(state_dir: impl Into<PathBuf>) -> io::Result<Self> {
         crate::lock_order::register();
         let state_dir = state_dir.into();
@@ -49,7 +51,15 @@ impl JobStore {
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
             }
-            let Some(mut record) = read_record(&path) else { continue };
+            let Ok(bytes) = fs::read(&path) else { continue };
+            if bytes.last().is_some_and(|&b| b != b'\n') {
+                // A torn last line: end it, so the next append starts a
+                // line of its own.
+                let _ = append(&path, b"\n");
+            }
+            let Some(mut record) = read_record(&String::from_utf8_lossy(&bytes)) else {
+                continue;
+            };
             match record.state {
                 JobState::Running => {
                     record.state = JobState::Failed;
@@ -165,16 +175,32 @@ fn job_path(state_dir: &Path, id: u64) -> PathBuf {
     state_dir.join("jobs").join(format!("job-{id}.json"))
 }
 
-fn read_record(path: &Path) -> Option<JobRecord> {
-    let text = fs::read_to_string(path).ok()?;
-    serde::json::from_str(&text).ok()
+/// The newest complete revision in a job file: its last line that parses,
+/// else the whole text (one record pretty-printed by an older server).
+fn read_record(text: &str) -> Option<JobRecord> {
+    text.lines()
+        .rev()
+        .find_map(|line| serde::json::from_str(line).ok())
+        .or_else(|| serde::json::from_str(text).ok())
 }
 
+fn append(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    OpenOptions::new().create(true).append(true).open(path)?.write_all(bytes)
+}
+
+/// Appends `record` to its job file as one line.
 fn persist(state_dir: &Path, record: &JobRecord) -> io::Result<()> {
-    let path = job_path(state_dir, record.id);
-    let tmp = path.with_extension("json.tmp");
-    fs::write(&tmp, serde::json::to_string_pretty(record))?;
-    fs::rename(&tmp, &path)
+    let started = snn_obs::clock::monotonic();
+    let mut line = serde::json::to_string(record);
+    line.push('\n');
+    let written = append(&job_path(state_dir, record.id), line.as_bytes());
+    snn_obs::histogram!(
+        "snn_service_store_persist_seconds",
+        "Time to append one job record to its file.",
+        snn_obs::metrics::FINE_DURATION_BUCKETS
+    )
+    .observe(snn_obs::clock::monotonic().saturating_sub(started).as_secs_f64());
+    written
 }
 
 #[cfg(test)]
@@ -333,6 +359,128 @@ mod tests {
         // Id allocation continues past recovered records.
         assert!(store.submit(spec()).id > 3);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn done(r: &mut JobRecord) {
+        r.state = JobState::Done;
+        r.finished_at_ms = Some(r.submitted_at_ms + 5);
+    }
+
+    #[test]
+    fn every_revision_is_appended_to_one_file() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp_dir("append");
+        let store = JobStore::open(&dir).unwrap();
+        let id = store.submit(spec()).id;
+        let path = job_path(&dir, id);
+        let inode = fs::metadata(&path).unwrap().ino();
+        store.update(id, |r| r.state = JobState::Running);
+        // Checked after each revision: a file replaced twice can get its
+        // first inode number back.
+        assert_eq!(fs::metadata(&path).unwrap().ino(), inode, "the job file was replaced");
+        let last = store.update(id, done).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().ino(), inode, "the job file was replaced");
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 3, "one line per revision: {text}");
+        assert!(text.ends_with('\n'));
+        let names: Vec<String> = fs::read_dir(dir.join("jobs"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [format!("job-{id}.json")], "no temp file is left behind");
+        drop(store);
+        assert_eq!(JobStore::open(&dir).unwrap().get(id), Some(last));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_last_line_reopens_as_the_previous_revision() {
+        let dir = tmp_dir("torn");
+        let store = JobStore::open(&dir).unwrap();
+        let queued = store.submit(spec());
+        let mut finished = queued.clone();
+        done(&mut finished);
+        let line = serde::json::to_string(&finished);
+        append(&job_path(&dir, queued.id), &line.as_bytes()[..line.len() / 2]).unwrap();
+        drop(store);
+
+        let store = JobStore::open(&dir).unwrap();
+        assert_eq!(store.get(queued.id), Some(queued.clone()));
+        assert_eq!(store.recovered_queued(), &[queued.id]);
+        // Reopening ended the torn line, so the next revision is a line
+        // of its own and wins.
+        let last = store.update(queued.id, done).unwrap();
+        drop(store);
+        assert_eq!(JobStore::open(&dir).unwrap().get(queued.id), Some(last));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pretty_printed_record_loads_and_an_appended_update_wins() {
+        let dir = tmp_dir("pretty");
+        let old = JobStore::open(&dir).unwrap().submit(spec());
+        let id = old.id;
+        // The writer before append-only records replaced the file with
+        // one pretty-printed record.
+        fs::write(job_path(&dir, id), serde::json::to_string_pretty(&old)).unwrap();
+
+        let store = JobStore::open(&dir).unwrap();
+        assert_eq!(store.get(id), Some(old));
+        let last = store.update(id, done).unwrap();
+        drop(store);
+        assert_eq!(JobStore::open(&dir).unwrap().get(id), Some(last));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The revisions one job writes on its way to `Done`, and its file.
+    fn revisions() -> (Vec<JobRecord>, Vec<u8>) {
+        let dir = tmp_dir("revisions");
+        let store = JobStore::open(&dir).unwrap();
+        let id = store.submit(spec()).id;
+        let revisions = vec![
+            store.get(id).unwrap(),
+            store.update(id, |r| r.state = JobState::Cancelled).unwrap(),
+            store.update(id, done).unwrap(),
+        ];
+        let bytes = fs::read(job_path(&dir, id)).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        (revisions, bytes)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #[test]
+        fn torn_and_garbage_job_files_open_without_panic(
+            cut in 0usize..4096,
+            junk in proptest::collection::vec(0u16..256, 0..512),
+        ) {
+            static CASE: AtomicU64 = AtomicU64::new(0);
+            let (revisions, file) = revisions();
+            let prefix = &file[..cut % (file.len() + 1)];
+            let junk: Vec<u8> = junk.into_iter().map(|b| b as u8).collect();
+            // The newest revision the prefix holds whole.
+            let newest = revisions.iter().rev().find(|r| {
+                let line = serde::json::to_string(r);
+                String::from_utf8_lossy(prefix).lines().any(|l| l == line)
+            });
+            for (i, bytes) in [prefix.to_vec(), junk.clone(), [prefix, &junk[..]].concat()]
+                .into_iter()
+                .enumerate()
+            {
+                let dir = tmp_dir(&format!("prop-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+                fs::create_dir_all(dir.join("jobs")).unwrap();
+                fs::write(job_path(&dir, 1), &bytes).unwrap();
+                let store = JobStore::open(&dir).unwrap();
+                let loaded = store.get(1);
+                if i == 0 {
+                    proptest::prop_assert_eq!(loaded.as_ref(), newest);
+                } else if let Some(loaded) = loaded {
+                    proptest::prop_assert!(revisions.contains(&loaded), "{loaded:?}");
+                }
+                proptest::prop_assert!(store.len() <= 1);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

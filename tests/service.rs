@@ -255,6 +255,11 @@ fn metrics_snapshot_reports_job_and_generator_series() {
             MetricValue::Gauge(v) => assert!(*v >= 1.0, "done-jobs gauge tracks the job"),
             other => panic!("jobs-by-state should be a gauge, got {other:?}"),
         }
+        // Every record append is timed: queued, running and done at least.
+        match &find("snn_service_store_persist_seconds").value {
+            MetricValue::Histogram(h) => assert!(h.count >= 3, "record appends timed: {h:?}"),
+            other => panic!("record appends should be a histogram, got {other:?}"),
+        }
 
         client.shutdown().expect("shutdown");
     }
