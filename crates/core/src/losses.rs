@@ -178,61 +178,136 @@ pub fn l3_temporal_diversity(
 /// `L4` (Eq. 13): variance of per-synapse contributions
 /// `c_j = w_{j,i} · ‖O^{ℓ−1,j}‖₁` to each post-synaptic neuron, summed
 /// over dense/recurrent layers. Uniform contributions stop strong synapses
-/// from masking weak ones.
+/// from masking weak ones. A stage evaluates it through an `L4Layout` it
+/// builds once; this builds one per call.
 pub fn l4_contribution_variance(
     net: &Network,
     trace: &Trace,
     alpha: f32,
     inj: &mut InjectedGrads,
 ) -> f32 {
-    let mut value = 0.0;
-    for (idx, layer) in net.layers().iter().enumerate() {
-        let weight = match layer {
-            Layer::Dense(l) => &l.weight,
-            Layer::Recurrent(l) => &l.w_in,
-            _ => continue,
-        };
-        if idx == 0 {
-            // Contributions of the *stimulus* itself are what the input
-            // optimization already controls; Eq. 13 starts at ℓ = 2.
-            continue;
-        }
-        let cols = weight.shape().dim(1);
-        let pre_counts = counts(trace, idx - 1);
-        debug_assert_eq!(pre_counts.len(), cols);
+    L4Layout::new(net).contribution_variance(net, trace, alpha, inj)
+}
 
-        let connected = |w: f32| w != 0.0;
-        // dL/d(count_j) accumulated over all post-neurons of this layer.
-        let mut dcount = vec![0.0f32; cols];
-        // One row's contributions, connected synapses only, columns ascending.
-        let mut contrib = Vec::with_capacity(cols);
-        for row in weight.as_slice().chunks_exact(cols.max(1)) {
-            contrib.clear();
-            let synapses = row.iter().zip(&pre_counts).filter(|(&w, _)| connected(w));
-            contrib.extend(synapses.map(|(w, count)| w * count));
-            if contrib.len() < 2 {
-                continue;
-            }
+/// The weights `L4` reads, laid out for its evaluation: per layer it
+/// reaches, the weights column-major, so that the post-synaptic rows are
+/// the lanes of a vector, and each row's fan-in (its connected synapses).
+/// Both depend on the network alone, so a stage builds them once for all
+/// of its steps (DESIGN.md §19.4).
+#[derive(Debug)]
+pub(crate) struct L4Layout {
+    layers: Vec<L4Layer>,
+}
+
+#[derive(Debug)]
+struct L4Layer {
+    /// The layer's position in `Network::layers()`.
+    idx: usize,
+    /// `[cols × rows]`: column `j` holds every row's weight from `j`.
+    by_column: Vec<f32>,
+    /// Each row's number of non-zero weights.
+    fan_in: Vec<f32>,
+}
+
+/// The weights `L4` reads of `layer`: a dense layer's, a recurrent
+/// layer's input weights.
+fn l4_weight(layer: &Layer) -> Option<&Tensor> {
+    match layer {
+        Layer::Dense(l) => Some(&l.weight),
+        Layer::Recurrent(l) => Some(&l.w_in),
+        _ => None,
+    }
+}
+
+impl L4Layout {
+    /// The layout of `net`'s dense and recurrent layers after the first:
+    /// contributions of the *stimulus* itself are what the input
+    /// optimization already controls, so Eq. 13 starts at `ℓ = 2`.
+    pub(crate) fn new(net: &Network) -> Self {
+        let layers = net.layers().iter().enumerate().skip(1);
+        let layers = layers.filter_map(|(idx, layer)| {
+            let weight = l4_weight(layer)?;
+            let (rows, cols) = (weight.shape().dim(0), weight.shape().dim(1));
+            let w = weight.as_slice();
+            let by_column = (0..cols * rows).map(|i| w[(i % rows) * cols + i / rows]).collect();
             #[expect(
                 clippy::cast_precision_loss,
                 reason = "fan-in counts stay far below f32's 2^24 exact-integer limit"
             )]
-            let m = contrib.len() as f32;
-            let mean = contrib.iter().sum::<f32>() / m;
-            value += contrib.iter().map(|c| (c - mean) * (c - mean)).sum::<f32>() / m;
-            // ∂Var/∂c_k = 2(c_k − mean)/m ; ∂c_k/∂count_j = w_{j,r}
-            let scale = 2.0 / m;
-            let grads = dcount.iter_mut().zip(row).filter(|(_, &w)| connected(w));
-            for ((d, &w), c) in grads.zip(&contrib) {
-                *d += (c - mean) * scale * w;
+            let fan_in = w
+                .chunks_exact(cols.max(1))
+                .map(|row| row.iter().filter(|&&w| w != 0.0).count() as f32);
+            Some(L4Layer { idx, by_column, fan_in: fan_in.collect() })
+        });
+        Self { layers: layers.collect() }
+    }
+
+    /// `L4` on `trace` of the network the layout was built from, adding
+    /// `alpha` times its gradient into `inj`. A row's contributions are
+    /// summed over its connected synapses in column order, as
+    /// [`Iterator::sum`] over them would, but all rows at once: a column
+    /// at a time, each row one lane, a disconnected synapse adding `−0.0`,
+    /// which leaves every sum as it was. Rows with fewer than two synapses
+    /// add nothing. `∂count_j` gathers the rows' terms in row order, all
+    /// columns at once.
+    pub(crate) fn contribution_variance(
+        &self,
+        net: &Network,
+        trace: &Trace,
+        alpha: f32,
+        inj: &mut InjectedGrads,
+    ) -> f32 {
+        let mut value = 0.0;
+        for layer in &self.layers {
+            let Some(weight) = l4_weight(&net.layers()[layer.idx]) else { continue };
+            let (rows, cols) = (layer.fan_in.len(), weight.shape().dim(1));
+            let pre_counts = counts(trace, layer.idx - 1);
+            debug_assert_eq!(pre_counts.len(), cols);
+            debug_assert_eq!(layer.by_column.len(), rows * cols);
+            // Per row, the sum of its contributions, then their mean, and
+            // the sum of their squared deviations from it; `-0.0` is
+            // where `Iterator::sum` starts.
+            let mut lanes = vec![-0.0f32; 2 * rows];
+            let (means, squares) = lanes.split_at_mut(rows);
+            let columns = || layer.by_column.chunks_exact(rows.max(1)).zip(&pre_counts);
+            for (column, &count) in columns() {
+                for (sum, &w) in means.iter_mut().zip(column) {
+                    *sum += if w != 0.0 { w * count } else { -0.0 };
+                }
+            }
+            for (mean, &m) in means.iter_mut().zip(&layer.fan_in) {
+                *mean = if m >= 2.0 { *mean / m } else { 0.0 };
+            }
+            for (column, &count) in columns() {
+                for ((square, &w), &mean) in squares.iter_mut().zip(column).zip(&*means) {
+                    // Squared before the select, which then vectorises.
+                    let d = (w * count - mean) * (w * count - mean);
+                    *square += if w != 0.0 { d } else { -0.0 };
+                }
+            }
+            // dL/d(count_j) accumulated over all post-neurons of this layer.
+            let mut dcount = vec![0.0f32; cols];
+            let rows = weight.as_slice().chunks_exact(cols.max(1));
+            for (((row, &mean), &square), &m) in rows.zip(&*means).zip(&*squares).zip(&layer.fan_in)
+            {
+                if m < 2.0 {
+                    continue;
+                }
+                value += square / m;
+                // ∂Var/∂c_k = 2(c_k − mean)/m ; ∂c_k/∂count_j = w_{j,r}
+                let scale = 2.0 / m;
+                for ((d, &w), &count) in dcount.iter_mut().zip(row).zip(&pre_counts) {
+                    let term = (w * count - mean) * scale * w;
+                    *d += if w != 0.0 { term } else { -0.0 };
+                }
+            }
+            if dcount.iter().any(|&d| d != 0.0) {
+                dcount.iter_mut().for_each(|d| *d *= alpha);
+                inject_per_tick(inj, layer.idx - 1, trace.steps, &dcount);
             }
         }
-        if dcount.iter().any(|&d| d != 0.0) {
-            dcount.iter_mut().for_each(|d| *d *= alpha);
-            inject_per_tick(inj, idx - 1, trace.steps, &dcount);
-        }
+        value
     }
-    value
 }
 
 /// `L5` (Eq. 16): total hidden spike count — stage 2 minimizes it to keep

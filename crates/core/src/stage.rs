@@ -1,9 +1,23 @@
-use crate::losses::{self, TargetMask};
+//! The input-optimization stages of the paper's Fig. 3 and Eqs. 14–15.
+//! [`Stage`] runs stage 1 (activate the target neurons) and stage 2
+//! (prune hidden activity with the output pinned); both, and the
+//! `T_in,min` calibration, run their steps through one routine,
+//! `Descent`.
+//!
+//! A stochastic descent runs on two threads (DESIGN.md §19.7). The
+//! generator thread binarises each step's sample and runs the forward
+//! pass, the losses, BPTT and Adam. A noise thread draws the logistic
+//! noise a step ahead, and makes the relaxation `σ((l + g)/τ)`, which
+//! only the step's input gradient reads, while the forward pass runs.
+//! The random stream, the stimuli and every loss value are those of the
+//! serial sampler.
+
+use crate::losses::{self, L4Layout, TargetMask};
 use rand::Rng;
 use snn_model::{
-    gumbel::{logistic_noise, GumbelSample},
+    gumbel::{logistic_noise, soften, GumbelSample},
     optim::{Adam, Schedule},
-    InjectedGrads, Network, RecordOptions, Surrogate, Trace,
+    Gradients, InjectedGrads, Network, RecordOptions, Surrogate, Trace,
 };
 use snn_tensor::{Shape, Tensor};
 use std::sync::mpsc;
@@ -132,6 +146,15 @@ pub(crate) struct Descent<'a> {
     best: Option<StageOutcome>,
 }
 
+/// What step `k`'s forward pass, losses and BPTT leave for its update:
+/// the score if it beats the best so far, the trace, and the gradient at
+/// the input unless no loss had one.
+struct Pass {
+    improved: Option<f32>,
+    trace: Trace,
+    grads: Option<Gradients>,
+}
+
 impl<'a> Descent<'a> {
     /// A descent from `logits`, to beat `best` if given.
     pub(crate) fn new(
@@ -159,12 +182,17 @@ impl<'a> Descent<'a> {
     /// loss has any gradient left — there is nothing more to optimize —
     /// and returns whether it did.
     ///
-    /// A stochastic descent draws its noise ahead of the steps on a
-    /// helper thread, into two buffers the two threads hand back and
+    /// A stochastic descent keeps the relaxation off the generator
+    /// thread's path (DESIGN.md §19.7). A helper thread draws the noise
+    /// ahead of the steps into two buffers the two threads hand back and
     /// forth; each block comes with the generator state it was drawn
     /// from, so that `rng` ends where drawing the consumed blocks in line
-    /// would have left it (DESIGN.md §19.7). A deterministic descent
-    /// draws nothing and spawns nothing.
+    /// would have left it. A step binarises its block on the generator
+    /// thread and sends the logits, the `soft` buffer and the block to the
+    /// helper, which makes `soft` while the generator thread runs the
+    /// forward pass, the losses and BPTT, sends the pair back and then
+    /// draws the block of the step after next. A deterministic descent
+    /// relaxes in line, draws nothing and spawns nothing.
     pub(crate) fn run<R: Rng + Clone + Send>(
         &mut self,
         rng: &mut R,
@@ -176,20 +204,38 @@ impl<'a> Descent<'a> {
             let zeros = vec![0.0f32; len];
             return (0..steps).any(|k| {
                 let span = snn_obs::span!("stage.sample");
-                self.relax(&zeros, k);
+                let tau = self.tau(k);
+                self.sample.relax(&zeros, &self.logits, tau);
                 drop(span);
-                !self.step(k, &mut losses)
+                let pass = self.pass(&mut losses);
+                !self.update(k, pass)
             });
         }
         let mut ring = vec![0.0f32; 2 * len];
         let (first, second) = ring.split_at_mut(len);
+        // While the helper holds the logits and `soft`, these stand in.
+        let (mut logits_stand_in, mut soft_stand_in) =
+            (Tensor::zeros(Shape::d1(0)), Tensor::zeros(Shape::d1(0)));
         let stage_span = snn_obs::trace::current_id();
         std::thread::scope(|scope| {
-            let (free, free_rx) = mpsc::sync_channel::<&mut [f32]>(2);
+            // Step k's logits, `soft` buffer, noise block and temperature.
+            let (to_soften, to_soften_rx) =
+                mpsc::sync_channel::<(Tensor, Tensor, &mut [f32], f32)>(1);
+            let (softened_tx, softened) = mpsc::sync_channel(1);
             let (drawn_tx, drawn) = mpsc::sync_channel(2);
             let mut ahead = rng.clone();
             let helper = scope.spawn(move || {
-                for block in free_rx.iter().take(steps) {
+                // A block is free to draw into once its step's `soft` is made.
+                let freed = to_soften_rx.into_iter().map_while(|(logits, mut soft, block, tau)| {
+                    let span = snn_obs::trace::enter_with_parent("stage.soften", stage_span);
+                    soften(&mut soft, block, &logits, tau);
+                    drop(span);
+                    softened_tx.send((logits, soft)).ok().map(|()| block)
+                });
+                for (drawn_before, block) in [first, second].into_iter().chain(freed).enumerate() {
+                    if drawn_before >= steps {
+                        continue;
+                    }
                     let _span = snn_obs::trace::enter_with_parent("stage.noise", stage_span);
                     let drawn_from = ahead.clone();
                     logistic_noise(&mut ahead, block);
@@ -199,26 +245,33 @@ impl<'a> Descent<'a> {
                 }
                 ahead
             });
-            // A buffer handed over after the helper has drawn its `steps`
-            // blocks and hung up is not needed: these sends may fail.
-            let _ = (free.send(first), free.send(second));
+            // Only a helper that died hangs up early, and its panic resumes
+            // at the join below: the sends and receives here may fail, and
+            // the loop then ends.
             let mut stopped = false;
             for k in 0..steps {
                 let span = snn_obs::span!("stage.sample");
-                // Only a helper that died hangs up early; its panic
-                // resumes at the join below.
                 let Ok((block, _)) = drawn.recv() else { break };
-                self.relax(block, k);
-                let _ = free.send(block);
+                let tau = self.tau(k);
+                self.sample.binarize(block, &self.logits, tau);
+                let logits = std::mem::replace(&mut self.logits, logits_stand_in);
+                let soft = std::mem::replace(&mut self.sample.soft, soft_stand_in);
+                let _ = to_soften.send((logits, soft, block, tau));
                 drop(span);
-                if !self.step(k, &mut losses) {
+                let pass = self.pass(&mut losses);
+                let span = snn_obs::span!("stage.wait");
+                let Ok((logits, soft)) = softened.recv() else { break };
+                logits_stand_in = std::mem::replace(&mut self.logits, logits);
+                soft_stand_in = std::mem::replace(&mut self.sample.soft, soft);
+                drop(span);
+                if !self.update(k, pass) {
                     stopped = true;
                     break;
                 }
             }
             // The helper draws at most the blocks it already holds; the
             // first one still in the channel is the first unconsumed.
-            drop(free);
+            drop(to_soften);
             let next = drawn.recv().ok();
             match helper.join() {
                 Ok(end) => *rng = next.map_or(end, |(_, drawn_from)| drawn_from),
@@ -228,21 +281,17 @@ impl<'a> Descent<'a> {
         })
     }
 
-    /// Step `k`'s sample: the logits relaxed at step `k`'s temperature.
-    fn relax(&mut self, noise: &[f32], k: usize) {
+    /// Step `k`'s temperature, also reported as a gauge.
+    fn tau(&self, k: usize) -> f32 {
         let tau = self.cfg.tau.at(k);
         snn_obs::gauge!("snn_testgen_gumbel_tau", "Current Gumbel-Softmax temperature.")
             .set(f64::from(tau));
-        self.sample.relax(noise, &self.logits, tau);
+        tau
     }
 
-    /// The rest of optimization step `k` on the sample [`relax`](Self::relax)
-    /// made; `false` when no loss has a gradient left.
-    fn step(
-        &mut self,
-        k: usize,
-        losses: &mut impl FnMut(&Trace, &mut InjectedGrads) -> Option<f32>,
-    ) -> bool {
+    /// The forward pass, the losses and BPTT of the step whose spikes the
+    /// sample holds; they read neither the logits nor `soft`.
+    fn pass(&mut self, losses: &mut impl FnMut(&Trace, &mut InjectedGrads) -> Option<f32>) -> Pass {
         let input = &self.sample.binary;
         let trace = self.net.forward(input, RecordOptions::full());
         self.inj.clear();
@@ -253,9 +302,16 @@ impl<'a> Descent<'a> {
         let improved = score.filter(|&s| self.best.as_ref().is_none_or(|b| s < b.best_loss));
         let grads = (!self.inj.is_empty())
             .then(|| self.net.backward(input, &trace, &self.inj, self.cfg.surrogate, false));
+        Pass { improved, trace, grads }
+    }
 
+    /// The rest of optimization step `k`, once the logits and `soft` are
+    /// back: the best-so-far bookkeeping, the STE's backward pass and
+    /// Adam; `false` when no loss has a gradient left.
+    fn update(&mut self, k: usize, pass: Pass) -> bool {
         let _span = snn_obs::span!("stage.update");
-        if let Some(best_loss) = improved {
+        let input = &self.sample.binary;
+        if let Some(best_loss) = pass.improved {
             // BPTT is done with the trace, so it moves instead of being
             // cloned; the logits are still those the sample was drawn from,
             // and both tensors go into the buffers of the best they replace.
@@ -263,20 +319,20 @@ impl<'a> Descent<'a> {
                 Some(best) => {
                     best.best_input.clone_from(input);
                     best.best_logits.clone_from(&self.logits);
-                    (best.best_loss, best.best_trace) = (best_loss, trace);
+                    (best.best_loss, best.best_trace) = (best_loss, pass.trace);
                 }
                 None => {
                     self.best = Some(StageOutcome {
                         best_input: input.clone(),
                         best_logits: self.logits.clone(),
                         best_loss,
-                        best_trace: trace,
+                        best_trace: pass.trace,
                         loss_history: Vec::new(),
                     });
                 }
             }
         }
-        let Some(mut grads) = grads else { return false };
+        let Some(mut grads) = pass.grads else { return false };
         self.sample.grad_logits(&mut grads.input);
         self.adam.step(&mut self.logits, &grads.input, self.cfg.lr.at(k));
         true
@@ -291,12 +347,15 @@ impl<'a> Descent<'a> {
 pub struct Stage<'a> {
     net: &'a Network,
     cfg: StageConfig,
+    /// `L4`'s layout of `net`'s weights, if the stage uses `L4`.
+    l4: Option<L4Layout>,
 }
 
 impl<'a> Stage<'a> {
     /// Creates a stage runner for `net`.
     pub fn new(net: &'a Network, cfg: StageConfig) -> Self {
-        Self { net, cfg }
+        let l4 = cfg.use_l4.then(|| L4Layout::new(net));
+        Self { net, cfg, l4 }
     }
 
     /// The stage configuration.
@@ -377,9 +436,8 @@ impl<'a> Stage<'a> {
                 losses::l3_temporal_diversity(net, trace, mask, cfg.td_min, alphas[2], inj)
             );
         }
-        if cfg.use_l4 {
-            values[3] =
-                timed_loss!("l4", losses::l4_contribution_variance(net, trace, alphas[3], inj));
+        if let Some(l4) = &self.l4 {
+            values[3] = timed_loss!("l4", l4.contribution_variance(net, trace, alphas[3], inj));
         }
         if cfg.use_l6 {
             values[4] = timed_loss!(
@@ -556,6 +614,53 @@ mod tests {
             k += 1;
             Some(stage.stage1_losses(trace, &mask, &[1.0; 5], inj).iter().sum())
         });
+    }
+
+    /// A loss that panics on step 0 runs while the noise thread holds
+    /// the logits and the `soft` buffer: the panic still surfaces as
+    /// itself, and the helper is released and joined.
+    #[test]
+    #[should_panic(expected = "loss panicked on step 0")]
+    fn a_loss_panicking_while_the_noise_thread_holds_the_logits_propagates() {
+        let (net, cfg) = (net(1), cfg(20));
+        let mut rng = StdRng::seed_from_u64(2);
+        let logits = init_logits(&mut rng, 10, 6);
+        Descent::new(&net, &cfg, logits, None).run(&mut rng, cfg.steps, |_, _| {
+            panic!("loss panicked on step 0");
+        });
+    }
+
+    /// A descent that stops at step `k` ends with the logits, and the
+    /// best stimulus's logits, that `k` full steps left: the logits come
+    /// back from the noise thread before the stop, and Adam does not run.
+    #[test]
+    fn an_early_stop_leaves_the_logits_as_the_step_found_them() {
+        let (net, cfg) = (net(1), cfg(20));
+        let (stage, mask) = (Stage::new(&net, cfg.clone()), full_mask(&net));
+        let logits = init_logits(&mut StdRng::seed_from_u64(2), 10, 6);
+        for stop in [0, 3] {
+            let descend = |steps: usize, stop: Option<usize>| {
+                let mut descent = Descent::new(&net, &cfg, logits.clone(), None);
+                let mut k = 0;
+                let stopped = descent.run(&mut StdRng::seed_from_u64(3), steps, |trace, inj| {
+                    stage.stage1_losses(trace, &mask, &[1.0; 5], inj);
+                    if Some(k) == stop {
+                        inj.clear();
+                    }
+                    k += 1;
+                    // Every step's score stands: the best is the last step's.
+                    Some(-(k as f32))
+                });
+                (stopped, descent)
+            };
+            let (stopped, early) = descend(cfg.steps, Some(stop));
+            assert!(stopped, "the descent must stop at step {stop}");
+            let (_, full) = descend(stop, None);
+            assert_eq!(early.logits, full.logits, "stopped at step {stop}");
+            let best = early.best.unwrap();
+            assert_eq!(best.best_logits, full.logits, "stopped at step {stop}");
+            assert_eq!(best.best_input, early.sample.binary);
+        }
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub const SPAN_NAMES: &[&str] = &[
     "stage.losses",
     "stage.noise",
     "stage.sample",
+    "stage.soften",
     "stage.update",
+    "stage.wait",
     "stage1",
     "stage2",
     // snn-reliability: reliability-impact campaigns.

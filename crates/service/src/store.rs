@@ -483,6 +483,19 @@ mod tests {
         }
     }
 
+    /// A job file of a million `[` is skipped, like any other garbage:
+    /// parsing it is an error, not a stack overflow that aborts `open`.
+    #[test]
+    fn a_job_file_nested_a_million_levels_deep_is_skipped() {
+        let dir = tmp_dir("deep");
+        let kept = JobStore::open(&dir).unwrap().submit(spec());
+        fs::write(job_path(&dir, kept.id + 1), "[".repeat(1_000_000)).unwrap();
+        let store = JobStore::open(&dir).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(kept.id), Some(kept));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn unknown_ids_are_none() {
         let dir = tmp_dir("unknown");

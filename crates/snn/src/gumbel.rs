@@ -12,6 +12,13 @@
 //! noise `g = ln u − ln(1 − u)`. A deterministic mode (`g = 0`) is provided
 //! for reproducible tests and for the final deterministic readout of the
 //! optimized stimulus.
+//!
+//! A sample is made in two halves that need not run on the same thread:
+//! [`GumbelSample::binarize`] is the straight-through forward pass, one
+//! comparison of `(I_real + g)/τ` against `−2⁻²³` (where `sigmoid`
+//! reaches `½`, so `σ` itself is not needed for the spikes), and
+//! [`soften`] computes `I_soft`, which only the backward pass reads.
+//! [`GumbelSample::relax`] is the two in turn.
 
 use rand::Rng;
 use snn_tensor::Tensor;
@@ -50,8 +57,10 @@ fn logit(u: f32) -> f32 {
 /// `1 / (1 + e⁻ˣ)` for every non-NaN `x`: within 2 ulp where that is a
 /// normal `f32` and exactly `0` below — never a subnormal, which
 /// `grad_logits` would multiply by at a fraction of the speed; exactly
-/// `1` from `e⁻ˣ ≤ 2⁻²⁴` on, as `1/(1 + exp(−x))` is; `½` at `0`, `≥ ½`
-/// for `x ≥ 0`, `< ½` below: the straight-through threshold holds.
+/// `1` from `e⁻ˣ ≤ 2⁻²⁴` on, as `1/(1 + exp(−x))` is; exactly `½` on
+/// `[−2⁻²³, 0]`, where `1 + e⁻ˣ` rounds to 2, and `< ½` below it. So
+/// `sigmoid(x) ≥ ½` exactly when `x ≥ −2⁻²³` (`−f32::EPSILON`), which is
+/// the comparison [`GumbelSample::binarize`] makes.
 fn sigmoid(x: f32) -> f32 {
     // σ is flat to the last bit well inside these bounds, and within them
     // 2ⁿ stays finite and its product with `y` normal.
@@ -106,6 +115,29 @@ pub fn logistic_noise(rng: &mut impl Rng, noise: &mut [f32]) {
     }
 }
 
+/// The relaxation half of a sample: `soft = σ((l + g)/τ)` from `logits`
+/// and a block of [`logistic_noise`], the values
+/// [`grad_logits`](GumbelSample::grad_logits) scales by. Only the
+/// backward pass reads them, so they can be made beside the forward pass
+/// that [`binarize`](GumbelSample::binarize)'s spikes drive.
+///
+/// # Panics
+///
+/// Panics if `tau` is not positive, or `logits` or `noise` is of another
+/// size than `soft`.
+pub fn soften(soft: &mut Tensor, noise: &[f32], logits: &Tensor, tau: f32) {
+    check(noise, logits, soft, tau);
+    for ((&l, &g), soft) in logits.as_slice().iter().zip(noise).zip(soft.as_mut_slice()) {
+        *soft = sigmoid((l + g) / tau);
+    }
+}
+
+fn check(noise: &[f32], logits: &Tensor, out: &Tensor, tau: f32) {
+    assert!(tau > 0.0, "temperature must be positive, got {tau}");
+    assert_eq!(logits.shape(), out.shape(), "logit shape must match the sample");
+    assert_eq!(noise.len(), logits.len(), "noise length must match the sample");
+}
+
 impl GumbelSample {
     /// Samples the pipeline stochastically: logistic noise is added to the
     /// logits before the temperature-scaled sigmoid.
@@ -134,23 +166,33 @@ impl GumbelSample {
     /// Makes the sample anew in place from `logits` and a block of
     /// [`logistic_noise`] — all `+0` in the deterministic mode — so that
     /// an optimizer loop samples every step into the same two buffers:
-    /// `soft = σ((l + g)/τ)`, then the straight-through threshold.
+    /// [`binarize`](Self::binarize), then [`soften`].
     ///
     /// # Panics
     ///
     /// Panics if `tau` is not positive, or `logits` or `noise` is of
     /// another size than the sample.
     pub fn relax(&mut self, noise: &[f32], logits: &Tensor, tau: f32) {
-        assert!(tau > 0.0, "temperature must be positive, got {tau}");
-        assert_eq!(logits.shape(), self.soft.shape(), "logit shape must match the sample");
-        assert_eq!(noise.len(), logits.len(), "noise length must match the sample");
+        self.binarize(noise, logits, tau);
+        soften(&mut self.soft, noise, logits, tau);
+    }
+
+    /// The straight-through estimator's forward pass alone: `binary` from
+    /// `logits` and `noise` at temperature `tau`, without `σ`. It spikes
+    /// exactly where `σ((l + g)/τ) ≥ ½`, that is where the argument is
+    /// at least `−2⁻²³` (`sigmoid`'s doc; NaN spikes on neither side).
+    /// `soft` is left as it was, for [`soften`] to make.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau` is not positive, or `logits` or `noise` is of
+    /// another size than the sample.
+    pub fn binarize(&mut self, noise: &[f32], logits: &Tensor, tau: f32) {
+        check(noise, logits, &self.binary, tau);
         self.tau = tau;
-        let (soft, binary) = (self.soft.as_mut_slice(), self.binary.as_mut_slice());
-        for (((&l, &g), soft), binary) in logits.as_slice().iter().zip(noise).zip(soft).zip(binary)
-        {
-            *soft = sigmoid((l + g) / tau);
-            // The straight-through estimator's forward pass.
-            *binary = if *soft >= 0.5 { 1.0 } else { 0.0 };
+        let binary = self.binary.as_mut_slice();
+        for ((&l, &g), binary) in logits.as_slice().iter().zip(noise).zip(binary) {
+            *binary = if (l + g) / tau >= -f32::EPSILON { 1.0 } else { 0.0 };
         }
     }
 
@@ -404,6 +446,88 @@ mod tests {
         ];
         for (x, bits) in sigmoids {
             assert_eq!(sigmoid(x).to_bits(), bits, "sigmoid({x:e}) = {:e}", sigmoid(x));
+        }
+    }
+
+    /// Whether [`GumbelSample::binarize`] spikes at each of `xs` (as the
+    /// argument `(l + g)/τ`, with `g = 0` and `τ = 1`) exactly where
+    /// `sigmoid(x) ≥ ½`; the first `x` where it does not, if any.
+    fn first_ste_mismatch(xs: impl Iterator<Item = f32>) -> Option<f32> {
+        let xs: Vec<f32> = xs.collect();
+        let logits = Tensor::from_vec(Shape::d1(xs.len()), xs).unwrap();
+        let mut sample = GumbelSample::unsampled(&logits);
+        sample.binarize(&vec![0.0; logits.len()], &logits, 1.0);
+        let spikes = sample.binary.as_slice().iter().map(|&b| b > 0.5);
+        logits.as_slice().iter().zip(spikes).find(|&(&x, b)| b != (sigmoid(x) >= 0.5)).map(|p| *p.0)
+    }
+
+    #[test]
+    fn binarize_spikes_exactly_where_sigmoid_reaches_one_half() {
+        // Every bit pattern within 4096 of the threshold, of both zeros
+        // and of both ends of sigmoid's clamp, then a stride through all
+        // 2³² (NaNs included: no spike on either side).
+        let around = |x: f32| {
+            (-4096..=4096).map(move |d| f32::from_bits(x.to_bits().wrapping_add_signed(d)))
+        };
+        let near = [-f32::EPSILON, 0.0, -0.0, 88.0, -88.0].into_iter().flat_map(around);
+        assert_eq!(first_ste_mismatch(near), None);
+        let strided = (0..=u32::MAX).step_by(65_537).map(f32::from_bits);
+        assert_eq!(first_ste_mismatch(strided), None);
+        // `sigmoid` is ½, not below, on the 2⁻²³ just left of 0.
+        assert_eq!(sigmoid(-f32::EPSILON).to_bits(), 0.5f32.to_bits());
+        assert!(sigmoid(f32::from_bits((-f32::EPSILON).to_bits() + 1)) < 0.5);
+    }
+
+    /// All 2³² patterns, and every one on `[−2⁻²³, −0]` gives exactly ½;
+    /// about a minute in release on one x86-64 core:
+    /// `cargo test --release -p snn-model --lib -- --ignored binarize_agrees`.
+    #[test]
+    #[ignore = "exhaustive over every f32; run by hand after touching sigmoid or binarize"]
+    fn binarize_agrees_with_sigmoid_on_every_f32() {
+        for high in 0..=u16::MAX {
+            let xs =
+                (0..=u16::MAX).map(|low| f32::from_bits(u32::from(high) << 16 | u32::from(low)));
+            assert_eq!(first_ste_mismatch(xs), None);
+        }
+        // Exactly ½, not more, on the negative side of the threshold.
+        for bits in (-0.0f32).to_bits()..=(-f32::EPSILON).to_bits() {
+            assert_eq!(sigmoid(f32::from_bits(bits)).to_bits(), 0.5f32.to_bits(), "{bits:#x}");
+        }
+    }
+
+    proptest::proptest! {
+        /// One sample made whole equals its two halves made one after the
+        /// other, to the bit, and both equal the fused spelling: `σ`,
+        /// then the threshold on `σ`.
+        #[test]
+        fn relax_is_binarize_then_soften(
+            seed in 0u64..1 << 32,
+            len in 1usize..600,
+            tau in 0.05f32..2.0,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut logits = snn_tensor::init::uniform(&mut rng, Shape::d1(len), -6.0, 6.0);
+            let mut noise = vec![0.0; len];
+            logistic_noise(&mut rng, &mut noise);
+            // Every seventh argument lands on or next to the threshold.
+            for (l, g) in logits.as_mut_slice().iter_mut().zip(&noise).step_by(7) {
+                *l = -g + rng.gen_range(-2.0f32..2.0) * f32::EPSILON;
+            }
+            let mut whole = GumbelSample::unsampled(&logits);
+            whole.relax(&noise, &logits, tau);
+            let mut halves = GumbelSample::unsampled(&logits);
+            halves.binarize(&noise, &logits, tau);
+            soften(&mut halves.soft, &noise, &logits, tau);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&whole.soft), bits(&halves.soft));
+            proptest::prop_assert_eq!(bits(&whole.binary), bits(&halves.binary));
+            proptest::prop_assert_eq!(whole.tau().to_bits(), halves.tau().to_bits());
+            for ((&l, &g), (&soft, &spike)) in logits.as_slice().iter().zip(&noise)
+                .zip(whole.soft.as_slice().iter().zip(whole.binary.as_slice()))
+            {
+                proptest::prop_assert_eq!(soft.to_bits(), sigmoid((l + g) / tau).to_bits());
+                proptest::prop_assert_eq!(spike > 0.5, soft >= 0.5);
+            }
         }
     }
 

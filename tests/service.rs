@@ -182,6 +182,33 @@ fn bad_requests_get_one_line_errors() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// A request line nested a million arrays deep is answered with an
+/// error, not a stack overflow that takes the server down, and the
+/// connection and the server go on serving.
+#[test]
+fn a_line_nested_a_million_levels_deep_gets_an_error_reply() {
+    use std::io::{BufRead, BufReader, Write};
+    let state_dir = temp_state_dir("deep");
+    let (addr, server) = boot(&state_dir);
+    {
+        let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+        let mut line = "[".repeat(1_000_000);
+        line.push('\n');
+        stream.write_all(line.as_bytes()).expect("send the deep line");
+        stream.write_all(b"\"Ping\"\n").expect("send a ping after it");
+        let mut replies = BufReader::new(stream.try_clone().expect("clone")).lines();
+        let reply = replies.next().expect("a reply").expect("read the reply");
+        assert!(reply.contains("Error") && reply.contains("128 levels"), "got: {reply}");
+        let reply = replies.next().expect("a reply").expect("read the reply");
+        assert!(reply.contains("Pong"), "got: {reply}");
+
+        let mut client = Client::connect(addr).expect("connect again");
+        client.shutdown().expect("shutdown");
+    }
+    server.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
 #[test]
 fn metrics_snapshot_reports_job_and_generator_series() {
     use snn_mtfc::obs::metrics::MetricValue;
