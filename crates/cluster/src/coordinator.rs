@@ -9,11 +9,12 @@
 //! `(lease, epoch)` pair matches the chunk's live lease, so the slow
 //! original and the re-issued copy can never both count.
 //!
-//! The coordinator holds a single lock (`cluster.coordinator`, ranked
-//! last in the workspace lock order) and never calls out — progress
-//! sinks, metrics and the event bus are only touched with the lock
-//! released.
+//! The coordinator owns a single lock (`Rank::Coordinator`, ranked after
+//! every service lock) and never calls out while holding it: every
+//! method that locks returns owned values, and progress sinks are only
+//! called by [`Coordinator::wait`], which takes no lock itself.
 
+use crate::lock_order::{mutex, Rank};
 use crate::wire::{
     CampaignSpec, ChunkOutcomes, ClusterStatus, HeldLease, LeaseGrant, TraceContext, WorkerStatus,
     PROTOCOL_VERSION,
@@ -167,6 +168,14 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// What [`Coordinator::poll`] found.
+enum Poll {
+    /// The campaign completed and left the coordinator.
+    Done(Box<CampaignState>),
+    /// The campaign moved.
+    Progress(CampaignProgress),
+}
+
 /// Aggregate progress of one campaign, for progress streaming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignProgress {
@@ -187,18 +196,13 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Creates a coordinator and registers the workspace lock order.
+    /// Creates a coordinator.
     pub fn new(cfg: CoordinatorConfig) -> Self {
-        crate::lock_order::register();
         // Touch the gauge and histogram sites once so a metrics dump
         // lists them (at zero) before the first lease or heartbeat.
         Self::refresh_gauges(&State::default());
         Self::observe_heartbeat_gap(None);
-        Self {
-            cfg,
-            state: Mutex::named("cluster.coordinator", State::default()),
-            cv: Condvar::new(),
-        }
+        Self { cfg, state: mutex(Rank::Coordinator, State::default()), cv: Condvar::new() }
     }
 
     /// The configuration in use.
@@ -296,6 +300,7 @@ impl Coordinator {
 
     /// Registers a worker (idempotent) and returns the timing contract
     /// for its `Welcome`: `(protocol, lease_ms, heartbeat_ms)`.
+    #[expect(clippy::disallowed_methods, reason = "stamps one worker entry")]
     pub fn hello(&self, name: &str) -> (u64, u64, u64) {
         let now = Self::now();
         {
@@ -313,6 +318,10 @@ impl Coordinator {
     /// the call parks on the coordinator's condvar — `submit`, an
     /// accepted result, `hello` and `shutdown` wake it — for at most
     /// `idle_retry_ms`, after which it answers `Idle`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "leases a chunk, parking on the condvar while none is pending"
+    )]
     pub fn grant(&self, worker: &str) -> Grant {
         let bound = Duration::from_millis(self.cfg.idle_retry_ms);
         let asked = Self::now();
@@ -380,6 +389,7 @@ impl Coordinator {
     }
 
     /// The payload of a campaign, for a worker's `Fetch`.
+    #[expect(clippy::disallowed_methods, reason = "clones one campaign payload out")]
     pub fn payload(&self, campaign: u64) -> Option<CampaignSpec> {
         let state = self.state.lock();
         state.campaigns.get(&campaign).map(|c| c.spec.clone())
@@ -387,6 +397,7 @@ impl Coordinator {
 
     /// Extends `worker`'s lease if it is still live; `false` tells the
     /// worker its lease expired and the chunk will run elsewhere.
+    #[expect(clippy::disallowed_methods, reason = "extends one lease in memory")]
     pub fn heartbeat(&self, worker: &str, lease: u64) -> bool {
         let now = Self::now();
         let mut state = self.state.lock();
@@ -437,6 +448,7 @@ impl Coordinator {
     /// the outcomes so a re-issued chunk never appears twice in the
     /// merged tree.
     #[expect(clippy::too_many_arguments, reason = "mirrors the wire message's fields")]
+    #[expect(clippy::disallowed_methods, reason = "merges one chunk's outcomes in memory")]
     pub fn result(
         &self,
         worker: &str,
@@ -544,6 +556,7 @@ impl Coordinator {
     /// overwrites `spec.id`. A `trace` context is stamped into every
     /// lease grant of the campaign and turns on worker-span collection
     /// for it.
+    #[expect(clippy::disallowed_methods, reason = "registers one campaign in memory")]
     pub fn submit(&self, mut spec: CampaignSpec, trace: Option<TraceContext>) -> u64 {
         let chunks = plan(spec.faults, self.cfg.chunk_size);
         let states = chunks.iter().map(|_| ChunkState::Pending { epoch: 0 }).collect();
@@ -589,16 +602,61 @@ impl Coordinator {
         mut on_progress: impl FnMut(CampaignProgress),
     ) -> Result<Vec<FaultOutcome>, ClusterError> {
         let mut last = None;
+        let campaign_state = loop {
+            match self.poll(campaign, cancel, last)? {
+                Poll::Done(campaign_state) => break campaign_state,
+                Poll::Progress(progress) => {
+                    on_progress(progress);
+                    last = Some(progress);
+                }
+            }
+        };
+        // Emit the synthetic `worker:<name>` wrapper spans the adopted
+        // chunk spans were parented under; the ids were pre-allocated at
+        // adoption time, so the tree closes up regardless of record order.
+        if let (Some(trace), Some(collector)) = (campaign_state.trace, snn_obs::trace::installed())
+        {
+            for (name, wt) in &campaign_state.worker_spans {
+                collector.push_synthetic_with_id(
+                    wt.wrapper,
+                    &format!("worker:{name}"),
+                    Some(trace.parent_span_id),
+                    wt.busy,
+                    vec![("chunks".to_string(), wt.chunks.to_string())],
+                );
+            }
+        }
+        let parts: Vec<Vec<FaultOutcome>> = campaign_state
+            .states
+            .into_iter()
+            .map(|s| match s {
+                ChunkState::Done { outcomes } => outcomes,
+                _ => Vec::new(),
+            })
+            .collect();
+        merge_chunks(&campaign_state.chunks, parts).map_err(ClusterError::Merge)
+    }
+
+    /// Parks until `campaign` completes (removing it) or its progress
+    /// differs from `last`. A shut-down coordinator or a tripped
+    /// `cancel` removes the campaign too.
+    #[expect(clippy::disallowed_methods, reason = "parks on the condvar until a campaign moves")]
+    fn poll(
+        &self,
+        campaign: u64,
+        cancel: &CancelToken,
+        last: Option<CampaignProgress>,
+    ) -> Result<Poll, ClusterError> {
         let mut expired = 0u64;
         let mut state = self.state.lock();
-        loop {
+        let polled = loop {
             expired += Self::sweep(&mut state, Self::now());
             if state.shutdown {
                 state.campaigns.remove(&campaign);
-                return Err(ClusterError::Shutdown);
+                break Err(ClusterError::Shutdown);
             }
             let Some(campaign_state) = state.campaigns.get(&campaign) else {
-                return Err(ClusterError::UnknownCampaign { campaign });
+                break Err(ClusterError::UnknownCampaign { campaign });
             };
             if campaign_state.done == campaign_state.chunks.len() {
                 #[expect(
@@ -607,52 +665,23 @@ impl Coordinator {
                 )]
                 let campaign_state = state.campaigns.remove(&campaign).expect("checked above");
                 Self::refresh_gauges(&state);
-                drop(state);
-                Self::record_expiries(expired);
-                // Emit the synthetic `worker:<name>` wrapper spans the
-                // adopted chunk spans were parented under; the ids were
-                // pre-allocated at adoption time, so the tree closes up
-                // regardless of record order.
-                if let (Some(trace), Some(collector)) =
-                    (campaign_state.trace, snn_obs::trace::installed())
-                {
-                    for (name, wt) in &campaign_state.worker_spans {
-                        collector.push_synthetic_with_id(
-                            wt.wrapper,
-                            &format!("worker:{name}"),
-                            Some(trace.parent_span_id),
-                            wt.busy,
-                            vec![("chunks".to_string(), wt.chunks.to_string())],
-                        );
-                    }
-                }
-                let parts: Vec<Vec<FaultOutcome>> = campaign_state
-                    .states
-                    .into_iter()
-                    .map(|s| match s {
-                        ChunkState::Done { outcomes } => outcomes,
-                        _ => Vec::new(),
-                    })
-                    .collect();
-                return merge_chunks(&campaign_state.chunks, parts).map_err(ClusterError::Merge);
+                break Ok(Poll::Done(Box::new(campaign_state)));
             }
             if cancel.is_cancelled() {
                 state.campaigns.remove(&campaign);
-                return Err(ClusterError::Cancelled);
+                break Err(ClusterError::Cancelled);
             }
             let progress = Self::progress_of(campaign_state);
-            if last == Some(progress) {
-                // Checked and parked under one hold of the lock, so a
-                // result landing in between cannot be slept through.
-                self.cv.wait_for(&mut state, Duration::from_millis(100));
-                continue;
+            if last != Some(progress) {
+                break Ok(Poll::Progress(progress));
             }
-            drop(state);
-            Self::record_expiries(std::mem::take(&mut expired));
-            on_progress(progress);
-            last = Some(progress);
-            state = self.state.lock();
-        }
+            // Checked and parked under one hold of the lock, so a result
+            // landing in between cannot be slept through.
+            self.cv.wait_for(&mut state, Duration::from_millis(100));
+        };
+        drop(state);
+        Self::record_expiries(expired);
+        polled
     }
 
     fn progress_of(campaign: &CampaignState) -> CampaignProgress {
@@ -670,6 +699,10 @@ impl Coordinator {
     ///
     /// [`ClusterError::Cancelled`], [`ClusterError::Shutdown`] or
     /// [`ClusterError::WorkersUnavailable`] when the budget runs out.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "parks on the condvar until enough workers registered"
+    )]
     pub fn wait_for_workers(
         &self,
         expected: usize,
@@ -700,6 +733,7 @@ impl Coordinator {
     }
 
     /// A point-in-time snapshot of workers and chunk bookkeeping.
+    #[expect(clippy::disallowed_methods, reason = "snapshots the bookkeeping into owned values")]
     pub fn status(&self) -> ClusterStatus {
         let now = Self::now();
         let mut state = self.state.lock();
@@ -759,6 +793,7 @@ impl Coordinator {
     }
 
     /// Number of workers that have ever registered.
+    #[expect(clippy::disallowed_methods, reason = "reads the worker count")]
     pub fn workers_seen(&self) -> usize {
         self.state.lock().workers.len()
     }
@@ -766,6 +801,7 @@ impl Coordinator {
     /// Stops the coordinator: waiters return [`ClusterError::Shutdown`]
     /// and workers receive [`Grant::Shutdown`] on their next lease
     /// request.
+    #[expect(clippy::disallowed_methods, reason = "sets one flag")]
     pub fn shutdown(&self) {
         self.state.lock().shutdown = true;
         self.cv.notify_all();

@@ -15,6 +15,7 @@
 //! finishing a result the coordinator would discard anyway.
 
 use crate::campaign::PreparedCampaign;
+use crate::lock_order::{mutex, Rank};
 use crate::wire::{
     read_line, write_line, CampaignSpec, ChunkOutcomes, CoordMsg, WorkerMsg, PROTOCOL_VERSION,
 };
@@ -112,10 +113,41 @@ impl From<std::io::Error> for WorkerError {
 
 /// Heartbeat-visible session state: which lease the main loop currently
 /// holds, and the token the heartbeat thread trips when that lease dies.
+struct Session(Mutex<SessionState>);
+
 #[derive(Default)]
-struct Session {
+struct SessionState {
     current: Option<(u64, CancelToken)>,
     stop: bool,
+}
+
+impl Session {
+    fn new() -> Self {
+        Self(mutex(Rank::WorkerSession, SessionState::default()))
+    }
+
+    /// Sets (or, with `None`, clears) the lease the main loop holds.
+    #[expect(clippy::disallowed_methods, reason = "sets one field")]
+    fn hold(&self, current: Option<(u64, CancelToken)>) {
+        self.0.lock().current = current;
+    }
+
+    /// Tells the heartbeat thread to exit.
+    #[expect(clippy::disallowed_methods, reason = "sets one flag")]
+    fn stop(&self) {
+        self.0.lock().stop = true;
+    }
+
+    /// The lease to beat, or `Err` once the session is stopping.
+    #[expect(clippy::disallowed_methods, reason = "clones the held lease out")]
+    fn current(&self) -> Result<Option<(u64, CancelToken)>, ()> {
+        let state = self.0.lock();
+        if state.stop {
+            Err(())
+        } else {
+            Ok(state.current.clone())
+        }
+    }
 }
 
 struct Link {
@@ -163,7 +195,6 @@ impl Link {
 /// traffic or a campaign that cannot be materialized. A coordinator that
 /// closes the link (or answers `Shutdown`) is a clean stop, not an error.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, WorkerError> {
-    crate::lock_order::register();
     let mut link = Link::connect(&cfg.addr)?;
     link.send(&WorkerMsg::Hello { name: cfg.name.clone(), protocol: PROTOCOL_VERSION })?;
     let (lease_ms, heartbeat_ms) = match link.recv()? {
@@ -190,12 +221,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerReport, WorkerError> {
         (collector, prev)
     });
 
-    let session = Arc::new(Mutex::named("cluster.worker.session", Session::default()));
+    let session = Arc::new(Session::new());
     let heartbeat = spawn_heartbeat(&cfg.addr, cfg.name.clone(), heartbeat_ms, &session);
 
     let result = lease_loop(cfg, &mut link, &session, collector.as_ref().map(|(c, _)| c));
 
-    session.lock().stop = true;
+    session.stop();
     let _ = link.send(&WorkerMsg::Bye { worker: cfg.name.clone() });
     if let Some(handle) = heartbeat {
         let _ = handle.join();
@@ -217,7 +248,7 @@ fn spawn_heartbeat(
     addr: &str,
     worker: String,
     heartbeat_ms: u64,
-    session: &Arc<Mutex<Session>>,
+    session: &Arc<Session>,
 ) -> Option<std::thread::JoinHandle<()>> {
     let mut link = Link::connect(addr).ok()?;
     let session = Arc::clone(session);
@@ -226,13 +257,7 @@ fn spawn_heartbeat(
     builder
         .spawn(move || loop {
             std::thread::sleep(period);
-            let held = {
-                let session = session.lock();
-                if session.stop {
-                    return;
-                }
-                session.current.clone()
-            };
+            let Ok(held) = session.current() else { return };
             let Some((lease, cancel)) = held else { continue };
             if link.send(&WorkerMsg::Heartbeat { worker: worker.clone(), lease }).is_err() {
                 return;
@@ -258,7 +283,7 @@ fn lap(mark: &mut Duration) -> u64 {
 fn lease_loop(
     cfg: &WorkerConfig,
     link: &mut Link,
-    session: &Arc<Mutex<Session>>,
+    session: &Arc<Session>,
     collector: Option<&Arc<snn_obs::Collector>>,
 ) -> Result<WorkerReport, WorkerError> {
     let mut report = WorkerReport::default();
@@ -313,13 +338,13 @@ fn lease_loop(
         let prepared = campaigns.get(&grant.campaign).expect("cached above");
 
         let cancel = CancelToken::new();
-        session.lock().current = Some((grant.lease, cancel.clone()));
+        session.hold(Some((grant.lease, cancel.clone())));
         let mut span = snn_obs::span!("cluster.chunk");
         span.attr("lease", grant.lease);
         span.attr("chunk", grant.chunk.index);
         let outcome = prepared.run_chunk(grant.chunk.range(), &cancel);
         drop(span);
-        session.lock().current = None;
+        session.hold(None);
         // Drain even when the grant is untraced or the chunk was
         // abandoned: the collector must not grow without bound.
         let drained = collector.map(|c| c.drain());

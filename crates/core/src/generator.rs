@@ -481,6 +481,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test sink collecting events")]
     fn generate_with_streams_one_event_per_iteration() {
         let net = net(1);
         let mut rng = StdRng::seed_from_u64(2);

@@ -69,7 +69,6 @@
 #![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 mod coverage;
-mod dictionary;
 mod engine;
 mod estimate;
 mod inject;
@@ -85,7 +84,6 @@ pub mod transient;
 
 pub use chunk::{verdict_digest, verdict_digest_hex, ChunkCampaignError, ChunkRange, MergeError};
 pub use coverage::{escape_max_accuracy_drop, ClassCoverage, CoverageReport};
-pub use dictionary::{Diagnosis, FaultDictionary};
 pub use engine::{resolve_engine, Engine, ParseEngineError};
 pub use estimate::{estimate_coverage, CoverageEstimate};
 pub use inject::{bit_flip_int8, Injection, InjectionError};

@@ -296,6 +296,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test sink collecting events")]
     fn progress_stream_covers_the_whole_campaign() {
         let net = dense_net(8);
         let u = FaultUniverse::standard(&net);

@@ -127,6 +127,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test sink collecting events")]
     fn closure_sinks_collect_events() {
         let seen = Mutex::new(Vec::new());
         let sink = |e: Progress| seen.lock().unwrap().push(e);

@@ -483,6 +483,7 @@ mod tests {
     /// packed engine, one per fault under the scalar one, the same
     /// outcomes, and `None` is the packed engine on a dense network.
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test sink counting events")]
     fn detect_with_dispatches_on_the_configured_engine() {
         let (net, u, test) = setup();
         assert!(u.len() >= 200);
@@ -594,6 +595,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a test sink counting events")]
     fn detect_with_streams_progress_and_matches_detect() {
         let (net, u, test) = setup();
         let cfg = FaultSimConfig { threads: 2, engine: Some(Engine::Scalar), ..Default::default() };

@@ -185,6 +185,7 @@ impl Registry {
     /// kind, a detached (unexported) counter is returned rather than
     /// panicking — the mismatch is a programming error the golden
     /// rendering tests catch.
+    #[expect(clippy::disallowed_methods, reason = "looks up or inserts one entry")]
     pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
         let mut entries = self.entries.lock();
         let entry = entries
@@ -198,6 +199,7 @@ impl Registry {
 
     /// Returns the gauge registered under `name` (see [`Registry::counter`]
     /// for the collision policy).
+    #[expect(clippy::disallowed_methods, reason = "looks up or inserts one entry")]
     pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
         let mut entries = self.entries.lock();
         let entry = entries
@@ -212,6 +214,7 @@ impl Registry {
     /// Returns the histogram registered under `name`, creating it with
     /// `bounds` if absent (see [`Registry::counter`] for the collision
     /// policy; an existing histogram keeps its original bounds).
+    #[expect(clippy::disallowed_methods, reason = "looks up or inserts one entry")]
     pub fn histogram(
         &self,
         name: &'static str,
@@ -231,6 +234,7 @@ impl Registry {
 
     /// A point-in-time snapshot of every registered metric, ordered by
     /// name.
+    #[expect(clippy::disallowed_methods, reason = "copies every value out")]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let entries = self.entries.lock();
         let metrics = entries

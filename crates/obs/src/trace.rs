@@ -65,6 +65,7 @@ pub struct Collector {
 }
 
 impl fmt::Debug for Collector {
+    #[expect(clippy::disallowed_methods, reason = "reads the span count")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Collector").field("finished", &self.finished.lock().len()).finish()
     }
@@ -84,16 +85,19 @@ impl Collector {
 
     /// A collector timing spans on `clock` (tests pass a
     /// [`ManualClock`](crate::clock::ManualClock) here for determinism).
+    #[expect(clippy::disallowed_methods, reason = "the collector's own unranked leaf lock")]
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         Self { clock, next_id: AtomicU64::new(1), finished: Mutex::new(Vec::new()) }
     }
 
     /// Snapshot of every span finished so far, in completion order.
+    #[expect(clippy::disallowed_methods, reason = "clones the spans out")]
     pub fn finished(&self) -> Vec<SpanRecord> {
         self.finished.lock().clone()
     }
 
     /// Renders the finished spans as JSON-lines text (one record per line).
+    #[expect(clippy::disallowed_methods, reason = "serializes the spans in memory")]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for record in self.finished.lock().iter() {
@@ -112,6 +116,7 @@ impl Collector {
     /// Takes every span finished so far out of the collector, leaving it
     /// empty. Ids keep incrementing across drains, so spans recorded
     /// afterwards never collide with already-drained ones.
+    #[expect(clippy::disallowed_methods, reason = "takes the spans out")]
     pub fn drain(&self) -> Vec<SpanRecord> {
         std::mem::take(&mut *self.finished.lock())
     }
@@ -192,10 +197,16 @@ impl Collector {
             });
         }
         stats.adopted = batch.len();
-        self.finished.lock().extend(batch);
+        self.extend(batch);
         stats
     }
 
+    #[expect(clippy::disallowed_methods, reason = "appends spans in memory")]
+    fn extend(&self, batch: Vec<SpanRecord>) {
+        self.finished.lock().extend(batch);
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "appends one span in memory")]
     fn record(&self, record: SpanRecord) {
         self.finished.lock().push(record);
     }
@@ -238,7 +249,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<SpanRecord>, serde::Error> {
 /// Fast-path switch: `true` iff a collector is installed. The disabled
 /// span path reads only this.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
+/// The slot of the installed collector.
+#[expect(clippy::disallowed_methods, reason = "the one slot of the installed collector")]
+fn global() -> &'static RwLock<Option<Arc<Collector>>> {
+    static GLOBAL: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
+    &GLOBAL
+}
 
 thread_local! {
     /// Id of the span currently open on this thread, if any.
@@ -247,16 +263,18 @@ thread_local! {
 
 /// Installs `collector` as the process-wide span sink, replacing (and
 /// returning) any previous one.
+#[expect(clippy::disallowed_methods, reason = "swaps the installed collector")]
 pub fn install(collector: Arc<Collector>) -> Option<Arc<Collector>> {
-    let prev = GLOBAL.write().replace(collector);
+    let prev = global().write().replace(collector);
     ENABLED.store(true, Ordering::Release);
     prev
 }
 
 /// Removes the installed collector, if any, and returns it. Spans entered
 /// afterwards are no-ops again.
+#[expect(clippy::disallowed_methods, reason = "takes the installed collector out")]
 pub fn uninstall() -> Option<Arc<Collector>> {
-    let mut slot = GLOBAL.write();
+    let mut slot = global().write();
     ENABLED.store(false, Ordering::Release);
     slot.take()
 }
@@ -270,16 +288,18 @@ pub fn enabled() -> bool {
 /// The installed collector, if any (a cheap `Arc` clone) — for code that
 /// needs more than span guards, e.g. adopting foreign spans or pushing
 /// synthetic records.
+#[expect(clippy::disallowed_methods, reason = "clones the installed collector out")]
 pub fn installed() -> Option<Arc<Collector>> {
     if !ENABLED.load(Ordering::Relaxed) {
         return None;
     }
-    GLOBAL.read().clone()
+    global().read().clone()
 }
 
 /// Serializes tests — across modules and crates — that install the
 /// process-global collector.
 #[doc(hidden)]
+#[expect(clippy::disallowed_methods, reason = "a test-only guard held across a whole test")]
 pub fn global_test_lock() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
@@ -313,7 +333,7 @@ pub fn enter_with_parent(name: &'static str, parent: Option<u64>) -> SpanGuard {
 }
 
 fn enter_slow(name: &'static str, parent: Option<u64>) -> SpanGuard {
-    let Some(collector) = GLOBAL.read().clone() else {
+    let Some(collector) = installed() else {
         return SpanGuard { active: None };
     };
     let id = collector.next_id.fetch_add(1, Ordering::Relaxed);

@@ -8,6 +8,7 @@
 
 use crate::protocol::{JobEvent, JobEventPayload};
 use parking_lot::Mutex;
+use snn_cluster::lock_order::{mutex, Rank};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
@@ -52,7 +53,7 @@ impl std::ops::Deref for Subscription<'_> {
 
 impl Drop for Subscription<'_> {
     fn drop(&mut self) {
-        self.bus.subscribers.lock().retain(|s| s.id != self.id);
+        self.bus.unsubscribe(self.id);
     }
 }
 
@@ -65,9 +66,8 @@ impl Default for EventBus {
 impl EventBus {
     /// An empty bus.
     pub fn new() -> Self {
-        crate::lock_order::register();
         Self {
-            subscribers: Mutex::named("service.bus.subscribers", Vec::new()),
+            subscribers: mutex(Rank::Bus, Vec::new()),
             next_subscriber: AtomicU64::new(0),
             next_seq: AtomicU64::new(0),
         }
@@ -84,12 +84,18 @@ impl EventBus {
     /// undelivered events (minimum 1). Events published while the
     /// channel is full are dropped for this subscriber; the next event
     /// it does receive has a non-consecutive `seq`.
+    #[expect(clippy::disallowed_methods, reason = "appends one subscriber")]
     pub fn subscribe_with_capacity(&self, job: Option<u64>, capacity: usize) -> Subscription<'_> {
         let (tx, rx) = mpsc::sync_channel(capacity.max(1));
         // The id publishes nothing: it only has to be unique.
         let id = self.next_subscriber.fetch_add(1, Ordering::Relaxed);
         self.subscribers.lock().push(Subscriber { id, job, tx });
         Subscription { bus: self, id, rx }
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "removes one subscriber")]
+    fn unsubscribe(&self, id: u64) {
+        self.subscribers.lock().retain(|s| s.id != id);
     }
 
     /// Wraps `payload` in an envelope carrying the next sequence number
@@ -106,6 +112,7 @@ impl EventBus {
     /// time, then delivers it to every interested subscriber. Never
     /// blocks: a full subscriber channel drops this event for that
     /// subscriber.
+    #[expect(clippy::disallowed_methods, reason = "non-blocking sends to every subscriber")]
     pub fn publish(&self, payload: JobEventPayload) {
         let event = self.stamp(payload);
         let subs = self.subscribers.lock();
@@ -125,6 +132,7 @@ impl EventBus {
     }
 
     /// Live subscriber count.
+    #[expect(clippy::disallowed_methods, reason = "reads the subscriber count")]
     pub fn subscriber_count(&self) -> usize {
         self.subscribers.lock().len()
     }

@@ -374,10 +374,13 @@ mod tests {
             read_timeout: Some(Duration::from_millis(80)),
             ..ClientConfig::default()
         };
-        let started = std::time::Instant::now();
+        let started = snn_obs::clock::monotonic();
         let err = Client::connect_with(addr, config).unwrap().ping().unwrap_err();
         assert!(err.contains("receive failed"), "{err}");
-        assert!(started.elapsed() < Duration::from_secs(5), "timed out promptly");
+        assert!(
+            snn_obs::clock::monotonic() - started < Duration::from_secs(5),
+            "timed out promptly"
+        );
     }
 
     #[test]

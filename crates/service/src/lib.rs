@@ -57,6 +57,9 @@
 #![warn(missing_docs)]
 // Library code reports failure through its typed errors, never a panic.
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unimplemented)]
+// Locks are built on a `Rank` and taken only inside owner methods, and
+// the clock is read through `snn_obs::clock` (clippy.toml lists the bans).
+#![deny(clippy::disallowed_methods)]
 
 pub mod bus;
 pub mod client;

@@ -23,6 +23,7 @@ use rand::SeedableRng;
 use serde::Deserialize as _;
 use snn_cluster::build_model;
 use snn_cluster::coordinator::{ClusterError, Coordinator, CoordinatorConfig, Grant};
+use snn_cluster::lock_order::{mutex, Rank};
 use snn_cluster::wire::{CampaignSpec, CoordMsg, TraceContext, WorkerMsg};
 use snn_faults::progress::{CancelToken, Progress, ProgressSink};
 use snn_faults::{verdict_digest_hex, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse};
@@ -35,7 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How often a running job's progress snapshot is appended to its job file
 /// (every event still updates memory and the event bus).
@@ -82,11 +83,8 @@ impl ServiceConfig {
 struct Inner {
     store: JobStore,
     bus: EventBus,
-    queue: Mutex<VecDeque<u64>>,
-    queue_cv: Condvar,
-    queue_capacity: usize,
-    /// Cancellation tokens of currently running jobs.
-    running: Mutex<HashMap<u64, CancelToken>>,
+    queue: JobQueue,
+    running: RunningJobs,
     /// The chunk scheduler for distributed coverage campaigns. Always
     /// present; it simply idles when no workers connect.
     coordinator: Coordinator,
@@ -97,6 +95,102 @@ struct Inner {
     /// The bound listen address — shutdown connects back to it once to
     /// wake the blocking accept loop.
     local_addr: SocketAddr,
+}
+
+/// The bounded queue of job ids waiting for a worker.
+struct JobQueue {
+    ids: Mutex<VecDeque<u64>>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+impl JobQueue {
+    fn new(recovered: VecDeque<u64>, capacity: usize) -> Self {
+        Self {
+            ids: mutex(Rank::Queue, recovered),
+            ready: Condvar::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// The single registration site for the queue-depth gauge; every
+    /// depth publication funnels through here.
+    fn publish_depth(depth: usize) {
+        snn_obs::gauge!("snn_service_queue_depth", "Jobs queued but not yet running.")
+            .set(depth as f64);
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "reads the queue length")]
+    fn len(&self) -> usize {
+        self.ids.lock().len()
+    }
+
+    /// The queue length when it is full.
+    fn full(&self) -> Option<usize> {
+        let len = self.len();
+        (len >= self.capacity).then_some(len)
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "appends one id and wakes one worker")]
+    fn push(&self, id: u64) {
+        self.ids.lock().push_back(id);
+        self.ready.notify_one();
+    }
+
+    /// Blocks until a job is available or `shutdown` is set.
+    #[expect(clippy::disallowed_methods, reason = "pops an id, parking on the queue's condvar")]
+    fn pop(&self, shutdown: &AtomicBool) -> Option<u64> {
+        let mut ids = self.ids.lock();
+        loop {
+            if shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(id) = ids.pop_front() {
+                Self::publish_depth(ids.len());
+                return Some(id);
+            }
+            self.ready.wait_for(&mut ids, Duration::from_millis(100));
+        }
+    }
+
+    /// Takes `id` out of the queue; `true` if it was queued.
+    #[expect(clippy::disallowed_methods, reason = "filters the queue in memory")]
+    fn remove(&self, id: u64) -> bool {
+        let mut ids = self.ids.lock();
+        let before = ids.len();
+        ids.retain(|&q| q != id);
+        ids.len() < before
+    }
+
+    fn wake_all(&self) {
+        self.ready.notify_all();
+    }
+}
+
+/// Cancellation tokens of currently running jobs. Tokens are cloned out
+/// before they are tripped, so a cancellation never runs under the lock.
+struct RunningJobs(Mutex<HashMap<u64, CancelToken>>);
+
+impl RunningJobs {
+    #[expect(clippy::disallowed_methods, reason = "one map insert")]
+    fn insert(&self, id: u64, token: CancelToken) {
+        self.0.lock().insert(id, token);
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "one map remove")]
+    fn remove(&self, id: u64) {
+        self.0.lock().remove(&id);
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "clones one token out")]
+    fn token(&self, id: u64) -> Option<CancelToken> {
+        self.0.lock().get(&id).cloned()
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "clones every token out")]
+    fn tokens(&self) -> Vec<CancelToken> {
+        self.0.lock().values().cloned().collect()
+    }
 }
 
 impl Inner {
@@ -125,17 +219,9 @@ impl Inner {
         Some(updated)
     }
 
-    /// The single registration site for the queue-depth gauge; every
-    /// depth publication funnels through here.
-    fn set_queue_depth(depth: usize) {
-        snn_obs::gauge!("snn_service_queue_depth", "Jobs queued but not yet running.")
-            .set(depth as f64);
-    }
-
     /// Publishes the queue depth and per-state job counts as gauges.
     fn refresh_gauges(&self) {
-        let depth = self.queue.lock().len();
-        Self::set_queue_depth(depth);
+        JobQueue::publish_depth(self.queue.len());
         let (mut queued, mut running, mut done, mut failed, mut cancelled) =
             (0u64, 0u64, 0u64, 0u64, 0u64);
         for record in self.store.list() {
@@ -167,35 +253,13 @@ impl Inner {
         // `service.queue`. Concurrent submits racing past the check can
         // overshoot `queue_capacity` by at most the number of racers —
         // the bound is backpressure, not an invariant.
-        {
-            let queue = self.queue.lock();
-            if queue.len() >= self.queue_capacity {
-                return Err(format!("queue full ({} jobs waiting)", queue.len()));
-            }
+        if let Some(waiting) = self.queue.full() {
+            return Err(format!("queue full ({waiting} jobs waiting)"));
         }
         let record = self.store.submit(spec);
-        {
-            let mut queue = self.queue.lock();
-            queue.push_back(record.id);
-            self.queue_cv.notify_one();
-        }
+        self.queue.push(record.id);
         self.refresh_gauges();
         Ok(record)
-    }
-
-    /// Blocks until a job is available or shutdown begins.
-    fn next_job(&self) -> Option<u64> {
-        let mut queue = self.queue.lock();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(id) = queue.pop_front() {
-                Self::set_queue_depth(queue.len());
-                return Some(id);
-            }
-            self.queue_cv.wait_for(&mut queue, Duration::from_millis(100));
-        }
     }
 
     /// Handles a cancel request for a queued, running or finished job.
@@ -207,13 +271,7 @@ impl Inner {
             return Response::Error { message: format!("job {id} already {}", record.state) };
         }
         // Still queued: pull it out of the queue and finish it directly.
-        let dequeued = {
-            let mut queue = self.queue.lock();
-            let before = queue.len();
-            queue.retain(|&q| q != id);
-            queue.len() < before
-        };
-        if dequeued {
+        if self.queue.remove(id) {
             self.transition(id, |r| {
                 r.state = JobState::Cancelled;
                 r.error = Some("cancelled while queued".into());
@@ -222,10 +280,7 @@ impl Inner {
             return Response::CancelRequested { job: id };
         }
         // Running: trip the token; the worker finishes the transition.
-        // The token is cloned out so `service.running` is not held while
-        // the cancellation (which may notify listeners) runs.
-        let token = self.running.lock().get(&id).cloned();
-        if let Some(token) = token {
+        if let Some(token) = self.running.token(id) {
             token.cancel();
         }
         Response::CancelRequested { job: id }
@@ -236,14 +291,11 @@ impl Inner {
     /// and the accept loop.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Snapshot the tokens so `service.running` is released before any
-        // of them is tripped.
-        let tokens: Vec<CancelToken> = self.running.lock().values().cloned().collect();
-        for token in tokens {
+        for token in self.running.tokens() {
             token.cancel();
         }
         self.coordinator.shutdown();
-        self.queue_cv.notify_all();
+        self.queue.wake_all();
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_millis(200));
     }
 }
@@ -253,46 +305,51 @@ impl Inner {
 struct ServiceSink {
     inner: Arc<Inner>,
     job: u64,
-    /// When the record was last persisted, and the highest campaign
-    /// tally forwarded so far (a job runs one campaign).
-    forwarded: Mutex<(Instant, usize)>,
+    /// When the record was last persisted (on the observability clock),
+    /// and the highest campaign tally forwarded so far (a job runs one
+    /// campaign).
+    forwarded: Mutex<(Duration, usize)>,
 }
 
 impl ServiceSink {
     fn new(inner: Arc<Inner>, job: u64) -> Self {
-        Self {
-            inner,
-            job,
-            forwarded: Mutex::named("service.sink.last_persist", (Instant::now(), 0)),
+        Self { inner, job, forwarded: mutex(Rank::Sink, (snn_obs::clock::monotonic(), 0)) }
+    }
+
+    /// Forwards `progress` to the in-memory record and the bus unless it
+    /// is a stale tally; `true` when the record is due to be persisted.
+    ///
+    /// Campaign threads take their tally and then emit it, so two
+    /// emissions can arrive crossed — and the later tally's thread can
+    /// overtake the earlier one's again while that one waits for a
+    /// lock. The stale-tally check and both in-memory forwards are
+    /// therefore one critical section: the workspace's one nesting,
+    /// sink → store → bus.
+    #[expect(clippy::disallowed_methods, reason = "orders the in-memory forwards of one job")]
+    fn forward(&self, progress: Progress) -> bool {
+        let mut forwarded = self.forwarded.lock();
+        if let Progress::FaultsSimulated { done, .. } = progress {
+            if done <= forwarded.1 {
+                return false;
+            }
+            forwarded.1 = done;
         }
+        self.inner.store.update_progress_in_memory(self.job, progress.clone());
+        self.inner.bus.publish(JobEventPayload::Progress { job: self.job, progress });
+        let now = snn_obs::clock::monotonic();
+        let due = now.saturating_sub(forwarded.0) >= PROGRESS_PERSIST_EVERY;
+        if due {
+            forwarded.0 = now;
+        }
+        due
     }
 }
 
 impl ProgressSink for ServiceSink {
     fn emit(&self, progress: Progress) {
-        // Campaign threads take their tally and then emit it, so two
-        // emissions can arrive crossed — and the later tally's thread can
-        // overtake the earlier one's again while that one waits for a
-        // lock. The stale-tally check and both in-memory forwards are
-        // therefore one critical section; only the persisting
-        // `store.update` (a disk write) runs after the guard is released.
-        let should_persist = {
-            let mut forwarded = self.forwarded.lock();
-            if let Progress::FaultsSimulated { done, .. } = progress {
-                if done <= forwarded.1 {
-                    return;
-                }
-                forwarded.1 = done;
-            }
-            self.inner.store.update_progress_in_memory(self.job, progress.clone());
-            self.inner.bus.publish(JobEventPayload::Progress { job: self.job, progress });
-            let due = forwarded.0.elapsed() >= PROGRESS_PERSIST_EVERY;
-            if due {
-                forwarded.0 = Instant::now();
-            }
-            due
-        };
-        if should_persist {
+        // Only the persisting `store.update` (a disk write) runs outside
+        // `forward`'s critical section.
+        if self.forward(progress) {
             // The record already holds the newest progress; a tally
             // captured above could be stale by now.
             self.inner.store.update(self.job, |_| {});
@@ -312,7 +369,6 @@ impl Server {
     /// Binds the listen socket and opens (or recovers) the job store.
     /// Jobs found `Queued` on disk are re-enqueued immediately.
     pub fn bind(config: ServiceConfig) -> io::Result<Self> {
-        crate::lock_order::register();
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let store = JobStore::open(&config.state_dir)?;
@@ -327,10 +383,8 @@ impl Server {
         let inner = Arc::new(Inner {
             store,
             bus: EventBus::new(),
-            queue: Mutex::named("service.queue", recovered),
-            queue_cv: Condvar::new(),
-            queue_capacity: config.queue_capacity.max(1),
-            running: Mutex::named("service.running", HashMap::new()),
+            queue: JobQueue::new(recovered, config.queue_capacity),
+            running: RunningJobs(mutex(Rank::Running, HashMap::new())),
             coordinator,
             expect_workers: config.expect_workers,
             shutdown: AtomicBool::new(false),
@@ -443,7 +497,7 @@ enum JobOutcome {
 
 /// Takes jobs off the queue until shutdown.
 fn worker_loop(inner: Arc<Inner>) {
-    while let Some(id) = inner.next_job() {
+    while let Some(id) = inner.queue.pop(&inner.shutdown) {
         // The record may have been cancelled while queued by a racing
         // cancel; re-check before running.
         match inner.store.get(id) {
@@ -457,13 +511,13 @@ fn worker_loop(inner: Arc<Inner>) {
 /// Executes one job end to end, including its lifecycle transitions.
 fn run_job(inner: &Arc<Inner>, id: u64) {
     let token = CancelToken::new();
-    inner.running.lock().insert(id, token.clone());
+    inner.running.insert(id, token.clone());
     let record = inner.transition(id, |r| {
         r.state = JobState::Running;
         r.started_at_ms = Some(now_ms());
     });
     let Some(record) = record else {
-        inner.running.lock().remove(&id);
+        inner.running.remove(id);
         return;
     };
 
@@ -477,7 +531,7 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
     }))
     .unwrap_or_else(|panic| JobOutcome::Failed(format!("job panicked: {}", panic_msg(&panic))));
 
-    inner.running.lock().remove(&id);
+    inner.running.remove(id);
     inner.transition(id, |r| {
         r.finished_at_ms = Some(now_ms());
         match outcome {
@@ -507,6 +561,11 @@ fn panic_msg(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Milliseconds elapsed since `start` on the observability clock.
+fn ms_since(start: Duration) -> u64 {
+    u64::try_from(snn_obs::clock::monotonic().saturating_sub(start).as_millis()).unwrap_or(u64::MAX)
+}
+
 /// The job body: build the model, generate the test, optionally measure
 /// fault coverage, and persist the stimulus file.
 fn execute(
@@ -517,12 +576,6 @@ fn execute(
     sink: &ServiceSink,
     token: &CancelToken,
 ) -> JobOutcome {
-    /// Milliseconds elapsed since `start` on the observability clock.
-    fn ms_since(start: Duration) -> u64 {
-        u64::try_from(snn_obs::clock::monotonic().saturating_sub(start).as_millis())
-            .unwrap_or(u64::MAX)
-    }
-
     let cancelled_why = |inner: &Inner| {
         if inner.shutdown.load(Ordering::SeqCst) {
             "cancelled by server shutdown".to_string()
@@ -548,7 +601,7 @@ fn execute(
 
     // The stimulus is `snn-mtfc generate`'s for the same model, preset
     // and seed.
-    let started = Instant::now();
+    let started = snn_obs::clock::monotonic();
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let generation_started = snn_obs::clock::monotonic();
     let test = match TestGenerator::new(&net, cfg).generate_with(&mut rng, sink, token) {
@@ -571,7 +624,7 @@ fn execute(
         activated: test.activated_count(),
         total_neurons: test.activated.len(),
         activation_coverage: test.activated_fraction(),
-        runtime_ms: started.elapsed().as_millis() as u64,
+        runtime_ms: ms_since(started),
         faults_total: None,
         faults_detected: None,
         fault_coverage: None,
@@ -627,7 +680,7 @@ fn execute(
         result.faults_detected = Some(detected);
         result.fault_coverage = Some(if total == 0 { 1.0 } else { detected as f64 / total as f64 });
         result.verdict_digest = Some(verdict_digest_hex(&per_fault));
-        result.runtime_ms = started.elapsed().as_millis() as u64;
+        result.runtime_ms = ms_since(started);
         if let Some(timings) = result.timings.as_mut() {
             // A distributed campaign on a small universe can finish inside
             // a millisecond; `0` is reserved for "no campaign ran".
@@ -661,8 +714,7 @@ fn execute_reliability(
         }
     };
 
-    let started = Instant::now();
-    let sim_started = snn_obs::clock::monotonic();
+    let started = snn_obs::clock::monotonic();
     let outcomes = if inner.expect_workers > 0 {
         if let Err(e) =
             inner.coordinator.wait_for_workers(inner.expect_workers, token, Duration::from_secs(60))
@@ -698,10 +750,7 @@ fn execute_reliability(
         Err(e) => return JobOutcome::Failed(format!("reliability report: {e}")),
     };
     let impactful = outcomes.iter().filter(|o| o.detected).count();
-    let fault_sim_ms =
-        u64::try_from(snn_obs::clock::monotonic().saturating_sub(sim_started).as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1);
+    let fault_sim_ms = ms_since(started).max(1);
 
     JobOutcome::Done(Box::new(JobResult {
         chunks: 0,
@@ -709,7 +758,7 @@ fn execute_reliability(
         activated: 0,
         total_neurons: 0,
         activation_coverage: 0.0,
-        runtime_ms: started.elapsed().as_millis() as u64,
+        runtime_ms: ms_since(started),
         faults_total: Some(rspec.map.configs),
         faults_detected: Some(impactful),
         fault_coverage: None,
@@ -1048,9 +1097,9 @@ mod tests {
         // next writes an event, long before the job ends.
         let long_job = client.submit(long_spec()).unwrap();
         drop(raw_watch(addr, long_job));
-        let deadline = Instant::now() + Duration::from_secs(60);
+        let deadline = snn_obs::clock::monotonic() + Duration::from_secs(60);
         while inner.bus.subscriber_count() > 0 {
-            assert!(Instant::now() < deadline, "hung-up watcher still subscribed");
+            assert!(snn_obs::clock::monotonic() < deadline, "hung-up watcher still subscribed");
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(!client.status(long_job).unwrap().state.is_terminal());

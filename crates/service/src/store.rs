@@ -5,6 +5,7 @@
 
 use crate::protocol::{JobRecord, JobSpec, JobState, JOB_SCHEMA_VERSION};
 use parking_lot::Mutex;
+use snn_cluster::lock_order::{mutex, Rank};
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -13,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Current Unix time in milliseconds.
+#[expect(clippy::disallowed_methods, reason = "job timestamps are wall-clock Unix time")]
 pub fn now_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0)
 }
@@ -38,7 +40,6 @@ impl JobStore {
     /// them); terminal jobs load as-is. Job files with no complete record
     /// are skipped.
     pub fn open(state_dir: impl Into<PathBuf>) -> io::Result<Self> {
-        crate::lock_order::register();
         let state_dir = state_dir.into();
         fs::create_dir_all(state_dir.join("jobs"))?;
         fs::create_dir_all(state_dir.join("results"))?;
@@ -77,7 +78,7 @@ impl JobStore {
 
         Ok(Self {
             state_dir,
-            jobs: Mutex::named("service.store.jobs", jobs),
+            jobs: mutex(Rank::Store, jobs),
             next_id: AtomicU64::new(max_id + 1),
             recovered_queued,
         })
@@ -94,6 +95,7 @@ impl JobStore {
     }
 
     /// Number of known jobs.
+    #[expect(clippy::disallowed_methods, reason = "reads the map size")]
     pub fn len(&self) -> usize {
         self.jobs.lock().len()
     }
@@ -117,17 +119,24 @@ impl JobStore {
             error: None,
             schema: Some(JOB_SCHEMA_VERSION),
         };
-        self.jobs.lock().insert(record.id, record.clone());
+        self.insert(record.clone());
         let _ = persist(&self.state_dir, &record);
         record
     }
 
+    #[expect(clippy::disallowed_methods, reason = "one map insert")]
+    fn insert(&self, record: JobRecord) {
+        self.jobs.lock().insert(record.id, record);
+    }
+
     /// A snapshot of one record.
+    #[expect(clippy::disallowed_methods, reason = "clones one record out")]
     pub fn get(&self, id: u64) -> Option<JobRecord> {
         self.jobs.lock().get(&id).cloned()
     }
 
     /// Snapshots of every record, ascending by id.
+    #[expect(clippy::disallowed_methods, reason = "clones every record out")]
     pub fn list(&self) -> Vec<JobRecord> {
         let mut all: Vec<JobRecord> = self.jobs.lock().values().cloned().collect();
         all.sort_by_key(|r| r.id);
@@ -137,26 +146,31 @@ impl JobStore {
     /// Applies `f` to the record, persists the result, and returns the
     /// updated snapshot. `None` for unknown ids.
     pub fn update(&self, id: u64, f: impl FnOnce(&mut JobRecord)) -> Option<JobRecord> {
-        let updated = {
-            let mut jobs = self.jobs.lock();
-            let record = jobs.get_mut(&id)?;
-            f(record);
-            record.clone()
-        };
+        let updated = self.apply(id, f)?;
         let _ = persist(&self.state_dir, &updated);
         Some(updated)
+    }
+
+    /// Applies `f` to the in-memory record and returns a snapshot of it.
+    /// `f` runs under the lock: callers only set fields.
+    #[expect(clippy::disallowed_methods, reason = "edits one record in memory")]
+    fn apply(&self, id: u64, f: impl FnOnce(&mut JobRecord)) -> Option<JobRecord> {
+        let mut jobs = self.jobs.lock();
+        let record = jobs.get_mut(&id)?;
+        f(record);
+        Some(record.clone())
     }
 
     /// Updates only the in-memory progress snapshot of a record — called
     /// on the hot path for every progress event, so it skips the disk
     /// write (`update` persists progress alongside the next state change).
+    #[expect(clippy::disallowed_methods, reason = "sets one field in memory, no clone")]
     pub fn update_progress_in_memory(
         &self,
         id: u64,
         progress: snn_faults::progress::Progress,
     ) -> bool {
-        let mut jobs = self.jobs.lock();
-        match jobs.get_mut(&id) {
+        match self.jobs.lock().get_mut(&id) {
             Some(record) => {
                 record.progress = Some(progress);
                 true

@@ -174,8 +174,8 @@ impl LifParams {
 /// during BPTT.
 ///
 /// The forward pass uses the hard Heaviside `s = H(v − θ)`; the backward
-/// pass substitutes `ds/dv` with one of these smooth approximations
-/// evaluated at `v − θ`.
+/// pass substitutes `ds/dv` with a smooth approximation evaluated at
+/// `v − θ`.
 ///
 /// # Example
 ///
@@ -195,38 +195,14 @@ pub enum Surrogate {
         /// Sharpness `k` (larger = narrower support around the threshold).
         slope: f32,
     },
-    /// Arctangent surrogate: `1 / (1 + (π·α·x)²)`.
-    Atan {
-        /// Width parameter `α`.
-        alpha: f32,
-    },
-    /// Rectangular window: `1/width` for `|x| < width/2`, else 0.
-    Rect {
-        /// Window width around the threshold.
-        width: f32,
-    },
 }
 
 impl Surrogate {
     /// Evaluates the surrogate spike derivative at `x = v − θ`.
     pub fn grad(&self, x: f32) -> f32 {
-        match *self {
-            Surrogate::FastSigmoid { slope } => {
-                let d = 1.0 + slope * x.abs();
-                1.0 / (d * d)
-            }
-            Surrogate::Atan { alpha } => {
-                let t = std::f32::consts::PI * alpha * x;
-                1.0 / (1.0 + t * t)
-            }
-            Surrogate::Rect { width } => {
-                if x.abs() < width * 0.5 {
-                    1.0 / width
-                } else {
-                    0.0
-                }
-            }
-        }
+        let Surrogate::FastSigmoid { slope } = *self;
+        let d = 1.0 + slope * x.abs();
+        1.0 / (d * d)
     }
 }
 
@@ -265,15 +241,6 @@ mod tests {
         let s = Surrogate::FastSigmoid { slope: 5.0 };
         assert_eq!(s.grad(0.0), 1.0);
         assert!(s.grad(0.5) < 1.0);
-    }
-
-    #[test]
-    fn rect_is_a_window() {
-        let s = Surrogate::Rect { width: 1.0 };
-        assert_eq!(s.grad(0.0), 1.0);
-        assert_eq!(s.grad(0.49), 1.0);
-        assert_eq!(s.grad(0.51), 0.0);
-        assert_eq!(s.grad(-0.51), 0.0);
     }
 
     proptest! {
@@ -332,16 +299,11 @@ mod tests {
         fn surrogates_are_nonnegative_even_and_decay(
             x in 0.01f32..10.0
         ) {
-            for s in [
-                Surrogate::FastSigmoid { slope: 5.0 },
-                Surrogate::Atan { alpha: 2.0 },
-                Surrogate::Rect { width: 1.0 },
-            ] {
-                let g = s.grad(x);
-                prop_assert!(g >= 0.0);
-                prop_assert!((g - s.grad(-x)).abs() < 1e-6, "not even at {x}");
-                prop_assert!(s.grad(x * 2.0) <= g + 1e-6, "not monotone at {x}");
-            }
+            let s = Surrogate::FastSigmoid { slope: 5.0 };
+            let g = s.grad(x);
+            prop_assert!(g >= 0.0);
+            prop_assert!((g - s.grad(-x)).abs() < 1e-6, "not even at {x}");
+            prop_assert!(s.grad(x * 2.0) <= g + 1e-6, "not monotone at {x}");
         }
     }
 }
