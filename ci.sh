@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=21534
+LINE_BUDGET=21010
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -87,25 +87,37 @@ cargo run --release -q --offline -- profile "$ANALYZE_TMP/verify.trace.jsonl" \
 # there must stay within 5% of the generation. The stages' SELF column
 # cannot say it: their `stage.noise` and `stage.soften` children run
 # beside them on the noise thread, so it is recomputed from the
-# generator thread's spans alone.
-cargo run --release -q --offline -- generate "$ANALYZE_TMP/ibm.snn" --preset fast \
-    --out "$ANALYZE_TMP/ibm.obs.events" --trace-out "$ANALYZE_TMP/ibm.generate.trace.jsonl" > /dev/null
-IBM_PROFILE="$(cargo run --release -q --offline -- profile "$ANALYZE_TMP/ibm.generate.trace.jsonl")"
+# generator thread's spans alone. The gate takes the median of three
+# traced runs: one run on a busy host read 6.2% where 24 runs right
+# after it read 1.3-3.2%.
+# A profile duration ("12us", "3.4ms", "1.2s") in microseconds.
+AWK_US='function us(d) { return d ~ /us$/ ? d + 0 : d ~ /ms$/ ? d * 1e3 : d * 1e6 }'
+STAGE_SHARES=()
+for run in 1 2 3; do
+    cargo run --release -q --offline -- generate "$ANALYZE_TMP/ibm.snn" --preset fast \
+        --out "$ANALYZE_TMP/ibm.obs.events" --trace-out "$ANALYZE_TMP/ibm.generate.$run.trace.jsonl" \
+        > /dev/null
+    RUN_PROFILE="$(cargo run --release -q --offline -- profile "$ANALYZE_TMP/ibm.generate.$run.trace.jsonl")"
+    if (( run == 1 )); then IBM_PROFILE="$RUN_PROFILE"; fi
+    STAGE_SHARES+=("$(awk "$AWK_US"'
+        $4 == "generate" { total = us($1) }
+        $4 == "stage1" || $4 == "stage2" { own += us($1) }
+        $4 ~ /^(stage\.(sample|losses|update|wait)|snn\.(forward|backward))$/ { own -= us($1) }
+        END {
+            if (total <= 0) { print "generate profile has no generate span" > "/dev/stderr"; exit 1 }
+            printf "%.1f\n", 100 * own / total
+        }' <<< "$RUN_PROFILE")")
+done
 for node in stage.sample stage.noise stage.soften stage.wait stage.losses stage.update snn.forward snn.backward; do
     grep -q "$node" <<< "$IBM_PROFILE" || { echo "generate profile missing span '$node'"; exit 1; }
 done
-# A profile duration ("12us", "3.4ms", "1.2s") in microseconds.
-AWK_US='function us(d) { return d ~ /us$/ ? d + 0 : d ~ /ms$/ ? d * 1e3 : d * 1e6 }'
-awk "$AWK_US"'
-    $4 == "generate" { total = us($1) }
-    $4 == "stage1" || $4 == "stage2" { own += us($1) }
-    $4 ~ /^(stage\.(sample|losses|update|wait)|snn\.(forward|backward))$/ { own -= us($1) }
+printf '%s\n' "${STAGE_SHARES[@]}" | sort -g | awk '
+    NR == 2 { median = $1 }
+    { runs = runs " " $1 "%" }
     END {
-        if (total <= 0) { print "generate profile has no generate span"; exit 1 }
-        share = 100 * own / total
-        printf "stage1+stage2 own time is %.1f%% of generate (need <=5%%)\n", share
-        if (share > 5) exit 1
-    }' <<< "$IBM_PROFILE"
+        printf "stage1+stage2 own time is %.1f%% of generate, median of%s (need <=5%%)\n", median, runs
+        if (median > 5) exit 1
+    }'
 # Ticks are the convolution's vector axis: on the conv example the forward
 # and backward passes together cost 2.8-3.8x the sampler's elementwise
 # work, which all runs on the noise thread: the noise (`stage.noise`)
@@ -356,16 +368,6 @@ WIN_DIST="$(digest_of "$(cargo run --release -q --offline -- reliability "${WIND
     --workers 2)")"
 [[ "$WIN_LOCAL" == a33d2db16430582e && "$WIN_DIST" == "$WIN_LOCAL" ]] \
     || { echo "windowed reliability digest: local $WIN_LOCAL, 2-worker $WIN_DIST, want a33d2db16430582e"; exit 1; }
-# Engine-selection invariance: reliability campaigns score accuracy
-# impact, not detection, so forcing either engine on the distributed
-# path must reproduce the same digest bit for bit.
-for eng in packed scalar; do
-    REL_ENG="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}" \
-        --workers 2 --engine "$eng")"
-    ENG_DIGEST="$(digest_of "$REL_ENG")"
-    [[ "$ENG_DIGEST" == "$LOCAL_DIGEST" ]] \
-        || { echo "reliability digest drifted under --engine $eng: $ENG_DIGEST vs $LOCAL_DIGEST"; exit 1; }
-done
 
 step "determinism — double-run: fresh processes reproduce bytes exactly"
 # The property clippy.toml's bans guard, checked dynamically: two cold

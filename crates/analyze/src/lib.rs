@@ -9,8 +9,7 @@
 //!   provably-excitable, provably-dead, or undecided. A provably-dead
 //!   neuron's `NeuronDead` fault is untestable. Nothing else in the
 //!   workspace acts on the classes: the generator targets every neuron.
-//! * [`report`] renders the results as human text, JSON, or SARIF
-//!   ([`sarif`] holds the diagnostic record and the SARIF writer).
+//! * [`report`] renders the results as human text or JSON.
 //!
 //! The dead classification is *sound*, not heuristic: the crate's
 //! property tests assert that no dead-masked neuron ever spikes under
@@ -26,7 +25,6 @@
 
 pub mod interval;
 pub mod report;
-pub mod sarif;
 
 pub use interval::{IntervalAnalysis, LayerAnalysis, NeuronClass};
 

@@ -1,43 +1,26 @@
-//! Rendering of analysis results as human text, JSON, or SARIF.
+//! Rendering of analysis results as human text or JSON.
 //!
-//! Findings are [`Diagnostic`] records rendered by [`crate::sarif`].
-//! Model findings have no meaningful source line; they anchor to line 0
-//! (clamped to 1 in SARIF) of the model file.
+//! A finding is one provably-dead neuron. It has no meaningful source
+//! line, so the JSON report anchors it to line 0 of the model file.
 
-use crate::sarif::{self, json_string, Diagnostic, SarifRule};
 use crate::{Analysis, NeuronClass};
+use serde::Serialize;
 use std::fmt::Write as _;
 
 /// Provably-dead neuron: its `NeuronDead` fault is untestable.
-pub const DEAD_ID: &str = "A-DEAD";
+const DEAD_ID: &str = "A-DEAD";
 
-/// Rule table for SARIF output.
-pub fn sarif_rules() -> Vec<SarifRule> {
-    vec![SarifRule {
-        id: DEAD_ID,
-        short_description: "neuron provably never reaches threshold; its NeuronDead fault \
-                            is untestable"
-            .into(),
-    }]
-}
-
-/// Builds the diagnostic list for `analysis`: one `A-DEAD` per
-/// provably-dead neuron. `model` is the file the diagnostics anchor to.
-pub fn diagnostics(model: &str, analysis: &Analysis) -> Vec<Diagnostic> {
+/// One message per provably-dead neuron, in layer and neuron order.
+fn dead_neurons(analysis: &Analysis) -> Vec<String> {
     let mut out = Vec::new();
     for (layer_idx, la) in analysis.intervals.layers().iter().enumerate() {
         for (index, class) in la.class.iter().enumerate() {
             if *class == NeuronClass::Dead {
-                out.push(Diagnostic {
-                    file: model.to_string(),
-                    line: 0,
-                    id: DEAD_ID,
-                    message: format!(
-                        "neuron {index} of layer {layer_idx} provably never fires \
-                         (drive bound {:.4}); its NeuronDead fault is untestable",
-                        la.z_max.get(index).copied().unwrap_or(0.0)
-                    ),
-                });
+                out.push(format!(
+                    "neuron {index} of layer {layer_idx} provably never fires \
+                     (drive bound {:.4}); its NeuronDead fault is untestable",
+                    la.z_max.get(index).copied().unwrap_or(0.0)
+                ));
             }
         }
     }
@@ -55,45 +38,58 @@ pub fn render_text(model: &str, analysis: &Analysis) -> String {
         s.neurons, s.excitable_neurons, s.dead_neurons, s.undecided_neurons
     );
     let _ = writeln!(out, "  faults:  {}", s.faults);
-    for d in diagnostics(model, analysis) {
-        let _ = writeln!(out, "  [{}] {}", d.id, d.message);
+    for message in dead_neurons(analysis) {
+        let _ = writeln!(out, "  [{DEAD_ID}] {message}");
     }
     out
+}
+
+#[derive(Serialize)]
+struct JsonReport {
+    model: String,
+    summary: JsonSummary,
+    diagnostics: Vec<JsonDiagnostic>,
+}
+
+#[derive(Serialize)]
+struct JsonSummary {
+    neurons: usize,
+    dead_neurons: usize,
+    excitable_neurons: usize,
+    undecided_neurons: usize,
+    faults: usize,
+}
+
+#[derive(Serialize)]
+struct JsonDiagnostic {
+    file: String,
+    line: u32,
+    id: &'static str,
+    message: String,
 }
 
 /// JSON report: summary and lint-style diagnostics.
 pub fn render_json(model: &str, analysis: &Analysis) -> String {
     let s = &analysis.summary;
-    let mut out = String::new();
-    let _ = write!(out, "{{\"model\":{},", json_string(model));
-    let _ = write!(
-        out,
-        "\"summary\":{{\"neurons\":{},\"dead_neurons\":{},\"excitable_neurons\":{},\
-         \"undecided_neurons\":{},\"faults\":{}}},",
-        s.neurons, s.dead_neurons, s.excitable_neurons, s.undecided_neurons, s.faults
-    );
-    out.push_str("\"diagnostics\":[");
-    for (i, d) in diagnostics(model, analysis).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"file\":{},\"line\":{},\"id\":{},\"message\":{}}}",
-            json_string(&d.file),
-            d.line,
-            json_string(d.id),
-            json_string(&d.message)
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// SARIF report via [`crate::sarif`].
-pub fn render_sarif(model: &str, analysis: &Analysis) -> String {
-    let ds = diagnostics(model, analysis);
-    sarif::render("snn-analyze", "DESIGN.md", &sarif_rules(), &ds)
+    serde::json::to_string(&JsonReport {
+        model: model.to_string(),
+        summary: JsonSummary {
+            neurons: s.neurons,
+            dead_neurons: s.dead_neurons,
+            excitable_neurons: s.excitable_neurons,
+            undecided_neurons: s.undecided_neurons,
+            faults: s.faults,
+        },
+        diagnostics: dead_neurons(analysis)
+            .into_iter()
+            .map(|message| JsonDiagnostic {
+                file: model.to_string(),
+                line: 0,
+                id: DEAD_ID,
+                message,
+            })
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -129,13 +125,5 @@ mod tests {
         assert!(out.contains(&format!("\"faults\":{}", a.summary.faults)));
         assert!(out.contains("\"dead_neurons\":1"));
         assert!(out.contains("\"diagnostics\":[{"), "{out}");
-    }
-
-    #[test]
-    fn sarif_report_is_wellformed_and_flags_dead_neurons_as_warnings() {
-        let out = render_sarif("m.snn", &analysis());
-        assert!(out.contains("\"name\":\"snn-analyze\""));
-        assert!(out.contains("\"level\":\"warning\""));
-        assert!(out.contains("A-DEAD"));
     }
 }

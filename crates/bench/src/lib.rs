@@ -63,16 +63,6 @@ pub enum Scale {
     Paper,
 }
 
-impl Scale {
-    /// Reads `SNN_MTFC_SCALE` (`repro`/`paper`), defaulting to repro.
-    pub fn from_env() -> Self {
-        match std::env::var("SNN_MTFC_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            _ => Scale::Repro,
-        }
-    }
-}
-
 /// Builds the dataset of a benchmark at a scale.
 pub fn build_dataset(kind: BenchmarkKind, scale: Scale, seed: u64) -> Box<dyn SpikeDataset> {
     match (kind, scale) {

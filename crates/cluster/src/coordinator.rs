@@ -792,12 +792,6 @@ impl Coordinator {
         status
     }
 
-    /// Number of workers that have ever registered.
-    #[expect(clippy::disallowed_methods, reason = "reads the worker count")]
-    pub fn workers_seen(&self) -> usize {
-        self.state.lock().workers.len()
-    }
-
     /// Stops the coordinator: waiters return [`ClusterError::Shutdown`]
     /// and workers receive [`Grant::Shutdown`] on their next lease
     /// request.

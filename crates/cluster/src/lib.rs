@@ -11,7 +11,7 @@
 //! * [`wire`] — protocol v10: the newline-JSON messages workers and the
 //!   coordinator exchange ([`wire::WorkerMsg`], [`wire::CoordMsg`]), the
 //!   self-contained [`wire::CampaignSpec`] payload — detection stimuli
-//!   or, since v4, an optional reliability payload whose "fault ids" are
+//!   or an optional reliability payload whose "fault ids" are
 //!   fault-map configuration indices — the columnar
 //!   [`wire::ChunkOutcomes`] a result carries, and the
 //!   [`wire::ClusterStatus`] snapshot served to CLI clients.

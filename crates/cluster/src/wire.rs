@@ -17,14 +17,6 @@ use std::io::{BufRead, Read, Write};
 /// Protocol revision; incremented on breaking wire changes. `Hello`
 /// refuses any other version, so there is no compatibility decode and a
 /// mixed cluster fails with a one-line error before its first lease.
-/// Additions since v3 that are `Option` fields (reliability payloads,
-/// [`TraceContext`], the `engine` selector) still decode when absent;
-/// v7 made [`WorkerMsg::Result`] columnar ([`ChunkOutcomes`]), v8
-/// reduced the `FaultSimConfig` inside [`CampaignSpec`] to `threads`,
-/// `record_class_diffs` and `engine`, and v9 dropped the explicit id
-/// list from [`LeaseGrant`]: a campaign's fault list is `0..faults`, so
-/// the grant's [`ChunkRange`] is the list. v10 changed only the job
-/// record: a job result no longer carries a static-analysis summary.
 pub const PROTOCOL_VERSION: u64 = 10;
 
 /// Longest line [`read_raw_line`] accepts. The largest legitimate line
@@ -88,12 +80,12 @@ pub struct CampaignSpec {
     /// the standard universe (configuration indices for a reliability
     /// campaign), sharded into the [`ChunkRange`]s leases carry.
     pub faults: usize,
-    /// Reliability-campaign payload (protocol v4). When present the
+    /// Reliability-campaign payload. When present the
     /// campaign scores accuracy impact instead of detection: leased
     /// ranges are fault-*configuration* indices re-sampled
     /// worker-side from this spec, and `events` may be empty (the
-    /// evaluation set is procedural). `None` — the v3 wire shape — means
-    /// a plain detection campaign.
+    /// evaluation set is procedural). `None` means a plain detection
+    /// campaign.
     pub reliability: Option<snn_reliability::ReliabilitySpec>,
 }
 
@@ -112,9 +104,8 @@ pub struct LeaseGrant {
     pub epoch: u64,
     /// Milliseconds until the lease expires unless heartbeats extend it.
     pub deadline_in_ms: u64,
-    /// Trace context of a traced campaign (protocol v5). `None` — the
-    /// v4 wire shape — means tracing is off and the worker ships no
-    /// spans back.
+    /// Trace context of a traced campaign. `None` means tracing is off
+    /// and the worker ships no spans back.
     pub trace: Option<TraceContext>,
 }
 
@@ -228,7 +219,7 @@ pub enum WorkerMsg {
         epoch: u64,
         /// Per-fault outcomes, in the leased chunk's id order.
         outcomes: ChunkOutcomes,
-        /// Finished trace spans of this chunk (protocol v5), present only
+        /// Finished trace spans of this chunk, present only
         /// when the lease carried a [`TraceContext`]. Span ids are local
         /// to the worker's collector; the coordinator remaps them on
         /// adoption.
@@ -532,28 +523,6 @@ mod tests {
             },
             r#"{"id":3,"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":1}},"events":[],"sim":{"threads":0,"record_class_diffs":false,"engine":null},"faults":16,"reliability":{"map":{"regions":[{"region":{"Weights":{"layer":0,"tensor":0}},"ber":0.009999999776482582}],"configs":16,"seed":42,"weight_model":"StuckSat","window":{"start":2,"end":9}},"eval":{"samples":8,"steps":20,"rate":0.30000001192092896,"seed":7},"mitigation":"RangeRestriction"}}"#,
         );
-    }
-
-    /// A v4 lease grant (no `trace` field on the wire) still decodes —
-    /// the addition is an `Option`. (A v4 `Result` does not: its worker
-    /// never gets past `Hello`.)
-    #[test]
-    fn v4_messages_still_decode() {
-        let v4_grant = r#"{"Granted":{"lease":7,"campaign":2,"chunk":{"index":1,"start":64,"len":64},"epoch":3,"deadline_in_ms":5000}}"#;
-        let msg: CoordMsg = serde::json::from_str(v4_grant).unwrap();
-        let CoordMsg::Granted(g) = msg else { panic!("not a grant") };
-        assert_eq!(g.lease, 7);
-        assert_eq!(g.trace, None);
-    }
-
-    /// A v3 campaign payload (no `reliability` field on the wire) still
-    /// decodes — the field is additive.
-    #[test]
-    fn v3_campaign_spec_still_decodes() {
-        let v3 = r#"{"id":2,"model":{"Synthetic":{"inputs":4,"hidden":[6],"outputs":2,"seed":1}},"events":["0 1\n"],"sim":{"threads":0,"prefix_cache":true,"early_exit":true,"activity_filter":true,"record_class_diffs":false},"faults":128}"#;
-        let spec: CampaignSpec = serde::json::from_str(v3).unwrap();
-        assert_eq!(spec.id, 2);
-        assert_eq!(spec.reliability, None);
     }
 
     #[test]

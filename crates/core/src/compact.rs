@@ -4,21 +4,15 @@
 //! activation contribution may later be subsumed by chunks produced for
 //! harder target sets. Since total test time is the paper's headline
 //! metric (Eq. 8 counts every chunk *twice* — stimulus plus reset gap),
-//! pruning redundant chunks directly shortens the test. Two compactors:
-//!
-//! * [`compact_by_activation`] — drops chunks whose activated-neuron set
-//!   is covered by the union of the retained chunks. Cheap (one forward
-//!   pass per chunk, no fault simulation) and conservative: neuron
-//!   activation is the proxy the generation loop itself optimizes.
-//! * [`compact_by_coverage`] — drops chunks whose *detected-fault* set is
-//!   covered by the retained chunks, at the cost of one fault-simulation
-//!   campaign per chunk. Exact with respect to the final metric.
-//!
-//! Both preserve chunk order (the test still runs oldest-first) and never
-//! produce an empty test.
+//! pruning redundant chunks directly shortens the test.
+//! [`compact_by_activation`] drops chunks whose activated-neuron set is
+//! covered by the union of the retained chunks. It is cheap (one forward
+//! pass per chunk, no fault simulation) and conservative: neuron
+//! activation is the proxy the generation loop itself optimizes. It
+//! preserves chunk order (the test still runs oldest-first) and never
+//! produces an empty test.
 
 use crate::GeneratedTest;
-use snn_faults::{Fault, FaultSimulator, FaultUniverse};
 use snn_model::{Network, RecordOptions};
 
 /// Per-chunk set-cover pruning: `sets[j]` is the element set contributed
@@ -114,41 +108,11 @@ pub fn compact_by_activation(
     (rebuild(test, &keep), keep)
 }
 
-/// Removes chunks whose detected-fault set is covered by the remaining
-/// chunks, using one fault-simulation campaign per chunk over `faults`.
-/// Returns the compacted test and the retained chunk indices.
-///
-/// # Panics
-///
-/// Panics if the test has no chunks.
-pub fn compact_by_coverage(
-    universe: &FaultUniverse,
-    faults: &[Fault],
-    test: &GeneratedTest,
-    sim: &FaultSimulator<'_>,
-) -> (GeneratedTest, Vec<usize>) {
-    assert!(!test.chunks.is_empty(), "cannot compact an empty test");
-    let sets: Vec<Vec<bool>> = test
-        .chunks
-        .iter()
-        .map(|chunk| {
-            sim.detect(universe, faults, std::slice::from_ref(chunk))
-                .per_fault
-                .into_iter()
-                .map(|o| o.detected)
-                .collect()
-        })
-        .collect();
-    let keep = prune_covered(&sets);
-    (rebuild(test, &keep), keep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snn_faults::{Engine, FaultSimConfig};
     use snn_model::{LifParams, NetworkBuilder};
     use snn_tensor::{Shape, Tensor};
 
@@ -222,39 +186,6 @@ mod tests {
             u
         };
         assert_eq!(union(&compact), union(&test));
-    }
-
-    #[test]
-    fn coverage_compaction_preserves_detected_set() {
-        let n = net(3);
-        let universe = FaultUniverse::standard(&n);
-        let mut rng = StdRng::seed_from_u64(4);
-        let chunks: Vec<Tensor> =
-            (0..3).map(|_| snn_tensor::init::bernoulli(&mut rng, Shape::d2(12, 6), 0.4)).collect();
-        let test = GeneratedTest::from_chunks(chunks, 6, vec![]);
-        let on = |engine| FaultSimConfig { threads: 1, engine: Some(engine), ..Default::default() };
-        let sim = FaultSimulator::new(&n, on(Engine::Scalar));
-        let (compact, kept) = compact_by_coverage(&universe, universe.faults(), &test, &sim);
-        assert!(!kept.is_empty());
-        // The engine is an execution strategy: the same chunks survive.
-        let packed = FaultSimulator::new(&n, on(Engine::Packed));
-        let (_, kept_packed) = compact_by_coverage(&universe, universe.faults(), &test, &packed);
-        assert_eq!(kept, kept_packed);
-
-        let detect = |t: &GeneratedTest| {
-            sim.detect(&universe, universe.faults(), &t.chunks)
-                .per_fault
-                .into_iter()
-                .map(|o| o.detected)
-                .collect::<Vec<_>>()
-        };
-        let full = detect(&test);
-        let pruned = detect(&compact);
-        for (i, (&f, &p)) in full.iter().zip(pruned.iter()).enumerate() {
-            if f {
-                assert!(p, "fault {i} detection lost by compaction");
-            }
-        }
     }
 
     #[test]

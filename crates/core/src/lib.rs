@@ -68,7 +68,7 @@ mod testset;
 
 pub mod losses;
 
-pub use compact::{compact_by_activation, compact_by_coverage};
+pub use compact::compact_by_activation;
 pub use generator::{calibrate_t_in_min, TestGenConfig, TestGenerator};
 pub use metrics::{activity_map, runtimes_from_spans, ActivityMap, TestMetrics};
 pub use snn_faults::progress;

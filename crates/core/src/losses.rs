@@ -112,13 +112,8 @@ pub fn l2_neuron_activation(
     value
 }
 
-/// Temporal diversity of one spike train (Eq. 11): number of state changes.
-pub fn temporal_diversity(train: &[f32]) -> f32 {
-    train.windows(2).map(|w| (w[1] - w[0]).abs()).sum()
-}
-
-/// `L3` (Eq. 12): each targeted neuron's temporal diversity must reach
-/// `td_min`.
+/// `L3` (Eq. 12): each targeted neuron's temporal diversity — the number
+/// of state changes of its spike train (Eq. 11) — must reach `td_min`.
 ///
 /// For binary trains `|O(j) − O(j−1)| = O(j) + O(j−1) − 2·O(j)·O(j−1)`,
 /// giving the exact subgradient `∂TD/∂O(j) = (1 − 2·O(j−1)) + (1 − 2·O(j+1))`
@@ -175,25 +170,14 @@ pub fn l3_temporal_diversity(
     value
 }
 
-/// `L4` (Eq. 13): variance of per-synapse contributions
+/// `L4` (Eq. 13): the variance of per-synapse contributions
 /// `c_j = w_{j,i} · ‖O^{ℓ−1,j}‖₁` to each post-synaptic neuron, summed
-/// over dense/recurrent layers. Uniform contributions stop strong synapses
-/// from masking weak ones. A stage evaluates it through an `L4Layout` it
-/// builds once; this builds one per call.
-pub fn l4_contribution_variance(
-    net: &Network,
-    trace: &Trace,
-    alpha: f32,
-    inj: &mut InjectedGrads,
-) -> f32 {
-    L4Layout::new(net).contribution_variance(net, trace, alpha, inj)
-}
-
-/// The weights `L4` reads, laid out for its evaluation: per layer it
-/// reaches, the weights column-major, so that the post-synaptic rows are
-/// the lanes of a vector, and each row's fan-in (its connected synapses).
-/// Both depend on the network alone, so a stage builds them once for all
-/// of its steps (DESIGN.md §19.4).
+/// over dense/recurrent layers, so that strong synapses do not mask weak
+/// ones. The layout holds what it reads of each layer it reaches: the
+/// weights column-major, so that the post-synaptic rows are the lanes of
+/// a vector, and each row's fan-in (its connected synapses). Both depend
+/// on the network alone, so a stage builds them once for all of its steps
+/// (DESIGN.md §19.4).
 #[derive(Debug)]
 pub(crate) struct L4Layout {
     layers: Vec<L4Layer>,
@@ -486,13 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn temporal_diversity_counts_transitions() {
-        assert_eq!(temporal_diversity(&[0.0, 1.0, 0.0, 0.0, 1.0]), 3.0);
-        assert_eq!(temporal_diversity(&[1.0, 1.0, 1.0]), 0.0);
-        assert_eq!(temporal_diversity(&[0.0]), 0.0);
-    }
-
-    #[test]
     fn l3_penalizes_low_diversity_only() {
         let net = small_net(0);
         let mut rng = StdRng::seed_from_u64(2);
@@ -540,7 +517,7 @@ mod tests {
         let input = Tensor::full(Shape::d2(12, 2), 1.0);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
+        let v = L4Layout::new(&net).contribution_variance(&net, &trace, 1.0, &mut inj);
         assert!(v.abs() < 1e-6, "v={v}");
     }
 
@@ -560,7 +537,7 @@ mod tests {
         let input = Tensor::full(Shape::d2(20, 2), 1.0);
         let trace = net.forward(&input, RecordOptions::full());
         let mut inj = InjectedGrads::none(2);
-        let v = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
+        let v = L4Layout::new(&net).contribution_variance(&net, &trace, 1.0, &mut inj);
         assert!(v > 0.0);
         assert!(inj.layer(0).is_some(), "gradient lands on pre-synaptic spikes");
     }
@@ -641,7 +618,7 @@ mod tests {
 
             let (want, want_grads) = l4_reference(&net, &trace);
             let mut inj = InjectedGrads::none(2);
-            let got = l4_contribution_variance(&net, &trace, 1.0, &mut inj);
+            let got = L4Layout::new(&net).contribution_variance(&net, &trace, 1.0, &mut inj);
             proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
             for (idx, want) in want_grads.iter().enumerate() {
                 let Some(got) = inj.layer(idx) else {

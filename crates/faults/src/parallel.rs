@@ -3,7 +3,7 @@
 //! A fault-simulation campaign is embarrassingly parallel over faults, but
 //! each worker needs mutable scratch state: the packed engine's buffers,
 //! reused run after run, or the scalar engine's network clone to patch.
-//! [`map_indexed`] provides exactly that shape: the caller supplies a
+//! [`try_map_indexed`] provides exactly that shape: the caller supplies a
 //! per-worker state factory and a per-item function.
 
 use crate::progress::{CancelToken, Cancelled};
@@ -22,37 +22,11 @@ pub fn effective_threads(requested: usize) -> usize {
 
 /// Applies `f(state, index)` to every index in `0..n`, in parallel over
 /// `threads` workers (0 = all cores), returning results in index order.
-/// The calling thread is one of the workers: `threads - 1` are spawned.
-///
-/// `make_state` is called once per worker to create its scratch state.
-///
-/// # Example
-///
-/// ```
-/// let squares = snn_faults::parallel::map_indexed(8, 2, || (), |_, i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-///
-/// # Panics
-///
-/// Propagates panics from worker threads.
-#[expect(
-    clippy::expect_used,
-    reason = "a fresh private token is never cancelled, so Err is unreachable"
-)]
-pub fn map_indexed<S, T, F, M>(n: usize, threads: usize, make_state: M, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-    M: Fn() -> S + Sync,
-{
-    try_map_indexed(n, threads, &CancelToken::new(), make_state, f)
-        .expect("fresh token is never cancelled")
-}
-
-/// Cancellable variant of [`map_indexed`]: workers poll `cancel` before
-/// every item and stop claiming once it trips, after which the call
-/// returns `Err(Cancelled)` (partial results are discarded).
+/// The calling thread is one of the workers: `threads - 1` are spawned,
+/// and `make_state` is called once per worker to create its scratch
+/// state. Workers poll `cancel` before every item and stop claiming once
+/// it trips, after which the call returns `Err(Cancelled)` (partial
+/// results are discarded).
 ///
 /// Items are claimed one at a time from a shared counter, so workers stay
 /// busy however unevenly the items cost (runs of the packed engine
@@ -158,9 +132,18 @@ fn record_busy(busy_started: std::time::Duration) {
 mod tests {
     use super::*;
 
+    fn map_all<S, T: Send>(
+        n: usize,
+        threads: usize,
+        make_state: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
+        try_map_indexed(n, threads, &CancelToken::new(), make_state, f).unwrap()
+    }
+
     #[test]
     fn preserves_index_order() {
-        let out = map_indexed(100, 4, || (), |_, i| i);
+        let out = map_all(100, 4, || (), |_, i| i);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
@@ -173,7 +156,7 @@ mod tests {
         for workers in [1, 2, 4] {
             let n = 97;
             let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let out = map_indexed(
+            let out = map_all(
                 n,
                 workers,
                 || (),
@@ -198,7 +181,7 @@ mod tests {
     #[expect(clippy::disallowed_methods, reason = "the test asserts which thread ran the work")]
     fn the_caller_is_one_of_the_workers() {
         let both_claimed = std::sync::Barrier::new(2);
-        let ran_on = map_indexed(
+        let ran_on = map_all(
             2,
             2,
             || (),
@@ -213,20 +196,20 @@ mod tests {
 
     #[test]
     fn single_thread_path_works() {
-        let out = map_indexed(5, 1, || 10usize, |s, i| *s + i);
+        let out = map_all(5, 1, || 10usize, |s, i| *s + i);
         assert_eq!(out, vec![10, 11, 12, 13, 14]);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<usize> = map_indexed(0, 4, || (), |_, i| i);
+        let out: Vec<usize> = map_all(0, 4, || (), |_, i| i);
         assert!(out.is_empty());
     }
 
     #[test]
     fn state_factory_called_once_per_worker() {
         let calls = AtomicUsize::new(0);
-        let _ = map_indexed(
+        let _ = map_all(
             16,
             4,
             || {
@@ -240,7 +223,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let out = map_indexed(3, 64, || (), |_, i| i * 2);
+        let out = map_all(3, 64, || (), |_, i| i * 2);
         assert_eq!(out, vec![0, 2, 4]);
     }
 
@@ -273,13 +256,6 @@ mod tests {
         );
         assert_eq!(out, Err(Cancelled));
         assert!(done.load(Ordering::SeqCst) < 10_000, "should stop early");
-    }
-
-    #[test]
-    fn uncancelled_try_map_matches_map() {
-        let cancel = CancelToken::new();
-        let out = try_map_indexed(7, 3, &cancel, || (), |_, i| i * 3).unwrap();
-        assert_eq!(out, map_indexed(7, 3, || (), |_, i| i * 3));
     }
 
     #[test]

@@ -58,11 +58,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "snn.forward",
 ];
 
-/// `true` when `name` is a declared span name.
-pub fn is_declared(name: &str) -> bool {
-    SPAN_NAMES.contains(&name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,11 +73,5 @@ mod tests {
                 "span name {name:?} breaks the lowercase dotted convention"
             );
         }
-    }
-
-    #[test]
-    fn is_declared_matches_membership() {
-        assert!(is_declared("generate.calibrate"));
-        assert!(!is_declared("no.such.span"));
     }
 }

@@ -235,11 +235,6 @@ impl ReliabilityEvaluator {
         &self.net
     }
 
-    /// Total number of configurations the spec samples.
-    pub fn total_configs(&self) -> usize {
-        self.spec.map.configs
-    }
-
     /// Evaluates one configuration on a scratch clone of the network.
     ///
     /// Single-threaded and sequential over samples, so the f32 spike
@@ -433,7 +428,7 @@ mod tests {
         let net = test_net();
         let spec = test_spec(&net, 0.1);
         let eval = ReliabilityEvaluator::new(net, spec).unwrap();
-        let total = eval.total_configs();
+        let total = eval.spec().map.configs;
         let whole = eval.evaluate_chunk(0..total, 1, &CancelToken::new()).unwrap();
         let mut pieces = Vec::new();
         for start in (0..total).step_by(2) {

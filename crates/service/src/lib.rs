@@ -12,8 +12,9 @@
 //! * [`protocol`] — the newline-delimited JSON wire protocol
 //!   ([`Request`]/[`Response`]) plus the job model ([`JobSpec`],
 //!   [`JobRecord`], [`JobState`], [`JobEvent`]).
-//! * [`store`] — [`JobStore`], the persistent record map (one JSON file
-//!   per job, atomic rewrite on every state change, restart recovery).
+//! * [`store`] — [`JobStore`], the persistent record map (one file per
+//!   job, one JSON line appended per revision, the last complete line
+//!   wins; restart recovery).
 //! * [`bus`] — [`EventBus`], in-process fan-out of lifecycle and
 //!   progress events to watch subscribers.
 //! * [`server`] — [`Server`], the accept loop, bounded queue and worker
@@ -22,8 +23,7 @@
 //!   simulator.
 //! * [`client`] — [`Client`], a small blocking client used by the
 //!   `snn-mtfc submit`/`status`/`watch`/`cancel` subcommands and the
-//!   integration tests, with optional timeouts and idempotent-only
-//!   retry ([`ClientConfig`]).
+//!   integration tests.
 //!
 //! With `ServiceConfig::expect_workers > 0` the server also acts as a
 //! cluster coordinator: coverage campaigns are sharded into leased
@@ -68,7 +68,7 @@ pub mod server;
 pub mod store;
 
 pub use bus::EventBus;
-pub use client::{Client, ClientConfig};
+pub use client::Client;
 pub use protocol::{
     ClusterStatus, JobEvent, JobEventPayload, JobRecord, JobResult, JobSpec, JobState, JobTimings,
     ModelSpec, Request, Response, PROTOCOL_VERSION,

@@ -9,7 +9,7 @@
 //! `{"Status":{"job":3}}` — see `DESIGN.md` §8 for the full specification
 //! and an example session.
 //!
-//! Since protocol v3 the same listener also serves cluster workers:
+//! The same listener also serves cluster workers:
 //! the server tries to decode each incoming line as a [`Request`] first
 //! and as a `snn_cluster::wire::WorkerMsg` second (the variant names are
 //! disjoint), so clients and workers share one port. The worker-side
@@ -20,10 +20,9 @@ use snn_faults::progress::Progress;
 use std::io::{BufRead, Write};
 
 // The protocol's foundation — the version constant, the model spec and
-// the line codec — lives in `snn-cluster`'s wire module since protocol
-// v3, because worker processes speak the same newline-JSON framing on
-// the same port. Re-exported here so service clients keep one import
-// surface.
+// the line codec — lives in `snn-cluster`'s wire module, because worker
+// processes speak the same newline-JSON framing on the same port.
+// Re-exported here so service clients keep one import surface.
 pub use snn_cluster::wire::{ClusterStatus, ModelSpec, PROTOCOL_VERSION};
 
 /// A test-generation job description.
@@ -44,15 +43,14 @@ pub struct JobSpec {
     pub evaluate_coverage: bool,
     /// Worker threads for the coverage campaign (0 = all cores).
     pub threads: usize,
-    /// Run a fault-map reliability campaign instead of test generation
-    /// (protocol v4). The generation fields above are ignored except
-    /// `model` and `threads`. `None` on records written by older
-    /// clients/servers.
+    /// Run a fault-map reliability campaign instead of test generation.
+    /// The generation fields above are ignored except `model` and
+    /// `threads`.
     pub reliability: Option<snn_reliability::ReliabilitySpec>,
-    /// Execution engine of the coverage campaign (protocol v6): the
-    /// bit-packed fault-parallel engine, the scalar engine, or `Auto`.
-    /// `None` — the shape older clients send — means `Auto`. Engine
-    /// choice never changes verdicts, only execution strategy.
+    /// Execution engine of the coverage campaign: the bit-packed
+    /// fault-parallel engine, the scalar engine, or `Auto`. `None` means
+    /// `Auto`. Engine choice never changes verdicts, only execution
+    /// strategy.
     pub engine: Option<snn_faults::Engine>,
 }
 
@@ -149,37 +147,25 @@ pub struct JobResult {
     pub fault_coverage: Option<f64>,
     /// Server-side path of the persisted `.events` stimulus file.
     pub events_path: Option<String>,
-    /// Per-phase wall-clock breakdown. `None` on records written by
-    /// older servers.
+    /// Per-phase wall-clock breakdown.
     pub timings: Option<JobTimings>,
     /// FNV-1a digest of every per-fault verdict of the coverage
     /// campaign (16 hex chars) — identical for a local and a
     /// distributed run of the same job, which is exactly what CI gates
-    /// on. `None` when no campaign ran or on records written by older
-    /// servers.
+    /// on. `None` when no campaign ran.
     pub verdict_digest: Option<String>,
     /// Reliability-campaign report (drop distributions, region
     /// criticality ranking, mitigation recovery), when the job ran a
-    /// fault-map campaign. `None` for generation jobs and on records
-    /// written by older servers.
+    /// fault-map campaign. `None` for generation jobs.
     pub reliability: Option<snn_reliability::ReliabilityReport>,
     /// Execution engine the coverage campaign actually ran under
-    /// (`"packed"` or `"scalar"`, after `Auto` resolution; protocol v6).
-    /// `None` when no campaign ran or on records written by older
-    /// servers.
+    /// (`"packed"` or `"scalar"`, after `Auto` resolution). `None` when
+    /// no campaign ran.
     pub engine: Option<String>,
 }
 
-/// Schema revision stamped into every [`JobRecord`] the server persists.
-///
-/// Followed [`PROTOCOL_VERSION`] from v4, when the field was introduced,
-/// to v6; protocols v7 to v9 changed only the worker wire, not the record.
-/// v6 added the spec's requested `engine` and the result's resolved
-/// `engine`; v7 (protocol v10) dropped the result's `analysis` summary.
-/// Decoding ignores fields a record has and the type lacks, and reads
-/// an absent `Option` as `None`, so records from any earlier schema
-/// (including v1–v3 records, which predate the field itself) still
-/// decode — `crate::store` proves it with pinned JSON fixtures.
+/// Schema revision stamped into every [`JobRecord`] the server persists;
+/// incremented whenever the record's encoding changes.
 pub const JOB_SCHEMA_VERSION: u32 = 7;
 
 /// Everything the server knows about one job. Each state change appends it
@@ -204,9 +190,8 @@ pub struct JobRecord {
     pub result: Option<JobResult>,
     /// Failure message, once `Failed` (or cancellation detail).
     pub error: Option<String>,
-    /// Persisted-record schema revision ([`JOB_SCHEMA_VERSION`] on
-    /// records this server writes). `None` on records persisted before
-    /// protocol v4 — absence itself identifies a pre-v4 record.
+    /// Persisted-record schema revision: [`JOB_SCHEMA_VERSION`] on every
+    /// record this server writes.
     pub schema: Option<u32>,
 }
 
@@ -567,27 +552,6 @@ mod tests {
             }),
             r#"{"Cluster":{"workers":[],"campaigns_active":0,"chunks_pending":0,"chunks_leased":0,"chunks_completed":4,"chunks_reissued":1,"results_stale":1}}"#,
         );
-    }
-
-    #[test]
-    fn job_result_without_optional_fields_still_decodes() {
-        // Records persisted before the timing breakdown and the digest
-        // existed must still load (the fields are additive).
-        let json = "{\"chunks\":1,\"test_steps\":10,\"activated\":2,\"total_neurons\":4,\
-                    \"activation_coverage\":0.5,\"runtime_ms\":3,\"faults_total\":null,\
-                    \"faults_detected\":null,\"fault_coverage\":null,\"events_path\":null}";
-        let r: JobResult = serde::json::from_str(json).unwrap();
-        assert!(r.timings.is_none());
-        assert!(r.verdict_digest.is_none());
-        assert!(r.reliability.is_none());
-        assert_eq!(r.chunks, 1);
-
-        // Schema 6 results carried an `analysis` summary; it is skipped.
-        let v6 = json.replace(
-            "\"events_path\":null",
-            "\"events_path\":null,\"analysis\":{\"neurons\":4,\"dead_neurons\":0}",
-        );
-        assert_eq!(serde::json::from_str::<JobResult>(&v6).unwrap(), r);
     }
 
     #[test]

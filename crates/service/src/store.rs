@@ -189,13 +189,9 @@ fn job_path(state_dir: &Path, id: u64) -> PathBuf {
     state_dir.join("jobs").join(format!("job-{id}.json"))
 }
 
-/// The newest complete revision in a job file: its last line that parses,
-/// else the whole text (one record pretty-printed by an older server).
+/// The newest complete revision in a job file: its last line that parses.
 fn read_record(text: &str) -> Option<JobRecord> {
-    text.lines()
-        .rev()
-        .find_map(|line| serde::json::from_str(line).ok())
-        .or_else(|| serde::json::from_str(text).ok())
+    text.lines().rev().find_map(|line| serde::json::from_str(line).ok())
 }
 
 fn append(path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -313,68 +309,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn v1_through_v3_job_records_still_load() {
-        // Pinned on-disk shapes from earlier servers. v1 predates the
-        // analysis/timings fields, v2 predates the verdict digest, v3
-        // predates the schema-version and reliability fields. Every
-        // schema change has been an additive Option, so all three must
-        // load through the normal recovery path.
-        let spec_json = "{\"model\":{\"Synthetic\":{\"inputs\":4,\"hidden\":[8],\"outputs\":2,\
-                         \"seed\":1}},\"preset\":\"repro\",\"seed\":1,\"max_iterations\":null,\
-                         \"t_limit_secs\":null,\"evaluate_coverage\":false,\"threads\":0}";
-        let v1 = format!(
-            "{{\"id\":1,\"spec\":{spec_json},\"state\":\"Done\",\"submitted_at_ms\":100,\
-             \"started_at_ms\":110,\"finished_at_ms\":200,\"progress\":null,\"result\":{{\
-             \"chunks\":1,\"test_steps\":10,\"activated\":2,\"total_neurons\":4,\
-             \"activation_coverage\":0.5,\"runtime_ms\":3,\"faults_total\":null,\
-             \"faults_detected\":null,\"fault_coverage\":null,\"events_path\":null}},\
-             \"error\":null}}"
-        );
-        let v2 = format!(
-            "{{\"id\":2,\"spec\":{spec_json},\"state\":\"Failed\",\"submitted_at_ms\":300,\
-             \"started_at_ms\":310,\"finished_at_ms\":400,\"progress\":null,\"result\":null,\
-             \"error\":\"boom\"}}"
-        );
-        let v3 = format!(
-            "{{\"id\":3,\"spec\":{spec_json},\"state\":\"Done\",\"submitted_at_ms\":500,\
-             \"started_at_ms\":510,\"finished_at_ms\":600,\"progress\":null,\"result\":{{\
-             \"chunks\":1,\"test_steps\":10,\"activated\":2,\"total_neurons\":4,\
-             \"activation_coverage\":0.5,\"runtime_ms\":3,\"faults_total\":8,\
-             \"faults_detected\":6,\"fault_coverage\":0.75,\"events_path\":null,\
-             \"analysis\":null,\"timings\":null,\
-             \"verdict_digest\":\"cbf29ce484222325\"}},\"error\":null}}"
-        );
-
-        let dir = tmp_dir("back-compat");
-        fs::create_dir_all(dir.join("jobs")).unwrap();
-        for (id, text) in [(1, &v1), (2, &v2), (3, &v3)] {
-            fs::write(job_path(&dir, id), text).unwrap();
-        }
-        let store = JobStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 3);
-
-        let r1 = store.get(1).unwrap();
-        assert_eq!(r1.state, JobState::Done);
-        assert_eq!(r1.schema, None, "pre-v4 records have no schema stamp");
-        let res1 = r1.result.unwrap();
-        assert!(res1.verdict_digest.is_none() && res1.reliability.is_none());
-
-        let r2 = store.get(2).unwrap();
-        assert_eq!(r2.state, JobState::Failed);
-        assert_eq!(r2.error.as_deref(), Some("boom"));
-
-        let r3 = store.get(3).unwrap();
-        let res3 = r3.result.unwrap();
-        assert_eq!(res3.verdict_digest.as_deref(), Some("cbf29ce484222325"));
-        assert!(res3.reliability.is_none());
-        assert_eq!(r3.schema, None);
-
-        // Id allocation continues past recovered records.
-        assert!(store.submit(spec()).id > 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     fn done(r: &mut JobRecord) {
         r.state = JobState::Done;
         r.finished_at_ms = Some(r.submitted_at_ms + 5);
@@ -426,23 +360,6 @@ mod tests {
         let last = store.update(queued.id, done).unwrap();
         drop(store);
         assert_eq!(JobStore::open(&dir).unwrap().get(queued.id), Some(last));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_pretty_printed_record_loads_and_an_appended_update_wins() {
-        let dir = tmp_dir("pretty");
-        let old = JobStore::open(&dir).unwrap().submit(spec());
-        let id = old.id;
-        // The writer before append-only records replaced the file with
-        // one pretty-printed record.
-        fs::write(job_path(&dir, id), serde::json::to_string_pretty(&old)).unwrap();
-
-        let store = JobStore::open(&dir).unwrap();
-        assert_eq!(store.get(id), Some(old));
-        let last = store.update(id, done).unwrap();
-        drop(store);
-        assert_eq!(JobStore::open(&dir).unwrap().get(id), Some(last));
         let _ = fs::remove_dir_all(&dir);
     }
 

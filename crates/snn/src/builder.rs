@@ -34,9 +34,12 @@ pub struct NetworkBuilder {
     spatial: Option<(usize, usize, usize)>,
     features: usize,
     lif: LifParams,
-    gain: f32,
     layers: Vec<PendingLayer>,
 }
+
+/// Kaiming initialization gain of every layer's input weights: large
+/// enough that a fresh network spikes out of the box.
+const GAIN: f32 = 2.5;
 
 #[derive(Debug)]
 enum PendingLayer {
@@ -55,7 +58,6 @@ impl NetworkBuilder {
             spatial: None,
             features: input_features,
             lif,
-            gain: 2.5,
             layers: Vec::new(),
         }
     }
@@ -68,7 +70,6 @@ impl NetworkBuilder {
             spatial: Some((c, h, w)),
             features: c * h * w,
             lif,
-            gain: 2.5,
             layers: Vec::new(),
         }
     }
@@ -76,13 +77,6 @@ impl NetworkBuilder {
     /// Changes the LIF parameters used by layers added *after* this call.
     pub fn lif(mut self, lif: LifParams) -> Self {
         self.lif = lif;
-        self
-    }
-
-    /// Changes the Kaiming initialization gain for subsequently added
-    /// layers (larger gain = more spiking activity out of the box).
-    pub fn init_gain(mut self, gain: f32) -> Self {
-        self.gain = gain;
         self
     }
 
@@ -160,13 +154,13 @@ impl NetworkBuilder {
         for pending in self.layers {
             let layer = match pending {
                 PendingLayer::Dense { out, lif } => {
-                    let w = init::kaiming(rng, Shape::d2(out, features), features, self.gain);
+                    let w = init::kaiming(rng, Shape::d2(out, features), features, GAIN);
                     features = out;
                     Layer::Dense(DenseLayer::new(w, lif))
                 }
                 PendingLayer::Conv { spec, in_hw, lif } => {
                     let fan_in = spec.in_channels * spec.kernel * spec.kernel;
-                    let w = init::kaiming(rng, spec.weight_shape(), fan_in, self.gain);
+                    let w = init::kaiming(rng, spec.weight_shape(), fan_in, GAIN);
                     let layer = ConvLayer::new(spec, in_hw, w, lif);
                     features = Layer::Conv(layer.clone()).out_features();
                     Layer::Conv(layer)
@@ -178,10 +172,10 @@ impl NetworkBuilder {
                     Layer::Pool(layer)
                 }
                 PendingLayer::Recurrent { units, lif } => {
-                    let w_in = init::kaiming(rng, Shape::d2(units, features), features, self.gain);
+                    let w_in = init::kaiming(rng, Shape::d2(units, features), features, GAIN);
                     // Recurrent weights are initialized weaker to keep the
                     // network stable out of the box.
-                    let w_rec = init::kaiming(rng, Shape::d2(units, units), units, self.gain * 0.3);
+                    let w_rec = init::kaiming(rng, Shape::d2(units, units), units, GAIN * 0.3);
                     features = units;
                     Layer::Recurrent(RecurrentLayer::new(w_in, w_rec, lif))
                 }

@@ -63,7 +63,7 @@ mod io;
 mod layer;
 mod network;
 mod params;
-mod quantize;
+mod prune;
 mod sim;
 
 pub mod gumbel;
@@ -77,5 +77,5 @@ pub use fault_hooks::{NeuronBehaviorFault, NeuronFaultMap};
 pub use layer::{ConvLayer, DenseLayer, Layer, PoolLayer, RecurrentLayer};
 pub use network::{Network, WeightRef};
 pub use params::{LifParams, LifTick, Surrogate};
-pub use quantize::{is_quantized, magnitude_prune, quantize_weights, QuantReport};
+pub use prune::magnitude_prune;
 pub use sim::{top1, LayerTrace, LifRecord, RecordOptions, Trace};

@@ -142,30 +142,6 @@ impl Network {
             .collect()
     }
 
-    /// Maps a global neuron id (over all spiking layers) to
-    /// `(layer index, neuron index within layer)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `global` is out of range.
-    #[expect(
-        clippy::panic,
-        reason = "documented `# Panics` contract — out-of-range ids are caller bugs"
-    )]
-    pub fn locate_neuron(&self, global: usize) -> (usize, usize) {
-        let mut remaining = global;
-        for (layer, count) in self.neuron_layout() {
-            if remaining < count {
-                return (layer, remaining);
-            }
-            remaining -= count;
-        }
-        panic!(
-            "global neuron id {global} out of range for network with {} neurons",
-            self.neuron_count()
-        );
-    }
-
     /// Maps a global synapse id to a [`WeightRef`].
     ///
     /// # Panics
@@ -283,21 +259,6 @@ mod tests {
         );
         assert_eq!(net.neuron_count(), 3);
         assert_eq!(net.neuron_layout(), vec![(1, 3)]);
-    }
-
-    #[test]
-    fn locate_neuron_walks_spiking_layers() {
-        let net = toy_network();
-        assert_eq!(net.locate_neuron(0), (0, 0));
-        assert_eq!(net.locate_neuron(5), (0, 5));
-        assert_eq!(net.locate_neuron(6), (1, 0));
-        assert_eq!(net.locate_neuron(9), (1, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn locate_neuron_rejects_overflow() {
-        toy_network().locate_neuron(10);
     }
 
     #[test]

@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_model::{event_forward, LifParams, Network, NetworkBuilder, NeuronFaultMap, RecordOptions};
+use snn_model::{
+    event_forward, LifParams, Network, NetworkBuilder, NeuronBehaviorFault, NeuronFaultMap,
+    RecordOptions,
+};
 use snn_tensor::{Shape, Tensor};
 
 /// Strategy: a small random dense/recurrent network plus a stimulus.
@@ -36,6 +39,45 @@ fn arbitrary_net_and_input() -> impl Strategy<Value = (Network, Tensor)> {
                 (net, input)
             },
         )
+}
+
+/// Strategy: up to five neuron faults, each a kind (dead, saturated or
+/// parameter-scaled) and a position drawn over the spiking neurons of
+/// whatever network it meets (see [`fault_map`]).
+fn arbitrary_faults() -> impl Strategy<Value = Vec<(usize, u8, f32, f32, i32)>> {
+    prop::collection::vec(
+        (
+            0usize..10_000, // global neuron index, wrapped onto the network
+            0u8..3,         // dead, saturated, parameter-scaled
+            0.25f32..2.0,   // threshold scale
+            0.5f32..1.5,    // leak scale (clamped to (0, 1] at use)
+            -3i32..4,       // refractory change
+        ),
+        0..6,
+    )
+}
+
+/// The fault map `faults` describes on `net`'s spiking neurons.
+fn fault_map(net: &Network, faults: &[(usize, u8, f32, f32, i32)]) -> NeuronFaultMap {
+    let layout = net.neuron_layout();
+    let total: usize = layout.iter().map(|&(_, n)| n).sum();
+    let mut map = NeuronFaultMap::new();
+    for &(at, kind, threshold_scale, leak_scale, refrac_delta) in faults {
+        let fault = match kind {
+            0 => NeuronBehaviorFault::Dead,
+            1 => NeuronBehaviorFault::Saturated,
+            _ => NeuronBehaviorFault::ParamScale { threshold_scale, leak_scale, refrac_delta },
+        };
+        let mut at = at % total;
+        for &(layer, n) in &layout {
+            if at < n {
+                map.insert(layer, at, fault);
+                break;
+            }
+            at -= n;
+        }
+    }
+    map
 }
 
 proptest! {
@@ -88,13 +130,25 @@ proptest! {
     }
 
     /// The event-driven engine agrees with the clocked engine on every
-    /// random network (including recurrent ones) — cross-oracle check.
+    /// random network (including recurrent ones), fault-free and under a
+    /// random map of dead, saturated and parameter-scaled neurons — a
+    /// cross-oracle check of both engines' per-neuron fault paths
+    /// (forced output, threshold, leak and refractory period).
     #[test]
-    fn engines_are_equivalent((net, input) in arbitrary_net_and_input()) {
+    fn engines_are_equivalent(
+        (net, input) in arbitrary_net_and_input(),
+        faults in arbitrary_faults(),
+    ) {
         let dense = net.forward(&input, RecordOptions::spikes_only());
         let (event, _) = event_forward(&net, &input, &NeuronFaultMap::new());
         for (idx, (d, e)) in dense.layers.iter().zip(event.iter()).enumerate() {
             prop_assert_eq!(&d.output, e, "layer {} diverged", idx);
+        }
+        let faults = fault_map(&net, &faults);
+        let dense = net.forward_faulty(&input, RecordOptions::spikes_only(), &faults);
+        let (event, _) = event_forward(&net, &input, &faults);
+        for (idx, (d, e)) in dense.layers.iter().zip(event.iter()).enumerate() {
+            prop_assert_eq!(&d.output, e, "layer {} diverged under {:?}", idx, faults);
         }
     }
 

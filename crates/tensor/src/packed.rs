@@ -40,21 +40,6 @@ use crate::sanitize::debug_assert_finite;
 /// Number of bit lanes in one packed word.
 pub const LANES: usize = 64;
 
-/// A lane mask with the low `n` lanes set.
-///
-/// # Panics
-///
-/// Panics in debug builds if `n > 64`.
-#[inline]
-pub fn low_lanes(n: usize) -> u64 {
-    debug_assert!(n <= LANES, "at most {LANES} lanes per pack");
-    if n >= LANES {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 /// Matrix–vector product of one lane's spike bits with a dense weight,
 /// from the weight's [`transposed`](crate::ops::transposed) copy `wt`
 /// (`[words.len() × y.len()]`): `y = Σ_j Wᵀ[j, :]` over the set bits `j`
@@ -283,14 +268,6 @@ mod tests {
             unpack_lane(&words, u32::try_from(l).unwrap(), &mut out);
             assert_eq!(&out, row);
         }
-    }
-
-    #[test]
-    fn low_lanes_masks() {
-        assert_eq!(low_lanes(0), 0);
-        assert_eq!(low_lanes(1), 1);
-        assert_eq!(low_lanes(7), 0x7f);
-        assert_eq!(low_lanes(64), u64::MAX);
     }
 
     #[test]

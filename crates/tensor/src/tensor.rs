@@ -98,11 +98,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the data under a new shape without copying.
     ///
     /// # Errors
@@ -181,11 +176,6 @@ impl Tensor {
     /// Number of non-zero elements.
     pub fn count_nonzero(&self) -> usize {
         self.data.iter().filter(|&&v| v != 0.0).count()
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|v| *v = f(*v));
     }
 
     /// Returns a new tensor with `f` applied to every element.

@@ -83,7 +83,7 @@ const COMMANDS: &[Command] = &[
         "reliability",
         "--model --synthetic --seed --configs --weight-ber --neuron-ber --fault-model \
          --mitigation --window --samples --steps --rate --eval-seed --workers --threads \
-         --chunk-size --engine --json",
+         --chunk-size --json",
         cmd_reliability,
     ),
     (
@@ -161,7 +161,7 @@ fn print_usage() {
          snn-mtfc new      --input <CxHxW|N> --arch <spec> --out <model.snn> [--seed N]\n                    \
          [--sparsity FRAC]\n  \
          snn-mtfc info     <model.snn>\n  \
-         snn-mtfc analyze  <model.snn> [--format text|json|sarif] [--trace-out <trace.jsonl>]\n  \
+         snn-mtfc analyze  <model.snn> [--format text|json] [--trace-out <trace.jsonl>]\n  \
          snn-mtfc generate <model.snn> [--out <test.events>] [--preset fast|repro|paper] [--seed N]\n                    \
          [--trace-out <trace.jsonl>]\n  \
          snn-mtfc verify   <model.snn> <test.events> [--engine packed|scalar|auto]\n                    \
@@ -322,8 +322,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     match flag(args, "--format").unwrap_or("text") {
         "text" => out(report::render_text(path, &analysis)),
         "json" => println!("{}", report::render_json(path, &analysis)),
-        "sarif" => println!("{}", report::render_sarif(path, &analysis)),
-        other => return Err(format!("unknown format `{other}` (text|json|sarif)")),
+        other => return Err(format!("unknown format `{other}` (text|json)")),
     }
     Ok(())
 }
@@ -926,7 +925,7 @@ fn cmd_reliability(args: &[String]) -> Result<(), String> {
             evaluate_coverage: false,
             threads: 1,
             reliability: Some(rspec),
-            engine: engine_flag(args)?,
+            engine: None,
         };
         let chunk_size = num_flag(args, "--chunk-size")?.unwrap_or(4);
         let record = cluster_job_run(workers, &spec, chunk_size, "reliability")?;
