@@ -38,7 +38,7 @@ step "line budget — non-test Rust lines"
 # Every crates/*/src/**/*.rs and src/*.rs, each up to its first
 # `#[cfg(test)]` line. "Net negative" is then a diff of this number: a
 # change that needs more lines raises LINE_BUDGET in its own diff.
-LINE_BUDGET=21010
+LINE_BUDGET=20892
 RUST_LINES="$(find crates/*/src src/*.rs -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /^#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -345,29 +345,54 @@ echo "server VmRSS: ${RSS_AFTER_10} kB after 10 jobs, ${RSS_AFTER_40} kB after 4
 (( RSS_AFTER_40 - RSS_AFTER_10 <= 8192 )) \
     || { echo "server grew $(( (RSS_AFTER_40 - RSS_AFTER_10) / 1024 )) MB between job 10 and job 40 (limit 8 MB)"; exit 1; }
 
-step "reliability — seeded fault-map campaign, single-process vs 2-worker digests gated"
+step "reliability — seeded fault-map campaign, single-process vs 2-worker job digests gated"
+# The same campaigns twice: run by `reliability` in one process, and as
+# jobs on a server that leases them, four configurations a chunk, to two
+# one-thread worker processes. Each job's recorded digest must equal the
+# one the local run prints.
 RELIABILITY_ARGS=(--synthetic 6x12x4 --configs 8 --weight-ber 0.05 --mitigation range
-    --seed 11 --samples 6 --steps 12 --json)
-REL_LOCAL="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}")"
-REL_DIST="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}" --workers 2)"
-digest_of() { sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' <<< "$1"; }
-LOCAL_DIGEST="$(digest_of "$REL_LOCAL")"
-DIST_DIGEST="$(digest_of "$REL_DIST")"
-[[ -n "$LOCAL_DIGEST" ]] || { echo "reliability report missing digest"; exit 1; }
-[[ "$LOCAL_DIGEST" == "$DIST_DIGEST" ]] \
-    || { echo "reliability digest mismatch: local $LOCAL_DIGEST vs 2-worker $DIST_DIGEST"; exit 1; }
-grep -q '"regions":\[{' <<< "$REL_LOCAL" \
-    || { echo "reliability report has an empty criticality ranking"; exit 1; }
+    --seed 11 --samples 6 --steps 12)
 # A transient window with neuron faults: the live ticks are a range on
 # the one LIF loop, so the digest must match across process splits and
 # a33d2db16430582e, what a release build of the segmented simulator that
 # loop replaced printed for the same flags.
 WINDOW_ARGS=("${RELIABILITY_ARGS[@]}" --window 3:9 --neuron-ber 0.05)
-WIN_LOCAL="$(digest_of "$(cargo run --release -q --offline -- reliability "${WINDOW_ARGS[@]}")")"
-WIN_DIST="$(digest_of "$(cargo run --release -q --offline -- reliability "${WINDOW_ARGS[@]}" \
-    --workers 2)")"
+REL_LOCAL="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}" --json)"
+digest_of() { sed -n 's/.*"digest":"\([0-9a-f]*\)".*/\1/p' <<< "$1"; }
+LOCAL_DIGEST="$(digest_of "$REL_LOCAL")"
+WIN_LOCAL="$(digest_of "$(cargo run --release -q --offline -- reliability "${WINDOW_ARGS[@]}" \
+    --json)")"
+[[ -n "$LOCAL_DIGEST" ]] || { echo "reliability report missing digest"; exit 1; }
+grep -q '"regions":\[{' <<< "$REL_LOCAL" \
+    || { echo "reliability report has an empty criticality ranking"; exit 1; }
+REL_LOG="$ANALYZE_TMP/reliability-serve.log"
+./target/release/snn-mtfc serve --state-dir "$ANALYZE_TMP/reliability-state" --addr 127.0.0.1:0 \
+    --expect-workers 2 --chunk-size 4 > "$REL_LOG" 2>&1 &
+REL_PIDS=($!)
+REL_ADDR="$(listen_addr_of "$REL_LOG")"
+[[ -n "$REL_ADDR" ]] || { echo "reliability serve did not come up"; cat "$REL_LOG"; exit 1; }
+for w in 1 2; do
+    ./target/release/snn-mtfc worker --addr "$REL_ADDR" --name "reliability-w$w" --threads 1 \
+        > /dev/null 2>&1 &
+    REL_PIDS+=($!)
+done
+# The verdict digest job $1 records, once `submit --reliability` has run
+# it to the end with the flags after $1.
+job_digest() {
+    local job="$1"
+    shift
+    ./target/release/snn-mtfc submit --reliability "$@" --watch --addr "$REL_ADDR" > /dev/null
+    json_field verdict_digest "$(./target/release/snn-mtfc watch "$job" --json --addr "$REL_ADDR" | tail -1)"
+}
+DIST_DIGEST="$(job_digest 1 "${RELIABILITY_ARGS[@]}")"
+WIN_DIST="$(job_digest 2 "${WINDOW_ARGS[@]}")"
+./target/release/snn-mtfc shutdown --addr "$REL_ADDR" > /dev/null
+wait "${REL_PIDS[@]}" 2>/dev/null || true
+echo "local / 2-worker job digests: $LOCAL_DIGEST / $DIST_DIGEST, windowed $WIN_LOCAL / $WIN_DIST"
+[[ "$LOCAL_DIGEST" == "$DIST_DIGEST" ]] \
+    || { echo "reliability digest mismatch: local $LOCAL_DIGEST vs 2-worker job $DIST_DIGEST"; exit 1; }
 [[ "$WIN_LOCAL" == a33d2db16430582e && "$WIN_DIST" == "$WIN_LOCAL" ]] \
-    || { echo "windowed reliability digest: local $WIN_LOCAL, 2-worker $WIN_DIST, want a33d2db16430582e"; exit 1; }
+    || { echo "windowed reliability digest: local $WIN_LOCAL, 2-worker job $WIN_DIST, want a33d2db16430582e"; exit 1; }
 
 step "determinism — double-run: fresh processes reproduce bytes exactly"
 # The property clippy.toml's bans guard, checked dynamically: two cold
@@ -378,7 +403,7 @@ cargo run --release -q --offline -- generate "$ANALYZE_TMP/obs.snn" --preset fas
     --out "$ANALYZE_TMP/det2.events" > /dev/null
 cmp -s "$ANALYZE_TMP/det1.events" "$ANALYZE_TMP/det2.events" \
     || { echo "seeded generate differs between two fresh processes"; exit 1; }
-REL_RERUN="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}")"
+REL_RERUN="$(cargo run --release -q --offline -- reliability "${RELIABILITY_ARGS[@]}" --json)"
 diff <(printf '%s' "$REL_LOCAL") <(printf '%s' "$REL_RERUN") > /dev/null \
     || { echo "reliability JSON differs between two fresh processes"; exit 1; }
 

@@ -1,14 +1,15 @@
-//! Deterministic campaign materialization: rebuilding the network, the
-//! fault universe and the test stimuli of a [`CampaignSpec`] inside a
-//! worker process, bit-identically to the coordinator's own view.
+//! Deterministic campaign materialization and the one campaign runner:
+//! a [`CampaignSpec`] rebuilt inside a worker process bit-identically to
+//! the coordinator's own view, or a job's campaign built from the values
+//! the server already holds, run chunk by chunk or whole.
 
 use crate::wire::{CampaignSpec, ModelSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snn_faults::progress::{CancelToken, NullSink};
+use snn_faults::progress::{CancelToken, ProgressSink};
 use snn_faults::{CampaignError, ChunkCampaignError, FaultOutcome, FaultSimulator, FaultUniverse};
 use snn_model::{LifParams, Network, NetworkBuilder};
-use snn_reliability::ReliabilityEvaluator;
+use snn_reliability::{ReliabilityEvaluator, ReliabilitySpec};
 use snn_tensor::Tensor;
 use std::io::BufReader;
 
@@ -43,18 +44,17 @@ pub fn build_model(spec: &ModelSpec) -> Result<Network, String> {
     }
 }
 
-/// A campaign spec materialized for execution: the rebuilt network, its
-/// standard fault universe and the decoded test stimuli. Workers build
-/// one per campaign and reuse it across every leased chunk.
+/// One campaign ready to run: the network, its fault universe and the
+/// test stimuli. Workers build one per leased campaign and reuse it
+/// across its chunks; the job server builds one from a job's own values
+/// and runs it whole when it keeps the campaign in-process.
 pub struct PreparedCampaign {
-    /// Campaign id.
-    pub id: u64,
-    /// The rebuilt network under test.
+    /// The network under test.
     pub net: Network,
     /// The standard fault universe over `net` (the id space of every
-    /// leased range).
+    /// leased range); empty for reliability campaigns.
     pub universe: FaultUniverse,
-    /// The decoded test stimuli, `[T × input_features]` each.
+    /// The test stimuli, `[T × input_features]` each.
     pub tests: Vec<Tensor>,
     /// Simulator configuration (threads already overridden, if asked).
     pub sim: snn_faults::FaultSimConfig,
@@ -65,16 +65,18 @@ pub struct PreparedCampaign {
 }
 
 impl PreparedCampaign {
-    /// Materializes `spec`. `threads` overrides the spec's worker thread
-    /// count when `Some` — thread count never changes verdicts.
+    /// Materializes `spec`: builds its model, parses its stimuli and
+    /// hands them to [`from_parts`](Self::from_parts). `threads`
+    /// overrides the spec's worker thread count when `Some` — thread
+    /// count never changes verdicts.
     ///
     /// # Errors
     ///
-    /// A one-line diagnostic when the model cannot be built, or a
-    /// stimulus fails to parse or is not as wide as the model's input.
+    /// A one-line diagnostic when the model cannot be built, a stimulus
+    /// fails to parse or is not as wide as the model's input, or
+    /// [`from_parts`](Self::from_parts) refuses the campaign.
     pub fn new(spec: &CampaignSpec, threads: Option<usize>) -> Result<Self, String> {
         let net = build_model(&spec.model)?;
-        let universe = FaultUniverse::standard(&net);
         let tests = spec
             .events
             .iter()
@@ -92,31 +94,54 @@ impl PreparedCampaign {
                 Ok(test)
             })
             .collect::<Result<Vec<_>, String>>()?;
-        // Reliability campaigns generate their own evaluation inputs from
-        // the spec, so they legitimately carry no detection stimuli.
-        if tests.is_empty() && spec.reliability.is_none() {
-            return Err(format!("campaign {} carries no test stimuli", spec.id));
-        }
-        let reliability = spec
-            .reliability
-            .as_ref()
-            .map(|r| {
-                ReliabilityEvaluator::new(net.clone(), r.clone())
-                    .map_err(|e| format!("campaign {}: {e}", spec.id))
-            })
-            .transpose()?;
+        // Reliability campaigns never read the universe.
+        let universe = match spec.reliability {
+            Some(_) => FaultUniverse::default(),
+            None => FaultUniverse::standard(&net),
+        };
         let mut sim = spec.sim;
         if let Some(threads) = threads {
             sim.threads = threads;
         }
-        Ok(Self { id: spec.id, net, universe, tests, sim, reliability })
+        Self::from_parts(net, universe, tests, sim, spec.reliability.clone())
+            .map_err(|e| format!("campaign {}: {e}", spec.id))
     }
 
-    /// Simulates one chunk: the id range of a lease, in order. Outcomes
-    /// are bit-identical to the same ids inside a
-    /// single-process whole-campaign run, whichever execution engine the
-    /// spec's `sim.engine` selects — chunk verdicts are engine-invariant
-    /// by the packed engine's bit-exactness contract.
+    /// A campaign over values the caller already holds. A `reliability`
+    /// spec makes it a reliability campaign, which generates its own
+    /// evaluation inputs and so needs no `tests`.
+    ///
+    /// # Errors
+    ///
+    /// A one-line diagnostic when a detection campaign has no stimuli or
+    /// the reliability spec does not fit `net`.
+    pub fn from_parts(
+        net: Network,
+        universe: FaultUniverse,
+        tests: Vec<Tensor>,
+        sim: snn_faults::FaultSimConfig,
+        reliability: Option<ReliabilitySpec>,
+    ) -> Result<Self, String> {
+        if tests.is_empty() && reliability.is_none() {
+            return Err("no test stimuli".into());
+        }
+        let reliability =
+            reliability.map(|spec| ReliabilityEvaluator::new(net.clone(), spec)).transpose()?;
+        Ok(Self { net, universe, tests, sim, reliability })
+    }
+
+    /// The size of the campaign's id space: universe faults, or fault-map
+    /// configurations.
+    pub fn faults(&self) -> usize {
+        self.reliability.as_ref().map_or(self.universe.len(), |eval| eval.spec().map.configs)
+    }
+
+    /// Simulates one chunk: the id range of a lease, in order, or the
+    /// whole campaign. Outcomes are bit-identical to the same ids inside
+    /// any other chunking, whichever execution engine the spec's
+    /// `sim.engine` selects — chunk verdicts are engine-invariant by the
+    /// packed engine's bit-exactness contract. A detection campaign
+    /// streams its tally to `sink`; a reliability one reports none.
     ///
     /// # Errors
     ///
@@ -125,6 +150,7 @@ impl PreparedCampaign {
     pub fn run_chunk(
         &self,
         ids: std::ops::Range<usize>,
+        sink: &dyn ProgressSink,
         cancel: &CancelToken,
     ) -> Result<Vec<FaultOutcome>, ChunkCampaignError> {
         if let Some(eval) = &self.reliability {
@@ -136,7 +162,7 @@ impl PreparedCampaign {
             &self.universe,
             ids,
             &self.tests,
-            &NullSink,
+            sink,
             cancel,
         )
     }
@@ -145,6 +171,7 @@ impl PreparedCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snn_faults::progress::NullSink;
     use snn_faults::{Engine, FaultSimConfig};
 
     fn spec() -> CampaignSpec {
@@ -226,8 +253,30 @@ mod tests {
             prepared.universe.faults(),
             &prepared.tests,
         );
-        let chunk = prepared.run_chunk(3..9, &CancelToken::new()).unwrap();
+        let chunk = prepared.run_chunk(3..9, &NullSink, &CancelToken::new()).unwrap();
         assert_eq!(chunk.as_slice(), &whole.per_fault[3..9]);
+    }
+
+    /// A campaign built from values already in hand — the job server's
+    /// in-process one — runs to the verdicts of its spec's rebuild.
+    #[test]
+    fn a_campaign_from_parts_runs_what_its_rebuilt_spec_runs() {
+        let run = |c: &PreparedCampaign| {
+            c.run_chunk(0..c.faults(), &NullSink, &CancelToken::new()).unwrap()
+        };
+        for spec in [spec(), reliability_spec()] {
+            let rebuilt = PreparedCampaign::new(&spec, None).unwrap();
+            let local = PreparedCampaign::from_parts(
+                build_model(&spec.model).unwrap(),
+                rebuilt.universe.clone(),
+                rebuilt.tests.clone(),
+                spec.sim,
+                spec.reliability.clone(),
+            )
+            .unwrap();
+            assert_eq!(local.faults(), rebuilt.faults());
+            assert_eq!(run(&local), run(&rebuilt));
+        }
     }
 
     #[test]
@@ -235,10 +284,12 @@ mod tests {
         let spec = reliability_spec();
         let prepared = PreparedCampaign::new(&spec, Some(1)).unwrap();
         let eval = prepared.reliability.as_ref().unwrap();
+        assert_eq!(prepared.faults(), spec.faults, "the ids are configuration indices");
         let whole = eval.evaluate_chunk(0..spec.faults, 1, &CancelToken::new()).unwrap();
         let mut stitched = Vec::new();
         for chunk in snn_faults::chunk::plan(spec.faults, 2) {
-            stitched.extend(prepared.run_chunk(chunk.range(), &CancelToken::new()).unwrap());
+            stitched
+                .extend(prepared.run_chunk(chunk.range(), &NullSink, &CancelToken::new()).unwrap());
         }
         assert_eq!(stitched, whole, "leased chunks must merge bit-identically");
     }

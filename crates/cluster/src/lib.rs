@@ -26,7 +26,9 @@
 //!   re-parses the stimuli (the events text format is an exact transport
 //!   for spike tensors) and runs its chunk with the campaign's exact
 //!   simulator configuration, so chunk outcomes are bit-identical to the
-//!   same fault ids inside a single-process run.
+//!   same fault ids inside a single-process run. The job server runs an
+//!   in-process campaign through the same [`PreparedCampaign`], built
+//!   from the values the job already holds.
 //! * [`worker`] — the worker runtime: lease → fetch → simulate → result,
 //!   each result sent together with the next lease request, with a
 //!   heartbeat side-channel that cancels a chunk the moment its lease

@@ -20,7 +20,7 @@ use crate::wire::{
     read_line, write_line, CampaignSpec, ChunkOutcomes, CoordMsg, WorkerMsg, PROTOCOL_VERSION,
 };
 use parking_lot::Mutex;
-use snn_faults::progress::CancelToken;
+use snn_faults::progress::{CancelToken, NullSink};
 use snn_faults::ChunkCampaignError;
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
@@ -342,7 +342,7 @@ fn lease_loop(
         let mut span = snn_obs::span!("cluster.chunk");
         span.attr("lease", grant.lease);
         span.attr("chunk", grant.chunk.index);
-        let outcome = prepared.run_chunk(grant.chunk.range(), &cancel);
+        let outcome = prepared.run_chunk(grant.chunk.range(), &NullSink, &cancel);
         drop(span);
         session.hold(None);
         // Drain even when the grant is untraced or the chunk was

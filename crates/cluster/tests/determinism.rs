@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use snn_cluster::coordinator::{Coordinator, CoordinatorConfig, Grant};
 use snn_cluster::wire::{CampaignSpec, ChunkOutcomes, ModelSpec};
 use snn_cluster::{build_model, PreparedCampaign};
-use snn_faults::progress::CancelToken;
+use snn_faults::progress::{CancelToken, NullSink};
 use snn_faults::{
     verdict_digest, Engine, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse,
 };
@@ -95,7 +95,7 @@ fn distributed_campaign(
                                 }
                             };
                             let outcomes = p
-                                .run_chunk(grant.chunk.range(), &CancelToken::new())
+                                .run_chunk(grant.chunk.range(), &NullSink, &CancelToken::new())
                                 .expect("chunk");
                             assert!(coord.result(
                                 &name,

@@ -12,7 +12,7 @@ use snn_cluster::wire::{
     PROTOCOL_VERSION,
 };
 use snn_cluster::{run_worker, PreparedCampaign, WorkerConfig};
-use snn_faults::progress::CancelToken;
+use snn_faults::progress::{CancelToken, NullSink};
 use snn_faults::{ChunkRange, FaultSimConfig};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -154,7 +154,7 @@ fn the_worker_pairs_each_result_with_its_next_lease_request() {
     let prepared = PreparedCampaign::new(&campaign_spec(), Some(1)).unwrap();
     for (index, columns) in got.into_iter().enumerate() {
         let ids = index * CHUNK..(index + 1) * CHUNK;
-        let local = prepared.run_chunk(ids.clone(), &CancelToken::new()).unwrap();
+        let local = prepared.run_chunk(ids.clone(), &NullSink, &CancelToken::new()).unwrap();
         assert_eq!(columns.into_rows(ids), Some(local), "chunk {index}");
     }
 }

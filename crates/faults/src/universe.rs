@@ -118,7 +118,7 @@ impl Default for FaultModelConfig {
     }
 }
 
-/// The enumerated fault space of a network.
+/// The enumerated fault space of a network (`Default` is the empty one).
 ///
 /// # Example
 ///
@@ -135,7 +135,7 @@ impl Default for FaultModelConfig {
 /// assert_eq!(u.neuron_fault_count(), 4);
 /// assert_eq!(u.synapse_fault_count(), 18);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultUniverse {
     faults: Vec<Fault>,
     config: FaultModelConfig,

@@ -3,9 +3,8 @@
 //! double-submit a job; a connection that fails is dropped and the next
 //! request reconnects.
 
-use crate::protocol::{
-    read_line, write_line, ClusterStatus, JobEvent, JobRecord, JobSpec, Request, Response,
-};
+use crate::protocol::{ClusterStatus, JobEvent, JobRecord, JobSpec, Request, Response};
+use snn_cluster::wire::{read_line, write_line};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 

@@ -25,11 +25,14 @@
 //!   `snn-mtfc submit`/`status`/`watch`/`cancel` subcommands and the
 //!   integration tests.
 //!
-//! With `ServiceConfig::expect_workers > 0` the server also acts as a
-//! cluster coordinator: coverage campaigns are sharded into leased
-//! chunks and farmed out to `snn-mtfc worker` processes over the same
-//! listener (see `snn_cluster`), with results merged bit-identically to
-//! the in-process path.
+//! A job's campaign — the coverage campaign over its generated test, or
+//! its reliability fault map — runs through one function, in-process or
+//! leased. With `ServiceConfig::expect_workers > 0` the server also acts
+//! as a cluster coordinator: the campaign is sharded into leased chunks
+//! and farmed out to `snn-mtfc worker` processes over the same listener
+//! (see `snn_cluster`). With `0` the job runs the same
+//! `snn_cluster::PreparedCampaign` a worker runs per chunk, over the
+//! whole id range. The merged results are bit-identical either way.
 //!
 //! # Example
 //!

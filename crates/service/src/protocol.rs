@@ -17,7 +17,6 @@
 
 use serde::{Deserialize, Serialize};
 use snn_faults::progress::Progress;
-use std::io::{BufRead, Write};
 
 // The protocol's foundation — the version constant, the model spec and
 // the line codec — lives in `snn-cluster`'s wire module, because worker
@@ -319,22 +318,10 @@ pub enum Response {
     },
 }
 
-/// Writes `value` as one JSON line and flushes.
-pub fn write_line<T: Serialize>(w: &mut impl Write, value: &T) -> std::io::Result<()> {
-    snn_cluster::wire::write_line(w, value)
-}
-
-/// Reads one JSON line. `Ok(None)` on clean EOF; decode failures carry a
-/// one-line diagnostic.
-pub fn read_line<T: serde::Deserialize>(
-    r: &mut impl BufRead,
-) -> std::io::Result<Option<Result<T, String>>> {
-    snn_cluster::wire::read_line(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snn_cluster::wire::{read_line, write_line};
 
     /// Asserts that `v` encodes to exactly `json` — the pinned bytes a
     /// peer of this protocol version sends, or a record of this schema

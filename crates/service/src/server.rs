@@ -5,29 +5,32 @@
 //! [`Request`]/[`Response`] and cluster workers speaking
 //! `snn_cluster::wire::WorkerMsg`/`CoordMsg`. Each incoming line is
 //! parsed once and the value tried as a client request first and a
-//! worker message second (the variant names are disjoint). With
-//! `expect_workers > 0`, coverage
-//! campaigns are sharded onto the worker pool through the
-//! [`Coordinator`]; with the default `0`, the in-process path runs
-//! unchanged — and both produce bit-identical verdicts and digests.
+//! worker message second (the variant names are disjoint). A job's
+//! campaign, coverage or reliability, is one [`PreparedCampaign`]: with
+//! `expect_workers > 0` it is sharded onto the worker pool through the
+//! [`Coordinator`]; with the default `0` the job runs it whole, as a
+//! worker runs a chunk — and both produce bit-identical verdicts and
+//! digests.
 
 use crate::bus::EventBus;
 use crate::protocol::{
-    write_line, JobEventPayload, JobRecord, JobResult, JobSpec, JobState, JobTimings, ModelSpec,
-    Request, Response, PROTOCOL_VERSION,
+    JobEventPayload, JobRecord, JobResult, JobSpec, JobState, JobTimings, ModelSpec, Request,
+    Response, PROTOCOL_VERSION,
 };
 use crate::store::{now_ms, JobStore};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Deserialize as _;
-use snn_cluster::build_model;
 use snn_cluster::coordinator::{ClusterError, Coordinator, CoordinatorConfig, Grant};
 use snn_cluster::lock_order::{mutex, Rank};
-use snn_cluster::wire::{CampaignSpec, CoordMsg, TraceContext, WorkerMsg};
+use snn_cluster::wire::{write_line, CampaignSpec, CoordMsg, TraceContext, WorkerMsg};
+use snn_cluster::{build_model, PreparedCampaign};
 use snn_faults::progress::{CancelToken, Progress, ProgressSink};
-use snn_faults::{verdict_digest_hex, FaultOutcome, FaultSimConfig, FaultSimulator, FaultUniverse};
-use snn_model::Network;
+use snn_faults::{
+    verdict_digest_hex, CampaignError, ChunkCampaignError, FaultOutcome, FaultSimConfig,
+    FaultUniverse,
+};
 use snn_testgen::{TestGenConfig, TestGenerator};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
@@ -53,7 +56,7 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Directory holding the persistent job store.
     pub state_dir: PathBuf,
-    /// Cluster workers coverage campaigns wait for before sharding onto
+    /// Cluster workers a job's campaign waits for before sharding onto
     /// the pool. `0` (the default) keeps campaigns in-process.
     pub expect_workers: usize,
     /// Faults per distributed chunk.
@@ -85,7 +88,7 @@ struct Inner {
     bus: EventBus,
     queue: JobQueue,
     running: RunningJobs,
-    /// The chunk scheduler for distributed coverage campaigns. Always
+    /// The chunk scheduler for distributed campaigns. Always
     /// present; it simply idles when no workers connect.
     coordinator: Coordinator,
     /// Workers a coverage campaign waits for before sharding; `0` keeps
@@ -453,6 +456,10 @@ impl Server {
 fn validate_spec(spec: &JobSpec) -> Result<(), String> {
     preset_config(spec)?;
     if let Some(r) = &spec.reliability {
+        // The fault-map evaluator runs no detection engine.
+        if spec.engine.is_some() {
+            return Err("reliability jobs do not take an engine".into());
+        }
         // Model-dependent checks (region bounds etc.) run at execution
         // time via `ReliabilitySpec::validate`; these shape checks don't
         // need the network.
@@ -566,8 +573,18 @@ fn ms_since(start: Duration) -> u64 {
     u64::try_from(snn_obs::clock::monotonic().saturating_sub(start).as_millis()).unwrap_or(u64::MAX)
 }
 
-/// The job body: build the model, generate the test, optionally measure
-/// fault coverage, and persist the stimulus file.
+/// How a job that stopped on its cancel token ended.
+fn cancelled(inner: &Inner) -> JobOutcome {
+    JobOutcome::Cancelled(if inner.shutdown.load(Ordering::SeqCst) {
+        "cancelled by server shutdown".into()
+    } else {
+        "cancelled by request".into()
+    })
+}
+
+/// The job body: build the model, then either score a reliability fault
+/// map, or generate the test, persist its stimulus file and optionally
+/// measure its fault coverage.
 fn execute(
     inner: &Arc<Inner>,
     spec: &JobSpec,
@@ -576,14 +593,6 @@ fn execute(
     sink: &ServiceSink,
     token: &CancelToken,
 ) -> JobOutcome {
-    let cancelled_why = |inner: &Inner| {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            "cancelled by server shutdown".to_string()
-        } else {
-            "cancelled by request".to_string()
-        }
-    };
-
     let cfg = match preset_config(spec) {
         Ok(cfg) => cfg,
         Err(e) => return JobOutcome::Failed(e),
@@ -592,11 +601,17 @@ fn execute(
         Ok(net) => net,
         Err(e) => return JobOutcome::Failed(e),
     };
+    let sim =
+        FaultSimConfig { threads: spec.threads, engine: spec.engine, ..FaultSimConfig::default() };
 
     // Reliability jobs replace the generate-then-cover pipeline entirely:
     // the spec's fault map is scored for accuracy impact instead.
     if let Some(rspec) = &spec.reliability {
-        return execute_reliability(inner, spec, rspec, &net, queue_wait_ms, sink, token);
+        let (universe, reliability) = (FaultUniverse::default(), Some(rspec.clone()));
+        return match PreparedCampaign::from_parts(net, universe, vec![], sim, reliability) {
+            Ok(c) => execute_reliability(inner, spec, rspec, &c, queue_wait_ms, sink, token),
+            Err(e) => JobOutcome::Failed(e),
+        };
     }
 
     // The stimulus is `snn-mtfc generate`'s for the same model, preset
@@ -606,17 +621,19 @@ fn execute(
     let generation_started = snn_obs::clock::monotonic();
     let test = match TestGenerator::new(&net, cfg).generate_with(&mut rng, sink, token) {
         Ok(test) => test,
-        Err(_) => return JobOutcome::Cancelled(cancelled_why(inner)),
+        Err(_) => return cancelled(inner),
     };
     let generation_ms = ms_since(generation_started);
 
-    // Persist the stimulus in the event format the CLI understands.
+    // Encoded once, in the event format the CLI understands: for the
+    // job's events file, and for the payload a leased campaign ships.
+    let mut events = Vec::new();
+    if let Err(e) = test.write_events(&mut events) {
+        return JobOutcome::Failed(format!("cannot encode stimulus: {e}"));
+    }
     let events_path = inner.store.result_path(id, "events");
     let events_path =
-        match std::fs::File::create(&events_path).and_then(|mut f| test.write_events(&mut f)) {
-            Ok(()) => Some(events_path.display().to_string()),
-            Err(_) => None,
-        };
+        std::fs::write(&events_path, &events).ok().map(|()| events_path.display().to_string());
 
     let mut result = JobResult {
         chunks: test.chunks.len(),
@@ -640,41 +657,28 @@ fn execute(
         let universe = FaultUniverse::standard(&net);
         let analyze_ms = ms_since(universe_started);
         let fault_sim_started = snn_obs::clock::monotonic();
-        let sim_cfg = FaultSimConfig {
-            threads: spec.threads,
-            engine: spec.engine,
-            ..FaultSimConfig::default()
+        let events = match String::from_utf8(events) {
+            Ok(text) => text,
+            Err(e) => return JobOutcome::Failed(format!("cannot encode stimulus: {e}")),
         };
-        // One campaign over the whole universe, in-process or sharded:
-        // the verdicts — and the digest — are what `snn-mtfc verify`
-        // computes for the same model and events.
-        let per_fault = if inner.expect_workers > 0 {
-            match distributed_coverage(inner, spec, universe.len(), &test, sim_cfg, sink, token) {
-                Ok(per_fault) => per_fault,
-                Err(outcome) => return outcome,
-            }
-        } else {
-            let assembled = test.assembled();
-            let campaign = FaultSimulator::new(&net, sim_cfg).detect_with(
-                &universe,
-                universe.faults(),
-                std::slice::from_ref(&assembled),
-                sink,
-                token,
-            );
-            match campaign {
-                Ok(outcome) => outcome.per_fault,
-                Err(snn_faults::CampaignError::Cancelled) => {
-                    return JobOutcome::Cancelled(cancelled_why(inner));
-                }
-                Err(e) => return JobOutcome::Failed(e.to_string()),
-            }
+        // One campaign over the whole universe: the verdicts — and the
+        // digest — are what `snn-mtfc verify` computes for the same model
+        // and events.
+        let campaign =
+            match PreparedCampaign::from_parts(net, universe, vec![test.assembled()], sim, None) {
+                Ok(campaign) => campaign,
+                Err(e) => return JobOutcome::Failed(e),
+            };
+        let per_fault = match run_campaign(inner, spec, vec![events], &campaign, sink, token) {
+            Ok(per_fault) => per_fault,
+            Err(outcome) => return outcome,
         };
         // Workers resolve `Auto` against a bit-identical rebuild of the
         // model, so the local resolution also names the distributed
         // engine.
-        result.engine = Some(snn_faults::resolve_engine(&net, spec.engine).name().to_string());
-        let total = universe.len();
+        result.engine =
+            Some(snn_faults::resolve_engine(&campaign.net, spec.engine).name().to_string());
+        let total = per_fault.len();
         let detected = per_fault.iter().filter(|o| o.detected).count();
         result.faults_total = Some(total);
         result.faults_detected = Some(detected);
@@ -693,59 +697,25 @@ fn execute(
 }
 
 /// The reliability-job body: score every fault-map configuration for
-/// accuracy impact — in-process, or sharded over the worker pool exactly
-/// like coverage campaigns (leased ranges are configuration indices;
-/// workers re-sample configurations from the spec, so the merged
-/// outcomes and digest are bit-identical to the local path).
+/// accuracy impact. Its campaign's ids are configuration indices, which
+/// workers re-sample from the spec, so the outcomes and the digest are
+/// the same in-process or leased.
 fn execute_reliability(
     inner: &Arc<Inner>,
     spec: &JobSpec,
     rspec: &snn_reliability::ReliabilitySpec,
-    net: &Network,
+    campaign: &PreparedCampaign,
     queue_wait_ms: u64,
     sink: &ServiceSink,
     token: &CancelToken,
 ) -> JobOutcome {
-    let cancelled_why = |inner: &Inner| {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            "cancelled by server shutdown".to_string()
-        } else {
-            "cancelled by request".to_string()
-        }
-    };
-
     let started = snn_obs::clock::monotonic();
-    let outcomes = if inner.expect_workers > 0 {
-        if let Err(e) =
-            inner.coordinator.wait_for_workers(inner.expect_workers, token, Duration::from_secs(60))
-        {
-            return cluster_outcome(inner, e);
-        }
-        let payload = CampaignSpec {
-            id: 0,
-            model: spec.model.clone(),
-            events: Vec::new(),
-            sim: FaultSimConfig { threads: spec.threads, ..FaultSimConfig::default() },
-            faults: rspec.map.configs,
-            reliability: Some(rspec.clone()),
-        };
-        match run_distributed(inner, payload, sink, token) {
-            Ok(outcomes) => outcomes,
-            Err(outcome) => return outcome,
-        }
-    } else {
-        let evaluator = match snn_reliability::ReliabilityEvaluator::new(net.clone(), rspec.clone())
-        {
-            Ok(evaluator) => evaluator,
-            Err(e) => return JobOutcome::Failed(e),
-        };
-        match evaluator.evaluate_chunk(0..rspec.map.configs, spec.threads, token) {
-            Ok(outcomes) => outcomes,
-            Err(_) => return JobOutcome::Cancelled(cancelled_why(inner)),
-        }
+    let outcomes = match run_campaign(inner, spec, Vec::new(), campaign, sink, token) {
+        Ok(outcomes) => outcomes,
+        Err(outcome) => return outcome,
     };
 
-    let report = match snn_reliability::ReliabilityReport::build(net, rspec, &outcomes) {
+    let report = match snn_reliability::ReliabilityReport::build(&campaign.net, rspec, &outcomes) {
         Ok(report) => report,
         Err(e) => return JobOutcome::Failed(format!("reliability report: {e}")),
     };
@@ -773,68 +743,50 @@ fn execute_reliability(
 /// Maps a cluster failure to the job outcome it should produce.
 fn cluster_outcome(inner: &Inner, e: ClusterError) -> JobOutcome {
     match e {
-        ClusterError::Cancelled | ClusterError::Shutdown => {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                JobOutcome::Cancelled("cancelled by server shutdown".into())
-            } else {
-                JobOutcome::Cancelled("cancelled by request".into())
-            }
-        }
+        ClusterError::Cancelled | ClusterError::Shutdown => cancelled(inner),
         other => JobOutcome::Failed(format!("distributed campaign: {other}")),
     }
 }
 
-/// Runs the coverage campaign on the worker pool: the universe's
-/// `faults` ids are sharded into leased chunks and merged exactly —
-/// bit-identical to the in-process path.
-fn distributed_coverage(
+/// Runs a job's one campaign over all its ids, `0..campaign.faults()`,
+/// coverage or reliability alike. With no cluster workers expected it
+/// runs here through `campaign` — what a worker runs per leased chunk;
+/// otherwise it is leased to the workers as the job's model, `events`
+/// and `campaign`'s configuration, and the chunks they return are merged
+/// exactly. The outcomes are bit-identical either way. Progress reaches
+/// `sink` as simulated-fault tallies.
+fn run_campaign(
     inner: &Inner,
     spec: &JobSpec,
-    faults: usize,
-    test: &snn_testgen::GeneratedTest,
-    sim_cfg: FaultSimConfig,
+    events: Vec<String>,
+    campaign: &PreparedCampaign,
     sink: &ServiceSink,
     token: &CancelToken,
 ) -> Result<Vec<FaultOutcome>, JobOutcome> {
+    let faults = campaign.faults();
+    if inner.expect_workers == 0 {
+        return campaign.run_chunk(0..faults, sink, token).map_err(|e| match e {
+            ChunkCampaignError::Campaign(CampaignError::Cancelled) => cancelled(inner),
+            e => JobOutcome::Failed(e.to_string()),
+        });
+    }
     inner
         .coordinator
         .wait_for_workers(inner.expect_workers, token, Duration::from_secs(60))
         .map_err(|e| cluster_outcome(inner, e))?;
-
-    // The events text format is an exact transport for spike tensors, so
-    // workers re-parse to the very tensor `test.assembled()` yields here.
-    let mut events = Vec::new();
-    if let Err(e) = test.write_events(&mut events) {
-        return Err(JobOutcome::Failed(format!("cannot encode stimulus: {e}")));
-    }
-    let events = match String::from_utf8(events) {
-        Ok(text) => text,
-        Err(e) => return Err(JobOutcome::Failed(format!("cannot encode stimulus: {e}"))),
-    };
     let payload = CampaignSpec {
         id: 0,
         model: spec.model.clone(),
-        events: vec![events],
-        sim: sim_cfg,
+        events,
+        sim: campaign.sim,
         faults,
-        reliability: None,
+        reliability: spec.reliability.clone(),
     };
-    run_distributed(inner, payload, sink, token)
-}
-
-/// Submits one distributed campaign and waits for its merged outcomes,
-/// relaying chunk completions as job progress.
-fn run_distributed(
-    inner: &Inner,
-    payload: CampaignSpec,
-    sink: &ServiceSink,
-    token: &CancelToken,
-) -> Result<Vec<FaultOutcome>, JobOutcome> {
     // The campaign span roots the merged trace: its id travels to the
     // workers inside every lease grant, and their shipped chunk spans
     // come back parented (via per-worker wrappers) under it.
     let mut span = snn_obs::span!("cluster.campaign");
-    span.attr("faults", payload.faults);
+    span.attr("faults", faults);
     // The trace has no identity separate from its root span, so the
     // campaign span's id doubles as the trace id.
     let trace = span.id().map(|id| TraceContext { trace_id: id, parent_span_id: id });

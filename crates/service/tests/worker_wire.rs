@@ -4,7 +4,7 @@
 
 use snn_cluster::wire::{read_line, write_line, ChunkOutcomes, CoordMsg, WorkerMsg};
 use snn_cluster::PreparedCampaign;
-use snn_faults::progress::CancelToken;
+use snn_faults::progress::{CancelToken, NullSink};
 use snn_faults::{verdict_digest_hex, FaultSimConfig, FaultSimulator, FaultUniverse};
 use snn_service::{
     Client, JobRecord, JobSpec, JobState, ModelSpec, Response, Server, ServiceConfig,
@@ -140,7 +140,8 @@ fn a_result_that_does_not_fit_its_lease_bounces_and_the_campaign_still_completes
             prepared = Some(PreparedCampaign::new(&spec, Some(1)).expect("prepare"));
         }
         let campaign = prepared.as_ref().expect("prepared above");
-        let rows = campaign.run_chunk(grant.chunk.range(), &CancelToken::new()).expect("chunk");
+        let rows =
+            campaign.run_chunk(grant.chunk.range(), &NullSink, &CancelToken::new()).expect("chunk");
         let good = ChunkOutcomes::from_rows(rows.clone());
         let mut result = |outcomes: ChunkOutcomes| {
             worker.ask(&WorkerMsg::Result {

@@ -12,7 +12,7 @@
 //! snn-mtfc reliability (--model model.snn | --synthetic IxH..xO) [--configs N]
 //!                   [--weight-ber F] [--neuron-ber F] [--fault-model stuck|bitflip]
 //!                   [--mitigation none|range|remap] [--window T0:T1] [--samples N]
-//!                   [--steps N] [--rate F] [--seed N] [--workers N] [--json]
+//!                   [--steps N] [--rate F] [--seed N] [--threads N] [--json]
 //!
 //! snn-mtfc serve    --state-dir DIR [--addr HOST:PORT] [--workers N] [--queue N]
 //!                   [--metrics-dump metrics.prom] [--expect-workers N]
@@ -82,8 +82,7 @@ const COMMANDS: &[Command] = &[
     (
         "reliability",
         "--model --synthetic --seed --configs --weight-ber --neuron-ber --fault-model \
-         --mitigation --window --samples --steps --rate --eval-seed --workers --threads \
-         --chunk-size --json",
+         --mitigation --window --samples --steps --rate --eval-seed --threads --json",
         cmd_reliability,
     ),
     (
@@ -170,7 +169,7 @@ fn print_usage() {
          snn-mtfc reliability (--model <model.snn> | --synthetic IxH..xO) [--configs N]\n                       \
          [--weight-ber F] [--neuron-ber F] [--fault-model stuck|bitflip]\n                       \
          [--mitigation none|range|remap] [--window T0:T1] [--samples N]\n                       \
-         [--steps N] [--rate F] [--seed N] [--workers N] [--json]\n\n  \
+         [--steps N] [--rate F] [--seed N] [--threads N] [--json]\n\n  \
          snn-mtfc serve    --state-dir <dir> [--addr host:port] [--workers N] [--queue N]\n                    \
          [--metrics-dump <metrics.prom>] [--expect-workers N]\n                    \
          [--chunk-size N] [--lease-ms MS] [--trace-out <trace.jsonl>]\n  \
@@ -833,105 +832,20 @@ fn cmd_cluster_status(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one job against a fresh in-process server with `workers` real
-/// TCP cluster workers and returns its terminal record. Errors unless
-/// the job ends `Done`.
-fn cluster_job_run(
-    workers: usize,
-    spec: &JobSpec,
-    chunk_size: usize,
-    tag: &str,
-) -> Result<JobRecord, String> {
-    let state_dir =
-        std::env::temp_dir().join(format!("snn-{tag}-{}-{workers}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&state_dir);
-    let config = ServiceConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 1,
-        queue_capacity: 4,
-        state_dir: state_dir.clone(),
-        expect_workers: workers,
-        chunk_size,
-        lease_ms: 10_000,
-    };
-    let server = Server::bind(config).map_err(|e| format!("cannot start {tag} server: {e}"))?;
-    let addr = server.local_addr();
-    let server_thread = std::thread::spawn(move || server.run());
-    let worker_threads: Vec<_> = (0..workers)
-        .map(|i| {
-            let name = format!("{tag}-{i}");
-            std::thread::spawn(move || {
-                // In-process worker threads share this process; a
-                // traced worker would hijack its global collector.
-                snn_mtfc::cluster::run_worker(&snn_mtfc::cluster::WorkerConfig {
-                    addr: addr.to_string(),
-                    name,
-                    threads: 1,
-                    trace: false,
-                })
-            })
-        })
-        .collect();
-
-    let outcome = (|| -> Result<JobRecord, String> {
-        let mut client =
-            Client::connect(addr).map_err(|e| format!("cannot connect to {tag} server: {e}"))?;
-        let job = client.submit(spec.clone())?;
-        let record = client.watch(job, |_| {})?;
-        client.shutdown()?;
-        if record.state != snn_mtfc::service::JobState::Done {
-            return Err(format!(
-                "{tag} job at {workers} worker(s) ended {} ({})",
-                record.state,
-                record.error.clone().unwrap_or_default()
-            ));
-        }
-        Ok(record)
-    })();
-
-    let _ = server_thread.join();
-    for t in worker_threads {
-        let _ = t.join();
-    }
-    let _ = std::fs::remove_dir_all(&state_dir);
-    outcome
-}
-
-/// Runs a fault-map reliability campaign — in-process by default, or
-/// over an in-process cluster of `--workers N` real TCP workers (the
-/// digest is identical either way; CI gates on exactly that).
+/// Runs a fault-map reliability campaign in this process. A cluster
+/// runs the same campaign as a job: `serve --expect-workers N`, `worker`,
+/// then `submit --reliability` (the digest is identical either way).
 fn cmd_reliability(args: &[String]) -> Result<(), String> {
     use snn_mtfc::reliability::{ReliabilityEvaluator, ReliabilityReport};
-    let model = model_spec_of(args)?;
-    let net = snn_mtfc::cluster::build_model(&model)?;
+    let net = snn_mtfc::cluster::build_model(&model_spec_of(args)?)?;
     let rspec = reliability_spec_of(args, &net)?;
-    let workers: usize = num_flag(args, "--workers")?.unwrap_or(0);
-
-    let report = if workers == 0 {
-        let evaluator = ReliabilityEvaluator::new(net.clone(), rspec.clone())?;
-        let threads = num_flag(args, "--threads")?.unwrap_or(0);
-        let cancel = snn_mtfc::faults::progress::CancelToken::new();
-        let outcomes = evaluator
-            .evaluate_chunk(0..rspec.map.configs, threads, &cancel)
-            .map_err(|_| "campaign cancelled".to_string())?;
-        ReliabilityReport::build(&net, &rspec, &outcomes)?
-    } else {
-        let spec = JobSpec {
-            model,
-            preset: "repro".into(),
-            seed: seed_of(args)?,
-            max_iterations: None,
-            t_limit_secs: None,
-            evaluate_coverage: false,
-            threads: 1,
-            reliability: Some(rspec),
-            engine: None,
-        };
-        let chunk_size = num_flag(args, "--chunk-size")?.unwrap_or(4);
-        let record = cluster_job_run(workers, &spec, chunk_size, "reliability")?;
-        let result = record.result.ok_or("reliability job finished without a result")?;
-        result.reliability.ok_or("reliability job returned no report")?
-    };
+    let evaluator = ReliabilityEvaluator::new(net.clone(), rspec.clone())?;
+    let threads = num_flag(args, "--threads")?.unwrap_or(0);
+    let cancel = snn_mtfc::faults::progress::CancelToken::new();
+    let outcomes = evaluator
+        .evaluate_chunk(0..rspec.map.configs, threads, &cancel)
+        .map_err(|_| "campaign cancelled".to_string())?;
+    let report = ReliabilityReport::build(&net, &rspec, &outcomes)?;
 
     if args.iter().any(|a| a == "--json") {
         println!("{}", serde::json::to_string(&report));

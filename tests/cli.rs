@@ -84,6 +84,15 @@ fn unknown_flags_and_flags_without_a_value_fail_cleanly() {
         &["reliability", "--synthetic", "6x12x4", "--engine", "packed"],
         "reliability does not take --engine",
     );
+    // A cluster runs reliability campaigns as jobs: `submit --reliability`.
+    assert_clean_failure(
+        &["reliability", "--synthetic", "6x12x4", "--workers", "2"],
+        "reliability does not take --workers",
+    );
+    assert_clean_failure(
+        &["reliability", "--synthetic", "6x12x4", "--chunk-size", "4"],
+        "reliability does not take --chunk-size",
+    );
 }
 
 /// Every flag the usage text lists under a subcommand is one that

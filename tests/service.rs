@@ -449,3 +449,117 @@ fn a_job_writes_the_stimulus_the_generator_writes() {
     let _ = std::fs::remove_dir_all(&state_dir);
     let _ = std::fs::remove_dir_all(&model_dir);
 }
+
+/// A reliability job: eight fault maps of a 6-12-4 synthetic net, weight
+/// and neuron faults live in ticks 3..9 of twelve — the windowed campaign
+/// `ci.sh` gates.
+fn reliability_spec() -> JobSpec {
+    use snn_mtfc::faults::TransientWindow;
+    use snn_mtfc::reliability::{
+        EvalSpec, FaultMapSpec, MitigationKind, ReliabilitySpec, WeightFaultModel,
+    };
+    let spec = JobSpec { threads: 1, ..JobSpec::synthetic_repro(6, vec![12], 4, 11) };
+    let net = snn_mtfc::cluster::build_model(&spec.model).expect("synthetic model");
+    let window = Some(TransientWindow::new(3, 9));
+    let map = FaultMapSpec::uniform(&net, 0.05, 0.05, 8, 11, WeightFaultModel::StuckSat, window);
+    let eval = EvalSpec { samples: 6, steps: 12, rate: 0.3, seed: 7 };
+    let mitigation = MitigationKind::RangeRestriction;
+    JobSpec { reliability: Some(ReliabilitySpec { map, eval, mitigation }), ..spec }
+}
+
+/// A reliability job records one digest whether the server runs its
+/// campaign or leases it to a cluster worker, and it is the digest of the
+/// fault-map evaluator run directly.
+#[test]
+fn a_reliability_job_records_the_evaluator_digest_in_process_and_leased() {
+    use snn_mtfc::cluster::{run_worker, WorkerConfig};
+    use snn_mtfc::faults::CancelToken;
+    use snn_mtfc::reliability::{ReliabilityEvaluator, ReliabilityReport};
+
+    let spec = reliability_spec();
+    let rspec = spec.reliability.clone().expect("reliability spec");
+    let net = snn_mtfc::cluster::build_model(&spec.model).expect("synthetic model");
+    let evaluator = ReliabilityEvaluator::new(net.clone(), rspec.clone()).expect("evaluator");
+    let outcomes =
+        evaluator.evaluate_chunk(0..rspec.map.configs, 1, &CancelToken::new()).expect("campaign");
+    let expected = ReliabilityReport::build(&net, &rspec, &outcomes).expect("report").digest;
+    assert_eq!(expected, "a33d2db16430582e", "the digest ci.sh pins for this campaign");
+
+    for workers in [0, 1] {
+        let state_dir = temp_state_dir(&format!("reliability-{workers}"));
+        let (addr, server) = boot_with(ServiceConfig {
+            expect_workers: workers,
+            chunk_size: 3,
+            ..ServiceConfig::loopback(&state_dir)
+        });
+        let worker = (workers == 1).then(|| {
+            let cfg = WorkerConfig {
+                addr: addr.to_string(),
+                name: "reliability-w1".into(),
+                threads: 1,
+                trace: false,
+            };
+            std::thread::spawn(move || run_worker(&cfg).map(|_| ()).map_err(|e| e.to_string()))
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        let job = client.submit(spec.clone()).expect("submit");
+        let record = client.watch(job, |_| {}).expect("watch");
+        assert_eq!(record.state, JobState::Done, "{workers} worker(s): {:?}", record.error);
+        let digest = record.result.and_then(|r| r.verdict_digest);
+        assert_eq!(digest.as_deref(), Some(expected.as_str()), "{workers} worker(s)");
+        // Leased as three chunks of at most three configurations, or not
+        // leased at all.
+        let leased = client.cluster_status().expect("cluster status").chunks_completed;
+        assert_eq!(leased, if workers == 0 { 0 } else { 3 }, "{workers} worker(s)");
+
+        client.shutdown().expect("shutdown");
+        server.join().expect("server thread").expect("server run");
+        if let Some(worker) = worker {
+            worker.join().expect("worker thread").expect("worker run");
+        }
+        let _ = std::fs::remove_dir_all(&state_dir);
+    }
+}
+
+/// The fault-map evaluator runs no detection engine, so a reliability
+/// job that names one is refused at submit and never stored.
+#[test]
+fn a_reliability_job_with_an_engine_is_refused() {
+    let state_dir = temp_state_dir("reliability-engine");
+    let (addr, server) = boot(&state_dir);
+    {
+        let mut client = Client::connect(addr).expect("connect");
+        let spec = JobSpec { engine: Some(snn_mtfc::faults::Engine::Scalar), ..reliability_spec() };
+        let err = client.submit(spec).expect_err("reliability with an engine is refused");
+        assert_eq!(err, "reliability jobs do not take an engine");
+        assert!(client.list().expect("list").is_empty(), "a refused job was stored");
+        client.shutdown().expect("shutdown");
+    }
+    server.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A fault map that does not fit the job's model fails the job with one
+/// line before any campaign starts: a server that leases campaigns checks
+/// it too, rather than waiting for workers that could not run it.
+#[test]
+fn a_reliability_job_whose_map_misses_the_model_fails_before_leasing() {
+    use snn_mtfc::reliability::{MemoryRegion, RegionSpec};
+    let state_dir = temp_state_dir("reliability-misfit");
+    let (addr, server) = boot_with(coordinator_without_workers(&state_dir));
+    {
+        let mut client = Client::connect(addr).expect("connect");
+        let mut spec = reliability_spec();
+        if let Some(r) = spec.reliability.as_mut() {
+            r.map.regions.push(RegionSpec { region: MemoryRegion::Neurons { layer: 9 }, ber: 0.1 });
+        }
+        let job = client.submit(spec).expect("submit");
+        let record = client.watch(job, |_| {}).expect("watch");
+        assert_eq!(record.state, JobState::Failed);
+        let error = record.error.unwrap_or_default();
+        assert!(error.ends_with("layer 9 out of range") && !error.contains('\n'), "{error}");
+        client.shutdown().expect("shutdown");
+    }
+    server.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
